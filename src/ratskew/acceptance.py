@@ -448,10 +448,10 @@ CRITERIA = [
 def run_criterion(num: int, seed: int = PINNED_SEED):
     for n, name, budget, fn in CRITERIA:
         if n == num:
-            t0 = time.time()
+            t0 = time.perf_counter()
             ok, detail = fn(seed)
             return {"num": n, "name": name, "ok": ok, "detail": detail,
-                    "seconds": time.time() - t0, "budget": budget}
+                    "seconds": time.perf_counter() - t0, "budget": budget}
     raise ValueError("no criterion %d" % num)
 
 

@@ -8,11 +8,20 @@ descriptor ties them together (construction, parsing, rendering, sampling).
 All values are canonical on construction: F_p representatives live in
 [0, p), rational functions are reduced by the polynomial gcd and carry a
 monic denominator.  Equality is structural.
+
+The :class:`RatFunc` operators rely on that invariant: they take canonical
+operands and skip the gcds it makes redundant (zero, one and constant
+operands, a polynomial plus a fraction, coprime denominators, cross gcds
+in products; see :class:`RatFunc`).  The reducing constructor
+``RatFunc(num, den)`` stays the one reference path, and
+:func:`scalar_from_json` builds every loaded value through it, so a value
+read from a file is canonical too.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 
 class Fp:
@@ -112,6 +121,7 @@ class MPoly:
 
     ``terms`` maps exponent tuples to nonzero Fractions.  Used only as the
     num/den of :class:`RatFunc`; arithmetic is plain dict convolution.
+    Values are never mutated after construction, so they may be shared.
     """
 
     __slots__ = ("nvars", "terms")
@@ -121,21 +131,30 @@ class MPoly:
         self.terms = {e: c for e, c in terms.items() if c}
 
     @staticmethod
+    def _of(nvars: int, terms: dict) -> "MPoly":
+        """Trusted constructor: ``terms`` already holds no zero coefficient."""
+        p = object.__new__(MPoly)
+        p.nvars = nvars
+        p.terms = terms
+        return p
+
+    @staticmethod
     def const(nvars: int, c) -> "MPoly":
         c = Fraction(c)
-        return MPoly(nvars, {(0,) * nvars: c} if c else {})
+        return MPoly._of(nvars, {(0,) * nvars: c} if c else {})
 
     @staticmethod
     def var(nvars: int, i: int) -> "MPoly":
         e = [0] * nvars
         e[i] = 1
-        return MPoly(nvars, {tuple(e): Fraction(1)})
+        return MPoly._of(nvars, {tuple(e): Fraction(1)})
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def is_const(self) -> bool:
-        return all(not any(e) for e in self.terms)
+        t = self.terms
+        return not t or (len(t) == 1 and not any(next(iter(t))))
 
     def const_value(self) -> Fraction:
         z = (0,) * self.nvars
@@ -154,15 +173,18 @@ class MPoly:
     def __add__(self, other):
         t = dict(self.terms)
         for e, c in other.terms.items():
-            s = t.get(e, 0) + c
-            if s:
-                t[e] = s
+            if e in t:
+                s = t[e] + c
+                if s:
+                    t[e] = s
+                else:
+                    del t[e]
             else:
-                t.pop(e, None)
-        return MPoly(self.nvars, t)
+                t[e] = c
+        return MPoly._of(self.nvars, t)
 
     def __neg__(self):
-        return MPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return MPoly._of(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -171,18 +193,21 @@ class MPoly:
         t: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = t.get(e, 0) + c1 * c2
-                if s:
-                    t[e] = s
+                e = tuple(map(add, e1, e2))
+                if e in t:
+                    s = t[e] + c1 * c2
+                    if s:
+                        t[e] = s
+                    else:
+                        del t[e]
                 else:
-                    t.pop(e, None)
-        return MPoly(self.nvars, t)
+                    t[e] = c1 * c2
+        return MPoly._of(self.nvars, t)
 
     def scale(self, c) -> "MPoly":
         if not c:
-            return MPoly(self.nvars, {})
-        return MPoly(self.nvars, {e: c * v for e, v in self.terms.items()})
+            return MPoly._of(self.nvars, {})
+        return MPoly._of(self.nvars, {e: c * v for e, v in self.terms.items()})
 
     def leading(self):
         """Lex-leading (exponent, coefficient) pair."""
@@ -223,7 +248,8 @@ class MPoly:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         if other.is_const():
-            return self.scale(1 / other.const_value())
+            c = other.const_value()
+            return self if c == 1 else self.scale(1 / c)
         rem = self
         q: dict = {}
         le, lc = other.leading()
@@ -320,40 +346,71 @@ def mpoly_gcd(f: MPoly, g: MPoly) -> MPoly:
     return (mpoly_gcd(cf, cg) * a).monic()
 
 
+def _nontrivial_gcd(f: MPoly, g: MPoly):
+    """``mpoly_gcd(f, g)`` of nonzero f and g, or None when it is 1."""
+    if f.is_const() or g.is_const():
+        return None
+    h = mpoly_gcd(f, g)
+    return None if h.is_const() else h
+
+
 class RatFunc:
-    """Element of Q(t1..tr): reduced fraction of :class:`MPoly` with monic denominator."""
+    """Element of Q(t1..tr): reduced fraction of :class:`MPoly` with monic denominator.
+
+    ``RatFunc(num, den)`` is the reducing constructor and the reference for
+    the canonical form.  The operators rely on their operands being canonical
+    already and skip the work that this makes redundant (Henrici's split, as
+    in ``fractions.Fraction``):
+
+    * zero and one: ``0 + x`` and ``1 * x`` are ``x``, and ``0 * x`` is zero,
+      with no polynomial built;
+    * constants (one zero-exponent numerator term over 1) combine as two
+      Fractions; ``c * p/q`` is ``(c*p)/q`` and ``(p/q) / c`` is ``(p/c)/q``;
+    * a polynomial plus a fraction, ``p + c/d``, is ``(p*d + c)/d``;
+    * ``a/b + c/d`` reduces only against ``g = gcd(b, d)``, and not at all
+      when g is 1;
+    * ``(a/b) * (c/d)`` cancels the cross gcds ``gcd(a, d)`` and ``gcd(c, b)``
+      instead of reducing the full product.
+    """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: MPoly, den: MPoly, reduce: bool = True) -> None:
+    def __init__(self, num: MPoly, den: MPoly) -> None:
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         if num.is_zero():
             num = MPoly(num.nvars, {})
             den = MPoly.const(num.nvars, 1)
-        elif reduce:
-            if den.is_const():
-                num = num.scale(1 / den.const_value())
-                den = MPoly.const(num.nvars, 1)
-            else:
-                g = mpoly_gcd(num, den)
-                if not g.is_const() or g.const_value() != 1:
-                    num = num.div_exact(g)
-                    den = den.div_exact(g)
-                _, lc = den.leading()
-                if lc != 1:
-                    num = num.scale(1 / lc)
-                    den = den.scale(1 / lc)
+        elif den.is_const():
+            num = num.scale(1 / den.const_value())
+            den = MPoly.const(num.nvars, 1)
+        else:
+            g = mpoly_gcd(num, den)
+            if not g.is_const() or g.const_value() != 1:
+                num = num.div_exact(g)
+                den = den.div_exact(g)
+            _, lc = den.leading()
+            if lc != 1:
+                num = num.scale(1 / lc)
+                den = den.scale(1 / lc)
         self.num = num
         self.den = den
 
     @staticmethod
+    def _of(num: MPoly, den: MPoly) -> "RatFunc":
+        """Trusted constructor: num/den is already reduced, den monic."""
+        r = object.__new__(RatFunc)
+        r.num = num
+        r.den = den
+        return r
+
+    @staticmethod
     def const(nvars: int, c) -> "RatFunc":
-        return RatFunc(MPoly.const(nvars, c), MPoly.const(nvars, 1), reduce=False)
+        return RatFunc._of(MPoly.const(nvars, c), MPoly.const(nvars, 1))
 
     @staticmethod
     def var(nvars: int, i: int) -> "RatFunc":
-        return RatFunc(MPoly.var(nvars, i), MPoly.const(nvars, 1), reduce=False)
+        return RatFunc._of(MPoly.var(nvars, i), MPoly.const(nvars, 1))
 
     def _lift(self, other):
         if isinstance(other, RatFunc):
@@ -364,38 +421,90 @@ class RatFunc:
             return RatFunc.const(self.num.nvars, other)
         return NotImplemented
 
-    def _is_poly(self) -> bool:
-        return self.den.is_const()
+    def _add(self, other: "RatFunc") -> "RatFunc":
+        a, b = self.num, self.den
+        c, d = other.num, other.den
+        if not a.terms:
+            return other
+        if not c.terms:
+            return self
+        if b.is_const():
+            # b is 1; for two constants a + c is one Fraction addition
+            if d.is_const():
+                return RatFunc._of(a + c, b)
+            return RatFunc._of(a * d + c, d)
+        if d.is_const():
+            return RatFunc._of(a + c * b, b)
+        g = _nontrivial_gcd(b, d)
+        if g is None:
+            return RatFunc._of(a * d + c * b, b * d)
+        s = b.div_exact(g)
+        t = a * d.div_exact(g) + c * s
+        if not t.terms:
+            return RatFunc._of(t, MPoly.const(a.nvars, 1))
+        g2 = _nontrivial_gcd(t, g)
+        if g2 is None:
+            return RatFunc._of(t, s * d)
+        return RatFunc._of(t.div_exact(g2), s * d.div_exact(g2))
+
+    def _mul(self, other: "RatFunc") -> "RatFunc":
+        a, b = self.num, self.den
+        c, d = other.num, other.den
+        if not a.terms:
+            return self
+        if not c.terms:
+            return other
+        if b.is_const() and a.is_const():
+            (x,) = a.terms.values()
+            return other if x == 1 else RatFunc._of(c.scale(x), d)
+        if d.is_const() and c.is_const():
+            (y,) = c.terms.values()
+            return self if y == 1 else RatFunc._of(a.scale(y), b)
+        g1 = None if d.is_const() else _nontrivial_gcd(a, d)
+        g2 = None if b.is_const() else _nontrivial_gcd(c, b)
+        if g1 is not None:
+            a, d = a.div_exact(g1), d.div_exact(g1)
+        if g2 is not None:
+            c, b = c.div_exact(g2), b.div_exact(g2)
+        return RatFunc._of(a * c, b * d)
+
+    def _inverse(self) -> "RatFunc":
+        if not self.num.terms:
+            raise ZeroDivisionError("division by zero rational function")
+        _, lc = self.num.leading()
+        if lc == 1:
+            return RatFunc._of(self.den, self.num)
+        inv = 1 / lc
+        return RatFunc._of(self.den.scale(inv), self.num.scale(inv))
 
     def __add__(self, other):
         other = self._lift(other)
         if other is NotImplemented:
             return NotImplemented
-        if self._is_poly() and other._is_poly():
-            return RatFunc(self.num + other.num, self.den, reduce=False)
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
+        return self._add(other)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den, reduce=False)
+        return RatFunc._of(-self.num, self.den)
 
     def __sub__(self, other):
         other = self._lift(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return self._add(RatFunc._of(-other.num, other.den))
 
     def __rsub__(self, other):
-        return (-self) + other
+        other = self._lift(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other._add(RatFunc._of(-self.num, self.den))
 
     def __mul__(self, other):
         other = self._lift(other)
         if other is NotImplemented:
             return NotImplemented
-        if self._is_poly() and other._is_poly():
-            return RatFunc(self.num * other.num, MPoly.const(self.num.nvars, 1), reduce=False)
-        return RatFunc(self.num * other.num, self.den * other.den)
+        return self._mul(other)
 
     __rmul__ = __mul__
 
@@ -403,15 +512,13 @@ class RatFunc:
         other = self._lift(other)
         if other is NotImplemented:
             return NotImplemented
-        if other.num.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
+        return self._mul(other._inverse())
 
     def __rtruediv__(self, other):
         other = self._lift(other)
         if other is NotImplemented:
             return NotImplemented
-        return other / self
+        return other._mul(self._inverse())
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -598,9 +705,9 @@ def scalar_from_json(field: Field, obj):
     if isinstance(field, PrimeField):
         return Fp(field.p, obj)
     if isinstance(field, FunctionField):
+        # Reduced here, because the operators trust canonical operands.
         return RatFunc(
             _mpoly_from_json(field.nvars, obj["num"]),
             _mpoly_from_json(field.nvars, obj["den"]),
-            reduce=False,
         )
     raise TypeError("unknown field %r" % field)

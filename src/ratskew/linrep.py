@@ -17,6 +17,8 @@ works on.
 
 from __future__ import annotations
 
+from collections import deque
+
 from .fields import Field, scalar_from_json, scalar_to_json
 from .freealg import FreeElem
 from .la import Echelon, dot, identity, invert_matrix, mat_mul, vec_mat
@@ -107,12 +109,12 @@ class LinRep:
         if self.dim == 0:
             return self
         ech = Echelon(self.dim, z, o)
-        queue = []
+        queue = deque()
         if ech.add(self.lam):
             queue.append(list(self.lam))
         letters = sorted(self.mu)
         while queue:
-            v = queue.pop(0)
+            v = queue.popleft()
             for x in letters:
                 w = vec_mat(v, self.mu[x], z, self.dim)
                 if ech.add(w):
@@ -461,13 +463,13 @@ class SeriesMatrix:
         if self.dim == 0:
             return self
         ech = Echelon(self.dim, z, o)
-        queue = []
+        queue = deque()
         for row in self.Lam:
             if ech.add(row):
                 queue.append(list(row))
         letters = sorted(self.mu)
         while queue:
-            v = queue.pop(0)
+            v = queue.popleft()
             for x in letters:
                 w = vec_mat(v, self.mu[x], z, self.dim)
                 if ech.add(w):

@@ -1,5 +1,6 @@
 """Scalar domains: exact arithmetic, canonical forms, serialization."""
 
+import operator
 import random
 from fractions import Fraction
 
@@ -144,3 +145,138 @@ def test_render_is_parseable_for_q():
     assert F7.render(Fp(7, 3)) == "3"
     t = QT.var(0)
     assert QT.render(t + 2) == "t1 + 2"
+
+
+def test_scalar_from_json_canonicalises():
+    # t/2 stored with a non-monic denominator
+    x = scalar_from_json(QT, {"num": [[[1], "1"]], "den": [[[0], "2"]]})
+    assert x == QT.var(0) / 2
+    assert str(x) == "1/2*t1"
+    assert str(x + 1) == "1/2*t1 + 1"
+    # (2t + 2)/(t + 1) stored unreduced
+    y = scalar_from_json(QT, {"num": [[[1], "2"], [[0], "2"]],
+                              "den": [[[1], "1"], [[0], "1"]]})
+    assert y == 2
+    assert scalar_to_json(QT, y) == {"num": [[[0], "2"]], "den": [[[0], "1"]]}
+
+
+# -- RatFunc operators against the reducing constructor and an oracle -----
+
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+def _mpolys(nvars, min_terms=0):
+    term = st.tuples(st.tuples(*[st.integers(0, 2)] * nvars), _fractions)
+    return st.lists(term, min_size=min_terms, max_size=3).map(
+        lambda ts: MPoly(nvars, dict(ts)))
+
+
+def _factor_products(nvars, min_size):
+    """Products of a few factors from a small pool, so that operands often
+    share factors and the gcds on the operators' paths are nontrivial."""
+    one = MPoly.const(nvars, 1)
+    t = [MPoly.var(nvars, i) for i in range(nvars)]
+    pool = [t[0], t[0] + one, t[0] - one] + ([t[1], t[0] + t[1]] if nvars == 2 else [])
+
+    def product(fs):
+        p = one
+        for f in fs:
+            p = p * f
+        return p
+    return st.lists(st.sampled_from(pool), min_size=min_size, max_size=2).map(product)
+
+
+@st.composite
+def _ratfuncs(draw, nvars):
+    """Canonical operands: zero, rational constants, polynomials, fractions."""
+    # fractions weighted up: they are the operands that reach the gcd paths
+    kind = draw(st.sampled_from(["zero", "const", "poly", "frac", "frac", "frac"]))
+    one = MPoly.const(nvars, 1)
+    if kind == "zero":
+        return RatFunc(MPoly(nvars, {}), one)
+    if kind == "const":
+        return RatFunc(MPoly.const(nvars, draw(_fractions)), one)
+    consts = _fractions.filter(bool).map(lambda c: MPoly.const(nvars, c))
+    num = draw(st.one_of(consts, _mpolys(nvars))) * draw(_factor_products(nvars, 0))
+    if kind == "poly":
+        return RatFunc(num, one)
+    den = draw(_factor_products(nvars, 1)).scale(draw(_fractions.filter(bool)))
+    return RatFunc(num, den)
+
+
+def _unreduced(op, x, y):
+    """num/den of x op y by the textbook formulas, before any reduction."""
+    a, b, c, d = x.num, x.den, y.num, y.den
+    if op == "+":
+        return a * d + c * b, b * d
+    if op == "-":
+        return a * d - c * b, b * d
+    if op == "*":
+        return a * c, b * d
+    return a * d, b * c
+
+
+def _evaluate(p, point):
+    total = Fraction(0)
+    for e, c in p.terms.items():
+        m = c
+        for v, k in zip(point, e):
+            m *= v ** k
+        total += m
+    return total
+
+
+def test_ratfunc_sum_reduces_against_the_common_denominator_factor():
+    t = QT.var(0)
+    # gcd(b, d) = t, and t also divides (t - 1) + (t + 1) = 2t
+    x, y = 1 / (t * (t + 1)), 1 / (t * (t - 1))
+    assert str(x + y) == "2/(t1^2 - 1)"
+    assert x + y == RatFunc(x.num * y.den + y.num * x.den, x.den * y.den)
+
+
+@pytest.mark.parametrize("op", sorted(_OPS))
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), nvars=st.sampled_from([1, 2]))
+def test_ratfunc_operators_match_reference(op, data, nvars):
+    x = data.draw(_ratfuncs(nvars), "x")
+    y = data.draw(_ratfuncs(nvars), "y")
+    if op == "/" and not y:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+        return
+    r = _OPS[op](x, y)
+    # (a) the reducing constructor on the unreduced result gives the same value
+    ref = RatFunc(*_unreduced(op, x, y))
+    assert r.num.terms == ref.num.terms and r.den.terms == ref.den.terms
+    assert str(r) == str(ref)
+    # (b) canonical: monic denominator, numerator and denominator coprime
+    assert r.den.leading()[1] == 1
+    assert mpoly_gcd(r.num, r.den).is_const()
+    if not r:
+        assert r.den.is_const()
+    # (c) an independent oracle: plain Fraction arithmetic at rational points
+    for _ in range(3):
+        point = data.draw(st.lists(_fractions, min_size=nvars, max_size=nvars), "point")
+        dens = [_evaluate(z.den, point) for z in (x, y, r)]
+        if not all(dens):
+            continue
+        xv, yv, rv = (_evaluate(z.num, point) / dv for z, dv in zip((x, y, r), dens))
+        if op == "/" and not yv:
+            continue
+        assert _OPS[op](xv, yv) == rv
+
+
+@pytest.mark.parametrize("op", sorted(_OPS))
+@settings(max_examples=50, deadline=None)
+@given(data=st.data(), nvars=st.sampled_from([1, 2]))
+def test_ratfunc_operators_with_rational_operands(op, data, nvars):
+    x = data.draw(_ratfuncs(nvars), "x")
+    k = data.draw(st.one_of(st.integers(-3, 3), _fractions), "k")
+    kf = RatFunc.const(nvars, k)
+    f = _OPS[op]
+    if op != "/" or k:
+        assert f(x, k) == f(x, kf)
+    if op != "/" or x:
+        assert f(k, x) == f(kf, x)
