@@ -686,7 +686,13 @@ def _mpoly_to_json(p: MPoly):
 
 
 def _mpoly_from_json(nvars: int, obj) -> MPoly:
-    return MPoly(nvars, {tuple(e): Fraction(c) for e, c in obj})
+    terms = {}
+    for e, c in obj:
+        e = tuple(e)
+        if len(e) != nvars or any(type(k) is not int or k < 0 for k in e):
+            raise ValueError("exponent %r is not %d non-negative integers" % (list(e), nvars))
+        terms[e] = Fraction(c)
+    return MPoly(nvars, terms)
 
 
 def scalar_to_json(field: Field, a):

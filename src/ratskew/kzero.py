@@ -308,27 +308,29 @@ def _orient(relations):
     return l, r
 
 
+def _normal_form(rule, v):
+    """Rewrite the exponent vector v with the oriented rule (big, small), or
+    leave it as it is when ``rule`` is None."""
+    v = list(v)
+    if rule is not None:
+        big, small = rule
+        while all(a >= b for a, b in zip(v, big)):
+            v = [a - b + c for a, b, c in zip(v, big, small)]
+    return tuple(v)
+
+
 def monoid_enumerate(p: MonoidPresentation, bound: int = 512) -> MonoidTable:
     """Close the generators under addition, reducing every sum to its normal
     form.  Stops with ``overflow`` once more than ``bound`` elements appear;
     the partial table keeps None for sums that left the enumerated set."""
     k = len(p.gens)
     rule = _orient(p.relations)
-
-    def nf(v):
-        v = list(v)
-        if rule is not None:
-            big, small = rule
-            while all(a >= b for a, b in zip(v, big)):
-                v = [a - b + c for a, b, c in zip(v, big, small)]
-        return tuple(v)
-
-    zero = nf((0,) * k)
+    zero = _normal_form(rule, (0,) * k)
     elems = [zero]
     index = {zero: 0}
     gens = []
     for j in range(k):
-        v = nf(tuple(1 if i == j else 0 for i in range(k)))
+        v = _normal_form(rule, tuple(1 if i == j else 0 for i in range(k)))
         if v not in index:
             index[v] = len(elems)
             elems.append(v)
@@ -340,7 +342,7 @@ def monoid_enumerate(p: MonoidPresentation, bound: int = 512) -> MonoidTable:
         new = []
         for i in frontier:
             for g in gens:
-                s = nf(tuple(a + b for a, b in zip(elems[i], elems[g])))
+                s = _normal_form(rule, tuple(a + b for a, b in zip(elems[i], elems[g])))
                 if s not in index:
                     if len(elems) >= bound:
                         overflow = True
@@ -356,7 +358,7 @@ def monoid_enumerate(p: MonoidPresentation, bound: int = 512) -> MonoidTable:
     for i in range(len(elems)):
         row = []
         for j in range(len(elems)):
-            s = nf(tuple(a + b for a, b in zip(elems[i], elems[j])))
+            s = _normal_form(rule, tuple(a + b for a, b in zip(elems[i], elems[j])))
             row.append(index.get(s))
         table.append(row)
     complete = not overflow and all(all(e is not None for e in row) for row in table)
@@ -476,14 +478,11 @@ def analyze_pisr_shape(p: MonoidPresentation, bound: int = 512) -> MonoidShapeRe
             ug = grothendieck_group(p)
             matches = group.factors == ug.factors
             gen_match = True
+            rule = _orient(p.relations)
             for j, g in enumerate(p.gens):
-                v = tuple(1 if i == j else 0 for i in range(len(p.gens)))
                 # normal form of the generator inside the table
-                gi = None
-                for idx, el in enumerate(tbl.elements):
-                    if el == _nf_of(p, v):
-                        gi = idx
-                        break
+                v = _normal_form(rule, (1 if i == j else 0 for i in range(len(p.gens))))
+                gi = tbl.elements.index(v) if v in tbl.elements else None
                 if gi is None or gi == 0:
                     continue
                 o_tab = group.element_order(group.images["e%d" % gi])
@@ -504,12 +503,3 @@ def analyze_pisr_shape(p: MonoidPresentation, bound: int = 512) -> MonoidShapeRe
         notes=notes,
     )
 
-
-def _nf_of(p: MonoidPresentation, v):
-    rule = _orient(p.relations)
-    v = list(v)
-    if rule is not None:
-        big, small = rule
-        while all(a >= b for a, b in zip(v, big)):
-            v = [a - b + c for a, b, c in zip(v, big, small)]
-    return tuple(v)

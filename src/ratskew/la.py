@@ -50,10 +50,6 @@ def identity(n, zero, one):
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
-def transpose(m):
-    return [list(r) for r in zip(*m)] if m else []
-
-
 def dot(u, v, zero):
     return sum((u[i] * v[i] for i in range(len(u)) if u[i] and v[i]), zero)
 
@@ -115,37 +111,6 @@ class Echelon:
 
     def dim(self) -> int:
         return len(self.rows)
-
-
-def solve(a, b, zero, one):
-    """One solution x of a @ x = b, or None.  a is n x m, b length n."""
-    n = len(a)
-    m = len(a[0]) if a else 0
-    aug = [list(a[i]) + [b[i]] for i in range(n)]
-    piv_cols = []
-    r = 0
-    for c in range(m):
-        pr = next((i for i in range(r, n) if aug[i][c]), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        inv = one / aug[r][c]
-        aug[r] = [x * inv if x else x for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c]:
-                ci = aug[i][c]
-                aug[i] = [aug[i][j] - ci * aug[r][j] for j in range(m + 1)]
-        piv_cols.append(c)
-        r += 1
-        if r == n:
-            break
-    for i in range(r, n):
-        if aug[i][m]:
-            return None
-    x = [zero] * m
-    for i, c in enumerate(piv_cols):
-        x[c] = aug[i][m]
-    return x
 
 
 def invert_matrix(a, zero, one):

@@ -204,19 +204,9 @@ class UElem:
         )
 
 
-def u_mul(a: UElem, b: UElem) -> UElem:
-    """Product in the monoword basis; see ``UElem.__mul__``."""
-    return a * b
-
-
 # ---------------------------------------------------------------------------
 # the unit-sum quotient: junction rewriting
 # ---------------------------------------------------------------------------
-
-# Reduced elements are plain UElems whose monowords avoid the junction
-# y_n x_n; the alias marks intent at call sites.
-VElem = UElem
-
 
 def is_v_reduced(a: UElem) -> bool:
     n = a.n

@@ -5,14 +5,21 @@ letter, and a column vector, with the coefficient of a word w1..wk equal to
 lam * mu(w1) * ... * mu(wk) * gamma.  The letter matrices live in a dict, so
 letters that never occur cost nothing and alphabets may grow on demand.
 
-Every public operation returns a *reduced* representation: the forward and
-backward basis closures cut the state space down to minimal dimension.  That
-makes the zero test trivial (dim == 0), keeps arithmetic from snowballing,
-and turns exact equality into reduction of a difference.
+Every public operation returns a *reduced* representation, of minimal
+dimension.  That makes the zero test trivial (dim == 0), keeps arithmetic
+from snowballing, and turns exact equality into reduction of a difference.
 
 :class:`SeriesMatrix` packs a whole matrix of series into one representation
 with block entry/exit vectors, which is what the star-based matrix inversion
 works on.
+
+Both classes reduce through one engine, :func:`_minimise`, which sees a
+representation as a list of entry rows, the letter matrices and a list of
+exit columns (a :class:`LinRep` has one of each).  It runs a reachability
+pass, restricting to the span of every row times mu(w), then the same pass
+on the transpose with rows and columns swapped, and transposes back
+(Berstel-Reutenauer, *Noncommutative Rational Series with Applications*,
+ch. 2).
 """
 
 from __future__ import annotations
@@ -21,8 +28,72 @@ from collections import deque
 
 from .fields import Field, scalar_from_json, scalar_to_json
 from .freealg import FreeElem
-from .la import Echelon, dot, identity, invert_matrix, mat_mul, vec_mat
+from .la import Echelon, dot, identity, invert_matrix, mat_mul, mat_vec, vec_mat
 from .words import word_key
+
+
+# ---------------------------------------------------------------------------
+# the minimisation engine shared by LinRep and SeriesMatrix
+# ---------------------------------------------------------------------------
+
+def _reach(field, dim, rows, mu, cols):
+    """Restrict to the span of row * mu(w) over the entry rows and all words w.
+
+    Returns ``(d, rows, mu, cols)`` in the echelon basis of that span;
+    letters whose restricted matrix is zero are dropped.
+    """
+    if dim == 0:
+        return dim, rows, mu, cols
+    z = field.zero()
+    ech = Echelon(dim, z, field.one())
+    queue = deque(list(r) for r in rows if ech.add(r))
+    letters = sorted(mu)
+    while queue:
+        v = queue.popleft()
+        for x in letters:
+            w = vec_mat(v, mu[x], z, dim)
+            if ech.add(w):
+                queue.append(w)
+    d = ech.dim()
+    if d == 0:
+        return 0, [[] for _ in rows], {}, [[] for _ in cols]
+    basis = ech.rows
+    new_mu = {}
+    for x in letters:
+        m = [ech.express(vec_mat(b, mu[x], z, dim)) for b in basis]
+        if any(any(r) for r in m):
+            new_mu[x] = m
+    return d, [ech.express(r) for r in rows], new_mu, [[dot(b, c, z) for b in basis] for c in cols]
+
+
+def _transposed(mu):
+    return {x: [list(r) for r in zip(*m)] for x, m in mu.items()}
+
+
+def _minimise(field, dim, rows, mu, cols):
+    """Minimal form of (entry rows, letter matrices, exit columns): the
+    reachable part, then the reachable part of its transpose."""
+    d, rows, mu, cols = _reach(field, dim, rows, mu, cols)
+    d, cols, mu, rows = _reach(field, d, cols, _transposed(mu), rows)
+    return d, rows, _transposed(mu), cols
+
+
+def _direct_sum(mu1, d1, mu2, d2, zero):
+    """Block-diagonal letter matrices diag(mu1(x), mu2(x))."""
+    d = d1 + d2
+    mu = {}
+    for x in set(mu1) | set(mu2):
+        m = [[zero] * d for _ in range(d)]
+        a = mu1.get(x)
+        if a:
+            for i in range(d1):
+                m[i][:d1] = a[i]
+        b = mu2.get(x)
+        if b:
+            for i in range(d2):
+                m[d1 + i][d1:] = b[i]
+        mu[x] = m
+    return mu
 
 
 class LinRep:
@@ -103,41 +174,9 @@ class LinRep:
 
     # -- reduction ----------------------------------------------------------
 
-    def _forward(self) -> "LinRep":
-        field = self.field
-        z, o = field.zero(), field.one()
-        if self.dim == 0:
-            return self
-        ech = Echelon(self.dim, z, o)
-        queue = deque()
-        if ech.add(self.lam):
-            queue.append(list(self.lam))
-        letters = sorted(self.mu)
-        while queue:
-            v = queue.popleft()
-            for x in letters:
-                w = vec_mat(v, self.mu[x], z, self.dim)
-                if ech.add(w):
-                    queue.append(w)
-        d = ech.dim()
-        if d == 0:
-            return LinRep.zero(field)
-        basis = [list(r) for r in ech.rows]
-        lam = ech.express(self.lam)
-        mu = {}
-        for x in letters:
-            rows = [ech.express(vec_mat(b, self.mu[x], z, self.dim)) for b in basis]
-            if any(any(c for c in r) for r in rows):
-                mu[x] = rows
-        gamma = [dot(b, self.gamma, z) for b in basis]
-        return LinRep(field, d, lam, mu, gamma)
-
-    def _transpose(self) -> "LinRep":
-        mu = {x: [list(r) for r in zip(*m)] for x, m in self.mu.items()}
-        return LinRep(self.field, self.dim, list(self.gamma), mu, list(self.lam))
-
     def reduce(self) -> "LinRep":
-        return self._forward()._transpose()._forward()._transpose()
+        d, (lam,), mu, (gamma,) = _minimise(self.field, self.dim, [self.lam], self.mu, [self.gamma])
+        return LinRep(self.field, d, lam, mu, gamma)
 
     # -- coefficients --------------------------------------------------------
 
@@ -173,23 +212,10 @@ class LinRep:
             return other
         if other.dim == 0:
             return self
-        z = self.field.zero()
-        d = self.dim + other.dim
         lam = list(self.lam) + list(other.lam)
         gamma = list(self.gamma) + list(other.gamma)
-        mu = {}
-        for x in set(self.mu) | set(other.mu):
-            m = [[z] * d for _ in range(d)]
-            a = self.mu.get(x)
-            if a:
-                for i in range(self.dim):
-                    m[i][: self.dim] = a[i]
-            b = other.mu.get(x)
-            if b:
-                for i in range(other.dim):
-                    m[self.dim + i][self.dim :] = b[i]
-            mu[x] = m
-        return LinRep(self.field, d, lam, mu, gamma).reduce()
+        mu = _direct_sum(self.mu, self.dim, other.mu, other.dim, self.field.zero())
+        return LinRep(self.field, self.dim + other.dim, lam, mu, gamma).reduce()
 
     def __neg__(self) -> "LinRep":
         return self.scale(-self.field.one())
@@ -212,24 +238,15 @@ class LinRep:
         c2 = dot(other.lam, other.gamma, z)
         lam = list(self.lam) + [z] * d2
         gamma = [g * c2 for g in self.gamma] + list(other.gamma)
-        mu = {}
-        for x in set(self.mu) | set(other.mu):
-            m = [[z] * d for _ in range(d)]
-            a = self.mu.get(x)
-            if a:
-                for i in range(d1):
-                    m[i][:d1] = a[i]
-            b = other.mu.get(x)
-            if b:
-                # bridge: finish the left factor (gamma), start the right (lam*mu)
-                lm = vec_mat(other.lam, b, z, d2)
-                for i in range(d1):
-                    gi = self.gamma[i]
-                    if gi:
-                        m[i][d1:] = [gi * lm[j] for j in range(d2)]
-                for i in range(d2):
-                    m[d1 + i][d1:] = b[i]
-            mu[x] = m
+        mu = _direct_sum(self.mu, d1, other.mu, d2, z)
+        for x, b in other.mu.items():
+            # bridge: finish the left factor (gamma), start the right (lam*mu)
+            lm = vec_mat(other.lam, b, z, d2)
+            m = mu[x]
+            for i in range(d1):
+                gi = self.gamma[i]
+                if gi:
+                    m[i][d1:] = [gi * lm[j] for j in range(d2)]
         return LinRep(self.field, d, lam, mu, gamma).reduce()
 
     def star(self) -> "LinRep":
@@ -268,7 +285,7 @@ class LinRep:
         m = self.mu.get(i)
         if self.dim == 0 or m is None:
             return LinRep.zero(self.field)
-        gamma = mat_vec_local(m, self.gamma, self.field.zero())
+        gamma = mat_vec(m, self.gamma, self.field.zero())
         return LinRep(self.field, self.dim, self.lam, self.mu, gamma).reduce()
 
     # -- predicates ----------------------------------------------------------
@@ -366,18 +383,22 @@ class LinRep:
     def from_json(field: Field, obj) -> "LinRep":
         if obj["field"] != field.name:
             raise ValueError("field mismatch: %s vs %s" % (obj["field"], field.name))
+        dim = obj["dim"]
+        if type(dim) is not int or dim < 0:
+            raise ValueError("dim must be a non-negative integer, got %r" % (dim,))
+        vec = lambda v: isinstance(v, list) and len(v) == dim
+        if not (vec(obj["lam"]) and vec(obj["gamma"])):
+            raise ValueError("lam and gamma must be lists of length dim = %d" % dim)
         dec = lambda c: scalar_from_json(field, c)
-        return LinRep(
-            field,
-            obj["dim"],
-            [dec(c) for c in obj["lam"]],
-            {int(x): [[dec(c) for c in row] for row in m] for x, m in obj["mu"].items()},
-            [dec(c) for c in obj["gamma"]],
-        )
-
-
-def mat_vec_local(m, v, zero):
-    return [sum((row[j] * v[j] for j in range(len(v)) if v[j]), zero) for row in m]
+        mu = {}
+        for x, m in obj["mu"].items():
+            x = int(x)
+            if x < 0:
+                raise ValueError("negative letter %d" % x)
+            if not (vec(m) and all(vec(row) for row in m)):
+                raise ValueError("mu[%d] is not a %d x %d matrix" % (x, dim, dim))
+            mu[x] = [[dec(c) for c in row] for row in m]
+        return LinRep(field, dim, [dec(c) for c in obj["lam"]], mu, [dec(c) for c in obj["gamma"]])
 
 
 # ---------------------------------------------------------------------------
@@ -455,46 +476,11 @@ class SeriesMatrix:
             [self.field.zero()] * self.ncols for _ in range(self.nrows)
         ]
 
-    # -- reduction: the scalar procedure run on all rows/columns at once -----
-
-    def _forward(self) -> "SeriesMatrix":
-        field = self.field
-        z, o = field.zero(), field.one()
-        if self.dim == 0:
-            return self
-        ech = Echelon(self.dim, z, o)
-        queue = deque()
-        for row in self.Lam:
-            if ech.add(row):
-                queue.append(list(row))
-        letters = sorted(self.mu)
-        while queue:
-            v = queue.popleft()
-            for x in letters:
-                w = vec_mat(v, self.mu[x], z, self.dim)
-                if ech.add(w):
-                    queue.append(w)
-        d = ech.dim()
-        if d == 0:
-            return SeriesMatrix(field, self.nrows, self.ncols, 0, [[] for _ in range(self.nrows)], {}, [])
-        basis = [list(r) for r in ech.rows]
-        Lam = [ech.express(row) for row in self.Lam]
-        mu = {}
-        for x in letters:
-            rows = [ech.express(vec_mat(b, self.mu[x], z, self.dim)) for b in basis]
-            if any(any(c for c in r) for r in rows):
-                mu[x] = rows
-        Gam = [[dot(b, [self.Gam[k][j] for k in range(self.dim)], z) for j in range(self.ncols)] for b in basis]
-        return SeriesMatrix(field, self.nrows, self.ncols, d, Lam, mu, Gam)
-
-    def _transpose(self) -> "SeriesMatrix":
-        mu = {x: [list(r) for r in zip(*m)] for x, m in self.mu.items()}
-        Lam = [list(r) for r in zip(*self.Gam)] if self.dim else [[] for _ in range(self.ncols)]
-        Gam = [list(r) for r in zip(*self.Lam)] if self.dim else []
-        return SeriesMatrix(self.field, self.ncols, self.nrows, self.dim, Lam, mu, Gam)
-
     def reduce(self) -> "SeriesMatrix":
-        return self._forward()._transpose()._forward()._transpose()
+        cols = [[r[j] for r in self.Gam] for j in range(self.ncols)]
+        d, Lam, mu, cols = _minimise(self.field, self.dim, self.Lam, self.mu, cols)
+        Gam = [[c[k] for c in cols] for k in range(d)]
+        return SeriesMatrix(self.field, self.nrows, self.ncols, d, Lam, mu, Gam)
 
     def is_zero(self) -> bool:
         return self.reduce().dim == 0
@@ -509,23 +495,10 @@ class SeriesMatrix:
 
     def __add__(self, other: "SeriesMatrix") -> "SeriesMatrix":
         self._check_shape(other)
-        z = self.field.zero()
-        d = self.dim + other.dim
         Lam = [list(a) + list(b) for a, b in zip(self.Lam, other.Lam)]
         Gam = [list(r) for r in self.Gam] + [list(r) for r in other.Gam]
-        mu = {}
-        for x in set(self.mu) | set(other.mu):
-            m = [[z] * d for _ in range(d)]
-            a = self.mu.get(x)
-            if a:
-                for i in range(self.dim):
-                    m[i][: self.dim] = a[i]
-            b = other.mu.get(x)
-            if b:
-                for i in range(other.dim):
-                    m[self.dim + i][self.dim :] = b[i]
-            mu[x] = m
-        return SeriesMatrix(self.field, self.nrows, self.ncols, d, Lam, mu, Gam).reduce()
+        mu = _direct_sum(self.mu, self.dim, other.mu, other.dim, self.field.zero())
+        return SeriesMatrix(self.field, self.nrows, self.ncols, self.dim + other.dim, Lam, mu, Gam).reduce()
 
     def scale(self, c) -> "SeriesMatrix":
         return SeriesMatrix(
@@ -551,22 +524,13 @@ class SeriesMatrix:
         Gam = [list(r) for r in other.Gam]
         if d1:
             Gam = mat_mul(self.Gam, c2, z) + Gam
-        mu = {}
-        for x in set(self.mu) | set(other.mu):
-            m = [[z] * d for _ in range(d)]
-            a = self.mu.get(x)
-            if a:
-                for i in range(d1):
-                    m[i][:d1] = a[i]
-            b = other.mu.get(x)
-            if b:
-                lm = mat_mul(other.Lam, b, z)  # inner x d2
-                br = mat_mul(self.Gam, lm, z)  # d1 x d2
-                for i in range(d1):
-                    m[i][d1:] = br[i]
-                for i in range(d2):
-                    m[d1 + i][d1:] = b[i]
-            mu[x] = m
+        mu = _direct_sum(self.mu, d1, other.mu, d2, z)
+        for x, b in other.mu.items():
+            lm = mat_mul(other.Lam, b, z)  # inner x d2
+            br = mat_mul(self.Gam, lm, z)  # d1 x d2
+            m = mu[x]
+            for i in range(d1):
+                m[i][d1:] = br[i]
         return SeriesMatrix(self.field, self.nrows, other.ncols, d, Lam, mu, Gam).reduce()
 
     def left_mul_const(self, C) -> "SeriesMatrix":

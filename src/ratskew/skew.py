@@ -366,11 +366,6 @@ class SkewElem:
         return SkewElem(ring, data)
 
 
-def skew_mul(a: SkewElem, b: SkewElem) -> SkewElem:
-    """Product in the extension ring; see ``SkewElem.__mul__``."""
-    return a * b
-
-
 # ---------------------------------------------------------------------------
 # the ideal generated by e and the quotient's equality
 # ---------------------------------------------------------------------------

@@ -1,67 +1,13 @@
-"""Alphabets and words over indexed letter families.
+"""Words over indexed letter families.
 
 Words are bare tuples of letter indices; the functions here are the shared
-vocabulary (concatenation is tuple ``+``).  :class:`Alphabet` records which
-family a structure ranges over: the kind letter ("x" or "y"), the number of
-letters (``None`` for a dynamic family that allocates indices on demand) and
-the index origin, which is 0 for the skew-extension side and 1 for the
-Leavitt side.  Keeping the origin explicit is what lets the two sides be
-cross-checked against each other.
+vocabulary (concatenation is tuple ``+``): the length-lex order used for
+every tie-break, and monomial rendering.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 Word = tuple  # tuple of int letter indices
-
-
-@dataclass(frozen=True)
-class Alphabet:
-    kind: str  # "x" or "y"
-    size: int | None = None  # number of letters, None = dynamic
-    origin: int = 0  # smallest legal index
-
-    def __post_init__(self):
-        if self.kind not in ("x", "y"):
-            raise ValueError("alphabet kind must be 'x' or 'y'")
-        if self.size is not None and self.size < 0:
-            raise ValueError("negative alphabet size")
-        if self.origin not in (0, 1):
-            raise ValueError("index origin must be 0 or 1")
-
-    def check_letter(self, i: int) -> None:
-        if i < self.origin:
-            raise ValueError("letter index %d below origin %d" % (i, self.origin))
-        if self.size is not None and i >= self.origin + self.size:
-            raise ValueError("letter index %d out of range for size %d" % (i, self.size))
-
-    def check_word(self, w: Word) -> None:
-        for i in w:
-            self.check_letter(i)
-
-    def letters(self) -> range:
-        if self.size is None:
-            raise ValueError("dynamic alphabet has no fixed letter list")
-        return range(self.origin, self.origin + self.size)
-
-    def render(self, i: int) -> str:
-        return "%s%d" % (self.kind, i)
-
-
-def reverse(w: Word) -> Word:
-    return w[::-1]
-
-
-def concat(u: Word, v: Word) -> Word:
-    return u + v
-
-
-def left_quotient(u: Word, w: Word):
-    """The word v with w = u + v, or None if u is not a prefix of w."""
-    if len(u) <= len(w) and w[: len(u)] == u:
-        return w[len(u):]
-    return None
 
 
 def word_key(w: Word):

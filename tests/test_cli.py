@@ -162,6 +162,17 @@ def test_verify_cert_skew_witness(run, tmp_path):
     assert run("verify-cert", _write(tmp_path, "w2.json", cert))[0] == 1
 
 
+def test_verify_cert_rejects_misshapen_series(run, tmp_path):
+    code, cert = jrun(run, "skew", "witness", "--json", "1 - x0")
+    assert code == 0
+    rep = next(c for _, c in cert["g"]["terms"] if c["dim"])
+    rep["gamma"].pop()
+    code, out, err = run("verify-cert", _write(tmp_path, "w.json", cert))
+    assert code != 0 and out == ""
+    assert err.startswith("error:") and "gamma" in err
+    assert "Traceback" not in err
+
+
 def test_verify_cert_paired_witness(run, tmp_path):
     code, wrapper = jrun(run, "leavitt", "witness", "--json", "--n", "2", "y1*x2")
     assert code == 0

@@ -160,6 +160,18 @@ def test_scalar_from_json_canonicalises():
     assert scalar_to_json(QT, y) == {"num": [[[0], "2"]], "den": [[[0], "1"]]}
 
 
+@pytest.mark.parametrize("obj", [
+    {"num": [[[1, 1], "1"]], "den": [[[0], "1"]]},  # two exponents in qt:1
+    {"num": [[[1], "1"]], "den": [[[], "1"]]},
+    {"num": [[[-1], "1"]], "den": [[[0], "1"]]},
+    {"num": [[["1"], "1"]], "den": [[[0], "1"]]},
+    {"num": [[[True], "1"]], "den": [[[0], "1"]]},
+], ids=["too-long", "empty", "negative", "string", "bool"])
+def test_scalar_from_json_rejects_bad_exponents(obj):
+    with pytest.raises(ValueError, match="exponent"):
+        scalar_from_json(QT, obj)
+
+
 # -- RatFunc operators against the reducing constructor and an oracle -----
 
 _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}

@@ -241,3 +241,88 @@ def test_render_polynomial_is_exact():
     one = LinRep.one(QQ)
     assert (one + x0).render() == "1 + x0"
     assert (one - x0).inv().render().endswith("+ ...")
+
+
+# -- minimisation against the Hankel rank (Fliess's theorem) -----------------------
+
+def _words_below(n, letters=2):
+    out, level = [()], [()]
+    for _ in range(n - 1):
+        level = [w + (x,) for w in level for x in range(letters)]
+        out += level
+    return out
+
+
+def _rank(rows, field):
+    """Rank by plain Gaussian elimination, one row at a time."""
+    basis = []  # (pivot, row with 1 at pivot)
+    for r in rows:
+        r = list(r)
+        for p, b in basis:
+            if r[p]:
+                c = r[p]
+                r = [x - c * y for x, y in zip(r, b)]
+        p = next((j for j, x in enumerate(r) if x), None)
+        if p is not None:
+            inv = field.one() / r[p]
+            basis.append((p, [x * inv for x in r]))
+    return len(basis)
+
+
+def _rand_sparse(rng, field, n, m):
+    return [[field.from_int(rng.choice((-2, -1, 1, 2))) if rng.random() < 0.3 else field.zero()
+             for _ in range(m)] for _ in range(n)]
+
+
+def _prefix_rows(field, row, mu, ws):
+    """row * mu(u) for each word u of the length-ordered, prefix-closed ws."""
+    z = field.zero()
+    vec = {(): list(row)}
+    for u in ws[1:]:
+        v, m = vec[u[:-1]], mu[u[-1]]
+        vec[u] = [sum((v[i] * m[i][j] for i in range(len(v)) if v[i]), z) for j in range(len(v))]
+    return [vec[u] for u in ws]
+
+
+def _hankel(field, rows, mu, cols, ws):
+    """H[(i, u)][(v, j)] = coefficient of u*v in entry (i, j), as the product
+    (rows[i] * mu(u)) . (mu(v) * cols[j])."""
+    flip = {x: [list(r) for r in zip(*m)] for x, m in mu.items()}
+    rev = [v[::-1] for v in ws]
+    left = [p for r in rows for p in _prefix_rows(field, r, mu, ws)]
+    right = [s for by_col in zip(*(_prefix_rows(field, c, flip, rev) for c in cols)) for s in by_col]
+    return [[sum((x * y for x, y in zip(p, s) if x and y), field.zero()) for s in right] for p in left]
+
+
+def _rand_triple(rng, field, nrows, ncols):
+    d = rng.randint(1, 6)
+    mu = {x: _rand_sparse(rng, field, d, d) for x in range(2)}
+    return d, _rand_sparse(rng, field, nrows, d), mu, _rand_sparse(rng, field, ncols, d)
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=lambda f: f.name)
+def test_reduce_dim_is_hankel_rank(field):
+    rng = random.Random(47)
+    for _ in range(30):
+        d, (lam,), mu, (gamma,) = _rand_triple(rng, field, 1, 1)
+        hankel = _hankel(field, [lam], mu, [gamma], _words_below(d))
+        r = LinRep(field, d, lam, mu, gamma).reduce()
+        assert r.dim == _rank(hankel, field)
+        assert r.reduce().to_json() == r.to_json()
+        sm = SeriesMatrix(field, 1, 1, d, [lam], mu, [[g] for g in gamma]).reduce()
+        assert (sm.dim, sm.Lam, sm.mu, sm.Gam) == (r.dim, [r.lam], r.mu, [[g] for g in r.gamma])
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=lambda f: f.name)
+def test_series_matrix_reduce_dim_is_block_hankel_rank(field):
+    rng = random.Random(53)
+    for _ in range(25):
+        nrows, ncols = rng.randint(1, 2), rng.randint(1, 3)
+        d, Lam, mu, cols = _rand_triple(rng, field, nrows, ncols)
+        Gam = [[c[k] for c in cols] for k in range(d)]
+        hankel = _hankel(field, Lam, mu, cols, _words_below(d))
+        m = SeriesMatrix(field, nrows, ncols, d, Lam, mu, Gam).reduce()
+        assert m.dim == _rank(hankel, field)
+        again = m.reduce()
+        assert (again.dim, again.Lam, again.mu, again.Gam) == (m.dim, m.Lam, m.mu, m.Gam)
+        assert again.to_json() == m.to_json()

@@ -10,7 +10,7 @@ from ratskew.freealg import FreeElem
 from ratskew.linrep import LinRep
 from ratskew.truncated import TruncSeries
 from ratskew.skew import (CoeffDomain, SkewElem, SkewRing, TWitness, Verdict,
-                          ideal_member, lemma51_word, skew_mul, t_equal,
+                          ideal_member, lemma51_word, t_equal,
                           t_witness, verify_word_system)
 
 F7 = field_from_name("fp:7")
@@ -107,12 +107,6 @@ def test_corner_is_scalar_multiple_of_e():
         # the unit-word coefficient is a plain scalar, and it determines all of eae
         assert r == RAT.domain.scalar(r.tau())
         assert eae == RAT.scalar(r.tau()) * e
-
-
-def test_skew_mul_alias():
-    rng = random.Random(31)
-    a, b = rand_elem(rng, RAT), rand_elem(rng, RAT)
-    assert skew_mul(a, b) == a * b
 
 
 # -- cross-backend agreement ----------------------------------------------------

@@ -1,9 +1,8 @@
-"""Word utilities: length-lex ordering, quotients, rendering."""
+"""Word utilities: length-lex ordering and rendering."""
 
-import pytest
 from hypothesis import given, strategies as st
 
-from ratskew.words import Alphabet, concat, left_quotient, render_word, reverse, word_key
+from ratskew.words import render_word, word_key
 
 words = st.lists(st.integers(0, 3), max_size=6).map(tuple)
 
@@ -14,41 +13,6 @@ def test_word_key_is_length_lex(u, v):
         assert (word_key(u) < word_key(v)) == (len(u) < len(v))
     else:
         assert (word_key(u) < word_key(v)) == (u < v)
-
-
-@given(words, words)
-def test_concat_and_left_quotient(u, v):
-    w = concat(u, v)
-    assert len(w) == len(u) + len(v)
-    assert left_quotient(u, w) == v
-
-
-@given(words)
-def test_reverse_involution(w):
-    assert reverse(reverse(w)) == w
-
-
-def test_left_quotient_miss():
-    assert left_quotient((0, 1), (0, 2, 1)) is None
-    assert left_quotient((0, 1), (0,)) is None
-
-
-def test_alphabet_bounds():
-    ab = Alphabet("x", 3)
-    assert list(ab.letters()) == [0, 1, 2]
-    ab.check_word((0, 2, 1))
-    with pytest.raises(ValueError):
-        ab.check_letter(3)
-    with pytest.raises(ValueError):
-        Alphabet("z", 3)
-    origin1 = Alphabet("y", 2, origin=1)
-    assert list(origin1.letters()) == [1, 2]
-    with pytest.raises(ValueError):
-        origin1.check_letter(0)
-    dyn = Alphabet("x")
-    dyn.check_letter(99)
-    with pytest.raises(ValueError):
-        dyn.letters()
 
 
 def test_render_word():
