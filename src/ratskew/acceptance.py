@@ -12,13 +12,13 @@ import random
 import time
 from fractions import Fraction
 
-from .fields import QQ, FunctionField, field_from_name
+from .fields import QQ, field_from_name
 from .freealg import FreeElem
 from .linrep import LinRep
 from .truncated import TruncSeries
-from .skew import (CoeffDomain, SkewRing, SkewElem, ideal_member, t_equal,
+from .skew import (CoeffDomain, SkewRing, SkewElem, ideal_member,
                    t_witness, lemma51_word, verify_word_system)
-from .leavitt import UElem, v_normal_form, v_is_zero, v_witness, uinf_witness
+from .leavitt import UElem, v_is_zero, v_witness, uinf_witness
 from .kzero import parse_presentation, grothendieck_group, analyze_pisr_shape
 from .realize import (hom_spec, build_generators, verify_generators,
                       spot_check_sigma_prime, plan_chain, verify_chain)

@@ -18,6 +18,7 @@ never emits color, so NO_COLOR needs no handling.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import signal
 import sys
@@ -379,8 +380,8 @@ def _recheck_sigma_cert(obj) -> dict:
     mat = SeriesMatrix.from_json(field, obj["matrix"])
     inv = SeriesMatrix.from_json(field, obj["inverse"])
     ident = SeriesMatrix.identity(field, obj["size"])
-    right = (mat * inv - ident).is_zero()
-    left = (inv * mat - ident).is_zero()
+    right = mat * inv == ident
+    left = inv * mat == ident
     return {"kind": "sigma_cert", "ok": right and left,
             "ok_right": right, "ok_left": left}
 
@@ -448,6 +449,7 @@ def _common(p, precision: bool = True) -> None:
                    help="machine-readable JSON on stdout")
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="ratskew",

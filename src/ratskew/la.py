@@ -2,9 +2,10 @@
 
 Matrices are lists of lists of scalars, vectors are lists.  Everything here
 is plain Gaussian elimination; sizes stay small (tens), exactness is what
-matters.  ``Echelon`` keeps a reduced row-echelon basis of a growing
-subspace and can express new vectors in that basis, which is the whole
-engine behind minimizing linear representations.
+matters.  ``Echelon`` keeps a fully reduced row-echelon basis of a growing
+subspace, which is the whole engine behind minimizing linear
+representations: the coordinates of a vector of the span in that basis are
+its entries at the pivot columns, read off with no further elimination.
 """
 
 from __future__ import annotations
@@ -55,11 +56,11 @@ def dot(u, v, zero):
 
 
 class Echelon:
-    """Reduced row-echelon basis of a subspace of F^n, grown one vector at a time."""
+    """Reduced row-echelon basis of a subspace of F^n, grown one vector at a time;
+    a vector v of the span equals sum_i v[pivots[i]] * rows[i]."""
 
-    def __init__(self, n: int, zero, one) -> None:
+    def __init__(self, n: int, one) -> None:
         self.n = n
-        self.zero = zero
         self.one = one
         self.rows: list = []
         self.pivots: list = []
@@ -82,7 +83,7 @@ class Echelon:
             return False
         inv = self.one / v[p]
         v = [x * inv if x else x for x in v]
-        # keep the basis fully reduced so express() reads off coordinates
+        # keep the basis fully reduced, so coordinates sit at the pivots
         for row in self.rows:
             c = row[p]
             if c:
@@ -93,21 +94,6 @@ class Echelon:
         self.rows.insert(k, v)
         self.pivots.insert(k, p)
         return True
-
-    def express(self, v):
-        """Coordinates of v in the basis rows, or None if v is outside the span."""
-        v = list(v)
-        coords = [self.zero] * len(self.rows)
-        for i, (row, p) in enumerate(zip(self.rows, self.pivots)):
-            c = v[p]
-            if c:
-                coords[i] = c
-                for j in range(self.n):
-                    if row[j]:
-                        v[j] = v[j] - c * row[j]
-        if any(v):
-            return None
-        return coords
 
     def dim(self) -> int:
         return len(self.rows)

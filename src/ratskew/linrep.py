@@ -19,7 +19,9 @@ exit columns (a :class:`LinRep` has one of each).  It runs a reachability
 pass, restricting to the span of every row times mu(w), then the same pass
 on the transpose with rows and columns swapped, and transposes back
 (Berstel-Reutenauer, *Noncommutative Rational Series with Applications*,
-ch. 2).
+ch. 2).  A pass eliminates only while it grows the span; the restricted
+entry rows and letter matrices are then read at the pivot columns of the
+fully reduced basis, with no second elimination.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ def _reach(field, dim, rows, mu, cols):
     if dim == 0:
         return dim, rows, mu, cols
     z = field.zero()
-    ech = Echelon(dim, z, field.one())
+    ech = Echelon(dim, field.one())
     queue = deque(list(r) for r in rows if ech.add(r))
     letters = sorted(mu)
     while queue:
@@ -57,13 +59,15 @@ def _reach(field, dim, rows, mu, cols):
     d = ech.dim()
     if d == 0:
         return 0, [[] for _ in rows], {}, [[] for _ in cols]
-    basis = ech.rows
+    # span vectors have their coordinates at the pivots: read only those columns
+    basis, piv = ech.rows, ech.pivots
     new_mu = {}
     for x in letters:
-        m = [ech.express(vec_mat(b, mu[x], z, dim)) for b in basis]
+        mp = [[row[p] for p in piv] for row in mu[x]]
+        m = [vec_mat(b, mp, z, d) for b in basis]
         if any(any(r) for r in m):
             new_mu[x] = m
-    return d, [ech.express(r) for r in rows], new_mu, [[dot(b, c, z) for b in basis] for c in cols]
+    return d, [[r[p] for p in piv] for r in rows], new_mu, [[dot(b, c, z) for b in basis] for c in cols]
 
 
 def _transposed(mu):
@@ -313,12 +317,12 @@ class LinRep:
             return None
         z, o = self.field.zero(), self.field.one()
         letters = sorted(self.mu)
-        ech = Echelon(self.dim, z, o)
+        ech = Echelon(self.dim, o)
         ech.add(self.lam)
         for k in range(2 * self.dim + 1):
             if any(dot(b, self.gamma, z) for b in ech.rows):
                 return k
-            nxt = Echelon(self.dim, z, o)
+            nxt = Echelon(self.dim, o)
             for b in ech.rows:
                 for x in letters:
                     nxt.add(vec_mat(b, self.mu[x], z, self.dim))
@@ -482,8 +486,10 @@ class SeriesMatrix:
         Gam = [[c[k] for c in cols] for k in range(d)]
         return SeriesMatrix(self.field, self.nrows, self.ncols, d, Lam, mu, Gam)
 
-    def is_zero(self) -> bool:
-        return self.reduce().dim == 0
+    def __eq__(self, other):
+        if not isinstance(other, SeriesMatrix):
+            return NotImplemented
+        return (self - other).dim == 0
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -604,6 +610,6 @@ def invert_matrix_series(m: SeriesMatrix):
     p = SeriesMatrix.identity(field, m.nrows) - m.left_mul_const(cinv)
     n = p.star().right_mul_const(cinv)
     ident = SeriesMatrix.identity(field, m.nrows)
-    ok_right = (m * n - ident).is_zero()
-    ok_left = (n * m - ident).is_zero()
+    ok_right = m * n == ident
+    ok_left = n * m == ident
     return n, ok_right, ok_left

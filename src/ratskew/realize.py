@@ -33,7 +33,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .fields import Field, FunctionField, QQ
 from .freealg import FreeElem
-from .linrep import LinRep, NotInvertible, SeriesMatrix, invert_matrix_series
+from .linrep import LinRep, SeriesMatrix, invert_matrix_series
 from .skew import CoeffDomain, SkewElem, SkewRing, t_equal
 
 

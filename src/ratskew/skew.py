@@ -370,12 +370,13 @@ class SkewElem:
 # the ideal generated by e and the quotient's equality
 # ---------------------------------------------------------------------------
 
-def ideal_member(a: SkewElem) -> Verdict:
-    """Does a lie in the two-sided ideal generated by e = 1 - sum y_i x_i?
+def _descend(a: SkewElem):
+    """The section test behind :func:`ideal_member`, keeping its path.
 
-    Recursive section test: a coefficient is in the ideal iff it is zero,
-    and an element of positive y-degree is in iff every x_i * a is.  Each
-    section strictly drops the y-degree, so the recursion terminates.
+    Returns ``(verdict, m, leaf)``.  For a outside the ideal, the x-word
+    ``m``, read from the right, picks at each level the first i with
+    x_i * b outside the ideal, b the section so far, and ``leaf`` is the
+    nonzero coefficient m * a; for a member they are ``()`` and ``None``.
     """
     ring = a.ring
     if ring.n is None:
@@ -389,22 +390,32 @@ def ideal_member(a: SkewElem) -> Verdict:
             (r.precision for r in a.data.values()), default=ring.domain.precision
         )
 
-    def rec(b: SkewElem) -> Verdict:
+    def rec(b: SkewElem):
         if b.y_degree() == 0:
             r = b.data.get(())
             if r is None:
-                return Verdict(True, base_prec)
+                return Verdict(True, base_prec), (), None
             prec = _min_prec(getattr(r, "precision", None), base_prec)
-            return Verdict(not r, prec)
+            return Verdict(not r, prec), (), r
         out = Verdict(True)
-        for xi in letters:
-            v = rec(xi * b)
+        for i, xi in enumerate(letters):
+            v, m, leaf = rec(xi * b)
             out = out & v
             if not v:
-                return out
-        return out
+                return out, m + (i,), leaf
+        return out, (), None
 
     return rec(a)
+
+
+def ideal_member(a: SkewElem) -> Verdict:
+    """Does a lie in the two-sided ideal generated by e = 1 - sum y_i x_i?
+
+    Recursive section test: a coefficient is in the ideal iff it is zero,
+    and an element of positive y-degree is in iff every x_i * a is.  Each
+    section strictly drops the y-degree, so the recursion terminates.
+    """
+    return _descend(a)[0]
 
 
 def t_equal(a: SkewElem, b: SkewElem) -> Verdict:
@@ -463,26 +474,15 @@ def t_witness(a: SkewElem) -> TWitness:
 
     Left letter sections shrink the y-degree while staying outside the
     ideal; once in the coefficient ring, the minimal-monomial word makes the
-    product a unit there, and g divides it back out.
+    product a unit there, and g divides it back out.  One descent
+    (:func:`_descend`) gives both the membership verdict and the path.
     """
     ring = a.ring
-    if ideal_member(a):
+    member, m_word, r = _descend(a)
+    if member:
         raise ValueError("element lies in the ideal; no witness exists")
-    m: list = []
-    b = a
-    while b.y_degree() > 0:
-        for i in range(ring.n + 1):
-            c = ring.x(i) * b
-            if not ideal_member(c):
-                b = c
-                m.append(i)
-                break
-        else:
-            raise AssertionError("no letter section escapes the ideal")
-    m_word = tuple(reversed(m))
-    r = b.data[()]
     w = lemma51_word([r])
-    p_elem = b * ring.yword(w)
+    p_elem = ring.embed(r) * ring.yword(w)
     if set(p_elem.data) - {()}:
         raise AssertionError("minimal-monomial product left the coefficient ring")
     p = p_elem.data[()]

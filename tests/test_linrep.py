@@ -284,11 +284,16 @@ def _prefix_rows(field, row, mu, ws):
     return [vec[u] for u in ws]
 
 
-def _hankel(field, rows, mu, cols, ws):
-    """H[(i, u)][(v, j)] = coefficient of u*v in entry (i, j), as the product
-    (rows[i] * mu(u)) . (mu(v) * cols[j])."""
+def _hankel(field, rows, mu, cols, ws, vs):
+    """H[(i, u)][(v, j)] = coefficient of u*v in entry (i, j), for u in ws and
+    v in vs, as the product (rows[i] * mu(u)) . (mu(v) * cols[j]); letters
+    absent from mu act as zero.  With ws the words of length < d and vs those
+    of length <= d, the products u*v cover every word of length < 2d, and
+    for a d-dimensional triple the rank is that of the whole Hankel matrix."""
+    k = len(rows[0])
+    mu = {x: mu.get(x, [[field.zero()] * k for _ in range(k)]) for x in range(2)}
     flip = {x: [list(r) for r in zip(*m)] for x, m in mu.items()}
-    rev = [v[::-1] for v in ws]
+    rev = [v[::-1] for v in vs]
     left = [p for r in rows for p in _prefix_rows(field, r, mu, ws)]
     right = [s for by_col in zip(*(_prefix_rows(field, c, flip, rev) for c in cols)) for s in by_col]
     return [[sum((x * y for x, y in zip(p, s) if x and y), field.zero()) for s in right] for p in left]
@@ -305,10 +310,12 @@ def test_reduce_dim_is_hankel_rank(field):
     rng = random.Random(47)
     for _ in range(30):
         d, (lam,), mu, (gamma,) = _rand_triple(rng, field, 1, 1)
-        hankel = _hankel(field, [lam], mu, [gamma], _words_below(d))
+        ws, vs = _words_below(d), _words_below(d + 1)
+        hankel = _hankel(field, [lam], mu, [gamma], ws, vs)
         r = LinRep(field, d, lam, mu, gamma).reduce()
         assert r.dim == _rank(hankel, field)
         assert r.reduce().to_json() == r.to_json()
+        assert _hankel(field, [r.lam], r.mu, [r.gamma], ws, vs) == hankel
         sm = SeriesMatrix(field, 1, 1, d, [lam], mu, [[g] for g in gamma]).reduce()
         assert (sm.dim, sm.Lam, sm.mu, sm.Gam) == (r.dim, [r.lam], r.mu, [[g] for g in r.gamma])
 
@@ -320,9 +327,12 @@ def test_series_matrix_reduce_dim_is_block_hankel_rank(field):
         nrows, ncols = rng.randint(1, 2), rng.randint(1, 3)
         d, Lam, mu, cols = _rand_triple(rng, field, nrows, ncols)
         Gam = [[c[k] for c in cols] for k in range(d)]
-        hankel = _hankel(field, Lam, mu, cols, _words_below(d))
+        ws, vs = _words_below(d), _words_below(d + 1)
+        hankel = _hankel(field, Lam, mu, cols, ws, vs)
         m = SeriesMatrix(field, nrows, ncols, d, Lam, mu, Gam).reduce()
         assert m.dim == _rank(hankel, field)
+        m_cols = [[r[j] for r in m.Gam] for j in range(ncols)]
+        assert _hankel(field, m.Lam, m.mu, m_cols, ws, vs) == hankel
         again = m.reduce()
         assert (again.dim, again.Lam, again.mu, again.Gam) == (m.dim, m.Lam, m.mu, m.Gam)
         assert again.to_json() == m.to_json()

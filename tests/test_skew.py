@@ -245,6 +245,33 @@ def test_t_witness_rejects_ideal_members():
         t_witness(a)
 
 
+def _section_search_word(a):
+    """The x-word of the plain section search: at each level, the first i
+    with x_i * b outside the ideal."""
+    ring, m, b = a.ring, [], a
+    while b.y_degree() > 0:
+        i = next(i for i in range(ring.n + 1) if not ideal_member(ring.x(i) * b))
+        b = ring.x(i) * b
+        m.append(i)
+    return tuple(reversed(m))
+
+
+@pytest.mark.parametrize("ring", [RAT, TRUNC], ids=["rat", "trunc"])
+def test_t_witness_path_matches_section_search(ring):
+    rng = random.Random(67)
+    produced = 0
+    while produced < 20:
+        a = rand_elem(rng, ring, ydeg=3, terms=3)
+        if ideal_member(a):
+            continue
+        assert t_witness(a).m_word == _section_search_word(a)
+        produced += 1
+    member = ring.yword((2,)) * ring.e() * ring.embed(rand_coeff(rng, ring)) + ring.e()
+    assert ideal_member(member)
+    with pytest.raises(ValueError):
+        t_witness(member)
+
+
 def test_t_witness_json_carries_input():
     a = RAT.one() + RAT.y(0)
     w = t_witness(a)
