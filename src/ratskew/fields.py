@@ -250,17 +250,24 @@ class MPoly:
         if other.is_const():
             c = other.const_value()
             return self if c == 1 else self.scale(1 / c)
-        rem = self
+        rem = dict(self.terms)  # the remainder, updated in place
         q: dict = {}
         le, lc = other.leading()
-        while not rem.is_zero():
-            re, rc = rem.leading()
+        divisor = list(other.terms.items())
+        while rem:
+            re = max(rem)
             qe = tuple(a - b for a, b in zip(re, le))
             if any(k < 0 for k in qe):
                 raise ValueError("inexact polynomial division")
-            qc = rc / lc
+            qc = rem[re] / lc
             q[qe] = q.get(qe, 0) + qc
-            rem = rem - MPoly(self.nvars, {qe: qc}) * other
+            for e, c in divisor:
+                m = tuple(map(add, qe, e))
+                s = rem.get(m, 0) - qc * c
+                if s:
+                    rem[m] = s
+                else:
+                    rem.pop(m, None)
         return MPoly(self.nvars, q)
 
     def monic(self) -> "MPoly":

@@ -21,7 +21,18 @@ on the transpose with rows and columns swapped, and transposes back
 (Berstel-Reutenauer, *Noncommutative Rational Series with Applications*,
 ch. 2).  A pass eliminates only while it grows the span; the restricted
 entry rows and letter matrices are then read at the pivot columns of the
-fully reduced basis, with no second elimination.
+fully reduced basis, with no second elimination.  A pass stops as soon as
+the span is the whole space.  That is exact: a full-rank reduced echelon
+basis is the identity, so the pivot read would return the input as it is.
+On a representation that is already minimal each pass therefore stops
+after about ``dim`` inserts.
+
+Operations avoid reductions they cannot need: a product with a constant
+only scales the other factor, and ``delta`` is memoised per instance.
+Results share vectors and matrices with their operands, so nothing mutates
+a representation once it is built; the constructors that fill matrices in
+place (``__mul__``, ``star``, ``from_entries``) write only to matrices they
+have just allocated.
 """
 
 from __future__ import annotations
@@ -42,7 +53,10 @@ def _reach(field, dim, rows, mu, cols):
     """Restrict to the span of row * mu(w) over the entry rows and all words w.
 
     Returns ``(d, rows, mu, cols)`` in the echelon basis of that span;
-    letters whose restricted matrix is zero are dropped.
+    letters whose restricted matrix is zero are dropped.  The search stops
+    as soon as the span is the whole space: a full-rank reduced echelon
+    basis is the identity, so the pivot read would give back ``rows``,
+    ``mu`` and ``cols`` as they are, and they are returned unchanged.
     """
     if dim == 0:
         return dim, rows, mu, cols
@@ -50,13 +64,17 @@ def _reach(field, dim, rows, mu, cols):
     ech = Echelon(dim, field.one())
     queue = deque(list(r) for r in rows if ech.add(r))
     letters = sorted(mu)
-    while queue:
+    while queue and ech.dim() < dim:
         v = queue.popleft()
         for x in letters:
             w = vec_mat(v, mu[x], z, dim)
             if ech.add(w):
+                if ech.dim() == dim:
+                    break
                 queue.append(w)
     d = ech.dim()
+    if d == dim:
+        return dim, rows, {x: mu[x] for x in letters if any(any(r) for r in mu[x])}, cols
     if d == 0:
         return 0, [[] for _ in rows], {}, [[] for _ in cols]
     # span vectors have their coordinates at the pivots: read only those columns
@@ -101,7 +119,10 @@ def _direct_sum(mu1, d1, mu2, d2, zero):
 
 
 class LinRep:
-    __slots__ = ("field", "dim", "lam", "mu", "gamma")
+    """A rational series as a reduced triple (lam, mu, gamma), never mutated:
+    ``scale``, a full-span reduction and the ``delta`` memo share its parts."""
+
+    __slots__ = ("field", "dim", "lam", "mu", "gamma", "_deltas")
 
     def __init__(self, field: Field, dim: int, lam, mu, gamma) -> None:
         self.field = field
@@ -109,6 +130,7 @@ class LinRep:
         self.lam = lam
         self.mu = mu  # letter index -> dim x dim matrix; absent letters act as zero
         self.gamma = gamma
+        self._deltas = None  # letter -> delta(letter), filled on first use
 
     # -- constructors (all reduced by construction) -------------------------
 
@@ -228,14 +250,25 @@ class LinRep:
         return self + (-other)
 
     def scale(self, c) -> "LinRep":
-        if not c or self.dim == 0:
+        """c times the series; a nonzero c keeps the representation minimal."""
+        if not c:
             return LinRep.zero(self.field)
+        if self.dim == 0 or c == self.field.one():
+            return self
         return LinRep(self.field, self.dim, [c * v for v in self.lam], self.mu, self.gamma)
 
     def __mul__(self, other: "LinRep") -> "LinRep":
+        """Cauchy product.  A constant factor c (dim 1, no letters) only
+        scales the other operand, which gives it back when c is one; else
+        the product representation is built and reduced."""
         self._check(other)
         if self.dim == 0 or other.dim == 0:
             return LinRep.zero(self.field)
+        # a reduced series of dim 1 with no letters is the nonzero constant tau()
+        if self.dim == 1 and not self.mu:
+            return other.scale(self.tau())
+        if other.dim == 1 and not other.mu:
+            return self.scale(other.tau())
         z = self.field.zero()
         d1, d2 = self.dim, other.dim
         d = d1 + d2
@@ -285,12 +318,23 @@ class LinRep:
         return proper.star().scale(self.field.one() / c)
 
     def delta(self, i: int) -> "LinRep":
-        """Right transduction by letter i: new gamma is mu(i) * gamma."""
-        m = self.mu.get(i)
-        if self.dim == 0 or m is None:
-            return LinRep.zero(self.field)
-        gamma = mat_vec(m, self.gamma, self.field.zero())
-        return LinRep(self.field, self.dim, self.lam, self.mu, gamma).reduce()
+        """Right transduction by letter i: new gamma is mu(i) * gamma.
+
+        The result is memoised per instance and letter, so repeated calls
+        return the same object."""
+        memo = self._deltas
+        if memo is None:
+            memo = self._deltas = {}
+        out = memo.get(i)
+        if out is None:
+            m = self.mu.get(i)
+            if self.dim == 0 or m is None:
+                out = LinRep.zero(self.field)
+            else:
+                gamma = mat_vec(m, self.gamma, self.field.zero())
+                out = LinRep(self.field, self.dim, self.lam, self.mu, gamma).reduce()
+            memo[i] = out
+        return out
 
     # -- predicates ----------------------------------------------------------
 
@@ -402,7 +446,8 @@ class LinRep:
             if not (vec(m) and all(vec(row) for row in m)):
                 raise ValueError("mu[%d] is not a %d x %d matrix" % (x, dim, dim))
             mu[x] = [[dec(c) for c in row] for row in m]
-        return LinRep(field, dim, [dec(c) for c in obj["lam"]], mu, [dec(c) for c in obj["gamma"]])
+        # reduced on load: the dim-based zero test and the constant shortcut rely on it
+        return LinRep(field, dim, [dec(c) for c in obj["lam"]], mu, [dec(c) for c in obj["gamma"]]).reduce()
 
 
 # ---------------------------------------------------------------------------

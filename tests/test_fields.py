@@ -240,6 +240,16 @@ def _evaluate(p, point):
     return total
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), nvars=st.sampled_from([1, 2]))
+def test_mpoly_div_exact_inverts_multiplication(data, nvars):
+    p = data.draw(_mpolys(nvars), "p")
+    q = data.draw(_mpolys(nvars, 1).filter(lambda q: not q.is_const()), "q")
+    assert (p * q).div_exact(q) == p
+    with pytest.raises(ValueError):
+        (p * q + MPoly.const(nvars, 1)).div_exact(q)
+
+
 def test_ratfunc_sum_reduces_against_the_common_denominator_factor():
     t = QT.var(0)
     # gcd(b, d) = t, and t also divides (t - 1) + (t + 1) = 2t

@@ -205,6 +205,69 @@ def test_json_round_trip(field):
         assert b == a
 
 
+def test_loaded_zero_series_is_reduced():
+    # x0 with its exit vector zeroed: a dimension-2 triple of the zero series
+    obj = LinRep.letter(QQ, 0).to_json()
+    obj["gamma"] = ["0", "0"]
+    z = LinRep.from_json(QQ, obj)
+    assert not z
+    assert z.dim == 0
+    assert z == LinRep.zero(QQ)
+
+
+# -- work an operation skips ----------------------------------------------------
+
+@pytest.mark.parametrize("field", [QQ, F7, QT], ids=lambda f: f.name)
+def test_constant_factor_scales(field):
+    rng = random.Random(59)
+    for _ in range(12):
+        s = rand_rep(rng, field)
+        c = field.random(rng)
+        k = 2 * s.dim + 1  # every word of length <= 2 * dim
+        want = {w: c * v for w, v in window(s, k).items() if c * v}
+        for prod in (LinRep.scalar(field, c) * s, s * LinRep.scalar(field, c)):
+            assert prod.dim == (s.dim if c else 0)
+            assert window(prod, k) == want
+        assert (LinRep.scalar(field, field.zero()) * s).dim == 0
+        assert (s * LinRep.scalar(field, field.zero())).dim == 0
+        assert s.scale(field.one()) is s
+        if s.mu:  # of two constants, either may be the one scaled
+            assert LinRep.one(field) * s is s and s * LinRep.one(field) is s
+
+
+@pytest.mark.parametrize("field", [QQ, F7, QT], ids=lambda f: f.name)
+def test_delta_is_memoised(field):
+    rng = random.Random(61)
+    for _ in range(10):
+        s = rand_rep(rng, field)
+        fresh = LinRep.from_json(field, s.to_json())
+        for i in range(3):
+            d = s.delta(i)
+            assert d is s.delta(i)
+            assert d.to_json() == fresh.delta(i).to_json()
+
+
+@pytest.mark.parametrize("field", [QQ, F7, QT], ids=lambda f: f.name)
+def test_reduce_of_reduced_is_unchanged(field):
+    rng = random.Random(67)
+    for _ in range(10):
+        s = rand_rep(rng, field)
+        r = s.reduce()
+        assert (r.dim, r.lam, r.mu, r.gamma) == (s.dim, s.lam, s.mu, s.gamma)
+        assert list(r.mu) == list(s.mu)
+        m = SeriesMatrix.from_entries(field, [[s, rand_rep(rng, field)], [LinRep.one(field), s]])
+        n = m.reduce()
+        assert (n.dim, n.Lam, n.mu, n.Gam) == (m.dim, m.Lam, m.mu, m.Gam)
+        assert list(n.mu) == list(m.mu)
+
+
+def test_full_span_reduce_drops_zero_letters_and_sorts():
+    o, z = QQ.one(), QQ.zero()
+    r = LinRep(QQ, 2, [o, z], {2: [[z, z], [z, z]], 1: [[z, o], [o, z]], 0: [[o, z], [z, z]]}, [o, o]).reduce()
+    assert r.dim == 2
+    assert list(r.mu) == [0, 1]
+
+
 # -- matrices -----------------------------------------------------------------
 
 def test_matrix_inverse_of_identity_perturbation():

@@ -362,6 +362,16 @@ def test_skew_json_round_trip(ring):
         assert b == a
 
 
+def test_loaded_zero_coefficient_is_a_member():
+    # y0 * z with z a dimension-2 triple of the zero series, as a certificate may carry it
+    z = LinRep.letter(QQ, 0).to_json()
+    z["gamma"] = ["0", "0"]
+    obj = {"backend": "rat", "field": "q", "n": 2, "terms": [[[0], z]]}
+    a = SkewElem.from_json(RAT, obj)
+    assert ideal_member(a).value
+    assert a == RAT.zero()
+
+
 def test_cross_field_elements():
     ring7 = SkewRing(CoeffDomain("rat", F7), 2)
     a = ring7.one() + ring7.y(0).scale(F7.from_int(3))
