@@ -234,15 +234,6 @@ class MPoly:
             out.setdefault(k, {})[e0] = c
         return {k: MPoly(self.nvars, t) for k, t in out.items()}
 
-    @staticmethod
-    def from_coeffs_in(nvars: int, v: int, coeffs: dict) -> "MPoly":
-        t: dict = {}
-        for k, p in coeffs.items():
-            for e, c in p.terms.items():
-                e2 = e[:v] + (k,) + e[v + 1 :]
-                t[e2] = t.get(e2, 0) + c
-        return MPoly(nvars, t)
-
     def div_exact(self, other: "MPoly") -> "MPoly":
         """Exact division; raises ValueError if ``other`` does not divide."""
         if other.is_zero():

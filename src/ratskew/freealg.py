@@ -108,9 +108,6 @@ class FreeElem:
     def constant_term(self):
         return self.coeffs.get((), self.field.zero())
 
-    def support_size(self) -> int:
-        return len(self.coeffs)
-
     def order(self) -> int | None:
         """Length of the shortest word in the support; None for the zero element."""
         if not self.coeffs:

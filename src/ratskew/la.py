@@ -6,9 +6,22 @@ matters.  ``Echelon`` keeps a fully reduced row-echelon basis of a growing
 subspace, which is the whole engine behind minimizing linear
 representations: the coordinates of a vector of the span in that basis are
 its entries at the pivot columns, read off with no further elimination.
+
+``IntEchelon`` is the same basis kept over the integers, or over the
+integers mod a prime, with no field objects at all.  A subspace has exactly
+one reduced row-echelon basis, and scaling a row does not change the space
+it spans, so the integer basis, each row primitive with a positive pivot,
+is that unique basis with row i scaled by its pivot entry: dividing row i by
+``rows[i][pivots[i]]`` gives back the rows ``Echelon`` would hold.  Over Z
+the elimination is fraction-free (Bareiss, *Math. Comp.* 22, 1968): a row
+combination ``a*v - c*row`` with the common factor of ``a`` and ``c``
+removed, and the content of a new row divided out once.  Mod p the pivot is
+normalised to 1 with a Fermat inverse.
 """
 
 from __future__ import annotations
+
+from math import gcd
 
 
 def mat_vec(m, v, zero):
@@ -93,6 +106,68 @@ class Echelon:
         k = next((i for i, q in enumerate(self.pivots) if q > p), len(self.pivots))
         self.rows.insert(k, v)
         self.pivots.insert(k, p)
+        return True
+
+    def dim(self) -> int:
+        return len(self.rows)
+
+
+class IntEchelon:
+    """Reduced row-echelon basis of a subspace of Z^n (``p == 0``) or of
+    (Z/p)^n, grown one integer vector at a time; mod p, vectors are given
+    as residues in [0, p).  Over Z every row is primitive with a positive
+    pivot; mod p every pivot is 1.  Rows are replaced, never changed in
+    place, so an added vector may be shared."""
+
+    def __init__(self, p: int = 0) -> None:
+        self.p = p
+        self.rows: list = []
+        self.pivots: list = []
+
+    def _eliminate(self, v, row, j):
+        """v with its entry at column j cleared by the pivot row ``row``."""
+        p, c = self.p, v[j]
+        if p:
+            return [(x - c * y) % p for x, y in zip(v, row)]
+        a = row[j]
+        g = gcd(a, c)
+        a, c = a // g, c // g
+        return [a * x - c * y for x, y in zip(v, row)]
+
+    def add(self, v) -> bool:
+        """Insert v; returns True if it enlarged the span."""
+        for row, q in zip(self.rows, self.pivots):
+            if v[q]:
+                v = self._eliminate(v, row, q)
+        for piv, x in enumerate(v):
+            if x:
+                break
+        else:
+            return False
+        p = self.p
+        if p:
+            s = pow(v[piv], p - 2, p)
+            if s != 1:
+                v = [x * s % p for x in v]
+        else:
+            g = gcd(*v)
+            if v[piv] < 0:
+                g = -g
+            if g != 1:
+                v = [x // g for x in v]
+        # keep the basis fully reduced, so coordinates sit at the pivots
+        rows = self.rows
+        for i, row in enumerate(rows):
+            if row[piv]:
+                r = self._eliminate(row, v, piv)
+                if not p:
+                    g = gcd(*r)  # positive, and the row's own pivot stays positive
+                    if g != 1:
+                        r = [x // g for x in r]
+                rows[i] = r
+        k = next((i for i, q in enumerate(self.pivots) if q > piv), len(self.pivots))
+        rows.insert(k, v)
+        self.pivots.insert(k, piv)
         return True
 
     def dim(self) -> int:

@@ -27,6 +27,19 @@ basis is the identity, so the pivot read would return the input as it is.
 On a representation that is already minimal each pass therefore stops
 after about ``dim`` inserts.
 
+Both passes are one breadth-first search, :func:`_reach`, over a per-field
+kernel.  Over ``q`` and ``fp:p`` the kernel works on plain integers: each
+letter matrix is converted once per reduction, over ``q`` scaled by the lcm
+of its denominators, and the search and the elimination run in
+``la.IntEchelon`` with no ``Fraction`` or ``Fp`` in the inner loop.  That
+is exact because scaling a vector or a letter matrix does not change the
+span of row * mu(w), and a subspace has exactly one reduced row-echelon
+basis: the integer basis is that basis with each row scaled by its pivot,
+so the pivot-1 rows, and every value read from them, are the same as
+``la.Echelon`` gives.  Field values are built once, at the end.  Any other
+field (``qt:r``) runs the same search on its own values with
+``la.Echelon``.
+
 Operations avoid reductions they cannot need: a product with a constant
 only scales the other factor, and ``delta`` is memoised per instance.
 Results share vectors and matrices with their operands, so nothing mutates
@@ -38,10 +51,14 @@ have just allocated.
 from __future__ import annotations
 
 from collections import deque
+from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
+from operator import mul
 
-from .fields import Field, scalar_from_json, scalar_to_json
+from .fields import Field, Fp, PrimeField, RationalField, scalar_from_json, scalar_to_json
 from .freealg import FreeElem
-from .la import Echelon, dot, identity, invert_matrix, mat_mul, mat_vec, vec_mat
+from .la import Echelon, IntEchelon, dot, identity, invert_matrix, mat_mul, mat_vec, vec_mat
 from .words import word_key
 
 
@@ -49,55 +66,212 @@ from .words import word_key
 # the minimisation engine shared by LinRep and SeriesMatrix
 # ---------------------------------------------------------------------------
 
-def _reach(field, dim, rows, mu, cols):
+class _FieldKernel:
+    """Vectors and matrices as field values, eliminated by ``la.Echelon``;
+    the kernel of a field with no integral one (``qt:r``).
+
+    A kernel converts field vectors and letter matrices to its own form
+    (``vec``, ``mat``) and back (``out``, and ``out_t`` for the transpose),
+    gives the search vector of an entry row (``span``), multiplies
+    (``vec_mat``), eliminates (``echelon``) and reads a span's coordinates
+    at the pivots (``read``, ``restrict``, ``coords``).
+    """
+
+    def __init__(self, field: Field) -> None:
+        self.field = field
+        self.zero = field.zero()
+
+    def vec(self, v):
+        return v
+
+    mat = span = out = vec
+
+    def out_t(self, m):
+        return [list(r) for r in zip(*m)]
+
+    transposed = out_t
+
+    def nonzero(self, m):
+        return any(any(r) for r in m)
+
+    def echelon(self, n):
+        return Echelon(n, self.field.one())
+
+    def vec_mat(self, v, m):
+        return vec_mat(v, m, self.zero, len(m))
+
+    def read(self, v, piv):
+        return [v[p] for p in piv]
+
+    def restrict(self, ech, m):
+        z, piv, d = self.zero, ech.pivots, ech.dim()
+        mp = [[row[p] for p in piv] for row in m]
+        return [vec_mat(b, mp, z, d) for b in ech.rows]
+
+    def coords(self, ech, c):
+        return [dot(b, c, self.zero) for b in ech.rows]
+
+
+class _IntKernel:
+    """Q (``p == 0``) or F_p on plain integers, eliminated by ``la.IntEchelon``.
+
+    A vector is a pair (ints, den) standing for ints / den; a letter matrix
+    is a pair (columns, den), so that v * M is one integer dot product per
+    column.  Over F_p the integers are residues and den is 1.  Field values
+    are built only by ``out`` and ``out_t``, one division per entry.
+    """
+
+    def __init__(self, p: int) -> None:
+        self.p = p
+
+    def vec(self, v):
+        if self.p:
+            return [x.v for x in v], 1
+        ratios = list(map(_ratio, v))
+        den = lcm(*[q for _, q in ratios])
+        return [n * (den // q) for n, q in ratios], den
+
+    def mat(self, m):
+        if self.p:
+            return [[x.v for x in c] for c in zip(*m)], 1
+        n = len(m)
+        ratios = list(map(_ratio, chain.from_iterable(zip(*m))))  # column by column
+        nums, dens = zip(*ratios)
+        den = lcm(*dens)
+        if den != 1:
+            nums = [a * (den // q) for a, q in ratios]
+        return [list(nums[j:j + n]) for j in range(0, n * n, n)], den
+
+    def span(self, v):
+        return v[0]
+
+    def _to_field(self, ints, den):
+        if self.p:
+            return [Fp(self.p, x) for x in ints]
+        if den == 1:
+            return [Fraction(x) if x else _ZERO for x in ints]
+        return [Fraction(x, den) if x else _ZERO for x in ints]
+
+    def out(self, v):
+        return self._to_field(*v)
+
+    def out_t(self, m):
+        """Field rows of the transpose of m, which are m's stored columns."""
+        cols, den = m
+        return [self._to_field(c, den) for c in cols]
+
+    def transposed(self, m):
+        return [list(r) for r in zip(*m[0])], m[1]
+
+    def nonzero(self, m):
+        return any(any(c) for c in m[0])
+
+    def echelon(self, n):
+        return IntEchelon(self.p)
+
+    def vec_mat(self, v, m):
+        """v * M, reduced mod p, or made primitive over Z."""
+        w = [sum(map(mul, v, c)) for c in m[0]]
+        if self.p:
+            return [x % self.p for x in w]
+        g = gcd(*w)
+        return [x // g for x in w] if g > 1 else w
+
+    def read(self, v, piv):
+        ints = v[0]
+        return [ints[p] for p in piv], v[1]
+
+    def _scales(self, ech):
+        """Row i of the integer basis is a_i times row i of the pivot-1
+        basis; with L = lcm(a_i), (L / a_i) * x / L is x / a_i."""
+        a = [r[q] for r, q in zip(ech.rows, ech.pivots)]
+        big = lcm(*a)
+        return [big // ai for ai in a], big
+
+    def restrict(self, ech, m):
+        cols, den = m
+        if self.p:
+            return [[sum(map(mul, b, cols[q])) % self.p for b in ech.rows] for q in ech.pivots], 1
+        scale, big = self._scales(ech)
+        return [[s * sum(map(mul, b, cols[q])) for b, s in zip(ech.rows, scale)]
+                for q in ech.pivots], den * big
+
+    def coords(self, ech, c):
+        ints, den = c
+        if self.p:
+            return [sum(map(mul, b, ints)) % self.p for b in ech.rows], 1
+        scale, big = self._scales(ech)
+        return [s * sum(map(mul, b, ints)) for b, s in zip(ech.rows, scale)], den * big
+
+
+_ZERO = Fraction(0)
+_ratio = Fraction.as_integer_ratio
+
+
+def _kernel(field: Field):
+    if isinstance(field, RationalField):
+        return _IntKernel(0)
+    if isinstance(field, PrimeField):
+        return _IntKernel(field.p)
+    return _FieldKernel(field)
+
+
+def _reach(kern, dim, rows, mu, cols):
     """Restrict to the span of row * mu(w) over the entry rows and all words w.
 
-    Returns ``(d, rows, mu, cols)`` in the echelon basis of that span;
-    letters whose restricted matrix is zero are dropped.  The search stops
-    as soon as the span is the whole space: a full-rank reduced echelon
-    basis is the identity, so the pivot read would give back ``rows``,
-    ``mu`` and ``cols`` as they are, and they are returned unchanged.
+    The one breadth-first search of the engine, for every field: ``rows``,
+    ``mu`` and ``cols`` are in the form of the kernel ``kern``, which does
+    the products, the elimination and the pivot read.  An integer kernel
+    may keep each search vector and basis row up to a nonzero factor, since
+    that changes neither the span nor its one reduced echelon basis.
+    Returns ``(d, rows, mu, cols)`` in the fully reduced echelon basis of
+    that span, still in the kernel's form; letters whose restricted matrix
+    is zero are dropped.  The search stops as soon as the span is the whole
+    space: a full-rank reduced echelon basis is the identity, so the pivot
+    read would give back ``rows``, ``mu`` and ``cols`` as they are, and they
+    are returned unchanged.
     """
-    if dim == 0:
-        return dim, rows, mu, cols
-    z = field.zero()
-    ech = Echelon(dim, field.one())
-    queue = deque(list(r) for r in rows if ech.add(r))
+    ech = kern.echelon(dim)
+    queue = deque(v for v in map(kern.span, rows) if ech.add(v))
     letters = sorted(mu)
     while queue and ech.dim() < dim:
         v = queue.popleft()
         for x in letters:
-            w = vec_mat(v, mu[x], z, dim)
+            w = kern.vec_mat(v, mu[x])
             if ech.add(w):
                 if ech.dim() == dim:
                     break
                 queue.append(w)
     d = ech.dim()
     if d == dim:
-        return dim, rows, {x: mu[x] for x in letters if any(any(r) for r in mu[x])}, cols
-    if d == 0:
-        return 0, [[] for _ in rows], {}, [[] for _ in cols]
+        return dim, rows, {x: mu[x] for x in letters if kern.nonzero(mu[x])}, cols
     # span vectors have their coordinates at the pivots: read only those columns
-    basis, piv = ech.rows, ech.pivots
     new_mu = {}
     for x in letters:
-        mp = [[row[p] for p in piv] for row in mu[x]]
-        m = [vec_mat(b, mp, z, d) for b in basis]
-        if any(any(r) for r in m):
+        m = kern.restrict(ech, mu[x])
+        if kern.nonzero(m):
             new_mu[x] = m
-    return d, [[r[p] for p in piv] for r in rows], new_mu, [[dot(b, c, z) for b in basis] for c in cols]
-
-
-def _transposed(mu):
-    return {x: [list(r) for r in zip(*m)] for x, m in mu.items()}
+    return d, [kern.read(r, ech.pivots) for r in rows], new_mu, [kern.coords(ech, c) for c in cols]
 
 
 def _minimise(field, dim, rows, mu, cols):
     """Minimal form of (entry rows, letter matrices, exit columns): the
-    reachable part, then the reachable part of its transpose."""
-    d, rows, mu, cols = _reach(field, dim, rows, mu, cols)
-    d, cols, mu, rows = _reach(field, d, cols, _transposed(mu), rows)
-    return d, rows, _transposed(mu), cols
+    reachable part, then the reachable part of its transpose.
+
+    The input is converted to the field's kernel form once, both passes run
+    on it, and field values are built once at the end.  If both passes span
+    the whole space the input is returned as it is, minus zero letters and
+    with the letters sorted."""
+    if dim == 0:
+        return 0, rows, {}, cols
+    k = _kernel(field)
+    d1, rows1, mu1, cols1 = _reach(
+        k, dim, [k.vec(r) for r in rows], {x: k.mat(m) for x, m in mu.items()}, [k.vec(c) for c in cols]
+    )
+    d, cols2, mu2, rows2 = _reach(k, d1, cols1, {x: k.transposed(m) for x, m in mu1.items()}, rows1)
+    if d == dim:
+        return dim, rows, {x: mu[x] for x in mu2}, cols
+    return d, [k.out(r) for r in rows2], {x: k.out_t(m) for x, m in mu2.items()}, [k.out(c) for c in cols2]
 
 
 def _direct_sum(mu1, d1, mu2, d2, zero):
@@ -429,6 +603,12 @@ class LinRep:
 
     @staticmethod
     def from_json(field: Field, obj) -> "LinRep":
+        # reduced on load: the dim-based zero test and the constant shortcut rely on it
+        return LinRep._load(field, obj).reduce()
+
+    @staticmethod
+    def _load(field: Field, obj) -> "LinRep":
+        """The triple of ``obj`` as it is, checked for shape but not reduced."""
         if obj["field"] != field.name:
             raise ValueError("field mismatch: %s vs %s" % (obj["field"], field.name))
         dim = obj["dim"]
@@ -446,8 +626,7 @@ class LinRep:
             if not (vec(m) and all(vec(row) for row in m)):
                 raise ValueError("mu[%d] is not a %d x %d matrix" % (x, dim, dim))
             mu[x] = [[dec(c) for c in row] for row in m]
-        # reduced on load: the dim-based zero test and the constant shortcut rely on it
-        return LinRep(field, dim, [dec(c) for c in obj["lam"]], mu, [dec(c) for c in obj["gamma"]]).reduce()
+        return LinRep(field, dim, [dec(c) for c in obj["lam"]], mu, [dec(c) for c in obj["gamma"]])
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +637,13 @@ class SeriesMatrix:
     """An nrows x ncols matrix of rational series as one block representation.
 
     Entry (i, j) of the coefficient of w is Lam[i] * mu(w) * (column j of Gam).
+
+    Unlike a :class:`LinRep`, a series matrix need not be reduced:
+    ``constant``, ``scale``, ``left_mul_const`` and
+    ``right_mul_const`` return unreduced matrices, so ``dim`` can exceed the
+    minimal dimension.  ``+``, ``*``, ``star``, ``from_entries`` and
+    ``from_json`` reduce, and the zero test is ``==``, which reduces the
+    difference.
     """
 
     __slots__ = ("field", "nrows", "ncols", "dim", "Lam", "mu", "Gam")
@@ -630,7 +816,8 @@ class SeriesMatrix:
 
     @staticmethod
     def from_json(field: Field, obj) -> "SeriesMatrix":
-        entries = [[LinRep.from_json(field, e) for e in row] for row in obj["entries"]]
+        # one reduction of the whole block; reducing each entry first would be a second
+        entries = [[LinRep._load(field, e) for e in row] for row in obj["entries"]]
         return SeriesMatrix.from_entries(field, entries)
 
 

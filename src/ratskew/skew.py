@@ -303,17 +303,6 @@ class SkewElem:
     def support(self):
         return sorted(self.data, key=word_key)
 
-    def letters_used(self):
-        out = set()
-        for I, r in self.data.items():
-            out.update(I)
-            if hasattr(r, "mu"):
-                out.update(r.mu)
-            elif hasattr(r, "coeffs"):
-                for w in r.coeffs:
-                    out.update(w)
-        return out
-
     def __repr__(self):
         return "SkewElem(%d terms, y-degree %d)" % (len(self.data), self.y_degree())
 

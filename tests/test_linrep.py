@@ -2,13 +2,15 @@
 backend as an independent oracle wherever values are not pinned by hand."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ratskew.fields import QQ, field_from_name
+from ratskew.fields import QQ, Fp, field_from_name
 from ratskew.freealg import FreeElem
-from ratskew.linrep import LinRep, NotInvertible, SeriesMatrix, invert_matrix_series
+from ratskew import linrep
+from ratskew.linrep import LinRep, NotInvertible, SeriesMatrix, _FieldKernel, _minimise, invert_matrix_series
 from ratskew.truncated import TruncSeries
 
 F7 = field_from_name("fp:7")
@@ -333,8 +335,9 @@ def _rank(rows, field):
 
 
 def _rand_sparse(rng, field, n, m):
-    return [[field.from_int(rng.choice((-2, -1, 1, 2))) if rng.random() < 0.3 else field.zero()
-             for _ in range(m)] for _ in range(n)]
+    """Entries +-1, +-2 over 1, 2 or 3 (so q entries may have non-unit denominators)."""
+    return [[field.from_fraction(Fraction(rng.choice((-2, -1, 1, 2)), rng.choice((1, 1, 2, 3))))
+             if rng.random() < 0.3 else field.zero() for _ in range(m)] for _ in range(n)]
 
 
 def _prefix_rows(field, row, mu, ws):
@@ -399,3 +402,58 @@ def test_series_matrix_reduce_dim_is_block_hankel_rank(field):
         again = m.reduce()
         assert (again.dim, again.Lam, again.mu, again.Gam) == (m.dim, m.Lam, m.mu, m.Gam)
         assert again.to_json() == m.to_json()
+
+
+# -- the integer kernel against the la.Echelon path ---------------------------------
+
+def _rand_wide(rng, field, n, m, density):
+    """Entries n/k with |n| <= 10**6 and k <= 7 (k < 7 over fp:7); about
+    half the rows get a negative leading entry."""
+    kmax = 6 if field == F7 else 7
+    wide = lambda lo: field.from_fraction(Fraction(rng.randint(lo, 10**6), rng.randint(1, kmax)))
+    out = []
+    for _ in range(n):
+        row = [wide(-10**6) if rng.random() < density else field.zero() for _ in range(m)]
+        if m and rng.random() < 0.5:
+            row[0] = -wide(1)
+        out.append(row)
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=lambda f: f.name)
+def test_integer_kernel_matches_echelon_path(field, monkeypatch):
+    rng = random.Random(71)
+    kind = Fraction if field == QQ else Fp
+    reduced = 0
+    for _ in range(60):
+        nrows, ncols = rng.choice(((1, 1), (1, 1), (1, 2), (2, 3)))
+        d = rng.randint(1, 7)
+        density = rng.choice((0.25, 0.4, 0.7))
+        mu = {x: _rand_wide(rng, field, d, d, density) for x in rng.sample(range(4), rng.randint(1, 3))}
+        rows = _rand_wide(rng, field, nrows, d, density)
+        cols = _rand_wide(rng, field, ncols, d, density)
+        fast = _minimise(field, d, rows, mu, cols)
+        with monkeypatch.context() as m:
+            m.setattr(linrep, "_kernel", _FieldKernel)
+            slow = _minimise(field, d, rows, mu, cols)
+        dk, rk, mk, ck = fast
+        assert (dk, rk, list(mk.items()), ck) == (slow[0], slow[1], list(slow[2].items()), slow[3])
+        values = [c for r in rk + ck for c in r] + [c for m in mk.values() for r in m for c in r]
+        assert all(type(c) is kind for c in values)
+        if nrows == ncols == 1:
+            as_json = lambda t: LinRep(field, t[0], t[1][0], t[2], t[3][0]).to_json()
+            assert as_json(fast) == as_json(slow)
+        reduced += dk < d
+    assert reduced >= 10  # the sample also exercises the pivot read, not only full spans
+
+
+def test_mod_p_search_vectors_are_reduced():
+    # lam * mu(0) is (3 + 4, 0, 0) = 0 mod 7, and lam * mu(1) is (1, 0, 0):
+    # the reachable space is spanned by lam and (1, 0, 0)
+    o, z = F7.one(), F7.zero()
+    c = lambda k: F7.from_int(k)
+    mu = {0: [[z, z, z], [c(3), z, z], [c(4), z, z]], 1: [[z, z, z], [o, z, z], [z, z, z]]}
+    raw = LinRep(F7, 3, [z, o, o], mu, [o, o, o])
+    r = raw.reduce()
+    assert r.dim == 2
+    assert all(r.coeff(w) == raw.coeff(w) for w in _words_below(4))
