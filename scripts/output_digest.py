@@ -4,6 +4,9 @@
 Runs each command in-process and prints one line per command: the sha256
 of its stdout, its exit code and the command.  Every certificate a command
 emits is also fed back to ``verify-cert``, which gets a line of its own.
+No command prints a series matrix, so two ``spot_check_sigma_prime``
+certificates over q, built with the package's own functions, get a line
+each, and so does the ``recheck_certificate`` result of each.
 Run it on two checkouts and diff the outputs to see which commands changed:
 
     python3 scripts/output_digest.py > new.txt
@@ -15,6 +18,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import os
 import shlex
 import sys
@@ -39,6 +43,27 @@ COMMANDS = [
 ]
 
 
+def sigma_certs():
+    """(label, certificate) for I + p(A) over q: p = 1/2*z0 + z1*z0 with the
+    generators of Z -> Z_3, 1 -> 2, and the 2 x 2 perturbation
+    [[z0, z1], [0, z0*z1]] with those of Z -> Z, 1 -> 2."""
+    from fractions import Fraction
+    from ratskew.fields import field_from_name
+    from ratskew.freealg import FreeElem
+    from ratskew.realize import build_generators, hom_spec, spot_check_sigma_prime
+
+    qq = field_from_name("q")
+    z0, z1 = FreeElem.letter(qq, 0), FreeElem.letter(qq, 1)
+    half_z0 = FreeElem.word(qq, (0,), qq.from_fraction(Fraction(1, 2)))
+    cases = [
+        ("sigma cert: Z -> Z_3, 1 -> 2, p = 1/2*z0 + z1*z0", hom_spec(0, 3, 2), 3, half_z0 + z1 * z0),
+        ("sigma cert: Z -> Z, 1 -> 2, p = [[z0, z1], [0, z0*z1]]", hom_spec(0, 0, 2), 2,
+         [[z0, z1], [FreeElem.zero(qq), z0 * z1]]),
+    ]
+    return [(label, spot_check_sigma_prime(build_generators(spec, count=count), p).to_json())
+            for label, spec, count, p in cases]
+
+
 def run(run_command, argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -58,7 +83,7 @@ def main(argv=None) -> int:
                     help="directory holding the ratskew package (default: this checkout's src)")
     args = ap.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
-    from ratskew.cli import run_command
+    from ratskew.cli import recheck_certificate, run_command
 
     with tempfile.TemporaryDirectory() as tmp:
         for cmd, emits_cert in COMMANDS:
@@ -71,6 +96,12 @@ def main(argv=None) -> int:
                     fh.write(stdout)
                 code, stdout = run(run_command, ["verify-cert", path])
                 print(line("verify-cert <output of: %s>" % label, code, stdout), flush=True)
+    for label, cert in sigma_certs():
+        ok = cert["ok_right"] and cert["ok_left"]
+        print(line(label, 0 if ok else 1, json.dumps(cert, sort_keys=True)), flush=True)
+        out = recheck_certificate(cert)
+        print(line("recheck_certificate <%s>" % label, 0 if out["ok"] else 1,
+                   json.dumps(out, sort_keys=True)), flush=True)
     return 0
 
 

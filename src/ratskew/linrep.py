@@ -9,14 +9,17 @@ Every public operation returns a *reduced* representation, of minimal
 dimension.  That makes the zero test trivial (dim == 0), keeps arithmetic
 from snowballing, and turns exact equality into reduction of a difference.
 
-:class:`SeriesMatrix` packs a whole matrix of series into one representation
-with block entry/exit vectors, which is what the star-based matrix inversion
-works on.
+:class:`SeriesMatrix` packs a whole matrix of series into one representation:
+a list of entry rows, one per matrix row, the letter matrices, and a list of
+exit columns, one per matrix column, with entry (i, j) of the coefficient of
+w equal to rows[i] * mu(w) * cols[j]; the star-based matrix inversion
+works on it.  A :class:`LinRep` is the 1 x 1 case (dim, [lam], mu, [gamma])
+of this *block triple* (dim, rows, mu, cols), and both classes build their
+sums, Cauchy products and stars with the same block functions, :func:`_sum`,
+:func:`_product` and :func:`_star`, then reduce the result once.
 
-Both classes reduce through one engine, :func:`_minimise`, which sees a
-representation as a list of entry rows, the letter matrices and a list of
-exit columns (a :class:`LinRep` has one of each).  It runs a reachability
-pass, restricting to the span of every row times mu(w), then the same pass
+Both classes reduce through one engine, :func:`_minimise`, on the block
+triple.  It runs a reachability pass, restricting to the span of every row times mu(w), then the same pass
 on the transpose with rows and columns swapped, and transposes back
 (Berstel-Reutenauer, *Noncommutative Rational Series with Applications*,
 ch. 2).  A pass eliminates only while it grows the span; the restricted
@@ -43,9 +46,9 @@ field (``qt:r``) runs the same search on its own values with
 Operations avoid reductions they cannot need: a product with a constant
 only scales the other factor, and ``delta`` is memoised per instance.
 Results share vectors and matrices with their operands, so nothing mutates
-a representation once it is built; the constructors that fill matrices in
-place (``__mul__``, ``star``, ``from_entries``) write only to matrices they
-have just allocated.
+a representation once it is built; the code that fills matrices in place
+(:func:`_product`, ``from_entries``) writes only to matrices it has just
+allocated.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ from operator import mul
 
 from .fields import Field, Fp, PrimeField, RationalField, scalar_from_json, scalar_to_json
 from .freealg import FreeElem
-from .la import Echelon, IntEchelon, dot, identity, invert_matrix, mat_mul, mat_vec, vec_mat
+from .la import Echelon, IntEchelon, dot, identity, invert_matrix, mat_vec, vec_mat
 from .words import word_key
 
 
@@ -292,6 +295,58 @@ def _direct_sum(mu1, d1, mu2, d2, zero):
     return mu
 
 
+# ---------------------------------------------------------------------------
+# block arithmetic shared by LinRep and SeriesMatrix
+# ---------------------------------------------------------------------------
+
+def _sum(zero, a, b):
+    """a + b for block triples of one shape: the states of a, then those of b."""
+    d1, rows1, mu1, cols1 = a
+    d2, rows2, mu2, cols2 = b
+    return (d1 + d2, [r + s for r, s in zip(rows1, rows2)], _direct_sum(mu1, d1, mu2, d2, zero),
+            [c + e for c, e in zip(cols1, cols2)])
+
+
+def _product(zero, a, b):
+    """The Cauchy product a * b: the states of a, then those of b, where a
+    path that could leave a by exit column k goes on into b from entry row
+    k, ending at once (b's constant terms) or by a letter (the bridge)."""
+    d1, rows1, mu1, cols1 = a
+    d2, rows2, mu2, cols2 = b
+    cols = [vec_mat([dot(r, c, zero) for r in rows2], cols1, zero, d1) + c for c in cols2]
+    mu = _direct_sum(mu1, d1, mu2, d2, zero)
+    exits = list(zip(*cols1))  # exits[i][k] = cols1[k][i]
+    for x, m2 in mu2.items():
+        starts = [vec_mat(r, m2, zero, d2) for r in rows2]
+        m = mu[x]
+        for i, g in enumerate(exits):
+            if any(g):
+                m[i][d1:] = vec_mat(g, starts, zero, d2)
+    pad = [zero] * d2
+    return d1 + d2, [r + pad for r in rows1], mu, cols
+
+
+def _star(zero, one, a):
+    """I + P + P^2 + ... for a square block triple P with zero constant
+    terms: a new state per entry row, which ends at once (the I) or enters P
+    by a letter, and a path that could leave P may enter it again."""
+    dim, rows, mu, cols = a
+    s = len(rows)
+    eye = identity(s, zero, one)
+    pad = [zero] * s
+    exits = list(zip(*cols))  # exits[i][k] = cols[k][i]
+    star_mu = {}
+    for x, m in mu.items():
+        top = [vec_mat(r, m, zero, dim) for r in rows]
+        big = [pad + t for t in top]
+        for mi, g in zip(m, exits):
+            if any(g):
+                mi = [u + v for u, v in zip(mi, vec_mat(g, top, zero, dim))]
+            big.append(pad + mi)
+        star_mu[x] = big
+    return s + dim, [e + [zero] * dim for e in eye], star_mu, [e + c for e, c in zip(eye, cols)]
+
+
 class LinRep:
     """A rational series as a reduced triple (lam, mu, gamma), never mutated:
     ``scale``, a full-span reduction and the ``delta`` memo share its parts."""
@@ -375,8 +430,11 @@ class LinRep:
     # -- reduction ----------------------------------------------------------
 
     def reduce(self) -> "LinRep":
-        d, (lam,), mu, (gamma,) = _minimise(self.field, self.dim, [self.lam], self.mu, [self.gamma])
+        d, (lam,), mu, (gamma,) = _minimise(self.field, *self._block())
         return LinRep(self.field, d, lam, mu, gamma)
+
+    def _block(self):
+        return self.dim, [self.lam], self.mu, [self.gamma]
 
     # -- coefficients --------------------------------------------------------
 
@@ -412,10 +470,8 @@ class LinRep:
             return other
         if other.dim == 0:
             return self
-        lam = list(self.lam) + list(other.lam)
-        gamma = list(self.gamma) + list(other.gamma)
-        mu = _direct_sum(self.mu, self.dim, other.mu, other.dim, self.field.zero())
-        return LinRep(self.field, self.dim + other.dim, lam, mu, gamma).reduce()
+        d, (lam,), mu, (gamma,) = _sum(self.field.zero(), self._block(), other._block())
+        return LinRep(self.field, d, lam, mu, gamma).reduce()
 
     def __neg__(self) -> "LinRep":
         return self.scale(-self.field.one())
@@ -434,7 +490,7 @@ class LinRep:
     def __mul__(self, other: "LinRep") -> "LinRep":
         """Cauchy product.  A constant factor c (dim 1, no letters) only
         scales the other operand, which gives it back when c is one; else
-        the product representation is built and reduced."""
+        the block product is built and reduced."""
         self._check(other)
         if self.dim == 0 or other.dim == 0:
             return LinRep.zero(self.field)
@@ -443,21 +499,7 @@ class LinRep:
             return other.scale(self.tau())
         if other.dim == 1 and not other.mu:
             return self.scale(other.tau())
-        z = self.field.zero()
-        d1, d2 = self.dim, other.dim
-        d = d1 + d2
-        c2 = dot(other.lam, other.gamma, z)
-        lam = list(self.lam) + [z] * d2
-        gamma = [g * c2 for g in self.gamma] + list(other.gamma)
-        mu = _direct_sum(self.mu, d1, other.mu, d2, z)
-        for x, b in other.mu.items():
-            # bridge: finish the left factor (gamma), start the right (lam*mu)
-            lm = vec_mat(other.lam, b, z, d2)
-            m = mu[x]
-            for i in range(d1):
-                gi = self.gamma[i]
-                if gi:
-                    m[i][d1:] = [gi * lm[j] for j in range(d2)]
+        d, (lam,), mu, (gamma,) = _product(self.field.zero(), self._block(), other._block())
         return LinRep(self.field, d, lam, mu, gamma).reduce()
 
     def star(self) -> "LinRep":
@@ -467,19 +509,7 @@ class LinRep:
         field = self.field
         if self.dim == 0:
             return LinRep.one(field)
-        z, o = field.zero(), field.one()
-        d = self.dim + 1
-        lam = [o] + [z] * self.dim
-        gamma = [o] + list(self.gamma)
-        mu = {}
-        for x, m in self.mu.items():
-            top = vec_mat(self.lam, m, z, self.dim)
-            big = [[z] + list(top)]
-            for i in range(self.dim):
-                row = m[i]
-                gi = self.gamma[i]
-                big.append([z] + [row[j] + gi * top[j] for j in range(self.dim)])
-            mu[x] = big
+        d, (lam,), mu, (gamma,) = _star(field.zero(), field.one(), self._block())
         return LinRep(field, d, lam, mu, gamma).reduce()
 
     def inv(self) -> "LinRep":
@@ -634,9 +664,11 @@ class LinRep:
 # ---------------------------------------------------------------------------
 
 class SeriesMatrix:
-    """An nrows x ncols matrix of rational series as one block representation.
+    """An nrows x ncols matrix of rational series as one block triple.
 
-    Entry (i, j) of the coefficient of w is Lam[i] * mu(w) * (column j of Gam).
+    ``rows`` holds one entry vector per matrix row and ``cols`` one exit
+    vector per matrix column, each of length ``dim``; entry (i, j) of the
+    coefficient of w is rows[i] * mu(w) * cols[j].
 
     Unlike a :class:`LinRep`, a series matrix need not be reduced:
     ``constant``, ``scale``, ``left_mul_const`` and
@@ -646,24 +678,23 @@ class SeriesMatrix:
     difference.
     """
 
-    __slots__ = ("field", "nrows", "ncols", "dim", "Lam", "mu", "Gam")
+    __slots__ = ("field", "dim", "rows", "mu", "cols", "nrows", "ncols")
 
-    def __init__(self, field, nrows, ncols, dim, Lam, mu, Gam) -> None:
+    def __init__(self, field, dim, rows, mu, cols) -> None:
         self.field = field
-        self.nrows = nrows
-        self.ncols = ncols
         self.dim = dim
-        self.Lam = Lam  # nrows x dim
+        self.rows = rows
         self.mu = mu
-        self.Gam = Gam  # dim x ncols
+        self.cols = cols
+        self.nrows, self.ncols = len(rows), len(cols)
+
+    def _block(self):
+        return self.dim, self.rows, self.mu, self.cols
 
     @staticmethod
     def constant(field: Field, mat) -> "SeriesMatrix":
-        nrows, ncols = len(mat), len(mat[0]) if mat else 0
-        z, o = field.zero(), field.one()
-        return SeriesMatrix(
-            field, nrows, ncols, nrows, identity(nrows, z, o), {}, [list(r) for r in mat]
-        )
+        n = len(mat)
+        return SeriesMatrix(field, n, identity(n, field.zero(), field.one()), {}, [list(c) for c in zip(*mat)])
 
     @staticmethod
     def identity(field: Field, s: int) -> "SeriesMatrix":
@@ -675,10 +706,9 @@ class SeriesMatrix:
         nrows = len(entries)
         ncols = len(entries[0]) if nrows else 0
         z = field.zero()
-        dims = [[e.dim for e in row] for row in entries]
-        d = sum(sum(r) for r in dims)
-        Lam = [[z] * d for _ in range(nrows)]
-        Gam = [[z] * ncols for _ in range(d)]
+        d = sum(e.dim for row in entries for e in row)
+        rows = [[z] * d for _ in range(nrows)]
+        cols = [[z] * d for _ in range(ncols)]
         mu: dict = {}
         off = 0
         for i in range(nrows):
@@ -686,36 +716,26 @@ class SeriesMatrix:
                 e = entries[i][j]
                 if e.field != field:
                     raise ValueError("entry field mismatch")
-                for k in range(e.dim):
-                    Lam[i][off + k] = e.lam[k]
-                    Gam[off + k][j] = e.gamma[k]
+                end = off + e.dim
+                rows[i][off:end] = e.lam
+                cols[j][off:end] = e.gamma
                 for x, m in e.mu.items():
                     big = mu.setdefault(x, [[z] * d for _ in range(d)])
                     for a in range(e.dim):
-                        for b in range(e.dim):
-                            if m[a][b]:
-                                big[off + a][off + b] = m[a][b]
-                off += e.dim
-        return SeriesMatrix(field, nrows, ncols, d, Lam, mu, Gam).reduce()
+                        big[off + a][off:end] = m[a]
+                off = end
+        return SeriesMatrix(field, d, rows, mu, cols).reduce()
 
     def entry(self, i: int, j: int) -> LinRep:
-        gamma = [self.Gam[k][j] for k in range(self.dim)]
-        return LinRep(self.field, self.dim, list(self.Lam[i]), self.mu, gamma).reduce()
-
-    def entries(self):
-        return [[self.entry(i, j) for j in range(self.ncols)] for i in range(self.nrows)]
+        return LinRep(self.field, self.dim, self.rows[i], self.mu, self.cols[j]).reduce()
 
     def aug(self):
         """Entrywise constant terms, a plain field matrix."""
-        return mat_mul(self.Lam, self.Gam, self.field.zero()) if self.dim else [
-            [self.field.zero()] * self.ncols for _ in range(self.nrows)
-        ]
+        z = self.field.zero()
+        return [[dot(r, c, z) for c in self.cols] for r in self.rows]
 
     def reduce(self) -> "SeriesMatrix":
-        cols = [[r[j] for r in self.Gam] for j in range(self.ncols)]
-        d, Lam, mu, cols = _minimise(self.field, self.dim, self.Lam, self.mu, cols)
-        Gam = [[c[k] for c in cols] for k in range(d)]
-        return SeriesMatrix(self.field, self.nrows, self.ncols, d, Lam, mu, Gam)
+        return SeriesMatrix(self.field, *_minimise(self.field, *self._block()))
 
     def __eq__(self, other):
         if not isinstance(other, SeriesMatrix):
@@ -732,16 +752,10 @@ class SeriesMatrix:
 
     def __add__(self, other: "SeriesMatrix") -> "SeriesMatrix":
         self._check_shape(other)
-        Lam = [list(a) + list(b) for a, b in zip(self.Lam, other.Lam)]
-        Gam = [list(r) for r in self.Gam] + [list(r) for r in other.Gam]
-        mu = _direct_sum(self.mu, self.dim, other.mu, other.dim, self.field.zero())
-        return SeriesMatrix(self.field, self.nrows, self.ncols, self.dim + other.dim, Lam, mu, Gam).reduce()
+        return SeriesMatrix(self.field, *_sum(self.field.zero(), self._block(), other._block())).reduce()
 
     def scale(self, c) -> "SeriesMatrix":
-        return SeriesMatrix(
-            self.field, self.nrows, self.ncols, self.dim,
-            [[c * v for v in row] for row in self.Lam], self.mu, self.Gam,
-        )
+        return SeriesMatrix(self.field, self.dim, [[c * v for v in r] for r in self.rows], self.mu, self.cols)
 
     def __neg__(self):
         return self.scale(-self.field.one())
@@ -753,31 +767,17 @@ class SeriesMatrix:
         self._check_shape(other, same=False)
         if self.ncols != other.nrows:
             raise ValueError("inner dimension mismatch")
-        z = self.field.zero()
-        d1, d2 = self.dim, other.dim
-        d = d1 + d2
-        c2 = other.aug()  # inner x q constant terms
-        Lam = [list(r) + [z] * d2 for r in self.Lam]
-        Gam = [list(r) for r in other.Gam]
-        if d1:
-            Gam = mat_mul(self.Gam, c2, z) + Gam
-        mu = _direct_sum(self.mu, d1, other.mu, d2, z)
-        for x, b in other.mu.items():
-            lm = mat_mul(other.Lam, b, z)  # inner x d2
-            br = mat_mul(self.Gam, lm, z)  # d1 x d2
-            m = mu[x]
-            for i in range(d1):
-                m[i][d1:] = br[i]
-        return SeriesMatrix(self.field, self.nrows, other.ncols, d, Lam, mu, Gam).reduce()
+        return SeriesMatrix(self.field, *_product(self.field.zero(), self._block(), other._block())).reduce()
 
     def left_mul_const(self, C) -> "SeriesMatrix":
-        Lam = mat_mul(C, self.Lam, self.field.zero()) if self.dim else [[] for _ in C]
-        return SeriesMatrix(self.field, len(C), self.ncols, self.dim, Lam, self.mu, self.Gam)
+        z = self.field.zero()
+        rows = [vec_mat(c, self.rows, z, self.dim) for c in C]
+        return SeriesMatrix(self.field, self.dim, rows, self.mu, self.cols)
 
     def right_mul_const(self, C) -> "SeriesMatrix":
-        ncols = len(C[0]) if C else 0
-        Gam = mat_mul(self.Gam, C, self.field.zero()) if self.dim else []
-        return SeriesMatrix(self.field, self.nrows, ncols, self.dim, Lam=self.Lam, mu=self.mu, Gam=Gam)
+        z = self.field.zero()
+        cols = [vec_mat(c, self.cols, z, self.dim) for c in zip(*C)]
+        return SeriesMatrix(self.field, self.dim, self.rows, self.mu, cols)
 
     def star(self) -> "SeriesMatrix":
         """(I - P)^(-1) for a square P with zero augmentation."""
@@ -786,22 +786,7 @@ class SeriesMatrix:
         if any(any(c for c in row) for row in self.aug()):
             raise ValueError("star needs zero augmentation")
         field = self.field
-        s = self.nrows
-        z, o = field.zero(), field.one()
-        d = s + self.dim
-        Lam = [[o if i == j else z for j in range(s)] + [z] * self.dim for i in range(s)]
-        Gam = [[o if i == j else z for j in range(s)] for i in range(s)] + [list(r) for r in self.Gam]
-        mu = {}
-        for x, m in self.mu.items():
-            top = mat_mul(self.Lam, m, z)  # s x dim
-            gl = mat_mul(self.Gam, top, z) if self.dim else []  # dim x dim
-            big = []
-            for i in range(s):
-                big.append([z] * s + list(top[i]))
-            for i in range(self.dim):
-                big.append([z] * s + [m[i][j] + gl[i][j] for j in range(self.dim)])
-            mu[x] = big
-        return SeriesMatrix(field, s, s, d, Lam, mu, Gam).reduce()
+        return SeriesMatrix(field, *_star(field.zero(), field.one(), self._block())).reduce()
 
     def __repr__(self):
         return "SeriesMatrix(%dx%d, dim=%d)" % (self.nrows, self.ncols, self.dim)
@@ -839,9 +824,9 @@ def invert_matrix_series(m: SeriesMatrix):
     cinv = invert_matrix(caug, field.zero(), field.one())
     if cinv is None:
         raise NotInvertible("augmentation matrix is singular")
-    p = SeriesMatrix.identity(field, m.nrows) - m.left_mul_const(cinv)
-    n = p.star().right_mul_const(cinv)
     ident = SeriesMatrix.identity(field, m.nrows)
+    p = ident - m.left_mul_const(cinv)
+    n = p.star().right_mul_const(cinv)
     ok_right = m * n == ident
     ok_left = n * m == ident
     return n, ok_right, ok_left

@@ -143,15 +143,15 @@ class SkewRing:
     """
 
     def __init__(self, domain: CoeffDomain, n: int | None = None) -> None:
-        if n is not None and n < 0:
-            raise ValueError("top letter index must be >= 0")
+        if n is not None and (type(n) is not int or n < 0):
+            raise ValueError("top letter index must be an integer >= 0 or None, got %r" % (n,))
         self.domain = domain
         self.n = n
         self._letters: dict = {}
 
     def _check_letter(self, i: int) -> None:
-        if i < 0 or (self.n is not None and i > self.n):
-            raise ValueError("letter index %d outside 0..%s" % (i, self.n))
+        if type(i) is not int or i < 0 or (self.n is not None and i > self.n):
+            raise ValueError("letter index %r is not an integer in 0..%s" % (i, self.n))
 
     def zero(self) -> "SkewElem":
         return SkewElem(self, {})
@@ -342,6 +342,8 @@ class SkewElem:
         dom = ring.domain
         if obj["backend"] != dom.kind or obj["field"] != dom.field.name:
             raise ValueError("backend mismatch in serialized element")
+        if obj["n"] != ring.n:
+            raise ValueError("serialized element has top letter index %r, the ring %r" % (obj["n"], ring.n))
         data = {}
         for w, cj in obj["terms"]:
             if dom.kind == "rat":

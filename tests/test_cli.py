@@ -173,6 +173,20 @@ def test_verify_cert_rejects_misshapen_series(run, tmp_path):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("part, key, value", [
+    ("input", "n", "two"),  # not an alphabet bound
+    (None, "m", "two"),     # letters that are not integers
+    ("g", "n", 5),          # g claims a ring other than the input's
+], ids=["ring_n", "m", "g_n"])
+def test_verify_cert_rejects_bad_skew_witness_fields(run, tmp_path, part, key, value):
+    code, cert = jrun(run, "skew", "witness", "--json", "1 - x0")
+    assert code == 0
+    (cert[part] if part else cert)[key] = value
+    code, out, err = run("verify-cert", _write(tmp_path, "w.json", cert))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_verify_cert_paired_witness(run, tmp_path):
     code, wrapper = jrun(run, "leavitt", "witness", "--json", "--n", "2", "y1*x2")
     assert code == 0

@@ -259,7 +259,7 @@ def test_reduce_of_reduced_is_unchanged(field):
         assert list(r.mu) == list(s.mu)
         m = SeriesMatrix.from_entries(field, [[s, rand_rep(rng, field)], [LinRep.one(field), s]])
         n = m.reduce()
-        assert (n.dim, n.Lam, n.mu, n.Gam) == (m.dim, m.Lam, m.mu, m.Gam)
+        assert (n.dim, n.rows, n.mu, n.cols) == (m.dim, m.rows, m.mu, m.cols)
         assert list(n.mu) == list(m.mu)
 
 
@@ -283,6 +283,42 @@ def test_matrix_inverse_of_identity_perturbation():
     prod = m * inv
     ident = SeriesMatrix.identity(QQ, 2)
     assert all((prod - ident).entry(i, j).dim == 0 for i in range(2) for j in range(2))
+
+
+@pytest.mark.parametrize("field", [QQ, F7, QT], ids=lambda f: f.name)
+def test_linrep_ops_match_one_by_one_series_matrix(field):
+    """LinRep and SeriesMatrix share the block sum, product and star, so on
+    1 x 1 operands both give the same reduced triple.  A constant factor is
+    left out of the product: LinRep only rescales the other factor."""
+    rng = random.Random(71)
+    as_matrix = lambda s: SeriesMatrix.from_entries(field, [[s]])
+    for _ in range(8):
+        a, b = rand_rep(rng, field), rand_rep(rng, field)
+        assert (a + b).to_json() == (as_matrix(a) + as_matrix(b)).entry(0, 0).to_json()
+        if a.mu and b.mu:
+            assert (a * b).to_json() == (as_matrix(a) * as_matrix(b)).entry(0, 0).to_json()
+        p = a - LinRep.scalar(field, a.tau())
+        assert p.star().to_json() == as_matrix(p).star().entry(0, 0).to_json()
+
+
+@pytest.mark.parametrize("field", [QQ, F7, QT], ids=lambda f: f.name)
+def test_series_matrix_product_is_entrywise(field):
+    """A 2 x 3 times 3 x 2 product, whose bridge blocks sum over three exit
+    columns, against sum_k a_ik * b_kj in LinRep arithmetic.  The entries
+    are polynomials and one geometric series, so that the qt:1 reductions
+    stay small."""
+    rng = random.Random(73)
+    a = [[LinRep.from_free(rand_poly(rng, field)) for _ in range(3)] for _ in range(2)]
+    b = [[LinRep.from_free(rand_poly(rng, field)) for _ in range(2)] for _ in range(3)]
+    a[0][1] = (LinRep.one(field) - LinRep.letter(field, 1)).inv()
+    prod = SeriesMatrix.from_entries(field, a) * SeriesMatrix.from_entries(field, b)
+    assert (prod.nrows, prod.ncols) == (2, 2)
+    for i in range(2):
+        for j in range(2):
+            want = LinRep.zero(field)
+            for k in range(3):
+                want = want + a[i][k] * b[k][j]
+            assert prod.entry(i, j) == want
 
 
 def test_matrix_inverse_refuses_singular_scalar_part():
@@ -382,8 +418,8 @@ def test_reduce_dim_is_hankel_rank(field):
         assert r.dim == _rank(hankel, field)
         assert r.reduce().to_json() == r.to_json()
         assert _hankel(field, [r.lam], r.mu, [r.gamma], ws, vs) == hankel
-        sm = SeriesMatrix(field, 1, 1, d, [lam], mu, [[g] for g in gamma]).reduce()
-        assert (sm.dim, sm.Lam, sm.mu, sm.Gam) == (r.dim, [r.lam], r.mu, [[g] for g in r.gamma])
+        sm = SeriesMatrix(field, d, [lam], mu, [gamma]).reduce()
+        assert (sm.dim, sm.rows, sm.mu, sm.cols) == (r.dim, [r.lam], r.mu, [r.gamma])
 
 
 @pytest.mark.parametrize("field", [QQ, F7], ids=lambda f: f.name)
@@ -391,16 +427,14 @@ def test_series_matrix_reduce_dim_is_block_hankel_rank(field):
     rng = random.Random(53)
     for _ in range(25):
         nrows, ncols = rng.randint(1, 2), rng.randint(1, 3)
-        d, Lam, mu, cols = _rand_triple(rng, field, nrows, ncols)
-        Gam = [[c[k] for c in cols] for k in range(d)]
+        d, rows, mu, cols = _rand_triple(rng, field, nrows, ncols)
         ws, vs = _words_below(d), _words_below(d + 1)
-        hankel = _hankel(field, Lam, mu, cols, ws, vs)
-        m = SeriesMatrix(field, nrows, ncols, d, Lam, mu, Gam).reduce()
+        hankel = _hankel(field, rows, mu, cols, ws, vs)
+        m = SeriesMatrix(field, d, rows, mu, cols).reduce()
         assert m.dim == _rank(hankel, field)
-        m_cols = [[r[j] for r in m.Gam] for j in range(ncols)]
-        assert _hankel(field, m.Lam, m.mu, m_cols, ws, vs) == hankel
+        assert _hankel(field, m.rows, m.mu, m.cols, ws, vs) == hankel
         again = m.reduce()
-        assert (again.dim, again.Lam, again.mu, again.Gam) == (m.dim, m.Lam, m.mu, m.Gam)
+        assert (again.dim, again.rows, again.mu, again.cols) == (m.dim, m.rows, m.mu, m.cols)
         assert again.to_json() == m.to_json()
 
 
