@@ -36,6 +36,7 @@ COMMANDS = [
     (["skew", "witness", "--json", "1 - x0"], True),
     (["skew", "witness", "--json", "1 - x0 - x1"], True),
     (["skew", "witness", "--json", "y0*(1 + x1*x2)*(1 - 2*x0)^-1 + y1*y2*e"], True),
+    (["skew", "witness", "--backend", "trunc", "--precision", "6", "--json", "1 - x0"], True),
     (["k0", "monoid", "--json", "I | 3I=I"], False),
     (["k0", "monoid", "--json", "I,P | I=2I+P"], False),
     (["k0", "group", "I | 3I=I"], False),

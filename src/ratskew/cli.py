@@ -492,7 +492,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def skew_sub(name, helptext):
         q = sws.add_parser(name, help=helptext)
         _common(q)
-        q.add_argument("--backend", default="rat", choices=("free", "rat", "trunc"),
+        q.add_argument("--backend", default="rat", choices=sk.CoeffDomain.KINDS,
                        help="coefficient backend (default rat)")
         return q
 

@@ -105,9 +105,6 @@ class FreeElem:
     def coeff(self, w):
         return self.coeffs.get(tuple(w), self.field.zero())
 
-    def constant_term(self):
-        return self.coeffs.get((), self.field.zero())
-
     def order(self) -> int | None:
         """Length of the shortest word in the support; None for the zero element."""
         if not self.coeffs:
@@ -127,7 +124,7 @@ class FreeElem:
 
     def tau(self):
         """Augmentation: kill every word that uses a letter."""
-        return self.constant_term()
+        return self.coeffs.get((), self.field.zero())
 
     def delta(self, i: int) -> "FreeElem":
         """Right transduction by letter i: coeff of w in the result = coeff of w+(i,)."""

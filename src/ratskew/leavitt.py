@@ -283,10 +283,6 @@ class PairedWitness:
         }
 
 
-def _mono_elem(field, I, J, c=None, n=None) -> UElem:
-    return UElem.mono(field, I, J, c, n)
-
-
 def v_witness(a: UElem) -> PairedWitness:
     """beta, gamma with beta*a*gamma = 1 modulo the unit-sum relation.
 
@@ -314,8 +310,8 @@ def v_witness(a: UElem) -> PairedWitness:
     def rec(al: UElem) -> tuple:
         if len(al.coeffs) == 1:
             ((I, J), c) = next(iter(al.coeffs.items()))
-            beta = _mono_elem(field, (), I[::-1], field.one() / c, n)
-            gamma = _mono_elem(field, J[::-1], (), None, n)
+            beta = UElem.mono(field, (), I[::-1], field.one() / c, n)
+            gamma = UElem.mono(field, J[::-1], (), None, n)
             return beta, gamma
         # phase A: clear x letters
         suffix: list = []
@@ -332,7 +328,7 @@ def v_witness(a: UElem) -> PairedWitness:
                 raise AssertionError("every y letter killed a nonzero element")
         # phase B: collapse the y side through a maximal word
         M = max((I for (I, _) in al.coeffs), key=word_key)
-        al = v_normal_form(_mono_elem(field, (), M[::-1], None, n) * al)
+        al = v_normal_form(UElem.mono(field, (), M[::-1], None, n) * al)
         if not al or ((), ()) not in al.coeffs:
             raise AssertionError("maximal-word section lost the constant term")
         # phase C: shrink the support with one more y letter
@@ -348,8 +344,8 @@ def v_witness(a: UElem) -> PairedWitness:
             else:
                 raise AssertionError("no y letter shrank the support")
         b2, g2 = rec(al)
-        beta = b2 * _mono_elem(field, (), M[::-1], None, n)
-        gamma = _mono_elem(field, tuple(suffix + extra), (), None, n) * g2
+        beta = b2 * UElem.mono(field, (), M[::-1], None, n)
+        gamma = UElem.mono(field, tuple(suffix + extra), (), None, n) * g2
         return beta, gamma
 
     beta, gamma = rec(alpha)

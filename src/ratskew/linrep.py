@@ -608,7 +608,6 @@ class LinRep:
     def render(self, window: int = 5) -> str:
         """Expansion up to ``window``; the tail marker is dropped exactly
         when the window already captures the whole series."""
-        from .freealg import FreeElem
         from .truncated import TruncSeries
 
         ts = TruncSeries.from_linrep(self, window)

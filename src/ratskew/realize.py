@@ -396,7 +396,7 @@ def spot_check_sigma_prime(g: GeneratorMatrices, pmat) -> SigmaCert:
     for i in range(r):
         for j in range(r):
             p = pmat[i][j]
-            if p.constant_term():
+            if p.tau():
                 raise ValueError("perturbation entries need zero constant term")
             acc = None
             for w in sorted(p.coeffs, key=lambda w: (len(w), w)):

@@ -10,9 +10,14 @@ with tau the augmentation (constant term) and delta_i the right transduction
 by x_i.  Concretely x_i * y_j = delta_ij, so the x letters act as left
 inverses of the y letters.
 
-Three coefficient backends satisfy the same small protocol (tau, delta,
-order, min_word, inv, arithmetic): polynomials (:class:`FreeElem`), rational
-series (:class:`LinRep`), and truncated series (:class:`TruncSeries`).  The
+Three coefficient backends, one class each, share one protocol:
+polynomials (:class:`FreeElem`, kind ``free``), rational series
+(:class:`LinRep`, ``rat``) and truncated series (:class:`TruncSeries`,
+``trunc``).  Each class has the constructors zero/one(field), scalar(field,
+c), letter(field, i) and word(field, w, c=None), which take a ``precision=``
+window for ``trunc`` only; arithmetic (+, -, *, scale, inv, ==, bool); tau,
+delta(i), order and min_word; render; and to_json with its inverse
+from_json(field, obj), which raises ValueError on a mismatched field.  The
 first two are exact; the truncated backend tags every verdict with the
 precision that supported it.
 
@@ -26,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .fields import Field, scalar_to_json
+from .fields import Field
 from .freealg import FreeElem
 from .linrep import LinRep
 from .truncated import DEFAULT_PRECISION, TruncSeries
@@ -34,70 +39,39 @@ from .words import word_key
 
 
 class CoeffDomain:
-    """Factory for one of the three coefficient backends."""
+    """One coefficient backend over a field, chosen by its kind."""
 
-    KINDS = ("free", "rat", "trunc")
+    BACKENDS = {"free": FreeElem, "rat": LinRep, "trunc": TruncSeries}
+    KINDS = tuple(BACKENDS)
 
     def __init__(self, kind: str, field: Field, precision: int = DEFAULT_PRECISION) -> None:
-        if kind not in self.KINDS:
+        if kind not in self.BACKENDS:
             raise ValueError("unknown backend %r" % kind)
         self.kind = kind
+        self.cls = self.BACKENDS[kind]
         self.field = field
-        self.precision = precision if kind == "trunc" else None
+        # only the truncated backend has a window; its constructors take it
+        self.precision = precision if self.cls is TruncSeries else None
+        self._window = {} if self.precision is None else {"precision": precision}
 
     @property
     def exact(self) -> bool:
-        return self.kind != "trunc"
+        return self.precision is None
 
     def zero(self):
-        return self._make(FreeElem.zero, LinRep.zero, TruncSeries.zero)
+        return self.cls.zero(self.field, **self._window)
 
     def one(self):
-        return self._make(FreeElem.one, LinRep.one, TruncSeries.one)
+        return self.cls.one(self.field, **self._window)
 
     def scalar(self, c):
-        return self._make(
-            lambda f: FreeElem.scalar(f, c),
-            lambda f: LinRep.scalar(f, c),
-            lambda f, precision: TruncSeries.scalar(f, c, precision),
-        )
+        return self.cls.scalar(self.field, c, **self._window)
 
     def letter(self, i: int):
-        return self._make(
-            lambda f: FreeElem.letter(f, i),
-            lambda f: LinRep.letter(f, i),
-            lambda f, precision: TruncSeries.letter(f, i, precision),
-        )
+        return self.cls.letter(self.field, i, **self._window)
 
     def word(self, w, c=None):
-        return self._make(
-            lambda f: FreeElem.word(f, w, c),
-            lambda f: LinRep.word(f, w, c),
-            lambda f, precision: TruncSeries.word(f, w, c, precision),
-        )
-
-    def from_free(self, p: FreeElem):
-        if p.field != self.field:
-            raise ValueError("field mismatch")
-        if self.kind == "free":
-            return p
-        if self.kind == "rat":
-            return LinRep.from_free(p)
-        return TruncSeries.from_free(p, self.precision)
-
-    def _make(self, mk_free, mk_rat, mk_trunc):
-        if self.kind == "free":
-            return mk_free(self.field)
-        if self.kind == "rat":
-            return mk_rat(self.field)
-        return mk_trunc(self.field, self.precision)
-
-    def coeff_to_json(self, r):
-        return r.to_json() if self.kind != "trunc" else {
-            "field": self.field.name,
-            "precision": r.precision,
-            "terms": [[list(w), scalar_to_json(self.field, c)] for w, c in sorted(r.coeffs.items(), key=lambda t: word_key(t[0]))],
-        }
+        return self.cls.word(self.field, w, c, **self._window)
 
     def __eq__(self, other):
         return (
@@ -233,8 +207,7 @@ class SkewElem:
         return SkewElem(self.ring, t)
 
     def __neg__(self) -> "SkewElem":
-        one = self.ring.domain.field.one()
-        return self.scale(-one)
+        return self.scale(-self.ring.domain.field.one())
 
     def __sub__(self, other: "SkewElem") -> "SkewElem":
         return self + (-other)
@@ -287,9 +260,7 @@ class SkewElem:
         if not isinstance(other, SkewElem):
             return NotImplemented
         self._check(other)
-        if set(self.data) != set(other.data):
-            return False
-        return all(self.data[w] == other.data[w] for w in self.data)
+        return self.data == other.data
 
     def __bool__(self) -> bool:
         return bool(self.data)
@@ -312,11 +283,7 @@ class SkewElem:
             return "0"
         parts = []
         for w in self.support():
-            r = self.data[w]
-            if hasattr(r, "render"):
-                cs = r.render()
-            else:
-                cs = repr(r)
+            cs = self.data[w].render()
             if len(cs.split()) > 1 or "+" in cs or "-" in cs[1:]:
                 cs = "(%s)" % cs
             ws = "*".join("y%d" % i for i in w)
@@ -334,7 +301,7 @@ class SkewElem:
             "backend": dom.kind,
             "field": dom.field.name,
             "n": self.ring.n,
-            "terms": [[list(w), dom.coeff_to_json(self.data[w])] for w in self.support()],
+            "terms": [[list(w), self.data[w].to_json()] for w in self.support()],
         }
 
     @staticmethod
@@ -344,17 +311,7 @@ class SkewElem:
             raise ValueError("backend mismatch in serialized element")
         if obj["n"] != ring.n:
             raise ValueError("serialized element has top letter index %r, the ring %r" % (obj["n"], ring.n))
-        data = {}
-        for w, cj in obj["terms"]:
-            if dom.kind == "rat":
-                r = LinRep.from_json(dom.field, cj)
-            elif dom.kind == "free":
-                r = FreeElem.from_json(dom.field, cj)
-            else:
-                from .fields import scalar_from_json
-                r = TruncSeries(dom.field, cj["precision"], {tuple(u): scalar_from_json(dom.field, c) for u, c in cj["terms"]})
-            data[tuple(w)] = r
-        return SkewElem(ring, data)
+        return SkewElem(ring, {tuple(w): dom.cls.from_json(dom.field, cj) for w, cj in obj["terms"]})
 
 
 # ---------------------------------------------------------------------------
@@ -410,8 +367,12 @@ def ideal_member(a: SkewElem) -> Verdict:
 
 
 def t_equal(a: SkewElem, b: SkewElem) -> Verdict:
-    """Equality in the quotient by the ideal of e."""
-    return ideal_member(a - b)
+    """Equality in the quotient by the ideal of e.  A truncated verdict holds
+    only in the narrowest window of a and b, also where a - b cancels."""
+    v = ideal_member(a - b)
+    if a.ring.domain.exact:
+        return v
+    return v & Verdict(True, min((r.precision for e in (a, b) for r in e.data.values()), default=None))
 
 
 # ---------------------------------------------------------------------------
@@ -448,13 +409,12 @@ class TWitness:
     input: SkewElem  # the element witnessed, kept so the certificate re-checks
 
     def to_json(self):
-        ring = self.g.ring
         return {
             "kind": "skew_witness",
             "input": self.input.to_json(),
             "m": list(self.m_word),
             "g": self.g.to_json(),
-            "unit": ring.domain.coeff_to_json(self.unit),
+            "unit": self.unit.to_json(),
             "check": self.check.value,
             "precision": self.check.precision,
         }

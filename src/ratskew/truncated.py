@@ -12,7 +12,7 @@ Multiplication keeps min(N_a, N_b); the right transduction drops one.
 
 from __future__ import annotations
 
-from .fields import Field
+from .fields import Field, scalar_from_json, scalar_to_json
 from .words import word_key
 
 DEFAULT_PRECISION = 16
@@ -186,6 +186,23 @@ class TruncSeries:
 
         body = FreeElem(self.field, dict(self.coeffs)).render()
         return "%s (window %d)" % (body, self.precision)
+
+    def to_json(self):
+        return {
+            "field": self.field.name,
+            "precision": self.precision,
+            "terms": [[list(w), scalar_to_json(self.field, c)] for w, c in sorted(self.coeffs.items(), key=lambda t: word_key(t[0]))],
+        }
+
+    @staticmethod
+    def from_json(field: Field, obj) -> "TruncSeries":
+        if obj["field"] != field.name:
+            raise ValueError("field mismatch: %s vs %s" % (obj["field"], field.name))
+        precision = obj["precision"]
+        # A window below 1 holds no coefficient, so no serialized series has one.
+        if type(precision) is not int or precision < 1:
+            raise ValueError("precision must be a positive integer, got %r" % (precision,))
+        return TruncSeries(field, precision, {tuple(w): scalar_from_json(field, c) for w, c in obj["terms"]})
 
     def __repr__(self):
         head = sorted(self.coeffs, key=word_key)[:4]

@@ -187,6 +187,40 @@ def test_verify_cert_rejects_bad_skew_witness_fields(run, tmp_path, part, key, v
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("part", ["input", "g"])
+@pytest.mark.parametrize("key, value", [
+    ("precision", "two"),  # a window that is not an integer
+    ("field", "fp:7"),     # a coefficient over another field than its element
+], ids=["precision", "field"])
+def test_verify_cert_rejects_bad_trunc_coefficient(run, tmp_path, part, key, value):
+    code, cert = jrun(run, "skew", "witness", "--backend", "trunc", "--json", "1 - x0")
+    assert code == 0
+    cert[part]["terms"][0][1][key] = value
+    code, out, err = run("verify-cert", _write(tmp_path, "w.json", cert))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_verify_cert_rejects_empty_trunc_window(run, tmp_path):
+    # A window-0 coefficient holds nothing; a ring built at that window would
+    # lose the re-check's 1 and pass any g.
+    code, cert = jrun(run, "skew", "witness", "--backend", "trunc", "--json", "1 - x0")
+    assert code == 0
+    cert["input"]["terms"][0][1]["precision"] = 0
+    cert["g"]["terms"][0][1]["terms"][0][1] = "5"
+    code, out, err = run("verify-cert", _write(tmp_path, "w.json", cert))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_verify_cert_trunc_rechecks_at_certificate_window(run, tmp_path):
+    code, cert = jrun(run, "skew", "witness", "--backend", "trunc", "--precision", "6",
+                      "--json", "1 - x0")
+    assert (code, cert["precision"]) == (0, 6)
+    out = jrun(run, "verify-cert", _write(tmp_path, "w.json", cert))
+    assert out == (0, {"kind": "skew_witness", "ok": True, "precision": 6})
+
+
 def test_verify_cert_paired_witness(run, tmp_path):
     code, wrapper = jrun(run, "leavitt", "witness", "--json", "--n", "2", "y1*x2")
     assert code == 0
