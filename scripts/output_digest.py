@@ -2,8 +2,10 @@
 """Digest the stdout of a fixed list of CLI commands, for comparing versions.
 
 Runs each command in-process and prints one line per command: the sha256
-of its stdout, its exit code and the command.  Every certificate a command
-emits is also fed back to ``verify-cert``, which gets a line of its own.
+of its stdout, its exit code and the command.  Every subcommand runs at
+least once.  Every certificate a command emits is also fed back to
+``verify-cert`` (and a generator certificate to ``realize verify``), which
+gets a line of its own.
 No command prints a series matrix, so two ``spot_check_sigma_prime``
 certificates over q, built with the package's own functions, get a line
 each, and so does the ``recheck_certificate`` result of each.
@@ -24,23 +26,44 @@ import shlex
 import sys
 import tempfile
 
-# (argv, emits a certificate)
+# A small group chain Z_2 -> Z_4, 1 -> 2, for ``realize chain``; an argument
+# equal to PLAN_FILE names the file holding it.
+PLAN_FILE = "plan.json"
+PLAN = {"groups": [{"tags": [2], "u": [1]}, {"tags": [4], "u": [2]}], "maps": [[[2]]]}
+
+VERIFY_CERT = ["verify-cert"]
+REALIZE_VERIFY = ["realize", "verify"]
+
+# (argv, commands that re-check the certificate it prints)
 COMMANDS = [
-    (["selftest", "--json"], False),
-    (["realize", "build", "--from", "2", "--to", "2", "--mult", "2", "--seed", "1",
-      "--field", "qt:1", "--json"], True),
-    (["series", "invert", "1 - x0*x1 + 2*x1"], False),
-    (["series", "invert", "--json", "1 - x0*x1 + 2*x1"], False),
-    (["series", "eval", "--field", "qt:1", "(1 + t*x0)^-1 * (2 - x1*x0)"], False),
-    (["series", "eval", "--field", "qt:1", "--json", "(1 + t*x0)^-1 * (2 - x1*x0)"], False),
-    (["skew", "witness", "--json", "1 - x0"], True),
-    (["skew", "witness", "--json", "1 - x0 - x1"], True),
-    (["skew", "witness", "--json", "y0*(1 + x1*x2)*(1 - 2*x0)^-1 + y1*y2*e"], True),
-    (["skew", "witness", "--backend", "trunc", "--precision", "6", "--json", "1 - x0"], True),
-    (["k0", "monoid", "--json", "I | 3I=I"], False),
-    (["k0", "monoid", "--json", "I,P | I=2I+P"], False),
-    (["k0", "group", "I | 3I=I"], False),
-    (["k0", "group", "I,P | I=2I+P"], False),
+    (["selftest", "--json"], []),
+    (["realize", "build", "--from", "2", "--to", "2", "--mult", "2", "--field", "qt:1"],
+     [VERIFY_CERT, REALIZE_VERIFY]),
+    (["realize", "chain", PLAN_FILE], [VERIFY_CERT]),
+    (["realize", "chain", "--verify", "--count", "1", PLAN_FILE], [VERIFY_CERT]),
+    (["series", "invert", "1 - x0*x1 + 2*x1"], []),
+    (["series", "invert", "--json", "1 - x0*x1 + 2*x1"], []),
+    (["series", "eval", "--field", "qt:1", "(1 + t*x0)^-1 * (2 - x1*x0)"], []),
+    (["series", "eval", "--field", "qt:1", "--json", "(1 + t*x0)^-1 * (2 - x1*x0)"], []),
+    (["series", "transduce", "--letter", "1", "--window", "4", "(1 - x0 - 2*x1)^-1"], []),
+    (["series", "equal", "--json", "(1 - x0)^-1 - 1", "x0*(1 - x0)^-1"], []),
+    (["skew", "mul", "--json", "y0*(1 - x0)^-1", "x0 + y1"], []),
+    (["skew", "mul", "--backend", "free", "y1*x0", "x1*y1 + 2"], []),
+    (["skew", "member", "--json", "1 - y0*x0 - y1*x1 - y2*x2"], []),
+    (["skew", "equal", "--backend", "trunc", "--precision", "5", "--json", "x0*y0", "1"], []),
+    (["skew", "witness", "--json", "1 - x0"], [VERIFY_CERT]),
+    (["skew", "witness", "--json", "1 - x0 - x1"], [VERIFY_CERT]),
+    (["skew", "witness", "--json", "y0*(1 + x1*x2)*(1 - 2*x0)^-1 + y1*y2*e"], [VERIFY_CERT]),
+    (["skew", "witness", "--backend", "trunc", "--precision", "6", "--json", "1 - x0"],
+     [VERIFY_CERT]),
+    (["leavitt", "nf", "--n", "2", "y2*x2"], []),
+    (["leavitt", "nf", "--n", "0", "--json", "x1*y1 + y3*x2"], []),
+    (["leavitt", "witness", "--n", "2", "--json", "y1*x2"], [VERIFY_CERT]),
+    (["leavitt", "witness", "--n", "0", "--beyond", "3", "--json", "1 + x1*x2"], [VERIFY_CERT]),
+    (["k0", "monoid", "--json", "I | 3I=I"], []),
+    (["k0", "monoid", "--json", "I,P | I=2I+P"], []),
+    (["k0", "group", "I | 3I=I"], []),
+    (["k0", "group", "I,P | I=2I+P"], []),
 ]
 
 
@@ -87,16 +110,22 @@ def main(argv=None) -> int:
     from ratskew.cli import recheck_certificate, run_command
 
     with tempfile.TemporaryDirectory() as tmp:
-        for cmd, emits_cert in COMMANDS:
+        plan = os.path.join(tmp, PLAN_FILE)
+        with open(plan, "w") as fh:
+            json.dump(PLAN, fh)
+        for cmd, checkers in COMMANDS:
             label = shlex.join(cmd)
-            code, stdout = run(run_command, cmd)
+            code, stdout = run(run_command, [plan if a == PLAN_FILE else a for a in cmd])
             print(line(label, code, stdout), flush=True)
-            if emits_cert and code == 0:
-                path = os.path.join(tmp, "cert.json")
-                with open(path, "w") as fh:
-                    fh.write(stdout)
-                code, stdout = run(run_command, ["verify-cert", path])
-                print(line("verify-cert <output of: %s>" % label, code, stdout), flush=True)
+            if code != 0:
+                continue
+            path = os.path.join(tmp, "cert.json")
+            with open(path, "w") as fh:
+                fh.write(stdout)
+            for checker in checkers:
+                code, stdout = run(run_command, checker + [path])
+                print(line("%s <output of: %s>" % (shlex.join(checker), label), code, stdout),
+                      flush=True)
     for label, cert in sigma_certs():
         ok = cert["ok_right"] and cert["ok_left"]
         print(line(label, 0 if ok else 1, json.dumps(cert, sort_keys=True)), flush=True)

@@ -58,7 +58,7 @@ def _print_json(obj) -> None:
 
 
 def _emit(args, obj, lines) -> None:
-    if getattr(args, "json", False):
+    if args.json:
         _print_json(obj)
     else:
         for ln in lines:
@@ -434,19 +434,45 @@ def _cmd_verify_cert(args) -> int:
 # argument plumbing
 # ---------------------------------------------------------------------------
 
-def _common(p, precision: bool = True) -> None:
-    p.add_argument("--field", default="q", metavar="F",
-                   help="coefficient field: q, fp:<p>, or qt:<r> (default q)")
-    p.add_argument("--n", type=int, default=2, metavar="N",
-                   help="alphabet parameter; series/skew use letters 0..N, "
-                        "monoword algebras use 1..N with 0 meaning unbounded")
-    if precision:
-        p.add_argument("--precision", type=int, default=16, metavar="P",
-                       help="window for the truncated backend (default 16)")
-    p.add_argument("--seed", type=int, default=None, metavar="S",
-                   help="seed for randomized suites; fixed seed fixes stdout")
-    p.add_argument("--json", action="store_true",
-                   help="machine-readable JSON on stdout")
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError("%r is not a positive integer" % text)
+    return value
+
+
+# Flags that several subcommands read; each subcommand registers only the
+# ones its handler uses, so any other flag is a usage error.
+_FLAGS = {
+    "field": dict(default="q", metavar="F",
+                  help="coefficient field: q, fp:<p>, or qt:<r> (default q)"),
+    "n": dict(type=int, default=2, metavar="N",
+              help="alphabet parameter; series/skew use letters 0..N, "
+                   "monoword algebras use 1..N with 0 meaning unbounded"),
+    "precision": dict(type=_positive_int, default=16, metavar="P",
+                      help="window for the truncated backend (default 16)"),
+    "json": dict(action="store_true", help="machine-readable JSON on stdout"),
+    "window": dict(type=int, default=6,
+                   help="print coefficients of words shorter than this"),
+}
+
+
+def _command(subs, name: str, helptext: str, func, *flags):
+    p = subs.add_parser(name, help=helptext)
+    for flag in flags:
+        p.add_argument("--" + flag, **_FLAGS[flag])
+    p.set_defaults(func=func)
+    return p
+
+
+def _group(sub, name: str, helptext: str):
+    subs = sub.add_parser(name, help=helptext).add_subparsers(
+        dest="action", metavar="ACTION")
+    subs.required = True
+    return subs
 
 
 @functools.lru_cache(maxsize=None)
@@ -455,95 +481,61 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="ratskew",
         description="exact computation in skew extensions of rational series, "
                     "monoword algebras, and their K-theory")
-    ap.add_argument("--verify-cert", metavar="FILE", dest="verify_cert_file",
-                    help="re-check an emitted JSON certificate and exit")
     sub = ap.add_subparsers(dest="cmd", metavar="COMMAND")
 
-    se = sub.add_parser("series", help="rational power series in x letters")
-    ses = se.add_subparsers(dest="action", metavar="ACTION")
-    ses.required = True
-    p = ses.add_parser("eval", help="evaluate an expression to a series")
-    _common(p)
-    p.add_argument("--window", type=int, default=6,
-                   help="print coefficients of words shorter than this")
+    ses = _group(sub, "series", "rational power series in x letters")
+    p = _command(ses, "eval", "evaluate an expression to a series",
+                 _cmd_series_eval, "field", "n", "json", "window")
     p.add_argument("expr")
-    p.set_defaults(func=_cmd_series_eval)
-    p = ses.add_parser("invert", help="multiplicative inverse (unit constant term)")
-    _common(p)
-    p.add_argument("--window", type=int, default=6)
+    p = _command(ses, "invert", "multiplicative inverse (unit constant term)",
+                 _cmd_series_invert, "field", "n", "json", "window")
     p.add_argument("expr")
-    p.set_defaults(func=_cmd_series_invert)
-    p = ses.add_parser("transduce", help="pick out words ending in a letter")
-    _common(p)
-    p.add_argument("--window", type=int, default=6)
+    p = _command(ses, "transduce", "pick out words ending in a letter",
+                 _cmd_series_transduce, "field", "n", "json", "window")
     p.add_argument("--letter", type=int, default=0, metavar="I")
     p.add_argument("expr")
-    p.set_defaults(func=_cmd_series_transduce)
-    p = ses.add_parser("equal", help="exact equality of two series")
-    _common(p)
+    p = _command(ses, "equal", "exact equality of two series",
+                 _cmd_series_equal, "field", "n", "json")
     p.add_argument("lhs")
     p.add_argument("rhs")
-    p.set_defaults(func=_cmd_series_equal)
 
-    sw = sub.add_parser("skew", help="the extension ring and its ideal")
-    sws = sw.add_subparsers(dest="action", metavar="ACTION")
-    sws.required = True
-
-    def skew_sub(name, helptext):
-        q = sws.add_parser(name, help=helptext)
-        _common(q)
-        q.add_argument("--backend", default="rat", choices=sk.CoeffDomain.KINDS,
+    sws = _group(sub, "skew", "the extension ring and its ideal")
+    for name, helptext, func, operands in (
+            ("mul", "multiply two elements", _cmd_skew_mul, ("lhs", "rhs")),
+            ("member", "does the element lie in the defining ideal?",
+             _cmd_skew_member, ("expr",)),
+            ("equal", "equality in the quotient ring", _cmd_skew_equal, ("lhs", "rhs")),
+            ("witness", "left/right factors driving the element to 1",
+             _cmd_skew_witness, ("expr",))):
+        p = _command(sws, name, helptext, func, "field", "n", "precision", "json")
+        p.add_argument("--backend", default="rat", choices=sk.CoeffDomain.KINDS,
                        help="coefficient backend (default rat)")
-        return q
+        for operand in operands:
+            p.add_argument(operand)
 
-    p = skew_sub("mul", "multiply two elements")
-    p.add_argument("lhs")
-    p.add_argument("rhs")
-    p.set_defaults(func=_cmd_skew_mul)
-    p = skew_sub("member", "does the element lie in the defining ideal?")
+    les = _group(sub, "leavitt", "monoword algebras (letters from 1)")
+    p = _command(les, "nf", "normal form under the unit-sum relation",
+                 _cmd_leavitt_nf, "field", "n", "json")
     p.add_argument("expr")
-    p.set_defaults(func=_cmd_skew_member)
-    p = skew_sub("equal", "equality in the quotient ring")
-    p.add_argument("lhs")
-    p.add_argument("rhs")
-    p.set_defaults(func=_cmd_skew_equal)
-    p = skew_sub("witness", "left/right factors driving the element to 1")
-    p.add_argument("expr")
-    p.set_defaults(func=_cmd_skew_witness)
-
-    le = sub.add_parser("leavitt", help="monoword algebras (letters from 1)")
-    les = le.add_subparsers(dest="action", metavar="ACTION")
-    les.required = True
-    p = les.add_parser("nf", help="normal form under the unit-sum relation")
-    _common(p, precision=False)
-    p.add_argument("expr")
-    p.set_defaults(func=_cmd_leavitt_nf)
-    p = les.add_parser("witness", help="paired witness beta, gamma with beta*a*gamma = 1")
-    _common(p, precision=False)
+    p = _command(les, "witness", "paired witness beta, gamma with beta*a*gamma = 1",
+                 _cmd_leavitt_witness, "field", "n", "json")
     p.add_argument("--beyond", type=int, default=0, metavar="K",
                    help="unbounded mode: treat letters above K as fresh")
     p.add_argument("expr")
-    p.set_defaults(func=_cmd_leavitt_witness)
 
-    k0 = sub.add_parser("k0", help="monoid presentations and universal groups")
-    k0s = k0.add_subparsers(dest="action", metavar="ACTION")
-    k0s.required = True
-    p = k0s.add_parser("monoid", help="enumerate, shape-check, and take the universal group")
-    _common(p, precision=False)
+    k0s = _group(sub, "k0", "monoid presentations and universal groups")
+    p = _command(k0s, "monoid", "enumerate, shape-check, and take the universal group",
+                 _cmd_k0_monoid, "json")
     p.add_argument("--bound", type=int, default=64,
                    help="enumeration cutoff (default 64)")
     p.add_argument("presentation", help='e.g. "I | 3I=I" or "I,P | I=2I+P"')
-    p.set_defaults(func=_cmd_k0_monoid)
-    p = k0s.add_parser("group", help="universal group only (no enumeration)")
-    _common(p, precision=False)
+    p = _command(k0s, "group", "universal group only (no enumeration)",
+                 _cmd_k0_group, "json")
     p.add_argument("presentation")
-    p.set_defaults(func=_cmd_k0_group)
 
-    re_ = sub.add_parser("realize", help="corner-embedding matrix families")
-    res = re_.add_subparsers(dest="action", metavar="ACTION")
-    res.required = True
-    p = res.add_parser("build", help="emit generator matrices for a tag map")
-    _common(p)
+    res = _group(sub, "realize", "corner-embedding matrix families")
+    p = _command(res, "build", "emit generator matrices for a tag map",
+                 _cmd_realize_build, "field")
     p.add_argument("--from", dest="src", type=int, required=True, metavar="N",
                    help="source tag (0 = infinite cyclic)")
     p.add_argument("--to", dest="dst", type=int, required=True, metavar="M",
@@ -554,19 +546,16 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="generator pairs materialized when the family is infinite")
     p.add_argument("--backend", default="rat", choices=("free", "rat"),
                    help="coefficient backend for the entries (default rat)")
-    p.set_defaults(func=_cmd_realize_build)
-    p = res.add_parser("verify", help="re-check a generator_matrices certificate")
-    _common(p)
+    p = _command(res, "verify", "re-check a generator_matrices certificate",
+                 _cmd_realize_verify)
     p.add_argument("file", help="certificate file, or - for stdin")
-    p.set_defaults(func=_cmd_realize_verify)
-    p = res.add_parser("chain", help="plan a stepwise realization of a group chain")
-    _common(p)
+    p = _command(res, "chain", "plan a stepwise realization of a group chain",
+                 _cmd_realize_chain)
     p.add_argument("--verify", action="store_true",
                    help="also build and verify every emitted spec")
     p.add_argument("--count", type=int, default=2,
                    help="generator pairs per spec when verifying")
     p.add_argument("file", help='JSON with "groups" and "maps", or - for stdin')
-    p.set_defaults(func=_cmd_realize_chain)
 
     st = sub.add_parser("selftest", help="run the acceptance suite (pinned seed)")
     st.add_argument("--criterion", type=int, default=None, choices=range(1, 13),
@@ -588,16 +577,11 @@ def run_command(argv) -> int:
         args = ap.parse_args(list(argv))
     except SystemExit as exc:  # argparse handles --help and usage errors
         return exc.code if isinstance(exc.code, int) else 2
-    if getattr(args, "verify_cert_file", None):
-        handler = _cmd_verify_cert
-        args = argparse.Namespace(file=args.verify_cert_file, json=True)
-    elif getattr(args, "func", None) is not None:
-        handler = args.func
-    else:
+    if getattr(args, "func", None) is None:
         ap.print_usage(sys.stderr)
         return 2
     try:
-        return handler(args)
+        return args.func(args)
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

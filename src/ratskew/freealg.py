@@ -105,12 +105,6 @@ class FreeElem:
     def coeff(self, w):
         return self.coeffs.get(tuple(w), self.field.zero())
 
-    def order(self) -> int | None:
-        """Length of the shortest word in the support; None for the zero element."""
-        if not self.coeffs:
-            return None
-        return min(len(w) for w in self.coeffs)
-
     def degree(self) -> int | None:
         if not self.coeffs:
             return None

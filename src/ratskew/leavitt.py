@@ -121,14 +121,6 @@ class UElem:
                 out[m] = out.get(m, self.field.zero()) + a * b
         return UElem(self.field, out, self.n)
 
-    def __pow__(self, k: int) -> "UElem":
-        if k < 0:
-            raise ValueError("negative power")
-        out = UElem.one(self.field, self.n)
-        for _ in range(k):
-            out = out * self
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, UElem):
             return NotImplemented

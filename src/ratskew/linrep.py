@@ -542,10 +542,6 @@ class LinRep:
 
     # -- predicates ----------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        # valid because every public constructor reduces
-        return self.dim == 0
-
     def __eq__(self, other):
         if not isinstance(other, LinRep):
             return NotImplemented
@@ -554,54 +550,37 @@ class LinRep:
     def __bool__(self) -> bool:
         return self.dim != 0
 
-    def order(self) -> int | None:
-        """Length of the shortest word with nonzero coefficient, None if zero.
+    def min_word(self):
+        """Length-lex least word of the support, None for the zero series.
 
-        Level k of the search spans {lam*mu(w) : |w| = k}; some word of
-        length k has a nonzero coefficient iff that span is not orthogonal
-        to gamma.  A nonzero reduced series hits one within 2*dim levels.
+        A level search in length-lex order: a word is kept only if its row
+        lam*mu(w) is independent of the rows of the smaller words kept on
+        its level.  A dropped row is a combination of those rows, so the
+        coefficients of the word and of all its extensions are combinations
+        of coefficients of smaller words; the first kept word whose row
+        pairs nonzero with gamma is the least word of the support.  A
+        nonzero reduced series has one within 2*dim levels.
         """
         if self.dim == 0:
             return None
         z, o = self.field.zero(), self.field.one()
         letters = sorted(self.mu)
-        ech = Echelon(self.dim, o)
-        ech.add(self.lam)
-        for k in range(2 * self.dim + 1):
-            if any(dot(b, self.gamma, z) for b in ech.rows):
-                return k
-            nxt = Echelon(self.dim, o)
-            for b in ech.rows:
+        level = [((), self.lam)]
+        for _ in range(2 * self.dim + 1):
+            for w, row in level:
+                if dot(row, self.gamma, z):
+                    return w
+            ech = Echelon(self.dim, o)
+            kept = []
+            for w, row in level:
                 for x in letters:
-                    nxt.add(vec_mat(b, self.mu[x], z, self.dim))
-            ech = nxt
-            if ech.dim() == 0:
+                    v = vec_mat(row, self.mu[x], z, self.dim)
+                    if ech.add(v):
+                        kept.append((w + (x,), v))
+            if not kept:
                 break
+            level = kept
         raise AssertionError("reduced nonzero series with no word within 2*dim")
-
-    def min_word(self):
-        """Length-lex least word of the support, None for the zero series."""
-        k = self.order()
-        if k is None:
-            return None
-        z = self.field.zero()
-        letters = sorted(self.mu)
-
-        def dfs(v, depth):
-            if depth == k:
-                return () if dot(v, self.gamma, z) else None
-            for x in letters:
-                w = vec_mat(v, self.mu[x], z, self.dim)
-                if any(w):
-                    found = dfs(w, depth + 1)
-                    if found is not None:
-                        return (x,) + found
-            return None
-
-        found = dfs(self.lam, 0)
-        if found is None:
-            raise AssertionError("order level did not contain a word")
-        return found
 
     # -- presentation ---------------------------------------------------------
 

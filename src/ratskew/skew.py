@@ -16,7 +16,7 @@ polynomials (:class:`FreeElem`, kind ``free``), rational series
 ``trunc``).  Each class has the constructors zero/one(field), scalar(field,
 c), letter(field, i) and word(field, w, c=None), which take a ``precision=``
 window for ``trunc`` only; arithmetic (+, -, *, scale, inv, ==, bool); tau,
-delta(i), order and min_word; render; and to_json with its inverse
+delta(i) and min_word; render; and to_json with its inverse
 from_json(field, obj), which raises ValueError on a mismatched field.  The
 first two are exact; the truncated backend tags every verdict with the
 precision that supported it.
@@ -248,14 +248,6 @@ class SkewElem:
                     acc(I, cur * s)
         return SkewElem(self.ring, out)
 
-    def __pow__(self, k: int) -> "SkewElem":
-        if k < 0:
-            raise ValueError("no general inverses in the skew ring")
-        out = self.ring.one()
-        for _ in range(k):
-            out = out * self
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, SkewElem):
             return NotImplemented
@@ -311,7 +303,13 @@ class SkewElem:
             raise ValueError("backend mismatch in serialized element")
         if obj["n"] != ring.n:
             raise ValueError("serialized element has top letter index %r, the ring %r" % (obj["n"], ring.n))
-        return SkewElem(ring, {tuple(w): dom.cls.from_json(dom.field, cj) for w, cj in obj["terms"]})
+        terms = obj["terms"]
+        if not isinstance(terms, list) or not all(
+                isinstance(t, list) and len(t) == 2 and isinstance(t[0], list)
+                and all(isinstance(i, int) for i in t[0]) for t in terms):
+            raise ValueError("serialized element terms must be [word, coefficient] "
+                             "pairs with a word of integer letters")
+        return SkewElem(ring, {tuple(w): dom.cls.from_json(dom.field, cj) for w, cj in terms})
 
 
 # ---------------------------------------------------------------------------
@@ -390,14 +388,10 @@ def lemma51_word(rs) -> tuple:
     """
     if not rs:
         raise ValueError("need at least one coefficient")
-    orders = []
-    for r in rs:
-        o = r.order()
-        if o is None:
-            raise ValueError("coefficients must be nonzero")
-        orders.append(o)
-    i = orders.index(min(orders))
-    return rs[i].min_word()[::-1]
+    words = [r.min_word() for r in rs]
+    if None in words:
+        raise ValueError("coefficients must be nonzero")
+    return min(words, key=len)[::-1]
 
 
 @dataclass
@@ -473,7 +467,7 @@ class WordSystemReport:
         }
 
 
-def verify_word_system(ring: SkewRing, words, qs, n: int | None = None) -> WordSystemReport:
+def verify_word_system(ring: SkewRing, words, qs) -> WordSystemReport:
     """Check the hypotheses  sum w_i q_i = 1,  q_i w_j = 0 (i != j),
     q_i w_i != 0  in the quotient, then recurse into the first-letter
     partition, re-checking the same hypotheses for every derived system.
@@ -483,8 +477,6 @@ def verify_word_system(ring: SkewRing, words, qs, n: int | None = None) -> WordS
     """
     if ring.n is None or ring.n < 1:
         raise ValueError("word systems need a fixed alphabet with n >= 1")
-    if n is not None and n != ring.n:
-        raise ValueError("alphabet mismatch: ring has n=%d, caller said n=%d" % (ring.n, n))
     n = ring.n
     words = [tuple(w) for w in words]
     if len(words) != len(qs) or not words:

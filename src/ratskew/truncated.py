@@ -156,19 +156,10 @@ class TruncSeries:
             raise ValueError("coefficient of length %d beyond precision %d" % (len(w), self.precision))
         return self.coeffs.get(w, self.field.zero())
 
-    def order(self) -> int | None:
-        """Shortest support length; None if zero within the stored window."""
-        if not self.coeffs:
-            return None
-        return min(len(w) for w in self.coeffs)
-
     def min_word(self):
         if not self.coeffs:
             return None
         return min(self.coeffs, key=word_key)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def __bool__(self):
         return bool(self.coeffs)

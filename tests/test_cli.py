@@ -40,6 +40,71 @@ def test_usage_errors_exit_2(run):
     assert run("k0", "group", "no pipe")[0] == 2                   # unparsable text
 
 
+def test_bad_or_unread_flags_exit_2(run, tmp_path):
+    code, cert = jrun(run, "realize", "build", "--from", "0", "--to", "2", "--mult", "1")
+    assert code == 0
+    path = _write(tmp_path, "g.json", cert)
+    for argv in (
+        # a window must hold at least the constant term
+        ("skew", "member", "--backend", "trunc", "--precision", "0", "--json", "1"),
+        ("skew", "witness", "--backend", "trunc", "--precision", "-3", "1 - x0"),
+        # flags the command does not read are not accepted
+        ("k0", "group", "--field", "fp:4", "I | 3I=I"),
+        ("realize", "verify", "--seed", "1", path),
+        ("series", "eval", "--precision", "4", "x0"),
+        ("--verify-cert", path),  # the command is verify-cert FILE
+    ):
+        code, out, err = run(*argv)
+        assert (code, out) == (2, ""), argv
+        assert "error:" in err and "Traceback" not in err
+
+
+# Every option string of every subcommand; a flag the handler does not read
+# must not be registered.
+COMMAND_OPTIONS = {
+    ("series", "eval"): {"--field", "--n", "--json", "--window"},
+    ("series", "invert"): {"--field", "--n", "--json", "--window"},
+    ("series", "transduce"): {"--field", "--n", "--json", "--window", "--letter"},
+    ("series", "equal"): {"--field", "--n", "--json"},
+    ("skew", "mul"): {"--field", "--n", "--json", "--precision", "--backend"},
+    ("skew", "member"): {"--field", "--n", "--json", "--precision", "--backend"},
+    ("skew", "equal"): {"--field", "--n", "--json", "--precision", "--backend"},
+    ("skew", "witness"): {"--field", "--n", "--json", "--precision", "--backend"},
+    ("leavitt", "nf"): {"--field", "--n", "--json"},
+    ("leavitt", "witness"): {"--field", "--n", "--json", "--beyond"},
+    ("k0", "monoid"): {"--bound", "--json"},
+    ("k0", "group"): {"--json"},
+    ("realize", "build"): {"--field", "--from", "--to", "--mult", "--count", "--backend"},
+    ("realize", "verify"): set(),
+    ("realize", "chain"): {"--verify", "--count"},
+    ("selftest",): {"--criterion", "--seed", "--json"},
+    ("verify-cert",): set(),
+}
+
+
+def test_each_command_registers_only_the_flags_it_reads():
+    import argparse
+
+    from ratskew.cli import _build_parser
+
+    def options(parser):
+        return {s for a in parser._actions for s in a.option_strings
+                if s not in ("-h", "--help")}
+
+    def walk(parser, path):
+        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subs:
+            yield path, options(parser)
+            return
+        assert not options(parser), path  # no flag outside a command
+        for name, child in subs[0].choices.items():
+            yield from walk(child, path + (name,))
+
+    found = dict(walk(_build_parser(), ()))
+    assert found == COMMAND_OPTIONS
+    assert sum(map(len, found.values())) == 57
+
+
 def test_computation_failures_exit_1(run):
     # zero in the quotient: no witness can exist
     assert run("leavitt", "witness", "--n", "2", "x1*y2")[0] == 1
@@ -201,6 +266,16 @@ def test_verify_cert_rejects_bad_trunc_coefficient(run, tmp_path, part, key, val
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("backend", ["rat", "trunc"])
+def test_verify_cert_rejects_malformed_skew_term(run, tmp_path, backend):
+    code, cert = jrun(run, "skew", "witness", "--backend", backend, "--json", "1 - x0")
+    assert code == 0
+    cert["g"]["terms"][0] = 5
+    code, out, err = run("verify-cert", _write(tmp_path, "w.json", cert))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_verify_cert_rejects_empty_trunc_window(run, tmp_path):
     # A window-0 coefficient holds nothing; a ring built at that window would
     # lose the re-check's 1 and pass any g.
@@ -283,12 +358,6 @@ def test_verify_cert_chain_plan(run, tmp_path):
     assert run("verify-cert", _write(tmp_path, "c.json", out))[0] == 0
     out["maps"][0][0][0] = 3  # 3*2 is not 0 mod 4: not a group map
     assert run("verify-cert", _write(tmp_path, "c2.json", out))[0] == 1
-
-
-def test_top_level_verify_cert_flag(run, tmp_path):
-    code, cert = jrun(run, "skew", "witness", "--json", "1 - x0 - x1")
-    assert code == 0
-    assert run("--verify-cert", _write(tmp_path, "t.json", cert))[0] == 0
 
 
 def test_verify_cert_stdin(run, tmp_path, monkeypatch):
