@@ -45,6 +45,11 @@ COMMANDS = [
     (["series", "invert", "--json", "1 - x0*x1 + 2*x1"], []),
     (["series", "eval", "--field", "qt:1", "(1 + t*x0)^-1 * (2 - x1*x0)"], []),
     (["series", "eval", "--field", "qt:1", "--json", "(1 + t*x0)^-1 * (2 - x1*x0)"], []),
+    (["series", "eval", "--field", "qt:2", "(1 - (3*t1 + 2*t2)^-1*x0 - (2*t1 + 1)^-1*x1)^-1"], []),
+    (["series", "eval", "--field", "qt:2", "--json",
+      "(1 - (3*t1 + 2*t2)^-1*x0 - (2*t1 + 1)^-1*x1)^-1"], []),
+    (["series", "eval", "--field", "qt:2", "(2*t1 + 6)^-1*x0 + 3^-1*t2*x1"], []),
+    (["series", "eval", "--field", "qt:2", "--json", "(2*t1 + 6)^-1*x0 + 3^-1*t2*x1"], []),
     (["series", "transduce", "--letter", "1", "--window", "4", "(1 - x0 - 2*x1)^-1"], []),
     (["series", "equal", "--json", "(1 - x0)^-1 - 1", "x0*(1 - x0)^-1"], []),
     (["skew", "mul", "--json", "y0*(1 - x0)^-1", "x0 + y1"], []),

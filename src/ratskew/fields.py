@@ -9,6 +9,15 @@ All values are canonical on construction: F_p representatives live in
 [0, p), rational functions are reduced by the polynomial gcd and carry a
 monic denominator.  Equality is structural.
 
+A polynomial (:class:`MPoly`) is stored as ``c * P``: ``P`` holds ``int``
+coefficients, is primitive (their gcd is 1) and has a positive
+lex-leading coefficient; ``c`` is one rational content.  That form is
+unique, so it keeps equality structural, and its inner loops run on plain
+``int``.  By Gauss's lemma a product of primitive polynomials is
+primitive, and lex order is multiplicative, so products and exact
+quotients stay in that form without a gcd.  Polynomials in one variable
+take a dense gcd over Z (:func:`mpoly_gcd`).
+
 The :class:`RatFunc` operators rely on that invariant: they take canonical
 operands and skip the gcds it makes redundant (zero, one and constant
 operands, a polynomial plus a fraction, coprime denominators, cross gcds
@@ -21,7 +30,11 @@ read from a file is canonical too.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from operator import add
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class Fp:
@@ -113,113 +126,163 @@ class Fp:
 
 
 # ---------------------------------------------------------------------------
-# sparse multivariate polynomials over Q, exponent tuples as keys
+# sparse multivariate polynomials over Q: integer content form c * P
 # ---------------------------------------------------------------------------
 
 class MPoly:
     """Polynomial in ``nvars`` commuting indeterminates t1..tr over Q.
 
-    ``terms`` maps exponent tuples to nonzero Fractions.  Used only as the
-    num/den of :class:`RatFunc`; arithmetic is plain dict convolution.
-    Values are never mutated after construction, so they may be shared.
+    Stored as ``c * P``: ``p`` maps exponent tuples to nonzero ``int``s
+    and is primitive (coefficient gcd 1) with a positive lex-leading
+    coefficient; ``c`` is one nonzero ``Fraction``, the content.  The zero
+    polynomial is ``({}, 0)``.  This form is unique, so equality, hashing
+    and :attr:`terms` are structural.
+
+    By Gauss's lemma a product of primitive polynomials is primitive, and
+    lex order is multiplicative, so ``*`` is an integer convolution with
+    content ``c1*c2`` and no gcd; ``scale``, ``-`` and ``monic`` only touch
+    the content, and ``div_exact`` divides over Z.  Only ``+`` and ``-``
+    take one coefficient gcd.  Used only as the num/den of
+    :class:`RatFunc`.  Values are never mutated after construction, so they
+    may be shared.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "p", "c")
 
     def __init__(self, nvars: int, terms: dict) -> None:
+        """Normalising constructor from a dict of rational coefficients."""
+        terms = {e: v for e, v in terms.items() if v}
         self.nvars = nvars
-        self.terms = {e: c for e, c in terms.items() if c}
+        if not terms:
+            self.p, self.c = {}, _ZERO
+            return
+        den = lcm(*(v.denominator for v in terms.values()))
+        q = MPoly._normal(nvars, {e: v.numerator * (den // v.denominator)
+                                  for e, v in terms.items()}, Fraction(1, den))
+        self.p, self.c = q.p, q.c
 
     @staticmethod
-    def _of(nvars: int, terms: dict) -> "MPoly":
-        """Trusted constructor: ``terms`` already holds no zero coefficient."""
-        p = object.__new__(MPoly)
-        p.nvars = nvars
-        p.terms = terms
-        return p
+    def _of(nvars: int, p: dict, c: Fraction) -> "MPoly":
+        """Trusted constructor: ``(p, c)`` is already in normal form."""
+        q = object.__new__(MPoly)
+        q.nvars = nvars
+        q.p = p
+        q.c = c
+        return q
+
+    @staticmethod
+    def _normal(nvars: int, p: dict, c) -> "MPoly":
+        """``c * p`` for an integer dict ``p`` without zero values and a
+        nonzero rational ``c``: divides out the coefficient gcd and the sign
+        of the lex-leading coefficient."""
+        if not p:
+            return MPoly._of(nvars, {}, _ZERO)
+        h = gcd(*p.values())
+        if p[max(p)] < 0:
+            h = -h
+        if h != 1:
+            p = {e: k // h for e, k in p.items()}
+        return MPoly._of(nvars, p, c * h)
 
     @staticmethod
     def const(nvars: int, c) -> "MPoly":
         c = Fraction(c)
-        return MPoly._of(nvars, {(0,) * nvars: c} if c else {})
+        return MPoly._of(nvars, {(0,) * nvars: 1} if c else {}, c)
 
     @staticmethod
     def var(nvars: int, i: int) -> "MPoly":
         e = [0] * nvars
         e[i] = 1
-        return MPoly._of(nvars, {tuple(e): Fraction(1)})
+        return MPoly._of(nvars, {tuple(e): 1}, _ONE)
+
+    @property
+    def terms(self) -> dict:
+        """Read-only view: exponent tuple -> nonzero ``Fraction`` coefficient."""
+        c = self.c
+        return {e: c * k for e, k in self.p.items()}
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.p
 
     def is_const(self) -> bool:
-        t = self.terms
-        return not t or (len(t) == 1 and not any(next(iter(t))))
+        p = self.p
+        return not p or (len(p) == 1 and not any(next(iter(p))))
 
     def const_value(self) -> Fraction:
-        z = (0,) * self.nvars
-        return self.terms.get(z, Fraction(0))
+        return self.c * self.p.get((0,) * self.nvars, 0)
 
     def __eq__(self, other):
         return (
             isinstance(other, MPoly)
             and self.nvars == other.nvars
-            and self.terms == other.terms
+            and self.c == other.c
+            and self.p == other.p
         )
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        return hash((self.nvars, self.c, frozenset(self.p.items())))
+
+    def _add(self, other: "MPoly", sign: int) -> "MPoly":
+        """``self + sign*other``: one integer combination, one coefficient gcd."""
+        if not other.p:
+            return self
+        if not self.p:
+            return other if sign > 0 else -other
+        c1, c2 = self.c, other.c
+        n1, d1 = c1.numerator, c1.denominator
+        n2, d2 = sign * c2.numerator, c2.denominator
+        # c1*P1 + c2*P2 = (g/den) * (m1*P1 + m2*P2) with integer m1, m2
+        g = gcd(n1, n2)
+        den = d1 * d2 // gcd(d1, d2)
+        m1 = n1 // g * (den // d1)
+        m2 = n2 // g * (den // d2)
+        t = {e: m1 * k for e, k in self.p.items()} if m1 != 1 else dict(self.p)
+        for e, k in other.p.items():
+            s = t.get(e, 0) + m2 * k
+            if s:
+                t[e] = s
+            else:
+                t.pop(e, None)
+        return MPoly._normal(self.nvars, t, Fraction(g, den))
 
     def __add__(self, other):
-        t = dict(self.terms)
-        for e, c in other.terms.items():
-            if e in t:
-                s = t[e] + c
-                if s:
-                    t[e] = s
-                else:
-                    del t[e]
-            else:
-                t[e] = c
-        return MPoly._of(self.nvars, t)
-
-    def __neg__(self):
-        return MPoly._of(self.nvars, {e: -c for e, c in self.terms.items()})
+        return self._add(other, 1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._add(other, -1)
+
+    def __neg__(self):
+        return MPoly._of(self.nvars, self.p, -self.c)
 
     def __mul__(self, other):
+        p1, p2 = self.p, other.p
+        if not p1 or not p2:
+            return MPoly._of(self.nvars, {}, _ZERO)
         t: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+        for e1, k1 in p1.items():
+            for e2, k2 in p2.items():
                 e = tuple(map(add, e1, e2))
-                if e in t:
-                    s = t[e] + c1 * c2
-                    if s:
-                        t[e] = s
-                    else:
-                        del t[e]
-                else:
-                    t[e] = c1 * c2
-        return MPoly._of(self.nvars, t)
+                t[e] = t.get(e, 0) + k1 * k2
+        if not all(t.values()):
+            t = {e: k for e, k in t.items() if k}
+        return MPoly._of(self.nvars, t, self.c * other.c)
 
     def scale(self, c) -> "MPoly":
         if not c:
-            return MPoly._of(self.nvars, {})
-        return MPoly._of(self.nvars, {e: c * v for e, v in self.terms.items()})
+            return MPoly._of(self.nvars, {}, _ZERO)
+        return MPoly._of(self.nvars, self.p, self.c * c)
 
     def leading(self):
         """Lex-leading (exponent, coefficient) pair."""
-        e = max(self.terms)
-        return e, self.terms[e]
+        e = max(self.p)
+        return e, self.c * self.p[e]
 
     def deg(self, i: int) -> int:
-        return max((e[i] for e in self.terms), default=0)
+        return max((e[i] for e in self.p), default=0)
 
     def active_vars(self):
         out = set()
-        for e in self.terms:
+        for e in self.p:
             for i, k in enumerate(e):
                 if k:
                     out.add(i)
@@ -228,51 +291,53 @@ class MPoly:
     def coeffs_in(self, v: int) -> dict:
         """Collect as a polynomial in variable ``v``: degree -> MPoly coefficient."""
         out: dict = {}
-        for e, c in self.terms.items():
-            k = e[v]
-            e0 = e[:v] + (0,) + e[v + 1 :]
-            out.setdefault(k, {})[e0] = c
-        return {k: MPoly(self.nvars, t) for k, t in out.items()}
+        for e, k in self.p.items():
+            out.setdefault(e[v], {})[e[:v] + (0,) + e[v + 1 :]] = k
+        return {d: MPoly._normal(self.nvars, t, self.c) for d, t in out.items()}
 
     def div_exact(self, other: "MPoly") -> "MPoly":
-        """Exact division; raises ValueError if ``other`` does not divide."""
+        """Exact division; raises ValueError if ``other`` does not divide.
+
+        The primitive parts divide over Z: if P2 divides P1 over Q, the
+        quotient is primitive by Gauss's lemma, so every step is an exact
+        integer division with a positive leading quotient."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         if other.is_const():
-            c = other.const_value()
-            return self if c == 1 else self.scale(1 / c)
-        rem = dict(self.terms)  # the remainder, updated in place
+            return self.scale(1 / other.const_value())
+        rem = dict(self.p)  # the remainder, updated in place
         q: dict = {}
-        le, lc = other.leading()
-        divisor = list(other.terms.items())
+        le = max(other.p)
+        lc = other.p[le]
+        divisor = list(other.p.items())
         while rem:
             re = max(rem)
             qe = tuple(a - b for a, b in zip(re, le))
-            if any(k < 0 for k in qe):
+            qc, r = divmod(rem[re], lc)
+            if r or any(k < 0 for k in qe):
                 raise ValueError("inexact polynomial division")
-            qc = rem[re] / lc
-            q[qe] = q.get(qe, 0) + qc
-            for e, c in divisor:
+            q[qe] = qc
+            for e, k in divisor:
                 m = tuple(map(add, qe, e))
-                s = rem.get(m, 0) - qc * c
+                s = rem.get(m, 0) - qc * k
                 if s:
                     rem[m] = s
                 else:
                     rem.pop(m, None)
-        return MPoly(self.nvars, q)
+        return MPoly._of(self.nvars, q, self.c / other.c)
 
     def monic(self) -> "MPoly":
-        if self.is_zero():
+        if not self.p:
             return self
-        _, lc = self.leading()
-        return self.scale(1 / lc)
+        return MPoly._of(self.nvars, self.p, Fraction(1, self.p[max(self.p)]))
 
     def __str__(self):
-        if not self.terms:
+        if not self.p:
             return "0"
+        terms = self.terms
         parts = []
-        for e in sorted(self.terms, key=lambda t: (sum(t), t), reverse=True):
-            c = self.terms[e]
+        for e in sorted(terms, key=lambda t: (sum(t), t), reverse=True):
+            c = terms[e]
             mon = "*".join(
                 "t%d" % (i + 1) if k == 1 else "t%d^%d" % (i + 1, k)
                 for i, k in enumerate(e)
@@ -303,7 +368,7 @@ def _prem(f: MPoly, g: MPoly, v: int) -> MPoly:
         d = rem.deg(v)
         lr = rem.coeffs_in(v)[d]
         # lg*rem - lr*t^(d-dg)*g kills the degree-d coefficient
-        tpow = MPoly(f.nvars, {tuple(d - dg if i == v else 0 for i in range(f.nvars)): Fraction(1)})
+        tpow = MPoly._of(f.nvars, {tuple(d - dg if i == v else 0 for i in range(f.nvars)): 1}, _ONE)
         rem = lg * rem - lr * tpow * g
     return rem
 
@@ -318,18 +383,76 @@ def _content(f: MPoly, v: int) -> MPoly:
     return g
 
 
+def _dense_prem(a: list, b: list) -> list:
+    """Primitive part of a nonzero integer multiple of ``a mod b``, for
+    integer coefficient lists (index = degree, no trailing zero) with
+    ``deg a >= deg b``.  Each step scales by ``lc(b)/g`` and subtracts
+    ``lc(r)/g`` times a shift of b, with ``g = gcd(lc(r), lc(b))``; the
+    multiples do not matter to a gcd over Q[t]."""
+    db = len(b) - 1
+    lb = b[-1]
+    r = a
+    while len(r) > db:
+        lr = r[-1]
+        g = gcd(lr, lb)
+        u, w = lb // g, lr // g
+        k = len(r) - 1 - db
+        r = [u * x for x in r] if u != 1 else list(r)
+        for i, y in enumerate(b):
+            r[k + i] -= w * y
+        r.pop()
+        while r and not r[-1]:
+            r.pop()
+    if r:
+        h = gcd(*r)
+        if h != 1:
+            r = [x // h for x in r]
+    return r
+
+
+def _dense_gcd(f: MPoly, g: MPoly, v: int) -> MPoly:
+    """Monic gcd of two polynomials in the single variable ``v``: a
+    primitive pseudo-remainder sequence over Z (Collins 1967) on dense
+    coefficient lists."""
+    lists = []
+    for q in (f, g):
+        a = [0] * (q.deg(v) + 1)
+        for e, k in q.p.items():
+            a[e[v]] = k
+        lists.append(a)
+    a, b = sorted(lists, key=len, reverse=True)
+    while len(b) > 1:
+        a, b = b, _dense_prem(a, b)
+    if b:  # a nonzero constant remainder: coprime
+        return MPoly.const(f.nvars, 1)
+    if a[-1] < 0:
+        a = [-x for x in a]
+    e = [0] * f.nvars
+    p = {}
+    for d, k in enumerate(a):
+        if k:
+            e[v] = d
+            p[tuple(e)] = k
+    return MPoly._of(f.nvars, p, Fraction(1, a[-1]))
+
+
 def mpoly_gcd(f: MPoly, g: MPoly) -> MPoly:
-    """Monic gcd via the primitive pseudo-remainder sequence."""
+    """Monic gcd via the primitive pseudo-remainder sequence: dense over Z
+    when both operands are polynomials in one and the same variable,
+    recursive in the smallest common variable otherwise."""
     if f.is_zero():
         return g.monic()
     if g.is_zero():
         return f.monic()
     if f.is_const() or g.is_const():
         return MPoly.const(f.nvars, 1)
-    common = f.active_vars() & g.active_vars()
+    vf, vg = f.active_vars(), g.active_vars()
+    common = vf & vg
     if not common:
         return MPoly.const(f.nvars, 1)
     v = min(common)
+    if len(vf) == 1 and vf == vg:
+        return _dense_gcd(f, g, v)
     cf, cg = _content(f, v), _content(g, v)
     a, b = f.div_exact(cf), g.div_exact(cg)
     if a.deg(v) < b.deg(v):
@@ -422,9 +545,9 @@ class RatFunc:
     def _add(self, other: "RatFunc") -> "RatFunc":
         a, b = self.num, self.den
         c, d = other.num, other.den
-        if not a.terms:
+        if not a.p:
             return other
-        if not c.terms:
+        if not c.p:
             return self
         if b.is_const():
             # b is 1; for two constants a + c is one Fraction addition
@@ -438,7 +561,7 @@ class RatFunc:
             return RatFunc._of(a * d + c * b, b * d)
         s = b.div_exact(g)
         t = a * d.div_exact(g) + c * s
-        if not t.terms:
+        if not t.p:
             return RatFunc._of(t, MPoly.const(a.nvars, 1))
         g2 = _nontrivial_gcd(t, g)
         if g2 is None:
@@ -448,15 +571,16 @@ class RatFunc:
     def _mul(self, other: "RatFunc") -> "RatFunc":
         a, b = self.num, self.den
         c, d = other.num, other.den
-        if not a.terms:
+        if not a.p:
             return self
-        if not c.terms:
+        if not c.p:
             return other
+        # the value of a nonzero constant is its content
         if b.is_const() and a.is_const():
-            (x,) = a.terms.values()
+            x = a.c
             return other if x == 1 else RatFunc._of(c.scale(x), d)
         if d.is_const() and c.is_const():
-            (y,) = c.terms.values()
+            y = c.c
             return self if y == 1 else RatFunc._of(a.scale(y), b)
         g1 = None if d.is_const() else _nontrivial_gcd(a, d)
         g2 = None if b.is_const() else _nontrivial_gcd(c, b)
@@ -467,7 +591,7 @@ class RatFunc:
         return RatFunc._of(a * c, b * d)
 
     def _inverse(self) -> "RatFunc":
-        if not self.num.terms:
+        if not self.num.p:
             raise ZeroDivisionError("division by zero rational function")
         _, lc = self.num.leading()
         if lc == 1:
@@ -529,7 +653,7 @@ class RatFunc:
         return hash((self.num, self.den))
 
     def __bool__(self):
-        return not self.num.is_zero()
+        return bool(self.num.p)
 
     def __str__(self):
         if self.den.is_const():
@@ -626,6 +750,15 @@ class FunctionField(Field):
             raise ValueError("need at least one indeterminate")
         self.nvars = nvars
         self.name = "qt:%d" % nvars
+        # built once: values are never mutated, so every caller may share them
+        self._zero = RatFunc.const(nvars, 0)
+        self._one = RatFunc.const(nvars, 1)
+
+    def zero(self):
+        return self._zero
+
+    def one(self):
+        return self._one
 
     def from_int(self, k: int):
         return RatFunc.const(self.nvars, k)

@@ -1,5 +1,6 @@
 """Scalar domains: exact arithmetic, canonical forms, serialization."""
 
+import math
 import operator
 import random
 from fractions import Fraction
@@ -179,10 +180,13 @@ _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.t
 _fractions = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
 
-def _mpolys(nvars, min_terms=0):
+def _term_dicts(nvars, min_terms=0, max_terms=3):
     term = st.tuples(st.tuples(*[st.integers(0, 2)] * nvars), _fractions)
-    return st.lists(term, min_size=min_terms, max_size=3).map(
-        lambda ts: MPoly(nvars, dict(ts)))
+    return st.lists(term, min_size=min_terms, max_size=max_terms).map(dict)
+
+
+def _mpolys(nvars, min_terms=0):
+    return _term_dicts(nvars, min_terms).map(lambda ts: MPoly(nvars, ts))
 
 
 def _factor_products(nvars, min_size):
@@ -250,6 +254,19 @@ def test_mpoly_div_exact_inverts_multiplication(data, nvars):
         (p * q + MPoly.const(nvars, 1)).div_exact(q)
 
 
+@pytest.mark.parametrize("num, den", [
+    ({(1,): 1, (0,): 1}, {(1,): 2, (0,): 1}),  # t + 1 by 2t + 1: quotient 1/2
+    ({(1,): 3, (0,): 1}, {(1,): 2, (0,): 1}),
+    ({(1, 1): 1, (0, 0): 1}, {(1, 1): 3, (0, 0): 1}),
+])
+def test_mpoly_div_exact_rejects_a_non_integer_quotient_of_primitive_parts(num, den):
+    """A quotient with a leading coefficient outside Z means the primitive
+    parts do not divide (Gauss's lemma); it is refused, not truncated."""
+    nvars = len(next(iter(num)))
+    with pytest.raises(ValueError, match="inexact"):
+        MPoly(nvars, num).div_exact(MPoly(nvars, den))
+
+
 def test_ratfunc_sum_reduces_against_the_common_denominator_factor():
     t = QT.var(0)
     # gcd(b, d) = t, and t also divides (t - 1) + (t + 1) = 2t
@@ -302,3 +319,120 @@ def test_ratfunc_operators_with_rational_operands(op, data, nvars):
         assert f(x, k) == f(x, kf)
     if op != "/" or x:
         assert f(k, x) == f(kf, x)
+
+
+# -- MPoly's integer content form c * P ------------------------------------
+
+def _assert_normal(q):
+    """P is a primitive integer dict with a positive lex-leading
+    coefficient; the content c is 0 exactly for the zero polynomial."""
+    assert all(type(k) is int and k for k in q.p.values())
+    assert isinstance(q.c, Fraction)
+    if not q.p:
+        assert q.c == 0
+        return
+    assert q.c != 0
+    assert math.gcd(*q.p.values()) == 1
+    assert q.p[max(q.p)] > 0
+
+
+def _ref(d):
+    return {e: Fraction(v) for e, v in d.items() if v}
+
+
+def _ref_add(x, y, sign=1):
+    out = dict(x)
+    for e, v in y.items():
+        out[e] = out.get(e, 0) + sign * v
+    return _ref(out)
+
+
+def _ref_mul(x, y):
+    out: dict = {}
+    for e1, v1 in x.items():
+        for e2, v2 in y.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0) + v1 * v2
+    return _ref(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), nvars=st.sampled_from([1, 2]))
+def test_mpoly_content_form_matches_fraction_reference(data, nvars):
+    x = _ref(data.draw(_term_dicts(nvars, max_terms=4), "x"))
+    y = _ref(data.draw(_term_dicts(nvars, max_terms=4), "y"))
+    k = data.draw(_fractions, "k")
+    p, q = MPoly(nvars, x), MPoly(nvars, y)
+    results = [
+        (p, x),
+        (p + q, _ref_add(x, y)),
+        (p - q, _ref_add(x, y, -1)),
+        (-p, _ref_add({}, x, -1)),
+        (p * q, _ref_mul(x, y)),
+        (p.scale(k), _ref({e: k * v for e, v in x.items()})),
+    ]
+    if x:
+        lc = x[max(x)]
+        results.append((p.monic(), {e: v / lc for e, v in x.items()}))
+    if y:
+        results.append(((p * q).div_exact(q), x))
+    for v in range(nvars):
+        collected: dict = {}
+        for e, c in x.items():
+            collected.setdefault(e[v], {})[e[:v] + (0,) + e[v + 1:]] = c
+        got = p.coeffs_in(v)
+        assert sorted(got) == sorted(collected)
+        results += [(got[d], collected[d]) for d in got]
+    for r, want in results:
+        _assert_normal(r)
+        assert r.terms == want
+        assert r == MPoly(nvars, want) and hash(r) == hash(MPoly(nvars, want))
+
+
+def _univariate(nvars, v):
+    """Products of a term dict in t_v alone and factors from a small pool,
+    so that pairs often share factors."""
+    def embed(k):
+        return tuple(k if i == v else 0 for i in range(nvars))
+
+    one = MPoly.const(nvars, 1)
+    t = MPoly.var(nvars, v)
+    pool = [t, t + one, t - one, t.scale(2) + MPoly.const(nvars, 3)]
+    base = st.lists(st.tuples(st.integers(0, 3), _fractions), max_size=3).map(
+        lambda ts: MPoly(nvars, {embed(k): c for k, c in ts}))
+
+    def product(fs):
+        p = one
+        for f in fs:
+            p = p * f
+        return p
+    return st.tuples(base, st.lists(st.sampled_from(pool), max_size=3).map(product)).map(
+        lambda bf: bf[0] * bf[1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), nvars=st.sampled_from([1, 2]))
+def test_mpoly_gcd_univariate_is_monic_common_divisor(data, nvars):
+    v = data.draw(st.integers(0, nvars - 1), "v")
+    f = data.draw(_univariate(nvars, v), "f")
+    g = data.draw(_univariate(nvars, v), "g")
+    h = mpoly_gcd(f, g)
+    _assert_normal(h)
+    if f.is_zero() and g.is_zero():
+        assert h.is_zero()
+        return
+    assert h.leading()[1] == 1
+    a, b = f.div_exact(h), g.div_exact(h)
+    assert a * h == f and b * h == g
+    assert mpoly_gcd(a, b) == MPoly.const(nvars, 1) or a.is_zero() or b.is_zero()
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_mpoly_gcd_dense_path_agrees_with_recursive_path(data):
+    """For f, g in t1 alone the dense path runs; times s = t2 + 1 the
+    recursive one does."""
+    f = data.draw(_univariate(2, 0), "f")
+    g = data.draw(_univariate(2, 0), "g")
+    s = MPoly.var(2, 1) + MPoly.const(2, 1)
+    assert mpoly_gcd(f * s, g * s) == (mpoly_gcd(f, g) * s).monic()

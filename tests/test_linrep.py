@@ -321,6 +321,23 @@ def test_series_matrix_product_is_entrywise(field):
             assert prod.entry(i, j) == want
 
 
+def test_series_matrix_product_over_qt_with_series_entries():
+    """The 2 x 3 times 3 x 2 product over Q(t) with rational series entries
+    (block dims 11 and 10, a dimension-21 reduction), entrywise against
+    sum_k a_ik * b_kj.  Its coefficients grow in the field-kernel
+    elimination, so this keeps the Q(t) arithmetic fast enough to finish."""
+    rng = random.Random(73)
+    a = [[rand_rep(rng, QT, depth=1) for _ in range(3)] for _ in range(2)]
+    b = [[rand_rep(rng, QT, depth=1) for _ in range(2)] for _ in range(3)]
+    prod = SeriesMatrix.from_entries(QT, a) * SeriesMatrix.from_entries(QT, b)
+    for i in range(2):
+        for j in range(2):
+            want = LinRep.zero(QT)
+            for k in range(3):
+                want = want + a[i][k] * b[k][j]
+            assert prod.entry(i, j) == want
+
+
 def test_matrix_inverse_refuses_singular_scalar_part():
     zero = LinRep.zero(QQ)
     x0 = LinRep.letter(QQ, 0)
