@@ -6,9 +6,10 @@ of its stdout, its exit code and the command.  Every subcommand runs at
 least once.  Every certificate a command emits is also fed back to
 ``verify-cert`` (and a generator certificate to ``realize verify``), which
 gets a line of its own.
-No command prints a series matrix, so two ``spot_check_sigma_prime``
-certificates over q, built with the package's own functions, get a line
-each, and so does the ``recheck_certificate`` result of each.
+No command prints a series matrix, so three ``spot_check_sigma_prime``
+certificates, two over q and one over qt:1, built with the package's own
+functions, get a line each, and so does the ``recheck_certificate`` result
+of each.
 Run it on two checkouts and diff the outputs to see which commands changed:
 
     python3 scripts/output_digest.py > new.txt
@@ -31,6 +32,9 @@ import tempfile
 PLAN_FILE = "plan.json"
 PLAN = {"groups": [{"tags": [2], "u": [1]}, {"tags": [4], "u": [2]}], "maps": [[[2]]]}
 
+QT_UNIT = "1 - (t + 1)^-1*x0*x1 + t*x1 - (2*t + 3)^-1*x1*x0"
+QT_SERIES = "(1 - (t + 1)^-1*x0 - t*x1*x0)^-1 * (2 - (t^2 + 1)^-1*x1)"
+
 VERIFY_CERT = ["verify-cert"]
 REALIZE_VERIFY = ["realize", "verify"]
 
@@ -51,6 +55,11 @@ COMMANDS = [
     (["series", "eval", "--field", "qt:2", "(2*t1 + 6)^-1*x0 + 3^-1*t2*x1"], []),
     (["series", "eval", "--field", "qt:2", "--json", "(2*t1 + 6)^-1*x0 + 3^-1*t2*x1"], []),
     (["series", "transduce", "--letter", "1", "--window", "4", "(1 - x0 - 2*x1)^-1"], []),
+    # qt:1 reductions whose vectors have non-constant denominators
+    (["series", "invert", "--field", "qt:1", QT_UNIT], []),
+    (["series", "invert", "--field", "qt:1", "--json", QT_UNIT], []),
+    (["series", "transduce", "--field", "qt:1", "--letter", "0", "--window", "4", QT_SERIES], []),
+    (["series", "transduce", "--field", "qt:1", "--letter", "1", "--json", QT_SERIES], []),
     (["series", "equal", "--json", "(1 - x0)^-1 - 1", "x0*(1 - x0)^-1"], []),
     (["skew", "mul", "--json", "y0*(1 - x0)^-1", "x0 + y1"], []),
     (["skew", "mul", "--backend", "free", "y1*x0", "x1*y1 + 2"], []),
@@ -73,21 +82,28 @@ COMMANDS = [
 
 
 def sigma_certs():
-    """(label, certificate) for I + p(A) over q: p = 1/2*z0 + z1*z0 with the
+    """(label, certificate) for I + p(A): over q, p = 1/2*z0 + z1*z0 with the
     generators of Z -> Z_3, 1 -> 2, and the 2 x 2 perturbation
-    [[z0, z1], [0, z0*z1]] with those of Z -> Z, 1 -> 2."""
+    [[z0, z1], [0, z0*z1]] with those of Z -> Z, 1 -> 2; over qt:1, the 2 x 2
+    perturbation [[(t + 1)^-1*z0, z1], [0, (t + 2)*z0*z1]] with the
+    generators of Z_2 -> Z_4, 1 -> 2."""
     from fractions import Fraction
     from ratskew.fields import field_from_name
     from ratskew.freealg import FreeElem
     from ratskew.realize import build_generators, hom_spec, spot_check_sigma_prime
 
-    qq = field_from_name("q")
+    qq, qt = field_from_name("q"), field_from_name("qt:1")
     z0, z1 = FreeElem.letter(qq, 0), FreeElem.letter(qq, 1)
     half_z0 = FreeElem.word(qq, (0,), qq.from_fraction(Fraction(1, 2)))
+    t = qt.var(0)
+    qt_p = [[FreeElem.word(qt, (0,), qt.one() / (t + 1)), FreeElem.letter(qt, 1)],
+            [FreeElem.zero(qt), FreeElem.word(qt, (0, 1), t + 2)]]
     cases = [
         ("sigma cert: Z -> Z_3, 1 -> 2, p = 1/2*z0 + z1*z0", hom_spec(0, 3, 2), 3, half_z0 + z1 * z0),
         ("sigma cert: Z -> Z, 1 -> 2, p = [[z0, z1], [0, z0*z1]]", hom_spec(0, 0, 2), 2,
          [[z0, z1], [FreeElem.zero(qq), z0 * z1]]),
+        ("sigma cert: Z_2 -> Z_4, 1 -> 2, qt:1, p = [[(t + 1)^-1*z0, z1], [0, (t + 2)*z0*z1]]",
+         hom_spec(2, 4, 2), 2, qt_p),
     ]
     return [(label, spot_check_sigma_prime(build_generators(spec, count=count), p).to_json())
             for label, spec, count, p in cases]

@@ -16,7 +16,9 @@ unique, so it keeps equality structural, and its inner loops run on plain
 ``int``.  By Gauss's lemma a product of primitive polynomials is
 primitive, and lex order is multiplicative, so products and exact
 quotients stay in that form without a gcd.  Polynomials in one variable
-take a dense gcd over Z (:func:`mpoly_gcd`).
+take a dense gcd over Z (:func:`mpoly_gcd`), one of the dense Z[t] helpers
+(``zx_mul``, ``zx_div_exact``, ``zx_gcd``, ``zx_lcm``) on integer
+coefficient lists, which the Z[t] span kernel of ``linrep`` also uses.
 
 The :class:`RatFunc` operators rely on that invariant: they take canonical
 operands and skip the gcds it makes redundant (zero, one and constant
@@ -411,22 +413,17 @@ def _dense_prem(a: list, b: list) -> list:
 
 
 def _dense_gcd(f: MPoly, g: MPoly, v: int) -> MPoly:
-    """Monic gcd of two polynomials in the single variable ``v``: a
-    primitive pseudo-remainder sequence over Z (Collins 1967) on dense
-    coefficient lists."""
+    """Monic gcd of two polynomials in the single variable ``v``: the dense
+    gcd :func:`zx_gcd` of their primitive parts."""
     lists = []
     for q in (f, g):
         a = [0] * (q.deg(v) + 1)
         for e, k in q.p.items():
             a[e[v]] = k
         lists.append(a)
-    a, b = sorted(lists, key=len, reverse=True)
-    while len(b) > 1:
-        a, b = b, _dense_prem(a, b)
-    if b:  # a nonzero constant remainder: coprime
+    a = zx_gcd(*lists)
+    if len(a) == 1:  # coprime
         return MPoly.const(f.nvars, 1)
-    if a[-1] < 0:
-        a = [-x for x in a]
     e = [0] * f.nvars
     p = {}
     for d, k in enumerate(a):
@@ -434,6 +431,96 @@ def _dense_gcd(f: MPoly, g: MPoly, v: int) -> MPoly:
             e[v] = d
             p[tuple(e)] = k
     return MPoly._of(f.nvars, p, Fraction(1, a[-1]))
+
+
+# ---------------------------------------------------------------------------
+# dense Z[t]: integer coefficient lists, lowest degree first, [] for zero
+# ---------------------------------------------------------------------------
+
+def zx_mul(a: list, b: list) -> list:
+    """a * b in Z[t].  A constant factor of 1 gives back the other operand,
+    so the result may share a list with an operand; none is mutated."""
+    if not a or not b:
+        return []
+    if len(a) == 1:
+        k = a[0]
+        return b if k == 1 else [k * y for y in b]
+    if len(b) == 1:
+        k = b[0]
+        return a if k == 1 else [k * x for x in a]
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def zx_div_exact(a: list, b: list) -> list:
+    """a / b in Z[t]; raises ValueError unless b divides a over Z."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    if len(b) == 1:
+        k = b[0]
+        if k == 1:
+            return a
+        q = [x // k for x in a]
+        if any(x - k * y for x, y in zip(a, q)):
+            raise ValueError("inexact polynomial division")
+        return q
+    db, lb = len(b) - 1, b[-1]
+    if len(a) <= db:
+        if a:
+            raise ValueError("inexact polynomial division")
+        return []
+    rem = list(a)
+    q = [0] * (len(a) - db)
+    for k in range(len(q) - 1, -1, -1):
+        c, r = divmod(rem[k + db], lb)
+        if r:
+            raise ValueError("inexact polynomial division")
+        if c:
+            q[k] = c
+            for i, y in enumerate(b):
+                rem[k + i] -= c * y
+    if any(rem):
+        raise ValueError("inexact polynomial division")
+    return q
+
+
+def zx_gcd(a: list, b: list) -> list:
+    """gcd in Z[t] with a positive leading coefficient, [] for gcd(0, 0):
+    the gcd of the integer contents times the primitive gcd, which a
+    primitive pseudo-remainder sequence over Z gives (Collins 1967).  A
+    constant operand makes it the integer gcd of all coefficients."""
+    if not a or not b:
+        a = a or b
+        return a if not a or a[-1] > 0 else [-x for x in a]
+    if len(a) == 1 or len(b) == 1:
+        return [gcd(*a, *b)]
+    ca, cb = gcd(*a), gcd(*b)
+    if ca != 1:
+        a = [x // ca for x in a]
+    if cb != 1:
+        b = [x // cb for x in b]
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        a, b = b, _dense_prem(a, b)
+    c = gcd(ca, cb)
+    if b:  # a nonzero constant remainder: the primitive parts are coprime
+        return [c]
+    if a[-1] < 0:
+        c = -c
+    return a if c == 1 else [c * x for x in a]
+
+
+def zx_lcm(a: list, b: list) -> list:
+    """lcm in Z[t] of nonzero a and b, with a positive leading coefficient."""
+    if len(a) == 1 and len(b) == 1:
+        return [lcm(a[0], b[0])]
+    r = zx_mul(zx_div_exact(a, zx_gcd(a, b)), b)
+    return r if r[-1] > 0 else [-x for x in r]
 
 
 def mpoly_gcd(f: MPoly, g: MPoly) -> MPoly:
@@ -826,6 +913,19 @@ def _mpoly_from_json(nvars: int, obj) -> MPoly:
     return MPoly(nvars, terms)
 
 
+def _is_one_json(obj, nvars: int) -> bool:
+    """Whether ``obj`` is exactly ``[[[0, ..., 0], "1"]]``, the encoding of
+    the polynomial 1, with the types checked as well: ``False == 0`` in
+    Python, but the parse rejects a ``false`` exponent."""
+    if type(obj) is not list or len(obj) != 1:
+        return False
+    term = obj[0]
+    if type(term) is not list or len(term) != 2 or term[1] != "1":
+        return False
+    e = term[0]
+    return type(e) is list and len(e) == nvars and all(type(k) is int and k == 0 for k in e)
+
+
 def scalar_to_json(field: Field, a):
     if isinstance(field, RationalField):
         return str(a)
@@ -842,6 +942,14 @@ def scalar_from_json(field: Field, obj):
     if isinstance(field, PrimeField):
         return Fp(field.p, obj)
     if isinstance(field, FunctionField):
+        # 0 and 1 are most of the scalars of a certificate: their exact
+        # canonical encodings skip the parse, anything else takes it
+        if type(obj) is dict and _is_one_json(obj.get("den"), field.nvars):
+            num = obj.get("num")
+            if type(num) is list and not num:
+                return field.zero()
+            if _is_one_json(num, field.nvars):
+                return field.one()
         # Reduced here, because the operators trust canonical operands.
         return RatFunc(
             _mpoly_from_json(field.nvars, obj["num"]),

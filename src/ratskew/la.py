@@ -6,22 +6,34 @@ matters.  ``Echelon`` keeps a fully reduced row-echelon basis of a growing
 subspace, which is the whole engine behind minimizing linear
 representations: the coordinates of a vector of the span in that basis are
 its entries at the pivot columns, read off with no further elimination.
+``Echelon`` works on field values; only ``qt:r`` with r >= 2 still uses it.
 
-``IntEchelon`` is the same basis kept over the integers, or over the
-integers mod a prime, with no field objects at all.  A subspace has exactly
-one reduced row-echelon basis, and scaling a row does not change the space
-it spans, so the integer basis, each row primitive with a positive pivot,
-is that unique basis with row i scaled by its pivot entry: dividing row i by
-``rows[i][pivots[i]]`` gives back the rows ``Echelon`` would hold.  Over Z
-the elimination is fraction-free (Bareiss, *Math. Comp.* 22, 1968): a row
-combination ``a*v - c*row`` with the common factor of ``a`` and ``c``
-removed, and the content of a new row divided out once.  Mod p the pivot is
-normalised to 1 with a Fermat inverse.
+Two classes keep the same basis with no field objects at all.  A subspace
+has exactly one reduced row-echelon basis, and scaling a row by a nonzero
+factor does not change the space it spans, so each of them holds that
+unique basis with row i scaled by its pivot entry: dividing row i by
+``rows[i][pivots[i]]`` gives back the rows ``Echelon`` would hold.
+
+* ``IntEchelon`` works over the integers (for Q), each row primitive with
+  a positive pivot, or over the integers mod a prime, each pivot 1.  Over
+  Z the elimination is fraction-free (Bareiss, *Math. Comp.* 22, 1968): a
+  row combination ``a*v - c*row`` with the common factor of ``a`` and ``c``
+  removed, and the content of a new row divided out once.  Mod p the pivot
+  is normalised to 1 with a Fermat inverse.
+* ``PolyEchelon`` works over Z[t] (for Q(t), ``qt:1``), on dense integer
+  coefficient lists.  It is ``IntEchelon`` with polynomial entries: the
+  common factor of ``a`` and ``c`` is their gcd in Z[t], each row is
+  primitive over Z[t] (the gcd of its entries, contents included, is 1),
+  and its pivot has a positive leading coefficient.  The gcds are the dense
+  primitive pseudo-remainder sequences of ``fields`` (Collins, *J. ACM* 14,
+  1967).
 """
 
 from __future__ import annotations
 
 from math import gcd
+
+from .fields import zx_div_exact, zx_gcd, zx_mul
 
 
 def mat_vec(m, v, zero):
@@ -165,6 +177,93 @@ class IntEchelon:
                     if g != 1:
                         r = [x // g for x in r]
                 rows[i] = r
+        k = next((i for i, q in enumerate(self.pivots) if q > piv), len(self.pivots))
+        rows.insert(k, v)
+        self.pivots.insert(k, piv)
+        return True
+
+    def dim(self) -> int:
+        return len(self.rows)
+
+
+def _lincomb(a, x, b, y):
+    """a*x + b*y in Z[t], on dense coefficient lists."""
+    if not x:
+        return zx_mul(b, y)
+    if not y:
+        return zx_mul(a, x)
+    if len(a) == len(b) == len(x) == len(y) == 1:
+        s = a[0] * x[0] + b[0] * y[0]
+        return [s] if s else []
+    p, q = zx_mul(a, x), zx_mul(b, y)
+    if len(p) < len(q):
+        p, q = q, p
+    r = list(p)
+    for i, k in enumerate(q):
+        r[i] += k
+    while r and not r[-1]:
+        r.pop()
+    return r
+
+
+def zx_content(v):
+    """The gcd in Z[t] of the entries of v, with a positive leading
+    coefficient; [] for the zero vector.  Constants go first, so that the
+    gcd is one integer gcd per entry as soon as one occurs."""
+    g = []
+    for x in sorted(filter(None, v), key=len):
+        g = zx_gcd(g, x)
+        if g == [1]:
+            break
+    return g
+
+
+class PolyEchelon:
+    """Reduced row-echelon basis of a subspace of Q(t)^n kept over Z[t],
+    grown one vector at a time; a vector is a list of dense integer
+    polynomials (lowest degree first, [] for zero).  Every row is primitive
+    over Z[t], the gcd of its entries being 1, and its pivot has a positive
+    leading coefficient.  Rows are replaced, never changed in place, so an
+    added vector may be shared."""
+
+    def __init__(self) -> None:
+        self.rows: list = []
+        self.pivots: list = []
+
+    @staticmethod
+    def _eliminate(v, row, j):
+        """v with its entry at column j cleared by the pivot row ``row``."""
+        a, c = row[j], v[j]
+        g = zx_gcd(a, c)
+        if g != [1]:
+            a, c = zx_div_exact(a, g), zx_div_exact(c, g)
+        c = [-k for k in c]
+        return [_lincomb(a, x, c, y) for x, y in zip(v, row)]
+
+    @staticmethod
+    def _primitive(v):
+        g = zx_content(v)
+        return v if g == [1] else [zx_div_exact(x, g) for x in v]
+
+    def add(self, v) -> bool:
+        """Insert v; returns True if it enlarged the span."""
+        for row, q in zip(self.rows, self.pivots):
+            if v[q]:
+                v = self._eliminate(v, row, q)
+        for piv, x in enumerate(v):
+            if x:
+                break
+        else:
+            return False
+        v = self._primitive(v)
+        if v[piv][-1] < 0:
+            v = [[-k for k in x] for x in v]
+        # keep the basis fully reduced, so coordinates sit at the pivots; a
+        # row's own pivot is multiplied by v[piv] / gcd and stays positive
+        rows = self.rows
+        for i, row in enumerate(rows):
+            if row[piv]:
+                rows[i] = self._primitive(self._eliminate(row, v, piv))
         k = next((i for i, q in enumerate(self.pivots) if q > piv), len(self.pivots))
         rows.insert(k, v)
         self.pivots.insert(k, piv)

@@ -34,14 +34,20 @@ Both passes are one breadth-first search, :func:`_reach`, over a per-field
 kernel.  Over ``q`` and ``fp:p`` the kernel works on plain integers: each
 letter matrix is converted once per reduction, over ``q`` scaled by the lcm
 of its denominators, and the search and the elimination run in
-``la.IntEchelon`` with no ``Fraction`` or ``Fp`` in the inner loop.  That
-is exact because scaling a vector or a letter matrix does not change the
-span of row * mu(w), and a subspace has exactly one reduced row-echelon
-basis: the integer basis is that basis with each row scaled by its pivot,
-so the pivot-1 rows, and every value read from them, are the same as
-``la.Echelon`` gives.  Field values are built once, at the end.  Any other
-field (``qt:r``) runs the same search on its own values with
-``la.Echelon``.
+``la.IntEchelon`` with no ``Fraction`` or ``Fp`` in the inner loop.  Over
+``qt:1`` the kernel works the same way on dense Z[t] polynomials: each
+vector and letter matrix is put over one common integer-polynomial
+denominator, and the elimination runs fraction-free in ``la.PolyEchelon``
+with no ``RatFunc`` in the inner loop.  That is exact because scaling a
+vector or a letter matrix does not change the span of row * mu(w), and a
+subspace has exactly one reduced row-echelon basis: the integer or
+polynomial basis is that basis with each row scaled by its pivot, so the
+pivot-1 rows, and every value read from them, are the same as
+``la.Echelon`` gives.  Field values are built once, at the end, and a
+``RatFunc`` has one canonical form, so the output is the same value for
+value.  Only ``qt:r`` with r >= 2 runs the search on its own values with
+``la.Echelon``.  ``LinRep.min_word`` runs its level search on the same
+kernels.
 
 Operations avoid reductions they cannot need: a product with a constant
 only scales the other factor, and ``delta`` is memoised per instance.
@@ -59,9 +65,10 @@ from itertools import chain
 from math import gcd, lcm
 from operator import mul
 
-from .fields import Field, Fp, PrimeField, RationalField, scalar_from_json, scalar_to_json
+from .fields import (Field, Fp, FunctionField, MPoly, PrimeField, RatFunc, RationalField, scalar_from_json,
+                     scalar_to_json, zx_div_exact, zx_gcd, zx_lcm, zx_mul)
 from .freealg import FreeElem
-from .la import Echelon, IntEchelon, dot, identity, invert_matrix, mat_vec, vec_mat
+from .la import Echelon, IntEchelon, PolyEchelon, dot, identity, invert_matrix, mat_vec, vec_mat, zx_content
 from .words import word_key
 
 
@@ -71,13 +78,14 @@ from .words import word_key
 
 class _FieldKernel:
     """Vectors and matrices as field values, eliminated by ``la.Echelon``;
-    the kernel of a field with no integral one (``qt:r``).
+    the kernel of ``qt:r`` with r >= 2.
 
     A kernel converts field vectors and letter matrices to its own form
     (``vec``, ``mat``) and back (``out``, and ``out_t`` for the transpose),
     gives the search vector of an entry row (``span``), multiplies
-    (``vec_mat``), eliminates (``echelon``) and reads a span's coordinates
-    at the pivots (``read``, ``restrict``, ``coords``).
+    (``vec_mat``), eliminates (``echelon``), tests a search vector against
+    an exit vector (``pairs``) and reads a span's coordinates at the pivots
+    (``read``, ``restrict``, ``coords``).
     """
 
     def __init__(self, field: Field) -> None:
@@ -102,6 +110,10 @@ class _FieldKernel:
 
     def vec_mat(self, v, m):
         return vec_mat(v, m, self.zero, len(m))
+
+    def pairs(self, v, c):
+        """Whether the search vector v pairs nonzero with the vector c."""
+        return bool(dot(v, c, self.zero))
 
     def read(self, v, piv):
         return [v[p] for p in piv]
@@ -180,6 +192,10 @@ class _IntKernel:
         g = gcd(*w)
         return [x // g for x in w] if g > 1 else w
 
+    def pairs(self, v, c):
+        s = sum(map(mul, v, c[0]))
+        return bool(s % self.p if self.p else s)
+
     def read(self, v, piv):
         ints = v[0]
         return [ints[p] for p in piv], v[1]
@@ -209,6 +225,216 @@ class _IntKernel:
 
 _ZERO = Fraction(0)
 _ratio = Fraction.as_integer_ratio
+_E0 = (0,)  # the exponent of a constant in one variable
+
+
+def _dense(p: dict) -> list:
+    """The dense coefficient list of a univariate ``MPoly`` integer dict."""
+    out = [0] * (max(p)[0] + 1)
+    for (k,), c in p.items():
+        out[k] = c
+    return out
+
+
+def _sparse(a: list) -> dict:
+    """The ``MPoly`` integer dict of a dense coefficient list."""
+    return {(k,): c for k, c in enumerate(a) if c}
+
+
+def _zx_dot(v, col):
+    """sum v[i] * y over the entries (i, y) of a sparse column, in Z[t]."""
+    c0 = 0
+    acc = None
+    for i, y in col:
+        x = v[i]
+        if not x:
+            continue
+        if len(x) == 1 and len(y) == 1:
+            c0 += x[0] * y[0]
+            continue
+        n = len(x) + len(y) - 1
+        if acc is None:
+            acc = [0] * n
+        elif len(acc) < n:
+            acc += [0] * (n - len(acc))
+        for e, a in enumerate(x):
+            if a:
+                for f, b in enumerate(y):
+                    acc[e + f] += a * b
+    if acc is None:
+        return [c0] if c0 else []
+    acc[0] += c0
+    while acc and not acc[-1]:
+        acc.pop()
+    return acc
+
+
+def _sparse_col(polys):
+    return [(i, x) for i, x in enumerate(polys) if x]
+
+
+def _dense_col(col, n):
+    """The length-n list of polynomials holding the entries (i, x) of col."""
+    polys = [[]] * n
+    for i, x in col:
+        polys[i] = x
+    return polys
+
+
+class _PolyKernel:
+    """Q(t) (``qt:1``) on dense Z[t] polynomials, eliminated by ``la.PolyEchelon``.
+
+    A polynomial is an ``int`` list, lowest degree first, ``[]`` for zero.
+    A vector is a pair (polys, den) standing for polys / den, with den a
+    polynomial of positive leading coefficient.  A letter matrix is a pair
+    (columns, den), as in :class:`_IntKernel`, with each column sparse, a
+    list of (row index, nonzero polynomial): letter matrices are mostly
+    zero.  Entries over a constant denominator, most of them in practice,
+    convert with no polynomial lcm, and an output over a constant
+    denominator is built with no gcd.
+    """
+
+    def __init__(self, field: Field) -> None:
+        self.zero = field.zero()
+        self._den1 = field.one().den
+
+    def _convert(self, values):
+        """(polys, den) with polys / den equal to the nonzero field values."""
+        ents = []
+        dens: dict = {}  # each non-constant denominator -> its cofactor in their lcm lp
+        big = 1
+        for a in values:
+            num, dp = a.num, a.den.p
+            if len(dp) == 1 and _E0 in dp:
+                q, key = num.c, None
+            else:
+                q, key = num.c / a.den.c, tuple(_dense(dp))
+                dens[key] = None
+            p = num.p
+            ents.append((q, None if len(p) == 1 and _E0 in p else p, key))
+            if q.denominator != 1:
+                big = lcm(big, q.denominator)
+        if dens:
+            keys = iter(dens)
+            lp = list(next(keys))
+            for k in keys:
+                lp = zx_lcm(lp, list(k))
+            for k in dens:
+                dens[k] = zx_div_exact(lp, list(k))
+        else:
+            lp = [1]
+        dens[None] = lp
+        out = []
+        for q, p, key in ents:
+            k = q.numerator * (big // q.denominator)
+            m = dens[key]
+            if p is not None:
+                m = zx_mul(_dense(p), m)
+            out.append([k * c for c in m] if k != 1 else m)
+        return out, [big * c for c in lp]
+
+    def vec(self, v):
+        zero = self.zero
+        pos = [i for i, a in enumerate(v) if a is not zero and a.num.p]
+        polys, den = self._convert([v[i] for i in pos])
+        return _dense_col(zip(pos, polys), len(v)), den
+
+    def mat(self, m):
+        zero = self.zero
+        pos, vals = [], []
+        for i, row in enumerate(m):
+            for j, a in enumerate(row):
+                if a is not zero and a.num.p:
+                    pos.append((i, j))
+                    vals.append(a)
+        polys, den = self._convert(vals)
+        cols: list = [[] for _ in m]
+        for (i, j), x in zip(pos, polys):
+            cols[j].append((i, x))
+        return cols, den
+
+    def span(self, v):
+        return v[0]
+
+    def _to_field(self, polys, den):
+        zero, den1, out = self.zero, self._den1, []
+        for x in polys:
+            if not x:
+                out.append(zero)
+                continue
+            d = den
+            if len(d) > 1:
+                g = zx_gcd(x, d)
+                if g != [1]:
+                    x, d = zx_div_exact(x, g), zx_div_exact(d, g)
+            if len(d) == 1:
+                out.append(RatFunc._of(MPoly._normal(1, _sparse(x), Fraction(1, d[0])), den1))
+                continue
+            c = gcd(*d)
+            lc = d[-1] // c
+            pd = d if c == 1 else [k // c for k in d]
+            out.append(RatFunc._of(MPoly._normal(1, _sparse(x), Fraction(1, c * lc)),
+                                   MPoly._of(1, _sparse(pd), Fraction(1, lc))))
+        return out
+
+    def out(self, v):
+        return self._to_field(*v)
+
+    def out_t(self, m):
+        """Field rows of the transpose of m, which are m's stored columns."""
+        cols, den = m
+        return [self._to_field(_dense_col(c, len(cols)), den) for c in cols]
+
+    def transposed(self, m):
+        cols, den = m
+        rows: list = [[] for _ in cols]
+        for j, c in enumerate(cols):
+            for i, x in c:
+                rows[i].append((j, x))
+        return rows, den
+
+    def nonzero(self, m):
+        return any(m[0])
+
+    def echelon(self, n):
+        return PolyEchelon()
+
+    def vec_mat(self, v, m):
+        """v * M, made primitive over Z[t]."""
+        w = [_zx_dot(v, c) for c in m[0]]
+        g = zx_content(w)
+        return w if g == [1] or not g else [zx_div_exact(x, g) for x in w]
+
+    def pairs(self, v, c):
+        return bool(_zx_dot(v, _sparse_col(c[0])))
+
+    def read(self, v, piv):
+        polys = v[0]
+        return [polys[p] for p in piv], v[1]
+
+    def _scales(self, ech):
+        """Row i of the Z[t] basis is a_i times row i of the pivot-1 basis;
+        with L = lcm(a_i), (L / a_i) * x / L is x / a_i."""
+        a = [r[q] for r, q in zip(ech.rows, ech.pivots)]
+        big = [1]
+        for ai in a:
+            big = zx_lcm(big, ai)
+        return [zx_div_exact(big, ai) for ai in a], big
+
+    def _column(self, ech, scale, col):
+        return [(i, zx_mul(s, x)) for i, (b, s) in enumerate(zip(ech.rows, scale))
+                if (x := _zx_dot(b, col))]
+
+    def restrict(self, ech, m):
+        cols, den = m
+        scale, big = self._scales(ech)
+        return [self._column(ech, scale, cols[q]) for q in ech.pivots], zx_mul(den, big)
+
+    def coords(self, ech, c):
+        polys, den = c
+        scale, big = self._scales(ech)
+        col = _sparse_col(polys)
+        return [zx_mul(s, _zx_dot(b, col)) for b, s in zip(ech.rows, scale)], zx_mul(den, big)
 
 
 def _kernel(field: Field):
@@ -216,6 +442,8 @@ def _kernel(field: Field):
         return _IntKernel(0)
     if isinstance(field, PrimeField):
         return _IntKernel(field.p)
+    if isinstance(field, FunctionField) and field.nvars == 1:
+        return _PolyKernel(field)
     return _FieldKernel(field)
 
 
@@ -563,18 +791,19 @@ class LinRep:
         """
         if self.dim == 0:
             return None
-        z, o = self.field.zero(), self.field.one()
-        letters = sorted(self.mu)
-        level = [((), self.lam)]
+        k = _kernel(self.field)
+        mu = {x: k.mat(m) for x, m in sorted(self.mu.items())}
+        gamma = k.vec(self.gamma)
+        level = [((), k.span(k.vec(self.lam)))]
         for _ in range(2 * self.dim + 1):
             for w, row in level:
-                if dot(row, self.gamma, z):
+                if k.pairs(row, gamma):
                     return w
-            ech = Echelon(self.dim, o)
+            ech = k.echelon(self.dim)
             kept = []
             for w, row in level:
-                for x in letters:
-                    v = vec_mat(row, self.mu[x], z, self.dim)
+                for x, m in mu.items():
+                    v = k.vec_mat(row, m)
                     if ech.add(v):
                         kept.append((w + (x,), v))
             if not kept:

@@ -276,6 +276,21 @@ def test_verify_cert_rejects_malformed_skew_term(run, tmp_path, backend):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("exponent", [[False], [0, 0]], ids=["false", "too-long"])
+@pytest.mark.parametrize("part", ["num", "den"])
+def test_verify_cert_rejects_bad_exponent_in_a_qt_one(run, tmp_path, part, exponent):
+    # The encoding of 1 with a ``false`` exponent compares equal to it in
+    # Python; like a wrong-length exponent, it must fail the parse.
+    code, cert = jrun(run, "skew", "witness", "--field", "qt:1", "--json", "1 - t*x0")
+    assert code == 0
+    one = cert["g"]["terms"][0][1]["gamma"][0]
+    assert one == {"num": [[[0], "1"]], "den": [[[0], "1"]]}
+    one[part][0][0] = exponent
+    code, out, err = run("verify-cert", _write(tmp_path, "w.json", cert))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "exponent" in err and "Traceback" not in err
+
+
 def test_verify_cert_rejects_empty_trunc_window(run, tmp_path):
     # A window-0 coefficient holds nothing; a ring built at that window would
     # lose the re-check's 1 and pass any g.

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from ratskew.fields import (Fp, FunctionField, MPoly, PrimeField, QQ, RatFunc,
                             field_from_name, mpoly_gcd, scalar_from_json,
-                            scalar_to_json)
+                            scalar_to_json, zx_div_exact, zx_gcd, zx_lcm, zx_mul)
 
 F7 = field_from_name("fp:7")
 QT = field_from_name("qt:1")
@@ -167,10 +167,30 @@ def test_scalar_from_json_canonicalises():
     {"num": [[[-1], "1"]], "den": [[[0], "1"]]},
     {"num": [[["1"], "1"]], "den": [[[0], "1"]]},
     {"num": [[[True], "1"]], "den": [[[0], "1"]]},
-], ids=["too-long", "empty", "negative", "string", "bool"])
+    # each equal in Python to an encoding of 0 or 1, which take a fast path
+    {"num": [[[False], "1"]], "den": [[[0], "1"]]},
+    {"num": [], "den": [[[False], "1"]]},
+    {"num": [[[0, 0], "1"]], "den": [[[0], "1"]]},
+    {"num": [], "den": [[[0, 0], "1"]]},
+], ids=["too-long", "empty", "negative", "string", "bool", "false-one", "false-den",
+        "long-one", "long-den"])
 def test_scalar_from_json_rejects_bad_exponents(obj):
     with pytest.raises(ValueError, match="exponent"):
         scalar_from_json(QT, obj)
+
+
+@pytest.mark.parametrize("field", [QT, QT2], ids=lambda f: f.name)
+def test_scalar_from_json_zero_and_one_fast_path(field):
+    z = [0] * field.nvars
+    one = [[z, "1"]]
+    assert scalar_from_json(field, {"num": [], "den": one}) is field.zero()
+    assert scalar_from_json(field, {"num": one, "den": one}) is field.one()
+    # other spellings of 0 and 1 take the full parse, to the same values
+    assert scalar_from_json(field, {"num": [[z, "2/2"]], "den": one}) == field.one()
+    assert scalar_from_json(field, {"num": one, "den": [[z, "1.0"]]}) == field.one()
+    assert scalar_from_json(field, {"num": [[z, "0"]], "den": one}) == field.zero()
+    for a in (field.zero(), field.one()):
+        assert scalar_from_json(field, scalar_to_json(field, a)) == a
 
 
 # -- RatFunc operators against the reducing constructor and an oracle -----
@@ -436,3 +456,75 @@ def test_mpoly_gcd_dense_path_agrees_with_recursive_path(data):
     g = data.draw(_univariate(2, 0), "g")
     s = MPoly.var(2, 1) + MPoly.const(2, 1)
     assert mpoly_gcd(f * s, g * s) == (mpoly_gcd(f, g) * s).monic()
+
+
+# -- dense Z[t] helpers -------------------------------------------------------
+
+_ZX_POOL = [[1, 1], [-1, 1], [2, 3], [0, 1], [1, 0, 1], [-2, 0, 3]]
+
+
+def _zx_trim(a):
+    a = list(a)
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+@st.composite
+def _zx(draw, nonzero=False):
+    """An integer content times a product of pool factors times a random
+    polynomial of degree <= 2, so that two draws often share factors and
+    contents; the zero polynomial unless ``nonzero``."""
+    p = _zx_trim(draw(st.lists(st.integers(-6, 6), max_size=3)))
+    if not p:
+        if not nonzero:
+            return []
+        p = [draw(st.sampled_from([-3, -1, 1, 2]))]
+    for f in draw(st.lists(st.sampled_from(_ZX_POOL), max_size=3)):
+        p = zx_mul(p, f)
+    return zx_mul([draw(st.sampled_from([1, -1, 2, -6, 12]))], p)
+
+
+def _zx_add(a, b):
+    n = max(len(a), len(b))
+    return _zx_trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_zx(), b=_zx())
+def test_zx_gcd_divides_both_with_coprime_cofactors(a, b):
+    g = zx_gcd(a, b)
+    if not a and not b:
+        assert g == []
+        return
+    assert g[-1] > 0
+    u, v = zx_div_exact(a, g), zx_div_exact(b, g)
+    assert zx_mul(u, g) == a and zx_mul(v, g) == b
+    assert zx_gcd(u, v) == [1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_zx(nonzero=True), b=_zx(nonzero=True), data=st.data())
+def test_zx_div_exact_refuses_an_inexact_quotient(a, b, data):
+    assert zx_div_exact(zx_mul(a, b), b) == a
+    if len(b) > 1:  # a nonzero remainder of lower degree than b
+        r = _zx_trim(data.draw(st.lists(st.integers(-5, 5), min_size=1, max_size=len(b) - 1)))
+        if not r:
+            r = [1]
+    elif abs(b[0]) > 1:  # an integer divisor that misses the constant term
+        r = [1]
+    else:
+        return
+    with pytest.raises(ValueError, match="inexact"):
+        zx_div_exact(_zx_add(zx_mul(a, b), r), b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_zx(nonzero=True), b=_zx(nonzero=True))
+def test_zx_lcm_is_divisible_by_both(a, b):
+    m = zx_lcm(a, b)
+    assert m[-1] > 0
+    assert zx_mul(zx_div_exact(m, a), a) == m and zx_mul(zx_div_exact(m, b), b) == m
+    # the least such: lcm * gcd = +-a*b
+    ab = zx_mul(a, b)
+    assert zx_mul(m, zx_gcd(a, b)) in (ab, [-x for x in ab])

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ratskew.fields import QQ, Fp, field_from_name
+from ratskew.fields import QQ, Fp, RatFunc, field_from_name
 from ratskew.freealg import FreeElem
 from ratskew import linrep
 from ratskew.linrep import LinRep, NotInvertible, SeriesMatrix, _FieldKernel, _minimise, invert_matrix_series
@@ -324,8 +324,8 @@ def test_series_matrix_product_is_entrywise(field):
 def test_series_matrix_product_over_qt_with_series_entries():
     """The 2 x 3 times 3 x 2 product over Q(t) with rational series entries
     (block dims 11 and 10, a dimension-21 reduction), entrywise against
-    sum_k a_ik * b_kj.  Its coefficients grow in the field-kernel
-    elimination, so this keeps the Q(t) arithmetic fast enough to finish."""
+    sum_k a_ik * b_kj.  Its coefficients grow in the elimination, so this
+    keeps the Q(t) arithmetic fast enough to finish."""
     rng = random.Random(73)
     a = [[rand_rep(rng, QT, depth=1) for _ in range(3)] for _ in range(2)]
     b = [[rand_rep(rng, QT, depth=1) for _ in range(2)] for _ in range(3)]
@@ -336,6 +336,37 @@ def test_series_matrix_product_over_qt_with_series_entries():
             for k in range(3):
                 want = want + a[i][k] * b[k][j]
             assert prod.entry(i, j) == want
+
+
+def _perturbed_identity(field, n, rng):
+    """The n x n series matrix whose entry (i, j) is delta_ij plus two terms
+    c*w: w a word of length 1 or 2 over two letters, and c = t_v + k with k
+    in 1..5; the draws are w, k, v per term, in row-major order, as in
+    ``scripts/invert_sizes.py``."""
+    entries = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            e = LinRep.one(field) if i == j else LinRep.zero(field)
+            for _ in range(2):
+                w = tuple(rng.randrange(2) for _ in range(rng.randint(1, 2)))
+                k = rng.randint(1, 5)
+                e = e + LinRep.word(field, w, field.var(rng.randrange(field.nvars)) + k)
+            row.append(e)
+        entries.append(row)
+    return SeriesMatrix.from_entries(field, entries)
+
+
+def test_qt_matrix_inverse_matches_field_kernel(monkeypatch):
+    """A 5 x 5 inversion over qt:1 (block dim 19), checked two-sided, whose
+    inverse is the same, value for value, as with the field kernel."""
+    m = _perturbed_identity(QT, 5, random.Random(1))
+    inv, ok_r, ok_l = invert_matrix_series(m)
+    assert ok_r and ok_l
+    with monkeypatch.context() as p:
+        p.setattr(linrep, "_kernel", _FieldKernel)
+        ref = invert_matrix_series(m)[0]
+    assert inv.to_json() == ref.to_json()
 
 
 def test_matrix_inverse_refuses_singular_scalar_part():
@@ -459,9 +490,27 @@ def test_series_matrix_reduce_dim_is_block_hankel_rank(field):
 
 def _rand_wide(rng, field, n, m, density):
     """Entries n/k with |n| <= 10**6 and k <= 7 (k < 7 over fp:7); about
-    half the rows get a negative leading entry."""
+    half the rows get a negative leading entry.  Over qt:1, where generic
+    entries make the coefficients grow with every word, |n| <= 10, and a
+    quarter of the entries are instead small rational functions: a linear
+    polynomial with an integer content of 2 to 4 and a leading coefficient
+    of either sign, c/(t + j), or (t - j)/(t^2 + j)."""
     kmax = 6 if field == F7 else 7
     wide = lambda lo: field.from_fraction(Fraction(rng.randint(lo, 10**6), rng.randint(1, kmax)))
+    if field == QT:
+        t = QT.var(0)
+        base = lambda lo: field.from_fraction(Fraction(rng.randint(max(lo, -10), 10), rng.randint(1, kmax)))
+
+        def wide(lo):
+            r = rng.random()
+            if r < 0.1:
+                g = rng.randint(2, 4)
+                return QT.from_int(g * rng.choice((-3, -1, 1, 2))) * t + g * rng.randint(-2, 3)
+            if r < 0.2:
+                return QT.from_int(rng.choice((-2, -1, 1, 3))) / (t + rng.randint(1, 5))
+            if r < 0.25:
+                return (t - rng.randint(0, 2)) / (t * t + rng.randint(1, 3))
+            return base(lo)
     out = []
     for _ in range(n):
         row = [wide(-10**6) if rng.random() < density else field.zero() for _ in range(m)]
@@ -471,14 +520,16 @@ def _rand_wide(rng, field, n, m, density):
     return out
 
 
-@pytest.mark.parametrize("field", [QQ, F7], ids=lambda f: f.name)
+@pytest.mark.parametrize("field", [QQ, F7, QT], ids=lambda f: f.name)
 def test_integer_kernel_matches_echelon_path(field, monkeypatch):
+    """The integer kernels (q, fp:p) and the Z[t] kernel (qt:1) against
+    the field-value elimination of ``_FieldKernel``."""
     rng = random.Random(71)
-    kind = Fraction if field == QQ else Fp
+    kind = {QQ: Fraction, F7: Fp, QT: RatFunc}[field]
     reduced = 0
     for _ in range(60):
         nrows, ncols = rng.choice(((1, 1), (1, 1), (1, 2), (2, 3)))
-        d = rng.randint(1, 7)
+        d = rng.randint(1, 5 if field == QT else 7)  # a generic qt:1 dim-7 span takes seconds
         density = rng.choice((0.25, 0.4, 0.7))
         mu = {x: _rand_wide(rng, field, d, d, density) for x in rng.sample(range(4), rng.randint(1, 3))}
         rows = _rand_wide(rng, field, nrows, d, density)
