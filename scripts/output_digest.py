@@ -34,6 +34,10 @@ PLAN = {"groups": [{"tags": [2], "u": [1]}, {"tags": [4], "u": [2]}], "maps": [[
 
 QT_UNIT = "1 - (t + 1)^-1*x0*x1 + t*x1 - (2*t + 3)^-1*x1*x0"
 QT_SERIES = "(1 - (t + 1)^-1*x0 - t*x1*x0)^-1 * (2 - (t^2 + 1)^-1*x1)"
+# reduced results that feed further operations: inverses of products of
+# inverses, multiplied and added again
+NESTED = "((1 - x0)^-1 * (1 + 2*x1*x0))^-1 * (1 - x1 - x0*x1)^-1 + (2 - x0*x1)^-1 * (1 - 3*x1)^-1"
+QT_NESTED = "((1 - t*x0)^-1 * (1 + (t + 1)^-1*x1*x0))^-1 * ((2 - x1)^-1 + t*x0)^-1"
 
 VERIFY_CERT = ["verify-cert"]
 REALIZE_VERIFY = ["realize", "verify"]
@@ -60,6 +64,12 @@ COMMANDS = [
     (["series", "invert", "--field", "qt:1", "--json", QT_UNIT], []),
     (["series", "transduce", "--field", "qt:1", "--letter", "0", "--window", "4", QT_SERIES], []),
     (["series", "transduce", "--field", "qt:1", "--letter", "1", "--json", QT_SERIES], []),
+    (["series", "eval", NESTED], []),
+    (["series", "eval", "--json", NESTED], []),
+    (["series", "eval", "--field", "fp:7", NESTED], []),
+    (["series", "eval", "--field", "fp:7", "--json", NESTED], []),
+    (["series", "eval", "--field", "qt:1", QT_NESTED], []),
+    (["series", "eval", "--field", "qt:1", "--json", QT_NESTED], []),
     (["series", "equal", "--json", "(1 - x0)^-1 - 1", "x0*(1 - x0)^-1"], []),
     (["skew", "mul", "--json", "y0*(1 - x0)^-1", "x0 + y1"], []),
     (["skew", "mul", "--backend", "free", "y1*x0", "x1*y1 + 2"], []),

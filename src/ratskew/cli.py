@@ -337,6 +337,8 @@ def _cmd_selftest(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _ring_for(elem_obj) -> sk.SkewRing:
+    if not isinstance(elem_obj, dict):
+        raise ValueError("a serialized skew element must be an object, got %r" % (elem_obj,))
     field = field_from_name(elem_obj["field"])
     return sk.SkewRing(sk.CoeffDomain(elem_obj["backend"], field), elem_obj["n"])
 
@@ -345,7 +347,10 @@ def _recheck_skew_witness(obj) -> dict:
     ring = _ring_for(obj["input"])
     a = sk.SkewElem.from_json(ring, obj["input"])
     g = sk.SkewElem.from_json(ring, obj["g"])
-    m = ring.x_word(tuple(obj["m"]))
+    m = obj["m"]
+    if not (isinstance(m, list) and all(type(i) is int for i in m)):
+        raise ValueError("m must be a list of integer letters, got %r" % (m,))
+    m = ring.x_word(tuple(m))
     v = sk.t_equal(m * a * g, ring.one())
     return {"kind": "skew_witness", "ok": v.value, "precision": v.precision}
 

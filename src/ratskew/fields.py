@@ -796,6 +796,12 @@ class Field:
 class RationalField(Field):
     name = "q"
 
+    def zero(self):
+        return _ZERO
+
+    def one(self):
+        return _ONE
+
     def from_int(self, k: int):
         return Fraction(k)
 
@@ -938,7 +944,8 @@ def scalar_to_json(field: Field, a):
 
 def scalar_from_json(field: Field, obj):
     if isinstance(field, RationalField):
-        return Fraction(obj)
+        # most scalars of a certificate are 0 or 1: their encodings skip the parse
+        return _ZERO if obj == "0" else _ONE if obj == "1" else Fraction(obj)
     if isinstance(field, PrimeField):
         return Fp(field.p, obj)
     if isinstance(field, FunctionField):

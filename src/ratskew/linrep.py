@@ -15,8 +15,9 @@ exit columns, one per matrix column, with entry (i, j) of the coefficient of
 w equal to rows[i] * mu(w) * cols[j]; the star-based matrix inversion
 works on it.  A :class:`LinRep` is the 1 x 1 case (dim, [lam], mu, [gamma])
 of this *block triple* (dim, rows, mu, cols), and both classes build their
-sums, Cauchy products and stars with the same block functions, :func:`_sum`,
-:func:`_product` and :func:`_star`, then reduce the result once.
+sums, Cauchy products and stars with the same block functions,
+:func:`_direct_sum`, :func:`_product` and :func:`_star`, then reduce the
+result once.
 
 Both classes reduce through one engine, :func:`_minimise`, on the block
 triple.  It runs a reachability pass, restricting to the span of every row times mu(w), then the same pass
@@ -31,30 +32,40 @@ On a representation that is already minimal each pass therefore stops
 after about ``dim`` inserts.
 
 Both passes are one breadth-first search, :func:`_reach`, over a per-field
-kernel.  Over ``q`` and ``fp:p`` the kernel works on plain integers: each
-letter matrix is converted once per reduction, over ``q`` scaled by the lcm
-of its denominators, and the search and the elimination run in
+kernel.  Over ``q`` and ``fp:p`` the kernel works on plain integers: a
+vector is its integers over one denominator, a letter matrix its integer
+columns over one denominator, and the search and the elimination run in
 ``la.IntEchelon`` with no ``Fraction`` or ``Fp`` in the inner loop.  Over
-``qt:1`` the kernel works the same way on dense Z[t] polynomials: each
-vector and letter matrix is put over one common integer-polynomial
-denominator, and the elimination runs fraction-free in ``la.PolyEchelon``
-with no ``RatFunc`` in the inner loop.  That is exact because scaling a
-vector or a letter matrix does not change the span of row * mu(w), and a
-subspace has exactly one reduced row-echelon basis: the integer or
-polynomial basis is that basis with each row scaled by its pivot, so the
-pivot-1 rows, and every value read from them, are the same as
-``la.Echelon`` gives.  Field values are built once, at the end, and a
-``RatFunc`` has one canonical form, so the output is the same value for
-value.  Only ``qt:r`` with r >= 2 runs the search on its own values with
-``la.Echelon``.  ``LinRep.min_word`` runs its level search on the same
-kernels.
+``qt:1`` the kernel works the same way on dense Z[t] polynomials over one
+common integer-polynomial denominator, and the elimination runs
+fraction-free in ``la.PolyEchelon`` with no ``RatFunc`` in the inner loop.
+That is exact because scaling a vector or a letter matrix does not change
+the span of row * mu(w), and a subspace has exactly one reduced row-echelon
+basis: the integer or polynomial basis is that basis with each row scaled
+by its pivot, so the pivot-1 rows, and every value read from them, are the
+same as ``la.Echelon`` gives.  Only ``qt:r`` with r >= 2 runs the search on
+its own values with ``la.Echelon``: its kernel is the identity.
+``LinRep.min_word`` runs its level search on the same kernels.
+
+The kernel form is the stored state.  A representation built by an
+operation holds its block in the kernel's form only; sums, products, stars,
+``scale`` and ``delta`` assemble their blocks from the operands' kernel
+forms, rescaling to a common denominator and computing only the product
+and star bridge entries afresh, and every stored vector or matrix has the
+gcd of its entries and its denominator divided out, so denominators do not
+grow along chains of operations.  Field values (``lam``, ``mu``,
+``gamma``; ``rows``, ``mu``, ``cols``) are built once, the first time
+something reads them (``coeff``, ``to_json``, ``render``, truncation).  A
+representation made from field values (``word``, ``scalar``, ``from_free``,
+a loaded certificate, ``SeriesMatrix.constant``) is converted once, on
+first use.  A field value has one canonical form, so every value read is
+the same whichever scaling the kernel form carries.
 
 Operations avoid reductions they cannot need: a product with a constant
 only scales the other factor, and ``delta`` is memoised per instance.
 Results share vectors and matrices with their operands, so nothing mutates
-a representation once it is built; the code that fills matrices in place
-(:func:`_product`, ``from_entries``) writes only to matrices it has just
-allocated.
+a representation once it is built; the block builders write only to lists
+they have just allocated.
 """
 
 from __future__ import annotations
@@ -68,7 +79,7 @@ from operator import mul
 from .fields import (Field, Fp, FunctionField, MPoly, PrimeField, RatFunc, RationalField, scalar_from_json,
                      scalar_to_json, zx_div_exact, zx_gcd, zx_lcm, zx_mul)
 from .freealg import FreeElem
-from .la import Echelon, IntEchelon, PolyEchelon, dot, identity, invert_matrix, mat_vec, vec_mat, zx_content
+from .la import Echelon, IntEchelon, PolyEchelon, dot, identity, invert_matrix, vec_mat, zx_content
 from .words import word_key
 
 
@@ -81,11 +92,15 @@ class _FieldKernel:
     the kernel of ``qt:r`` with r >= 2.
 
     A kernel converts field vectors and letter matrices to its own form
-    (``vec``, ``mat``) and back (``out``, and ``out_t`` for the transpose),
-    gives the search vector of an entry row (``span``), multiplies
-    (``vec_mat``), eliminates (``echelon``), tests a search vector against
-    an exit vector (``pairs``) and reads a span's coordinates at the pivots
-    (``read``, ``restrict``, ``coords``).
+    (``vec``, ``mat``) and back (``out``, ``out_m``), gives the search
+    vector of an entry row (``span``), multiplies (``vec_mat``), eliminates
+    (``echelon``), tests a search vector against an exit vector (``pairs``)
+    and reads a span's coordinates at the pivots (``read``, ``restrict``,
+    ``coords``).  For the block functions it builds zero and unit vectors
+    (``zeros``, ``units``), concatenations (``cat``), block matrices
+    (``grid``), exact products (``vm``, ``outer``, ``scale``, and ``dot``,
+    which gives a field value), and divides out common factors (``norm``,
+    ``norm_m``).
     """
 
     def __init__(self, field: Field) -> None:
@@ -95,21 +110,21 @@ class _FieldKernel:
     def vec(self, v):
         return v
 
-    mat = span = out = vec
+    mat = span = out = out_m = norm = norm_m = vec
 
-    def out_t(self, m):
+    def transposed(self, m):
         return [list(r) for r in zip(*m)]
 
-    transposed = out_t
-
     def nonzero(self, m):
-        return any(any(r) for r in m)
+        return any(map(any, m))
 
     def echelon(self, n):
         return Echelon(n, self.field.one())
 
-    def vec_mat(self, v, m):
-        return vec_mat(v, m, self.zero, len(m))
+    def vm(self, v, m):
+        return vec_mat(v, m, self.zero)
+
+    vec_mat = vm
 
     def pairs(self, v, c):
         """Whether the search vector v pairs nonzero with the vector c."""
@@ -118,13 +133,56 @@ class _FieldKernel:
     def read(self, v, piv):
         return [v[p] for p in piv]
 
-    def restrict(self, ech, m):
+    def restrict(self, ech, ms):
         z, piv, d = self.zero, ech.pivots, ech.dim()
-        mp = [[row[p] for p in piv] for row in m]
-        return [vec_mat(b, mp, z, d) for b in ech.rows]
+        mps = ([[row[p] for p in piv] for row in m] for m in ms)
+        return [[vec_mat(b, mp, z, d) for b in ech.rows] for mp in mps]
 
-    def coords(self, ech, c):
-        return [dot(b, c, self.zero) for b in ech.rows]
+    def coords(self, ech, cs):
+        return [[dot(b, c, self.zero) for b in ech.rows] for c in cs]
+
+    def zeros(self, n):
+        return [self.zero] * n
+
+    def units(self, n):
+        return identity(n, self.zero, self.field.one())
+
+    def cat(self, vs):
+        return list(chain.from_iterable(vs))
+
+    def grid(self, dims, blocks):
+        """The matrix whose block (g, h), dims[g] x dims[h], is blocks[g, h],
+        zero where absent."""
+        out = []
+        for g, ng in enumerate(dims):
+            rows = [[] for _ in range(ng)]
+            for h, nh in enumerate(dims):
+                m = blocks.get((g, h))
+                pad = [self.zero] * nh
+                for r, y in zip(rows, m or [pad] * ng):
+                    r += y
+            out += rows
+        return out
+
+    def outer(self, us, vs, base=None):
+        """base + sum_k us[k] vs[k], with the us as columns and the vs as
+        rows; no base is the zero matrix."""
+        z, n = self.zero, len(vs[0]) if vs else 0
+        rows = []
+        for i, e in enumerate(zip(*us)):
+            b = None if base is None else base[i]
+            if any(e):
+                r = vec_mat(e, vs, z, n)
+                rows.append(r if b is None else [x + y for x, y in zip(b, r)])
+            else:
+                rows.append([z] * n if b is None else b)
+        return rows
+
+    def scale(self, v, c):
+        return [c * x for x in v]
+
+    def dot(self, u, v):
+        return dot(u, v, self.zero)
 
 
 class _IntKernel:
@@ -133,7 +191,7 @@ class _IntKernel:
     A vector is a pair (ints, den) standing for ints / den; a letter matrix
     is a pair (columns, den), so that v * M is one integer dot product per
     column.  Over F_p the integers are residues and den is 1.  Field values
-    are built only by ``out`` and ``out_t``, one division per entry.
+    are built only by ``out``, ``out_m`` and ``dot``, one division per entry.
     """
 
     def __init__(self, p: int) -> None:
@@ -170,16 +228,16 @@ class _IntKernel:
     def out(self, v):
         return self._to_field(*v)
 
-    def out_t(self, m):
-        """Field rows of the transpose of m, which are m's stored columns."""
+    def out_m(self, m):
+        """Field rows of the stored columns m."""
         cols, den = m
-        return [self._to_field(c, den) for c in cols]
+        return [self._to_field(r, den) for r in zip(*cols)]
 
     def transposed(self, m):
         return [list(r) for r in zip(*m[0])], m[1]
 
     def nonzero(self, m):
-        return any(any(c) for c in m[0])
+        return any(map(any, m[0]))
 
     def echelon(self, n):
         return IntEchelon(self.p)
@@ -207,20 +265,103 @@ class _IntKernel:
         big = lcm(*a)
         return [big // ai for ai in a], big
 
-    def restrict(self, ech, m):
+    def restrict(self, ech, ms):
+        rows, piv = ech.rows, ech.pivots
+        if self.p:
+            return [([[sum(map(mul, b, cols[q])) % self.p for b in rows] for q in piv], 1) for cols, _ in ms]
+        scale, big = self._scales(ech)
+        return [([[s * sum(map(mul, b, cols[q])) for b, s in zip(rows, scale)] for q in piv], den * big)
+                for cols, den in ms]
+
+    def coords(self, ech, cs):
+        rows = ech.rows
+        if self.p:
+            return [([sum(map(mul, b, ints)) % self.p for b in rows], 1) for ints, _ in cs]
+        scale, big = self._scales(ech)
+        return [([s * sum(map(mul, b, ints)) for b, s in zip(rows, scale)], den * big) for ints, den in cs]
+
+    def zeros(self, n):
+        return [0] * n, 1
+
+    def units(self, n):
+        return [([int(i == j) for i in range(n)], 1) for j in range(n)]
+
+    def norm(self, v):
+        """v with the gcd of its entries and its (positive) denominator
+        divided out; mod p, with its entries reduced."""
+        ints, den = v
+        if self.p:
+            return [x % self.p for x in ints], 1
+        g = gcd(den, *ints)
+        return v if g == 1 else ([x // g for x in ints], den // g)
+
+    def norm_m(self, m):
         cols, den = m
         if self.p:
-            return [[sum(map(mul, b, cols[q])) % self.p for b in ech.rows] for q in ech.pivots], 1
-        scale, big = self._scales(ech)
-        return [[s * sum(map(mul, b, cols[q])) for b, s in zip(ech.rows, scale)]
-                for q in ech.pivots], den * big
+            return [[x % self.p for x in c] for c in cols], 1
+        g = gcd(den, *chain.from_iterable(cols))
+        return m if g == 1 else ([[x // g for x in c] for c in cols], den // g)
 
-    def coords(self, ech, c):
-        ints, den = c
+    @staticmethod
+    def _common(vs):
+        """The integer lists of the vectors vs over their least common denominator."""
+        big = lcm(*[d for _, d in vs])
+        return [v if d == big else [x * (big // d) for x in v] for v, d in vs], big
+
+    def cat(self, vs):
+        big = lcm(*[d for _, d in vs])
+        out = []
+        for v, d in vs:
+            out += v if d == big else [x * (big // d) for x in v]
+        return out, big
+
+    def grid(self, dims, blocks):
+        """The matrix whose block (g, h), dims[g] x dims[h], is blocks[g, h],
+        zero where absent, over the lcm of the blocks' denominators."""
+        big = lcm(*[m[1] for m in blocks.values()])
+        out = []
+        for h, nh in enumerate(dims):
+            cols = None
+            for g, ng in enumerate(dims):
+                m = blocks.get((g, h))
+                if m is None:
+                    part = [[0] * ng] * nh
+                else:
+                    f = big // m[1]
+                    part = m[0] if f == 1 else [[x * f for x in c] for c in m[0]]
+                cols = part if cols is None else list(map(list.__add__, cols, part))
+            out += cols
+        return out, big
+
+    def vm(self, v, m):
+        """v * M, exactly."""
+        return self.norm(([sum(map(mul, v[0], c)) for c in m[0]], v[1] * m[1]))
+
+    def outer(self, us, vs, base=None):
+        """base + sum_k us[k] vs[k], with the us as columns and the vs as
+        rows; no base is the zero matrix."""
+        (u, du), (v, dv) = self._common(us), self._common(vs)
+        if len(u) == 1:
+            u0 = u[0]
+            cols = [[x * y for x in u0] for y in v[0]]
+        else:
+            exits = list(zip(*u))  # exits[i][k] = us[k][i]
+            cols = [[sum(map(mul, e, vj)) for e in exits] for vj in zip(*v)]
+        den = du * dv
+        if base is not None:
+            bc, bd = base
+            cols = [[x * bd + y * den for x, y in zip(c, b)] for c, b in zip(cols, bc)]
+            den *= bd
+        return self.norm_m((cols, den))
+
+    def scale(self, v, c):
+        ints, den = v
         if self.p:
-            return [sum(map(mul, b, ints)) % self.p for b in ech.rows], 1
-        scale, big = self._scales(ech)
-        return [s * sum(map(mul, b, ints)) for b, s in zip(ech.rows, scale)], den * big
+            return self.norm(([x * c.v for x in ints], 1))
+        return self.norm(([x * c.numerator for x in ints], den * c.denominator))
+
+    def dot(self, u, v):
+        return self._to_field([sum(map(mul, u[0], v[0]))], u[1] * v[1])[0]
 
 
 _ZERO = Fraction(0)
@@ -239,6 +380,18 @@ def _dense(p: dict) -> list:
 def _sparse(a: list) -> dict:
     """The ``MPoly`` integer dict of a dense coefficient list."""
     return {(k,): c for k, c in enumerate(a) if c}
+
+
+def _zx_add(a, b):
+    """a + b in Z[t]."""
+    if len(a) < len(b):
+        a, b = b, a
+    r = list(a)
+    for i, k in enumerate(b):
+        r[i] += k
+    while r and not r[-1]:
+        r.pop()
+    return r
 
 
 def _zx_dot(v, col):
@@ -267,6 +420,14 @@ def _zx_dot(v, col):
     while acc and not acc[-1]:
         acc.pop()
     return acc
+
+
+def _zx_lcm_of(dens):
+    big = [1]
+    for d in dens:
+        if d != big:
+            big = zx_lcm(big, d)
+    return big
 
 
 def _sparse_col(polys):
@@ -380,10 +541,10 @@ class _PolyKernel:
     def out(self, v):
         return self._to_field(*v)
 
-    def out_t(self, m):
-        """Field rows of the transpose of m, which are m's stored columns."""
-        cols, den = m
-        return [self._to_field(_dense_col(c, len(cols)), den) for c in cols]
+    def out_m(self, m):
+        """Field rows of the stored columns m."""
+        rows, den = self.transposed(m)
+        return [self._to_field(_dense_col(r, len(rows)), den) for r in rows]
 
     def transposed(self, m):
         cols, den = m
@@ -425,26 +586,134 @@ class _PolyKernel:
         return [(i, zx_mul(s, x)) for i, (b, s) in enumerate(zip(ech.rows, scale))
                 if (x := _zx_dot(b, col))]
 
-    def restrict(self, ech, m):
-        cols, den = m
+    def restrict(self, ech, ms):
         scale, big = self._scales(ech)
-        return [self._column(ech, scale, cols[q]) for q in ech.pivots], zx_mul(den, big)
+        return [([self._column(ech, scale, cols[q]) for q in ech.pivots], zx_mul(den, big)) for cols, den in ms]
 
-    def coords(self, ech, c):
-        polys, den = c
+    def coords(self, ech, cs):
         scale, big = self._scales(ech)
-        col = _sparse_col(polys)
-        return [zx_mul(s, _zx_dot(b, col)) for b, s in zip(ech.rows, scale)], zx_mul(den, big)
+        out = []
+        for polys, den in cs:
+            col = _sparse_col(polys)
+            out.append(([zx_mul(s, _zx_dot(b, col)) for b, s in zip(ech.rows, scale)], zx_mul(den, big)))
+        return out
+
+    def zeros(self, n):
+        return [[]] * n, [1]
+
+    def units(self, n):
+        return [([[1] if i == j else [] for i in range(n)], [1]) for j in range(n)]
+
+    @staticmethod
+    def _gcd_with(polys, den):
+        """The gcd of den and the polys in Z[t]; constants go first, so that
+        it is one integer gcd per entry as soon as one occurs."""
+        g = den
+        for x in sorted(filter(None, polys), key=len):
+            if g == [1]:
+                break
+            g = zx_gcd(g, x)
+        return g
+
+    def norm(self, v):
+        """v with the gcd of its entries and its denominator divided out."""
+        polys, den = v
+        g = self._gcd_with(polys, den)
+        return v if g == [1] else ([zx_div_exact(x, g) for x in polys], zx_div_exact(den, g))
+
+    def norm_m(self, m):
+        cols, den = m
+        g = self._gcd_with([x for c in cols for _, x in c], den)
+        if g == [1]:
+            return m
+        return [[(i, zx_div_exact(x, g)) for i, x in c] for c in cols], zx_div_exact(den, g)
+
+    @staticmethod
+    def _common(vs):
+        """The polynomial lists of the vectors vs over their least common denominator."""
+        big = _zx_lcm_of([d for _, d in vs])
+        out = []
+        for p, d in vs:
+            f = [1] if d == big else zx_div_exact(big, d)
+            out.append(p if f == [1] else [zx_mul(f, x) for x in p])
+        return out, big
+
+    def cat(self, vs):
+        parts, big = self._common(vs)
+        return list(chain.from_iterable(parts)), big
+
+    def grid(self, dims, blocks):
+        """The matrix whose block (g, h), dims[g] x dims[h], is blocks[g, h],
+        zero where absent, over the lcm of the blocks' denominators."""
+        big = _zx_lcm_of([m[1] for m in blocks.values()])
+        out = []
+        for h, nh in enumerate(dims):
+            cols = [[] for _ in range(nh)]
+            off = 0
+            for g, ng in enumerate(dims):
+                m = blocks.get((g, h))
+                if m is not None:
+                    f = [1] if m[1] == big else zx_div_exact(big, m[1])
+                    for c, y in zip(cols, m[0]):
+                        c += y if off == 0 and f == [1] else [(i + off, zx_mul(f, x)) for i, x in y]
+                off += ng
+            out += cols
+        return out, big
+
+    def vm(self, v, m):
+        """v * M, exactly."""
+        return self.norm(([_zx_dot(v[0], c) for c in m[0]], zx_mul(v[1], m[1])))
+
+    def outer(self, us, vs, base=None):
+        """base + sum_k us[k] vs[k], with the us as columns and the vs as
+        rows; no base is the zero matrix."""
+        (u, du), (v, dv) = self._common(us), self._common(vs)
+        exits = [(i, e) for i, e in enumerate(map(_sparse_col, zip(*u))) if e]  # e holds the us[k][i]
+        cols = [[(i, y) for i, e in exits if (y := _zx_dot(vj, e))] for vj in zip(*v)]
+        den = zx_mul(du, dv)
+        if base is not None:
+            bc, bd = base
+            big = _zx_lcm_of([den, bd])
+            fc, fb = zx_div_exact(big, den), zx_div_exact(big, bd)
+            merged = []
+            for c, b in zip(cols, bc):
+                acc = {i: zx_mul(fb, y) for i, y in b}
+                for i, y in c:
+                    y = zx_mul(fc, y)
+                    acc[i] = _zx_add(acc[i], y) if i in acc else y
+                merged.append([(i, y) for i, y in acc.items() if y])
+            cols, den = merged, big
+        return self.norm_m((cols, den))
+
+    def scale(self, v, c):
+        polys, den = v
+        if not c:
+            return self.zeros(len(polys))
+        (cp,), cd = self._convert([c])
+        return self.norm(([zx_mul(cp, x) for x in polys], zx_mul(den, cd)))
+
+    def dot(self, u, v):
+        return self._to_field([_zx_dot(u[0], _sparse_col(v[0]))], zx_mul(u[1], v[1]))[0]
+
+
+_KERNELS: dict = {}
 
 
 def _kernel(field: Field):
-    if isinstance(field, RationalField):
-        return _IntKernel(0)
-    if isinstance(field, PrimeField):
-        return _IntKernel(field.p)
-    if isinstance(field, FunctionField) and field.nvars == 1:
-        return _PolyKernel(field)
-    return _FieldKernel(field)
+    """The kernel of a field; one instance per field, so that a stored
+    kernel form is recognised as the current one."""
+    k = _KERNELS.get(field.name)
+    if k is None:
+        if isinstance(field, RationalField):
+            k = _IntKernel(0)
+        elif isinstance(field, PrimeField):
+            k = _IntKernel(field.p)
+        elif isinstance(field, FunctionField) and field.nvars == 1:
+            k = _PolyKernel(field)
+        else:
+            k = _FieldKernel(field)
+        _KERNELS[field.name] = k
+    return k
 
 
 def _reach(kern, dim, rows, mu, cols):
@@ -463,131 +732,178 @@ def _reach(kern, dim, rows, mu, cols):
     are returned unchanged.
     """
     ech = kern.echelon(dim)
-    queue = deque(v for v in map(kern.span, rows) if ech.add(v))
+    add, vec_mat = ech.add, kern.vec_mat
+    queue = deque(v for v in map(kern.span, rows) if add(v))
     letters = sorted(mu)
-    while queue and ech.dim() < dim:
+    mats = [mu[x] for x in letters]
+    d = len(queue)
+    while queue and d < dim:
         v = queue.popleft()
-        for x in letters:
-            w = kern.vec_mat(v, mu[x])
-            if ech.add(w):
-                if ech.dim() == dim:
+        for m in mats:
+            w = vec_mat(v, m)
+            if add(w):
+                d += 1
+                if d == dim:
                     break
                 queue.append(w)
-    d = ech.dim()
     if d == dim:
         return dim, rows, {x: mu[x] for x in letters if kern.nonzero(mu[x])}, cols
     # span vectors have their coordinates at the pivots: read only those columns
-    new_mu = {}
-    for x in letters:
-        m = kern.restrict(ech, mu[x])
-        if kern.nonzero(m):
-            new_mu[x] = m
-    return d, [kern.read(r, ech.pivots) for r in rows], new_mu, [kern.coords(ech, c) for c in cols]
+    new_mu = {x: m for x, m in zip(letters, kern.restrict(ech, mats)) if kern.nonzero(m)}
+    return d, [kern.read(r, ech.pivots) for r in rows], new_mu, kern.coords(ech, cols)
 
 
-def _minimise(field, dim, rows, mu, cols):
-    """Minimal form of (entry rows, letter matrices, exit columns): the
-    reachable part, then the reachable part of its transpose.
+def _minimise(k, dim, rows, mu, cols):
+    """Minimal form of (entry rows, letter matrices, exit columns), all in
+    the form of the kernel k: the reachable part, then the reachable part
+    of its transpose.
 
-    The input is converted to the field's kernel form once, both passes run
-    on it, and field values are built once at the end.  If both passes span
-    the whole space the input is returned as it is, minus zero letters and
-    with the letters sorted."""
+    The result is in k's form too, with the common factors of each vector
+    and matrix divided out.  If both passes span the whole space the input
+    is returned as it is, minus zero letters and with the letters sorted.
+    A letterless 1 x 1 block is the constant t = lam * gamma, and its
+    minimal form is dim 0 if t is 0, else (1, [lam[p]], {}, [t / lam[p]])
+    for the first nonzero lam[p]: lam / lam[p] is the one basis row of the
+    first pass and t / lam[p] its coordinate of gamma, which one echelon
+    insert and one coordinate read give, with no search."""
     if dim == 0:
         return 0, rows, {}, cols
-    k = _kernel(field)
-    d1, rows1, mu1, cols1 = _reach(
-        k, dim, [k.vec(r) for r in rows], {x: k.mat(m) for x, m in mu.items()}, [k.vec(c) for c in cols]
-    )
+    if not mu and len(rows) == len(cols) == 1:
+        ech = k.echelon(dim)
+        if ech.add(k.span(rows[0])):
+            (g,) = k.coords(ech, cols)
+            if any(k.span(g)):
+                return 1, [k.norm(k.read(rows[0], ech.pivots))], {}, [k.norm(g)]
+        return 0, [k.zeros(0)], {}, [k.zeros(0)]
+    d1, rows1, mu1, cols1 = _reach(k, dim, rows, mu, cols)
     d, cols2, mu2, rows2 = _reach(k, d1, cols1, {x: k.transposed(m) for x, m in mu1.items()}, rows1)
     if d == dim:
         return dim, rows, {x: mu[x] for x in mu2}, cols
-    return d, [k.out(r) for r in rows2], {x: k.out_t(m) for x, m in mu2.items()}, [k.out(c) for c in cols2]
-
-
-def _direct_sum(mu1, d1, mu2, d2, zero):
-    """Block-diagonal letter matrices diag(mu1(x), mu2(x))."""
-    d = d1 + d2
-    mu = {}
-    for x in set(mu1) | set(mu2):
-        m = [[zero] * d for _ in range(d)]
-        a = mu1.get(x)
-        if a:
-            for i in range(d1):
-                m[i][:d1] = a[i]
-        b = mu2.get(x)
-        if b:
-            for i in range(d2):
-                m[d1 + i][d1:] = b[i]
-        mu[x] = m
-    return mu
+    return (d, [k.norm(r) for r in rows2], {x: k.norm_m(k.transposed(m)) for x, m in mu2.items()},
+            [k.norm(c) for c in cols2])
 
 
 # ---------------------------------------------------------------------------
-# block arithmetic shared by LinRep and SeriesMatrix
+# block arithmetic shared by LinRep and SeriesMatrix, in a kernel's form
 # ---------------------------------------------------------------------------
 
-def _sum(zero, a, b):
-    """a + b for block triples of one shape: the states of a, then those of b."""
-    d1, rows1, mu1, cols1 = a
-    d2, rows2, mu2, cols2 = b
-    return (d1 + d2, [r + s for r, s in zip(rows1, rows2)], _direct_sum(mu1, d1, mu2, d2, zero),
-            [c + e for c, e in zip(cols1, cols2)])
+def _direct_sum(k, blocks):
+    """The sum of block triples of one shape: the states of each in turn,
+    with block-diagonal letter matrices."""
+    dims = [b[0] for b in blocks]
+    parts: dict = {}
+    for g, b in enumerate(blocks):
+        for x, m in b[2].items():
+            parts.setdefault(x, {})[g, g] = m
+    return (sum(dims), [k.cat(vs) for vs in zip(*[b[1] for b in blocks])],
+            {x: k.grid(dims, p) for x, p in parts.items()}, [k.cat(vs) for vs in zip(*[b[3] for b in blocks])])
 
 
-def _product(zero, a, b):
+def _product(k, a, b):
     """The Cauchy product a * b: the states of a, then those of b, where a
-    path that could leave a by exit column k goes on into b from entry row
-    k, ending at once (b's constant terms) or by a letter (the bridge)."""
+    path that could leave a by exit column j goes on into b from entry row
+    j, ending at once (b's constant terms) or by a letter (the bridge)."""
     d1, rows1, mu1, cols1 = a
     d2, rows2, mu2, cols2 = b
-    cols = [vec_mat([dot(r, c, zero) for r in rows2], cols1, zero, d1) + c for c in cols2]
-    mu = _direct_sum(mu1, d1, mu2, d2, zero)
-    exits = list(zip(*cols1))  # exits[i][k] = cols1[k][i]
-    for x, m2 in mu2.items():
-        starts = [vec_mat(r, m2, zero, d2) for r in rows2]
-        m = mu[x]
-        for i, g in enumerate(exits):
-            if any(g):
-                m[i][d1:] = vec_mat(g, starts, zero, d2)
-    pad = [zero] * d2
-    return d1 + d2, [r + pad for r in rows1], mu, cols
+    # with no exit columns in a (nor entry rows in b) nothing crosses over
+    q = k.outer(rows2, cols1) if d2 and cols1 else None  # d2 x d1: sum_j rows2[j]^T cols1[j]
+    cols = [k.cat([k.zeros(d1) if q is None else k.vm(c, q), c]) for c in cols2]
+    mu = {}
+    for x in mu1.keys() | mu2.keys():
+        parts = {}
+        if x in mu1:
+            parts[0, 0] = mu1[x]
+        if x in mu2:
+            m2 = parts[1, 1] = mu2[x]
+            if cols1:
+                parts[0, 1] = k.outer(cols1, [k.vm(r, m2) for r in rows2])
+        mu[x] = k.grid((d1, d2), parts)
+    pad = k.zeros(d2)
+    return d1 + d2, [k.cat([r, pad]) for r in rows1], mu, cols
 
 
-def _star(zero, one, a):
+def _star(k, a):
     """I + P + P^2 + ... for a square block triple P with zero constant
     terms: a new state per entry row, which ends at once (the I) or enters P
     by a letter, and a path that could leave P may enter it again."""
     dim, rows, mu, cols = a
-    s = len(rows)
-    eye = identity(s, zero, one)
-    pad = [zero] * s
-    exits = list(zip(*cols))  # exits[i][k] = cols[k][i]
+    eye = k.units(len(rows))
     star_mu = {}
     for x, m in mu.items():
-        top = [vec_mat(r, m, zero, dim) for r in rows]
-        big = [pad + t for t in top]
-        for mi, g in zip(m, exits):
-            if any(g):
-                mi = [u + v for u, v in zip(mi, vec_mat(g, top, zero, dim))]
-            big.append(pad + mi)
-        star_mu[x] = big
-    return s + dim, [e + [zero] * dim for e in eye], star_mu, [e + c for e, c in zip(eye, cols)]
+        tops = [k.vm(r, m) for r in rows]
+        star_mu[x] = k.grid((len(rows), dim), {(0, 1): k.outer(eye, tops), (1, 1): k.outer(cols, tops, m)}
+                            if rows else {(1, 1): m})
+    pad = k.zeros(dim)
+    return len(rows) + dim, [k.cat([e, pad]) for e in eye], star_mu, [k.cat([e, c]) for e, c in zip(eye, cols)]
 
 
-class LinRep:
+def _combine(k, C, vs, dim):
+    """The vectors sum_j C[i][j] * vs[j] of length dim, one per row of the
+    field matrix C."""
+    if not vs:
+        return [k.zeros(dim) for _ in C]
+    stack = k.outer(k.units(len(vs)), vs)
+    return [k.vm(k.vec(list(c)), stack) for c in C]
+
+
+class _Block:
+    """What LinRep and SeriesMatrix share: the field, the dimension and the
+    block triple, held in field values (``_f``: rows, mu, cols), in the
+    form of a kernel (``_k``: rows, mu, cols, kernel), or both.  Each form
+    is built from the other once, the first time it is needed."""
+
+    __slots__ = ("field", "dim", "_f", "_k")
+
+    def _init(self, field, dim, f, k) -> None:
+        self.field, self.dim, self._f, self._k = field, dim, f, k
+
+    @classmethod
+    def _of(cls, field, k, dim, rows, mu, cols):
+        new = object.__new__(cls)
+        new._init(field, dim, None, (rows, mu, cols, k))
+        return new
+
+    def _kb(self, k):
+        """The block (dim, rows, mu, cols) in the form of kernel k."""
+        st = self._k
+        if st is None or st[3] is not k:
+            rows, mu, cols = self._fb()
+            st = self._k = ([k.vec(r) for r in rows], {x: k.mat(m) for x, m in mu.items()},
+                            [k.vec(c) for c in cols], k)
+        return self.dim, st[0], st[1], st[2]
+
+    def _fb(self):
+        """(rows, mu, cols) in field values."""
+        f = self._f
+        if f is None:
+            rows, mu, cols, k = self._k
+            f = self._f = ([k.out(r) for r in rows], {x: k.out_m(m) for x, m in mu.items()},
+                           [k.out(c) for c in cols])
+        return f
+
+    def _letters(self):
+        return (self._f or self._k)[1]
+
+    # letter index -> dim x dim field matrix; absent letters act as zero
+    mu = property(lambda self: self._fb()[1])
+
+
+class LinRep(_Block):
     """A rational series as a reduced triple (lam, mu, gamma), never mutated:
     ``scale``, a full-span reduction and the ``delta`` memo share its parts."""
 
-    __slots__ = ("field", "dim", "lam", "mu", "gamma", "_deltas")
+    __slots__ = ("_deltas", "_tau")
 
     def __init__(self, field: Field, dim: int, lam, mu, gamma) -> None:
-        self.field = field
-        self.dim = dim
-        self.lam = lam
-        self.mu = mu  # letter index -> dim x dim matrix; absent letters act as zero
-        self.gamma = gamma
+        self._init(field, dim, ([lam], mu, [gamma]), None)
+
+    def _init(self, field, dim, f, k) -> None:
+        _Block._init(self, field, dim, f, k)
         self._deltas = None  # letter -> delta(letter), filled on first use
+        self._tau = None
+
+    lam = property(lambda self: self._fb()[0][0])
+    gamma = property(lambda self: self._fb()[2][0])
 
     # -- constructors (all reduced by construction) -------------------------
 
@@ -658,11 +974,8 @@ class LinRep:
     # -- reduction ----------------------------------------------------------
 
     def reduce(self) -> "LinRep":
-        d, (lam,), mu, (gamma,) = _minimise(self.field, *self._block())
-        return LinRep(self.field, d, lam, mu, gamma)
-
-    def _block(self):
-        return self.dim, [self.lam], self.mu, [self.gamma]
+        k = _kernel(self.field)
+        return LinRep._of(self.field, k, *_minimise(k, *self._kb(k)))
 
     # -- coefficients --------------------------------------------------------
 
@@ -670,21 +983,26 @@ class LinRep:
         z = self.field.zero()
         if self.dim == 0:
             return z
-        v = self.lam
+        (v,), mu, (gamma,) = self._fb()
         for i in w:
-            m = self.mu.get(i)
+            m = mu.get(i)
             if m is None:
                 return z
             v = vec_mat(v, m, z, self.dim)
             if not any(v):
                 return z
-        return dot(v, self.gamma, z)
+        return dot(v, gamma, z)
 
     def tau(self):
-        """Constant term (the augmentation of the series)."""
-        if self.dim == 0:
-            return self.field.zero()
-        return dot(self.lam, self.gamma, self.field.zero())
+        """Constant term (the augmentation of the series), memoised."""
+        if self._tau is None:
+            if self.dim == 0:
+                self._tau = self.field.zero()
+            else:
+                k = _kernel(self.field)
+                _, (lam,), _, (gamma,) = self._kb(k)
+                self._tau = k.dot(lam, gamma)
+        return self._tau
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -698,8 +1016,8 @@ class LinRep:
             return other
         if other.dim == 0:
             return self
-        d, (lam,), mu, (gamma,) = _sum(self.field.zero(), self._block(), other._block())
-        return LinRep(self.field, d, lam, mu, gamma).reduce()
+        k = _kernel(self.field)
+        return LinRep._of(self.field, k, *_direct_sum(k, [self._kb(k), other._kb(k)])).reduce()
 
     def __neg__(self) -> "LinRep":
         return self.scale(-self.field.one())
@@ -713,7 +1031,9 @@ class LinRep:
             return LinRep.zero(self.field)
         if self.dim == 0 or c == self.field.one():
             return self
-        return LinRep(self.field, self.dim, [c * v for v in self.lam], self.mu, self.gamma)
+        k = _kernel(self.field)
+        d, (lam,), mu, cols = self._kb(k)
+        return LinRep._of(self.field, k, d, [k.scale(lam, c)], mu, cols)
 
     def __mul__(self, other: "LinRep") -> "LinRep":
         """Cauchy product.  A constant factor c (dim 1, no letters) only
@@ -723,12 +1043,12 @@ class LinRep:
         if self.dim == 0 or other.dim == 0:
             return LinRep.zero(self.field)
         # a reduced series of dim 1 with no letters is the nonzero constant tau()
-        if self.dim == 1 and not self.mu:
+        if self.dim == 1 and not self._letters():
             return other.scale(self.tau())
-        if other.dim == 1 and not other.mu:
+        if other.dim == 1 and not other._letters():
             return self.scale(other.tau())
-        d, (lam,), mu, (gamma,) = _product(self.field.zero(), self._block(), other._block())
-        return LinRep(self.field, d, lam, mu, gamma).reduce()
+        k = _kernel(self.field)
+        return LinRep._of(self.field, k, *_product(k, self._kb(k), other._kb(k))).reduce()
 
     def star(self) -> "LinRep":
         """(1 - a)^(-1) for a proper series a (zero constant term)."""
@@ -737,8 +1057,8 @@ class LinRep:
         field = self.field
         if self.dim == 0:
             return LinRep.one(field)
-        d, (lam,), mu, (gamma,) = _star(field.zero(), field.one(), self._block())
-        return LinRep(field, d, lam, mu, gamma).reduce()
+        k = _kernel(field)
+        return LinRep._of(field, k, *_star(k, self._kb(k))).reduce()
 
     def inv(self) -> "LinRep":
         """Multiplicative inverse; requires a nonzero constant term."""
@@ -759,12 +1079,13 @@ class LinRep:
             memo = self._deltas = {}
         out = memo.get(i)
         if out is None:
-            m = self.mu.get(i)
-            if self.dim == 0 or m is None:
+            k = _kernel(self.field)
+            d, rows, mu, (gamma,) = self._kb(k)
+            m = mu.get(i)
+            if d == 0 or m is None:
                 out = LinRep.zero(self.field)
             else:
-                gamma = mat_vec(m, self.gamma, self.field.zero())
-                out = LinRep(self.field, self.dim, self.lam, self.mu, gamma).reduce()
+                out = LinRep._of(self.field, k, d, rows, mu, [k.vm(gamma, k.transposed(m))]).reduce()
             memo[i] = out
         return out
 
@@ -792,9 +1113,9 @@ class LinRep:
         if self.dim == 0:
             return None
         k = _kernel(self.field)
-        mu = {x: k.mat(m) for x, m in sorted(self.mu.items())}
-        gamma = k.vec(self.gamma)
-        level = [((), k.span(k.vec(self.lam)))]
+        _, (lam,), mu, (gamma,) = self._kb(k)
+        mu = dict(sorted(mu.items()))
+        level = [((), k.span(lam))]
         for _ in range(2 * self.dim + 1):
             for w, row in level:
                 if k.pairs(row, gamma):
@@ -826,16 +1147,17 @@ class LinRep:
         return body + " + ..."
 
     def __repr__(self):
-        return "LinRep(dim=%d, letters=%s)" % (self.dim, sorted(self.mu))
+        return "LinRep(dim=%d, letters=%s)" % (self.dim, sorted(self._letters()))
 
     def to_json(self):
         enc = lambda c: scalar_to_json(self.field, c)
+        (lam,), mu, (gamma,) = self._fb()
         return {
             "field": self.field.name,
             "dim": self.dim,
-            "lam": [enc(c) for c in self.lam],
-            "mu": {str(x): [[enc(c) for c in row] for row in m] for x, m in sorted(self.mu.items())},
-            "gamma": [enc(c) for c in self.gamma],
+            "lam": [enc(c) for c in lam],
+            "mu": {str(x): [[enc(c) for c in row] for row in m] for x, m in sorted(mu.items())},
+            "gamma": [enc(c) for c in gamma],
         }
 
     @staticmethod
@@ -870,7 +1192,7 @@ class LinRep:
 # matrices of rational series sharing one state space
 # ---------------------------------------------------------------------------
 
-class SeriesMatrix:
+class SeriesMatrix(_Block):
     """An nrows x ncols matrix of rational series as one block triple.
 
     ``rows`` holds one entry vector per matrix row and ``cols`` one exit
@@ -885,18 +1207,18 @@ class SeriesMatrix:
     difference.
     """
 
-    __slots__ = ("field", "dim", "rows", "mu", "cols", "nrows", "ncols")
+    __slots__ = ("nrows", "ncols")
 
     def __init__(self, field, dim, rows, mu, cols) -> None:
-        self.field = field
-        self.dim = dim
-        self.rows = rows
-        self.mu = mu
-        self.cols = cols
-        self.nrows, self.ncols = len(rows), len(cols)
+        self._init(field, dim, (rows, mu, cols), None)
 
-    def _block(self):
-        return self.dim, self.rows, self.mu, self.cols
+    def _init(self, field, dim, f, k) -> None:
+        _Block._init(self, field, dim, f, k)
+        st = f or k
+        self.nrows, self.ncols = len(st[0]), len(st[2])
+
+    rows = property(lambda self: self._fb()[0])
+    cols = property(lambda self: self._fb()[2])
 
     @staticmethod
     def constant(field: Field, mat) -> "SeriesMatrix":
@@ -910,39 +1232,39 @@ class SeriesMatrix:
 
     @staticmethod
     def from_entries(field: Field, entries) -> "SeriesMatrix":
+        """The block sum of the entries, entry (i, j) entering from row i and
+        leaving by column j."""
         nrows = len(entries)
         ncols = len(entries[0]) if nrows else 0
-        z = field.zero()
-        d = sum(e.dim for row in entries for e in row)
-        rows = [[z] * d for _ in range(nrows)]
-        cols = [[z] * d for _ in range(ncols)]
-        mu: dict = {}
-        off = 0
+        k = _kernel(field)
+        blocks = []
         for i in range(nrows):
             for j in range(ncols):
                 e = entries[i][j]
                 if e.field != field:
                     raise ValueError("entry field mismatch")
-                end = off + e.dim
-                rows[i][off:end] = e.lam
-                cols[j][off:end] = e.gamma
-                for x, m in e.mu.items():
-                    big = mu.setdefault(x, [[z] * d for _ in range(d)])
-                    for a in range(e.dim):
-                        big[off + a][off:end] = m[a]
-                off = end
-        return SeriesMatrix(field, d, rows, mu, cols).reduce()
+                d, (lam,), mu, (gamma,) = e._kb(k)
+                pad = k.zeros(d)
+                blocks.append((d, [lam if a == i else pad for a in range(nrows)], mu,
+                               [gamma if b == j else pad for b in range(ncols)]))
+        if not blocks:  # a shape with no entries keeps its rows or columns
+            return SeriesMatrix(field, 0, [[] for _ in range(nrows)], {}, []).reduce()
+        return SeriesMatrix._of(field, k, *_direct_sum(k, blocks)).reduce()
 
     def entry(self, i: int, j: int) -> LinRep:
-        return LinRep(self.field, self.dim, self.rows[i], self.mu, self.cols[j]).reduce()
+        k = _kernel(self.field)
+        d, rows, mu, cols = self._kb(k)
+        return LinRep._of(self.field, k, d, [rows[i]], mu, [cols[j]]).reduce()
 
     def aug(self):
         """Entrywise constant terms, a plain field matrix."""
-        z = self.field.zero()
-        return [[dot(r, c, z) for c in self.cols] for r in self.rows]
+        k = _kernel(self.field)
+        _, rows, _, cols = self._kb(k)
+        return [[k.dot(r, c) for c in cols] for r in rows]
 
     def reduce(self) -> "SeriesMatrix":
-        return SeriesMatrix(self.field, *_minimise(self.field, *self._block()))
+        k = _kernel(self.field)
+        return SeriesMatrix._of(self.field, k, *_minimise(k, *self._kb(k)))
 
     def __eq__(self, other):
         if not isinstance(other, SeriesMatrix):
@@ -959,10 +1281,13 @@ class SeriesMatrix:
 
     def __add__(self, other: "SeriesMatrix") -> "SeriesMatrix":
         self._check_shape(other)
-        return SeriesMatrix(self.field, *_sum(self.field.zero(), self._block(), other._block())).reduce()
+        k = _kernel(self.field)
+        return SeriesMatrix._of(self.field, k, *_direct_sum(k, [self._kb(k), other._kb(k)])).reduce()
 
     def scale(self, c) -> "SeriesMatrix":
-        return SeriesMatrix(self.field, self.dim, [[c * v for v in r] for r in self.rows], self.mu, self.cols)
+        k = _kernel(self.field)
+        d, rows, mu, cols = self._kb(k)
+        return SeriesMatrix._of(self.field, k, d, [k.scale(r, c) for r in rows], mu, cols)
 
     def __neg__(self):
         return self.scale(-self.field.one())
@@ -974,17 +1299,18 @@ class SeriesMatrix:
         self._check_shape(other, same=False)
         if self.ncols != other.nrows:
             raise ValueError("inner dimension mismatch")
-        return SeriesMatrix(self.field, *_product(self.field.zero(), self._block(), other._block())).reduce()
+        k = _kernel(self.field)
+        return SeriesMatrix._of(self.field, k, *_product(k, self._kb(k), other._kb(k))).reduce()
 
     def left_mul_const(self, C) -> "SeriesMatrix":
-        z = self.field.zero()
-        rows = [vec_mat(c, self.rows, z, self.dim) for c in C]
-        return SeriesMatrix(self.field, self.dim, rows, self.mu, self.cols)
+        k = _kernel(self.field)
+        d, rows, mu, cols = self._kb(k)
+        return SeriesMatrix._of(self.field, k, d, _combine(k, C, rows, d), mu, cols)
 
     def right_mul_const(self, C) -> "SeriesMatrix":
-        z = self.field.zero()
-        cols = [vec_mat(c, self.cols, z, self.dim) for c in zip(*C)]
-        return SeriesMatrix(self.field, self.dim, self.rows, self.mu, cols)
+        k = _kernel(self.field)
+        d, rows, mu, cols = self._kb(k)
+        return SeriesMatrix._of(self.field, k, d, rows, mu, _combine(k, list(zip(*C)), cols, d))
 
     def star(self) -> "SeriesMatrix":
         """(I - P)^(-1) for a square P with zero augmentation."""
@@ -992,8 +1318,8 @@ class SeriesMatrix:
             raise ValueError("star needs a square matrix")
         if any(any(c for c in row) for row in self.aug()):
             raise ValueError("star needs zero augmentation")
-        field = self.field
-        return SeriesMatrix(field, *_star(field.zero(), field.one(), self._block())).reduce()
+        k = _kernel(self.field)
+        return SeriesMatrix._of(self.field, k, *_star(k, self._kb(k))).reduce()
 
     def __repr__(self):
         return "SeriesMatrix(%dx%d, dim=%d)" % (self.nrows, self.ncols, self.dim)

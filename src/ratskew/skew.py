@@ -299,6 +299,8 @@ class SkewElem:
     @staticmethod
     def from_json(ring: SkewRing, obj) -> "SkewElem":
         dom = ring.domain
+        if not isinstance(obj, dict):
+            raise ValueError("a serialized skew element must be an object, got %r" % (obj,))
         if obj["backend"] != dom.kind or obj["field"] != dom.field.name:
             raise ValueError("backend mismatch in serialized element")
         if obj["n"] != ring.n:

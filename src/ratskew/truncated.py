@@ -55,16 +55,17 @@ class TruncSeries:
         """Extract the coefficient window of a linear representation."""
         out: dict = {}
         z = a.field.zero()
-        letters = sorted(a.mu)
+        mu, gamma = a.mu, a.gamma
+        letters = sorted(mu)
 
         def walk(prefix, v):
-            c = sum((v[k] * a.gamma[k] for k in range(a.dim) if v[k]), z)
+            c = sum((v[k] * gamma[k] for k in range(a.dim) if v[k]), z)
             if c:
                 out[prefix] = c
             if len(prefix) + 1 >= precision:
                 return
             for x in letters:
-                m = a.mu[x]
+                m = mu[x]
                 w = [sum((v[k] * m[k][j] for k in range(a.dim) if v[k]), z) for j in range(a.dim)]
                 if any(w):
                     walk(prefix + (x,), w)

@@ -276,6 +276,18 @@ def test_verify_cert_rejects_malformed_skew_term(run, tmp_path, backend):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("field", ["g", "input", "m"])
+def test_verify_cert_rejects_malformed_skew_witness_field(run, tmp_path, field):
+    # A string where an element or a letter list belongs is refused with
+    # ``error:``, not a traceback, and m is not walked letter by letter.
+    code, cert = jrun(run, "skew", "witness", "--json", "1 - x0")
+    assert code == 0
+    cert[field] = "two"
+    code, out, err = run("verify-cert", _write(tmp_path, "w.json", cert))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "Traceback" not in err and "'t'" not in err
+
+
 @pytest.mark.parametrize("exponent", [[False], [0, 0]], ids=["false", "too-long"])
 @pytest.mark.parametrize("part", ["num", "den"])
 def test_verify_cert_rejects_bad_exponent_in_a_qt_one(run, tmp_path, part, exponent):

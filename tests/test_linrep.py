@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from ratskew.fields import QQ, Fp, RatFunc, field_from_name
 from ratskew.freealg import FreeElem
 from ratskew import linrep
-from ratskew.linrep import LinRep, NotInvertible, SeriesMatrix, _FieldKernel, _minimise, invert_matrix_series
+from ratskew.linrep import LinRep, NotInvertible, SeriesMatrix, _FieldKernel, invert_matrix_series
 from ratskew.truncated import TruncSeries
 
 F7 = field_from_name("fp:7")
@@ -377,6 +377,20 @@ def test_matrix_inverse_refuses_singular_scalar_part():
         invert_matrix_series(m)
 
 
+def test_matrix_empty_shapes():
+    m = SeriesMatrix.from_entries(QQ, [[]])
+    assert (m.nrows, m.ncols, m.dim) == (1, 0, 0)
+    with pytest.raises(ValueError):
+        m * m
+    # 1 x 0 times 0 x 1 is the 1 x 1 zero matrix, whatever the states hold
+    o = QQ.one()
+    a = SeriesMatrix(QQ, 1, [[o]], {0: [[o]]}, [])
+    b = SeriesMatrix(QQ, 1, [], {0: [[o]]}, [[o]])
+    p = a * b
+    assert (p.nrows, p.ncols, p.dim) == (1, 1, 0)
+    assert b.left_mul_const([[]]).rows == [[QQ.zero()]]
+
+
 def test_matrix_json_round_trip():
     one = LinRep.one(QQ)
     x0 = LinRep.letter(QQ, 0)
@@ -520,6 +534,12 @@ def _rand_wide(rng, field, n, m, density):
     return out
 
 
+def _reduced(field, d, rows, mu, cols):
+    """The reduced block triple of (rows, mu, cols), read as field values."""
+    r = SeriesMatrix(field, d, rows, mu, cols).reduce()
+    return r.dim, r.rows, r.mu, r.cols
+
+
 @pytest.mark.parametrize("field", [QQ, F7, QT], ids=lambda f: f.name)
 def test_integer_kernel_matches_echelon_path(field, monkeypatch):
     """The integer kernels (q, fp:p) and the Z[t] kernel (qt:1) against
@@ -534,10 +554,10 @@ def test_integer_kernel_matches_echelon_path(field, monkeypatch):
         mu = {x: _rand_wide(rng, field, d, d, density) for x in rng.sample(range(4), rng.randint(1, 3))}
         rows = _rand_wide(rng, field, nrows, d, density)
         cols = _rand_wide(rng, field, ncols, d, density)
-        fast = _minimise(field, d, rows, mu, cols)
+        fast = _reduced(field, d, rows, mu, cols)
         with monkeypatch.context() as m:
             m.setattr(linrep, "_kernel", _FieldKernel)
-            slow = _minimise(field, d, rows, mu, cols)
+            slow = _reduced(field, d, rows, mu, cols)
         dk, rk, mk, ck = fast
         assert (dk, rk, list(mk.items()), ck) == (slow[0], slow[1], list(slow[2].items()), slow[3])
         values = [c for r in rk + ck for c in r] + [c for m in mk.values() for r in m for c in r]
@@ -559,3 +579,63 @@ def test_mod_p_search_vectors_are_reduced():
     r = raw.reduce()
     assert r.dim == 2
     assert all(r.coeff(w) == raw.coeff(w) for w in _words_below(4))
+
+
+# -- the stored kernel form against the field-value path -----------------------
+
+def _fresh_json(s):
+    """``to_json`` of s rebuilt from its stored kernel form, so that a kernel
+    list changed after s was built shows even when s has cached its values."""
+    k = linrep._kernel(s.field)
+    return type(s)._of(s.field, k, *s._kb(k)).to_json()
+
+
+def _chain(field, seed, steps=16, max_dim=9):
+    """The to_json of every intermediate of a seeded chain of +, -, *, star,
+    inv, delta and scale, then of a 3 x 3 inverse built from the results.
+    Each operand is checked unchanged after use."""
+    rng = random.Random(seed)
+    pool = [LinRep.from_free(rand_poly(rng, field)) for _ in range(3)]
+    proper = lambda s: s - LinRep.scalar(field, s.tau())
+    ops = {
+        "+": lambda a, b: a + b,
+        "-": lambda a, b: a - b,
+        "*": lambda a, b: a * b,
+        "star": lambda a, b: proper(a).star(),
+        "inv": lambda a, b: (LinRep.one(field) + proper(a)).inv(),
+        "delta": lambda a, b: a.delta(rng.randrange(2)),
+        "scale": lambda a, b: a.scale(field.random(rng, units_only=True)),
+    }
+    out = []
+    for _ in range(steps):
+        name = rng.choice(sorted(ops))
+        a, b = rng.choice(pool), rng.choice(pool)
+        before = (_fresh_json(a), _fresh_json(b))
+        r = ops[name](a, b)
+        assert (_fresh_json(a), _fresh_json(b)) == before, name
+        out.append((name, r.to_json()))
+        if 0 < r.dim <= max_dim:
+            pool.append(r)
+    small = sorted(pool, key=lambda s: s.dim)[:9]
+    entries = [[(LinRep.one(field) if i == j else LinRep.zero(field)) + proper(small[3 * i + j])
+                for j in range(3)] for i in range(3)]
+    m = SeriesMatrix.from_entries(field, entries)
+    before = _fresh_json(m)
+    inv, ok_r, ok_l = invert_matrix_series(m)
+    assert ok_r and ok_l and _fresh_json(m) == before
+    out.append(("invert", inv.to_json()))
+    return out
+
+
+@pytest.mark.parametrize("name", ["q", "fp:7", "qt:1", "qt:2"])
+def test_stored_kernel_form_matches_field_path(name, monkeypatch):
+    """Results computed on the stored kernel form read the same, value for
+    value, as with the identity kernel ``_FieldKernel``, which works on
+    field values throughout; and no operation changes its operands."""
+    field = field_from_name(name)
+    for seed in (1, 2):
+        fast = _chain(field, seed)
+        with monkeypatch.context() as m:
+            m.setattr(linrep, "_kernel", _FieldKernel)
+            slow = _chain(field, seed)
+        assert fast == slow
