@@ -38,6 +38,9 @@ QT_SERIES = "(1 - (t + 1)^-1*x0 - t*x1*x0)^-1 * (2 - (t^2 + 1)^-1*x1)"
 # inverses, multiplied and added again
 NESTED = "((1 - x0)^-1 * (1 + 2*x1*x0))^-1 * (1 - x1 - x0*x1)^-1 + (2 - x0*x1)^-1 * (1 - 3*x1)^-1"
 QT_NESTED = "((1 - t*x0)^-1 * (1 + (t + 1)^-1*x1*x0))^-1 * ((2 - x1)^-1 + t*x0)^-1"
+QT2_UNIT = "1 - (t1 + 1)^-1*x0*x1 + t2*x1 - (2*t1 + t2)^-1*x1*x0"
+QT2_SERIES = "(1 - (t1 + t2)^-1*x0 - t1*x1*x0)^-1 * (2 - (t2^2 + t1)^-1*x1)"
+QT2_NESTED = "((1 - t1*x0)^-1 * (1 + (t1 + t2)^-1*x1*x0))^-1 * ((2 - t2*x1)^-1 + (t1*t2 + 1)^-1*x0)^-1"
 
 VERIFY_CERT = ["verify-cert"]
 REALIZE_VERIFY = ["realize", "verify"]
@@ -70,6 +73,13 @@ COMMANDS = [
     (["series", "eval", "--field", "fp:7", "--json", NESTED], []),
     (["series", "eval", "--field", "qt:1", QT_NESTED], []),
     (["series", "eval", "--field", "qt:1", "--json", QT_NESTED], []),
+    # qt:2 reductions whose vectors have non-constant bivariate denominators
+    (["series", "invert", "--field", "qt:2", QT2_UNIT], []),
+    (["series", "invert", "--field", "qt:2", "--json", QT2_UNIT], []),
+    (["series", "transduce", "--field", "qt:2", "--letter", "0", "--window", "4", QT2_SERIES], []),
+    (["series", "transduce", "--field", "qt:2", "--letter", "1", "--json", QT2_SERIES], []),
+    (["series", "eval", "--field", "qt:2", QT2_NESTED], []),
+    (["series", "eval", "--field", "qt:2", "--json", QT2_NESTED], []),
     (["series", "equal", "--json", "(1 - x0)^-1 - 1", "x0*(1 - x0)^-1"], []),
     (["skew", "mul", "--json", "y0*(1 - x0)^-1", "x0 + y1"], []),
     (["skew", "mul", "--backend", "free", "y1*x0", "x1*y1 + 2"], []),

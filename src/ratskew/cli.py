@@ -352,6 +352,11 @@ def _recheck_skew_witness(obj) -> dict:
         raise ValueError("m must be a list of integer letters, got %r" % (m,))
     m = ring.x_word(tuple(m))
     v = sk.t_equal(m * a * g, ring.one())
+    # the recorded verdict must be the one the re-check reaches
+    for key, want, types in (("check", v.value, (bool,)), ("precision", v.precision, (int, type(None)))):
+        got = obj.get(key, "nothing")
+        if type(got) not in types or got != want:
+            raise ValueError("certificate records %s %r, the re-check gives %r" % (key, got, want))
     return {"kind": "skew_witness", "ok": v.value, "precision": v.precision}
 
 

@@ -17,8 +17,11 @@ unique, so it keeps equality structural, and its inner loops run on plain
 primitive, and lex order is multiplicative, so products and exact
 quotients stay in that form without a gcd.  Polynomials in one variable
 take a dense gcd over Z (:func:`mpoly_gcd`), one of the dense Z[t] helpers
-(``zx_mul``, ``zx_div_exact``, ``zx_gcd``, ``zx_lcm``) on integer
-coefficient lists, which the Z[t] span kernel of ``linrep`` also uses.
+(``zx_mul``, ``zx_div_exact``, ``zx_gcd``, ``zx_lcm``, ...) on integer
+coefficient lists; polynomials in two variables take the dense gcd over
+Z[t2] of the nested helpers (``zxy_*``), on lists over powers of t1 of
+Z[t2] lists.  The polynomial span kernel of ``linrep`` runs on the same
+helpers, for ``qt:1`` and ``qt:2``.
 
 The :class:`RatFunc` operators rely on that invariant: they take canonical
 operands and skip the gcds it makes redundant (zero, one and constant
@@ -32,6 +35,7 @@ read from a file is canonical too.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from operator import add
 
@@ -523,10 +527,234 @@ def zx_lcm(a: list, b: list) -> list:
     return r if r[-1] > 0 else [-x for x in r]
 
 
+def zx_add(a: list, b: list) -> list:
+    """a + b in Z[t]."""
+    if len(a) < len(b):
+        a, b = b, a
+    r = list(a)
+    for i, k in enumerate(b):
+        r[i] += k
+    while r and not r[-1]:
+        r.pop()
+    return r
+
+
+def zx_content(v, g=()) -> list:
+    """The gcd in Z[t] of g and the entries of v, with a positive leading
+    coefficient; [] if all are zero.  Constants go first, so that the gcd
+    is one integer gcd per entry as soon as one occurs."""
+    g = list(g)
+    for x in sorted(filter(None, v), key=len):
+        if g == [1]:
+            break
+        g = zx_gcd(g, x)
+    return g
+
+
+# ---------------------------------------------------------------------------
+# dense Z[t1][t2]: a list over powers of t1 of dense Z[t2] lists, [] for zero
+# ---------------------------------------------------------------------------
+#
+# The lex-leading coefficient (highest power of t1, then of t2) is
+# ``a[-1][-1]``, as in :class:`MPoly`.  The gcd is the primitive
+# pseudo-remainder sequence in t1 over Z[t2] (Collins 1967), with contents
+# taken by :func:`zx_content`.
+
+def zxy_of(p: dict) -> list:
+    """The nested dense form of an ``MPoly`` integer dict in two variables."""
+    out: list = [[] for _ in range(max(p)[0] + 1)]
+    for (i, j), k in p.items():
+        x = out[i]
+        if len(x) <= j:
+            x += [0] * (j + 1 - len(x))
+        x[j] = k
+    return out
+
+
+def zxy_terms(a: list) -> dict:
+    """The ``MPoly`` integer dict of a nested dense polynomial."""
+    return {(i, j): k for i, x in enumerate(a) for j, k in enumerate(x) if k}
+
+
+def zxy_neg(a: list) -> list:
+    return [[-k for k in x] for x in a]
+
+
+def zxy_add(a: list, b: list) -> list:
+    """a + b in Z[t1][t2]."""
+    if len(a) < len(b):
+        a, b = b, a
+    r = list(a)
+    for i, y in enumerate(b):
+        if y:
+            r[i] = zx_add(r[i], y) if r[i] else y
+    while r and not r[-1]:
+        r.pop()
+    return r
+
+
+def zxy_mul(a: list, b: list) -> list:
+    """a * b in Z[t1][t2].  A factor of 1 gives back the other operand, so
+    the result may share lists with an operand; none is mutated."""
+    if not a or not b:
+        return []
+    if len(a) == 1:
+        x = a[0]
+        return b if x == [1] else [zx_mul(x, y) for y in b]
+    if len(b) == 1:
+        y = b[0]
+        return a if y == [1] else [zx_mul(x, y) for x in a]
+    w = max(map(len, a)) + max(map(len, b)) - 1
+    flat = [0] * ((len(a) + len(b) - 1) * w)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if x and y:
+                base = (i + j) * w
+                for e, p in enumerate(x):
+                    if p:
+                        for f, q in enumerate(y):
+                            flat[base + e + f] += p * q
+    out = []
+    for s in range(0, len(flat), w):
+        r = flat[s:s + w]
+        while r and not r[-1]:
+            r.pop()
+        out.append(r)
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _zx_submul(r: list, c: list, y: list) -> list:
+    """r - c*y in Z[t]."""
+    return zx_add(r, [-k for k in zx_mul(c, y)])
+
+
+def zxy_div_exact(a: list, b: list) -> list:
+    """a / b in Z[t1][t2]; raises ValueError unless b divides a."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    if len(b) == 1:
+        y = b[0]
+        if len(y) == 1:  # an integer
+            k = y[0]
+            if k == 1:
+                return a
+            if any(c % k for x in a for c in x):
+                raise ValueError("inexact polynomial division")
+            return [[c // k for c in x] for x in a]
+        return [zx_div_exact(x, y) if x else [] for x in a]
+    db, lb = len(b) - 1, b[-1]
+    if len(a) <= db:
+        if a:
+            raise ValueError("inexact polynomial division")
+        return []
+    rem = list(a)
+    q: list = [[]] * (len(a) - db)
+    for k in range(len(q) - 1, -1, -1):
+        r = rem[k + db]
+        if r:
+            c = q[k] = zx_div_exact(r, lb)
+            for i, y in enumerate(b):
+                if y:
+                    rem[k + i] = _zx_submul(rem[k + i], c, y)
+    if any(rem):
+        raise ValueError("inexact polynomial division")
+    return q
+
+
+def zxy_content(v, g=()) -> list:
+    """The gcd in Z[t1][t2] of g and the entries of v, as
+    :func:`zx_content`; if one of them is an integer, the gcd of all their
+    integer coefficients."""
+    polys = [x for x in v if x]
+    if g:
+        polys.append(g)
+    if any(len(x) == 1 and len(x[0]) == 1 for x in polys):
+        return [[gcd(*chain.from_iterable(chain.from_iterable(polys)))]]
+    g = []
+    for x in sorted(polys, key=len):
+        if g == [[1]]:
+            break
+        g = zxy_gcd(g, x)
+    return g
+
+
+def _zxy_prem(a: list, b: list) -> list:
+    """A nonzero multiple of ``a mod b`` in t1, for ``deg a >= deg b``,
+    made primitive over Z[t2] unless its degree in t1 is 0 (which ends a
+    remainder sequence, so its content is never needed).  Each step scales
+    by ``lc(b)`` and subtracts ``lc(r)`` times a shift of b, as in
+    :func:`_dense_prem`; the two are divided by their gcd only when both
+    are integers, since a gcd in Z[t2] per step costs more than the growth
+    it saves (on the qt:2 5 x 5 of ``scripts/invert_sizes.py``, building
+    the matrix took 61 s with it and 33 s without)."""
+    db, lb = len(b) - 1, b[-1]
+    r = a
+    while len(r) > db:
+        lr = r[-1]
+        if len(lr) == len(lb) == 1:
+            g = gcd(lr[0], lb[0])
+            u, w = [lb[0] // g], [lr[0] // g]
+        else:
+            u, w = lb, lr
+        k = len(r) - 1 - db
+        r = [zx_mul(u, x) for x in r[:-1]]
+        for i, y in enumerate(b[:-1]):
+            if y:
+                r[k + i] = _zx_submul(r[k + i], w, y)
+        while r and not r[-1]:
+            r.pop()
+    if len(r) > 1:
+        h = zx_content(r)
+        if h != [1]:
+            r = [zx_div_exact(x, h) if x else x for x in r]
+    return r
+
+
+def zxy_gcd(a: list, b: list) -> list:
+    """gcd in Z[t1][t2] with a positive lex-leading coefficient, [] for
+    gcd(0, 0): the gcd of the contents over Z[t2] times the primitive gcd
+    in t1."""
+    if not a or not b:
+        a = a or b
+        return a if not a or a[-1][-1] > 0 else zxy_neg(a)
+    if len(a) == 1 or len(b) == 1:  # one operand lies in Z[t2]
+        if len(a) != 1:
+            a, b = b, a
+        x = a[0]
+        if len(x) == 1:  # an integer
+            return [[gcd(x[0], *chain.from_iterable(b))]]
+        return [zx_content(b, x)]
+    ca, cb = zx_content(a), zx_content(b)
+    if ca != [1]:
+        a = [zx_div_exact(x, ca) for x in a]
+    if cb != [1]:
+        b = [zx_div_exact(x, cb) for x in b]
+    c = zx_gcd(ca, cb)
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        a, b = b, _zxy_prem(a, b)
+    if b:  # a nonzero remainder of degree 0 in t1: the primitive parts are coprime
+        return [c]
+    if a[-1][-1] < 0:
+        c = [-k for k in c]
+    return zxy_mul([c], a)
+
+
+def zxy_lcm(a: list, b: list) -> list:
+    """lcm in Z[t1][t2] of nonzero a and b, with a positive lex-leading
+    coefficient."""
+    r = zxy_mul(zxy_div_exact(a, zxy_gcd(a, b)), b)
+    return r if r[-1][-1] > 0 else zxy_neg(r)
+
+
 def mpoly_gcd(f: MPoly, g: MPoly) -> MPoly:
     """Monic gcd via the primitive pseudo-remainder sequence: dense over Z
-    when both operands are polynomials in one and the same variable,
-    recursive in the smallest common variable otherwise."""
+    when both operands are polynomials in one and the same variable, dense
+    over Z[t2] (:func:`zxy_gcd`) in two variables, and recursive in the
+    smallest common variable otherwise."""
     if f.is_zero():
         return g.monic()
     if g.is_zero():
@@ -540,6 +768,9 @@ def mpoly_gcd(f: MPoly, g: MPoly) -> MPoly:
     v = min(common)
     if len(vf) == 1 and vf == vg:
         return _dense_gcd(f, g, v)
+    if f.nvars == 2:
+        h = zxy_gcd(zxy_of(f.p), zxy_of(g.p))
+        return MPoly._normal(2, zxy_terms(h), _ONE).monic()
     cf, cg = _content(f, v), _content(g, v)
     a, b = f.div_exact(cf), g.div_exact(cg)
     if a.deg(v) < b.deg(v):

@@ -36,15 +36,17 @@ kernel.  Over ``q`` and ``fp:p`` the kernel works on plain integers: a
 vector is its integers over one denominator, a letter matrix its integer
 columns over one denominator, and the search and the elimination run in
 ``la.IntEchelon`` with no ``Fraction`` or ``Fp`` in the inner loop.  Over
-``qt:1`` the kernel works the same way on dense Z[t] polynomials over one
-common integer-polynomial denominator, and the elimination runs
-fraction-free in ``la.PolyEchelon`` with no ``RatFunc`` in the inner loop.
-That is exact because scaling a vector or a letter matrix does not change
-the span of row * mu(w), and a subspace has exactly one reduced row-echelon
-basis: the integer or polynomial basis is that basis with each row scaled
-by its pivot, so the pivot-1 rows, and every value read from them, are the
-same as ``la.Echelon`` gives.  Only ``qt:r`` with r >= 2 runs the search on
-its own values with ``la.Echelon``: its kernel is the identity.
+``qt:1`` and ``qt:2`` one polynomial kernel works the same way on dense
+polynomials over one common polynomial denominator, in Z[t] or in
+Z[t1][t2] (the coefficient ring ``la.ZX`` or ``la.ZXY``), and the
+elimination runs fraction-free in ``la.PolyEchelon`` over the same ring,
+with no ``RatFunc`` in the inner loop.  That is exact because scaling a
+vector or a letter matrix does not change the span of row * mu(w), and a
+subspace has exactly one reduced row-echelon basis: the integer or
+polynomial basis is that basis with each row scaled by its pivot, so the
+pivot-1 rows, and every value read from them, are the same as
+``la.Echelon`` gives.  Only ``qt:r`` with r >= 3 runs the search on its own
+values with ``la.Echelon``: its kernel is the identity.
 ``LinRep.min_word`` runs its level search on the same kernels.
 
 The kernel form is the stored state.  A representation built by an
@@ -77,9 +79,9 @@ from math import gcd, lcm
 from operator import mul
 
 from .fields import (Field, Fp, FunctionField, MPoly, PrimeField, RatFunc, RationalField, scalar_from_json,
-                     scalar_to_json, zx_div_exact, zx_gcd, zx_lcm, zx_mul)
+                     scalar_to_json)
 from .freealg import FreeElem
-from .la import Echelon, IntEchelon, PolyEchelon, dot, identity, invert_matrix, vec_mat, zx_content
+from .la import POLY_RINGS, Echelon, IntEchelon, PolyEchelon, dot, identity, invert_matrix, vec_mat
 from .words import word_key
 
 
@@ -89,7 +91,8 @@ from .words import word_key
 
 class _FieldKernel:
     """Vectors and matrices as field values, eliminated by ``la.Echelon``;
-    the kernel of ``qt:r`` with r >= 2.
+    the kernel of ``qt:r`` with r >= 3, and the reference the other kernels
+    are tested against.
 
     A kernel converts field vectors and letter matrices to its own form
     (``vec``, ``mat``) and back (``out``, ``out_m``), gives the search
@@ -365,69 +368,8 @@ class _IntKernel:
 
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 _ratio = Fraction.as_integer_ratio
-_E0 = (0,)  # the exponent of a constant in one variable
-
-
-def _dense(p: dict) -> list:
-    """The dense coefficient list of a univariate ``MPoly`` integer dict."""
-    out = [0] * (max(p)[0] + 1)
-    for (k,), c in p.items():
-        out[k] = c
-    return out
-
-
-def _sparse(a: list) -> dict:
-    """The ``MPoly`` integer dict of a dense coefficient list."""
-    return {(k,): c for k, c in enumerate(a) if c}
-
-
-def _zx_add(a, b):
-    """a + b in Z[t]."""
-    if len(a) < len(b):
-        a, b = b, a
-    r = list(a)
-    for i, k in enumerate(b):
-        r[i] += k
-    while r and not r[-1]:
-        r.pop()
-    return r
-
-
-def _zx_dot(v, col):
-    """sum v[i] * y over the entries (i, y) of a sparse column, in Z[t]."""
-    c0 = 0
-    acc = None
-    for i, y in col:
-        x = v[i]
-        if not x:
-            continue
-        if len(x) == 1 and len(y) == 1:
-            c0 += x[0] * y[0]
-            continue
-        n = len(x) + len(y) - 1
-        if acc is None:
-            acc = [0] * n
-        elif len(acc) < n:
-            acc += [0] * (n - len(acc))
-        for e, a in enumerate(x):
-            if a:
-                for f, b in enumerate(y):
-                    acc[e + f] += a * b
-    if acc is None:
-        return [c0] if c0 else []
-    acc[0] += c0
-    while acc and not acc[-1]:
-        acc.pop()
-    return acc
-
-
-def _zx_lcm_of(dens):
-    big = [1]
-    for d in dens:
-        if d != big:
-            big = zx_lcm(big, d)
-    return big
 
 
 def _sparse_col(polys):
@@ -443,56 +385,69 @@ def _dense_col(col, n):
 
 
 class _PolyKernel:
-    """Q(t) (``qt:1``) on dense Z[t] polynomials, eliminated by ``la.PolyEchelon``.
+    """Q(t) (``qt:1``) or Q(t1,t2) (``qt:2``) on the dense polynomials of
+    ``ring``, Z[t] or Z[t1][t2] (``la.ZX``, ``la.ZXY``), eliminated by
+    ``la.PolyEchelon`` over the same ring.
 
-    A polynomial is an ``int`` list, lowest degree first, ``[]`` for zero.
-    A vector is a pair (polys, den) standing for polys / den, with den a
-    polynomial of positive leading coefficient.  A letter matrix is a pair
-    (columns, den), as in :class:`_IntKernel`, with each column sparse, a
-    list of (row index, nonzero polynomial): letter matrices are mostly
-    zero.  Entries over a constant denominator, most of them in practice,
-    convert with no polynomial lcm, and an output over a constant
-    denominator is built with no gcd.
+    Zero is ``[]``.  A vector is a pair (polys, den) standing for polys /
+    den, with den a polynomial of positive lex-leading coefficient.  A
+    letter matrix is a pair (columns, den), as in :class:`_IntKernel`, with
+    each column sparse, a list of (row index, nonzero polynomial): letter
+    matrices are mostly zero.  Entries over a constant denominator, most of
+    them in practice, convert with no polynomial lcm, and an output over a
+    constant denominator is built with no gcd.  The ring's operations are
+    bound once, here, so that the inner loops look up no ring.
     """
 
-    def __init__(self, field: Field) -> None:
+    def __init__(self, field: Field, ring) -> None:
         self.zero = field.zero()
         self._den1 = field.one().den
+        self.ring = ring
+        self.one = ring.one
+        self._dot, self._mul, self._div, self._gcd = ring.dot, ring.mul, ring.div_exact, ring.gcd
+
+    def _lcm_of(self, dens):
+        big, lcm_ = self.one, self.ring.lcm
+        for d in dens:
+            if d != big:
+                big = lcm_(big, d)
+        return big
 
     def _convert(self, values):
         """(polys, den) with polys / den equal to the nonzero field values."""
+        ring = self.ring
+        of, e0, mul = ring.of, ring.e0, self._mul
         ents = []
-        dens: dict = {}  # each non-constant denominator -> its cofactor in their lcm lp
+        dens: dict = {}  # each non-constant denominator's terms -> its cofactor in their lcm lp
         big = 1
         for a in values:
             num, dp = a.num, a.den.p
-            if len(dp) == 1 and _E0 in dp:
+            if len(dp) == 1 and e0 in dp:
                 q, key = num.c, None
             else:
-                q, key = num.c / a.den.c, tuple(_dense(dp))
-                dens[key] = None
+                q, key = num.c / a.den.c, tuple(dp.items())
+                dens[key] = dp
             p = num.p
-            ents.append((q, None if len(p) == 1 and _E0 in p else p, key))
+            ents.append((q, None if len(p) == 1 and e0 in p else p, key))
             if q.denominator != 1:
                 big = lcm(big, q.denominator)
         if dens:
-            keys = iter(dens)
-            lp = list(next(keys))
-            for k in keys:
-                lp = zx_lcm(lp, list(k))
-            for k in dens:
-                dens[k] = zx_div_exact(lp, list(k))
+            polys = {k: of(dp) for k, dp in dens.items()}
+            lp = self._lcm_of(polys.values())
+            for k, d in polys.items():
+                dens[k] = self._div(lp, d)
         else:
-            lp = [1]
+            lp = self.one
         dens[None] = lp
+        const = ring.const
         out = []
         for q, p, key in ents:
             k = q.numerator * (big // q.denominator)
             m = dens[key]
             if p is not None:
-                m = zx_mul(_dense(p), m)
-            out.append([k * c for c in m] if k != 1 else m)
-        return out, [big * c for c in lp]
+                m = mul(of(p), m)
+            out.append(m if k == 1 else mul(const(k), m))
+        return out, lp if big == 1 else mul(const(big), lp)
 
     def vec(self, v):
         zero = self.zero
@@ -518,24 +473,25 @@ class _PolyKernel:
         return v[0]
 
     def _to_field(self, polys, den):
+        """The field values polys[i] / den.  Over a constant den the
+        numerator's content is 1 / den; otherwise x / den is (x / g) / (d / g)
+        with g their gcd, and with d = c * P for the integer content c of d,
+        the monic denominator is P / lc(P) and the numerator's content
+        1 / (c * lc(P)) = 1 / lc(d)."""
+        ring = self.ring
+        nv, terms, lead, is_const = ring.nvars, ring.terms, ring.lead, ring.is_const
         zero, den1, out = self.zero, self._den1, []
         for x in polys:
             if not x:
                 out.append(zero)
                 continue
             d = den
-            if len(d) > 1:
-                g = zx_gcd(x, d)
-                if g != [1]:
-                    x, d = zx_div_exact(x, g), zx_div_exact(d, g)
-            if len(d) == 1:
-                out.append(RatFunc._of(MPoly._normal(1, _sparse(x), Fraction(1, d[0])), den1))
-                continue
-            c = gcd(*d)
-            lc = d[-1] // c
-            pd = d if c == 1 else [k // c for k in d]
-            out.append(RatFunc._of(MPoly._normal(1, _sparse(x), Fraction(1, c * lc)),
-                                   MPoly._of(1, _sparse(pd), Fraction(1, lc))))
+            if not is_const(d):
+                g = self._gcd(x, d)
+                if g != self.one:
+                    x, d = self._div(x, g), self._div(d, g)
+            num = MPoly._normal(nv, terms(x), Fraction(1, lead(d)))
+            out.append(RatFunc._of(num, den1 if is_const(d) else MPoly._normal(nv, terms(d), _ONE).monic()))
         return out
 
     def out(self, v):
@@ -558,84 +514,82 @@ class _PolyKernel:
         return any(m[0])
 
     def echelon(self, n):
-        return PolyEchelon()
+        return PolyEchelon(self.ring)
 
     def vec_mat(self, v, m):
-        """v * M, made primitive over Z[t]."""
-        w = [_zx_dot(v, c) for c in m[0]]
-        g = zx_content(w)
-        return w if g == [1] or not g else [zx_div_exact(x, g) for x in w]
+        """v * M, made primitive over the ring."""
+        dot = self._dot
+        w = [dot(v, c) for c in m[0]]
+        g = self.ring.content(w)
+        if g == self.one or not g:
+            return w
+        div = self._div
+        return [div(x, g) if x else x for x in w]
 
     def pairs(self, v, c):
-        return bool(_zx_dot(v, _sparse_col(c[0])))
+        return bool(self._dot(v, _sparse_col(c[0])))
 
     def read(self, v, piv):
         polys = v[0]
         return [polys[p] for p in piv], v[1]
 
     def _scales(self, ech):
-        """Row i of the Z[t] basis is a_i times row i of the pivot-1 basis;
+        """Row i of the ring basis is a_i times row i of the pivot-1 basis;
         with L = lcm(a_i), (L / a_i) * x / L is x / a_i."""
         a = [r[q] for r, q in zip(ech.rows, ech.pivots)]
-        big = [1]
-        for ai in a:
-            big = zx_lcm(big, ai)
-        return [zx_div_exact(big, ai) for ai in a], big
+        big = self._lcm_of(a)
+        return [self._div(big, ai) for ai in a], big
 
     def _column(self, ech, scale, col):
-        return [(i, zx_mul(s, x)) for i, (b, s) in enumerate(zip(ech.rows, scale))
-                if (x := _zx_dot(b, col))]
+        dot, mul = self._dot, self._mul
+        return [(i, mul(s, x)) for i, (b, s) in enumerate(zip(ech.rows, scale)) if (x := dot(b, col))]
 
     def restrict(self, ech, ms):
         scale, big = self._scales(ech)
-        return [([self._column(ech, scale, cols[q]) for q in ech.pivots], zx_mul(den, big)) for cols, den in ms]
+        mul = self._mul
+        return [([self._column(ech, scale, cols[q]) for q in ech.pivots], mul(den, big)) for cols, den in ms]
 
     def coords(self, ech, cs):
         scale, big = self._scales(ech)
+        dot, mul = self._dot, self._mul
         out = []
         for polys, den in cs:
             col = _sparse_col(polys)
-            out.append(([zx_mul(s, _zx_dot(b, col)) for b, s in zip(ech.rows, scale)], zx_mul(den, big)))
+            out.append(([mul(s, dot(b, col)) for b, s in zip(ech.rows, scale)], mul(den, big)))
         return out
 
     def zeros(self, n):
-        return [[]] * n, [1]
+        return [[]] * n, self.one
 
     def units(self, n):
-        return [([[1] if i == j else [] for i in range(n)], [1]) for j in range(n)]
-
-    @staticmethod
-    def _gcd_with(polys, den):
-        """The gcd of den and the polys in Z[t]; constants go first, so that
-        it is one integer gcd per entry as soon as one occurs."""
-        g = den
-        for x in sorted(filter(None, polys), key=len):
-            if g == [1]:
-                break
-            g = zx_gcd(g, x)
-        return g
+        one = self.one
+        return [([one if i == j else [] for i in range(n)], one) for j in range(n)]
 
     def norm(self, v):
         """v with the gcd of its entries and its denominator divided out."""
         polys, den = v
-        g = self._gcd_with(polys, den)
-        return v if g == [1] else ([zx_div_exact(x, g) for x in polys], zx_div_exact(den, g))
+        g = self.ring.content(polys, den)
+        if g == self.one:
+            return v
+        div = self._div
+        return [div(x, g) if x else x for x in polys], div(den, g)
 
     def norm_m(self, m):
         cols, den = m
-        g = self._gcd_with([x for c in cols for _, x in c], den)
-        if g == [1]:
+        g = self.ring.content([x for c in cols for _, x in c], den)
+        if g == self.one:
             return m
-        return [[(i, zx_div_exact(x, g)) for i, x in c] for c in cols], zx_div_exact(den, g)
+        div = self._div
+        return [[(i, div(x, g)) for i, x in c] for c in cols], div(den, g)
 
-    @staticmethod
-    def _common(vs):
+    def _common(self, vs):
         """The polynomial lists of the vectors vs over their least common denominator."""
-        big = _zx_lcm_of([d for _, d in vs])
+        big = self._lcm_of([d for _, d in vs])
+        one, mul = self.one, self._mul
         out = []
         for p, d in vs:
-            f = [1] if d == big else zx_div_exact(big, d)
-            out.append(p if f == [1] else [zx_mul(f, x) for x in p])
+            f = one if d == big else self._div(big, d)
+            out.append(p if f == one else [mul(f, x) for x in p])
         return out, big
 
     def cat(self, vs):
@@ -645,7 +599,8 @@ class _PolyKernel:
     def grid(self, dims, blocks):
         """The matrix whose block (g, h), dims[g] x dims[h], is blocks[g, h],
         zero where absent, over the lcm of the blocks' denominators."""
-        big = _zx_lcm_of([m[1] for m in blocks.values()])
+        big = self._lcm_of([m[1] for m in blocks.values()])
+        one, mul = self.one, self._mul
         out = []
         for h, nh in enumerate(dims):
             cols = [[] for _ in range(nh)]
@@ -653,34 +608,37 @@ class _PolyKernel:
             for g, ng in enumerate(dims):
                 m = blocks.get((g, h))
                 if m is not None:
-                    f = [1] if m[1] == big else zx_div_exact(big, m[1])
+                    f = one if m[1] == big else self._div(big, m[1])
                     for c, y in zip(cols, m[0]):
-                        c += y if off == 0 and f == [1] else [(i + off, zx_mul(f, x)) for i, x in y]
+                        c += y if off == 0 and f == one else [(i + off, mul(f, x)) for i, x in y]
                 off += ng
             out += cols
         return out, big
 
     def vm(self, v, m):
         """v * M, exactly."""
-        return self.norm(([_zx_dot(v[0], c) for c in m[0]], zx_mul(v[1], m[1])))
+        dot = self._dot
+        return self.norm(([dot(v[0], c) for c in m[0]], self._mul(v[1], m[1])))
 
     def outer(self, us, vs, base=None):
         """base + sum_k us[k] vs[k], with the us as columns and the vs as
         rows; no base is the zero matrix."""
         (u, du), (v, dv) = self._common(us), self._common(vs)
+        dot, mul = self._dot, self._mul
         exits = [(i, e) for i, e in enumerate(map(_sparse_col, zip(*u))) if e]  # e holds the us[k][i]
-        cols = [[(i, y) for i, e in exits if (y := _zx_dot(vj, e))] for vj in zip(*v)]
-        den = zx_mul(du, dv)
+        cols = [[(i, y) for i, e in exits if (y := dot(vj, e))] for vj in zip(*v)]
+        den = mul(du, dv)
         if base is not None:
             bc, bd = base
-            big = _zx_lcm_of([den, bd])
-            fc, fb = zx_div_exact(big, den), zx_div_exact(big, bd)
+            big = self._lcm_of([den, bd])
+            fc, fb = self._div(big, den), self._div(big, bd)
+            add = self.ring.add
             merged = []
             for c, b in zip(cols, bc):
-                acc = {i: zx_mul(fb, y) for i, y in b}
+                acc = {i: mul(fb, y) for i, y in b}
                 for i, y in c:
-                    y = zx_mul(fc, y)
-                    acc[i] = _zx_add(acc[i], y) if i in acc else y
+                    y = mul(fc, y)
+                    acc[i] = add(acc[i], y) if i in acc else y
                 merged.append([(i, y) for i, y in acc.items() if y])
             cols, den = merged, big
         return self.norm_m((cols, den))
@@ -690,10 +648,11 @@ class _PolyKernel:
         if not c:
             return self.zeros(len(polys))
         (cp,), cd = self._convert([c])
-        return self.norm(([zx_mul(cp, x) for x in polys], zx_mul(den, cd)))
+        mul = self._mul
+        return self.norm(([mul(cp, x) for x in polys], mul(den, cd)))
 
     def dot(self, u, v):
-        return self._to_field([_zx_dot(u[0], _sparse_col(v[0]))], zx_mul(u[1], v[1]))[0]
+        return self._to_field([self._dot(u[0], _sparse_col(v[0]))], self._mul(u[1], v[1]))[0]
 
 
 _KERNELS: dict = {}
@@ -708,8 +667,8 @@ def _kernel(field: Field):
             k = _IntKernel(0)
         elif isinstance(field, PrimeField):
             k = _IntKernel(field.p)
-        elif isinstance(field, FunctionField) and field.nvars == 1:
-            k = _PolyKernel(field)
+        elif isinstance(field, FunctionField) and field.nvars in POLY_RINGS:
+            k = _PolyKernel(field, POLY_RINGS[field.nvars])
         else:
             k = _FieldKernel(field)
         _KERNELS[field.name] = k

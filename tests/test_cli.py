@@ -252,6 +252,25 @@ def test_verify_cert_rejects_bad_skew_witness_fields(run, tmp_path, part, key, v
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("check", False),       # a verdict the re-check does not reach
+    ("check", "true"),      # a verdict that is not a boolean
+    ("precision", 6),       # a window claimed for an exact verdict
+    ("precision", "two"),   # a window that is not an integer
+    ("precision", None),    # no recorded window at all
+], ids=["check", "check_type", "precision", "precision_type", "precision_missing"])
+def test_verify_cert_rejects_misrecorded_skew_witness_verdict(run, tmp_path, key, value):
+    code, cert = jrun(run, "skew", "witness", "--json", "1 - x0")
+    assert code == 0 and (cert["check"], cert["precision"]) == (True, None)
+    if value is None:
+        del cert[key]
+    else:
+        cert[key] = value
+    code, out, err = run("verify-cert", _write(tmp_path, "w.json", cert))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and key in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("part", ["input", "g"])
 @pytest.mark.parametrize("key, value", [
     ("precision", "two"),  # a window that is not an integer

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from ratskew.fields import (Fp, FunctionField, MPoly, PrimeField, QQ, RatFunc,
                             field_from_name, mpoly_gcd, scalar_from_json,
-                            scalar_to_json, zx_div_exact, zx_gcd, zx_lcm, zx_mul)
+                            scalar_to_json, zx_div_exact, zx_gcd, zx_lcm, zx_mul, zxy_add,
+                            zxy_div_exact, zxy_gcd, zxy_lcm, zxy_mul, zxy_neg, zxy_terms)
 
 F7 = field_from_name("fp:7")
 QT = field_from_name("qt:1")
@@ -528,3 +529,81 @@ def test_zx_lcm_is_divisible_by_both(a, b):
     # the least such: lcm * gcd = +-a*b
     ab = zx_mul(a, b)
     assert zx_mul(m, zx_gcd(a, b)) in (ab, [-x for x in ab])
+
+
+# -- dense Z[t1][t2] helpers ----------------------------------------------------
+
+# 1 + t1, t1 + t2, 1 + t2, 2 + 3*t1*t2, t2^2 - 1, 1 + t1^2
+_ZXY_POOL = [[[1], [1]], [[0, 1], [1]], [[1, 1]], [[2], [0, 3]], [[-1, 0, 1]], [[1], [], [1]]]
+
+
+def _zxy_trim(a):
+    a = [_zx_trim(x) for x in a]
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+@st.composite
+def _zxy(draw, nonzero=False):
+    """As :func:`_zx`, in Z[t1][t2]: an integer times pool factors times a
+    random polynomial of degree <= 2 in each variable."""
+    p = _zxy_trim(draw(st.lists(st.lists(st.integers(-4, 4), max_size=3), max_size=3)))
+    if not p:
+        if not nonzero:
+            return []
+        p = [[draw(st.sampled_from([-3, -1, 1, 2]))]]
+    for f in draw(st.lists(st.sampled_from(_ZXY_POOL), max_size=3)):
+        p = zxy_mul(p, f)
+    return zxy_mul([[draw(st.sampled_from([1, -1, 2, -6]))]], p)
+
+
+def _as_mpoly(a, nvars=2, embed=lambda e: e):
+    return MPoly._normal(nvars, {embed(e): k for e, k in zxy_terms(a).items()}, Fraction(1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_zxy(), b=_zxy(nonzero=True))
+def test_zxy_div_exact_inverts_mul_and_refuses_an_inexact_quotient(a, b):
+    ab = zxy_mul(a, b)
+    assert _as_mpoly(ab) == _as_mpoly(a) * _as_mpoly(b)  # against the sparse product
+    assert zxy_div_exact(ab, b) == a
+    if b not in ([[1]], [[-1]]):  # b divides ab + 1 only if it is a unit
+        with pytest.raises(ValueError, match="inexact"):
+            zxy_div_exact(zxy_add(ab, [[1]]), b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_zxy(), b=_zxy())
+def test_zxy_gcd_divides_both_with_coprime_cofactors(a, b):
+    g = zxy_gcd(a, b)
+    if not a and not b:
+        assert g == []
+        return
+    assert g[-1][-1] > 0
+    u, v = zxy_div_exact(a, g), zxy_div_exact(b, g)
+    assert zxy_mul(u, g) == a and zxy_mul(v, g) == b
+    assert zxy_gcd(u, v) == [[1]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_zxy(nonzero=True), b=_zxy(nonzero=True))
+def test_zxy_lcm_times_gcd_is_the_product(a, b):
+    m = zxy_lcm(a, b)
+    assert m[-1][-1] > 0
+    assert zxy_mul(zxy_div_exact(m, a), a) == m and zxy_mul(zxy_div_exact(m, b), b) == m
+    ab = zxy_mul(a, b)
+    assert zxy_mul(m, zxy_gcd(a, b)) in (ab, zxy_neg(ab))
+
+
+@settings(max_examples=150, deadline=None)
+@given(f=_zxy(), g=_zxy(), s=_zxy(nonzero=True))
+def test_mpoly_gcd_bivariate_path_agrees_with_recursive_path(f, g, s):
+    """Operands in two variables take the dense Z[t1][t2] gcd; the same
+    operands embedded in three variables take the recursive one.  The
+    second embedding changes the lex order, hence which monic multiple."""
+    f, g = zxy_mul(f, s), zxy_mul(g, s)
+    h = mpoly_gcd(_as_mpoly(f), _as_mpoly(g))
+    for embed in (lambda e: (e[0], e[1], 0), lambda e: (e[1], 0, e[0])):
+        want = mpoly_gcd(_as_mpoly(f, 3, embed), _as_mpoly(g, 3, embed))
+        assert MPoly._normal(3, {embed(e): k for e, k in h.p.items()}, h.c).monic() == want

@@ -15,6 +15,7 @@ from ratskew.truncated import TruncSeries
 
 F7 = field_from_name("fp:7")
 QT = field_from_name("qt:1")
+QT2 = field_from_name("qt:2")
 
 
 def rand_poly(rng, field, nletters=2, terms=3, maxlen=2):
@@ -358,15 +359,19 @@ def _perturbed_identity(field, n, rng):
 
 
 def test_qt_matrix_inverse_matches_field_kernel(monkeypatch):
-    """A 5 x 5 inversion over qt:1 (block dim 19), checked two-sided, whose
-    inverse is the same, value for value, as with the field kernel."""
-    m = _perturbed_identity(QT, 5, random.Random(1))
-    inv, ok_r, ok_l = invert_matrix_series(m)
-    assert ok_r and ok_l
-    with monkeypatch.context() as p:
-        p.setattr(linrep, "_kernel", _FieldKernel)
-        ref = invert_matrix_series(m)[0]
-    assert inv.to_json() == ref.to_json()
+    """A 5 x 5 inversion over qt:1 (block dim 19) and a 3 x 3 over qt:2
+    (block dim 11), checked two-sided, whose inverses are the same, value
+    for value, as with the field kernel.  (The qt:2 4 x 4 inverts in under
+    a second, but reading its inverse entry by entry in ``to_json`` takes
+    minutes.)"""
+    for field, n in ((QT, 5), (QT2, 3)):
+        m = _perturbed_identity(field, n, random.Random(1))
+        inv, ok_r, ok_l = invert_matrix_series(m)
+        assert ok_r and ok_l
+        with monkeypatch.context() as p:
+            p.setattr(linrep, "_kernel", _FieldKernel)
+            ref = invert_matrix_series(m)[0]
+        assert inv.to_json() == ref.to_json()
 
 
 def test_matrix_inverse_refuses_singular_scalar_part():
@@ -504,26 +509,27 @@ def test_series_matrix_reduce_dim_is_block_hankel_rank(field):
 
 def _rand_wide(rng, field, n, m, density):
     """Entries n/k with |n| <= 10**6 and k <= 7 (k < 7 over fp:7); about
-    half the rows get a negative leading entry.  Over qt:1, where generic
+    half the rows get a negative leading entry.  Over qt:r, where generic
     entries make the coefficients grow with every word, |n| <= 10, and a
     quarter of the entries are instead small rational functions: a linear
-    polynomial with an integer content of 2 to 4 and a leading coefficient
-    of either sign, c/(t + j), or (t - j)/(t^2 + j)."""
+    polynomial in t = t1 with an integer content of 2 to 4 and a leading
+    coefficient of either sign, c/(u + j), or (t - j)/(t*u + j), with u
+    the last variable (u = t over qt:1)."""
     kmax = 6 if field == F7 else 7
     wide = lambda lo: field.from_fraction(Fraction(rng.randint(lo, 10**6), rng.randint(1, kmax)))
-    if field == QT:
-        t = QT.var(0)
+    if field in (QT, QT2):
+        t, u = field.var(0), field.var(field.nvars - 1)
         base = lambda lo: field.from_fraction(Fraction(rng.randint(max(lo, -10), 10), rng.randint(1, kmax)))
 
         def wide(lo):
             r = rng.random()
             if r < 0.1:
                 g = rng.randint(2, 4)
-                return QT.from_int(g * rng.choice((-3, -1, 1, 2))) * t + g * rng.randint(-2, 3)
+                return field.from_int(g * rng.choice((-3, -1, 1, 2))) * t + g * rng.randint(-2, 3)
             if r < 0.2:
-                return QT.from_int(rng.choice((-2, -1, 1, 3))) / (t + rng.randint(1, 5))
+                return field.from_int(rng.choice((-2, -1, 1, 3))) / (u + rng.randint(1, 5))
             if r < 0.25:
-                return (t - rng.randint(0, 2)) / (t * t + rng.randint(1, 3))
+                return (t - rng.randint(0, 2)) / (t * u + rng.randint(1, 3))
             return base(lo)
     out = []
     for _ in range(n):
@@ -540,16 +546,19 @@ def _reduced(field, d, rows, mu, cols):
     return r.dim, r.rows, r.mu, r.cols
 
 
-@pytest.mark.parametrize("field", [QQ, F7, QT], ids=lambda f: f.name)
+@pytest.mark.parametrize("field", [QQ, F7, QT, QT2], ids=lambda f: f.name)
 def test_integer_kernel_matches_echelon_path(field, monkeypatch):
-    """The integer kernels (q, fp:p) and the Z[t] kernel (qt:1) against
-    the field-value elimination of ``_FieldKernel``."""
+    """The integer kernels (q, fp:p) and the polynomial kernels (qt:1 over
+    Z[t], qt:2 over Z[t1][t2]) against the field-value elimination of
+    ``_FieldKernel``."""
     rng = random.Random(71)
-    kind = {QQ: Fraction, F7: Fp, QT: RatFunc}[field]
+    kind = {QQ: Fraction, F7: Fp, QT: RatFunc, QT2: RatFunc}[field]
     reduced = 0
     for _ in range(60):
         nrows, ncols = rng.choice(((1, 1), (1, 1), (1, 2), (2, 3)))
-        d = rng.randint(1, 5 if field == QT else 7)  # a generic qt:1 dim-7 span takes seconds
+        # a generic qt:1 dim-7 span takes seconds, and a dense qt:2 dim-5 one
+        # minutes, in either kernel
+        d = rng.randint(1, {QT: 5, QT2: 4}.get(field, 7))
         density = rng.choice((0.25, 0.4, 0.7))
         mu = {x: _rand_wide(rng, field, d, d, density) for x in rng.sample(range(4), rng.randint(1, 3))}
         rows = _rand_wide(rng, field, nrows, d, density)
