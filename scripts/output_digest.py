@@ -6,6 +6,10 @@ of its stdout, its exit code and the command.  Every subcommand runs at
 least once.  Every certificate a command emits is also fed back to
 ``verify-cert`` (and a generator certificate to ``realize verify``), which
 gets a line of its own.
+Three certificates are also re-checked after one value is doubled (a
+generator certificate of case 1 and one of case 4, and a skew witness), so
+the lines of a failing re-check, with its list of failed identities, are
+pinned too.
 No command prints a series matrix, so three ``spot_check_sigma_prime``
 certificates, two over q and one over qt:1, built with the package's own
 functions, get a line each, and so does the ``recheck_certificate`` result
@@ -100,6 +104,26 @@ COMMANDS = [
     (["k0", "group", "I,P | I=2I+P"], []),
 ]
 
+# (argv printing a certificate, where the scalar to double sits in it): the
+# entry vector of the first term's series in E[0][0] of a generator
+# certificate, and in the witness factor g of a skew witness
+TAMPERED = [
+    (["realize", "build", "--from", "2", "--to", "2", "--mult", "2", "--field", "qt:1"],
+     lambda c: c["E"][0][0]),
+    (["realize", "build", "--from", "3", "--to", "0", "--mult", "0", "--field", "qt:1"],
+     lambda c: c["E"][0][0]),
+    (["skew", "witness", "--json", "1 - x0 - x1"], lambda c: c["g"]),
+]
+
+
+def doubled(field_name, c):
+    """Twice a scalar in its JSON encoding."""
+    from fractions import Fraction
+
+    if field_name == "q":
+        return str(2 * Fraction(c))
+    return {"num": [[e, str(2 * Fraction(v))] for e, v in c["num"]], "den": c["den"]}
+
 
 def sigma_certs():
     """(label, certificate) for I + p(A): over q, p = 1/2*z0 + z1*z0 with the
@@ -167,6 +191,17 @@ def main(argv=None) -> int:
                 code, stdout = run(run_command, checker + [path])
                 print(line("%s <output of: %s>" % (shlex.join(checker), label), code, stdout),
                       flush=True)
+        for cmd, elem in TAMPERED:
+            code, stdout = run(run_command, cmd)
+            cert = json.loads(stdout)
+            rep = elem(cert)["terms"][0][1]
+            rep["lam"] = [doubled(rep["field"], c) for c in rep["lam"]]
+            path = os.path.join(tmp, "tampered.json")
+            with open(path, "w") as fh:
+                json.dump(cert, fh)
+            code, stdout = run(run_command, VERIFY_CERT + [path])
+            print(line("verify-cert <output of: %s, first lam doubled>" % shlex.join(cmd), code, stdout),
+                  flush=True)
     for label, cert in sigma_certs():
         ok = cert["ok_right"] and cert["ok_left"]
         print(line(label, 0 if ok else 1, json.dumps(cert, sort_keys=True)), flush=True)

@@ -982,6 +982,20 @@ class LinRep(_Block):
         return self.scale(-self.field.one())
 
     def __sub__(self, other: "LinRep") -> "LinRep":
+        """self + (-other), reduced; zero with no reduction when other is
+        self, or when both hold a stored form of the same kernel instance
+        and the two forms are equal.  A kernel form stands for exactly one
+        triple (lam, mu, gamma), so equal forms are equal triples and the
+        two series are equal.  Minimal triples are not canonical: two of
+        one series may differ by a change of basis, and a kernel form by a
+        scaling.  So unequal forms prove nothing, and they go through the
+        reduction like any other difference."""
+        if other is self:
+            return LinRep.zero(self.field)
+        a, b = self._k, other._k
+        if a is not None and b is not None and a[3] is b[3] and self.dim == other.dim \
+                and a[:3] == b[:3]:
+            return LinRep.zero(self.field)
         return self + (-other)
 
     def scale(self, c) -> "LinRep":

@@ -145,18 +145,51 @@ class GeneratorMatrices:
         }
 
 
+def _ring_n(spec: HomSpec):
+    """The top letter index of the ring a spec's matrices live in: the
+    target order m in case 1, and in case 2 with m >= 2, where the
+    identities hold modulo the ideal of e; otherwise None, a growing
+    alphabet with literal comparison."""
+    return spec.m if spec.case in (1, 2) and spec.m >= 2 else None
+
+
 def generator_matrices_from_json(obj) -> GeneratorMatrices:
+    """The matrices of a generator certificate, checked against its spec.
+
+    The spec is validated again by :func:`hom_spec`, and the recorded
+    ``size``, ``ring_n`` and ``quotient`` must be the ones the spec's case
+    builds.  Every matrix must be size x size, with as many A's as B's, at
+    least one pair, and exactly n + 1 pairs in cases 1 and 4.  A certificate
+    that breaks any of these raises ValueError."""
     from .fields import field_from_name
 
-    spec = HomSpec(**obj["spec"])
-    ring = SkewRing(CoeffDomain(obj["backend"], field_from_name(obj["field"])), obj["ring_n"])
+    sj = obj["spec"]
+    if not isinstance(sj, dict) or any(type(sj.get(k)) is not int for k in "nml"):
+        raise ValueError("the spec must hold integers n, m and l, got %r" % (sj,))
+    spec = hom_spec(sj["n"], sj["m"], sj["l"])
+    if sj != spec.to_json():
+        raise ValueError("spec %r is not the validated %r" % (sj, spec.to_json()))
+    ring_n = _ring_n(spec)
+    shape = {"size": spec.size, "ring_n": ring_n, "quotient": ring_n is not None}
+    for key, want in shape.items():
+        if type(obj[key]) is not type(want) or obj[key] != want:
+            raise ValueError("%s is %r, but the spec %s builds %r" % (key, obj[key], spec.label(), want))
+    size, A, B = spec.size, obj["A"], obj["B"]
+    if not (isinstance(A, list) and isinstance(B, list) and len(A) == len(B) >= 1):
+        raise ValueError("A and B must be nonempty lists of equal length")
+    if spec.case in (1, 4) and len(A) != spec.n + 1:
+        raise ValueError("%s needs %d A/B pairs, got %d" % (spec.label(), spec.n + 1, len(A)))
+    ring = SkewRing(CoeffDomain(obj["backend"], field_from_name(obj["field"])), ring_n)
 
-    def mat(m):
+    def mat(m, name):
+        if not (isinstance(m, list) and len(m) == size
+                and all(isinstance(row, list) and len(row) == size for row in m)):
+            raise ValueError("%s is not a %d x %d matrix" % (name, size, size))
         return [[SkewElem.from_json(ring, el) for el in row] for row in m]
 
     return GeneratorMatrices(
-        spec, ring, obj["quotient"], obj["size"],
-        mat(obj["E"]), [mat(a) for a in obj["A"]], [mat(b) for b in obj["B"]],
+        spec, ring, ring_n is not None, size, mat(obj["E"], "E"),
+        [mat(a, "A%d" % i) for i, a in enumerate(A)], [mat(b, "B%d" % i) for i, b in enumerate(B)],
     )
 
 
@@ -183,7 +216,7 @@ def build_generators(spec: HomSpec, field: Field | None = None,
 
 def _case1(spec: HomSpec, field, dom, count) -> GeneratorMatrices:
     n, m, l, h = spec.n, spec.m, spec.l, spec.h
-    ring = SkewRing(dom, n=m)
+    ring = SkewRing(dom, n=_ring_n(spec))
     t = field.var(0)
     tinv = field.one() / t
 
@@ -219,12 +252,12 @@ def _case1(spec: HomSpec, field, dom, count) -> GeneratorMatrices:
             bi[l - 1][al] = ring.yword(yw((i - 1) * l + al + 1))
         A.append(ai)
         B.append(bi)
-    return GeneratorMatrices(spec, ring, True, l, E, A, B)
+    return GeneratorMatrices(spec, ring, ring.n is not None, l, E, A, B)
 
 
 def _case2(spec: HomSpec, field, dom, count) -> GeneratorMatrices:
-    m, l = spec.m, spec.l
-    ring = SkewRing(dom, n=m if m >= 2 else None)
+    l = spec.l
+    ring = SkewRing(dom, n=_ring_n(spec))
     E = mat_identity(ring, l)
     A = []
     B = []
@@ -233,7 +266,7 @@ def _case2(spec: HomSpec, field, dom, count) -> GeneratorMatrices:
         bi = ring.yword((1,) * i + (0,))
         A.append([[ai if r == c else ring.zero() for c in range(l)] for r in range(l)])
         B.append([[bi if r == c else ring.zero() for c in range(l)] for r in range(l)])
-    return GeneratorMatrices(spec, ring, m >= 2, l, E, A, B)
+    return GeneratorMatrices(spec, ring, ring.n is not None, l, E, A, B)
 
 
 def _case3(spec: HomSpec, field, dom, count) -> GeneratorMatrices:

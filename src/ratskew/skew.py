@@ -121,7 +121,7 @@ class SkewRing:
             raise ValueError("top letter index must be an integer >= 0 or None, got %r" % (n,))
         self.domain = domain
         self.n = n
-        self._letters: dict = {}
+        self._letters: dict = {}  # i -> the element x_i, built once
 
     def _check_letter(self, i: int) -> None:
         if type(i) is not int or i < 0 or (self.n is not None and i > self.n):
@@ -142,9 +142,10 @@ class SkewRing:
 
     def x(self, i: int) -> "SkewElem":
         self._check_letter(i)
-        if i not in self._letters:
-            self._letters[i] = self.domain.letter(i)
-        return SkewElem(self, {(): self._letters[i]})
+        xi = self._letters.get(i)
+        if xi is None:
+            xi = self._letters[i] = SkewElem(self, {(): self.domain.letter(i)})
+        return xi
 
     def x_word(self, w) -> "SkewElem":
         for i in w:
@@ -210,7 +211,16 @@ class SkewElem:
         return self.scale(-self.ring.domain.field.one())
 
     def __sub__(self, other: "SkewElem") -> "SkewElem":
-        return self + (-other)
+        """self + (-other) in one pass.  A word whose two coefficients are
+        the same object cancels with no backend arithmetic: r - r = 0
+        exactly.  Every other word takes the backend's own difference, so
+        a rational coefficient gets the shortcuts of ``LinRep.__sub__``."""
+        self._check(other)
+        t = dict(self.data)
+        for w, r in other.data.items():
+            s = t.get(w)
+            t[w] = -r if s is None else None if s is r else s - r
+        return SkewElem(self.ring, t)  # drops the words that cancelled
 
     def scale(self, c) -> "SkewElem":
         if not c:
@@ -368,7 +378,15 @@ def ideal_member(a: SkewElem) -> Verdict:
 
 def t_equal(a: SkewElem, b: SkewElem) -> Verdict:
     """Equality in the quotient by the ideal of e.  A truncated verdict holds
-    only in the narrowest window of a and b, also where a - b cancels."""
+    only in the narrowest window of a and b, also where a - b cancels.
+
+    The difference skips arithmetic only where it is provably zero: a word
+    whose coefficients in a and b are one object, and a rational pair that
+    is one object or holds equal stored forms of one kernel (a stored form
+    stands for one triple, so equal forms are equal series).  Any other
+    pair is reduced as before, since minimal forms are not canonical and
+    unequal forms may still be one series; the verdict is the one
+    ``ideal_member(a + (-b))`` gives."""
     v = ideal_member(a - b)
     if a.ring.domain.exact:
         return v

@@ -394,6 +394,57 @@ def test_verify_cert_generator_matrices(run, tmp_path):
     assert code == 1 and not rep["ok"]
 
 
+def _case2_cert(run):
+    code, cert = jrun(run, "realize", "build", "--from", "0", "--to", "0", "--mult", "2")
+    assert code == 0 and cert["size"] == 2
+    return cert
+
+
+def _refused(run, tmp_path, cert, *words):
+    code, out, err = run("verify-cert", _write(tmp_path, "g.json", cert))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert all(w in err for w in words)
+
+
+def test_verify_cert_rejects_generator_matrices_smaller_than_their_spec(run, tmp_path):
+    cert = _case2_cert(run)
+    cut = lambda m: [[m[0][0]]]
+    cert["E"] = cut(cert["E"])
+    cert["A"] = [cut(a) for a in cert["A"]]
+    cert["B"] = [cut(b) for b in cert["B"]]
+    _refused(run, tmp_path, cert, "E", "2 x 2")
+
+
+def test_verify_cert_rejects_generator_matrices_with_no_pairs(run, tmp_path):
+    cert = _case2_cert(run)
+    cert["A"] = cert["B"] = []
+    _refused(run, tmp_path, cert, "A and B")
+
+
+def test_verify_cert_rejects_a_ragged_generator_matrix(run, tmp_path):
+    cert = _case2_cert(run)
+    cert["E"][1].pop()
+    _refused(run, tmp_path, cert, "E", "2 x 2")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("size", 3), ("ring_n", 2), ("quotient", True), ("spec", {"n": 0, "m": 0, "l": 2})])
+def test_verify_cert_rejects_generator_shape_fields_off_their_spec(run, tmp_path, key, value):
+    cert = _case2_cert(run)
+    cert[key] = value
+    _refused(run, tmp_path, cert, key)
+
+
+def test_verify_cert_wants_n_plus_one_pairs_in_cases_1_and_4(run, tmp_path):
+    code, cert = jrun(run, "realize", "build", "--from", "2", "--to", "0", "--mult", "0",
+                      "--field", "qt:1")
+    assert code == 0 and len(cert["A"]) == 3
+    cert["A"].pop()
+    cert["B"].pop()
+    _refused(run, tmp_path, cert, "3 A/B pairs")
+
+
 def test_verify_cert_chain_plan(run, tmp_path):
     plan = {"groups": [{"tags": [2], "u": [1]}, {"tags": [4], "u": [2]}],
             "maps": [[[2]]]}

@@ -46,6 +46,38 @@ def window(rep, k=8):
     return TruncSeries.from_linrep(rep, k).coeffs
 
 
+# -- subtraction shortcuts ----------------------------------------------------
+
+def _sub_pairs(rng, field):
+    """(a, b) pairs: one object twice, a JSON round-trip copy each way (equal
+    stored forms, distinct objects), a scaled copy (same dim, another series)
+    and an unrelated series."""
+    pairs = []
+    for _ in range(8):
+        a = rand_rep(rng, field)
+        copy = LinRep.from_json(field, a.to_json())
+        pairs += [(a, a), (a, copy), (copy, a), (a, a.scale(field.from_int(2))),
+                  (a, rand_rep(rng, field))]
+    return pairs
+
+
+@pytest.mark.parametrize("field", [QQ, QT], ids=lambda f: f.name)
+def test_sub_shortcuts_match_the_sum_of_the_negative(field):
+    pairs = _sub_pairs(random.Random(31), field)
+    # the round-trip copies do reach the equal-form shortcut
+    assert any(a is not b and a._k and b._k and a._k[:3] == b._k[:3] for a, b in pairs)
+    for a, b in pairs:
+        assert (a - b).to_json() == (a + (-b)).to_json()
+        assert (a == b) is ((a + (-b)).dim == 0)
+
+
+def test_equal_forms_of_different_kernels_are_not_equal_series():
+    a, b = LinRep.letter(QQ, 0).reduce(), LinRep.letter(F7, 0).reduce()
+    assert a.dim == b.dim and a._k[:3] == b._k[:3]
+    with pytest.raises(ValueError, match="mixed scalar fields"):
+        a - b
+
+
 # -- agreement with polynomials ---------------------------------------------
 
 @pytest.mark.parametrize("field", [QQ, F7, QT], ids=lambda f: f.name)

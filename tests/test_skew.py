@@ -346,6 +346,48 @@ def test_word_system_report_carries_inputs():
     assert verify_word_system(RAT, words, qs2).ok
 
 
+# -- subtraction shortcuts -----------------------------------------------------------
+
+def _sharing_pairs(rng, ring):
+    """(a, b): one object twice, b sharing some coefficient objects with a
+    (either way round), and a's JSON round-trip copy."""
+    pairs = []
+    for _ in range(5):
+        a = rand_elem(rng, ring)
+        shared = dict(rand_elem(rng, ring).data)
+        shared.update((w, r) for w, r in a.data.items() if rng.random() < 0.6)
+        b = SkewElem(ring, shared)
+        pairs += [(a, a), (a, b), (b, a), (a, SkewElem.from_json(ring, a.to_json()))]
+    return pairs
+
+
+QT1 = field_from_name("qt:1")
+
+
+@pytest.mark.parametrize("kind", CoeffDomain.KINDS)
+@pytest.mark.parametrize("field", [QQ, QT1], ids=lambda f: f.name)
+def test_sub_matches_the_sum_of_the_negative(field, kind):
+    ring = SkewRing(CoeffDomain(kind, field, 12), 2)
+    for a, b in _sharing_pairs(random.Random(17), ring):
+        assert (a - b).to_json() == (a + (-b)).to_json()
+
+
+@pytest.mark.parametrize("field", [QQ, QT1], ids=lambda f: f.name)
+def test_t_equal_of_identical_operands_keeps_the_truncated_verdict(field):
+    ring = SkewRing(CoeffDomain("trunc", field, 12), 2)
+    rng = random.Random(23)
+    narrow = ring.y(1) * ring.embed(TruncSeries.word(field, (0,), precision=5))
+    pairs = [(ring.zero(), ring.zero()), (narrow, narrow)]
+    for _ in range(5):
+        a = rand_elem(rng, ring) + narrow
+        pairs += [(a, a), (a, SkewElem(ring, dict(a.data)))]
+    for a, b in pairs:
+        precs = [r.precision for e in (a, b) for r in e.data.values()]
+        want = ideal_member(a + (-b)) & Verdict(True, min(precs, default=None))
+        assert t_equal(a, b) == want
+        assert want.value and want.precision == (5 if a else 12)
+
+
 # -- serialization --------------------------------------------------------------------
 
 @pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.domain.kind)
