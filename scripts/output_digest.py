@@ -2,8 +2,9 @@
 """Digest the stdout of a fixed list of CLI commands, for comparing versions.
 
 Runs each command in-process and prints one line per command: the sha256
-of its stdout, its exit code and the command.  Every subcommand runs at
-least once.  Every certificate a command emits is also fed back to
+of its stdout (and, when the exit code is not 0, of its stderr too, so the
+``error:`` message of a refusal is pinned), its exit code and the command.
+Every subcommand runs at least once.  Every certificate a command emits is also fed back to
 ``verify-cert`` (and a generator certificate to ``realize verify``), which
 gets a line of its own.
 Three certificates are also re-checked after one value is doubled (a
@@ -102,6 +103,15 @@ COMMANDS = [
     (["k0", "monoid", "--json", "I,P | I=2I+P"], []),
     (["k0", "group", "I | 3I=I"], []),
     (["k0", "group", "I,P | I=2I+P"], []),
+    # generator images come from the column operations of the Smith form:
+    # the table groups of g | 12g = g and of the largest cyclic monoid whose
+    # nonzero part is still re-presented (64 elements, so the bound must
+    # admit its 65), a pivot that must be folded (2 does not divide 3), and
+    # four generators tied together
+    (["k0", "monoid", "--json", "g | 12g = g"], []),
+    (["k0", "monoid", "--json", "--bound", "65", "g | 65g = g"], []),
+    (["k0", "group", "--json", "a,b | 2a=0, 3b=0"], []),
+    (["k0", "group", "--json", "a,b,c,d | 2a+4b=6c, 3b+d=9a, 4c+2d=6b"], []),
 ]
 
 # (argv printing a certificate, where the scalar to double sits in it): the
@@ -157,12 +167,14 @@ def run(run_command, argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run_command(argv)
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
-def line(label, code, stdout):
-    digest = hashlib.sha256(stdout.encode()).hexdigest()
-    return "%s  exit=%s  %s" % (digest, code, label)
+def line(label, code, stdout, stderr=""):
+    h = hashlib.sha256(stdout.encode())
+    if code != 0:
+        h.update(b"\0" + stderr.encode())
+    return "%s  exit=%s  %s" % (h.hexdigest(), code, label)
 
 
 def main(argv=None) -> int:
@@ -180,28 +192,28 @@ def main(argv=None) -> int:
             json.dump(PLAN, fh)
         for cmd, checkers in COMMANDS:
             label = shlex.join(cmd)
-            code, stdout = run(run_command, [plan if a == PLAN_FILE else a for a in cmd])
-            print(line(label, code, stdout), flush=True)
+            code, stdout, stderr = run(run_command, [plan if a == PLAN_FILE else a for a in cmd])
+            print(line(label, code, stdout, stderr), flush=True)
             if code != 0:
                 continue
             path = os.path.join(tmp, "cert.json")
             with open(path, "w") as fh:
                 fh.write(stdout)
             for checker in checkers:
-                code, stdout = run(run_command, checker + [path])
-                print(line("%s <output of: %s>" % (shlex.join(checker), label), code, stdout),
-                      flush=True)
+                code, stdout, stderr = run(run_command, checker + [path])
+                print(line("%s <output of: %s>" % (shlex.join(checker), label), code, stdout,
+                           stderr), flush=True)
         for cmd, elem in TAMPERED:
-            code, stdout = run(run_command, cmd)
+            code, stdout, _ = run(run_command, cmd)
             cert = json.loads(stdout)
             rep = elem(cert)["terms"][0][1]
             rep["lam"] = [doubled(rep["field"], c) for c in rep["lam"]]
             path = os.path.join(tmp, "tampered.json")
             with open(path, "w") as fh:
                 json.dump(cert, fh)
-            code, stdout = run(run_command, VERIFY_CERT + [path])
-            print(line("verify-cert <output of: %s, first lam doubled>" % shlex.join(cmd), code, stdout),
-                  flush=True)
+            code, stdout, stderr = run(run_command, VERIFY_CERT + [path])
+            print(line("verify-cert <output of: %s, first lam doubled>" % shlex.join(cmd), code, stdout,
+                       stderr), flush=True)
     for label, cert in sigma_certs():
         ok = cert["ok_right"] and cert["ok_left"]
         print(line(label, 0 if ok else 1, json.dumps(cert, sort_keys=True)), flush=True)

@@ -554,7 +554,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="order-unit multiplier")
     p.add_argument("--count", type=int, default=4,
                    help="generator pairs materialized when the family is infinite")
-    p.add_argument("--backend", default="rat", choices=("free", "rat"),
+    p.add_argument("--backend", default="rat", choices=rz.GENERATOR_BACKENDS,
                    help="coefficient backend for the entries (default rat)")
     p = _command(res, "verify", "re-check a generator_matrices certificate",
                  _cmd_realize_verify)

@@ -106,47 +106,64 @@ def parse_presentation(text: str) -> MonoidPresentation:
 # Smith normal form over the integers
 # ---------------------------------------------------------------------------
 
-def smith_normal_form(a):
-    """D, U, V with U*a*V = D, U and V unimodular, D diagonal with
-    d_1 | d_2 | ... and nonnegative entries."""
+# Row operations of the elimination log, replayed by smith_normal_form
+_SWAP, _ADD, _NEG = 0, 1, 2
+
+
+def _smith_eliminate(a):
+    """Eliminate a copy of ``a`` to Smith form.  Returns D, V and the log of
+    the row operations: ``(_SWAP, i, j)`` swaps rows i and j, ``(_ADD, i, j,
+    c)`` adds c times row j to row i, ``(_NEG, i)`` negates row i.
+
+    The pivot is the first entry of least absolute value in row-major order
+    of the remaining block; a pass clears the pivot's column by row
+    operations and its row by column operations, swapping in any nonzero
+    remainder, until both are clear; an entry the pivot does not divide is
+    then folded into the pivot's row and the block starts over."""
     m = len(a)
     n = len(a[0]) if m else 0
     d = [list(row) for row in a]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    # V by columns, so a column operation on V is one list operation
+    vt = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
+    log = []
 
     def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
+        if i != j:
+            d[i], d[j] = d[j], d[i]
+            log.append((_SWAP, i, j))
 
     def add_row(dst, src, c):  # row_dst += c * row_src
         d[dst] = [x + c * y for x, y in zip(d[dst], d[src])]
-        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
+        log.append((_ADD, dst, src, c))
 
-    def add_col(dst, src, c):
-        for row in d:
-            row[dst] += c * row[src]
-        for row in v:
-            row[dst] += c * row[src]
+    def swap_cols(i, j):
+        if i != j:
+            for row in d:
+                row[i], row[j] = row[j], row[i]
+            vt[i], vt[j] = vt[j], vt[i]
 
-    def negate_row(i):
-        d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
+    def add_col(dst, src, c, rows):  # col_dst += c * col_src
+        # ``rows`` holds every row of d whose entry in column src is nonzero
+        for row in rows:
+            row[dst] += c * row[src]
+        vt[dst] = [x + c * y for x, y in zip(vt[dst], vt[src])]
 
     t = 0
     while t < min(m, n):
-        # pick the smallest nonzero pivot in the remaining block
+        # pick the smallest nonzero pivot in the remaining block; nothing
+        # beats an entry of absolute value 1, so the scan stops there
         best = None
+        least = 0
         for i in range(t, m):
+            row = d[i]
             for j in range(t, n):
-                if d[i][j] and (best is None or abs(d[i][j]) < abs(d[best[0]][best[1]])):
-                    best = (i, j)
+                x = row[j]
+                if x and (best is None or abs(x) < least):
+                    best, least = (i, j), abs(x)
+                    if least == 1:
+                        break
+            if least == 1:
+                break
         if best is None:
             break
         swap_rows(t, best[0])
@@ -157,36 +174,73 @@ def smith_normal_form(a):
             for i in range(t + 1, m):
                 if d[i][t]:
                     q = d[i][t] // d[t][t]
-                    add_row(i, t, -q)
+                    if q:
+                        add_row(i, t, -q)
                     if d[i][t]:
                         swap_rows(t, i)
                         dirty = True
+            # column t changes only by a column swap, so its nonzero rows are
+            # collected once per pass and again after each swap
+            piv = d[t]
+            rows = [row for row in d if row[t]]
             for j in range(t + 1, n):
-                if d[t][j]:
-                    q = d[t][j] // d[t][t]
-                    add_col(j, t, -q)
-                    if d[t][j]:
+                if piv[j]:
+                    q = piv[j] // piv[t]
+                    if q:
+                        add_col(j, t, -q, rows)
+                    if piv[j]:
                         swap_cols(t, j)
+                        rows = [row for row in d if row[t]]
                         dirty = True
             if not dirty and all(d[i][t] == 0 for i in range(t + 1, m)) and all(
                 d[t][j] == 0 for j in range(t + 1, n)
             ):
                 break
-        # divisibility: fold any bad entry into the pivot's row and repeat
-        bad = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if d[i][j] % d[t][t]:
-                    bad = i
+        # divisibility: fold any bad entry into the pivot's row and repeat;
+        # a unit pivot divides everything
+        p = d[t][t]
+        if p != 1 and p != -1:
+            bad = None
+            for i in range(t + 1, m):
+                row = d[i]
+                for j in range(t + 1, n):
+                    if row[j] % p:
+                        bad = i
+                        break
+                if bad is not None:
                     break
             if bad is not None:
-                break
-        if bad is not None:
-            add_row(t, bad, 1)
-            continue
-        if d[t][t] < 0:
-            negate_row(t)
+                add_row(t, bad, 1)
+                continue
+        if p < 0:
+            d[t] = [-x for x in d[t]]
+            log.append((_NEG, t))
         t += 1
+    return d, [list(row) for row in zip(*vt)], log
+
+
+def smith_normal_form(a):
+    """D, U, V with U*a*V = D, U and V unimodular, D diagonal with
+    d_1 | d_2 | ... and nonnegative entries.
+
+    The elimination works on D and V only and logs its row operations; U
+    is that log replayed onto the identity, so a caller that needs only D
+    and V (:func:`grothendieck_group`) never builds the m x m matrix.  Rows
+    are never reordered, deduplicated or dropped before the elimination:
+    the pivots, and so the column operations that make up V, depend on the
+    row order, and V gives the generator images of the universal group."""
+    m = len(a)
+    d, v, log = _smith_eliminate(a)
+    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    for op in log:
+        if op[0] == _SWAP:
+            _, i, j = op
+            u[i], u[j] = u[j], u[i]
+        elif op[0] == _ADD:
+            _, dst, src, c = op
+            u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
+        else:
+            u[op[1]] = [-x for x in u[op[1]]]
     return d, u, v
 
 
@@ -240,7 +294,7 @@ def grothendieck_group(p: MonoidPresentation) -> AbGroup:
         d = []
         vmat = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
     else:
-        d, _, vmat = smith_normal_form(rows)
+        d, vmat, _ = _smith_eliminate(rows)
     diag = [d[i][i] if i < len(d) and i < len(d[0]) else 0 for i in range(k)] if rows else [0] * k
     # coordinates of generator j in the new basis: row j of V
     raw = [[vmat[j][i] for i in range(k)] for j in range(k)]

@@ -38,6 +38,12 @@ from .linrep import LinRep, SeriesMatrix, invert_matrix_series
 from .skew import CoeffDomain, SkewElem, SkewRing, t_equal
 
 
+# The backends a generator certificate may name: those ``realize build``
+# emits.  Over ``trunc`` every identity would hold only in a window, which
+# a certificate's plain ``ok`` cannot record.
+GENERATOR_BACKENDS = ("free", "rat")
+
+
 def _valid_tag(n: int) -> bool:
     return n == 0 or n >= 2
 
@@ -156,13 +162,15 @@ def _ring_n(spec: HomSpec):
 def generator_matrices_from_json(obj) -> GeneratorMatrices:
     """The matrices of a generator certificate, checked against its spec.
 
-    The spec is validated again by :func:`hom_spec`, and the recorded
-    ``size``, ``ring_n`` and ``quotient`` must be the ones the spec's case
-    builds.  Every matrix must be size x size, with as many A's as B's, at
+    The backend must be one of :data:`GENERATOR_BACKENDS`.  The spec is
+    validated again by :func:`hom_spec`, and the recorded ``size``,
+    ``ring_n`` and ``quotient`` must be the ones the spec's case builds.  Every matrix must be size x size, with as many A's as B's, at
     least one pair, and exactly n + 1 pairs in cases 1 and 4.  A certificate
     that breaks any of these raises ValueError."""
     from .fields import field_from_name
 
+    if obj["backend"] not in GENERATOR_BACKENDS:
+        raise ValueError("backend %r is not one of %s" % (obj["backend"], ", ".join(GENERATOR_BACKENDS)))
     sj = obj["spec"]
     if not isinstance(sj, dict) or any(type(sj.get(k)) is not int for k in "nml"):
         raise ValueError("the spec must hold integers n, m and l, got %r" % (sj,))

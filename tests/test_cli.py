@@ -436,6 +436,12 @@ def test_verify_cert_rejects_generator_shape_fields_off_their_spec(run, tmp_path
     _refused(run, tmp_path, cert, key)
 
 
+def test_verify_cert_refuses_a_trunc_generator_certificate(run, tmp_path):
+    # over trunc every identity holds only in a window, which "ok" cannot record
+    cert = build_generators(hom_spec(2, 2, 2), backend="trunc").to_json()
+    _refused(run, tmp_path, cert, "backend", "trunc")
+
+
 def test_verify_cert_wants_n_plus_one_pairs_in_cases_1_and_4(run, tmp_path):
     code, cert = jrun(run, "realize", "build", "--from", "2", "--to", "0", "--mult", "0",
                       "--field", "qt:1")

@@ -6,8 +6,9 @@ import random
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from ratskew import kzero
 from ratskew.kzero import (AbGroup, MonoidPresentation, UnsupportedPresentation,
                            analyze_pisr_shape, grothendieck_group,
                            monoid_enumerate, parse_presentation,
@@ -88,6 +89,176 @@ def test_snf_matches_brute_force_on_small_quotients():
         ours = tuple(x for x in (d[0][0], d[1][1]) if x > 1)
         assert ours == _brute_quotient_factors(L)
         done += 1
+
+
+# -- agreement with the unlogged elimination -----------------------------------------
+#
+# _reference_snf is the elimination as it was before U became a replayed log
+# of row operations, kept verbatim: the logged one must give the same D, U
+# and V value for value, because V carries the generator images that
+# ``k0 group`` and ``k0 monoid --json`` print.  Random draws stay where the
+# reference finishes in milliseconds; its coefficients can grow without
+# bound on larger ones (7 x 5 with entries in -9..9 already can).
+
+def _reference_snf(a):
+    """D, U, V with U*a*V = D, U and V unimodular, D diagonal with
+    d_1 | d_2 | ... and nonnegative entries."""
+    m = len(a)
+    n = len(a[0]) if m else 0
+    d = [list(row) for row in a]
+    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def swap_rows(i, j):
+        d[i], d[j] = d[j], d[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in d:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(dst, src, c):  # row_dst += c * row_src
+        d[dst] = [x + c * y for x, y in zip(d[dst], d[src])]
+        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
+
+    def add_col(dst, src, c):
+        for row in d:
+            row[dst] += c * row[src]
+        for row in v:
+            row[dst] += c * row[src]
+
+    def negate_row(i):
+        d[i] = [-x for x in d[i]]
+        u[i] = [-x for x in u[i]]
+
+    t = 0
+    while t < min(m, n):
+        # pick the smallest nonzero pivot in the remaining block
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                if d[i][j] and (best is None or abs(d[i][j]) < abs(d[best[0]][best[1]])):
+                    best = (i, j)
+        if best is None:
+            break
+        swap_rows(t, best[0])
+        swap_cols(t, best[1])
+        while True:
+            # clear the pivot column, then row, iterating while remainders appear
+            dirty = False
+            for i in range(t + 1, m):
+                if d[i][t]:
+                    q = d[i][t] // d[t][t]
+                    add_row(i, t, -q)
+                    if d[i][t]:
+                        swap_rows(t, i)
+                        dirty = True
+            for j in range(t + 1, n):
+                if d[t][j]:
+                    q = d[t][j] // d[t][t]
+                    add_col(j, t, -q)
+                    if d[t][j]:
+                        swap_cols(t, j)
+                        dirty = True
+            if not dirty and all(d[i][t] == 0 for i in range(t + 1, m)) and all(
+                d[t][j] == 0 for j in range(t + 1, n)
+            ):
+                break
+        # divisibility: fold any bad entry into the pivot's row and repeat
+        bad = None
+        for i in range(t + 1, m):
+            for j in range(t + 1, n):
+                if d[i][j] % d[t][t]:
+                    bad = i
+                    break
+            if bad is not None:
+                break
+        if bad is not None:
+            add_row(t, bad, 1)
+            continue
+        if d[t][t] < 0:
+            negate_row(t)
+        t += 1
+    return d, u, v
+
+
+def _reference_eliminate(a):
+    d, _, v = _reference_snf(a)
+    return d, v, None
+
+
+def _assert_matches_reference(p):
+    """The relation matrix of ``p`` has the reference's D, U and V, and the
+    universal group of ``p`` is the one the reference's D and V give."""
+    rows = [[x - y for x, y in zip(l, r)] for l, r in p.relations]
+    if rows:
+        assert smith_normal_form(rows) == _reference_snf(rows)
+    got = grothendieck_group(p)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kzero, "_smith_eliminate", _reference_eliminate)
+        want = grothendieck_group(p)
+    assert got == want
+
+
+def _presentation_of(a):
+    gens = tuple("g%d" % j for j in range(len(a[0])))
+    return MonoidPresentation(gens, tuple(
+        (tuple(max(x, 0) for x in row), tuple(max(-x, 0) for x in row)) for row in a))
+
+
+def _matrices(columns, rows, entries):
+    return columns.flatmap(lambda n: rows(n).flatmap(
+        lambda m: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m)))
+
+
+# up to 12 x 4, and up to 5 x 5, with entries in -9..9
+wide_mats = _matrices(st.integers(1, 5), lambda n: st.integers(1, 12 if n <= 4 else 5),
+                      st.integers(-9, 9))
+# up to 24 rows over {0, +-1, +-2, 3}: many rows, small pivots, few columns
+tall_mats = _matrices(st.integers(1, 5), lambda n: st.integers(n, 24),
+                      st.sampled_from([0, 1, -1, 2, -2, 3]))
+
+
+@given(st.one_of(wide_mats, tall_mats))
+@example([[0, 0, 2], [0, 3, 0]])  # a pivot of 2 that must be folded
+@example([[0, 0, 0, 2], [2, 0, 3, 0]])  # column operations after a column swap
+@example([[2, 3], [0, 2]])  # rows hit by a column operation
+@settings(max_examples=300)
+def test_snf_matches_reference(a):
+    assert smith_normal_form(a) == _reference_snf(a)
+    _assert_matches_reference(_presentation_of(a))
+
+
+def _table_presentation(n):
+    """The group presentation that analyze_pisr_shape builds from the table
+    of g | ng = g: one generator per nonzero element, x + y = (x+y) for
+    every pair, and the identity element equal to 0."""
+    tbl = monoid_enumerate(_cyclic(n), 64)
+    nz = list(range(1, tbl.size()))
+    pos = {x: t for t, x in enumerate(nz)}
+
+    def unit(*xs):
+        v = [0] * len(nz)
+        for x in xs:
+            v[pos[x]] += 1
+        return tuple(v)
+
+    ident = next(e for e in nz if all(tbl.table[e][x] == x for x in nz))
+    rels = [(unit(x, y), unit(tbl.table[x][y])) for x in nz for y in nz]
+    rels.append((unit(ident), unit()))
+    return MonoidPresentation(tuple("e%d" % x for x in nz), tuple(rels))
+
+
+@pytest.mark.parametrize("n", range(2, 14))
+def test_table_group_matches_reference(n):
+    _assert_matches_reference(_table_presentation(n))
+    got = analyze_pisr_shape(_cyclic(n), 64).to_json()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kzero, "_smith_eliminate", _reference_eliminate)
+        want = analyze_pisr_shape(_cyclic(n), 64).to_json()
+    assert got == want
 
 
 # -- universal groups --------------------------------------------------------------
