@@ -10,7 +10,8 @@ gets a line of its own.
 Three certificates are also re-checked after one value is doubled (a
 generator certificate of case 1 and one of case 4, and a skew witness), so
 the lines of a failing re-check, with its list of failed identities, are
-pinned too.
+pinned too, and a paired witness is re-checked after its mode, its verdict
+or its product is changed, which each pin a refusal.
 No command prints a series matrix, so three ``spot_check_sigma_prime``
 certificates, two over q and one over qt:1, built with the package's own
 functions, get a line each, and so does the ``recheck_certificate`` result
@@ -46,6 +47,13 @@ QT_NESTED = "((1 - t*x0)^-1 * (1 + (t + 1)^-1*x1*x0))^-1 * ((2 - x1)^-1 + t*x0)^
 QT2_UNIT = "1 - (t1 + 1)^-1*x0*x1 + t2*x1 - (2*t1 + t2)^-1*x1*x0"
 QT2_SERIES = "(1 - (t1 + t2)^-1*x0 - t1*x1*x0)^-1 * (2 - (t2^2 + t1)^-1*x1)"
 QT2_NESTED = "((1 - t1*x0)^-1 * (1 + (t1 + t2)^-1*x1*x0))^-1 * ((2 - t2*x1)^-1 + (t1*t2 + 1)^-1*x0)^-1"
+# Leavitt elements at n = 3 with fractional coefficients whose junctions
+# y3*x3 rewrite into terms that cancel others: a multiple of the unit-sum
+# relation that vanishes, and terms that cancel what y2*y3*x3*x1 rewrites to
+LEAVITT_NF = "2/3*y3*x3*x1 - 5/4*y1*y3*x3*x2 + 1/2*(y1*x1 + y2*x2 + y3*x3 - 1)*y2 + y2*x2 - 2/3*x1 + 7/2"
+LEAVITT_W = "2/3*y3*x1*x2 + 5 - 3/4*y2*y3*x3*x1 + 3/4*y2*x1 - 3/4*y2*y2*x2*x1"
+QT_LEAVITT_NF = "(t + 1)^-1*y3*x3*x1 - t*(y1*x1 + y2*x2 + y3*x3)*x1 + 1/2*t*x1"
+QT_LEAVITT_W = "(t + 1)^-1*y3*x3*x1 - t*(y1*x1 + y2*x2 + y3*x3)*x1 + 1/2*y1"
 
 VERIFY_CERT = ["verify-cert"]
 REALIZE_VERIFY = ["realize", "verify"]
@@ -99,6 +107,14 @@ COMMANDS = [
     (["leavitt", "nf", "--n", "0", "--json", "x1*y1 + y3*x2"], []),
     (["leavitt", "witness", "--n", "2", "--json", "y1*x2"], [VERIFY_CERT]),
     (["leavitt", "witness", "--n", "0", "--beyond", "3", "--json", "1 + x1*x2"], [VERIFY_CERT]),
+    (["leavitt", "nf", "--n", "3", "--json", LEAVITT_NF], []),
+    (["leavitt", "witness", "--n", "3", "--json", LEAVITT_W], [VERIFY_CERT]),
+    (["leavitt", "nf", "--n", "3", "--field", "fp:7", "--json", LEAVITT_NF], []),
+    (["leavitt", "witness", "--n", "3", "--field", "fp:7", "--json", LEAVITT_W], [VERIFY_CERT]),
+    (["leavitt", "nf", "--n", "3", "--field", "qt:1", "--json", QT_LEAVITT_NF], []),
+    (["leavitt", "witness", "--n", "3", "--field", "qt:1", "--json", QT_LEAVITT_W], [VERIFY_CERT]),
+    (["leavitt", "witness", "--n", "0", "--json", "2/3*y1*x2 - 5/4*x3*y3 + 1/2*y2*y1"],
+     [VERIFY_CERT]),
     (["k0", "monoid", "--json", "I | 3I=I"], []),
     (["k0", "monoid", "--json", "I,P | I=2I+P"], []),
     (["k0", "group", "I | 3I=I"], []),
@@ -123,6 +139,14 @@ TAMPERED = [
     (["realize", "build", "--from", "3", "--to", "0", "--mult", "0", "--field", "qt:1"],
      lambda c: c["E"][0][0]),
     (["skew", "witness", "--json", "1 - x0 - x1"], lambda c: c["g"]),
+]
+
+# (what is changed, how) in the certificate of ``leavitt witness`` on
+# LEAVITT_W: verify-cert must refuse each one
+TAMPERED_WITNESS = [
+    ('mode set to "w"', lambda c: c.update(mode="w")),
+    ("ok set to false", lambda c: c.update(ok=False)),
+    ("product set to beta", lambda c: c.update(product=c["beta"])),
 ]
 
 
@@ -213,6 +237,17 @@ def main(argv=None) -> int:
                 json.dump(cert, fh)
             code, stdout, stderr = run(run_command, VERIFY_CERT + [path])
             print(line("verify-cert <output of: %s, first lam doubled>" % shlex.join(cmd), code, stdout,
+                       stderr), flush=True)
+        cmd = ["leavitt", "witness", "--n", "3", "--json", LEAVITT_W]
+        for what, change in TAMPERED_WITNESS:
+            code, stdout, _ = run(run_command, cmd)
+            cert = json.loads(stdout)
+            change(cert["cert"])
+            path = os.path.join(tmp, "tampered.json")
+            with open(path, "w") as fh:
+                json.dump(cert, fh)
+            code, stdout, stderr = run(run_command, VERIFY_CERT + [path])
+            print(line("verify-cert <output of: %s, %s>" % (shlex.join(cmd), what), code, stdout,
                        stderr), flush=True)
     for label, cert in sigma_certs():
         ok = cert["ok_right"] and cert["ok_left"]

@@ -361,17 +361,27 @@ def _recheck_skew_witness(obj) -> dict:
 
 
 def _recheck_paired_witness(obj) -> dict:
+    mode = obj["mode"]
+    if mode not in ("v", "uinf"):
+        raise ValueError('paired witness mode must be "v" or "uinf", got %r' % (mode,))
     field = field_from_name(obj["input"]["field"])
     a = lv.UElem.from_json(field, obj["input"])
     beta = lv.UElem.from_json(field, obj["beta"])
     gamma = lv.UElem.from_json(field, obj["gamma"])
+    # "v" compares modulo the unit-sum relation, "uinf" literally
     prod = beta * a * gamma
-    one = lv.UElem.one(field, a.n)
-    if obj["mode"] == "v":
-        ok = lv.v_equal(prod, one)
-    else:
-        ok = not (prod - one).coeffs
-    return {"kind": "paired_witness", "mode": obj["mode"], "ok": ok}
+    if mode == "v":
+        prod = lv.v_normal_form(prod)
+    ok = prod == lv.UElem.one(field, a.n)
+    # the recorded product and verdict must be the ones the re-check reaches
+    recorded = lv.UElem.from_json(field, obj["product"])
+    if recorded != prod:
+        raise ValueError("certificate records product %s, the re-check gives %s"
+                         % (recorded.render(), prod.render()))
+    got = obj.get("ok", "nothing")
+    if type(got) is not bool or got != ok:
+        raise ValueError("certificate records ok %r, the re-check gives %r" % (got, ok))
+    return {"kind": "paired_witness", "mode": mode, "ok": ok}
 
 
 def _recheck_word_system(obj) -> dict:

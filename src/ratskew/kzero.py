@@ -364,13 +364,28 @@ def _orient(relations):
 
 def _normal_form(rule, v):
     """Rewrite the exponent vector v with the oriented rule (big, small), or
-    leave it as it is when ``rule`` is None."""
-    v = list(v)
-    if rule is not None:
-        big, small = rule
-        while all(a >= b for a, b in zip(v, big)):
-            v = [a - b + c for a, b, c in zip(v, big, small)]
-    return tuple(v)
+    leave it as it is when ``rule`` is None.
+
+    Rewriting v >= big gives v + (small - big) and repeats while v >= big.
+    A coordinate with big_c <= small_c never drops below big_c, so the
+    rewrites stop at the first q where some coordinate with big_c > small_c
+    has v_c - q*(big_c - small_c) < big_c: q = 1 + min over those
+    coordinates of (v_c - big_c) // (big_c - small_c).  ``_orient`` leaves
+    at least one such coordinate."""
+    v = tuple(v)
+    if rule is None:
+        return v
+    big, small = rule
+    q = None
+    for a, b, c in zip(v, big, small):
+        if a < b:
+            return v
+        if b > c:
+            k = (a - b) // (b - c)
+            if q is None or k < q:
+                q = k
+    q += 1
+    return tuple(a + q * (c - b) for a, b, c in zip(v, big, small))
 
 
 def monoid_enumerate(p: MonoidPresentation, bound: int = 512) -> MonoidTable:
@@ -408,13 +423,15 @@ def monoid_enumerate(p: MonoidPresentation, bound: int = 512) -> MonoidTable:
                 break
         frontier = new
 
-    table = []
-    for i in range(len(elems)):
-        row = []
-        for j in range(len(elems)):
-            s = _normal_form(rule, tuple(a + b for a, b in zip(elems[i], elems[j])))
-            row.append(index.get(s))
-        table.append(row)
+    # addition is commutative: normalise each unordered pair once
+    N = len(elems)
+    table = [[None] * N for _ in range(N)]
+    for i in range(N):
+        ei, row = elems[i], table[i]
+        for j in range(i, N):
+            s = index.get(_normal_form(rule, tuple(a + b for a, b in zip(ei, elems[j]))))
+            row[j] = s
+            table[j][i] = s
     complete = not overflow and all(all(e is not None for e in row) for row in table)
     return MonoidTable(elems, table, complete, overflow, bound)
 

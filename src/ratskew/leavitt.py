@@ -40,11 +40,31 @@ def _mono_key(m):
     return (word_key(m[0]), word_key(m[1]))
 
 
+def _put(d, m, c):
+    """Add the nonzero c to d[m], deleting the key when the sum cancels."""
+    if m in d:
+        s = d[m] + c
+        if s:
+            d[m] = s
+        else:
+            del d[m]
+    else:
+        d[m] = c
+
+
 class UElem:
     """A finite sum of monowords over a scalar field.
 
     ``n`` bounds the letters (1..n); ``None`` leaves the alphabet open,
     which is the only mode where no unit-sum relation is available.
+
+    Letters are checked where monowords enter from outside: the constructor
+    (and so ``mono``, ``gen_x``, ``gen_y`` and ``scalar``) and ``from_json``,
+    which reads certificates.  The arithmetic builds its results with
+    ``_of``, which checks nothing: every monoword of a sum, scaled element,
+    product or normal form is made of letters of its operands (or, in the
+    normal form, of letters below n), which were checked when they entered.
+    ``coeffs`` never stores a zero coefficient.
     """
 
     __slots__ = ("field", "n", "coeffs")
@@ -61,6 +81,16 @@ class UElem:
                     raise ValueError("letter %d outside 1..%s" % (i, n))
             out[(tuple(I), tuple(J))] = c
         self.coeffs = out
+
+    @staticmethod
+    def _of(field: Field, coeffs: dict, n: int | None) -> "UElem":
+        """Wrap ``coeffs``, a dict of nonzero coefficients keyed by tuple
+        monowords whose letters are already known to lie in 1..n."""
+        e = object.__new__(UElem)
+        e.field = field
+        e.n = n
+        e.coeffs = coeffs
+        return e
 
     # -- constructors ------------------------------------------------------
     @staticmethod
@@ -89,15 +119,15 @@ class UElem:
 
     # -- arithmetic --------------------------------------------------------
     def _check(self, other: "UElem") -> None:
-        if self.field != other.field or self.n != other.n:
+        if (self.field is not other.field and self.field != other.field) or self.n != other.n:
             raise ValueError("mixed ambient algebras")
 
     def __add__(self, other: "UElem") -> "UElem":
         self._check(other)
         t = dict(self.coeffs)
         for m, c in other.coeffs.items():
-            t[m] = t.get(m, self.field.zero()) + c
-        return UElem(self.field, t, self.n)
+            _put(t, m, c)
+        return UElem._of(self.field, t, self.n)
 
     def __neg__(self) -> "UElem":
         return self.scale(-self.field.one())
@@ -108,18 +138,21 @@ class UElem:
     def scale(self, c) -> "UElem":
         if not c:
             return UElem.zero(self.field, self.n)
-        return UElem(self.field, {m: v * c for m, v in self.coeffs.items()}, self.n)
+        # a field has no zero divisors, so no product is zero
+        return UElem._of(self.field, {m: v * c for m, v in self.coeffs.items()}, self.n)
 
     def __mul__(self, other: "UElem") -> "UElem":
         self._check(other)
+        one = self.field.one()
         out: dict = {}
         for (I, J), a in self.coeffs.items():
             for (K, L), b in other.coeffs.items():
                 m = mono_mul(I, J, K, L)
                 if m is None:
                     continue
-                out[m] = out.get(m, self.field.zero()) + a * b
-        return UElem(self.field, out, self.n)
+                # a field whose one() is not a shared value still multiplies
+                _put(out, m, a if b is one else b if a is one else a * b)
+        return UElem._of(self.field, out, self.n)
 
     def __eq__(self, other):
         if not isinstance(other, UElem):
@@ -220,27 +253,21 @@ def v_normal_form(a: UElem) -> UElem:
         raise ValueError("normal form needs the letter bound n")
     if n < 1:
         raise ValueError("n must be >= 1")
-    field = a.field
     out: dict = {}
-    cur = dict(a.coeffs)
+    cur = a.coeffs
     while cur:
         nxt: dict = {}
-
-        def put(d, m, c):
-            d[m] = d.get(m, field.zero()) + c
-
         for (I, J), c in cur.items():
-            if not c:
-                continue
             if I and J and I[-1] == n and J[0] == n:
                 I2, J2 = I[:-1], J[1:]
-                put(nxt, (I2, J2), c)
+                _put(nxt, (I2, J2), c)
+                neg = -c
                 for i in range(1, n):
-                    put(nxt, (I2 + (i,), (i,) + J2), -c)
+                    _put(nxt, (I2 + (i,), (i,) + J2), neg)
             else:
-                put(out, (I, J), c)
+                _put(out, (I, J), c)
         cur = nxt
-    return UElem(field, out, n)
+    return UElem._of(a.field, out, n)
 
 
 def v_is_zero(a: UElem) -> bool:

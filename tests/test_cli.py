@@ -351,6 +351,33 @@ def test_verify_cert_paired_witness(run, tmp_path):
     assert run("verify-cert", _write(tmp_path, "p2.json", wrapper))[0] == 1
 
 
+@pytest.mark.parametrize("field, expr", [
+    ("q", "2/3*y3*x1*x2 + 5"),
+    ("fp:7", "2/3*y3*x1*x2 + 5 - 3/4*y2*y3*x3*x1"),
+    ("qt:1", "(t + 1)^-1*y3*x1*x2 + 1/2*t"),
+])
+def test_verify_cert_refuses_tampered_paired_witness(run, tmp_path, field, expr):
+    code, wrapper = jrun(run, "leavitt", "witness", "--n", "3", "--field", field, "--json", expr)
+    assert code == 0 and wrapper["cert"]["mode"] == "v"
+    assert jrun(run, "verify-cert", _write(tmp_path, "w.json", wrapper)) == (
+        0, {"kind": "paired_witness", "mode": "v", "ok": True})
+    # a mode the re-check does not know, a verdict it does not reach, and a
+    # product it does not compute
+    for key, value in (("mode", "w"), ("mode", None), ("mode", 7), ("mode", ["v"]),
+                       ("ok", False), ("ok", 1), ("ok", None),
+                       ("product", wrapper["cert"]["beta"]),
+                       ("product", wrapper["cert"]["input"])):
+        cert = json.loads(json.dumps(wrapper["cert"]))
+        cert[key] = value
+        code, out, err = run("verify-cert", _write(tmp_path, "t.json", cert))
+        assert (code, out) == (1, ""), (key, value)
+        assert err.startswith("error:") and "Traceback" not in err
+    cert = json.loads(json.dumps(wrapper["cert"]))
+    cert["input"]["terms"][0][0] = [9]
+    assert run("verify-cert", _write(tmp_path, "t.json", cert)) == (
+        1, "", "error: letter 9 outside 1..3\n")
+
+
 def test_verify_cert_unbounded_witness(run, tmp_path):
     code, wrapper = jrun(run, "leavitt", "witness", "--json", "--n", "0",
                          "--beyond", "3", "1 + x1*x2")

@@ -340,6 +340,55 @@ def test_enumerate_refuses_two_relations():
         monoid_enumerate(p, 10)
 
 
+def _loop_normal_form(rule, v):
+    """Rewriting one step at a time, the reference for the closed form."""
+    v = list(v)
+    if rule is not None:
+        big, small = rule
+        while all(a >= b for a, b in zip(v, big)):
+            v = [a - b + c for a, b, c in zip(v, big, small)]
+    return tuple(v)
+
+
+def _vectors(k, hi):
+    return st.lists(st.integers(0, hi), min_size=k, max_size=k).map(tuple)
+
+
+# one relation l = r on 1..3 generators, and a vector to rewrite
+one_rules = st.integers(1, 3).flatmap(
+    lambda k: st.tuples(_vectors(k, 4), _vectors(k, 4), _vectors(k, 30)))
+
+
+@given(one_rules)
+@example(((1,), (3,), (7,)))  # g = 3g: 7g rewrites three times, to g
+@example(((2, 0), (1, 1), (29, 30)))  # 2a = a + b: b grows with each step
+@example(((1, 1), (1, 1), (5, 5)))  # l = r: no rule
+@settings(max_examples=400)
+def test_closed_form_rewriting_matches_loop(t):
+    l, r, v = t
+    rule = kzero._orient(((l, r),))
+    assert kzero._normal_form(rule, v) == _loop_normal_form(rule, v)
+
+
+one_relation_presentations = st.integers(1, 2).flatmap(
+    lambda k: st.tuples(_vectors(k, 3), _vectors(k, 3))).filter(
+        lambda lr: sum(lr[0]) + sum(lr[1]) > 0).map(
+    lambda lr: MonoidPresentation(tuple("g%d" % i for i in range(len(lr[0]))), (lr,)))
+
+
+@given(one_relation_presentations, st.sampled_from([8, 40]))
+@example(_cyclic(4), 40)
+@example(MonoidPresentation(("I", "P"), (((1, 0), (2, 1)),)), 40)  # overflows
+@settings(max_examples=150, deadline=None)
+def test_mirrored_table_matches_full_fill(p, bound):
+    tbl = monoid_enumerate(p, bound)
+    rule = kzero._orient(p.relations)
+    index = {e: i for i, e in enumerate(tbl.elements)}
+    full = [[index.get(_loop_normal_form(rule, [a + b for a, b in zip(ei, ej)]))
+             for ej in tbl.elements] for ei in tbl.elements]
+    assert tbl.table == full
+
+
 # -- shape reports ---------------------------------------------------------------------
 
 def test_shape_of_cyclic_four():

@@ -2,8 +2,10 @@
 the two paired-witness constructions."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ratskew.fields import QQ, field_from_name
 from ratskew.leavitt import (PairedWitness, UElem, is_v_reduced, mono_mul,
@@ -12,6 +14,7 @@ from ratskew.leavitt import (PairedWitness, UElem, is_v_reduced, mono_mul,
 from ratskew.skew import CoeffDomain, SkewRing, t_equal
 
 F7 = field_from_name("fp:7")
+QT1 = field_from_name("qt:1")
 
 
 def rand_uelem(rng, field, n, deg=2, terms=3, units_only=True):
@@ -241,3 +244,166 @@ def test_render():
     a = UElem.mono(QQ, (1,), (2,), None, None)
     assert a.render() == "y1*x2"
     assert UElem.zero(QQ).render() == "0"
+
+
+# -- exactness against the plain arithmetic ------------------------------------------
+#
+# The arithmetic skips field operations whose result is known (a product
+# with one, a first term added to zero) and builds its results unchecked.
+# These are the plain versions it replaced, kept as the reference: every
+# operation adds and multiplies in the field, and the checking constructor
+# drops the zero coefficients at the end.
+
+def ref_add(self, other):
+    self._check(other)
+    t = dict(self.coeffs)
+    for m, c in other.coeffs.items():
+        t[m] = t.get(m, self.field.zero()) + c
+    return UElem(self.field, t, self.n)
+
+
+def ref_scale(self, c):
+    if not c:
+        return UElem.zero(self.field, self.n)
+    return UElem(self.field, {m: v * c for m, v in self.coeffs.items()}, self.n)
+
+
+def ref_mul(self, other):
+    self._check(other)
+    out: dict = {}
+    for (I, J), a in self.coeffs.items():
+        for (K, L), b in other.coeffs.items():
+            m = mono_mul(I, J, K, L)
+            if m is None:
+                continue
+            out[m] = out.get(m, self.field.zero()) + a * b
+    return UElem(self.field, out, self.n)
+
+
+def ref_v_normal_form(a):
+    n = a.n
+    if n is None:
+        raise ValueError("normal form needs the letter bound n")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    field = a.field
+    out: dict = {}
+    cur = dict(a.coeffs)
+    while cur:
+        nxt: dict = {}
+
+        def put(d, m, c):
+            d[m] = d.get(m, field.zero()) + c
+
+        for (I, J), c in cur.items():
+            if not c:
+                continue
+            if I and J and I[-1] == n and J[0] == n:
+                I2, J2 = I[:-1], J[1:]
+                put(nxt, (I2, J2), c)
+                for i in range(1, n):
+                    put(nxt, (I2 + (i,), (i,) + J2), -c)
+            else:
+                put(out, (I, J), c)
+        cur = nxt
+    return UElem(field, out, n)
+
+
+def _coefficients(field):
+    """Scalars to draw from; None stands for the default coefficient, the
+    field's own one(), which the arithmetic recognises by identity."""
+    vals = [None, field.from_int(1), field.from_int(-1), field.from_int(2),
+            field.from_fraction(Fraction(-2, 3)), field.from_fraction(Fraction(1, 2))]
+    if field is QT1:
+        t = QT1.var(0)
+        vals += [t, QT1.one() / (t + 1)]
+    return vals
+
+
+@st.composite
+def _elem(draw, field, n):
+    """A sum of up to four monowords of length <= 3 on letters 1..3 (or
+    1..n), accumulated with the reference sum, so repeated monowords add up
+    and may cancel."""
+    vals = _coefficients(field)
+    word = st.lists(st.integers(1, n or 3), max_size=3).map(tuple)
+    a = UElem.zero(field, n)
+    for I, J, c in draw(st.lists(st.tuples(word, word, st.sampled_from(vals)), max_size=4)):
+        a = ref_add(a, UElem.mono(field, I, J, c, n))
+    return a
+
+
+@st.composite
+def _operands(draw, ns=(None, 2, 3)):
+    field = draw(st.sampled_from([QQ, F7, QT1]))
+    n = draw(st.sampled_from(ns))
+    return field, n, draw(_elem(field, n)), draw(_elem(field, n))
+
+
+def _assert_same(got, want):
+    assert (got.field, got.n) == (want.field, want.n)
+    assert got.coeffs == want.coeffs
+    assert all(got.coeffs.values()), "a zero coefficient is stored"
+
+
+def _cancelling_factors(a, b):
+    """(a*x1 - a*x2, y1*b + y2*b), whose product a*b - a*b cancels term by
+    term inside one multiplication."""
+    f, n = a.field, a.n
+    minus_one = -f.one()
+    left = ref_add(ref_mul(a, UElem.gen_x(f, 1, n)),
+                   ref_scale(ref_mul(a, UElem.gen_x(f, 2, n)), minus_one))
+    right = ref_add(ref_mul(UElem.gen_y(f, 1, n), b), ref_mul(UElem.gen_y(f, 2, n), b))
+    return left, right
+
+
+@given(_operands())
+@settings(max_examples=150, deadline=None)
+def test_sum_and_scale_match_reference(ops):
+    field, n, a, b = ops
+    neg_a = ref_scale(a, -field.one())
+    for x, y in ((a, b), (a, neg_a), (ref_add(a, b), neg_a), (b, a)):
+        _assert_same(x + y, ref_add(x, y))
+        _assert_same(x - y, ref_add(x, ref_scale(y, -field.one())))
+    _assert_same(-a, neg_a)
+    assert not (a + neg_a).coeffs
+    for c in _coefficients(field) + [field.zero()]:
+        c = field.one() if c is None else c
+        _assert_same(a.scale(c), ref_scale(a, c))
+
+
+@given(_operands())
+@settings(max_examples=150, deadline=None)
+def test_product_matches_reference(ops):
+    field, n, a, b = ops
+    _assert_same(a * b, ref_mul(a, b))
+    left, right = _cancelling_factors(a, b)
+    _assert_same(left * right, ref_mul(left, right))
+    assert not (left * right).coeffs
+    # partly cancelling: only a*right survives
+    left = ref_add(left, a)
+    _assert_same(left * right, ref_mul(left, right))
+
+
+@given(_operands(ns=(2, 3)))
+@settings(max_examples=150, deadline=None)
+def test_normal_form_matches_reference(ops):
+    field, n, a, b = ops
+    unit_sum = UElem.one(field, n).scale(-field.one())
+    for i in range(1, n + 1):
+        unit_sum = ref_add(unit_sum, ref_mul(UElem.gen_y(field, i, n), UElem.gen_x(field, i, n)))
+    # multiples of the unit-sum relation: their junctions rewrite into
+    # terms that cancel
+    for x in (a, ref_mul(a, b), ref_add(a, ref_mul(unit_sum, b)),
+              ref_add(a, ref_mul(ref_mul(b, unit_sum), a)), ref_mul(*_cancelling_factors(a, b))):
+        _assert_same(v_normal_form(x), ref_v_normal_form(x))
+
+
+def test_from_json_checks_letters_and_drops_zeros():
+    # from_json reads certificates: it must refuse letters outside 1..n
+    with pytest.raises(ValueError, match="letter 9 outside 1..3"):
+        UElem.from_json(QQ, {"field": "q", "n": 3, "terms": [[[9], [], "1"]]})
+    with pytest.raises(ValueError, match="letter 0 outside"):
+        UElem.from_json(QQ, {"field": "q", "n": None, "terms": [[[], [0], "1"]]})
+    a = UElem.from_json(QQ, {"field": "q", "n": 3, "terms": [[[1], [], "0"], [[2], [], "1/2"]]})
+    assert a.coeffs == {((2,), ()): Fraction(1, 2)}
