@@ -47,6 +47,9 @@ QT_NESTED = "((1 - t*x0)^-1 * (1 + (t + 1)^-1*x1*x0))^-1 * ((2 - x1)^-1 + t*x0)^
 QT2_UNIT = "1 - (t1 + 1)^-1*x0*x1 + t2*x1 - (2*t1 + t2)^-1*x1*x0"
 QT2_SERIES = "(1 - (t1 + t2)^-1*x0 - t1*x1*x0)^-1 * (2 - (t2^2 + t1)^-1*x1)"
 QT2_NESTED = "((1 - t1*x0)^-1 * (1 + (t1 + t2)^-1*x1*x0))^-1 * ((2 - t2*x1)^-1 + (t1*t2 + 1)^-1*x0)^-1"
+QT3_UNIT = "1 - (t1 + t3)^-1*x0*x1 + t2*x1 - (2*t3 + t2)^-1*x1*x0"
+QT3_SERIES = "(1 - (t1 + t3)^-1*x0 - t2*x1*x0)^-1 * (2 - (t3^2 + t1)^-1*x1)"
+QT3_NESTED = "((1 - t3*x0)^-1 * (1 + (t1 + t2)^-1*x1*x0))^-1 * ((2 - t2*x1)^-1 + (t1*t3 + 1)^-1*x0)^-1"
 # Leavitt elements at n = 3 with fractional coefficients whose junctions
 # y3*x3 rewrite into terms that cancel others: a multiple of the unit-sum
 # relation that vanishes, and terms that cancel what y2*y3*x3*x1 rewrites to
@@ -93,6 +96,13 @@ COMMANDS = [
     (["series", "transduce", "--field", "qt:2", "--letter", "1", "--json", QT2_SERIES], []),
     (["series", "eval", "--field", "qt:2", QT2_NESTED], []),
     (["series", "eval", "--field", "qt:2", "--json", QT2_NESTED], []),
+    # qt:3 reductions whose denominators involve t1, t2 and t3
+    (["series", "invert", "--field", "qt:3", QT3_UNIT], []),
+    (["series", "invert", "--field", "qt:3", "--json", QT3_UNIT], []),
+    (["series", "transduce", "--field", "qt:3", "--letter", "0", "--window", "4", QT3_SERIES], []),
+    (["series", "transduce", "--field", "qt:3", "--letter", "1", "--json", QT3_SERIES], []),
+    (["series", "eval", "--field", "qt:3", QT3_NESTED], []),
+    (["series", "eval", "--field", "qt:3", "--json", QT3_NESTED], []),
     (["series", "equal", "--json", "(1 - x0)^-1 - 1", "x0*(1 - x0)^-1"], []),
     (["skew", "mul", "--json", "y0*(1 - x0)^-1", "x0 + y1"], []),
     (["skew", "mul", "--backend", "free", "y1*x0", "x1*y1 + 2"], []),

@@ -15,15 +15,18 @@ lex-leading coefficient; ``c`` is one rational content.  That form is
 unique, so it keeps equality structural, and its inner loops run on plain
 ``int``.  By Gauss's lemma a product of primitive polynomials is
 primitive, and lex order is multiplicative, so products and exact
-quotients stay in that form without a gcd.  Polynomials in one variable
-take a dense gcd over Z (:func:`mpoly_gcd`), one of the dense Z[t] helpers
-(``zx_mul``, ``zx_div_exact``, ``zx_gcd``, ``zx_lcm``, ...) on integer
-coefficient lists; polynomials in two variables take the dense gcd over
-Z[t2] of the nested helpers (``zxy_*``), on lists over powers of t1 of
-Z[t2] lists.  The polynomial span kernel of ``linrep`` runs on the same
-helpers, for ``qt:1`` and ``qt:2``.
+quotients stay in that form without a gcd.
 
-The :class:`RatFunc` operators rely on that invariant: they take canonical
+Gcds run in one tower of dense polynomial rings, :func:`poly_ring`: Z[t]
+is the leaf, integer coefficient lists handled by the hand-tuned ``zx_*``
+helpers (``zx_mul``, ``zx_div_exact``, ``zx_gcd``, ...), and Z[t1..tr]
+for r >= 2 is Z[t2..tr][t1], lists over powers of t1 of elements of the
+ring below, whose operations are written once over the ring below's
+(:func:`_nested`).  :func:`mpoly_gcd` converts the primitive parts of its
+operands into that ring, for any number of variables, and the polynomial
+span kernel of ``linrep`` runs on the same rings, for every ``qt:r``.
+
+The :class:`RatFunc` operators rely on canonical values: they take canonical
 operands and skip the gcds it makes redundant (zero, one and constant
 operands, a polynomial plus a fraction, coprime denominators, cross gcds
 in products; see :class:`RatFunc`).  The reducing constructor
@@ -283,24 +286,6 @@ class MPoly:
         e = max(self.p)
         return e, self.c * self.p[e]
 
-    def deg(self, i: int) -> int:
-        return max((e[i] for e in self.p), default=0)
-
-    def active_vars(self):
-        out = set()
-        for e in self.p:
-            for i, k in enumerate(e):
-                if k:
-                    out.add(i)
-        return out
-
-    def coeffs_in(self, v: int) -> dict:
-        """Collect as a polynomial in variable ``v``: degree -> MPoly coefficient."""
-        out: dict = {}
-        for e, k in self.p.items():
-            out.setdefault(e[v], {})[e[:v] + (0,) + e[v + 1 :]] = k
-        return {d: MPoly._normal(self.nvars, t, self.c) for d, t in out.items()}
-
     def div_exact(self, other: "MPoly") -> "MPoly":
         """Exact division; raises ValueError if ``other`` does not divide.
 
@@ -365,30 +350,6 @@ class MPoly:
     __repr__ = __str__
 
 
-def _prem(f: MPoly, g: MPoly, v: int) -> MPoly:
-    """Pseudo-remainder of f by g with respect to variable v."""
-    dg = g.deg(v)
-    lg = g.coeffs_in(v)[dg]
-    rem = f
-    while not rem.is_zero() and rem.deg(v) >= dg:
-        d = rem.deg(v)
-        lr = rem.coeffs_in(v)[d]
-        # lg*rem - lr*t^(d-dg)*g kills the degree-d coefficient
-        tpow = MPoly._of(f.nvars, {tuple(d - dg if i == v else 0 for i in range(f.nvars)): 1}, _ONE)
-        rem = lg * rem - lr * tpow * g
-    return rem
-
-
-def _content(f: MPoly, v: int) -> MPoly:
-    cs = list(f.coeffs_in(v).values())
-    g = cs[0]
-    for c in cs[1:]:
-        g = mpoly_gcd(g, c)
-        if g.is_const():
-            break
-    return g
-
-
 def _dense_prem(a: list, b: list) -> list:
     """Primitive part of a nonzero integer multiple of ``a mod b``, for
     integer coefficient lists (index = degree, no trailing zero) with
@@ -414,27 +375,6 @@ def _dense_prem(a: list, b: list) -> list:
         if h != 1:
             r = [x // h for x in r]
     return r
-
-
-def _dense_gcd(f: MPoly, g: MPoly, v: int) -> MPoly:
-    """Monic gcd of two polynomials in the single variable ``v``: the dense
-    gcd :func:`zx_gcd` of their primitive parts."""
-    lists = []
-    for q in (f, g):
-        a = [0] * (q.deg(v) + 1)
-        for e, k in q.p.items():
-            a[e[v]] = k
-        lists.append(a)
-    a = zx_gcd(*lists)
-    if len(a) == 1:  # coprime
-        return MPoly.const(f.nvars, 1)
-    e = [0] * f.nvars
-    p = {}
-    for d, k in enumerate(a):
-        if k:
-            e[v] = d
-            p[tuple(e)] = k
-    return MPoly._of(f.nvars, p, Fraction(1, a[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -551,238 +491,332 @@ def zx_content(v, g=()) -> list:
     return g
 
 
-# ---------------------------------------------------------------------------
-# dense Z[t1][t2]: a list over powers of t1 of dense Z[t2] lists, [] for zero
-# ---------------------------------------------------------------------------
-#
-# The lex-leading coefficient (highest power of t1, then of t2) is
-# ``a[-1][-1]``, as in :class:`MPoly`.  The gcd is the primitive
-# pseudo-remainder sequence in t1 over Z[t2] (Collins 1967), with contents
-# taken by :func:`zx_content`.
+def _zx_lincomb(a, x, b, y):
+    """a*x + b*y in Z[t], on dense coefficient lists."""
+    if not x:
+        return zx_mul(b, y)
+    if not y:
+        return zx_mul(a, x)
+    if len(a) == len(b) == len(x) == len(y) == 1:
+        s = a[0] * x[0] + b[0] * y[0]
+        return [s] if s else []
+    return zx_add(zx_mul(a, x), zx_mul(b, y))
 
-def zxy_of(p: dict) -> list:
-    """The nested dense form of an ``MPoly`` integer dict in two variables."""
-    out: list = [[] for _ in range(max(p)[0] + 1)]
-    for (i, j), k in p.items():
-        x = out[i]
-        if len(x) <= j:
-            x += [0] * (j + 1 - len(x))
-        x[j] = k
+
+def _zx_dot(v, col):
+    """sum v[i] * y over the entries (i, y) of a sparse column, in Z[t]."""
+    c0 = 0
+    acc = None
+    for i, y in col:
+        x = v[i]
+        if not x:
+            continue
+        if len(x) == 1 and len(y) == 1:
+            c0 += x[0] * y[0]
+            continue
+        n = len(x) + len(y) - 1
+        if acc is None:
+            acc = [0] * n
+        elif len(acc) < n:
+            acc += [0] * (n - len(acc))
+        for e, a in enumerate(x):
+            if a:
+                for f, b in enumerate(y):
+                    acc[e + f] += a * b
+    if acc is None:
+        return [c0] if c0 else []
+    acc[0] += c0
+    while acc and not acc[-1]:
+        acc.pop()
+    return acc
+
+
+def _zx_dense(p):
+    """The dense coefficient list of a univariate ``MPoly`` integer dict."""
+    out = [0] * (max(p)[0] + 1)
+    for (k,), c in p.items():
+        out[k] = c
     return out
 
 
-def zxy_terms(a: list) -> dict:
-    """The ``MPoly`` integer dict of a nested dense polynomial."""
-    return {(i, j): k for i, x in enumerate(a) for j, k in enumerate(x) if k}
+# ---------------------------------------------------------------------------
+# the ring tower Z[t1..tr] = Z[t2..tr][t1], with Z[t] as its leaf
+# ---------------------------------------------------------------------------
+
+class PolyRing:
+    """A dense polynomial ring Z[t1..tr] (see :func:`poly_ring`).  Zero is
+    ``[]``; ``one`` is the unit, ``const(k)`` the integer k, ``lead(a)``
+    the lex-leading integer coefficient, ``is_const(a)`` whether a nonzero
+    a is an integer and ``as_int(a)`` that integer, or None if a is not
+    one; ``ints(polys)`` iterates over the integer coefficients of a list
+    of polynomials.  ``mul``, ``add``, ``neg``, ``div_exact`` (refusing an
+    inexact quotient), ``gcd`` and ``lcm`` (both with a positive lead) are
+    the ring operations; ``lincomb(a, x, b, y)`` is a*x + b*y, ``dot(v,
+    col)`` the product of a vector with a sparse column of (index, entry)
+    pairs, and ``content(v, g)`` the gcd of g and the entries of v.  ``of``
+    and ``terms`` convert from and to the integer dicts of :class:`MPoly`
+    in ``nvars`` variables."""
+
+    def __init__(self, nvars, one, **ops) -> None:
+        self.nvars, self.one = nvars, one
+        self.e0 = (0,) * nvars
+        self.__dict__.update(ops)
 
 
-def zxy_neg(a: list) -> list:
-    return [[-k for k in x] for x in a]
+ZX = PolyRing(
+    1, [1], const=lambda k: [k], lead=lambda a: a[-1], is_const=lambda a: len(a) == 1,
+    as_int=lambda a: a[0] if len(a) == 1 else None, ints=chain.from_iterable,
+    mul=zx_mul, add=zx_add, neg=lambda a: [-k for k in a], div_exact=zx_div_exact, gcd=zx_gcd,
+    lcm=zx_lcm, lincomb=_zx_lincomb, dot=_zx_dot, content=zx_content,
+    of=_zx_dense, terms=lambda a: {(k,): c for k, c in enumerate(a) if c})
 
 
-def zxy_add(a: list, b: list) -> list:
-    """a + b in Z[t1][t2]."""
-    if len(a) < len(b):
-        a, b = b, a
-    r = list(a)
-    for i, y in enumerate(b):
-        if y:
-            r[i] = zx_add(r[i], y) if r[i] else y
-    while r and not r[-1]:
-        r.pop()
-    return r
+def _nested(base: PolyRing) -> PolyRing:
+    """R[t] for R = ``base``, a ring in the variables after t: a list over
+    powers of t of R elements, lowest first, with no trailing zero.  The
+    lex-leading coefficient is that of the last entry, as in :class:`MPoly`.
+    Every operation is written with R's operations only.  The gcd is the
+    primitive pseudo-remainder sequence in t over R (Collins, *J. ACM* 14,
+    1967), with contents taken by R's ``content``."""
+    bone, bconst, blead, bas_int, bints = base.one, base.const, base.lead, base.as_int, base.ints
+    bmul, badd, bneg, bdiv, bgcd = base.mul, base.add, base.neg, base.div_exact, base.gcd
+    blincomb, bdot, bcontent, bof, bterms = base.lincomb, base.dot, base.content, base.of, base.terms
+    one = [bone]
 
+    def as_int(a):
+        return bas_int(a[0]) if len(a) == 1 else None
 
-def zxy_mul(a: list, b: list) -> list:
-    """a * b in Z[t1][t2].  A factor of 1 gives back the other operand, so
-    the result may share lists with an operand; none is mutated."""
-    if not a or not b:
-        return []
-    if len(a) == 1:
-        x = a[0]
-        return b if x == [1] else [zx_mul(x, y) for y in b]
-    if len(b) == 1:
-        y = b[0]
-        return a if y == [1] else [zx_mul(x, y) for x in a]
-    w = max(map(len, a)) + max(map(len, b)) - 1
-    flat = [0] * ((len(a) + len(b) - 1) * w)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            if x and y:
-                base = (i + j) * w
-                for e, p in enumerate(x):
-                    if p:
-                        for f, q in enumerate(y):
-                            flat[base + e + f] += p * q
-    out = []
-    for s in range(0, len(flat), w):
-        r = flat[s:s + w]
-        while r and not r[-1]:
-            r.pop()
-        out.append(r)
-    while out and not out[-1]:
-        out.pop()
-    return out
+    def ints(polys):
+        return bints(chain.from_iterable(polys))
 
+    def neg(a):
+        return [bneg(x) for x in a]
 
-def _zx_submul(r: list, c: list, y: list) -> list:
-    """r - c*y in Z[t]."""
-    return zx_add(r, [-k for k in zx_mul(c, y)])
-
-
-def zxy_div_exact(a: list, b: list) -> list:
-    """a / b in Z[t1][t2]; raises ValueError unless b divides a."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    if len(b) == 1:
-        y = b[0]
-        if len(y) == 1:  # an integer
-            k = y[0]
-            if k == 1:
-                return a
-            if any(c % k for x in a for c in x):
-                raise ValueError("inexact polynomial division")
-            return [[c // k for c in x] for x in a]
-        return [zx_div_exact(x, y) if x else [] for x in a]
-    db, lb = len(b) - 1, b[-1]
-    if len(a) <= db:
-        if a:
-            raise ValueError("inexact polynomial division")
-        return []
-    rem = list(a)
-    q: list = [[]] * (len(a) - db)
-    for k in range(len(q) - 1, -1, -1):
-        r = rem[k + db]
-        if r:
-            c = q[k] = zx_div_exact(r, lb)
-            for i, y in enumerate(b):
-                if y:
-                    rem[k + i] = _zx_submul(rem[k + i], c, y)
-    if any(rem):
-        raise ValueError("inexact polynomial division")
-    return q
-
-
-def zxy_content(v, g=()) -> list:
-    """The gcd in Z[t1][t2] of g and the entries of v, as
-    :func:`zx_content`; if one of them is an integer, the gcd of all their
-    integer coefficients."""
-    polys = [x for x in v if x]
-    if g:
-        polys.append(g)
-    if any(len(x) == 1 and len(x[0]) == 1 for x in polys):
-        return [[gcd(*chain.from_iterable(chain.from_iterable(polys)))]]
-    g = []
-    for x in sorted(polys, key=len):
-        if g == [[1]]:
-            break
-        g = zxy_gcd(g, x)
-    return g
-
-
-def _zxy_prem(a: list, b: list) -> list:
-    """A nonzero multiple of ``a mod b`` in t1, for ``deg a >= deg b``,
-    made primitive over Z[t2] unless its degree in t1 is 0 (which ends a
-    remainder sequence, so its content is never needed).  Each step scales
-    by ``lc(b)`` and subtracts ``lc(r)`` times a shift of b, as in
-    :func:`_dense_prem`; the two are divided by their gcd only when both
-    are integers, since a gcd in Z[t2] per step costs more than the growth
-    it saves (on the qt:2 5 x 5 of ``scripts/invert_sizes.py``, building
-    the matrix took 61 s with it and 33 s without)."""
-    db, lb = len(b) - 1, b[-1]
-    r = a
-    while len(r) > db:
-        lr = r[-1]
-        if len(lr) == len(lb) == 1:
-            g = gcd(lr[0], lb[0])
-            u, w = [lb[0] // g], [lr[0] // g]
-        else:
-            u, w = lb, lr
-        k = len(r) - 1 - db
-        r = [zx_mul(u, x) for x in r[:-1]]
-        for i, y in enumerate(b[:-1]):
-            if y:
-                r[k + i] = _zx_submul(r[k + i], w, y)
-        while r and not r[-1]:
-            r.pop()
-    if len(r) > 1:
-        h = zx_content(r)
-        if h != [1]:
-            r = [zx_div_exact(x, h) if x else x for x in r]
-    return r
-
-
-def zxy_gcd(a: list, b: list) -> list:
-    """gcd in Z[t1][t2] with a positive lex-leading coefficient, [] for
-    gcd(0, 0): the gcd of the contents over Z[t2] times the primitive gcd
-    in t1."""
-    if not a or not b:
-        a = a or b
-        return a if not a or a[-1][-1] > 0 else zxy_neg(a)
-    if len(a) == 1 or len(b) == 1:  # one operand lies in Z[t2]
-        if len(a) != 1:
+    def add(a, b):
+        if len(a) < len(b):
             a, b = b, a
-        x = a[0]
-        if len(x) == 1:  # an integer
-            return [[gcd(x[0], *chain.from_iterable(b))]]
-        return [zx_content(b, x)]
-    ca, cb = zx_content(a), zx_content(b)
-    if ca != [1]:
-        a = [zx_div_exact(x, ca) for x in a]
-    if cb != [1]:
-        b = [zx_div_exact(x, cb) for x in b]
-    c = zx_gcd(ca, cb)
-    if len(a) < len(b):
-        a, b = b, a
-    while len(b) > 1:
-        a, b = b, _zxy_prem(a, b)
-    if b:  # a nonzero remainder of degree 0 in t1: the primitive parts are coprime
-        return [c]
-    if a[-1][-1] < 0:
-        c = [-k for k in c]
-    return zxy_mul([c], a)
+        r = list(a)
+        for i, y in enumerate(b):
+            if y:
+                x = r[i]
+                r[i] = badd(x, y) if x else y
+        while r and not r[-1]:
+            r.pop()
+        return r
+
+    def mul(a, b):
+        """a * b.  A factor of 1 gives back the other operand, so the result
+        may share lists with an operand; none is mutated."""
+        if not a or not b:
+            return []
+        if len(a) == 1:
+            x = a[0]
+            return b if x == bone else [bmul(x, y) for y in b]
+        if len(b) == 1:
+            y = b[0]
+            return a if y == bone else [bmul(x, y) for x in a]
+        na, nb = len(a), len(b)
+        return [bdot(a, [(i, y) for i in range(max(0, k - nb + 1), min(k + 1, na)) if (y := b[k - i])])
+                for k in range(na + nb - 1)]
+
+    def dot(v, col):
+        """Products of two integers are summed as integers.  The others are
+        grouped by the power of t they reach, and each group summed by R's
+        ``dot``: ``xs`` holds every nonzero coefficient of those v[i], and
+        group k the pairs (index into xs, y) whose powers add up to k."""
+        c0 = 0
+        xs: list = []
+        groups: list = []
+        for i, y in col:
+            x = v[i]
+            if not x:
+                continue
+            if len(x) == 1 == len(y):
+                p = bas_int(x[0])
+                if p is not None:
+                    q = bas_int(y[0])
+                    if q is not None:
+                        c0 += p * q
+                        continue
+            n = len(x) + len(y) - 1
+            if len(groups) < n:
+                groups += [[] for _ in range(n - len(groups))]
+            for e, a in enumerate(x):
+                if a:
+                    j = len(xs)
+                    xs.append(a)
+                    for f, b in enumerate(y):
+                        if b:
+                            groups[e + f].append((j, b))
+        if not groups:
+            return [bconst(c0)] if c0 else []
+        out = [bdot(xs, g) if g else [] for g in groups]
+        if c0:
+            out[0] = badd(out[0], bconst(c0)) if out[0] else bconst(c0)
+        while out and not out[-1]:
+            out.pop()
+        return out
+
+    def lincomb(a, x, b, y):
+        if not x:
+            return mul(b, y)
+        if not y:
+            return mul(a, x)
+        if len(a) == len(b) == len(x) == len(y) == 1:  # all in the base ring
+            r = blincomb(a[0], x[0], b[0], y[0])
+            return [r] if r else []
+        return add(mul(a, x), mul(b, y))
+
+    def div_exact(a, b):
+        """a / b; raises ValueError unless b divides a."""
+        if not b:
+            raise ZeroDivisionError("polynomial division by zero")
+        if len(b) == 1:
+            y = b[0]
+            return a if y == bone else [bdiv(x, y) if x else x for x in a]
+        db, lb = len(b) - 1, b[-1]
+        if len(a) <= db:
+            if a:
+                raise ValueError("inexact polynomial division")
+            return []
+        rem = list(a)
+        q: list = [[]] * (len(a) - db)
+        for k in range(len(q) - 1, -1, -1):
+            r = rem[k + db]
+            if r:
+                c = q[k] = bdiv(r, lb)
+                c = bneg(c)
+                for i in range(db):  # the leading term cancels exactly
+                    y = b[i]
+                    if y:
+                        rem[k + i] = badd(rem[k + i], bmul(c, y))
+        if any(rem[:db]):
+            raise ValueError("inexact polynomial division")
+        return q
+
+    def prem(a, b):
+        """A nonzero multiple of ``a mod b`` in t, for ``deg a >= deg b``,
+        made primitive over R unless its degree in t is 0 (which ends a
+        remainder sequence, so its content is never needed).  Each step
+        scales by ``lc(b)`` and subtracts ``lc(r)`` times a shift of b, as in
+        :func:`_dense_prem`; the two are divided by their gcd only when both
+        are integers, since a gcd in R per step costs more than the growth
+        it saves (on the qt:2 5 x 5 of ``scripts/invert_sizes.py``, building
+        the matrix took 61 s with it and 33 s without)."""
+        db, lb = len(b) - 1, b[-1]
+        kb = bas_int(lb)
+        r = a
+        while len(r) > db:
+            lr = r[-1]
+            kr = None if kb is None else bas_int(lr)
+            if kr is not None:
+                g = gcd(kr, kb)
+                u, w = bconst(kb // g), bconst(-kr // g)
+            else:
+                u, w = lb, bneg(lr)
+            k = len(r) - 1 - db
+            r = [bmul(u, x) for x in r[:-1]]
+            for i in range(db):
+                y = b[i]
+                if y:
+                    r[k + i] = badd(r[k + i], bmul(w, y))
+            while r and not r[-1]:
+                r.pop()
+        if len(r) > 1:
+            r = div_exact(r, [bcontent(r)])
+        return r
+
+    def gcd_(a, b):
+        """gcd with a positive lex-leading coefficient, [] for gcd(0, 0): the
+        gcd of the contents over R times the primitive gcd in t."""
+        if not a or not b:
+            a = a or b
+            return a if not a or blead(a[-1]) > 0 else neg(a)
+        if len(a) == 1 or len(b) == 1:  # one operand lies in R
+            if len(a) != 1:
+                a, b = b, a
+            return [bcontent(b, a[0])]
+        ca, cb = bcontent(a), bcontent(b)
+        a, b = div_exact(a, [ca]), div_exact(b, [cb])
+        c = bgcd(ca, cb)
+        if len(a) < len(b):
+            a, b = b, a
+        while len(b) > 1:
+            a, b = b, prem(a, b)
+        if b:  # a nonzero remainder of degree 0 in t: the primitive parts are coprime
+            return [c]
+        if blead(a[-1]) < 0:
+            c = bneg(c)
+        return mul([c], a)
+
+    def lcm_(a, b):
+        """lcm of nonzero a and b, with a positive lex-leading coefficient."""
+        r = mul(div_exact(a, gcd_(a, b)), b)
+        return r if blead(r[-1]) > 0 else neg(r)
+
+    def content(v, g=()):
+        """The gcd of g and the entries of v, with a positive lex-leading
+        coefficient; [] if all are zero.  If one of them is an integer, it
+        is the gcd of all their integer coefficients."""
+        if g == one:
+            return one
+        polys = [x for x in v if x]
+        if g:
+            polys.append(g)
+        for x in polys:
+            if len(x) == 1 and bas_int(x[0]) is not None:
+                return [bconst(gcd(*ints(polys)))]
+        h: list = []
+        for x in sorted(polys, key=len):
+            if h == one:
+                break
+            h = gcd_(h, x)
+        return h
+
+    def of(p):
+        parts: dict = {}
+        for e, k in p.items():
+            parts.setdefault(e[0], {})[e[1:]] = k
+        out: list = [[]] * (max(parts) + 1)
+        for i, q in parts.items():
+            out[i] = bof(q)
+        return out
+
+    return PolyRing(
+        base.nvars + 1, one, const=lambda k: [bconst(k)], lead=lambda a: blead(a[-1]),
+        is_const=lambda a: as_int(a) is not None, as_int=as_int, ints=ints,
+        mul=mul, add=add, neg=neg, div_exact=div_exact, gcd=gcd_, lcm=lcm_, lincomb=lincomb,
+        dot=dot, content=content, of=of,
+        terms=lambda a: {(i,) + e: k for i, x in enumerate(a) if x for e, k in bterms(x).items()})
 
 
-def zxy_lcm(a: list, b: list) -> list:
-    """lcm in Z[t1][t2] of nonzero a and b, with a positive lex-leading
-    coefficient."""
-    r = zxy_mul(zxy_div_exact(a, zxy_gcd(a, b)), b)
-    return r if r[-1][-1] > 0 else zxy_neg(r)
+_POLY_RINGS = [None, ZX]
+
+
+def poly_ring(nvars: int) -> PolyRing:
+    """Z[t1..tr] for r = ``nvars``: :data:`ZX` for r = 1, and for r >= 2
+    the ring :func:`_nested` builds over Z[t2..tr], so an element is a
+    list over powers of t1 of lists over powers of t2, down to integer
+    lists over powers of tr.  Built once per r."""
+    while len(_POLY_RINGS) <= nvars:
+        _POLY_RINGS.append(_nested(_POLY_RINGS[-1]))
+    return _POLY_RINGS[nvars]
 
 
 def mpoly_gcd(f: MPoly, g: MPoly) -> MPoly:
-    """Monic gcd via the primitive pseudo-remainder sequence: dense over Z
-    when both operands are polynomials in one and the same variable, dense
-    over Z[t2] (:func:`zxy_gcd`) in two variables, and recursive in the
-    smallest common variable otherwise."""
+    """Monic gcd: the gcd in :func:`poly_ring` of the primitive parts,
+    which is primitive with a positive lead, scaled to lead 1."""
     if f.is_zero():
         return g.monic()
     if g.is_zero():
         return f.monic()
     if f.is_const() or g.is_const():
         return MPoly.const(f.nvars, 1)
-    vf, vg = f.active_vars(), g.active_vars()
-    common = vf & vg
-    if not common:
+    ring = poly_ring(f.nvars)
+    h = ring.gcd(ring.of(f.p), ring.of(g.p))
+    if ring.is_const(h):
         return MPoly.const(f.nvars, 1)
-    v = min(common)
-    if len(vf) == 1 and vf == vg:
-        return _dense_gcd(f, g, v)
-    if f.nvars == 2:
-        h = zxy_gcd(zxy_of(f.p), zxy_of(g.p))
-        return MPoly._normal(2, zxy_terms(h), _ONE).monic()
-    cf, cg = _content(f, v), _content(g, v)
-    a, b = f.div_exact(cf), g.div_exact(cg)
-    if a.deg(v) < b.deg(v):
-        a, b = b, a
-    while not b.is_zero():
-        r = _prem(a, b, v)
-        a = b
-        if r.is_zero():
-            b = r
-        else:
-            b = r.div_exact(_content(r, v))
-    return (mpoly_gcd(cf, cg) * a).monic()
+    return MPoly._of(f.nvars, ring.terms(h), Fraction(1, ring.lead(h)))
 
 
 def _nontrivial_gcd(f: MPoly, g: MPoly):
@@ -1066,12 +1100,17 @@ class PrimeField(Field):
         return Fp(self.p, rng.randint(1 if units_only else 0, self.p - 1))
 
 
+MAX_NVARS = 64
+
+
 class FunctionField(Field):
-    """Q(t1..tr), rational functions in r indeterminates."""
+    """Q(t1..tr), rational functions in r indeterminates, 1 <= r <=
+    :data:`MAX_NVARS`: the ring tower of :func:`poly_ring` recurses once per
+    variable."""
 
     def __init__(self, nvars: int) -> None:
-        if nvars < 1:
-            raise ValueError("need at least one indeterminate")
+        if not 1 <= nvars <= MAX_NVARS:
+            raise ValueError("the number of indeterminates must be 1 to %d, got %d" % (MAX_NVARS, nvars))
         self.nvars = nvars
         self.name = "qt:%d" % nvars
         # built once: values are never mutated, so every caller may share them

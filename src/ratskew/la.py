@@ -6,7 +6,8 @@ matters.  ``Echelon`` keeps a fully reduced row-echelon basis of a growing
 subspace, which is the whole engine behind minimizing linear
 representations: the coordinates of a vector of the span in that basis are
 its entries at the pivot columns, read off with no further elimination.
-``Echelon`` works on field values; only ``qt:r`` with r >= 3 still uses it.
+``Echelon`` works on field values; no field runs it any more, and it stays
+as the reference the other two classes are tested against.
 
 Two classes keep the same basis with no field objects at all.  A subspace
 has exactly one reduced row-echelon basis, and scaling a row by a nonzero
@@ -20,23 +21,19 @@ unique basis with row i scaled by its pivot entry: dividing row i by
   row combination ``a*v - c*row`` with the common factor of ``a`` and ``c``
   removed, and the content of a new row divided out once.  Mod p the pivot
   is normalised to 1 with a Fermat inverse.
-* ``PolyEchelon`` works over a dense polynomial ring, a :class:`PolyRing`:
-  Z[t] for Q(t) (``qt:1``, :data:`ZX`, integer coefficient lists) or
-  Z[t1][t2] for Q(t1,t2) (``qt:2``, :data:`ZXY`, lists over powers of t1
-  of Z[t2] lists).  It is ``IntEchelon`` with polynomial entries: the
-  common factor of ``a`` and ``c`` is their gcd in the ring, each row is
-  primitive (the gcd of its entries, contents included, is 1), and its
-  pivot has a positive lex-leading coefficient.  The gcds are the dense
-  primitive pseudo-remainder sequences of ``fields`` (Collins, *J. ACM* 14,
-  1967).
+* ``PolyEchelon`` works over Z[t1..tr] for Q(t1..tr) (``qt:r``), the ring
+  ``fields.poly_ring(r)`` of nested dense lists.  It is ``IntEchelon`` with
+  polynomial entries: the common factor of ``a`` and ``c`` is their gcd in
+  the ring, each row is primitive (the gcd of its entries, contents
+  included, is 1), and its pivot has a positive lex-leading coefficient.
+  The ring and its gcd live in ``fields``; this module only calls them.
 """
 
 from __future__ import annotations
 
 from math import gcd
 
-from .fields import (zx_add, zx_content, zx_div_exact, zx_gcd, zx_lcm, zx_mul, zxy_add, zxy_div_exact, zxy_gcd,
-                     zxy_content, zxy_lcm, zxy_mul, zxy_neg, zxy_of, zxy_terms)
+from .fields import PolyRing
 
 
 def mat_vec(m, v, zero):
@@ -189,145 +186,9 @@ class IntEchelon:
         return len(self.rows)
 
 
-def _zx_lincomb(a, x, b, y):
-    """a*x + b*y in Z[t], on dense coefficient lists."""
-    if not x:
-        return zx_mul(b, y)
-    if not y:
-        return zx_mul(a, x)
-    if len(a) == len(b) == len(x) == len(y) == 1:
-        s = a[0] * x[0] + b[0] * y[0]
-        return [s] if s else []
-    return zx_add(zx_mul(a, x), zx_mul(b, y))
-
-
-def _zxy_lincomb(a, x, b, y):
-    """a*x + b*y in Z[t1][t2]."""
-    if not x:
-        return zxy_mul(b, y)
-    if not y:
-        return zxy_mul(a, x)
-    if len(a) == len(b) == len(x) == len(y) == 1:  # all in Z[t2]
-        r = _zx_lincomb(a[0], x[0], b[0], y[0])
-        return [r] if r else []
-    return zxy_add(zxy_mul(a, x), zxy_mul(b, y))
-
-
-def _zx_dot(v, col):
-    """sum v[i] * y over the entries (i, y) of a sparse column, in Z[t]."""
-    c0 = 0
-    acc = None
-    for i, y in col:
-        x = v[i]
-        if not x:
-            continue
-        if len(x) == 1 and len(y) == 1:
-            c0 += x[0] * y[0]
-            continue
-        n = len(x) + len(y) - 1
-        if acc is None:
-            acc = [0] * n
-        elif len(acc) < n:
-            acc += [0] * (n - len(acc))
-        for e, a in enumerate(x):
-            if a:
-                for f, b in enumerate(y):
-                    acc[e + f] += a * b
-    if acc is None:
-        return [c0] if c0 else []
-    acc[0] += c0
-    while acc and not acc[-1]:
-        acc.pop()
-    return acc
-
-
-def _zxy_dot(v, col):
-    """sum v[i] * y over the entries (i, y) of a sparse column, in
-    Z[t1][t2]: the products accumulate in one flat list per power of t1."""
-    c0 = 0
-    acc: list = []
-    for i, y in col:
-        x = v[i]
-        if not x:
-            continue
-        if len(x) == 1 and len(y) == 1 and len(x[0]) == 1 and len(y[0]) == 1:
-            c0 += x[0][0] * y[0][0]
-            continue
-        if len(acc) < len(x) + len(y) - 1:
-            acc += [[] for _ in range(len(x) + len(y) - 1 - len(acc))]
-        for e, a in enumerate(x):
-            if a:
-                for f, b in enumerate(y):
-                    if b:
-                        row = acc[e + f]
-                        n = len(a) + len(b) - 1
-                        if len(row) < n:
-                            row += [0] * (n - len(row))
-                        for g, p in enumerate(a):
-                            if p:
-                                for h, q in enumerate(b):
-                                    row[g + h] += p * q
-    if not acc:
-        return [[c0]] if c0 else []
-    if c0:
-        if acc[0]:
-            acc[0][0] += c0
-        else:
-            acc[0] = [c0]
-    for row in acc:
-        while row and not row[-1]:
-            row.pop()
-    while acc and not acc[-1]:
-        acc.pop()
-    return acc
-
-
-def _zx_dense(p):
-    """The dense coefficient list of a univariate ``MPoly`` integer dict."""
-    out = [0] * (max(p)[0] + 1)
-    for (k,), c in p.items():
-        out[k] = c
-    return out
-
-
-class PolyRing:
-    """The dense polynomial ring a ``PolyEchelon`` and the polynomial kernel
-    of ``linrep`` work over: Z[t] (:data:`ZX`) or Z[t1][t2] (:data:`ZXY`).
-    Zero is ``[]`` in both; ``one`` is the unit, ``const(k)`` the integer k,
-    ``lead(a)`` the lex-leading integer coefficient and ``is_const(a)``
-    whether a nonzero a is an integer.  ``mul``, ``add``, ``neg``,
-    ``div_exact`` (refusing an inexact quotient), ``gcd`` and ``lcm`` (both
-    with a positive lead) are the ring operations; ``lincomb(a, x, b, y)``
-    is a*x + b*y, ``dot(v, col)`` the product of a vector with a sparse
-    column of (index, entry) pairs, and ``content(v, g)`` the gcd of g and
-    the entries of v.  ``of`` and ``terms`` convert from and to the integer
-    dicts of ``fields.MPoly`` in ``nvars`` variables."""
-
-    def __init__(self, nvars, one, **ops) -> None:
-        self.nvars, self.one = nvars, one
-        self.e0 = (0,) * nvars
-        self.__dict__.update(ops)
-
-
-ZX = PolyRing(
-    1, [1], const=lambda k: [k], lead=lambda a: a[-1], is_const=lambda a: len(a) == 1,
-    mul=zx_mul, add=zx_add, neg=lambda a: [-k for k in a], div_exact=zx_div_exact, gcd=zx_gcd,
-    lcm=zx_lcm, lincomb=_zx_lincomb, dot=_zx_dot, content=zx_content,
-    of=_zx_dense, terms=lambda a: {(k,): c for k, c in enumerate(a) if c})
-
-ZXY = PolyRing(
-    2, [[1]], const=lambda k: [[k]], lead=lambda a: a[-1][-1],
-    is_const=lambda a: len(a) == 1 and len(a[0]) == 1,
-    mul=zxy_mul, add=zxy_add, neg=zxy_neg, div_exact=zxy_div_exact, gcd=zxy_gcd, lcm=zxy_lcm,
-    lincomb=_zxy_lincomb, dot=_zxy_dot, of=zxy_of, terms=zxy_terms,
-    content=zxy_content)
-
-POLY_RINGS = {1: ZX, 2: ZXY}
-
-
 class PolyEchelon:
-    """Reduced row-echelon basis of a subspace of Q(t)^n or Q(t1,t2)^n kept
-    over the polynomial ring ``ring`` (a :class:`PolyRing`), grown one
+    """Reduced row-echelon basis of a subspace of Q(t1..tr)^n kept over the
+    polynomial ring ``ring`` (a ``fields.PolyRing``), grown one
     vector at a time; a vector is a list of the ring's dense polynomials.
     Every row is primitive over the ring, the gcd of its entries being 1,
     and its pivot has a positive lex-leading coefficient.  Rows are

@@ -36,18 +36,19 @@ kernel.  Over ``q`` and ``fp:p`` the kernel works on plain integers: a
 vector is its integers over one denominator, a letter matrix its integer
 columns over one denominator, and the search and the elimination run in
 ``la.IntEchelon`` with no ``Fraction`` or ``Fp`` in the inner loop.  Over
-``qt:1`` and ``qt:2`` one polynomial kernel works the same way on dense
-polynomials over one common polynomial denominator, in Z[t] or in
-Z[t1][t2] (the coefficient ring ``la.ZX`` or ``la.ZXY``), and the
-elimination runs fraction-free in ``la.PolyEchelon`` over the same ring,
-with no ``RatFunc`` in the inner loop.  That is exact because scaling a
-vector or a letter matrix does not change the span of row * mu(w), and a
-subspace has exactly one reduced row-echelon basis: the integer or
-polynomial basis is that basis with each row scaled by its pivot, so the
-pivot-1 rows, and every value read from them, are the same as
-``la.Echelon`` gives.  Only ``qt:r`` with r >= 3 runs the search on its own
-values with ``la.Echelon``: its kernel is the identity.
-``LinRep.min_word`` runs its level search on the same kernels.
+every ``qt:r`` one polynomial kernel works the same way on dense
+polynomials over one common polynomial denominator, in Z[t1..tr] (the ring
+``fields.poly_ring(r)``: Z[t] for r = 1, and Z[t1][t2..tr] nested down to
+Z[t] for r >= 2), and the elimination runs fraction-free in
+``la.PolyEchelon`` over the same ring, with no ``RatFunc`` in the inner
+loop.  That is exact because scaling a vector or a letter matrix does not
+change the span of row * mu(w), and a subspace has exactly one reduced
+row-echelon basis: the integer or polynomial basis is that basis with each
+row scaled by its pivot, so the pivot-1 rows, and every value read from
+them, are the same as ``la.Echelon`` gives.  The identity kernel
+``_FieldKernel``, which runs the search on field values with
+``la.Echelon``, is used by no field; it is the reference the tests patch
+in.  ``LinRep.min_word`` runs its level search on the same kernels.
 
 The kernel form is the stored state.  A representation built by an
 operation holds its block in the kernel's form only; sums, products, stars,
@@ -78,10 +79,10 @@ from itertools import chain
 from math import gcd, lcm
 from operator import mul
 
-from .fields import (Field, Fp, FunctionField, MPoly, PrimeField, RatFunc, RationalField, scalar_from_json,
+from .fields import (Field, Fp, MPoly, PrimeField, RatFunc, RationalField, poly_ring, scalar_from_json,
                      scalar_to_json)
 from .freealg import FreeElem
-from .la import POLY_RINGS, Echelon, IntEchelon, PolyEchelon, dot, identity, invert_matrix, vec_mat
+from .la import Echelon, IntEchelon, PolyEchelon, dot, identity, invert_matrix, vec_mat
 from .words import word_key
 
 
@@ -90,9 +91,9 @@ from .words import word_key
 # ---------------------------------------------------------------------------
 
 class _FieldKernel:
-    """Vectors and matrices as field values, eliminated by ``la.Echelon``;
-    the kernel of ``qt:r`` with r >= 3, and the reference the other kernels
-    are tested against.
+    """Vectors and matrices as field values, eliminated by ``la.Echelon``:
+    the reference the other kernels are tested against, which no field
+    uses.
 
     A kernel converts field vectors and letter matrices to its own form
     (``vec``, ``mat``) and back (``out``, ``out_m``), gives the search
@@ -385,8 +386,8 @@ def _dense_col(col, n):
 
 
 class _PolyKernel:
-    """Q(t) (``qt:1``) or Q(t1,t2) (``qt:2``) on the dense polynomials of
-    ``ring``, Z[t] or Z[t1][t2] (``la.ZX``, ``la.ZXY``), eliminated by
+    """Q(t1..tr) (``qt:r``) on the dense polynomials of ``ring``, the
+    ring Z[t1..tr] of ``fields.poly_ring(r)``, eliminated by
     ``la.PolyEchelon`` over the same ring.
 
     Zero is ``[]``.  A vector is a pair (polys, den) standing for polys /
@@ -667,10 +668,8 @@ def _kernel(field: Field):
             k = _IntKernel(0)
         elif isinstance(field, PrimeField):
             k = _IntKernel(field.p)
-        elif isinstance(field, FunctionField) and field.nvars in POLY_RINGS:
-            k = _PolyKernel(field, POLY_RINGS[field.nvars])
         else:
-            k = _FieldKernel(field)
+            k = _PolyKernel(field, poly_ring(field.nvars))
         _KERNELS[field.name] = k
     return k
 

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from ratskew.cli import run_command
-from ratskew.fields import field_from_name
+from ratskew.fields import MAX_NVARS, field_from_name
 from ratskew.freealg import FreeElem
 from ratskew.realize import build_generators, hom_spec, spot_check_sigma_prime
 from ratskew.skew import CoeffDomain, SkewRing, verify_word_system
@@ -38,6 +38,17 @@ def test_usage_errors_exit_2(run):
     assert run("nonsense")[0] == 2                                 # unknown command
     assert run("verify-cert", "/no/such/file.json")[0] == 2        # unreadable file
     assert run("k0", "group", "no pipe")[0] == 2                   # unparsable text
+
+
+def test_function_field_variable_bound(run):
+    """qt:r is accepted up to MAX_NVARS variables and refused above, with
+    exit 2 and an ``error:`` line, not a traceback."""
+    expr = "(1 + (2*t1 + 1)*x0)^-1 * (2 - t1*x1*x0)"
+    code, out, err = run("series", "eval", "--field", "qt:%d" % MAX_NVARS, expr)
+    assert code == 0 and out.startswith("dim: 3") and not err
+    code, out, err = run("series", "eval", "--field", "qt:%d" % (MAX_NVARS + 1), expr)
+    assert code == 2 and not out
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_bad_or_unread_flags_exit_2(run, tmp_path):

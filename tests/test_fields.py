@@ -8,10 +8,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ratskew.fields import (Fp, FunctionField, MPoly, PrimeField, QQ, RatFunc,
-                            field_from_name, mpoly_gcd, scalar_from_json,
-                            scalar_to_json, zx_div_exact, zx_gcd, zx_lcm, zx_mul, zxy_add,
-                            zxy_div_exact, zxy_gcd, zxy_lcm, zxy_mul, zxy_neg, zxy_terms)
+from ratskew.fields import (MAX_NVARS, Fp, FunctionField, MPoly, PrimeField, QQ, RatFunc,
+                            field_from_name, mpoly_gcd, poly_ring, scalar_from_json,
+                            scalar_to_json, zx_div_exact, zx_gcd, zx_lcm, zx_mul)
 
 F7 = field_from_name("fp:7")
 QT = field_from_name("qt:1")
@@ -30,6 +29,10 @@ def test_field_from_name_caches_and_parses():
         field_from_name("zz")
     with pytest.raises(ValueError):
         field_from_name("fp:6")  # composite modulus
+    assert field_from_name("qt:%d" % MAX_NVARS).nvars == MAX_NVARS
+    for r in (0, MAX_NVARS + 1):
+        with pytest.raises(ValueError, match="indeterminates"):
+            field_from_name("qt:%d" % r)
 
 
 def test_field_identity_elements():
@@ -401,7 +404,7 @@ def test_mpoly_content_form_matches_fraction_reference(data, nvars):
         collected: dict = {}
         for e, c in x.items():
             collected.setdefault(e[v], {})[e[:v] + (0,) + e[v + 1:]] = c
-        got = p.coeffs_in(v)
+        got = _coeffs_in(p, v)
         assert sorted(got) == sorted(collected)
         results += [(got[d], collected[d]) for d in got]
     for r, want in results:
@@ -432,7 +435,7 @@ def _univariate(nvars, v):
 
 
 @settings(max_examples=150, deadline=None)
-@given(data=st.data(), nvars=st.sampled_from([1, 2]))
+@given(data=st.data(), nvars=st.sampled_from([1, 2, 3]))
 def test_mpoly_gcd_univariate_is_monic_common_divisor(data, nvars):
     v = data.draw(st.integers(0, nvars - 1), "v")
     f = data.draw(_univariate(nvars, v), "f")
@@ -451,12 +454,14 @@ def test_mpoly_gcd_univariate_is_monic_common_divisor(data, nvars):
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_mpoly_gcd_dense_path_agrees_with_recursive_path(data):
-    """For f, g in t1 alone the dense path runs; times s = t2 + 1 the
-    recursive one does."""
+    """For f, g in t1 alone, and for both times s = t2 + 1, the ring gcd
+    equals the recursive reference."""
     f = data.draw(_univariate(2, 0), "f")
     g = data.draw(_univariate(2, 0), "g")
     s = MPoly.var(2, 1) + MPoly.const(2, 1)
-    assert mpoly_gcd(f * s, g * s) == (mpoly_gcd(f, g) * s).monic()
+    h = mpoly_gcd(f, g)
+    assert h == _reference_gcd(f, g)
+    assert mpoly_gcd(f * s, g * s) == _reference_gcd(f * s, g * s) == (h * s).monic()
 
 
 # -- dense Z[t] helpers -------------------------------------------------------
@@ -531,79 +536,250 @@ def test_zx_lcm_is_divisible_by_both(a, b):
     assert zx_mul(m, zx_gcd(a, b)) in (ab, [-x for x in ab])
 
 
-# -- dense Z[t1][t2] helpers ----------------------------------------------------
+# -- the ring tower Z[t1..tr] ---------------------------------------------------
 
-# 1 + t1, t1 + t2, 1 + t2, 2 + 3*t1*t2, t2^2 - 1, 1 + t1^2
-_ZXY_POOL = [[[1], [1]], [[0, 1], [1]], [[1, 1]], [[2], [0, 3]], [[-1, 0, 1]], [[1], [], [1]]]
+def _mono(r, *pairs):
+    """The exponent tuple in r variables with t_i^k for each pair (i, k)."""
+    e = [0] * r
+    for i, k in pairs:
+        e[i - 1] = k
+    return tuple(e)
 
 
-def _zxy_trim(a):
-    a = [_zx_trim(x) for x in a]
-    while a and not a[-1]:
-        a.pop()
-    return a
+def _pool(r):
+    """Small factors: 1 + t1, t1 + tr, 1 + tr, 2 + 3*t1*tr, tr^2 - 1,
+    1 + t1^2, and in three variables t2 + t3 and t1*t2 - 1."""
+    z = _mono(r)
+    pool = [{z: 1, _mono(r, (1, 1)): 1}, {_mono(r, (1, 1)): 1, _mono(r, (r, 1)): 1},
+            {z: 1, _mono(r, (r, 1)): 1}, {z: 2, _mono(r, (1, 1), (r, 1)): 3},
+            {_mono(r, (r, 2)): 1, z: -1}, {z: 1, _mono(r, (1, 2)): 1}]
+    if r == 3:
+        pool += [{_mono(r, (2, 1)): 1, _mono(r, (3, 1)): 1}, {_mono(r, (1, 1), (2, 1)): 1, z: -1}]
+    return pool
 
 
 @st.composite
-def _zxy(draw, nonzero=False):
-    """As :func:`_zx`, in Z[t1][t2]: an integer times pool factors times a
-    random polynomial of degree <= 2 in each variable."""
-    p = _zxy_trim(draw(st.lists(st.lists(st.integers(-4, 4), max_size=3), max_size=3)))
-    if not p:
+def _ring_poly(draw, r, nonzero=False):
+    """As :func:`_zx`, in poly_ring(r): an integer times pool factors times
+    a random polynomial of degree <= 2 in each variable, with up to 4 terms
+    and 3 factors.  In three variables the degree is <= 1, with up to 3
+    terms and 2 factors: the primitive remainder sequences of larger draws
+    take seconds each."""
+    ring = poly_ring(r)
+    deg, nterms, nfactors = (2, 4, 3) if r == 2 else (1, 3, 2)
+    terms = draw(st.dictionaries(st.tuples(*[st.integers(0, deg)] * r), st.integers(-4, 4), max_size=nterms))
+    terms = {e: k for e, k in terms.items() if k}
+    if not terms:
         if not nonzero:
             return []
-        p = [[draw(st.sampled_from([-3, -1, 1, 2]))]]
-    for f in draw(st.lists(st.sampled_from(_ZXY_POOL), max_size=3)):
-        p = zxy_mul(p, f)
-    return zxy_mul([[draw(st.sampled_from([1, -1, 2, -6]))]], p)
+        terms = {_mono(r): draw(st.sampled_from([-3, -1, 1, 2]))}
+    p = ring.of(terms)
+    for f in draw(st.lists(st.sampled_from(_pool(r)), max_size=nfactors)):
+        p = ring.mul(p, ring.of(f))
+    return ring.mul(ring.const(draw(st.sampled_from([1, -1, 2, -6]))), p)
 
 
-def _as_mpoly(a, nvars=2, embed=lambda e: e):
-    return MPoly._normal(nvars, {embed(e): k for e, k in zxy_terms(a).items()}, Fraction(1))
+def _as_mpoly(a, r=2, nvars=None, embed=lambda e: e):
+    """The ``MPoly`` of an element of poly_ring(r), its exponents mapped by
+    ``embed`` into ``nvars`` variables (default r)."""
+    terms = poly_ring(r).terms(a).items()
+    return MPoly._normal(nvars or r, {embed(e): k for e, k in terms}, Fraction(1))
+
+
+def _ring_pairs(nonzero=False):
+    return st.sampled_from([2, 3]).flatmap(
+        lambda r: st.tuples(st.just(r), _ring_poly(r, nonzero), _ring_poly(r, nonzero)))
 
 
 @settings(max_examples=200, deadline=None)
-@given(a=_zxy(), b=_zxy(nonzero=True))
-def test_zxy_div_exact_inverts_mul_and_refuses_an_inexact_quotient(a, b):
-    ab = zxy_mul(a, b)
-    assert _as_mpoly(ab) == _as_mpoly(a) * _as_mpoly(b)  # against the sparse product
-    assert zxy_div_exact(ab, b) == a
-    if b not in ([[1]], [[-1]]):  # b divides ab + 1 only if it is a unit
+@given(r=st.sampled_from([2, 3]), data=st.data())
+def test_poly_ring_div_exact_inverts_mul_and_refuses_an_inexact_quotient(r, data):
+    a = data.draw(_ring_poly(r), "a")
+    b = data.draw(_ring_poly(r, nonzero=True), "b")
+    ring = poly_ring(r)
+    ab = ring.mul(a, b)
+    assert _as_mpoly(ab, r) == _as_mpoly(a, r) * _as_mpoly(b, r)  # against the sparse product
+    assert ring.div_exact(ab, b) == a
+    if b not in (ring.one, ring.neg(ring.one)):  # b divides ab + 1 only if it is a unit
         with pytest.raises(ValueError, match="inexact"):
-            zxy_div_exact(zxy_add(ab, [[1]]), b)
+            ring.div_exact(ring.add(ab, ring.one), b)
 
 
 @settings(max_examples=200, deadline=None)
-@given(a=_zxy(), b=_zxy())
-def test_zxy_gcd_divides_both_with_coprime_cofactors(a, b):
-    g = zxy_gcd(a, b)
+@given(rab=_ring_pairs())
+def test_poly_ring_gcd_divides_both_with_coprime_cofactors(rab):
+    r, a, b = rab
+    ring = poly_ring(r)
+    g = ring.gcd(a, b)
     if not a and not b:
         assert g == []
         return
-    assert g[-1][-1] > 0
-    u, v = zxy_div_exact(a, g), zxy_div_exact(b, g)
-    assert zxy_mul(u, g) == a and zxy_mul(v, g) == b
-    assert zxy_gcd(u, v) == [[1]]
+    assert ring.lead(g) > 0
+    u, v = ring.div_exact(a, g), ring.div_exact(b, g)
+    assert ring.mul(u, g) == a and ring.mul(v, g) == b
+    assert ring.gcd(u, v) == ring.one
 
 
 @settings(max_examples=200, deadline=None)
-@given(a=_zxy(nonzero=True), b=_zxy(nonzero=True))
-def test_zxy_lcm_times_gcd_is_the_product(a, b):
-    m = zxy_lcm(a, b)
-    assert m[-1][-1] > 0
-    assert zxy_mul(zxy_div_exact(m, a), a) == m and zxy_mul(zxy_div_exact(m, b), b) == m
-    ab = zxy_mul(a, b)
-    assert zxy_mul(m, zxy_gcd(a, b)) in (ab, zxy_neg(ab))
+@given(rab=_ring_pairs(nonzero=True))
+def test_poly_ring_lcm_times_gcd_is_the_product(rab):
+    r, a, b = rab
+    ring = poly_ring(r)
+    m = ring.lcm(a, b)
+    assert ring.lead(m) > 0
+    assert ring.mul(ring.div_exact(m, a), a) == m and ring.mul(ring.div_exact(m, b), b) == m
+    ab = ring.mul(a, b)
+    assert ring.mul(m, ring.gcd(a, b)) in (ab, ring.neg(ab))
 
 
 @settings(max_examples=150, deadline=None)
-@given(f=_zxy(), g=_zxy(), s=_zxy(nonzero=True))
+@given(r=st.sampled_from([2, 3]), data=st.data())
+def test_poly_ring_dot_and_lincomb_equal_mul_and_add(r, data):
+    ring = poly_ring(r)
+    n = data.draw(st.integers(0, 4), "n")
+    v = [data.draw(_ring_poly(r), "v") for _ in range(n)]
+    col = [(i, y) for i in range(n) if (y := data.draw(_ring_poly(r), "y"))]
+    want = []
+    for i, y in col:
+        want = ring.add(want, ring.mul(v[i], y))
+    assert ring.dot(v, col) == want
+    a, x, b, y = (data.draw(_ring_poly(r), k) for k in "axby")
+    assert ring.lincomb(a, x, b, y) == ring.add(ring.mul(a, x), ring.mul(b, y))
+
+
+@settings(max_examples=150, deadline=None)
+@given(r=st.sampled_from([2, 3]), data=st.data())
+def test_poly_ring_of_and_terms_round_trip(r, data):
+    ring = poly_ring(r)
+    terms = data.draw(st.dictionaries(st.tuples(*[st.integers(0, 3)] * r), st.integers(-5, 5),
+                                      min_size=1, max_size=5), "terms")
+    terms = {e: k for e, k in terms.items() if k} or {ring.e0: 1}
+    a = ring.of(terms)
+    assert ring.terms(a) == terms
+    assert ring.lead(a) == terms[max(terms)]
+    assert ring.is_const(a) == (list(terms) == [ring.e0])
+    p = data.draw(_ring_poly(r, nonzero=True), "p")
+    assert ring.of(ring.terms(p)) == p
+
+
+@settings(max_examples=150, deadline=None)
+@given(f=_ring_poly(2), g=_ring_poly(2), s=_ring_poly(2, nonzero=True))
 def test_mpoly_gcd_bivariate_path_agrees_with_recursive_path(f, g, s):
-    """Operands in two variables take the dense Z[t1][t2] gcd; the same
-    operands embedded in three variables take the recursive one.  The
-    second embedding changes the lex order, hence which monic multiple."""
-    f, g = zxy_mul(f, s), zxy_mul(g, s)
+    """Operands in two variables, and the same operands embedded in three,
+    take the ring gcd of their number of variables; each equals the
+    recursive reference.  The second embedding changes the lex order,
+    hence which monic multiple."""
+    ring = poly_ring(2)
+    f, g = ring.mul(f, s), ring.mul(g, s)
     h = mpoly_gcd(_as_mpoly(f), _as_mpoly(g))
+    assert h == _reference_gcd(_as_mpoly(f), _as_mpoly(g))
     for embed in (lambda e: (e[0], e[1], 0), lambda e: (e[1], 0, e[0])):
-        want = mpoly_gcd(_as_mpoly(f, 3, embed), _as_mpoly(g, 3, embed))
+        f3, g3 = _as_mpoly(f, 2, 3, embed), _as_mpoly(g, 2, 3, embed)
+        want = _reference_gcd(f3, g3)
+        assert mpoly_gcd(f3, g3) == want
         assert MPoly._normal(3, {embed(e): k for e, k in h.p.items()}, h.c).monic() == want
+
+
+# -- the recursive primitive PRS: the reference of the ring gcd ------------------
+#
+# The gcd of MPoly values in any number of variables as ``fields`` computed
+# it before the ring tower: the primitive pseudo-remainder sequence in the
+# smallest common variable, with contents taken recursively (Collins 1967),
+# down to the dense Z[t] gcd ``zx_gcd`` for two polynomials in one variable.
+# It shares no code with the nested rings of ``poly_ring``.
+
+def _deg(f, i):
+    return max((e[i] for e in f.p), default=0)
+
+
+def _active_vars(f):
+    out = set()
+    for e in f.p:
+        for i, k in enumerate(e):
+            if k:
+                out.add(i)
+    return out
+
+
+def _coeffs_in(f, v):
+    """Collect as a polynomial in variable ``v``: degree -> MPoly coefficient."""
+    out: dict = {}
+    for e, k in f.p.items():
+        out.setdefault(e[v], {})[e[:v] + (0,) + e[v + 1 :]] = k
+    return {d: MPoly._normal(f.nvars, t, f.c) for d, t in out.items()}
+
+
+def _prem(f, g, v):
+    """Pseudo-remainder of f by g with respect to variable v."""
+    dg = _deg(g, v)
+    lg = _coeffs_in(g, v)[dg]
+    rem = f
+    while not rem.is_zero() and _deg(rem, v) >= dg:
+        d = _deg(rem, v)
+        lr = _coeffs_in(rem, v)[d]
+        # lg*rem - lr*t^(d-dg)*g kills the degree-d coefficient
+        tpow = MPoly._of(f.nvars, {tuple(d - dg if i == v else 0 for i in range(f.nvars)): 1}, Fraction(1))
+        rem = lg * rem - lr * tpow * g
+    return rem
+
+
+def _content(f, v):
+    cs = list(_coeffs_in(f, v).values())
+    g = cs[0]
+    for c in cs[1:]:
+        g = _reference_gcd(g, c)
+        if g.is_const():
+            break
+    return g
+
+
+def _dense_gcd(f, g, v):
+    """Monic gcd of two polynomials in the single variable ``v``: the dense
+    gcd :func:`zx_gcd` of their primitive parts."""
+    lists = []
+    for q in (f, g):
+        a = [0] * (_deg(q, v) + 1)
+        for e, k in q.p.items():
+            a[e[v]] = k
+        lists.append(a)
+    a = zx_gcd(*lists)
+    if len(a) == 1:  # coprime
+        return MPoly.const(f.nvars, 1)
+    e = [0] * f.nvars
+    p = {}
+    for d, k in enumerate(a):
+        if k:
+            e[v] = d
+            p[tuple(e)] = k
+    return MPoly._of(f.nvars, p, Fraction(1, a[-1]))
+
+
+def _reference_gcd(f, g):
+    """Monic gcd via the primitive pseudo-remainder sequence: dense over Z
+    when both operands are polynomials in one and the same variable, and
+    recursive in the smallest common variable otherwise."""
+    if f.is_zero():
+        return g.monic()
+    if g.is_zero():
+        return f.monic()
+    if f.is_const() or g.is_const():
+        return MPoly.const(f.nvars, 1)
+    vf, vg = _active_vars(f), _active_vars(g)
+    common = vf & vg
+    if not common:
+        return MPoly.const(f.nvars, 1)
+    v = min(common)
+    if len(vf) == 1 and vf == vg:
+        return _dense_gcd(f, g, v)
+    cf, cg = _content(f, v), _content(g, v)
+    a, b = f.div_exact(cf), g.div_exact(cg)
+    if _deg(a, v) < _deg(b, v):
+        a, b = b, a
+    while not b.is_zero():
+        r = _prem(a, b, v)
+        a = b
+        if r.is_zero():
+            b = r
+        else:
+            b = r.div_exact(_content(r, v))
+    return (_reference_gcd(cf, cg) * a).monic()

@@ -16,6 +16,7 @@ from ratskew.truncated import TruncSeries
 F7 = field_from_name("fp:7")
 QT = field_from_name("qt:1")
 QT2 = field_from_name("qt:2")
+QT3 = field_from_name("qt:3")
 
 
 def rand_poly(rng, field, nletters=2, terms=3, maxlen=2):
@@ -391,12 +392,12 @@ def _perturbed_identity(field, n, rng):
 
 
 def test_qt_matrix_inverse_matches_field_kernel(monkeypatch):
-    """A 5 x 5 inversion over qt:1 (block dim 19) and a 3 x 3 over qt:2
-    (block dim 11), checked two-sided, whose inverses are the same, value
-    for value, as with the field kernel.  (The qt:2 4 x 4 inverts in under
-    a second, but reading its inverse entry by entry in ``to_json`` takes
-    minutes.)"""
-    for field, n in ((QT, 5), (QT2, 3)):
+    """A 5 x 5 inversion over qt:1 (block dim 19), a 3 x 3 over qt:2
+    (block dim 11) and a 2 x 2 over qt:3, checked two-sided, whose inverses
+    are the same, value for value, as with the field kernel.  (The qt:2
+    4 x 4 inverts in under a second, but reading its inverse entry by entry
+    in ``to_json`` takes minutes.)"""
+    for field, n in ((QT, 5), (QT2, 3), (QT3, 2)):
         m = _perturbed_identity(field, n, random.Random(1))
         inv, ok_r, ok_l = invert_matrix_series(m)
         assert ok_r and ok_l
@@ -545,12 +546,14 @@ def _rand_wide(rng, field, n, m, density):
     entries make the coefficients grow with every word, |n| <= 10, and a
     quarter of the entries are instead small rational functions: a linear
     polynomial in t = t1 with an integer content of 2 to 4 and a leading
-    coefficient of either sign, c/(u + j), or (t - j)/(t*u + j), with u
-    the last variable (u = t over qt:1)."""
+    coefficient of either sign, c/(u + j), or (t - j)/(t*w + j), with u
+    the last variable (u = t over qt:1) and w = t2 over qt:3, w = u
+    otherwise."""
     kmax = 6 if field == F7 else 7
     wide = lambda lo: field.from_fraction(Fraction(rng.randint(lo, 10**6), rng.randint(1, kmax)))
-    if field in (QT, QT2):
+    if field in (QT, QT2, QT3):
         t, u = field.var(0), field.var(field.nvars - 1)
+        w = field.var(1) if field == QT3 else u
         base = lambda lo: field.from_fraction(Fraction(rng.randint(max(lo, -10), 10), rng.randint(1, kmax)))
 
         def wide(lo):
@@ -561,7 +564,7 @@ def _rand_wide(rng, field, n, m, density):
             if r < 0.2:
                 return field.from_int(rng.choice((-2, -1, 1, 3))) / (u + rng.randint(1, 5))
             if r < 0.25:
-                return (t - rng.randint(0, 2)) / (t * u + rng.randint(1, 3))
+                return (t - rng.randint(0, 2)) / (t * w + rng.randint(1, 3))
             return base(lo)
     out = []
     for _ in range(n):
@@ -578,19 +581,19 @@ def _reduced(field, d, rows, mu, cols):
     return r.dim, r.rows, r.mu, r.cols
 
 
-@pytest.mark.parametrize("field", [QQ, F7, QT, QT2], ids=lambda f: f.name)
+@pytest.mark.parametrize("field", [QQ, F7, QT, QT2, QT3], ids=lambda f: f.name)
 def test_integer_kernel_matches_echelon_path(field, monkeypatch):
-    """The integer kernels (q, fp:p) and the polynomial kernels (qt:1 over
-    Z[t], qt:2 over Z[t1][t2]) against the field-value elimination of
-    ``_FieldKernel``."""
+    """The integer kernels (q, fp:p) and the polynomial kernels (qt:r over
+    Z[t1..tr]) against the field-value elimination of ``_FieldKernel``."""
     rng = random.Random(71)
-    kind = {QQ: Fraction, F7: Fp, QT: RatFunc, QT2: RatFunc}[field]
+    kind = Fraction if field == QQ else Fp if field == F7 else RatFunc
     reduced = 0
     for _ in range(60):
         nrows, ncols = rng.choice(((1, 1), (1, 1), (1, 2), (2, 3)))
         # a generic qt:1 dim-7 span takes seconds, and a dense qt:2 dim-5 one
-        # minutes, in either kernel
-        d = rng.randint(1, {QT: 5, QT2: 4}.get(field, 7))
+        # minutes, in either kernel; at qt:3 dim 4 the trivariate gcds of
+        # the field kernel's values take minutes
+        d = rng.randint(1, {QT: 5, QT2: 4, QT3: 3}.get(field, 7))
         density = rng.choice((0.25, 0.4, 0.7))
         mu = {x: _rand_wide(rng, field, d, d, density) for x in rng.sample(range(4), rng.randint(1, 3))}
         rows = _rand_wide(rng, field, nrows, d, density)
@@ -668,7 +671,7 @@ def _chain(field, seed, steps=16, max_dim=9):
     return out
 
 
-@pytest.mark.parametrize("name", ["q", "fp:7", "qt:1", "qt:2"])
+@pytest.mark.parametrize("name", ["q", "fp:7", "qt:1", "qt:2", "qt:3"])
 def test_stored_kernel_form_matches_field_path(name, monkeypatch):
     """Results computed on the stored kernel form read the same, value for
     value, as with the identity kernel ``_FieldKernel``, which works on
