@@ -51,6 +51,22 @@ def test_function_field_variable_bound(run):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_certificate_over_too_many_variables_fails_to_load(run, tmp_path):
+    """A valid qt:1 certificate with every field renamed to qt:<MAX_NVARS + 1>
+    exits 1 with an ``error:`` line, not a traceback."""
+    code, cert = jrun(run, "skew", "witness", "--field", "qt:1", "--json", "1 - t*x0")
+    assert code == 0
+
+    def rename(o):
+        if isinstance(o, dict):
+            return {k: "qt:%d" % (MAX_NVARS + 1) if k == "field" else rename(v) for k, v in o.items()}
+        return [rename(v) for v in o] if isinstance(o, list) else o
+
+    code, out, err = run("verify-cert", _write(tmp_path, "w.json", rename(cert)))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "indeterminates" in err and "Traceback" not in err
+
+
 def test_bad_or_unread_flags_exit_2(run, tmp_path):
     code, cert = jrun(run, "realize", "build", "--from", "0", "--to", "2", "--mult", "1")
     assert code == 0

@@ -560,15 +560,20 @@ def _pool(r):
 
 @st.composite
 def _ring_poly(draw, r, nonzero=False):
-    """As :func:`_zx`, in poly_ring(r): an integer times pool factors times
-    a random polynomial of degree <= 2 in each variable, with up to 4 terms
-    and 3 factors.  In three variables the degree is <= 1, with up to 3
-    terms and 2 factors: the primitive remainder sequences of larger draws
-    take seconds each."""
+    """As :func:`_zx`, in poly_ring(r): an integer times up to 3 pool
+    factors times a random polynomial of degree <= 2 in each variable, any
+    of its 9 coefficients drawn (a dense 3x3 grid).  In three variables the
+    degree is <= 1, with up to 3 terms and 2 factors: the primitive
+    remainder sequences of larger draws take seconds each."""
     ring = poly_ring(r)
-    deg, nterms, nfactors = (2, 4, 3) if r == 2 else (1, 3, 2)
-    terms = draw(st.dictionaries(st.tuples(*[st.integers(0, deg)] * r), st.integers(-4, 4), max_size=nterms))
-    terms = {e: k for e, k in terms.items() if k}
+    if r == 2:
+        grid = draw(st.lists(st.lists(st.integers(-4, 4), max_size=3), max_size=3))
+        terms = {(i, j): k for i, row in enumerate(grid) for j, k in enumerate(row) if k}
+        nfactors = 3
+    else:
+        terms = draw(st.dictionaries(st.tuples(*[st.integers(0, 1)] * 3), st.integers(-4, 4), max_size=3))
+        terms = {e: k for e, k in terms.items() if k}
+        nfactors = 2
     if not terms:
         if not nonzero:
             return []
