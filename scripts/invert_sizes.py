@@ -7,13 +7,19 @@ is t_v + k, and over ``q`` it is k, with k uniform in 1..5 and v uniform
 over the variables.  For each term the draws are the word, then k, then v,
 from ``random.Random(SEED)`` in row-major order.  Each line gives n, the
 block dim, both verification flags and the process time of the inversion,
-the median of three runs.  Compare two checkouts with ``--src``:
+the median of three runs.  With ``--json`` it also gives the process time
+of ``SeriesMatrix.to_json`` on the inverse, the median of the same three
+runs, and the sha256 of that JSON, so that a comparison shows both the
+speed and the byte identity of the serialised inverse.  Compare two
+checkouts with ``--src``:
 
     python3 scripts/invert_sizes.py --field qt:1 6 7 8
     python3 scripts/invert_sizes.py --src ../other/src --field qt:1 6 7 8
 """
 
 import argparse
+import hashlib
+import json
 import os
 import random
 import statistics
@@ -50,6 +56,8 @@ def main(argv=None) -> int:
     ap.add_argument("--src", default=os.path.join(here, os.pardir, "src"),
                     help="directory holding the ratskew package (default: this checkout's src)")
     ap.add_argument("--field", default="qt:1", help="q, fp:<p> or qt:<r> (default qt:1)")
+    ap.add_argument("--json", action="store_true",
+                    help="also time to_json of the inverse and print the sha256 of its JSON")
     ap.add_argument("sizes", nargs="+", type=int, help="matrix sizes n")
     args = ap.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
@@ -58,14 +66,22 @@ def main(argv=None) -> int:
 
     field = field_from_name(args.field)
     for n in args.sizes:
-        times = []
+        times, json_times, digests = [], [], set()
         for _ in range(3):
             m = perturbed_identity(field, n, random.Random(SEED))
             t0 = time.process_time()
-            _, ok_right, ok_left = invert_matrix_series(m)
+            inv, ok_right, ok_left = invert_matrix_series(m)
             times.append(time.process_time() - t0)
-        print("%s n=%d dim=%d ok_right=%s ok_left=%s seconds=%.3f"
-              % (field.name, n, m.dim, ok_right, ok_left, statistics.median(times)), flush=True)
+            if args.json:
+                t0 = time.process_time()
+                obj = inv.to_json()
+                json_times.append(time.process_time() - t0)
+                digests.add(hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest())
+        line = "%s n=%d dim=%d ok_right=%s ok_left=%s seconds=%.3f" % (
+            field.name, n, m.dim, ok_right, ok_left, statistics.median(times))
+        if args.json:
+            line += " to_json_seconds=%.3f sha256=%s" % (statistics.median(json_times), ",".join(sorted(digests)))
+        print(line, flush=True)
     return 0
 
 

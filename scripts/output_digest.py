@@ -8,10 +8,11 @@ Every subcommand runs at least once.  Every certificate a command emits is also 
 ``verify-cert`` (and a generator certificate to ``realize verify``), which
 gets a line of its own.
 Three certificates are also re-checked after one value is doubled (a
-generator certificate of case 1 and one of case 4, and a skew witness), so
-the lines of a failing re-check, with its list of failed identities, are
-pinned too, and a paired witness is re-checked after its mode, its verdict
-or its product is changed, which each pin a refusal.
+generator certificate of case 1 and one of case 4, and a skew witness,
+once in its factor g and once in its unit), so the lines of a failing
+re-check, with its list of failed identities, are pinned too, and a paired
+witness is re-checked after its mode, its verdict or its product is
+changed, which each pin a refusal.
 No command prints a series matrix, so three ``spot_check_sigma_prime``
 certificates, two over q and one over qt:1, built with the package's own
 functions, get a line each, and so does the ``recheck_certificate`` result
@@ -140,15 +141,17 @@ COMMANDS = [
     (["k0", "group", "--json", "a,b,c,d | 2a+4b=6c, 3b+d=9a, 4c+2d=6b"], []),
 ]
 
-# (argv printing a certificate, where the scalar to double sits in it): the
-# entry vector of the first term's series in E[0][0] of a generator
-# certificate, and in the witness factor g of a skew witness
+# (argv printing a certificate, which of its series has its entry vector
+# doubled, where that series sits in it): the first term's series in
+# E[0][0] of a generator certificate, and in the witness factor g of a skew
+# witness, and the witness's unit
 TAMPERED = [
     (["realize", "build", "--from", "2", "--to", "2", "--mult", "2", "--field", "qt:1"],
-     lambda c: c["E"][0][0]),
+     "first lam", lambda c: c["E"][0][0]["terms"][0][1]),
     (["realize", "build", "--from", "3", "--to", "0", "--mult", "0", "--field", "qt:1"],
-     lambda c: c["E"][0][0]),
-    (["skew", "witness", "--json", "1 - x0 - x1"], lambda c: c["g"]),
+     "first lam", lambda c: c["E"][0][0]["terms"][0][1]),
+    (["skew", "witness", "--json", "1 - x0 - x1"], "first lam", lambda c: c["g"]["terms"][0][1]),
+    (["skew", "witness", "--json", "1 - x0 - x1"], "lam of unit", lambda c: c["unit"]),
 ]
 
 # (what is changed, how) in the certificate of ``leavitt witness`` on
@@ -237,16 +240,16 @@ def main(argv=None) -> int:
                 code, stdout, stderr = run(run_command, checker + [path])
                 print(line("%s <output of: %s>" % (shlex.join(checker), label), code, stdout,
                            stderr), flush=True)
-        for cmd, elem in TAMPERED:
+        for cmd, what, series in TAMPERED:
             code, stdout, _ = run(run_command, cmd)
             cert = json.loads(stdout)
-            rep = elem(cert)["terms"][0][1]
+            rep = series(cert)
             rep["lam"] = [doubled(rep["field"], c) for c in rep["lam"]]
             path = os.path.join(tmp, "tampered.json")
             with open(path, "w") as fh:
                 json.dump(cert, fh)
             code, stdout, stderr = run(run_command, VERIFY_CERT + [path])
-            print(line("verify-cert <output of: %s, first lam doubled>" % shlex.join(cmd), code, stdout,
+            print(line("verify-cert <output of: %s, %s doubled>" % (shlex.join(cmd), what), code, stdout,
                        stderr), flush=True)
         cmd = ["leavitt", "witness", "--n", "3", "--json", LEAVITT_W]
         for what, change in TAMPERED_WITNESS:

@@ -357,6 +357,16 @@ def _recheck_skew_witness(obj) -> dict:
         got = obj.get(key, "nothing")
         if type(got) not in types or got != want:
             raise ValueError("certificate records %s %r, the re-check gives %r" % (key, got, want))
+    # with m*a*g = 1, g = y_w * c and unit * c = 1 make unit the value of m*a*y_w
+    unit = obj.get("unit")
+    if not isinstance(unit, dict):
+        raise ValueError("unit must be a serialized coefficient, got %r" % (unit,))
+    unit = ring.domain.cls.from_json(ring.domain.field, unit)
+    if len(g.data) != 1:
+        raise ValueError("g must have exactly one term, it has %d" % len(g.data))
+    (c,) = g.data.values()
+    if unit * c != ring.domain.one():
+        raise ValueError("certificate records a unit whose product with the coefficient of g is not 1")
     return {"kind": "skew_witness", "ok": v.value, "precision": v.precision}
 
 

@@ -20,7 +20,8 @@ sums, Cauchy products and stars with the same block functions,
 result once.
 
 Both classes reduce through one engine, :func:`_minimise`, on the block
-triple.  It runs a reachability pass, restricting to the span of every row times mu(w), then the same pass
+triple.  It runs a reachability pass, restricting to the span of every row
+times mu(w), then the observability pass :func:`_observe`, the same pass
 on the transpose with rows and columns swapped, and transposes back
 (Berstel-Reutenauer, *Noncommutative Rational Series with Applications*,
 ch. 2).  A pass eliminates only while it grows the span; the restricted
@@ -66,6 +67,14 @@ the same whichever scaling the kernel form carries.
 
 Operations avoid reductions they cannot need: a product with a constant
 only scales the other factor, and ``delta`` is memoised per instance.
+Sums, products, stars and loads run both passes of :func:`_minimise`.
+``delta`` runs only the second, :func:`_observe`: a transduction keeps the
+entry row and the letter matrices, so the whole space of its reduced
+operand stays reachable, and on such a block the reachability pass returns
+its input unchanged.  ``SeriesMatrix.to_json`` runs the reachability pass
+once per matrix row, since every entry of a row shares its entry row and
+letter matrices, and the observability pass once per entry; either way
+the result is the one ``reduce()`` gives, kernel form included.
 Results share vectors and matrices with their operands, so nothing mutates
 a representation once it is built; the block builders write only to lists
 they have just allocated.
@@ -713,8 +722,8 @@ def _reach(kern, dim, rows, mu, cols):
 
 def _minimise(k, dim, rows, mu, cols):
     """Minimal form of (entry rows, letter matrices, exit columns), all in
-    the form of the kernel k: the reachable part, then the reachable part
-    of its transpose.
+    the form of the kernel k: the reachable part (:func:`_reach`), then its
+    observable part (:func:`_observe`).
 
     The result is in k's form too, with the common factors of each vector
     and matrix divided out.  If both passes span the whole space the input
@@ -733,8 +742,20 @@ def _minimise(k, dim, rows, mu, cols):
             if any(k.span(g)):
                 return 1, [k.norm(k.read(rows[0], ech.pivots))], {}, [k.norm(g)]
         return 0, [k.zeros(0)], {}, [k.zeros(0)]
-    d1, rows1, mu1, cols1 = _reach(k, dim, rows, mu, cols)
-    d, cols2, mu2, rows2 = _reach(k, d1, cols1, {x: k.transposed(m) for x, m in mu1.items()}, rows1)
+    return _observe(k, dim, *_reach(k, dim, rows, mu, cols))
+
+
+def _observe(k, dim, d1, rows, mu, cols):
+    """The second pass of :func:`_minimise`: the reachable part of the
+    transpose of (d1, rows, mu, cols), a reachable part of a dim-dimensional
+    block as :func:`_reach` returns it, transposed back.
+
+    If the pass spans the whole space and d1 is dim, the block is returned
+    as it is, its letters cut to those the pass kept; otherwise every
+    vector and matrix has its common factors divided out.  A block whose
+    whole space is reachable is its own reachable part (d1 = dim), so this
+    pass alone minimises it."""
+    d, cols2, mu2, rows2 = _reach(k, d1, cols, {x: k.transposed(m) for x, m in mu.items()}, rows)
     if d == dim:
         return dim, rows, {x: mu[x] for x in mu2}, cols
     return (d, [k.norm(r) for r in rows2], {x: k.norm_m(k.transposed(m)) for x, m in mu2.items()},
@@ -1044,6 +1065,13 @@ class LinRep(_Block):
     def delta(self, i: int) -> "LinRep":
         """Right transduction by letter i: new gamma is mu(i) * gamma.
 
+        The result is reduced by the observability pass alone
+        (:func:`_observe`).  That is exact: a transduction keeps lam and
+        mu, and a LinRep is reduced (as the zero test and the constant
+        shortcut of ``*`` also assume), so its whole space is reachable and
+        the reachability pass of ``reduce()`` would return its input
+        unchanged.
+
         The result is memoised per instance and letter, so repeated calls
         return the same object."""
         memo = self._deltas
@@ -1057,7 +1085,7 @@ class LinRep(_Block):
             if d == 0 or m is None:
                 out = LinRep.zero(self.field)
             else:
-                out = LinRep._of(self.field, k, d, rows, mu, [k.vm(gamma, k.transposed(m))]).reduce()
+                out = LinRep._of(self.field, k, *_observe(k, d, d, rows, mu, [k.vm(gamma, k.transposed(m))]))
             memo[i] = out
         return out
 
@@ -1296,12 +1324,25 @@ class SeriesMatrix(_Block):
     def __repr__(self):
         return "SeriesMatrix(%dx%d, dim=%d)" % (self.nrows, self.ncols, self.dim)
 
+    def _row(self, i: int):
+        """The entries of row i, each what ``entry(i, j)`` gives.  Every
+        entry of the row starts from the same entry row under the same
+        letter matrices, so one reachability pass serves them all, and the
+        observability pass then runs per entry.  A letterless block takes
+        the constant shortcut of :func:`_minimise` entry by entry."""
+        k = _kernel(self.field)
+        d, rows, mu, cols = self._kb(k)
+        if d == 0 or not mu:
+            return [self.entry(i, j) for j in range(self.ncols)]
+        d1, rows1, mu1, cols1 = _reach(k, d, [rows[i]], mu, cols)
+        return [LinRep._of(self.field, k, *_observe(k, d, d1, rows1, mu1, [c])) for c in cols1]
+
     def to_json(self):
         return {
             "field": self.field.name,
             "nrows": self.nrows,
             "ncols": self.ncols,
-            "entries": [[self.entry(i, j).to_json() for j in range(self.ncols)] for i in range(self.nrows)],
+            "entries": [[e.to_json() for e in self._row(i)] for i in range(self.nrows)],
         }
 
     @staticmethod

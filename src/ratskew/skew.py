@@ -122,6 +122,7 @@ class SkewRing:
         self.domain = domain
         self.n = n
         self._letters: dict = {}  # i -> the element x_i, built once
+        self._es: dict = {}  # top -> the element e(top), built once
 
     def _check_letter(self, i: int) -> None:
         if type(i) is not int or i < 0 or (self.n is not None and i > self.n):
@@ -168,11 +169,14 @@ class SkewRing:
             top = self.n
         if top is None:
             raise ValueError("dynamic alphabet needs an explicit top index for e")
-        data = {(): self.domain.one()}
-        for i in range(top + 1):
-            self._check_letter(i)
-            data[(i,)] = self.domain.letter(i).scale(-self.domain.field.one())
-        return SkewElem(self, data)
+        e = self._es.get(top)
+        if e is None:
+            data = {(): self.domain.one()}
+            for i in range(top + 1):
+                self._check_letter(i)
+                data[(i,)] = self.domain.letter(i).scale(-self.domain.field.one())
+            e = self._es[top] = SkewElem(self, data)
+        return e
 
     def __eq__(self, other):
         return isinstance(other, SkewRing) and (self.domain, self.n) == (other.domain, other.n)
@@ -185,14 +189,17 @@ class SkewRing:
 
 
 class SkewElem:
-    __slots__ = ("ring", "data")
+    """A finite sum of y-words times coefficients, never mutated."""
+
+    __slots__ = ("ring", "data", "_descent")
 
     def __init__(self, ring: SkewRing, data: dict) -> None:
         self.ring = ring
         self.data = {w: r for w, r in data.items() if r}
+        self._descent = None  # what _descend returns for this element, filled on first use
 
     def _check(self, other: "SkewElem") -> None:
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise ValueError("elements of different skew rings")
 
     def __add__(self, other: "SkewElem") -> "SkewElem":
@@ -335,7 +342,18 @@ def _descend(a: SkewElem):
     ``m``, read from the right, picks at each level the first i with
     x_i * b outside the ideal, b the section so far, and ``leaf`` is the
     nonzero coefficient m * a; for a member they are ``()`` and ``None``.
+
+    The result is memoised on ``a``, so deciding a and then witnessing it
+    descends once.  That is exact: no element, coefficient or verdict is
+    ever mutated, so the result depends on ``a`` alone.
     """
+    if a._descent is None:
+        a._descent = _descent(a)
+    return a._descent
+
+
+def _descent(a: SkewElem):
+    """The descent of :func:`_descend`, run afresh."""
     ring = a.ring
     if ring.n is None:
         raise ValueError("ideal membership needs a fixed alphabet bound")
@@ -371,7 +389,9 @@ def ideal_member(a: SkewElem) -> Verdict:
 
     Recursive section test: a coefficient is in the ideal iff it is zero,
     and an element of positive y-degree is in iff every x_i * a is.  Each
-    section strictly drops the y-degree, so the recursion terminates.
+    section strictly drops the y-degree, so the recursion terminates.  The
+    descent is memoised on a (:func:`_descend`), so a later
+    :func:`t_witness` of the same element does not repeat it.
     """
     return _descend(a)[0]
 
@@ -440,7 +460,9 @@ def t_witness(a: SkewElem) -> TWitness:
     Left letter sections shrink the y-degree while staying outside the
     ideal; once in the coefficient ring, the minimal-monomial word makes the
     product a unit there, and g divides it back out.  One descent
-    (:func:`_descend`) gives both the membership verdict and the path.
+    (:func:`_descend`) gives both the membership verdict and the path; it is
+    memoised on a, so after :func:`ideal_member` of the same element the
+    witness reuses it.
     """
     ring = a.ring
     member, m_word, r = _descend(a)

@@ -3,6 +3,7 @@ documented output shapes, and the closed verify-cert loop for every
 certificate kind."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -10,7 +11,7 @@ from ratskew.cli import run_command
 from ratskew.fields import MAX_NVARS, field_from_name
 from ratskew.freealg import FreeElem
 from ratskew.realize import build_generators, hom_spec, spot_check_sigma_prime
-from ratskew.skew import CoeffDomain, SkewRing, verify_word_system
+from ratskew.skew import CoeffDomain, SkewElem, SkewRing, verify_word_system
 
 QQ = field_from_name("q")
 
@@ -296,6 +297,43 @@ def test_verify_cert_rejects_misrecorded_skew_witness_verdict(run, tmp_path, key
     code, out, err = run("verify-cert", _write(tmp_path, "w.json", cert))
     assert (code, out) == (1, "")
     assert err.startswith("error:") and key in err and "Traceback" not in err
+
+
+def _doubled_unit(cert):
+    unit = cert["unit"]
+    if "lam" in unit:
+        unit["lam"] = [str(2 * Fraction(c)) for c in unit["lam"]]
+    else:
+        unit["terms"] = [[w, str(2 * Fraction(c))] for w, c in unit["terms"]]
+
+
+@pytest.mark.parametrize("backend", ["rat", "trunc"])
+@pytest.mark.parametrize("change", [
+    lambda c: c.update(unit="two"),  # not a serialized coefficient
+    lambda c: c.pop("unit"),         # no unit at all
+    _doubled_unit,                   # twice the value of m*a*y_w
+], ids=["unit_string", "unit_missing", "unit_doubled"])
+def test_verify_cert_rechecks_the_skew_witness_unit(run, tmp_path, backend, change):
+    window = ["--precision", "6"] if backend == "trunc" else []
+    code, cert = jrun(run, "skew", "witness", "--backend", backend, *window, "--json", "1 - x0 - x1")
+    assert code == 0
+    assert jrun(run, "verify-cert", _write(tmp_path, "w.json", cert))[1]["ok"] is True
+    change(cert)
+    code, out, err = run("verify-cert", _write(tmp_path, "w.json", cert))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "unit" in err and "Traceback" not in err
+
+
+def test_verify_cert_wants_a_one_term_skew_witness_factor(run, tmp_path):
+    # g + e still has m*a*(g + e) = 1 in the quotient, but unit * c = 1 no
+    # longer ties the unit to m*a*y_w
+    code, cert = jrun(run, "skew", "witness", "--json", "1 - x0 - x1")
+    assert code == 0
+    ring = SkewRing(CoeffDomain("rat", QQ), 2)
+    cert["g"] = (SkewElem.from_json(ring, cert["g"]) + ring.e()).to_json()
+    code, out, err = run("verify-cert", _write(tmp_path, "w.json", cert))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "exactly one term" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("part", ["input", "g"])

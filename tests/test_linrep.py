@@ -683,3 +683,59 @@ def test_stored_kernel_form_matches_field_path(name, monkeypatch):
             m.setattr(linrep, "_kernel", _FieldKernel)
             slow = _chain(field, seed)
         assert fast == slow
+
+
+# -- one-pass reductions: delta and the rows of SeriesMatrix.to_json ----------
+
+def _kernel_form(s):
+    """(dim, entry rows, letter matrices in order, exit columns) of the
+    stored kernel form of s."""
+    k = linrep._kernel(s.field)
+    d, rows, mu, cols = s._kb(k)
+    return d, rows, list(mu.items()), cols
+
+
+def _two_pass_delta(s, i):
+    """s.delta(i) through both passes of ``reduce()``."""
+    k = linrep._kernel(s.field)
+    d, rows, mu, (gamma,) = s._kb(k)
+    if d == 0 or i not in mu:
+        return LinRep.zero(s.field)
+    return LinRep._of(s.field, k, d, rows, mu, [k.vm(gamma, k.transposed(mu[i]))]).reduce()
+
+
+@pytest.mark.parametrize("name", ["q", "fp:7", "qt:1", "qt:2"])
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32), depth=st.integers(0, 2), i=st.integers(0, 2))
+def test_delta_matches_two_pass_reduce(name, seed, depth, i):
+    field = field_from_name(name)
+    s = rand_rep(random.Random(seed), field, depth=depth if name != "qt:2" else min(depth, 1))
+    assert _kernel_form(s.delta(i)) == _kernel_form(_two_pass_delta(s, i))
+    # a transduction by a letter the series reads, whose result is zero
+    w = LinRep.word(field, (1, 0), field.from_int(3))
+    assert w.delta(1).dim == 0
+    assert _kernel_form(w.delta(1)) == _kernel_form(_two_pass_delta(w, 1))
+
+
+def _per_entry_json(m):
+    return [[m.entry(i, j).to_json() for j in range(m.ncols)] for i in range(m.nrows)]
+
+
+@pytest.mark.parametrize("field", [QQ, F7, QT], ids=lambda f: f.name)
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32), nrows=st.integers(1, 3), ncols=st.integers(0, 3))
+def test_row_shared_to_json_matches_entries(field, seed, nrows, ncols):
+    """``to_json`` shares each row's reachability pass; its entries are the
+    ones ``entry`` reduces alone.  The matrices: reduced ones with series,
+    constant and zero entries; raw unreduced blocks, whose rows reach only
+    part of the space; and a letterless constant block."""
+    rng = random.Random(seed)
+    pick = lambda: rng.choice((lambda: rand_rep(rng, field, depth=1), lambda: LinRep.zero(field),
+                               lambda: LinRep.scalar(field, field.random(rng, units_only=True))))()
+    entries = [[pick() for _ in range(ncols)] for _ in range(nrows)]
+    d, rows, mu, cols = _rand_triple(rng, field, nrows, ncols)
+    mats = [SeriesMatrix.from_entries(field, entries),
+            SeriesMatrix(field, d, rows, mu, cols),
+            SeriesMatrix.constant(field, [[field.random(rng) for _ in range(nrows)] for _ in range(nrows)])]
+    for m in mats:
+        assert m.to_json()["entries"] == _per_entry_json(m)

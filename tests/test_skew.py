@@ -4,7 +4,10 @@ and the verified word-system recursion."""
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ratskew import skew
+from ratskew.expr import eval_skew
 from ratskew.fields import QQ, field_from_name
 from ratskew.freealg import FreeElem
 from ratskew.linrep import LinRep
@@ -281,6 +284,35 @@ def test_t_witness_json_carries_input():
     assert b == a
     g = SkewElem.from_json(RAT, j["g"])
     assert t_equal(RAT.x_word(tuple(j["m"])) * b * g, RAT.one())
+
+
+_YWORD = st.lists(st.integers(0, 2), max_size=3).map(lambda w: "".join("y%d*" % i for i in w))
+_SERIES = st.sampled_from(["(1 - x0)", "(2 + 1/2*x1*x0)", "(x2 - 3)*(1 + x0*x1)^-1", "(1 + x1)^-1"])
+_NON_MEMBER = st.builds("{}{} + {}e*{}".format, _YWORD, _SERIES, _YWORD, _SERIES)
+
+
+@settings(max_examples=20, deadline=None)
+@given(text=_NON_MEMBER)
+def test_decide_then_witness_descends_once(text):
+    """ideal_member(a) then t_witness(a) runs the descent once for a, and
+    the witness is the one a fresh element of the same text gets."""
+    calls = []
+    descent = skew._descent
+
+    def counted(b):
+        calls.append(b)
+        return descent(b)
+
+    ring = SkewRing(CoeffDomain("rat", QQ), 2)
+    a = eval_skew(text, ring)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(skew, "_descent", counted)
+        assert not ideal_member(a)
+        w = t_witness(a)
+    assert sum(b is a for b in calls) == 1
+    fresh = eval_skew(text, SkewRing(CoeffDomain("rat", QQ), 2))
+    assert t_witness(fresh).to_json() == w.to_json()
+    assert ring.e() is ring.e() and ring.e(1) is ring.e(1)
 
 
 # -- word systems ------------------------------------------------------------------
