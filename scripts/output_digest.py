@@ -58,6 +58,10 @@ LEAVITT_NF = "2/3*y3*x3*x1 - 5/4*y1*y3*x3*x2 + 1/2*(y1*x1 + y2*x2 + y3*x3 - 1)*y
 LEAVITT_W = "2/3*y3*x1*x2 + 5 - 3/4*y2*y3*x3*x1 + 3/4*y2*x1 - 3/4*y2*y2*x2*x1"
 QT_LEAVITT_NF = "(t + 1)^-1*y3*x3*x1 - t*(y1*x1 + y2*x2 + y3*x3)*x1 + 1/2*t*x1"
 QT_LEAVITT_W = "(t + 1)^-1*y3*x3*x1 - t*(y1*x1 + y2*x2 + y3*x3)*x1 + 1/2*y1"
+# a product of 24 binomials, whose expansion has 2^24 words
+BINOMIALS = "*".join(["(x0 + x1)"] * 24)
+# x-polynomial coefficients, a power of a word and a polynomial inverse
+FOLDED = "y1*e*(1 - 2/3*x0*x2 + x1^3) + (2 - x0*x1)^-1*y2*x2 - 3/4*x0^2"
 
 VERIFY_CERT = ["verify-cert"]
 REALIZE_VERIFY = ["realize", "verify"]
@@ -105,10 +109,12 @@ COMMANDS = [
     (["series", "eval", "--field", "qt:3", QT3_NESTED], []),
     (["series", "eval", "--field", "qt:3", "--json", QT3_NESTED], []),
     (["series", "equal", "--json", "(1 - x0)^-1 - 1", "x0*(1 - x0)^-1"], []),
+    (["series", "eval", "--json", BINOMIALS], []),
     (["skew", "mul", "--json", "y0*(1 - x0)^-1", "x0 + y1"], []),
     (["skew", "mul", "--backend", "free", "y1*x0", "x1*y1 + 2"], []),
     (["skew", "member", "--json", "1 - y0*x0 - y1*x1 - y2*x2"], []),
     (["skew", "equal", "--backend", "trunc", "--precision", "5", "--json", "x0*y0", "1"], []),
+    (["skew", "member", "--backend", "trunc", "--json", FOLDED], []),
     (["skew", "witness", "--json", "1 - x0"], [VERIFY_CERT]),
     (["skew", "witness", "--json", "1 - x0 - x1"], [VERIFY_CERT]),
     (["skew", "witness", "--json", "y0*(1 + x1*x2)*(1 - 2*x0)^-1 + y1*y2*e"], [VERIFY_CERT]),

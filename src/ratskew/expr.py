@@ -7,13 +7,26 @@ Errors carry the 1-based column where parsing stopped.
 
 The same AST evaluates in three contexts: power-series coefficients,
 skew-extension elements, and monoword-basis elements (letter origin 1).
+Evaluation is polynomial-first: a subterm made of scalars, indeterminates
+and x letters with ``+``, ``-`` and products where one factor has at most
+one term is computed as one noncommutative polynomial (:class:`FreeElem`)
+and promoted once, where it meets another operand or at the root.  Over
+series that promotion is :meth:`LinRep.from_free`, a single observability
+pass on the prefix tree; in the skew ring it is the backend's own
+``from_free``; monoword elements fold only their scalars.  Powers and
+inverses of constants are field arithmetic, and a polynomial p with
+p(0) = c != 0 is inverted as (1 - p/c)^* / c, with one reduction.  The
+value is the one per-node evaluation gives; only the basis of a series
+representation may differ.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .fields import Field, FunctionField
+from .freealg import FreeElem
 from .linrep import LinRep
 
 
@@ -236,51 +249,95 @@ def render_expr(node) -> str:
 # evaluation contexts
 # ---------------------------------------------------------------------------
 
-def _pow(ctx, base, k: int):
-    if k < 0:
-        base = ctx.invert(base)
-        k = -k
-    out = ctx.one()
-    for _ in range(k):
-        out = out * base
-    return out
+_BINARY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
+
+
+def _series_inverse(p: FreeElem) -> LinRep:
+    """p^-1 for a polynomial p, as (1 - p/c)^* / c with c = p(0): the
+    proper part 1 - p/c is promoted directly, so the star is the one
+    reduction."""
+    c = p.tau()
+    if not c:
+        raise ValueError("series with zero constant term has no inverse")
+    field = p.field
+    cinv = field.one() / c
+    return LinRep.from_free(FreeElem.one(field) - p.scale(cinv)).star().scale(cinv)
 
 
 class _Context:
+    """Polynomial-first evaluation.  A subterm built from scalars, ``t``
+    indeterminates and the letters a context folds (``letter`` returns a
+    :class:`FreeElem` for those), with ``+``, ``-``, negation, and ``*``
+    where one factor has at most one term, evaluates to one FreeElem, so no
+    product expands beyond the size of the text.  It is promoted once, by
+    ``lift``, where it meets an operand of the context's own type or
+    reaches the root.  Powers and inverses of constants are field
+    arithmetic; the inverse of any other polynomial is ``invert_poly``,
+    which only the contexts that fold letters need."""
+
+    not_invertible = "zero is not invertible"
+
     def eval(self, node):
+        return self._lifted(self._eval(node))
+
+    def _lifted(self, v):
+        return self.lift(v) if type(v) is FreeElem else v
+
+    def _eval(self, node):
         op = node[0]
         if op == "num":
-            return self.scalar(node[1])
+            return FreeElem.scalar(self.field, self.field.from_fraction(node[1]))
         if op == "t":
-            return self.tvar(node[1])
+            return FreeElem.scalar(self.field, self.tvar(node[1]))
         if op in ("x", "y"):
             return self.letter(op, node[1])
         if op == "e":
             return self.idempotent()
         if op == "neg":
-            return -self.eval(node[1])
-        if op == "add":
-            return self.eval(node[1]) + self.eval(node[2])
-        if op == "sub":
-            return self.eval(node[1]) - self.eval(node[2])
-        if op == "mul":
-            return self.eval(node[1]) * self.eval(node[2])
+            return -self._eval(node[1])
+        if op in _BINARY:
+            a, b = self._eval(node[1]), self._eval(node[2])
+            if not (type(a) is FreeElem and type(b) is FreeElem
+                    and (op != "mul" or len(a.coeffs) <= 1 or len(b.coeffs) <= 1)):
+                a, b = self._lifted(a), self._lifted(b)
+            return _BINARY[op](a, b)
         if op == "pow":
-            return _pow(self, self.eval(node[1]), node[2])
+            return self._pow(self._eval(node[1]), node[2])
         raise ValueError("unknown node %r" % (op,))
+
+    def _pow(self, base, k: int):
+        if k < 0:
+            base, k = self._invert(base), -k
+        if type(base) is FreeElem:
+            if len(base.coeffs) <= 1:
+                return base ** k
+            base = self.lift(base)
+        out = self.one()
+        for _ in range(k):
+            out = out * base
+        return out
+
+    def _invert(self, a):
+        if type(a) is not FreeElem:
+            return self.invert(a)
+        if a.coeffs.keys() - {()}:
+            return self.invert_poly(a)
+        c = a.tau()
+        if not c:
+            raise ValueError(self.not_invertible)
+        return FreeElem.scalar(self.field, self.field.one() / c)
 
     def tvar(self, k: int):
         field = self.field
         if not isinstance(field, FunctionField):
             raise ValueError("t is only available over a function field (--field qt:<r>)")
-        return self.scalar_raw(field.var(k))
-
-    def scalar(self, q: Fraction):
-        return self.scalar_raw(self.field.from_fraction(q))
+        return field.var(k)
 
 
 class SeriesContext(_Context):
     """Evaluate to rational-series representations over letters x0..xn."""
+
+    not_invertible = "series with zero constant term has no inverse"
 
     def __init__(self, field: Field, n: int = 2) -> None:
         self.field = field
@@ -289,15 +346,14 @@ class SeriesContext(_Context):
     def one(self):
         return LinRep.one(self.field)
 
-    def scalar_raw(self, c):
-        return LinRep.scalar(self.field, c)
+    lift = staticmethod(LinRep.from_free)
 
     def letter(self, kind: str, i: int):
         if kind == "y":
             raise ValueError("series are written in the x letters only")
         if not 0 <= i <= self.n:
             raise ValueError("letter x%d outside alphabet of size %d" % (i, self.n + 1))
-        return LinRep.letter(self.field, i)
+        return FreeElem.letter(self.field, i)
 
     def idempotent(self):
         raise ValueError("e has no meaning inside a series")
@@ -305,9 +361,12 @@ class SeriesContext(_Context):
     def invert(self, a):
         return a.inv()
 
+    invert_poly = staticmethod(_series_inverse)
+
 
 class SkewContext(_Context):
-    """Evaluate to elements of the extension ring over its backend."""
+    """Evaluate to elements of the extension ring over its backend; the x
+    letters fold into polynomial coefficients."""
 
     def __init__(self, ring) -> None:
         self.ring = ring
@@ -316,11 +375,14 @@ class SkewContext(_Context):
     def one(self):
         return self.ring.one()
 
-    def scalar_raw(self, c):
-        return self.ring.scalar(c)
+    def lift(self, p):
+        return self.ring.embed(self.ring.domain.from_free(p))
 
     def letter(self, kind: str, i: int):
-        return self.ring.x(i) if kind == "x" else self.ring.y(i)
+        if kind == "y":
+            return self.ring.y(i)
+        self.ring._check_letter(i)
+        return FreeElem.letter(self.field, i)
 
     def idempotent(self):
         return self.ring.e()
@@ -330,12 +392,17 @@ class SkewContext(_Context):
             raise ValueError("only coefficient-ring elements can be inverted")
         r = a.data.get(())
         if r is None:
-            raise ValueError("zero is not invertible")
+            raise ValueError(self.not_invertible)
         return self.ring.embed(r.inv())
+
+    def invert_poly(self, p):
+        dom = self.ring.domain
+        return self.ring.embed(_series_inverse(p) if dom.cls is LinRep else dom.from_free(p).inv())
 
 
 class LeavittContext(_Context):
-    """Evaluate to monoword-basis elements; letters are numbered from 1."""
+    """Evaluate to monoword-basis elements; letters are numbered from 1.
+    Only scalars fold: every letter is an element here."""
 
     def __init__(self, field: Field, n: int | None) -> None:
         from .leavitt import UElem
@@ -347,8 +414,8 @@ class LeavittContext(_Context):
     def one(self):
         return self._U.one(self.field, self.n)
 
-    def scalar_raw(self, c):
-        return self._U.scalar(self.field, c, self.n)
+    def lift(self, p):
+        return self._U.scalar(self.field, p.coeff(()), self.n)
 
     def letter(self, kind: str, i: int):
         if i < 1:
@@ -372,8 +439,8 @@ class LeavittContext(_Context):
             raise ValueError("only scalars are invertible here")
         c = a.coeffs.get(((), ()))
         if not c:
-            raise ValueError("zero is not invertible")
-        return self.scalar_raw(self.field.one() / c)
+            raise ValueError(self.not_invertible)
+        return self._U.scalar(self.field, self.field.one() / c, self.n)
 
 
 def eval_series(text: str, field: Field, n: int = 2) -> LinRep:

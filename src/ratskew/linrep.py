@@ -60,21 +60,23 @@ gcd of its entries and its denominator divided out, so denominators do not
 grow along chains of operations.  Field values (``lam``, ``mu``,
 ``gamma``; ``rows``, ``mu``, ``cols``) are built once, the first time
 something reads them (``coeff``, ``to_json``, ``render``, truncation).  A
-representation made from field values (``word``, ``scalar``, ``from_free``,
-a loaded certificate, ``SeriesMatrix.constant``) is converted once, on
-first use.  A field value has one canonical form, so every value read is
-the same whichever scaling the kernel form carries.
+representation made from field values (``word``, ``scalar``, a loaded
+certificate, ``SeriesMatrix.constant``) is converted once, on first use.
+A field value has one canonical form, so every value read is the same
+whichever scaling the kernel form carries.
 
 Operations avoid reductions they cannot need: a product with a constant
 only scales the other factor, and ``delta`` is memoised per instance.
 Sums, products, stars and loads run both passes of :func:`_minimise`.
-``delta`` runs only the second, :func:`_observe`: a transduction keeps the
-entry row and the letter matrices, so the whole space of its reduced
-operand stays reachable, and on such a block the reachability pass returns
-its input unchanged.  ``SeriesMatrix.to_json`` runs the reachability pass
-once per matrix row, since every entry of a row shares its entry row and
-letter matrices, and the observability pass once per entry; either way
-the result is the one ``reduce()`` gives, kernel form included.
+``delta`` and ``from_free`` run only the second, :func:`_observe`: a
+transduction keeps the entry row and the letter matrices, so the whole
+space of its reduced operand stays reachable, every state of a
+polynomial's prefix tree is reached by its own prefix, and on such a
+block the reachability pass returns its input unchanged.
+``SeriesMatrix.to_json`` runs the reachability pass once per matrix row,
+since every entry of a row shares its entry row and letter matrices, and
+the observability pass once per entry; either way the result is the one
+``reduce()`` gives, kernel form included.
 Results share vectors and matrices with their operands, so nothing mutates
 a representation once it is built; the block builders write only to lists
 they have just allocated.
@@ -926,7 +928,12 @@ class LinRep(_Block):
 
     @staticmethod
     def from_free(p: FreeElem) -> "LinRep":
-        """Promote a polynomial: states are the prefixes of its support."""
+        """Promote a polynomial: states are the prefixes of its support.
+
+        Each state is reached by its own prefix, so the reachability pass
+        of ``reduce()`` would return the block unchanged, and the
+        observability pass (:func:`_observe`) alone minimises it, with the
+        result ``reduce()`` gives."""
         if not p.coeffs:
             return LinRep.zero(p.field)
         field = p.field
@@ -948,7 +955,8 @@ class LinRep(_Block):
         gamma = [z] * d
         for w, c in p.coeffs.items():
             gamma[prefixes[w]] = c
-        return LinRep(field, d, lam, mu, gamma).reduce()
+        k = _kernel(field)
+        return LinRep._of(field, k, *_observe(k, d, *LinRep(field, d, lam, mu, gamma)._kb(k)))
 
     # -- reduction ----------------------------------------------------------
 
@@ -1177,11 +1185,14 @@ class LinRep(_Block):
         if not (vec(obj["lam"]) and vec(obj["gamma"])):
             raise ValueError("lam and gamma must be lists of length dim = %d" % dim)
         dec = lambda c: scalar_from_json(field, c)
+        if not isinstance(obj["mu"], dict):
+            raise ValueError("mu must be an object from letters to matrices")
         mu = {}
-        for x, m in obj["mu"].items():
-            x = int(x)
-            if x < 0:
-                raise ValueError("negative letter %d" % x)
+        for key, m in obj["mu"].items():
+            # only the plain decimal form, so that no two keys name one letter
+            if not (key.isascii() and key.isdecimal() and str(int(key)) == key):
+                raise ValueError("letter key %r is not a non-negative integer in decimal" % (key,))
+            x = int(key)
             if not (vec(m) and all(vec(row) for row in m)):
                 raise ValueError("mu[%d] is not a %d x %d matrix" % (x, dim, dim))
             mu[x] = [[dec(c) for c in row] for row in m]

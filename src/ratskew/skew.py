@@ -73,6 +73,10 @@ class CoeffDomain:
     def word(self, w, c=None):
         return self.cls.word(self.field, w, c, **self._window)
 
+    def from_free(self, p: FreeElem):
+        """The polynomial p as a coefficient of this backend."""
+        return p if self.cls is FreeElem else self.cls.from_free(p, **self._window)
+
     def __eq__(self, other):
         return (
             isinstance(other, CoeffDomain)

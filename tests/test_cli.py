@@ -299,6 +299,27 @@ def test_verify_cert_rejects_misrecorded_skew_witness_verdict(run, tmp_path, key
     assert err.startswith("error:") and key in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("change, fragment", [
+    (lambda mu: [], "mu must be an object"),                 # a list, not letters to matrices
+    (lambda mu: {**mu, "01": [["0"]]}, "letter key '01'"),   # a second name for letter 1
+    (lambda mu: {**mu, " 1": [["0"]]}, "letter key ' 1'"),
+    (lambda mu: {"-1": mu["1"]}, "letter key '-1'"),
+], ids=["mu_list", "key_leading_zero", "key_space", "key_negative"])
+def test_verify_cert_refuses_a_misshapen_letter_table(run, tmp_path, change, fragment):
+    """Every certificate series is loaded by ``LinRep._load``: a ``mu`` that
+    is not an object, or a letter key other than the plain decimal form of
+    a non-negative integer, exits 1 with ``error:``, not a traceback, and
+    no key silently overwrites another."""
+    code, cert = jrun(run, "skew", "witness", "--json", "1 - x0 - x1")
+    assert code == 0
+    rep = cert["g"]["terms"][0][1]
+    assert rep["dim"] == 1 and "1" in rep["mu"]
+    rep["mu"] = change(rep["mu"])
+    code, out, err = run("verify-cert", _write(tmp_path, "w.json", cert))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and fragment in err and "Traceback" not in err
+
+
 def _doubled_unit(cert):
     unit = cert["unit"]
     if "lam" in unit:

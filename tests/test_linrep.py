@@ -12,6 +12,7 @@ from ratskew.freealg import FreeElem
 from ratskew import linrep
 from ratskew.linrep import LinRep, NotInvertible, SeriesMatrix, _FieldKernel, invert_matrix_series
 from ratskew.truncated import TruncSeries
+from ratskew.words import word_key
 
 F7 = field_from_name("fp:7")
 QT = field_from_name("qt:1")
@@ -715,6 +716,43 @@ def test_delta_matches_two_pass_reduce(name, seed, depth, i):
     w = LinRep.word(field, (1, 0), field.from_int(3))
     assert w.delta(1).dim == 0
     assert _kernel_form(w.delta(1)) == _kernel_form(_two_pass_delta(w, 1))
+
+
+def _prefix_automaton(p):
+    """The unreduced prefix-tree representation of the polynomial p: a
+    state per prefix of its support, the empty one the entry state."""
+    field = p.field
+    z, o = field.zero(), field.one()
+    prefixes = {(): 0}
+    for w in sorted(p.coeffs, key=word_key):
+        for k in range(1, len(w) + 1):
+            prefixes.setdefault(w[:k], len(prefixes))
+    d = len(prefixes)
+    mu = {}
+    for w, idx in prefixes.items():
+        if w:
+            mu.setdefault(w[-1], [[z] * d for _ in range(d)])[prefixes[w[:-1]]][idx] = o
+    gamma = [p.coeff(w) for w in prefixes]
+    return LinRep(field, d, [o] + [z] * (d - 1), mu, gamma)
+
+
+@pytest.mark.parametrize("name", ["q", "fp:7", "qt:1", "qt:2"])
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32), terms=st.integers(1, 5), maxlen=st.integers(0, 4))
+def test_from_free_matches_reduce_of_the_prefix_automaton(name, seed, terms, maxlen):
+    """``from_free`` runs the observability pass alone; its result is the
+    one ``reduce()`` gives, in JSON and in kernel form.  The polynomials:
+    random ones, some with shared prefixes or cancelling terms, the zero
+    polynomial, a constant and a single word."""
+    field = field_from_name(name)
+    rng = random.Random(seed)
+    p = rand_poly(rng, field, nletters=3, terms=terms, maxlen=maxlen)
+    for q in (p, p + p.scale(field.from_int(-1)), FreeElem.zero(field),
+              FreeElem.scalar(field, field.random(rng, units_only=True)),
+              FreeElem.word(field, (2, 0, 2), field.from_int(5)), p * FreeElem.letter(field, 1)):
+        a, b = LinRep.from_free(q), _prefix_automaton(q).reduce()
+        assert a.to_json() == b.to_json()
+        assert _kernel_form(a) == _kernel_form(b)
 
 
 def _per_entry_json(m):
