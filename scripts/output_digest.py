@@ -12,7 +12,9 @@ generator certificate of case 1 and one of case 4, and a skew witness,
 once in its factor g and once in its unit), so the lines of a failing
 re-check, with its list of failed identities, are pinned too, and a paired
 witness is re-checked after its mode, its verdict or its product is
-changed, which each pin a refusal.
+changed, which each pin a refusal.  So does a generator certificate whose
+first coefficient is replaced by the series x0^* = (1 - x0)^-1: generator
+identities are checked over polynomial coefficients.
 No command prints a series matrix, so three ``spot_check_sigma_prime``
 certificates, two over q and one over qt:1, built with the package's own
 functions, get a line each, and so does the ``recheck_certificate`` result
@@ -160,6 +162,10 @@ TAMPERED = [
     (["skew", "witness", "--json", "1 - x0 - x1"], "lam of unit", lambda c: c["unit"]),
 ]
 
+# a generator certificate whose first coefficient, in E[0][0], is set to a
+# series with infinite support: verify-cert must refuse it
+INFINITE_SUPPORT = ["realize", "build", "--from", "2", "--to", "2", "--mult", "2", "--field", "qt:1"]
+
 # (what is changed, how) in the certificate of ``leavitt witness`` on
 # LEAVITT_W: verify-cert must refuse each one
 TAMPERED_WITNESS = [
@@ -176,6 +182,14 @@ def doubled(field_name, c):
     if field_name == "q":
         return str(2 * Fraction(c))
     return {"num": [[e, str(2 * Fraction(v))] for e, v in c["num"]], "den": c["den"]}
+
+
+def star_json(field_name):
+    """The certificate JSON of x0^* = (1 - x0)^-1 over a field."""
+    from ratskew.fields import field_from_name
+    from ratskew.linrep import LinRep
+
+    return LinRep.letter(field_from_name(field_name), 0).star().to_json()
 
 
 def sigma_certs():
@@ -257,6 +271,15 @@ def main(argv=None) -> int:
             code, stdout, stderr = run(run_command, VERIFY_CERT + [path])
             print(line("verify-cert <output of: %s, %s doubled>" % (shlex.join(cmd), what), code, stdout,
                        stderr), flush=True)
+        code, stdout, _ = run(run_command, INFINITE_SUPPORT)
+        cert = json.loads(stdout)
+        cert["E"][0][0]["terms"][0][1] = star_json(cert["field"])
+        path = os.path.join(tmp, "tampered.json")
+        with open(path, "w") as fh:
+            json.dump(cert, fh)
+        code, stdout, stderr = run(run_command, VERIFY_CERT + [path])
+        print(line("verify-cert <output of: %s, first coefficient set to x0^*>" % shlex.join(INFINITE_SUPPORT),
+                   code, stdout, stderr), flush=True)
         cmd = ["leavitt", "witness", "--n", "3", "--json", LEAVITT_W]
         for what, change in TAMPERED_WITNESS:
             code, stdout, _ = run(run_command, cmd)

@@ -958,6 +958,60 @@ class LinRep(_Block):
         k = _kernel(field)
         return LinRep._of(field, k, *_observe(k, d, *LinRep(field, d, lam, mu, gamma)._kb(k)))
 
+    def to_free(self, bounded: bool = False) -> FreeElem:
+        """The polynomial this series is, the inverse of :meth:`from_free`;
+        ValueError if its support is infinite, or, when ``bounded``, if it
+        has more than (letters + 1) * dim prefixes of support words, letters
+        being those its representation uses.
+
+        Polynomiality is decided first, in polynomial time.  A reduced
+        series is a polynomial exactly when its representation is
+        nilpotent (Berstel-Reutenauer, ch. 2): a polynomial of degree D
+        has the D + 1 independent rows lam * mu(w_1..w_k), k <= D, of the
+        prefixes of a degree-D word, so D < dim, and every row lam * mu(w)
+        with |w| > D is zero, since it pairs to zero with every row of the
+        observable space.  So the span of the rows of the words of length
+        dim, built level by level as the span of the previous level's
+        basis times each letter, is zero exactly for a polynomial.
+
+        Only then is the support listed breadth-first, keeping each prefix
+        whose row is nonzero.  By observability every kept prefix extends
+        to a support word, so the cost grows with the size of the
+        support, which dim does not bound: (x0 + x1)^40 has dim 41 and
+        2^40 words.  ``bounded`` stops the listing, level by level, before
+        it keeps more prefixes than the bound, which a single word (dim
+        prefixes) or a sum of letters (letters + 1) never exceeds."""
+        field = self.field
+        if self.dim == 0:
+            return FreeElem.zero(field)
+        k = _kernel(field)
+        d, (lam,), mu, (gamma,) = self._kb(k)
+        mu = sorted(mu.items())
+        level = [k.span(lam)]
+        for _ in range(d):
+            ech = k.echelon(d)
+            level = [u for v in level for _, m in mu if ech.add(u := k.vec_mat(v, m))]
+            if not level:
+                break
+        else:
+            raise ValueError("the series has infinite support, so it is not a polynomial")
+        limit = (len(mu) + 1) * d if bounded else None
+        coeffs = {}
+        level = [((), lam)]
+        while level:
+            if limit is not None and len(coeffs) + len(level) > limit:
+                raise ValueError("the polynomial has more than %d prefixes of support words, "
+                                 "too many to list" % limit)
+            nxt = []
+            for w, v in level:
+                coeffs[w] = k.dot(v, gamma)  # FreeElem drops the zeros
+                for x, m in mu:
+                    u = k.vm(v, m)
+                    if any(k.span(u)):
+                        nxt.append((w + (x,), u))
+            level = nxt
+        return FreeElem(field, coeffs)
+
     # -- reduction ----------------------------------------------------------
 
     def reduce(self) -> "LinRep":

@@ -23,8 +23,9 @@ Four constructions cover the possible tag patterns:
            idempotent with single letters; both unit sums hold on the nose.
 
 All coefficients are polynomials (possibly over a rational function field),
-so every verification is exact; cases 1 and 2-with-m>=2 compare modulo the
-ideal of e, the others compare literally.
+so every verification is exact, and it runs over polynomial coefficients
+whichever backend built the matrices; cases 1 and 2-with-m>=2 compare
+modulo the ideal of e, the others compare literally.
 """
 
 from __future__ import annotations
@@ -340,8 +341,44 @@ class VerifyReport:
         return {"ok": self.ok, "checks": [[n, o] for n, o in self.checks]}
 
 
+def _over_polynomials(g: GeneratorMatrices) -> GeneratorMatrices:
+    """g with every ``rat`` coefficient replaced by the polynomial it is
+    (:meth:`LinRep.to_free`), over ``CoeffDomain("free", field)`` with the
+    same top letter index; a g over any other backend as it is.
+
+    A coefficient with infinite support raises ValueError, and so does one
+    with more than (letters + 1) * dim prefixes of support words (the
+    ``bounded`` listing).  Every construction's coefficient is a single
+    word, with exactly dim prefixes.  The bound keeps the words of each
+    polynomial fewer than the entries of the series it came from, so the
+    listing and every product of the checks stay polynomial in the size of
+    the certificate, where a short certificate could otherwise spell
+    (x0 + x1)^40 in dim 41 and make them run through 2^40 words."""
+    dom = g.ring.domain
+    if dom.kind != "rat":
+        return g
+    ring = SkewRing(CoeffDomain("free", dom.field), g.ring.n)
+
+    def mat(m):
+        return [[SkewElem(ring, {w: r.to_free(bounded=True) for w, r in el.data.items()}) for el in row]
+                for row in m]
+
+    return GeneratorMatrices(g.spec, ring, g.quotient, g.size, mat(g.E),
+                             [mat(a) for a in g.A], [mat(b) for b in g.B])
+
+
 def verify_generators(g: GeneratorMatrices) -> VerifyReport:
-    """Exercise every defining identity the construction promises."""
+    """Exercise every defining identity the construction promises.
+
+    The identities are checked over polynomial coefficients: a ``rat`` g
+    is first mapped to the same matrices over the ``free`` backend
+    (:func:`_over_polynomials`).  The inclusion of polynomials into
+    rational series is injective and respects +, *, scale, tau and every
+    delta_i, so each product, each quotient descent and each verdict is the
+    one rational-series arithmetic gives, with no reduction.  A ``rat``
+    coefficient that is not a polynomial, or one with too large a support
+    for its dim, raises ValueError; no construction emits one."""
+    g = _over_polynomials(g)
     z = g.ring.zero()
     checks = [("E*E = E", g.eq(mat_mul(g.E, g.E, z), g.E))]
     zero = mat_zero(g.ring, g.size)

@@ -127,6 +127,7 @@ class SkewRing:
         self.n = n
         self._letters: dict = {}  # i -> the element x_i, built once
         self._es: dict = {}  # top -> the element e(top), built once
+        self._alphabet = None  # (x_0, ..., x_n), built once
 
     def _check_letter(self, i: int) -> None:
         if type(i) is not int or i < 0 or (self.n is not None and i > self.n):
@@ -151,6 +152,14 @@ class SkewRing:
         if xi is None:
             xi = self._letters[i] = SkewElem(self, {(): self.domain.letter(i)})
         return xi
+
+    def alphabet(self) -> tuple:
+        """The letters (x_0, ..., x_n) of a fixed alphabet, built once."""
+        if self._alphabet is None:
+            if self.n is None:
+                raise ValueError("ideal membership needs a fixed alphabet bound")
+            self._alphabet = tuple(self.x(i) for i in range(self.n + 1))
+        return self._alphabet
 
     def x_word(self, w) -> "SkewElem":
         for i in w:
@@ -359,9 +368,7 @@ def _descend(a: SkewElem):
 def _descent(a: SkewElem):
     """The descent of :func:`_descend`, run afresh."""
     ring = a.ring
-    if ring.n is None:
-        raise ValueError("ideal membership needs a fixed alphabet bound")
-    letters = [ring.x(i) for i in range(ring.n + 1)]
+    letters = ring.alphabet()
     # Truncated inputs can cancel structurally, which still only certifies
     # the window they were computed in.
     base_prec = None

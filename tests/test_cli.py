@@ -3,6 +3,7 @@ documented output shapes, and the closed verify-cert loop for every
 certificate kind."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from ratskew.cli import run_command
 from ratskew.fields import MAX_NVARS, field_from_name
 from ratskew.freealg import FreeElem
+from ratskew.linrep import LinRep
 from ratskew.realize import build_generators, hom_spec, spot_check_sigma_prime
 from ratskew.skew import CoeffDomain, SkewElem, SkewRing, verify_word_system
 
@@ -547,6 +549,34 @@ def test_verify_cert_rejects_generator_shape_fields_off_their_spec(run, tmp_path
     cert = _case2_cert(run)
     cert[key] = value
     _refused(run, tmp_path, cert, key)
+
+
+def test_verify_cert_refuses_a_generator_coefficient_with_infinite_support(run, tmp_path):
+    """Generator identities are checked over polynomial coefficients, so a
+    certificate whose coefficient is the series x0^* = (1 - x0)^-1 exits 1
+    with ``error:``, through ``verify-cert`` and ``realize verify`` alike."""
+    cert = _case2_cert(run)
+    cert["A"][0][0][0]["terms"][0][1] = LinRep.letter(QQ, 0).star().to_json()
+    _refused(run, tmp_path, cert, "infinite support")
+    code, out, err = run("realize", "verify", _write(tmp_path, "g.json", cert))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "infinite support" in err and "Traceback" not in err
+
+
+def test_verify_cert_refuses_a_generator_coefficient_with_too_large_a_support(run, tmp_path):
+    """(x0 + x1)^40 is a polynomial of dim 41 with 2^40 words.  Listing it
+    for the polynomial checks stops past (letters + 1) * dim prefixes, so
+    the certificate is refused at once with exit 1, not expanded."""
+    cert = _case2_cert(run)
+    s = LinRep.letter(QQ, 0) + LinRep.letter(QQ, 1)
+    p = LinRep.one(QQ)
+    for _ in range(40):
+        p = p * s
+    assert p.dim == 41
+    cert["E"][0][0]["terms"][0][1] = p.to_json()
+    start = time.process_time()
+    _refused(run, tmp_path, cert, "prefixes of support words, too many to list")
+    assert time.process_time() - start < 1.0
 
 
 def test_verify_cert_refuses_a_trunc_generator_certificate(run, tmp_path):

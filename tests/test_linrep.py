@@ -2,6 +2,7 @@
 backend as an independent oracle wherever values are not pinned by hand."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -777,3 +778,86 @@ def test_row_shared_to_json_matches_entries(field, seed, nrows, ncols):
             SeriesMatrix.constant(field, [[field.random(rng) for _ in range(nrows)] for _ in range(nrows)])]
     for m in mats:
         assert m.to_json()["entries"] == _per_entry_json(m)
+
+
+# -- back to polynomials --------------------------------------------------------------
+
+@pytest.mark.parametrize("name", ["q", "fp:7", "qt:1"])
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32), terms=st.integers(1, 5), maxlen=st.integers(0, 4))
+def test_to_free_inverts_from_free(name, seed, terms, maxlen):
+    """``to_free`` gives back the polynomial ``from_free`` promoted, also
+    after the sum, the product and a scaling of such series, where the
+    result has gone through a full reduction; a nonpolynomial factor that
+    cancels leaves a polynomial too."""
+    field = field_from_name(name)
+    rng = random.Random(seed)
+    p = rand_poly(rng, field, nletters=3, terms=terms, maxlen=maxlen)
+    q = rand_poly(rng, field, nletters=3, terms=terms, maxlen=maxlen)
+    a, b = LinRep.from_free(p), LinRep.from_free(q)
+    c = field.random(rng)
+    assert a.to_free() == p
+    assert (a + b).to_free() == p + q
+    assert (a * b).to_free() == p * q
+    assert a.scale(c).to_free() == p.scale(c)
+    u = LinRep.one(field) - LinRep.word(field, (1, 2), field.random(rng, units_only=True))
+    assert (a * u.inv() * u).to_free() == p
+    for r in (FreeElem.zero(field), FreeElem.scalar(field, c)):
+        assert LinRep.from_free(r).to_free() == r
+
+
+@pytest.mark.parametrize("field", [QQ, F7, QT], ids=lambda f: f.name)
+def test_to_free_refuses_infinite_support(field):
+    x0, x1 = LinRep.letter(field, 0), LinRep.letter(field, 1)
+    p = LinRep.from_free(FreeElem.word(field, (1, 0), field.from_int(3)) + FreeElem.one(field))
+    for s in (x0.star(), p + (LinRep.one(field) - x0 - x1).inv(), p * x1.star() * p):
+        with pytest.raises(ValueError, match="infinite support"):
+            s.to_free()
+
+
+def test_to_free_bounded_listing():
+    """A polynomial's support is not bounded by its dim: (x0 + x1)^k has
+    dim k + 1 and 2^(k+1) - 1 prefixes of support words.  The bounded
+    listing keeps at most (letters + 1) * dim of them, enough for a word
+    and for a sum of letters, and refuses past that before the next level,
+    so (x0 + x1)^40 is refused at once."""
+    x = [LinRep.letter(QQ, i) for i in range(5)]
+    word = LinRep.word(QQ, (0, 3, 1, 4, 2, 2))
+    letters = sum(x, LinRep.zero(QQ))
+    for r in (word, letters, word * letters + x[0], LinRep.zero(QQ), LinRep.one(QQ)):
+        assert r.to_free(bounded=True) == r.to_free()
+    s = x[0] + x[1]
+    p = s * s
+    assert p.dim == 3 and p.to_free(bounded=True) == p.to_free()  # 7 prefixes, bound 9
+    p = p * s
+    assert len(p.to_free().coeffs) == 8
+    with pytest.raises(ValueError, match="more than 12 prefixes"):  # 15 prefixes, bound 12
+        p.to_free(bounded=True)
+    for _ in range(37):
+        p = p * s
+    assert p.dim == 41
+    start = time.process_time()
+    with pytest.raises(ValueError, match="too many to list"):
+        p.to_free(bounded=True)
+    assert time.process_time() - start < 0.5
+
+
+def test_to_free_decides_before_listing(monkeypatch):
+    """A three-letter series with every word in its support, shifted by a
+    word of length 11, is refused in well under a second: polynomiality is
+    decided on spans, and no word is listed.  The listing is the only use
+    of the kernel's exact product here, so that product is made to fail
+    first: listing before deciding fails at once instead of running on."""
+    field = QQ
+    w = LinRep.from_free(FreeElem.word(field, (0, 1, 2) * 3 + (0, 1)))
+    s = w * (LinRep.one(field) - sum((LinRep.letter(field, i) for i in range(3)), LinRep.zero(field))).inv()
+    assert s.dim >= 12
+
+    def listed(v, m):
+        raise AssertionError("a word was listed before polynomiality was decided")
+
+    monkeypatch.setattr(linrep._kernel(field), "vm", listed)
+    start = time.process_time()
+    with pytest.raises(ValueError, match="infinite support"):
+        s.to_free()
+    assert time.process_time() - start < 0.5

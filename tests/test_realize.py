@@ -4,11 +4,14 @@ invertibility certificates, and multi-step chain planning."""
 
 import pytest
 
+from ratskew.acceptance import grid_specs
 from ratskew.fields import FunctionField, field_from_name
 from ratskew.freealg import FreeElem
-from ratskew.realize import (ChainPlan, GeneratorMatrices, HomSpec,
+from ratskew.la import mat_mul
+from ratskew.linrep import LinRep
+from ratskew.realize import (ChainPlan, GeneratorMatrices, HomSpec, VerifyReport,
                              build_generators, generator_matrices_from_json,
-                             hom_spec, plan_chain, spot_check_sigma_prime,
+                             hom_spec, mat_add, mat_zero, plan_chain, spot_check_sigma_prime,
                              verify_chain, verify_generators)
 
 QQ = field_from_name("q")
@@ -108,6 +111,77 @@ def test_generator_json_round_trip():
     assert h.spec == g.spec and h.size == g.size
     assert h.eq(h.E, g.E) and h.eq(h.A[1], g.A[1])
     assert verify_generators(h).ok
+
+
+def _reference_verify(g: GeneratorMatrices) -> VerifyReport:
+    """The verification loop as it ran before the identities were checked
+    over polynomial coefficients: g's own arithmetic, rational series for
+    a ``rat`` g.  Kept as the reference the polynomial check must agree
+    with."""
+    z = g.ring.zero()
+    checks = [("E*E = E", g.eq(mat_mul(g.E, g.E, z), g.E))]
+    zero = mat_zero(g.ring, g.size)
+    for i in range(len(g.A)):
+        for j in range(len(g.B)):
+            want = g.E if i == j else zero
+            name = "A%d*B%d = %s" % (i, j, "E" if i == j else "0")
+            checks.append((name, g.eq(mat_mul(g.A[i], g.B[j], z), want)))
+    if g.spec.case in (1, 4):
+        acc = mat_zero(g.ring, g.size)
+        for i in range(len(g.A)):
+            acc = mat_add(acc, mat_mul(g.B[i], g.A[i], z))
+        checks.append(("sum B_i*A_i = E", g.eq(acc, g.E)))
+    for i in range(len(g.A)):
+        checks.append(("E*A%d*E = A%d" % (i, i),
+                       g.eq(mat_mul(mat_mul(g.E, g.A[i], z), g.E, z), g.A[i])))
+        checks.append(("E*B%d*E = B%d" % (i, i),
+                       g.eq(mat_mul(mat_mul(g.E, g.B[i], z), g.E, z), g.B[i])))
+    return VerifyReport(all(ok for _, ok in checks), checks)
+
+
+def _tampered(spec, change):
+    g = build_generators(spec)
+    change(g)
+    return g
+
+
+def _double_e00(g):
+    g.E[0][0] = g.E[0][0].scale(g.ring.domain.field.from_int(2))
+
+
+def _bump_a0(g):
+    g.A[0][0][0] = g.A[0][0][0] + g.ring.one()
+
+
+@pytest.mark.parametrize("spec", grid_specs(), ids=lambda s: s.label())
+def test_polynomial_verification_matches_the_series_reference(spec):
+    """Every ``grid_specs()`` spec gets the same checks, names and verdicts,
+    over polynomial coefficients as in rational-series arithmetic: the
+    ``rat`` build, its certificate reloaded, the ``free`` build, and two
+    tampered ``rat`` builds, with E[0][0] doubled and with 1 added to the
+    first entry of A_0, whose failed names must agree too."""
+    g = build_generators(spec)
+    variants = {
+        "rat": g,
+        "certificate": generator_matrices_from_json(g.to_json()),
+        "free": build_generators(spec, backend="free"),
+        "E[0][0] doubled": _tampered(spec, _double_e00),
+        "A_0 entry + 1": _tampered(spec, _bump_a0),
+    }
+    for what, h in variants.items():
+        new, old = verify_generators(h), _reference_verify(h)
+        assert new.checks == old.checks, what
+        assert new.ok is old.ok and new.ok is (what in ("rat", "certificate", "free")), what
+
+
+def test_verify_refuses_a_series_coefficient():
+    """A hand-built ``rat`` GeneratorMatrices whose entry has infinite
+    support cannot be checked over polynomial coefficients: it raises."""
+    g = build_generators(hom_spec(0, 3, 2), count=2)
+    star = LinRep.letter(QQ, 0).star()
+    g.A[0][0][0] = g.ring.embed(star)
+    with pytest.raises(ValueError, match="infinite support"):
+        verify_generators(g)
 
 
 # -- invertibility certificates -------------------------------------------------------
