@@ -409,7 +409,10 @@ def _recheck_sigma_cert(obj) -> dict:
     field = field_from_name(obj["field"])
     mat = SeriesMatrix.from_json(field, obj["matrix"])
     inv = SeriesMatrix.from_json(field, obj["inverse"])
-    ident = SeriesMatrix.identity(field, obj["size"])
+    size = obj["size"]
+    if type(size) is not int or size != mat.nrows:
+        raise ValueError("size must be the integer %d, the matrix's nrows, got %r" % (mat.nrows, size))
+    ident = SeriesMatrix.identity(field, size)
     right = mat * inv == ident
     left = inv * mat == ident
     return {"kind": "sigma_cert", "ok": right and left,

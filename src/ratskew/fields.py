@@ -23,8 +23,11 @@ helpers (``zx_mul``, ``zx_div_exact``, ``zx_gcd``, ...), and Z[t1..tr]
 for r >= 2 is Z[t2..tr][t1], lists over powers of t1 of elements of the
 ring below, whose operations are written once over the ring below's
 (:func:`_nested`).  :func:`mpoly_gcd` converts the primitive parts of its
-operands into that ring, for any number of variables, and the polynomial
-span kernel of ``linrep`` runs on the same rings, for every ``qt:r``.
+operands into that ring, for any number of variables.  The one span kernel
+of ``linrep`` runs on these rings for every ``qt:r``, and below the tower
+on :data:`ZZ` (the integers, for ``q``) and :func:`zmod_ring` (the
+integers mod p, for ``fp:p``), which carry only the ring operations the
+kernel calls.
 
 The :class:`RatFunc` operators rely on canonical values: they take canonical
 operands and skip the gcds it makes redundant (zero, one and constant
@@ -40,7 +43,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from operator import add
+from operator import add, floordiv, mul
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -544,8 +547,8 @@ def _zx_dense(p):
 # ---------------------------------------------------------------------------
 
 class PolyRing:
-    """A dense polynomial ring Z[t1..tr] (see :func:`poly_ring`).  Zero is
-    ``[]``; ``one`` is the unit, ``const(k)`` the integer k, ``lead(a)``
+    """A dense polynomial ring Z[t1..tr] (see :func:`poly_ring`).  ``zero``
+    is ``[]`` and ``one`` the unit, ``const(k)`` the integer k, ``lead(a)``
     the lex-leading integer coefficient, ``is_const(a)`` whether a nonzero
     a is an integer and ``as_int(a)`` that integer, or None if a is not
     one; ``ints(polys)`` iterates over the integer coefficients of a list
@@ -555,7 +558,9 @@ class PolyRing:
     col)`` the product of a vector with a sparse column of (index, entry)
     pairs, and ``content(v, g)`` the gcd of g and the entries of v.  ``of``
     and ``terms`` convert from and to the integer dicts of :class:`MPoly`
-    in ``nvars`` variables."""
+    in ``nvars`` variables.  The rings with ``nvars`` 0, :data:`ZZ` and
+    :func:`zmod_ring`, hold ints and carry only ``zero``, ``one``,
+    ``mul``, ``add``, ``div_exact``, ``lcm``, ``dot`` and ``content``."""
 
     def __init__(self, nvars, one, **ops) -> None:
         self.nvars, self.one = nvars, one
@@ -564,7 +569,7 @@ class PolyRing:
 
 
 ZX = PolyRing(
-    1, [1], const=lambda k: [k], lead=lambda a: a[-1], is_const=lambda a: len(a) == 1,
+    1, [1], zero=[], const=lambda k: [k], lead=lambda a: a[-1], is_const=lambda a: len(a) == 1,
     as_int=lambda a: a[0] if len(a) == 1 else None, ints=chain.from_iterable,
     mul=zx_mul, add=zx_add, neg=lambda a: [-k for k in a], div_exact=zx_div_exact, gcd=zx_gcd,
     lcm=zx_lcm, lincomb=_zx_lincomb, dot=_zx_dot, content=zx_content,
@@ -783,7 +788,7 @@ def _nested(base: PolyRing) -> PolyRing:
         return out
 
     return PolyRing(
-        base.nvars + 1, one, const=lambda k: [bconst(k)], lead=lambda a: blead(a[-1]),
+        base.nvars + 1, one, zero=[], const=lambda k: [bconst(k)], lead=lambda a: blead(a[-1]),
         is_const=lambda a: as_int(a) is not None, as_int=as_int, ints=ints,
         mul=mul, add=add, neg=neg, div_exact=div_exact, gcd=gcd_, lcm=lcm_, lincomb=lincomb,
         dot=dot, content=content, of=of,
@@ -801,6 +806,38 @@ def poly_ring(nvars: int) -> PolyRing:
     while len(_POLY_RINGS) <= nvars:
         _POLY_RINGS.append(_nested(_POLY_RINGS[-1]))
     return _POLY_RINGS[nvars]
+
+
+# ---------------------------------------------------------------------------
+# Z and Z/p: the coefficient rings below the tower, for q and fp:p
+# ---------------------------------------------------------------------------
+
+def _zz_content(v, g=0):
+    return gcd(g, *v)
+
+
+def _zz_dot(v, col):
+    s = 0
+    for i, y in col:
+        s += v[i] * y
+    return s
+
+
+# Z = Z[t1..t0] on plain ints, with only the operations the span kernel of
+# ``linrep`` calls on it: its quotients are exact, so ``div_exact`` is floor
+# division, unchecked
+ZZ = PolyRing(0, 1, zero=0, mul=mul, add=add, div_exact=floordiv, lcm=lcm, content=_zz_content, dot=_zz_dot)
+
+
+def zmod_ring(p: int) -> PolyRing:
+    """Z/p for a prime p, on residues in [0, p), with the operations of
+    :data:`ZZ`.  Every nonzero residue is a unit, so a content is 1 unless
+    all its operands are 0, an lcm of nonzero residues is 1, and
+    ``div_exact`` multiplies by the inverse."""
+    return PolyRing(
+        0, 1, zero=0, mul=lambda a, b: a * b % p, add=lambda a, b: (a + b) % p,
+        div_exact=lambda a, b: a * pow(b, -1, p) % p, lcm=lambda a, b: 1,
+        content=lambda v, g=0: int(bool(g or any(v))), dot=lambda v, col: _zz_dot(v, col) % p)
 
 
 def mpoly_gcd(f: MPoly, g: MPoly) -> MPoly:
@@ -1154,6 +1191,8 @@ _FIELD_CACHE: dict = {}
 
 def field_from_name(name: str) -> Field:
     """Parse a field tag: ``q``, ``fp:<p>`` or ``qt:<r>``."""
+    if type(name) is not str:
+        raise ValueError("a field tag must be a string, got %r" % (name,))
     if name in _FIELD_CACHE:
         return _FIELD_CACHE[name]
     if name == "q":
@@ -1180,12 +1219,16 @@ def _mpoly_to_json(p: MPoly):
 
 
 def _mpoly_from_json(nvars: int, obj) -> MPoly:
+    if type(obj) is not list:
+        raise ValueError("a polynomial must be a list of [exponent list, string] terms, got %r" % (obj,))
     terms = {}
-    for e, c in obj:
-        e = tuple(e)
+    for term in obj:
+        if not (type(term) is list and len(term) == 2 and type(term[0]) is list and type(term[1]) is str):
+            raise ValueError("a polynomial term must be [exponent list, string], got %r" % (term,))
+        e, c = term
         if len(e) != nvars or any(type(k) is not int or k < 0 for k in e):
-            raise ValueError("exponent %r is not %d non-negative integers" % (list(e), nvars))
-        terms[e] = Fraction(c)
+            raise ValueError("exponent %r is not %d non-negative integers" % (e, nvars))
+        terms[tuple(e)] = Fraction(c)
     return MPoly(nvars, terms)
 
 
@@ -1213,10 +1256,22 @@ def scalar_to_json(field: Field, a):
 
 
 def scalar_from_json(field: Field, obj):
+    """The scalar whose :func:`scalar_to_json` encoding is ``obj``: a string
+    over q, an int (not a bool) over fp:p, and over qt:r an object whose
+    ``num`` and ``den`` are lists of [exponent list, string] terms.
+    ValueError for anything else."""
     if isinstance(field, RationalField):
         # most scalars of a certificate are 0 or 1: their encodings skip the parse
-        return _ZERO if obj == "0" else _ONE if obj == "1" else Fraction(obj)
+        if obj == "0":
+            return _ZERO
+        if obj == "1":
+            return _ONE
+        if type(obj) is not str:
+            raise ValueError("a scalar over q must be a string, got %r" % (obj,))
+        return Fraction(obj)
     if isinstance(field, PrimeField):
+        if type(obj) is not int:
+            raise ValueError("a scalar over %s must be an integer, got %r" % (field.name, obj))
         return Fp(field.p, obj)
     if isinstance(field, FunctionField):
         # 0 and 1 are most of the scalars of a certificate: their exact
@@ -1227,6 +1282,8 @@ def scalar_from_json(field: Field, obj):
                 return field.zero()
             if _is_one_json(num, field.nvars):
                 return field.one()
+        if type(obj) is not dict or "num" not in obj or "den" not in obj:
+            raise ValueError("a scalar over %s must be an object of num and den, got %r" % (field.name, obj))
         # Reduced here, because the operators trust canonical operands.
         return RatFunc(
             _mpoly_from_json(field.nvars, obj["num"]),

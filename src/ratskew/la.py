@@ -9,14 +9,18 @@ its entries at the pivot columns, read off with no further elimination.
 ``Echelon`` works on field values; no field runs it any more, and it stays
 as the reference the other two classes are tested against.
 
-Two classes keep the same basis with no field objects at all.  A subspace
-has exactly one reduced row-echelon basis, and scaling a row by a nonzero
-factor does not change the space it spans, so each of them holds that
-unique basis with row i scaled by its pivot entry: dividing row i by
-``rows[i][pivots[i]]`` gives back the rows ``Echelon`` would hold.
+Two classes keep the same basis with no field objects at all; they are
+the eliminations of the one span kernel of ``linrep``, whose coefficient
+ring is Z, Z/p or Z[t1..tr].  A subspace has exactly one reduced
+row-echelon basis, and scaling a row by a nonzero factor does not change
+the space it spans, so each of them holds that unique basis with row i
+scaled by its pivot entry: dividing row i by ``rows[i][pivots[i]]`` gives
+back the rows ``Echelon`` would hold.  Their rows are dense lists of ring
+elements; the kernel keeps its letter matrices in sparse columns.
 
-* ``IntEchelon`` works over the integers (for Q), each row primitive with
-  a positive pivot, or over the integers mod a prime, each pivot 1.  Over
+* ``IntEchelon`` works over the integers (for Q, the ring ``fields.ZZ``),
+  each row primitive with a positive pivot, or over the integers mod a
+  prime (for F_p, the ring ``fields.zmod_ring(p)``), each pivot 1.  Over
   Z the elimination is fraction-free (Bareiss, *Math. Comp.* 22, 1968): a
   row combination ``a*v - c*row`` with the common factor of ``a`` and ``c``
   removed, and the content of a new row divided out once.  Mod p the pivot

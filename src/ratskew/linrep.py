@@ -32,24 +32,24 @@ basis is the identity, so the pivot read would return the input as it is.
 On a representation that is already minimal each pass therefore stops
 after about ``dim`` inserts.
 
-Both passes are one breadth-first search, :func:`_reach`, over a per-field
-kernel.  Over ``q`` and ``fp:p`` the kernel works on plain integers: a
-vector is its integers over one denominator, a letter matrix its integer
-columns over one denominator, and the search and the elimination run in
-``la.IntEchelon`` with no ``Fraction`` or ``Fp`` in the inner loop.  Over
-every ``qt:r`` one polynomial kernel works the same way on dense
-polynomials over one common polynomial denominator, in Z[t1..tr] (the ring
-``fields.poly_ring(r)``: Z[t] for r = 1, and Z[t1][t2..tr] nested down to
-Z[t] for r >= 2), and the elimination runs fraction-free in
-``la.PolyEchelon`` over the same ring, with no ``RatFunc`` in the inner
-loop.  That is exact because scaling a vector or a letter matrix does not
-change the span of row * mu(w), and a subspace has exactly one reduced
-row-echelon basis: the integer or polynomial basis is that basis with each
-row scaled by its pivot, so the pivot-1 rows, and every value read from
-them, are the same as ``la.Echelon`` gives.  The identity kernel
-``_FieldKernel``, which runs the search on field values with
+Both passes are one breadth-first search, :func:`_reach`, over one
+sparse-column kernel, :class:`_Kernel`, which differs between fields only
+in its coefficient ring: Z for ``q`` (``fields.ZZ``), Z/p for ``fp:p``
+(``fields.zmod_ring(p)``) and Z[t1..tr] for ``qt:r``
+(``fields.poly_ring(r)``: Z[t] for r = 1, and Z[t1][t2..tr] nested down
+to Z[t] for r >= 2).  A vector is a list of ring elements over one
+common denominator, and a letter matrix its sparse columns over one
+denominator, so v * M costs one product per nonzero entry.  The
+elimination runs fraction-free in ``la.IntEchelon`` over Z and Z/p and in
+``la.PolyEchelon`` over Z[t1..tr], with no ``Fraction``, ``Fp`` or
+``RatFunc`` in the inner loop.  That is exact because scaling a vector or
+a letter matrix does not change the span of row * mu(w), and a subspace
+has exactly one reduced row-echelon basis: the ring basis is that basis
+with each row scaled by its pivot, so the pivot-1 rows, and every value
+read from them, are the same as ``la.Echelon`` gives.  The identity
+kernel ``_FieldKernel``, which runs the search on field values with
 ``la.Echelon``, is used by no field; it is the reference the tests patch
-in.  ``LinRep.min_word`` runs its level search on the same kernels.
+in.  ``LinRep.min_word`` runs its level search on the same kernel.
 
 The kernel form is the stored state.  A representation built by an
 operation holds its block in the kernel's form only; sums, products, stars,
@@ -86,12 +86,12 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
+from functools import partial
 from itertools import chain
-from math import gcd, lcm
-from operator import mul
+from math import lcm
 
-from .fields import (Field, Fp, MPoly, PrimeField, RatFunc, RationalField, poly_ring, scalar_from_json,
-                     scalar_to_json)
+from .fields import (QQ, ZZ, Field, Fp, MPoly, PrimeField, RatFunc, RationalField, poly_ring, scalar_from_json,
+                     scalar_to_json, zmod_ring)
 from .freealg import FreeElem
 from .la import Echelon, IntEchelon, PolyEchelon, dot, identity, invert_matrix, vec_mat
 from .words import word_key
@@ -103,7 +103,7 @@ from .words import word_key
 
 class _FieldKernel:
     """Vectors and matrices as field values, eliminated by ``la.Echelon``:
-    the reference the other kernels are tested against, which no field
+    the reference :class:`_Kernel` is tested against, which no field
     uses.
 
     A kernel converts field vectors and letter matrices to its own form
@@ -200,319 +200,167 @@ class _FieldKernel:
         return dot(u, v, self.zero)
 
 
-class _IntKernel:
-    """Q (``p == 0``) or F_p on plain integers, eliminated by ``la.IntEchelon``.
+_ZERO, _ONE = QQ.zero(), QQ.one()
 
-    A vector is a pair (ints, den) standing for ints / den; a letter matrix
-    is a pair (columns, den), so that v * M is one integer dot product per
-    column.  Over F_p the integers are residues and den is 1.  Field values
-    are built only by ``out``, ``out_m`` and ``dot``, one division per entry.
-    """
 
-    def __init__(self, p: int) -> None:
-        self.p = p
+def _q_in(values):
+    """The nonzero Fractions among values as (index, integer) pairs over
+    their least common denominator."""
+    zero = _ZERO  # most zeros are this one object, which skips the test of its value
+    ratios = [(i, a.as_integer_ratio()) for i, a in enumerate(values) if a is not zero and a]
+    den = lcm(*[q for _, (_, q) in ratios])
+    if den == 1:
+        return [(i, n) for i, (n, _) in ratios], 1
+    return [(i, n * (den // q)) for i, (n, q) in ratios], den
 
-    def vec(self, v):
-        if self.p:
-            return [x.v for x in v], 1
-        ratios = list(map(_ratio, v))
-        den = lcm(*[q for _, q in ratios])
-        return [n * (den // q) for n, q in ratios], den
 
-    def mat(self, m):
-        if self.p:
-            return [[x.v for x in c] for c in zip(*m)], 1
-        n = len(m)
-        ratios = list(map(_ratio, chain.from_iterable(zip(*m))))  # column by column
-        nums, dens = zip(*ratios)
-        den = lcm(*dens)
-        if den != 1:
-            nums = [a * (den // q) for a, q in ratios]
-        return [list(nums[j:j + n]) for j in range(0, n * n, n)], den
+def _q_out(ints, den):
+    if den == 1:
+        return [Fraction(x) if x else _ZERO for x in ints]
+    return [Fraction(x, den) if x else _ZERO for x in ints]
 
-    def span(self, v):
-        return v[0]
 
-    def _to_field(self, ints, den):
-        if self.p:
-            return [Fp(self.p, x) for x in ints]
-        if den == 1:
-            return [Fraction(x) if x else _ZERO for x in ints]
-        return [Fraction(x, den) if x else _ZERO for x in ints]
+def _fp_in(values):
+    return [(i, a.v) for i, a in enumerate(values) if a.v], 1
 
-    def out(self, v):
-        return self._to_field(*v)
 
-    def out_m(self, m):
-        """Field rows of the stored columns m."""
-        cols, den = m
-        return [self._to_field(r, den) for r in zip(*cols)]
+def _fp_out(p, ints, den):
+    return [Fp(p, x) for x in ints]
 
-    def transposed(self, m):
-        return [list(r) for r in zip(*m[0])], m[1]
 
-    def nonzero(self, m):
-        return any(map(any, m[0]))
+def _lcm_of(ring, dens):
+    big, lcm_ = ring.one, ring.lcm
+    for d in dens:
+        if d != big:
+            big = lcm_(big, d)
+    return big
 
-    def echelon(self, n):
-        return IntEchelon(self.p)
 
-    def vec_mat(self, v, m):
-        """v * M, reduced mod p, or made primitive over Z."""
-        w = [sum(map(mul, v, c)) for c in m[0]]
-        if self.p:
-            return [x % self.p for x in w]
-        g = gcd(*w)
-        return [x // g for x in w] if g > 1 else w
-
-    def pairs(self, v, c):
-        s = sum(map(mul, v, c[0]))
-        return bool(s % self.p if self.p else s)
-
-    def read(self, v, piv):
-        ints = v[0]
-        return [ints[p] for p in piv], v[1]
-
-    def _scales(self, ech):
-        """Row i of the integer basis is a_i times row i of the pivot-1
-        basis; with L = lcm(a_i), (L / a_i) * x / L is x / a_i."""
-        a = [r[q] for r, q in zip(ech.rows, ech.pivots)]
-        big = lcm(*a)
-        return [big // ai for ai in a], big
-
-    def restrict(self, ech, ms):
-        rows, piv = ech.rows, ech.pivots
-        if self.p:
-            return [([[sum(map(mul, b, cols[q])) % self.p for b in rows] for q in piv], 1) for cols, _ in ms]
-        scale, big = self._scales(ech)
-        return [([[s * sum(map(mul, b, cols[q])) for b, s in zip(rows, scale)] for q in piv], den * big)
-                for cols, den in ms]
-
-    def coords(self, ech, cs):
-        rows = ech.rows
-        if self.p:
-            return [([sum(map(mul, b, ints)) % self.p for b in rows], 1) for ints, _ in cs]
-        scale, big = self._scales(ech)
-        return [([s * sum(map(mul, b, ints)) for b, s in zip(rows, scale)], den * big) for ints, den in cs]
-
-    def zeros(self, n):
-        return [0] * n, 1
-
-    def units(self, n):
-        return [([int(i == j) for i in range(n)], 1) for j in range(n)]
-
-    def norm(self, v):
-        """v with the gcd of its entries and its (positive) denominator
-        divided out; mod p, with its entries reduced."""
-        ints, den = v
-        if self.p:
-            return [x % self.p for x in ints], 1
-        g = gcd(den, *ints)
-        return v if g == 1 else ([x // g for x in ints], den // g)
-
-    def norm_m(self, m):
-        cols, den = m
-        if self.p:
-            return [[x % self.p for x in c] for c in cols], 1
-        g = gcd(den, *chain.from_iterable(cols))
-        return m if g == 1 else ([[x // g for x in c] for c in cols], den // g)
-
-    @staticmethod
-    def _common(vs):
-        """The integer lists of the vectors vs over their least common denominator."""
-        big = lcm(*[d for _, d in vs])
-        return [v if d == big else [x * (big // d) for x in v] for v, d in vs], big
-
-    def cat(self, vs):
-        big = lcm(*[d for _, d in vs])
-        out = []
-        for v, d in vs:
-            out += v if d == big else [x * (big // d) for x in v]
-        return out, big
-
-    def grid(self, dims, blocks):
-        """The matrix whose block (g, h), dims[g] x dims[h], is blocks[g, h],
-        zero where absent, over the lcm of the blocks' denominators."""
-        big = lcm(*[m[1] for m in blocks.values()])
-        out = []
-        for h, nh in enumerate(dims):
-            cols = None
-            for g, ng in enumerate(dims):
-                m = blocks.get((g, h))
-                if m is None:
-                    part = [[0] * ng] * nh
-                else:
-                    f = big // m[1]
-                    part = m[0] if f == 1 else [[x * f for x in c] for c in m[0]]
-                cols = part if cols is None else list(map(list.__add__, cols, part))
-            out += cols
-        return out, big
-
-    def vm(self, v, m):
-        """v * M, exactly."""
-        return self.norm(([sum(map(mul, v[0], c)) for c in m[0]], v[1] * m[1]))
-
-    def outer(self, us, vs, base=None):
-        """base + sum_k us[k] vs[k], with the us as columns and the vs as
-        rows; no base is the zero matrix."""
-        (u, du), (v, dv) = self._common(us), self._common(vs)
-        if len(u) == 1:
-            u0 = u[0]
-            cols = [[x * y for x in u0] for y in v[0]]
+def _qt_in(field, ring, values):
+    """The nonzero RatFuncs among values as (index, polynomial) pairs over
+    one common polynomial denominator.  Entries over a constant
+    denominator, most of them in practice, convert with no polynomial lcm."""
+    zero = field.zero()
+    pos = [i for i, a in enumerate(values) if a is not zero and a.num.p]
+    of, e0, mul, div = ring.of, ring.e0, ring.mul, ring.div_exact
+    ents = []
+    dens: dict = {}  # each non-constant denominator's terms -> its cofactor in their lcm lp
+    big = 1
+    for i in pos:
+        a = values[i]
+        num, dp = a.num, a.den.p
+        if len(dp) == 1 and e0 in dp:
+            q, key = num.c, None
         else:
-            exits = list(zip(*u))  # exits[i][k] = us[k][i]
-            cols = [[sum(map(mul, e, vj)) for e in exits] for vj in zip(*v)]
-        den = du * dv
-        if base is not None:
-            bc, bd = base
-            cols = [[x * bd + y * den for x, y in zip(c, b)] for c, b in zip(cols, bc)]
-            den *= bd
-        return self.norm_m((cols, den))
-
-    def scale(self, v, c):
-        ints, den = v
-        if self.p:
-            return self.norm(([x * c.v for x in ints], 1))
-        return self.norm(([x * c.numerator for x in ints], den * c.denominator))
-
-    def dot(self, u, v):
-        return self._to_field([sum(map(mul, u[0], v[0]))], u[1] * v[1])[0]
-
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-_ratio = Fraction.as_integer_ratio
-
-
-def _sparse_col(polys):
-    return [(i, x) for i, x in enumerate(polys) if x]
+            q, key = num.c / a.den.c, tuple(dp.items())
+            dens[key] = dp
+        p = num.p
+        ents.append((q, None if len(p) == 1 and e0 in p else p, key))
+        if q.denominator != 1:
+            big = lcm(big, q.denominator)
+    if dens:
+        polys = {k: of(dp) for k, dp in dens.items()}
+        lp = _lcm_of(ring, polys.values())
+        for k, d in polys.items():
+            dens[k] = div(lp, d)
+    else:
+        lp = ring.one
+    dens[None] = lp
+    const = ring.const
+    out = []
+    for i, (q, p, key) in zip(pos, ents):
+        k = q.numerator * (big // q.denominator)
+        m = dens[key]
+        if p is not None:
+            m = mul(of(p), m)
+        out.append((i, m if k == 1 else mul(const(k), m)))
+    return out, lp if big == 1 else mul(const(big), lp)
 
 
-def _dense_col(col, n):
-    """The length-n list of polynomials holding the entries (i, x) of col."""
-    polys = [[]] * n
+def _qt_out(field, ring, polys, den):
+    """The RatFuncs polys[i] / den.  Over a constant den the numerator's
+    content is 1 / den; otherwise x / den is (x / g) / (d / g) with g their
+    gcd, and with d = c * P for the integer content c of d, the monic
+    denominator is P / lc(P) and the numerator's content 1 / (c * lc(P)) =
+    1 / lc(d)."""
+    nv, terms, lead, is_const = ring.nvars, ring.terms, ring.lead, ring.is_const
+    one, gcd_, div = ring.one, ring.gcd, ring.div_exact
+    zero, den1, out = field.zero(), field.one().den, []
+    for x in polys:
+        if not x:
+            out.append(zero)
+            continue
+        d = den
+        if not is_const(d):
+            g = gcd_(x, d)
+            if g != one:
+                x, d = div(x, g), div(d, g)
+        num = MPoly._normal(nv, terms(x), Fraction(1, lead(d)))
+        out.append(RatFunc._of(num, den1 if is_const(d) else MPoly._normal(nv, terms(d), _ONE).monic()))
+    return out
+
+
+def _sparse_col(xs):
+    return [(i, x) for i, x in enumerate(xs) if x]
+
+
+def _dense_col(col, n, zero):
+    """The length-n list holding the entries (i, x) of col, zero elsewhere."""
+    xs = [zero] * n
     for i, x in col:
-        polys[i] = x
-    return polys
+        xs[i] = x
+    return xs
 
 
-class _PolyKernel:
-    """Q(t1..tr) (``qt:r``) on the dense polynomials of ``ring``, the
-    ring Z[t1..tr] of ``fields.poly_ring(r)``, eliminated by
-    ``la.PolyEchelon`` over the same ring.
+class _Kernel:
+    """The span kernel of every field: vectors and letter matrices over a
+    coefficient ring ``ring``, which is Z (``fields.ZZ``) for ``q``, Z/p
+    (``fields.zmod_ring(p)``) for ``fp:p`` and Z[t1..tr]
+    (``fields.poly_ring(r)``) for ``qt:r``.
 
-    Zero is ``[]``.  A vector is a pair (polys, den) standing for polys /
-    den, with den a polynomial of positive lex-leading coefficient.  A
-    letter matrix is a pair (columns, den), as in :class:`_IntKernel`, with
-    each column sparse, a list of (row index, nonzero polynomial): letter
-    matrices are mostly zero.  Entries over a constant denominator, most of
-    them in practice, convert with no polynomial lcm, and an output over a
-    constant denominator is built with no gcd.  The ring's operations are
-    bound once, here, so that the inner loops look up no ring.
+    A vector is a pair (xs, den) standing for xs / den, a list of ring
+    elements over one denominator; over Z and Z[t1..tr] den is positive
+    (has a positive lex-leading coefficient), over Z/p it is 1.  A letter
+    matrix is a pair (columns, den), each column sparse, a list of (row
+    index, nonzero element): letter matrices are mostly zero, so v * M is
+    one sparse dot product per column.  The ring's operations are bound
+    once, here, so that the inner loops look up no ring.
+
+    Three things depend on the field, and are given to the kernel:
+    ``to_ring`` and ``to_field`` convert between field values (Fraction,
+    Fp, RatFunc) and ring form, and ``new_echelon`` makes the elimination,
+    ``la.IntEchelon`` over Z and Z/p and ``la.PolyEchelon`` over
+    Z[t1..tr].  Field values are built only by ``out``, ``out_m`` and
+    ``dot``.
     """
 
-    def __init__(self, field: Field, ring) -> None:
-        self.zero = field.zero()
-        self._den1 = field.one().den
-        self.ring = ring
-        self.one = ring.one
-        self._dot, self._mul, self._div, self._gcd = ring.dot, ring.mul, ring.div_exact, ring.gcd
-
-    def _lcm_of(self, dens):
-        big, lcm_ = self.one, self.ring.lcm
-        for d in dens:
-            if d != big:
-                big = lcm_(big, d)
-        return big
-
-    def _convert(self, values):
-        """(polys, den) with polys / den equal to the nonzero field values."""
-        ring = self.ring
-        of, e0, mul = ring.of, ring.e0, self._mul
-        ents = []
-        dens: dict = {}  # each non-constant denominator's terms -> its cofactor in their lcm lp
-        big = 1
-        for a in values:
-            num, dp = a.num, a.den.p
-            if len(dp) == 1 and e0 in dp:
-                q, key = num.c, None
-            else:
-                q, key = num.c / a.den.c, tuple(dp.items())
-                dens[key] = dp
-            p = num.p
-            ents.append((q, None if len(p) == 1 and e0 in p else p, key))
-            if q.denominator != 1:
-                big = lcm(big, q.denominator)
-        if dens:
-            polys = {k: of(dp) for k, dp in dens.items()}
-            lp = self._lcm_of(polys.values())
-            for k, d in polys.items():
-                dens[k] = self._div(lp, d)
-        else:
-            lp = self.one
-        dens[None] = lp
-        const = ring.const
-        out = []
-        for q, p, key in ents:
-            k = q.numerator * (big // q.denominator)
-            m = dens[key]
-            if p is not None:
-                m = mul(of(p), m)
-            out.append(m if k == 1 else mul(const(k), m))
-        return out, lp if big == 1 else mul(const(big), lp)
+    def __init__(self, ring, new_echelon, to_ring, to_field) -> None:
+        self.ring, self.zero, self.one = ring, ring.zero, ring.one
+        self._dot, self._mul, self._div = ring.dot, ring.mul, ring.div_exact
+        self._new_echelon, self._in, self._out = new_echelon, to_ring, to_field
 
     def vec(self, v):
-        zero = self.zero
-        pos = [i for i, a in enumerate(v) if a is not zero and a.num.p]
-        polys, den = self._convert([v[i] for i in pos])
-        return _dense_col(zip(pos, polys), len(v)), den
+        col, den = self._in(v)
+        return _dense_col(col, len(v), self.zero), den
 
     def mat(self, m):
-        zero = self.zero
-        pos, vals = [], []
-        for i, row in enumerate(m):
-            for j, a in enumerate(row):
-                if a is not zero and a.num.p:
-                    pos.append((i, j))
-                    vals.append(a)
-        polys, den = self._convert(vals)
+        n = len(m)
+        flat, den = self._in(list(chain.from_iterable(zip(*m))))  # column by column
         cols: list = [[] for _ in m]
-        for (i, j), x in zip(pos, polys):
-            cols[j].append((i, x))
+        for k, x in flat:
+            cols[k // n].append((k % n, x))
         return cols, den
 
     def span(self, v):
         return v[0]
 
-    def _to_field(self, polys, den):
-        """The field values polys[i] / den.  Over a constant den the
-        numerator's content is 1 / den; otherwise x / den is (x / g) / (d / g)
-        with g their gcd, and with d = c * P for the integer content c of d,
-        the monic denominator is P / lc(P) and the numerator's content
-        1 / (c * lc(P)) = 1 / lc(d)."""
-        ring = self.ring
-        nv, terms, lead, is_const = ring.nvars, ring.terms, ring.lead, ring.is_const
-        zero, den1, out = self.zero, self._den1, []
-        for x in polys:
-            if not x:
-                out.append(zero)
-                continue
-            d = den
-            if not is_const(d):
-                g = self._gcd(x, d)
-                if g != self.one:
-                    x, d = self._div(x, g), self._div(d, g)
-            num = MPoly._normal(nv, terms(x), Fraction(1, lead(d)))
-            out.append(RatFunc._of(num, den1 if is_const(d) else MPoly._normal(nv, terms(d), _ONE).monic()))
-        return out
-
     def out(self, v):
-        return self._to_field(*v)
+        return self._out(*v)
 
     def out_m(self, m):
         """Field rows of the stored columns m."""
         rows, den = self.transposed(m)
-        return [self._to_field(_dense_col(r, len(rows)), den) for r in rows]
+        return [self._out(_dense_col(r, len(rows), self.zero), den) for r in rows]
 
     def transposed(self, m):
         cols, den = m
@@ -526,12 +374,13 @@ class _PolyKernel:
         return any(m[0])
 
     def echelon(self, n):
-        return PolyEchelon(self.ring)
+        return self._new_echelon()
 
     def vec_mat(self, v, m):
-        """v * M, made primitive over the ring."""
-        dot = self._dot
-        w = [dot(v, c) for c in m[0]]
+        """v * M, made primitive over the ring.  Most columns of a letter
+        matrix are empty, and cost no call."""
+        dot, zero = self._dot, self.zero
+        w = [dot(v, c) if c else zero for c in m[0]]
         g = self.ring.content(w)
         if g == self.one or not g:
             return w
@@ -542,17 +391,19 @@ class _PolyKernel:
         return bool(self._dot(v, _sparse_col(c[0])))
 
     def read(self, v, piv):
-        polys = v[0]
-        return [polys[p] for p in piv], v[1]
+        xs = v[0]
+        return [xs[p] for p in piv], v[1]
 
     def _scales(self, ech):
         """Row i of the ring basis is a_i times row i of the pivot-1 basis;
         with L = lcm(a_i), (L / a_i) * x / L is x / a_i."""
         a = [r[q] for r, q in zip(ech.rows, ech.pivots)]
-        big = self._lcm_of(a)
+        big = _lcm_of(self.ring, a)
         return [self._div(big, ai) for ai in a], big
 
     def _column(self, ech, scale, col):
+        if not col:
+            return []
         dot, mul = self._dot, self._mul
         return [(i, mul(s, x)) for i, (b, s) in enumerate(zip(ech.rows, scale)) if (x := dot(b, col))]
 
@@ -565,26 +416,26 @@ class _PolyKernel:
         scale, big = self._scales(ech)
         dot, mul = self._dot, self._mul
         out = []
-        for polys, den in cs:
-            col = _sparse_col(polys)
+        for xs, den in cs:
+            col = _sparse_col(xs)
             out.append(([mul(s, dot(b, col)) for b, s in zip(ech.rows, scale)], mul(den, big)))
         return out
 
     def zeros(self, n):
-        return [[]] * n, self.one
+        return [self.zero] * n, self.one
 
     def units(self, n):
-        one = self.one
-        return [([one if i == j else [] for i in range(n)], one) for j in range(n)]
+        one, zero = self.one, self.zero
+        return [([one if i == j else zero for i in range(n)], one) for j in range(n)]
 
     def norm(self, v):
         """v with the gcd of its entries and its denominator divided out."""
-        polys, den = v
-        g = self.ring.content(polys, den)
+        xs, den = v
+        g = self.ring.content(xs, den)
         if g == self.one:
             return v
         div = self._div
-        return [div(x, g) if x else x for x in polys], div(den, g)
+        return [div(x, g) if x else x for x in xs], div(den, g)
 
     def norm_m(self, m):
         cols, den = m
@@ -595,13 +446,13 @@ class _PolyKernel:
         return [[(i, div(x, g)) for i, x in c] for c in cols], div(den, g)
 
     def _common(self, vs):
-        """The polynomial lists of the vectors vs over their least common denominator."""
-        big = self._lcm_of([d for _, d in vs])
+        """The element lists of the vectors vs over their least common denominator."""
+        big = _lcm_of(self.ring, [d for _, d in vs])
         one, mul = self.one, self._mul
         out = []
-        for p, d in vs:
+        for xs, d in vs:
             f = one if d == big else self._div(big, d)
-            out.append(p if f == one else [mul(f, x) for x in p])
+            out.append(xs if f == one else [mul(f, x) for x in xs])
         return out, big
 
     def cat(self, vs):
@@ -611,7 +462,7 @@ class _PolyKernel:
     def grid(self, dims, blocks):
         """The matrix whose block (g, h), dims[g] x dims[h], is blocks[g, h],
         zero where absent, over the lcm of the blocks' denominators."""
-        big = self._lcm_of([m[1] for m in blocks.values()])
+        big = _lcm_of(self.ring, [m[1] for m in blocks.values()])
         one, mul = self.one, self._mul
         out = []
         for h, nh in enumerate(dims):
@@ -622,15 +473,18 @@ class _PolyKernel:
                 if m is not None:
                     f = one if m[1] == big else self._div(big, m[1])
                     for c, y in zip(cols, m[0]):
-                        c += y if off == 0 and f == one else [(i + off, mul(f, x)) for i, x in y]
+                        if f != one:
+                            c += [(i + off, mul(f, x)) for i, x in y]
+                        else:
+                            c += [(i + off, x) for i, x in y] if off else y
                 off += ng
             out += cols
         return out, big
 
     def vm(self, v, m):
         """v * M, exactly."""
-        dot = self._dot
-        return self.norm(([dot(v[0], c) for c in m[0]], self._mul(v[1], m[1])))
+        dot, zero, xs = self._dot, self.zero, v[0]
+        return self.norm(([dot(xs, c) if c else zero for c in m[0]], self._mul(v[1], m[1])))
 
     def outer(self, us, vs, base=None):
         """base + sum_k us[k] vs[k], with the us as columns and the vs as
@@ -642,7 +496,7 @@ class _PolyKernel:
         den = mul(du, dv)
         if base is not None:
             bc, bd = base
-            big = self._lcm_of([den, bd])
+            big = _lcm_of(self.ring, [den, bd])
             fc, fb = self._div(big, den), self._div(big, bd)
             add = self.ring.add
             merged = []
@@ -656,15 +510,15 @@ class _PolyKernel:
         return self.norm_m((cols, den))
 
     def scale(self, v, c):
-        polys, den = v
+        xs, den = v
         if not c:
-            return self.zeros(len(polys))
-        (cp,), cd = self._convert([c])
+            return self.zeros(len(xs))
+        ((_, cx),), cd = self._in([c])
         mul = self._mul
-        return self.norm(([mul(cp, x) for x in polys], mul(den, cd)))
+        return self.norm(([mul(cx, x) for x in xs], mul(den, cd)))
 
     def dot(self, u, v):
-        return self._to_field([self._dot(u[0], _sparse_col(v[0]))], self._mul(u[1], v[1]))[0]
+        return self._out([self._dot(u[0], _sparse_col(v[0]))], self._mul(u[1], v[1]))[0]
 
 
 _KERNELS: dict = {}
@@ -676,11 +530,13 @@ def _kernel(field: Field):
     k = _KERNELS.get(field.name)
     if k is None:
         if isinstance(field, RationalField):
-            k = _IntKernel(0)
+            k = _Kernel(ZZ, partial(IntEchelon, 0), _q_in, _q_out)
         elif isinstance(field, PrimeField):
-            k = _IntKernel(field.p)
+            k = _Kernel(zmod_ring(field.p), partial(IntEchelon, field.p), _fp_in, partial(_fp_out, field.p))
         else:
-            k = _PolyKernel(field, poly_ring(field.nvars))
+            ring = poly_ring(field.nvars)
+            k = _Kernel(ring, partial(PolyEchelon, ring), partial(_qt_in, field, ring),
+                        partial(_qt_out, field, ring))
         _KERNELS[field.name] = k
     return k
 
@@ -690,7 +546,7 @@ def _reach(kern, dim, rows, mu, cols):
 
     The one breadth-first search of the engine, for every field: ``rows``,
     ``mu`` and ``cols`` are in the form of the kernel ``kern``, which does
-    the products, the elimination and the pivot read.  An integer kernel
+    the products, the elimination and the pivot read.  A ring kernel
     may keep each search vector and basis row up to a nonzero factor, since
     that changes neither the span nor its one reduced echelon basis.
     Returns ``(d, rows, mu, cols)`` in the fully reduced echelon basis of
@@ -1412,8 +1268,18 @@ class SeriesMatrix(_Block):
 
     @staticmethod
     def from_json(field: Field, obj) -> "SeriesMatrix":
+        """The matrix of ``obj``, its shape checked before any entry is read."""
+        if type(obj) is not dict:
+            raise ValueError("a series matrix must be an object")
+        nrows, ncols, rows = obj["nrows"], obj["ncols"], obj["entries"]
+        if not (type(nrows) is int and type(ncols) is int and nrows >= 0 and ncols >= 0):
+            raise ValueError("nrows and ncols must be non-negative integers, got %r and %r" % (nrows, ncols))
+        if not (type(rows) is list and len(rows) == nrows
+                and all(type(row) is list and len(row) == ncols and all(type(e) is dict for e in row)
+                        for row in rows)):
+            raise ValueError("entries must be a list of nrows = %d lists of ncols = %d objects" % (nrows, ncols))
         # one reduction of the whole block; reducing each entry first would be a second
-        entries = [[LinRep._load(field, e) for e in row] for row in obj["entries"]]
+        entries = [[LinRep._load(field, e) for e in row] for row in rows]
         return SeriesMatrix.from_entries(field, entries)
 
 

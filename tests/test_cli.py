@@ -496,6 +496,55 @@ def test_verify_cert_sigma(run, tmp_path):
     assert run("verify-cert", _write(tmp_path, "s2.json", cert))[0] == 1
 
 
+_ONE_QT1 = [[[0], "1"]]
+
+
+def _with_lam_entry(field, value):
+    """A ``skew witness`` certificate over field with one lam entry of a
+    series coefficient of g replaced by value."""
+    def change(run):
+        code, cert = jrun(run, "skew", "witness", "--json", "--field", field, "1 - x0")
+        assert code == 0
+        next(c for _, c in cert["g"]["terms"] if c["dim"])["lam"][0] = value
+        return cert
+    return change
+
+
+def _with_sigma(change):
+    """The sigma certificate of a 2 x 2 from hom_spec(0, 0, 2), changed."""
+    def build(run):
+        g = build_generators(hom_spec(0, 0, 2), count=2)
+        cert = spot_check_sigma_prime(g, FreeElem.letter(QQ, 0)).to_json()
+        assert cert["size"] == cert["matrix"]["nrows"] == 2
+        change(cert)
+        return cert
+    return build
+
+
+@pytest.mark.parametrize("make", [
+    _with_lam_entry("q", [1]),
+    _with_lam_entry("q", True),  # equal to 1 in Python, but not the string "1"
+    _with_lam_entry("fp:7", [1]),
+    _with_lam_entry("fp:7", True),
+    _with_lam_entry("qt:1", [1]),
+    _with_lam_entry("qt:1", {"num": 5, "den": _ONE_QT1}),
+    _with_lam_entry("qt:1", {"num": [[[0], 1]], "den": _ONE_QT1}),  # the value 1, with an int coefficient
+    _with_sigma(lambda c: c.update(size="two")),
+    _with_sigma(lambda c: c.update(size=3)),
+    _with_sigma(lambda c: c["matrix"]["entries"][1].pop()),
+    _with_sigma(lambda c: c["matrix"].update(entries=5)),
+    _with_sigma(lambda c: c["inverse"].update(nrows=True)),
+    _with_sigma(lambda c: c["inverse"]["entries"][0].__setitem__(0, 5)),
+    _with_sigma(lambda c: c.update(field=5)),
+], ids=["q_list", "q_true", "fp7_list", "fp7_true", "qt1_list", "qt1_num_int", "qt1_coeff_int",
+        "sigma_size_str", "sigma_size_off", "sigma_ragged", "sigma_entries_int", "sigma_nrows_bool",
+        "sigma_entry_int", "sigma_field_int"])
+def test_verify_cert_refuses_misencoded_scalars_and_sigma_shapes(run, tmp_path, make):
+    code, out, err = run("verify-cert", _write(tmp_path, "c.json", make(run)))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_verify_cert_generator_matrices(run, tmp_path):
     code, cert = jrun(run, "realize", "build", "--from", "0", "--to", "3",
                       "--mult", "2", "--count", "2")

@@ -540,7 +540,7 @@ def test_series_matrix_reduce_dim_is_block_hankel_rank(field):
         assert again.to_json() == m.to_json()
 
 
-# -- the integer kernel against the la.Echelon path ---------------------------------
+# -- the ring kernel against the la.Echelon path ------------------------------------
 
 def _rand_wide(rng, field, n, m, density):
     """Entries n/k with |n| <= 10**6 and k <= 7 (k < 7 over fp:7); about
@@ -585,34 +585,57 @@ def _reduced(field, d, rows, mu, cols):
 
 @pytest.mark.parametrize("field", [QQ, F7, QT, QT2, QT3], ids=lambda f: f.name)
 def test_integer_kernel_matches_echelon_path(field, monkeypatch):
-    """The integer kernels (q, fp:p) and the polynomial kernels (qt:r over
-    Z[t1..tr]) against the field-value elimination of ``_FieldKernel``."""
-    rng = random.Random(71)
+    """The kernel over Z (q), Z/p (fp:p) and Z[t1..tr] (qt:r) against the
+    field-value elimination of ``_FieldKernel``: 60 draws of up to 3 of 4
+    letters at density 0.25 to 0.7, and over q and fp:7 also 20 sparse
+    draws of 8 to 10 of 10 letters at dim 10 to 14, whose letter matrices
+    are at most about 10% nonzero (density 0.05, plus the negative leading
+    entries of ``_rand_wide``), as letter matrices are in practice, so that
+    about half of their columns are empty."""
     kind = Fraction if field == QQ else Fp if field == F7 else RatFunc
+    # (rng, draws, letters, letters drawn, dims, density of sparse letter matrices)
+    # a generic qt:1 dim-7 span takes seconds, and a dense qt:2 dim-5 one
+    # minutes, in either kernel; at qt:3 dim 4 the trivariate gcds of the
+    # field kernel's values take minutes
+    cases = [(random.Random(71), 60, 4, (1, 3), (1, {QT: 5, QT2: 4, QT3: 3}.get(field, 7)), None)]
+    if field in (QQ, F7):
+        cases.append((random.Random(72), 20, 10, (8, 10), (10, 14), 0.05))
     reduced = 0
-    for _ in range(60):
-        nrows, ncols = rng.choice(((1, 1), (1, 1), (1, 2), (2, 3)))
-        # a generic qt:1 dim-7 span takes seconds, and a dense qt:2 dim-5 one
-        # minutes, in either kernel; at qt:3 dim 4 the trivariate gcds of
-        # the field kernel's values take minutes
-        d = rng.randint(1, {QT: 5, QT2: 4, QT3: 3}.get(field, 7))
-        density = rng.choice((0.25, 0.4, 0.7))
-        mu = {x: _rand_wide(rng, field, d, d, density) for x in rng.sample(range(4), rng.randint(1, 3))}
-        rows = _rand_wide(rng, field, nrows, d, density)
-        cols = _rand_wide(rng, field, ncols, d, density)
-        fast = _reduced(field, d, rows, mu, cols)
-        with monkeypatch.context() as m:
-            m.setattr(linrep, "_kernel", _FieldKernel)
-            slow = _reduced(field, d, rows, mu, cols)
-        dk, rk, mk, ck = fast
-        assert (dk, rk, list(mk.items()), ck) == (slow[0], slow[1], list(slow[2].items()), slow[3])
-        values = [c for r in rk + ck for c in r] + [c for m in mk.values() for r in m for c in r]
-        assert all(type(c) is kind for c in values)
-        if nrows == ncols == 1:
-            as_json = lambda t: LinRep(field, t[0], t[1][0], t[2], t[3][0]).to_json()
-            assert as_json(fast) == as_json(slow)
-        reduced += dk < d
+    for rng, draws, letters, (lo, hi), (dlo, dhi), sparse in cases:
+        for _ in range(draws):
+            reduced += _kernel_draw_matches(rng, field, kind, monkeypatch, letters, lo, hi, dlo, dhi, sparse)
     assert reduced >= 10  # the sample also exercises the pivot read, not only full spans
+
+
+def _kernel_draw_matches(rng, field, kind, monkeypatch, letters, lo, hi, dlo, dhi, sparse):
+    """One draw of :func:`test_integer_kernel_matches_echelon_path`, checked;
+    whether its reduced dim is below the drawn one."""
+    nrows, ncols = rng.choice(((1, 1), (1, 1), (1, 2), (2, 3)))
+    d = rng.randint(dlo, dhi)
+    density = rng.choice((0.25, 0.4, 0.7))
+    mu = {x: _rand_wide(rng, field, d, d, sparse or density)
+          for x in rng.sample(range(letters), rng.randint(lo, hi))}
+    rows = _rand_wide(rng, field, nrows, d, density)
+    cols = _rand_wide(rng, field, ncols, d, density)
+    if sparse and rng.random() < 0.5:
+        # a generic sparse block spans its whole space; two copies of half
+        # of it, entered alike, reach at most half, so the pivot read runs
+        h, z = d // 2, field.zero()
+        mu = {x: [r[:h] + [z] * h for r in m[:h]] + [[z] * h + r[:h] for r in m[:h]] for x, m in mu.items()}
+        rows = [r[:h] * 2 for r in rows]
+        cols, d = [c[:2 * h] for c in cols], 2 * h
+    fast = _reduced(field, d, rows, mu, cols)
+    with monkeypatch.context() as m:
+        m.setattr(linrep, "_kernel", _FieldKernel)
+        slow = _reduced(field, d, rows, mu, cols)
+    dk, rk, mk, ck = fast
+    assert (dk, rk, list(mk.items()), ck) == (slow[0], slow[1], list(slow[2].items()), slow[3])
+    values = [c for r in rk + ck for c in r] + [c for m in mk.values() for r in m for c in r]
+    assert all(type(c) is kind for c in values)
+    if nrows == ncols == 1:
+        as_json = lambda t: LinRep(field, t[0], t[1][0], t[2], t[3][0]).to_json()
+        assert as_json(fast) == as_json(slow)
+    return dk < d
 
 
 def test_mod_p_search_vectors_are_reduced():
