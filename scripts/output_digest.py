@@ -19,6 +19,10 @@ No command prints a series matrix, so three ``spot_check_sigma_prime``
 certificates, two over q and one over qt:1, built with the package's own
 functions, get a line each, and so does the ``recheck_certificate`` result
 of each.
+Last come three refusals, one line each: a skew witness whose first scalar
+is written "2/2" in place of "1" (a scalar must be written as the package
+writes it), a word-system certificate whose ``words`` is 5, and a chain
+plan whose ``maps`` is 5.
 Run it on two checkouts and diff the outputs to see which commands changed:
 
     python3 scripts/output_digest.py > new.txt
@@ -175,6 +179,39 @@ TAMPERED_WITNESS = [
 ]
 
 
+def misencoded_witness(run_command):
+    """A skew witness of 1 - x0 whose first scalar of g, 1, is written "2/2"."""
+    cert = json.loads(run(run_command, ["skew", "witness", "--json", "1 - x0"])[1])
+    cert["g"]["terms"][0][1]["lam"][0] = "2/2"
+    return cert
+
+
+def malformed_word_system(run_command):
+    """The certificate of the word system x0, x1, x2 against y0, y1, y2 over
+    q, built with the package's own functions (no command prints one), with
+    its words set to 5."""
+    from ratskew.fields import field_from_name
+    from ratskew.skew import CoeffDomain, SkewRing, verify_word_system
+
+    ring = SkewRing(CoeffDomain("rat", field_from_name("q")), 2)
+    cert = verify_word_system(ring, [(i,) for i in range(3)], [ring.x(i) for i in range(3)]).to_json()
+    cert["words"] = 5
+    return cert
+
+
+def malformed_plan(run_command):
+    return dict(PLAN, maps=5)
+
+
+# (what is wrong, a function of run_command making the input, the command
+# that must refuse it)
+REFUSED = [
+    ("first scalar of g written 2/2", misencoded_witness, VERIFY_CERT),
+    ("word-system certificate with words 5", malformed_word_system, VERIFY_CERT),
+    ("chain plan with maps 5", malformed_plan, ["realize", "chain"]),
+]
+
+
 def doubled(field_name, c):
     """Twice a scalar in its JSON encoding."""
     from fractions import Fraction
@@ -297,6 +334,13 @@ def main(argv=None) -> int:
         out = recheck_certificate(cert)
         print(line("recheck_certificate <%s>" % label, 0 if out["ok"] else 1,
                    json.dumps(out, sort_keys=True)), flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for what, make, checker in REFUSED:
+            path = os.path.join(tmp, "refused.json")
+            with open(path, "w") as fh:
+                json.dump(make(run_command), fh)
+            code, stdout, stderr = run(run_command, checker + [path])
+            print(line("%s <%s>" % (shlex.join(checker), what), code, stdout, stderr), flush=True)
     return 0
 
 

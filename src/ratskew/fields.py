@@ -1259,7 +1259,11 @@ def scalar_from_json(field: Field, obj):
     """The scalar whose :func:`scalar_to_json` encoding is ``obj``: a string
     over q, an int (not a bool) over fp:p, and over qt:r an object whose
     ``num`` and ``den`` are lists of [exponent list, string] terms.
-    ValueError for anything else."""
+    ValueError for anything else, and for any other encoding of a value
+    (an fp:p integer outside [0, p), a q string with spaces, an unreduced
+    fraction or a decimal, a qt:r polynomial with a repeated exponent or an
+    unreduced fraction): the value read is encoded again, and that must be
+    ``obj`` itself."""
     if isinstance(field, RationalField):
         # most scalars of a certificate are 0 or 1: their encodings skip the parse
         if obj == "0":
@@ -1268,12 +1272,12 @@ def scalar_from_json(field: Field, obj):
             return _ONE
         if type(obj) is not str:
             raise ValueError("a scalar over q must be a string, got %r" % (obj,))
-        return Fraction(obj)
-    if isinstance(field, PrimeField):
+        a = Fraction(obj)
+    elif isinstance(field, PrimeField):
         if type(obj) is not int:
             raise ValueError("a scalar over %s must be an integer, got %r" % (field.name, obj))
-        return Fp(field.p, obj)
-    if isinstance(field, FunctionField):
+        a = Fp(field.p, obj)
+    elif isinstance(field, FunctionField):
         # 0 and 1 are most of the scalars of a certificate: their exact
         # canonical encodings skip the parse, anything else takes it
         if type(obj) is dict and _is_one_json(obj.get("den"), field.nvars):
@@ -1285,8 +1289,14 @@ def scalar_from_json(field: Field, obj):
         if type(obj) is not dict or "num" not in obj or "den" not in obj:
             raise ValueError("a scalar over %s must be an object of num and den, got %r" % (field.name, obj))
         # Reduced here, because the operators trust canonical operands.
-        return RatFunc(
+        a = RatFunc(
             _mpoly_from_json(field.nvars, obj["num"]),
             _mpoly_from_json(field.nvars, obj["den"]),
         )
-    raise TypeError("unknown field %r" % field)
+    else:
+        raise TypeError("unknown field %r" % field)
+    canonical = scalar_to_json(field, a)
+    if canonical != obj:
+        raise ValueError("%r is not how a scalar over %s is written; its value is written %r"
+                         % (obj, field.name, canonical))
+    return a

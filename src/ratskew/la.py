@@ -1,22 +1,25 @@
-"""Dense exact linear algebra over any of the scalar domains.
+"""Dense exact linear algebra over any of the scalar domains, and the
+eliminations of the span kernel.
 
 Matrices are lists of lists of scalars, vectors are lists.  Everything here
 is plain Gaussian elimination; sizes stay small (tens), exactness is what
-matters.  ``Echelon`` keeps a fully reduced row-echelon basis of a growing
-subspace, which is the whole engine behind minimizing linear
-representations: the coordinates of a vector of the span in that basis are
-its entries at the pivot columns, read off with no further elimination.
-``Echelon`` works on field values; no field runs it any more, and it stays
-as the reference the other two classes are tested against.
+matters.
 
-Two classes keep the same basis with no field objects at all; they are
-the eliminations of the one span kernel of ``linrep``, whose coefficient
-ring is Z, Z/p or Z[t1..tr].  A subspace has exactly one reduced
-row-echelon basis, and scaling a row by a nonzero factor does not change
-the space it spans, so each of them holds that unique basis with row i
-scaled by its pivot entry: dividing row i by ``rows[i][pivots[i]]`` gives
-back the rows ``Echelon`` would hold.  Their rows are dense lists of ring
-elements; the kernel keeps its letter matrices in sparse columns.
+Two classes keep a fully reduced row-echelon basis of a growing subspace,
+which is the whole engine behind minimizing linear representations: the
+coordinates of a vector of the span in that basis are its entries at the
+pivot columns, read off with no further elimination.  They hold no field
+objects at all; they are the eliminations of the one span kernel of
+``linrep``, whose coefficient ring is Z, Z/p or Z[t1..tr].  A subspace has
+exactly one reduced row-echelon basis, and scaling a row by a nonzero
+factor does not change the space it spans, so each of them holds that
+unique basis with row i scaled by its pivot entry: dividing row i by
+``rows[i][pivots[i]]`` gives back the pivot-1 rows of elimination on
+field values.  Their rows are dense lists of ring elements; the kernel
+keeps its letter matrices in sparse columns.  No field-value copy of them
+is kept: ``tests/test_linrep.py`` checks the kernel against the Hankel
+rank over Q and F_p, and by specialisation from Q(t1..tr) to Q and from Q
+to F_p.
 
 * ``IntEchelon`` works over the integers (for Q, the ring ``fields.ZZ``),
   each row primitive with a positive pivot, or over the integers mod a
@@ -82,50 +85,6 @@ def identity(n, zero, one):
 
 def dot(u, v, zero):
     return sum((u[i] * v[i] for i in range(len(u)) if u[i] and v[i]), zero)
-
-
-class Echelon:
-    """Reduced row-echelon basis of a subspace of F^n, grown one vector at a time;
-    a vector v of the span equals sum_i v[pivots[i]] * rows[i]."""
-
-    def __init__(self, n: int, one) -> None:
-        self.n = n
-        self.one = one
-        self.rows: list = []
-        self.pivots: list = []
-
-    def _reduce(self, v):
-        v = list(v)
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            if c:
-                for j in range(self.n):
-                    if row[j]:
-                        v[j] = v[j] - c * row[j]
-        return v
-
-    def add(self, v) -> bool:
-        """Insert v; returns True if it enlarged the span."""
-        v = self._reduce(v)
-        p = next((j for j in range(self.n) if v[j]), None)
-        if p is None:
-            return False
-        inv = self.one / v[p]
-        v = [x * inv if x else x for x in v]
-        # keep the basis fully reduced, so coordinates sit at the pivots
-        for row in self.rows:
-            c = row[p]
-            if c:
-                for j in range(self.n):
-                    if v[j]:
-                        row[j] = row[j] - c * v[j]
-        k = next((i for i, q in enumerate(self.pivots) if q > p), len(self.pivots))
-        self.rows.insert(k, v)
-        self.pivots.insert(k, p)
-        return True
-
-    def dim(self) -> int:
-        return len(self.rows)
 
 
 class IntEchelon:

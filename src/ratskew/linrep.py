@@ -46,10 +46,14 @@ elimination runs fraction-free in ``la.IntEchelon`` over Z and Z/p and in
 a letter matrix does not change the span of row * mu(w), and a subspace
 has exactly one reduced row-echelon basis: the ring basis is that basis
 with each row scaled by its pivot, so the pivot-1 rows, and every value
-read from them, are the same as ``la.Echelon`` gives.  The identity
-kernel ``_FieldKernel``, which runs the search on field values with
-``la.Echelon``, is used by no field; it is the reference the tests patch
-in.  ``LinRep.min_word`` runs its level search on the same kernel.
+read from them, are those of elimination on field values.  This is the
+only minimisation routine.  The tests check it without looking inside:
+over ``q`` and ``fp:p`` against the Hankel rank and a word-by-word
+equality computed by plain Gaussian elimination, and over ``qt:r`` by
+specialisation, since evaluating t at an integer point where no
+denominator vanishes maps a computation over Q(t1..tr) onto the same
+computation over Q, and cannot raise the rank.  ``LinRep.min_word``
+runs its level search on the same kernel.
 
 The kernel form is the stored state.  A representation built by an
 operation holds its block in the kernel's form only; sums, products, stars,
@@ -93,112 +97,13 @@ from math import lcm
 from .fields import (QQ, ZZ, Field, Fp, MPoly, PrimeField, RatFunc, RationalField, poly_ring, scalar_from_json,
                      scalar_to_json, zmod_ring)
 from .freealg import FreeElem
-from .la import Echelon, IntEchelon, PolyEchelon, dot, identity, invert_matrix, vec_mat
+from .la import IntEchelon, PolyEchelon, dot, identity, invert_matrix, vec_mat
 from .words import word_key
 
 
 # ---------------------------------------------------------------------------
 # the minimisation engine shared by LinRep and SeriesMatrix
 # ---------------------------------------------------------------------------
-
-class _FieldKernel:
-    """Vectors and matrices as field values, eliminated by ``la.Echelon``:
-    the reference :class:`_Kernel` is tested against, which no field
-    uses.
-
-    A kernel converts field vectors and letter matrices to its own form
-    (``vec``, ``mat``) and back (``out``, ``out_m``), gives the search
-    vector of an entry row (``span``), multiplies (``vec_mat``), eliminates
-    (``echelon``), tests a search vector against an exit vector (``pairs``)
-    and reads a span's coordinates at the pivots (``read``, ``restrict``,
-    ``coords``).  For the block functions it builds zero and unit vectors
-    (``zeros``, ``units``), concatenations (``cat``), block matrices
-    (``grid``), exact products (``vm``, ``outer``, ``scale``, and ``dot``,
-    which gives a field value), and divides out common factors (``norm``,
-    ``norm_m``).
-    """
-
-    def __init__(self, field: Field) -> None:
-        self.field = field
-        self.zero = field.zero()
-
-    def vec(self, v):
-        return v
-
-    mat = span = out = out_m = norm = norm_m = vec
-
-    def transposed(self, m):
-        return [list(r) for r in zip(*m)]
-
-    def nonzero(self, m):
-        return any(map(any, m))
-
-    def echelon(self, n):
-        return Echelon(n, self.field.one())
-
-    def vm(self, v, m):
-        return vec_mat(v, m, self.zero)
-
-    vec_mat = vm
-
-    def pairs(self, v, c):
-        """Whether the search vector v pairs nonzero with the vector c."""
-        return bool(dot(v, c, self.zero))
-
-    def read(self, v, piv):
-        return [v[p] for p in piv]
-
-    def restrict(self, ech, ms):
-        z, piv, d = self.zero, ech.pivots, ech.dim()
-        mps = ([[row[p] for p in piv] for row in m] for m in ms)
-        return [[vec_mat(b, mp, z, d) for b in ech.rows] for mp in mps]
-
-    def coords(self, ech, cs):
-        return [[dot(b, c, self.zero) for b in ech.rows] for c in cs]
-
-    def zeros(self, n):
-        return [self.zero] * n
-
-    def units(self, n):
-        return identity(n, self.zero, self.field.one())
-
-    def cat(self, vs):
-        return list(chain.from_iterable(vs))
-
-    def grid(self, dims, blocks):
-        """The matrix whose block (g, h), dims[g] x dims[h], is blocks[g, h],
-        zero where absent."""
-        out = []
-        for g, ng in enumerate(dims):
-            rows = [[] for _ in range(ng)]
-            for h, nh in enumerate(dims):
-                m = blocks.get((g, h))
-                pad = [self.zero] * nh
-                for r, y in zip(rows, m or [pad] * ng):
-                    r += y
-            out += rows
-        return out
-
-    def outer(self, us, vs, base=None):
-        """base + sum_k us[k] vs[k], with the us as columns and the vs as
-        rows; no base is the zero matrix."""
-        z, n = self.zero, len(vs[0]) if vs else 0
-        rows = []
-        for i, e in enumerate(zip(*us)):
-            b = None if base is None else base[i]
-            if any(e):
-                r = vec_mat(e, vs, z, n)
-                rows.append(r if b is None else [x + y for x, y in zip(b, r)])
-            else:
-                rows.append([z] * n if b is None else b)
-        return rows
-
-    def scale(self, v, c):
-        return [c * x for x in v]
-
-    def dot(self, u, v):
-        return dot(u, v, self.zero)
-
 
 _ZERO, _ONE = QQ.zero(), QQ.one()
 
@@ -328,16 +233,31 @@ class _Kernel:
 
     Three things depend on the field, and are given to the kernel:
     ``to_ring`` and ``to_field`` convert between field values (Fraction,
-    Fp, RatFunc) and ring form, and ``new_echelon`` makes the elimination,
+    Fp, RatFunc) and ring form, and ``echelon`` makes the elimination,
     ``la.IntEchelon`` over Z and Z/p and ``la.PolyEchelon`` over
     Z[t1..tr].  Field values are built only by ``out``, ``out_m`` and
     ``dot``.
+
+    The kernel converts field vectors and letter matrices to its form
+    (``vec``, ``mat``) and back (``out``, ``out_m``), gives the search
+    vector of an entry row (``span``), multiplies (``vec_mat``), tests a
+    search vector against an exit vector (``pairs``) and reads a span's
+    coordinates at the pivots (``read``, ``restrict``, ``coords``).  For
+    the block functions it builds zero and unit vectors (``zeros``,
+    ``units``), concatenations (``cat``), block matrices (``grid``), exact
+    products (``vm``, ``outer``, ``scale``, and ``dot``, which gives a
+    field value), and divides out common factors (``norm``, ``norm_m``).
+
+    Its results are checked in ``tests/test_linrep.py`` by oracles that do
+    not look inside it: the Hankel rank and a word-by-word equality over
+    ``q`` and ``fp:p``, and specialisation at integer points from ``qt:r``
+    to ``q`` and from ``q`` to ``fp:p``.
     """
 
-    def __init__(self, ring, new_echelon, to_ring, to_field) -> None:
+    def __init__(self, ring, echelon, to_ring, to_field) -> None:
         self.ring, self.zero, self.one = ring, ring.zero, ring.one
         self._dot, self._mul, self._div = ring.dot, ring.mul, ring.div_exact
-        self._new_echelon, self._in, self._out = new_echelon, to_ring, to_field
+        self.echelon, self._in, self._out = echelon, to_ring, to_field
 
     def vec(self, v):
         col, den = self._in(v)
@@ -372,9 +292,6 @@ class _Kernel:
 
     def nonzero(self, m):
         return any(m[0])
-
-    def echelon(self, n):
-        return self._new_echelon()
 
     def vec_mat(self, v, m):
         """v * M, made primitive over the ring.  Most columns of a letter
@@ -525,8 +442,7 @@ _KERNELS: dict = {}
 
 
 def _kernel(field: Field):
-    """The kernel of a field; one instance per field, so that a stored
-    kernel form is recognised as the current one."""
+    """The kernel of a field, built once per field."""
     k = _KERNELS.get(field.name)
     if k is None:
         if isinstance(field, RationalField):
@@ -546,7 +462,7 @@ def _reach(kern, dim, rows, mu, cols):
 
     The one breadth-first search of the engine, for every field: ``rows``,
     ``mu`` and ``cols`` are in the form of the kernel ``kern``, which does
-    the products, the elimination and the pivot read.  A ring kernel
+    the products, the elimination and the pivot read.  The kernel
     may keep each search vector and basis row up to a nonzero factor, since
     that changes neither the span nor its one reduced echelon basis.
     Returns ``(d, rows, mu, cols)`` in the fully reduced echelon basis of
@@ -556,7 +472,7 @@ def _reach(kern, dim, rows, mu, cols):
     read would give back ``rows``, ``mu`` and ``cols`` as they are, and they
     are returned unchanged.
     """
-    ech = kern.echelon(dim)
+    ech = kern.echelon()
     add, vec_mat = ech.add, kern.vec_mat
     queue = deque(v for v in map(kern.span, rows) if add(v))
     letters = sorted(mu)
@@ -594,7 +510,7 @@ def _minimise(k, dim, rows, mu, cols):
     if dim == 0:
         return 0, rows, {}, cols
     if not mu and len(rows) == len(cols) == 1:
-        ech = k.echelon(dim)
+        ech = k.echelon()
         if ech.add(k.span(rows[0])):
             (g,) = k.coords(ech, cols)
             if any(k.span(g)):
@@ -686,8 +602,8 @@ def _combine(k, C, vs, dim):
 class _Block:
     """What LinRep and SeriesMatrix share: the field, the dimension and the
     block triple, held in field values (``_f``: rows, mu, cols), in the
-    form of a kernel (``_k``: rows, mu, cols, kernel), or both.  Each form
-    is built from the other once, the first time it is needed."""
+    form of the field's kernel (``_k``: rows, mu, cols), or both.  Each
+    form is built from the other once, the first time it is needed."""
 
     __slots__ = ("field", "dim", "_f", "_k")
 
@@ -695,25 +611,26 @@ class _Block:
         self.field, self.dim, self._f, self._k = field, dim, f, k
 
     @classmethod
-    def _of(cls, field, k, dim, rows, mu, cols):
+    def _of(cls, field, dim, rows, mu, cols):
         new = object.__new__(cls)
-        new._init(field, dim, None, (rows, mu, cols, k))
+        new._init(field, dim, None, (rows, mu, cols))
         return new
 
     def _kb(self, k):
-        """The block (dim, rows, mu, cols) in the form of kernel k."""
+        """The block (dim, rows, mu, cols) in the form of k, the field's kernel."""
         st = self._k
-        if st is None or st[3] is not k:
+        if st is None:
             rows, mu, cols = self._fb()
             st = self._k = ([k.vec(r) for r in rows], {x: k.mat(m) for x, m in mu.items()},
-                            [k.vec(c) for c in cols], k)
-        return self.dim, st[0], st[1], st[2]
+                            [k.vec(c) for c in cols])
+        return (self.dim, *st)
 
     def _fb(self):
         """(rows, mu, cols) in field values."""
         f = self._f
         if f is None:
-            rows, mu, cols, k = self._k
+            k = _kernel(self.field)
+            rows, mu, cols = self._k
             f = self._f = ([k.out(r) for r in rows], {x: k.out_m(m) for x, m in mu.items()},
                            [k.out(c) for c in cols])
         return f
@@ -812,7 +729,7 @@ class LinRep(_Block):
         for w, c in p.coeffs.items():
             gamma[prefixes[w]] = c
         k = _kernel(field)
-        return LinRep._of(field, k, *_observe(k, d, *LinRep(field, d, lam, mu, gamma)._kb(k)))
+        return LinRep._of(field, *_observe(k, d, *LinRep(field, d, lam, mu, gamma)._kb(k)))
 
     def to_free(self, bounded: bool = False) -> FreeElem:
         """The polynomial this series is, the inverse of :meth:`from_free`;
@@ -845,7 +762,7 @@ class LinRep(_Block):
         mu = sorted(mu.items())
         level = [k.span(lam)]
         for _ in range(d):
-            ech = k.echelon(d)
+            ech = k.echelon()
             level = [u for v in level for _, m in mu if ech.add(u := k.vec_mat(v, m))]
             if not level:
                 break
@@ -872,7 +789,7 @@ class LinRep(_Block):
 
     def reduce(self) -> "LinRep":
         k = _kernel(self.field)
-        return LinRep._of(self.field, k, *_minimise(k, *self._kb(k)))
+        return LinRep._of(self.field, *_minimise(k, *self._kb(k)))
 
     # -- coefficients --------------------------------------------------------
 
@@ -914,25 +831,25 @@ class LinRep(_Block):
         if other.dim == 0:
             return self
         k = _kernel(self.field)
-        return LinRep._of(self.field, k, *_direct_sum(k, [self._kb(k), other._kb(k)])).reduce()
+        return LinRep._of(self.field, *_direct_sum(k, [self._kb(k), other._kb(k)])).reduce()
 
     def __neg__(self) -> "LinRep":
         return self.scale(-self.field.one())
 
     def __sub__(self, other: "LinRep") -> "LinRep":
         """self + (-other), reduced; zero with no reduction when other is
-        self, or when both hold a stored form of the same kernel instance
-        and the two forms are equal.  A kernel form stands for exactly one
-        triple (lam, mu, gamma), so equal forms are equal triples and the
-        two series are equal.  Minimal triples are not canonical: two of
-        one series may differ by a change of basis, and a kernel form by a
-        scaling.  So unequal forms prove nothing, and they go through the
-        reduction like any other difference."""
+        self, or when both are over one field and hold equal stored kernel
+        forms.  A kernel form of a field stands for exactly one triple
+        (lam, mu, gamma), so equal forms are equal triples and the two
+        series are equal; over two fields they may be unequal.  Minimal
+        triples are not canonical: two of one series may differ by a change
+        of basis, and a kernel form by a scaling.  So unequal forms prove
+        nothing, and they go through the reduction like any other
+        difference."""
         if other is self:
             return LinRep.zero(self.field)
         a, b = self._k, other._k
-        if a is not None and b is not None and a[3] is b[3] and self.dim == other.dim \
-                and a[:3] == b[:3]:
+        if self.dim == other.dim and a is not None and a == b and self.field == other.field:
             return LinRep.zero(self.field)
         return self + (-other)
 
@@ -944,7 +861,7 @@ class LinRep(_Block):
             return self
         k = _kernel(self.field)
         d, (lam,), mu, cols = self._kb(k)
-        return LinRep._of(self.field, k, d, [k.scale(lam, c)], mu, cols)
+        return LinRep._of(self.field, d, [k.scale(lam, c)], mu, cols)
 
     def __mul__(self, other: "LinRep") -> "LinRep":
         """Cauchy product.  A constant factor c (dim 1, no letters) only
@@ -959,7 +876,7 @@ class LinRep(_Block):
         if other.dim == 1 and not other._letters():
             return self.scale(other.tau())
         k = _kernel(self.field)
-        return LinRep._of(self.field, k, *_product(k, self._kb(k), other._kb(k))).reduce()
+        return LinRep._of(self.field, *_product(k, self._kb(k), other._kb(k))).reduce()
 
     def star(self) -> "LinRep":
         """(1 - a)^(-1) for a proper series a (zero constant term)."""
@@ -969,7 +886,7 @@ class LinRep(_Block):
         if self.dim == 0:
             return LinRep.one(field)
         k = _kernel(field)
-        return LinRep._of(field, k, *_star(k, self._kb(k))).reduce()
+        return LinRep._of(field, *_star(k, self._kb(k))).reduce()
 
     def inv(self) -> "LinRep":
         """Multiplicative inverse; requires a nonzero constant term."""
@@ -1003,7 +920,7 @@ class LinRep(_Block):
             if d == 0 or m is None:
                 out = LinRep.zero(self.field)
             else:
-                out = LinRep._of(self.field, k, *_observe(k, d, d, rows, mu, [k.vm(gamma, k.transposed(m))]))
+                out = LinRep._of(self.field, *_observe(k, d, d, rows, mu, [k.vm(gamma, k.transposed(m))]))
             memo[i] = out
         return out
 
@@ -1038,7 +955,7 @@ class LinRep(_Block):
             for w, row in level:
                 if k.pairs(row, gamma):
                     return w
-            ech = k.echelon(self.dim)
+            ech = k.echelon()
             kept = []
             for w, row in level:
                 for x, m in mu.items():
@@ -1170,12 +1087,12 @@ class SeriesMatrix(_Block):
                                [gamma if b == j else pad for b in range(ncols)]))
         if not blocks:  # a shape with no entries keeps its rows or columns
             return SeriesMatrix(field, 0, [[] for _ in range(nrows)], {}, []).reduce()
-        return SeriesMatrix._of(field, k, *_direct_sum(k, blocks)).reduce()
+        return SeriesMatrix._of(field, *_direct_sum(k, blocks)).reduce()
 
     def entry(self, i: int, j: int) -> LinRep:
         k = _kernel(self.field)
         d, rows, mu, cols = self._kb(k)
-        return LinRep._of(self.field, k, d, [rows[i]], mu, [cols[j]]).reduce()
+        return LinRep._of(self.field, d, [rows[i]], mu, [cols[j]]).reduce()
 
     def aug(self):
         """Entrywise constant terms, a plain field matrix."""
@@ -1185,7 +1102,7 @@ class SeriesMatrix(_Block):
 
     def reduce(self) -> "SeriesMatrix":
         k = _kernel(self.field)
-        return SeriesMatrix._of(self.field, k, *_minimise(k, *self._kb(k)))
+        return SeriesMatrix._of(self.field, *_minimise(k, *self._kb(k)))
 
     def __eq__(self, other):
         if not isinstance(other, SeriesMatrix):
@@ -1203,12 +1120,12 @@ class SeriesMatrix(_Block):
     def __add__(self, other: "SeriesMatrix") -> "SeriesMatrix":
         self._check_shape(other)
         k = _kernel(self.field)
-        return SeriesMatrix._of(self.field, k, *_direct_sum(k, [self._kb(k), other._kb(k)])).reduce()
+        return SeriesMatrix._of(self.field, *_direct_sum(k, [self._kb(k), other._kb(k)])).reduce()
 
     def scale(self, c) -> "SeriesMatrix":
         k = _kernel(self.field)
         d, rows, mu, cols = self._kb(k)
-        return SeriesMatrix._of(self.field, k, d, [k.scale(r, c) for r in rows], mu, cols)
+        return SeriesMatrix._of(self.field, d, [k.scale(r, c) for r in rows], mu, cols)
 
     def __neg__(self):
         return self.scale(-self.field.one())
@@ -1221,17 +1138,17 @@ class SeriesMatrix(_Block):
         if self.ncols != other.nrows:
             raise ValueError("inner dimension mismatch")
         k = _kernel(self.field)
-        return SeriesMatrix._of(self.field, k, *_product(k, self._kb(k), other._kb(k))).reduce()
+        return SeriesMatrix._of(self.field, *_product(k, self._kb(k), other._kb(k))).reduce()
 
     def left_mul_const(self, C) -> "SeriesMatrix":
         k = _kernel(self.field)
         d, rows, mu, cols = self._kb(k)
-        return SeriesMatrix._of(self.field, k, d, _combine(k, C, rows, d), mu, cols)
+        return SeriesMatrix._of(self.field, d, _combine(k, C, rows, d), mu, cols)
 
     def right_mul_const(self, C) -> "SeriesMatrix":
         k = _kernel(self.field)
         d, rows, mu, cols = self._kb(k)
-        return SeriesMatrix._of(self.field, k, d, rows, mu, _combine(k, list(zip(*C)), cols, d))
+        return SeriesMatrix._of(self.field, d, rows, mu, _combine(k, list(zip(*C)), cols, d))
 
     def star(self) -> "SeriesMatrix":
         """(I - P)^(-1) for a square P with zero augmentation."""
@@ -1240,7 +1157,7 @@ class SeriesMatrix(_Block):
         if any(any(c for c in row) for row in self.aug()):
             raise ValueError("star needs zero augmentation")
         k = _kernel(self.field)
-        return SeriesMatrix._of(self.field, k, *_star(k, self._kb(k))).reduce()
+        return SeriesMatrix._of(self.field, *_star(k, self._kb(k))).reduce()
 
     def __repr__(self):
         return "SeriesMatrix(%dx%d, dim=%d)" % (self.nrows, self.ncols, self.dim)
@@ -1256,7 +1173,7 @@ class SeriesMatrix(_Block):
         if d == 0 or not mu:
             return [self.entry(i, j) for j in range(self.ncols)]
         d1, rows1, mu1, cols1 = _reach(k, d, [rows[i]], mu, cols)
-        return [LinRep._of(self.field, k, *_observe(k, d, d1, rows1, mu1, [c])) for c in cols1]
+        return [LinRep._of(self.field, *_observe(k, d, d1, rows1, mu1, [c])) for c in cols1]
 
     def to_json(self):
         return {

@@ -563,6 +563,18 @@ _CHAIN_NOTE = (
 )
 
 
+def _check_chain_shape(groups, maps) -> None:
+    ints = lambda v: type(v) is list and all(type(x) is int for x in v)
+    if not (type(groups) is list and all(type(g) is dict for g in groups)):
+        raise ValueError("groups must be a list of objects, got %r" % (groups,))
+    for t, g in enumerate(groups):
+        for key in ("tags", "u"):
+            if not ints(g.get(key)):
+                raise ValueError("group %d: %s must be a list of integers, got %r" % (t, key, g.get(key)))
+    if not (type(maps) is list and all(type(m) is list and all(ints(row) for row in m) for m in maps)):
+        raise ValueError("maps must be a list of integer matrices, got %r" % (maps,))
+
+
 def plan_chain(groups, maps) -> ChainPlan:
     """Check that a sequence of direct sums of cyclic groups with order-unit
     coordinates and integer matrices between them is realizable stepwise.
@@ -570,13 +582,15 @@ def plan_chain(groups, maps) -> ChainPlan:
     ``groups``: list of ``{"tags": [...], "u": [...]}``; ``maps``: one
     integer matrix per adjacent pair, rows indexed by source components.
     Every component map must be well defined and the order-unit coordinates
-    must be carried onto each other.
+    must be carried onto each other.  ValueError if the input does not have
+    that shape: ``groups`` a list of objects whose ``tags`` and ``u`` are
+    lists of integers, and ``maps`` a list of integer matrices.
     """
+    _check_chain_shape(groups, maps)
     errors = []
     parsed = []
     for t, gspec in enumerate(groups):
-        tags = tuple(int(x) for x in gspec["tags"])
-        u = tuple(int(x) for x in gspec["u"])
+        tags, u = tuple(gspec["tags"]), tuple(gspec["u"])
         if len(tags) != len(u):
             errors.append("group %d: %d tags but %d unit coordinates" % (t, len(tags), len(u)))
         for x in tags:

@@ -674,3 +674,65 @@ def test_chain_plan_failure_exits_1(run, tmp_path):
     code, out = jrun(run, "realize", "chain", _write(tmp_path, "bad.json", plan))
     assert code == 1 and not out["ok"] and out["errors"]
     assert run("realize", "chain", _write(tmp_path, "shape.json", {"groups": []}))[0] == 2
+
+
+# -- refusals before anything is built: scalar encodings and certificate shapes ------
+
+@pytest.mark.parametrize("field, bad", [
+    ("fp:7", 8), ("fp:7", -6),
+    ("q", " 1 "), ("q", "2/2"), ("q", "0.5"), ("q", "1e2"), ("q", "-0"),
+    ("qt:1", {"num": [[[0], "1"], [[0], "2"]], "den": [[[0], "1"]]}),  # read as 2 by overwriting
+    ("qt:1", {"num": [[[1], "2"]], "den": [[[1], "4"]]}),  # 2*t/(4*t)
+], ids=["fp7-8", "fp7-minus-6", "q-spaces", "q-2/2", "q-decimal", "q-exponent", "q-minus-0",
+        "qt-repeated-exponent", "qt-unreduced"])
+def test_verify_cert_refuses_scalars_written_otherwise(run, tmp_path, field, bad):
+    """A skew witness of 1 - x0 whose first scalar of g, 1, is written
+    another way, of the same value or not, exits 1 with ``error:``."""
+    code, cert = jrun(run, "skew", "witness", "--field", field, "--json", "1 - x0")
+    assert code == 0 and run("verify-cert", _write(tmp_path, "ok.json", cert))[0] == 0
+    cert["g"]["terms"][0][1]["lam"][0] = bad
+    code, out, err = run("verify-cert", _write(tmp_path, "w.json", cert))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "is not how a scalar" in err and "Traceback" not in err
+
+
+def _word_system_cert():
+    ring = SkewRing(CoeffDomain("rat", QQ), 2)
+    return verify_word_system(ring, [(i,) for i in range(3)], [ring.x(i) for i in range(3)]).to_json()
+
+
+@pytest.mark.parametrize("key, value", [("words", 5), ("words", None), ("words", [5]), ("words", [[0], [1], ["2"]]),
+                                        ("qs", 3), ("qs", [3, 4, 5]), ("qs", "q")])
+def test_verify_cert_refuses_malformed_word_systems(run, tmp_path, key, value):
+    cert = _word_system_cert()
+    cert[key] = value
+    code, out, err = run("verify-cert", _write(tmp_path, "ws.json", cert))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and key in err and "Traceback" not in err
+
+
+def test_verify_cert_refuses_word_systems_of_unequal_lengths(run, tmp_path):
+    cert = _word_system_cert()
+    cert["qs"] = cert["qs"][:2]
+    code, out, err = run("verify-cert", _write(tmp_path, "ws.json", cert))
+    assert (code, out) == (1, "") and "one per word" in err
+
+
+_PLAN = {"groups": [{"tags": [2], "u": [1]}, {"tags": [4], "u": [2]}], "maps": [[[2]]]}
+
+
+@pytest.mark.parametrize("change", [
+    {"groups": 5}, {"groups": [5, 6]}, {"groups": [{"tags": 5, "u": [1]}, {"tags": [4], "u": [2]}]},
+    {"groups": [{"tags": [2], "u": [True]}, {"tags": [4], "u": [2]}]}, {"groups": [{"tags": [2]}, {"tags": [4], "u": [2]}]},
+    {"maps": 5}, {"maps": [5]}, {"maps": [[5]]}, {"maps": [[["a"]]]},
+], ids=["groups-5", "groups-ints", "tags-5", "u-bool", "u-missing", "maps-5", "maps-list-5", "maps-row-5",
+        "maps-string"])
+def test_malformed_chain_plans_exit_1(run, tmp_path, change):
+    """Both ``realize chain`` and ``verify-cert`` refuse a plan of the wrong
+    shape with exit 1 and ``error:``."""
+    code, cert = jrun(run, "realize", "chain", _write(tmp_path, "plan.json", _PLAN))
+    assert code == 0
+    for argv, obj in ((["realize", "chain"], dict(_PLAN, **change)), (["verify-cert"], dict(cert, **change))):
+        code, out, err = run(*argv, _write(tmp_path, "bad.json", obj))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "must be" in err and "Traceback" not in err

@@ -153,16 +153,32 @@ def test_render_is_parseable_for_q():
 
 
 def test_scalar_from_json_canonicalises():
-    # t/2 stored with a non-monic denominator
-    x = scalar_from_json(QT, {"num": [[[1], "1"]], "den": [[[0], "2"]]})
-    assert x == QT.var(0) / 2
-    assert str(x) == "1/2*t1"
-    assert str(x + 1) == "1/2*t1 + 1"
-    # (2t + 2)/(t + 1) stored unreduced
-    y = scalar_from_json(QT, {"num": [[[1], "2"], [[0], "2"]],
-                              "den": [[[1], "1"], [[0], "1"]]})
-    assert y == 2
-    assert scalar_to_json(QT, y) == {"num": [[[0], "2"]], "den": [[[0], "1"]]}
+    """Only the encoding ``scalar_to_json`` writes is read: t/2 over a
+    non-monic denominator and (2t + 2)/(t + 1) unreduced are refused, and
+    their canonical encodings give the reduced values."""
+    for obj, want in (({"num": [[[1], "1"]], "den": [[[0], "2"]]}, QT.var(0) / 2),
+                      ({"num": [[[1], "2"], [[0], "2"]], "den": [[[1], "1"], [[0], "1"]]}, QT.from_int(2))):
+        with pytest.raises(ValueError, match="is not how a scalar over qt:1 is written"):
+            scalar_from_json(QT, obj)
+        assert scalar_from_json(QT, scalar_to_json(QT, want)) == want
+    assert str(scalar_from_json(QT, {"num": [[[1], "1/2"]], "den": [[[0], "1"]]}) + 1) == "1/2*t1 + 1"
+    assert scalar_to_json(QT, QT.from_int(2)) == {"num": [[[0], "2"]], "den": [[[0], "1"]]}
+
+
+@pytest.mark.parametrize("field, obj", [
+    (F7, 8), (F7, -6), (F7, 7),
+    (QQ, " 1 "), (QQ, "2/2"), (QQ, "0.5"), (QQ, "1e2"), (QQ, "-0"), (QQ, "+1"), (QQ, "02"),
+    (QT, {"num": [[[0], "1"], [[0], "2"]], "den": [[[0], "1"]]}),  # one exponent twice
+    (QT, {"num": [[[1], "2"]], "den": [[[1], "4"]]}),  # 2t/(4t)
+    (QT, {"num": [[[1], "1"], [[0], "1"]], "den": [[[0], "1"]]}),  # terms out of order
+    (QT, {"num": [[[1], "1"]], "den": [[[0], "1"]], "extra": 1}),
+], ids=["fp-8", "fp-minus-6", "fp-7", "q-spaces", "q-2/2", "q-decimal", "q-exponent", "q-minus-0", "q-plus",
+        "q-leading-0", "qt-repeated-exponent", "qt-unreduced", "qt-unsorted", "qt-extra-key"])
+def test_scalar_from_json_refuses_other_encodings(field, obj):
+    """Another spelling of a value is refused, with the canonical one in
+    the message."""
+    with pytest.raises(ValueError, match="is not how a scalar over %s is written" % field.name):
+        scalar_from_json(field, obj)
 
 
 @pytest.mark.parametrize("obj", [
@@ -189,10 +205,11 @@ def test_scalar_from_json_zero_and_one_fast_path(field):
     one = [[z, "1"]]
     assert scalar_from_json(field, {"num": [], "den": one}) is field.zero()
     assert scalar_from_json(field, {"num": one, "den": one}) is field.one()
-    # other spellings of 0 and 1 take the full parse, to the same values
-    assert scalar_from_json(field, {"num": [[z, "2/2"]], "den": one}) == field.one()
-    assert scalar_from_json(field, {"num": one, "den": [[z, "1.0"]]}) == field.one()
-    assert scalar_from_json(field, {"num": [[z, "0"]], "den": one}) == field.zero()
+    # other spellings of 0 and 1 take the full parse, which refuses them
+    for obj in ({"num": [[z, "2/2"]], "den": one}, {"num": one, "den": [[z, "1.0"]]},
+                {"num": [[z, "0"]], "den": one}):
+        with pytest.raises(ValueError, match="is not how a scalar"):
+            scalar_from_json(field, obj)
     for a in (field.zero(), field.one()):
         assert scalar_from_json(field, scalar_to_json(field, a)) == a
 

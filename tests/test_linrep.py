@@ -1,17 +1,23 @@
 """Linear representations of rational series, checked against the truncated
-backend as an independent oracle wherever values are not pinned by hand."""
+backend as an independent oracle wherever values are not pinned by hand.
+The one span kernel that minimises them is checked by oracles that do not
+look inside it: over q and fp:7 the Hankel rank and a word-by-word equality
+by plain Gaussian elimination on field values, and over qt:r
+specialisation at integer points to q (and from q to fp:p)."""
 
 import random
 import time
 from fractions import Fraction
+from itertools import chain
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ratskew.fields import QQ, Fp, RatFunc, field_from_name
+from ratskew.fields import QQ, Fp, RatFunc, field_from_name, scalar_from_json, scalar_to_json
 from ratskew.freealg import FreeElem
 from ratskew import linrep
-from ratskew.linrep import LinRep, NotInvertible, SeriesMatrix, _FieldKernel, invert_matrix_series
+from ratskew.linrep import LinRep, NotInvertible, SeriesMatrix, invert_matrix_series
 from ratskew.truncated import TruncSeries
 from ratskew.words import word_key
 
@@ -374,41 +380,6 @@ def test_series_matrix_product_over_qt_with_series_entries():
             assert prod.entry(i, j) == want
 
 
-def _perturbed_identity(field, n, rng):
-    """The n x n series matrix whose entry (i, j) is delta_ij plus two terms
-    c*w: w a word of length 1 or 2 over two letters, and c = t_v + k with k
-    in 1..5; the draws are w, k, v per term, in row-major order, as in
-    ``scripts/invert_sizes.py``."""
-    entries = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            e = LinRep.one(field) if i == j else LinRep.zero(field)
-            for _ in range(2):
-                w = tuple(rng.randrange(2) for _ in range(rng.randint(1, 2)))
-                k = rng.randint(1, 5)
-                e = e + LinRep.word(field, w, field.var(rng.randrange(field.nvars)) + k)
-            row.append(e)
-        entries.append(row)
-    return SeriesMatrix.from_entries(field, entries)
-
-
-def test_qt_matrix_inverse_matches_field_kernel(monkeypatch):
-    """A 5 x 5 inversion over qt:1 (block dim 19), a 3 x 3 over qt:2
-    (block dim 11) and a 2 x 2 over qt:3, checked two-sided, whose inverses
-    are the same, value for value, as with the field kernel.  (The qt:2
-    4 x 4 inverts in under a second, but reading its inverse entry by entry
-    in ``to_json`` takes minutes.)"""
-    for field, n in ((QT, 5), (QT2, 3), (QT3, 2)):
-        m = _perturbed_identity(field, n, random.Random(1))
-        inv, ok_r, ok_l = invert_matrix_series(m)
-        assert ok_r and ok_l
-        with monkeypatch.context() as p:
-            p.setattr(linrep, "_kernel", _FieldKernel)
-            ref = invert_matrix_series(m)[0]
-        assert inv.to_json() == ref.to_json()
-
-
 def test_matrix_inverse_refuses_singular_scalar_part():
     zero = LinRep.zero(QQ)
     x0 = LinRep.letter(QQ, 0)
@@ -456,20 +427,32 @@ def _words_below(n, letters=2):
     return out
 
 
+class _Span:
+    """A span of field vectors grown one vector at a time by plain Gaussian
+    elimination, as (pivot, row with 1 at the pivot) pairs."""
+
+    def __init__(self, field):
+        self.one, self.basis = field.one(), []
+
+    def add(self, r) -> bool:
+        """Insert r; whether it enlarged the span."""
+        r = list(r)
+        for p, b in self.basis:
+            c = r[p]
+            if c:
+                r = [x - c * y if y else x for x, y in zip(r, b)]
+        p = next((j for j, x in enumerate(r) if x), None)
+        if p is None:
+            return False
+        inv = self.one / r[p]
+        self.basis.append((p, [x * inv if x else x for x in r]))
+        return True
+
+
 def _rank(rows, field):
     """Rank by plain Gaussian elimination, one row at a time."""
-    basis = []  # (pivot, row with 1 at pivot)
-    for r in rows:
-        r = list(r)
-        for p, b in basis:
-            if r[p]:
-                c = r[p]
-                r = [x - c * y for x, y in zip(r, b)]
-        p = next((j for j, x in enumerate(r) if x), None)
-        if p is not None:
-            inv = field.one() / r[p]
-            basis.append((p, [x * inv for x in r]))
-    return len(basis)
+    span = _Span(field)
+    return sum(span.add(r) for r in rows)
 
 
 def _rand_sparse(rng, field, n, m):
@@ -540,7 +523,276 @@ def test_series_matrix_reduce_dim_is_block_hankel_rank(field):
         assert again.to_json() == m.to_json()
 
 
-# -- the ring kernel against the la.Echelon path ------------------------------------
+# -- the kernel against oracles that do not look inside it --------------------------
+#
+# The one span kernel of ``linrep`` is checked by what its results are, never
+# by how it computes them.  Over q and fp:7 a reduced block triple must have
+# the Hankel rank of its input as its dim, and give the same series, both
+# decided by the plain Gaussian elimination of ``_Span`` on field values.
+# Over qt:r a computation is specialised: at an integer point where no
+# input denominator, inverted constant term or augmentation determinant
+# vanishes, evaluating t is a ring homomorphism, so the qt result, evaluated
+# there, must be the same series as the q result of the specialised inputs,
+# and specialisation cannot raise the Hankel rank, so the q dim is at most
+# the qt dim (and equal to it at a generic point).  From q to fp:p the same
+# holds for a prime p dividing no denominator.
+
+def _vm(field, v, m):
+    """The row vector v times the matrix m."""
+    out = [field.zero()] * len(v)
+    for vi, row in zip(v, m):
+        if vi:
+            for j, x in enumerate(row):
+                if x:
+                    out[j] = out[j] + vi * x
+    return out
+
+
+def _dot(u, v):
+    return sum((x * y for x, y in zip(u, v) if x and y), 0)
+
+
+def _transposed(m):
+    return [list(r) for r in zip(*m)]
+
+
+def _reachable(field, rows, mu):
+    """A basis of the span of row * mu(w) over the rows and every word w,
+    found by breadth-first search with ``_Span``.  Each basis row is
+    extended by every letter, so the span of the basis is closed under mu
+    and holds the rows; and each basis row is a combination of products
+    row * mu(w), so it lies in that span.  The search stops once the span
+    is the whole space."""
+    span, letters, n = _Span(field), sorted(mu), len(rows[0]) if rows else 0
+    for r in rows:
+        span.add(r)
+    for _, v in span.basis:  # the list grows while it is read: breadth first
+        for x in letters:
+            if len(span.basis) == n:
+                break
+            span.add(_vm(field, v, mu[x]))
+    return [v for _, v in span.basis]
+
+
+def _hankel_rank(field, t):
+    """The rank of the Hankel matrix of the block triple t, whose entry
+    ((i, u), (v, j)) is the coefficient of u*v in entry (i, j), on word
+    bases: the Hankel matrix is P * Q^T for the rows P of rows[i] * mu(u)
+    and Q of (mu(v) * cols[j])^T over all words, and bases of their spans,
+    found by breadth-first search, give a block of the same rank."""
+    _, rows, mu, cols = t
+    flip = {x: _transposed(m) for x, m in mu.items()}
+    p, q = _reachable(field, rows, mu), _reachable(field, cols, flip)
+    return _rank([[_dot(u, v) for v in q] for u in p], field)
+
+
+def _same_series(field, a, b):
+    """Whether the block triples a and b, of one shape, give the same
+    matrix of series: their difference, the direct sum of a and -b, is zero
+    exactly when every vector of its reachable space pairs to zero with
+    every exit column (Berstel-Reutenauer, ch. 2)."""
+    (da, ra, ma, ca), (db, rb, mb, cb) = a, b
+    if (len(ra), len(ca)) != (len(rb), len(cb)):
+        return False
+    rows = [x + y for x, y in zip(ra, rb)]
+    cols = [x + [-c for c in y] for x, y in zip(ca, cb)]
+    mu = {x: _blocks(field, (da, db), {(0, 0): ma.get(x), (1, 1): mb.get(x)}) for x in ma.keys() | mb.keys()}
+    return not any(_dot(v, c) for v in _reachable(field, rows, mu) for c in cols)
+
+
+def _blocks(field, dims, parts):
+    """The square matrix whose block (g, h) is parts[g, h], zero where
+    absent or None."""
+    offs = [sum(dims[:g]) for g in range(len(dims) + 1)]
+    out = [[field.zero()] * offs[-1] for _ in range(offs[-1])]
+    for (g, h), m in parts.items():
+        for i, row in enumerate(m or ()):
+            out[offs[g] + i][offs[h]:offs[h + 1]] = row
+    return out
+
+
+def _triple(s):
+    """The block triple of a LinRep or a SeriesMatrix, in field values."""
+    if isinstance(s, LinRep):
+        return s.dim, [s.lam], s.mu, [s.gamma]
+    return s.dim, s.rows, s.mu, s.cols
+
+
+def _values(t):
+    _, rows, mu, cols = t
+    return list(chain(*rows, *cols, *(r for m in mu.values() for r in m)))
+
+
+def _canonical(field, t):
+    """Every value of the block triple t is of the field's type and in its
+    canonical form, the one form certificates accept: each reads back from
+    its encoding as itself."""
+    kind = Fraction if field == QQ else RatFunc if field.name.startswith("qt:") else Fp
+    return all(type(c) is kind and scalar_from_json(field, scalar_to_json(field, c)) == c for c in _values(t))
+
+
+# -- sums, products, stars and inverses of block triples, built by the textbook
+# constructions on field values and never reduced
+
+def _const(field, c):
+    return 1, [[field.one()]], {}, [[c]]
+
+
+def _raw_scale(t, c):
+    d, rows, mu, cols = t
+    return d, [[c * x for x in r] for r in rows], mu, cols
+
+
+def _raw_sum(field, a, b):
+    (da, ra, ma, ca), (db, rb, mb, cb) = a, b
+    mu = {x: _blocks(field, (da, db), {(0, 0): ma.get(x), (1, 1): mb.get(x)}) for x in ma.keys() | mb.keys()}
+    return da + db, [x + y for x, y in zip(ra, rb)], mu, [x + y for x, y in zip(ca, cb)]
+
+
+def _raw_product(field, a, b):
+    """a * b: a path through a that could leave by exit column j goes on
+    into b from entry row j."""
+    (da, ra, ma, ca), (db, rb, mb, cb) = a, b
+    z = field.zero()
+    mu = {}
+    for x in ma.keys() | mb.keys():
+        m = mb.get(x)
+        bridge = None
+        if m is not None:
+            tops = [_vm(field, r, m) for r in rb]
+            bridge = [[_dot([c[i] for c in ca], [t[j] for t in tops]) for j in range(db)] for i in range(da)]
+        mu[x] = _blocks(field, (da, db), {(0, 0): ma.get(x), (0, 1): bridge, (1, 1): m})
+    cols = [[_dot([c[i] for c in ca], [_dot(r, k) for r in rb]) for i in range(da)] + k for k in cb]
+    return da + db, [r + [z] * db for r in ra], mu, cols
+
+
+def _raw_star(field, p):
+    """I + P + P^2 + ... for a square block triple P with zero constant
+    terms: a new state per entry row, which ends at once or enters P by a
+    letter; a path that could leave P by exit column j may enter it again
+    from entry row j."""
+    d, rows, mu, cols = p
+    n, z, o = len(rows), field.zero(), field.one()
+    eye = [[o if i == j else z for j in range(n)] for i in range(n)]
+    star = {}
+    for x, m in mu.items():
+        tops = [_vm(field, r, m) for r in rows]
+        back = [[_dot([c[i] for c in cols], [t[j] for t in tops]) for j in range(d)] for i in range(d)]
+        inner = [[a + b for a, b in zip(r, s)] for r, s in zip(m, back)]
+        star[x] = _blocks(field, (n, d), {(0, 1): tops, (1, 1): inner})
+    return n + d, [e + [z] * d for e in eye], star, [e + c for e, c in zip(eye, cols)]
+
+
+def _raw_tau(t):
+    return _dot(t[1][0], t[3][0]) if t[0] else 0
+
+
+def _raw_inv(field, t):
+    """t^-1 = (1/c) * (1 - t/c)^* for the constant term c of t."""
+    c = field.one() / _raw_tau(t)
+    return _raw_scale(_raw_star(field, _raw_sum(field, _const(field, field.one()), _raw_scale(t, -c))), c)
+
+
+def _raw_op(field, name, a, b, arg):
+    """What step ``name`` of ``_chain`` gives on a and b, as an unreduced
+    block triple."""
+    a, b = _triple(a), _triple(b)
+    if name == "+":
+        return _raw_sum(field, a, b)
+    if name == "-":
+        return _raw_sum(field, a, _raw_scale(b, -field.one()))
+    if name == "*":
+        return _raw_product(field, a, b)
+    if name == "star":
+        return _raw_star(field, _raw_sum(field, a, _const(field, -_raw_tau(a))))
+    if name == "inv":
+        return _raw_inv(field, a if arg else _raw_sum(field, _const(field, field.one()), a))
+    if name == "delta":
+        d, rows, mu, (gamma,) = a
+        m = mu.get(arg)
+        return d, rows, mu, [[_dot(r, gamma) for r in m] if m else [field.zero()] * d]
+    return _raw_scale(a, arg)
+
+
+# -- specialisation
+
+def _ev(p, point):
+    """The polynomial p (an MPoly) at the rational point."""
+    total = Fraction(0)
+    for e, c in p.terms.items():
+        for a, k in zip(point, e):
+            c *= a ** k
+        total += c
+    return total
+
+
+def _at(point):
+    """The map from Q(t1..tr) to Q evaluating t at point; None at a pole."""
+    def at(x):
+        d = _ev(x.den, point)
+        return None if d == 0 else _ev(x.num, point) / d
+    return at
+
+
+def _mod(p):
+    """The map from Q to F_p; None where p divides the denominator."""
+    fp = field_from_name("fp:%d" % p)
+    return lambda q: None if q.denominator % p == 0 else fp.from_fraction(q)
+
+
+def _map_triple(f, t):
+    """The block triple t with f applied to every value, None if f has a
+    pole at one of them."""
+    d, rows, mu, cols = t
+    vec = lambda v: [f(x) for x in v]
+    out = d, [vec(r) for r in rows], {x: [vec(r) for r in m] for x, m in mu.items()}, [vec(c) for c in cols]
+    return None if any(x is None for x in _values(out)) else out
+
+
+def _points(nvars, rng, count=2):
+    """count distinct integer points of Q^nvars, drawn from -6..7."""
+    seen = set()
+    while len(seen) < count:
+        seen.add(tuple(rng.randint(-6, 7) for _ in range(nvars)))
+    return sorted(seen)
+
+
+def _admissible(f, values):
+    """Whether f is defined and nonzero at every one of values."""
+    return all((y := f(v)) is not None and y for v in values)
+
+
+def _spec_maps(field):
+    """(target field, map) pairs that specialise a computation over field:
+    evaluation at six integer points of -6..7 for qt:r, reduction mod 11,
+    13 and 17 for q.  A caller uses the first ones that are defined on its
+    inputs."""
+    if field == QQ:
+        return [(field_from_name("fp:%d" % p), _mod(p)) for p in (11, 13, 17)]
+    return [(QQ, _at(pt)) for pt in _points(field.nvars, random.Random(field.nvars), count=6)]
+
+
+def _check_reduced(field, raw, r):
+    """r, the reduction of the block triple raw over q or fp:p, gives the
+    same series, so the same Hankel matrix, and has its Hankel rank as its
+    dim: r is minimal."""
+    assert _same_series(field, raw, r)
+    assert r[0] == _hankel_rank(field, r)
+
+
+def _check_specialised(field, f, target, big, small):
+    """The reduced triple big over field, mapped by f, gives the same series
+    as the reduced triple small over target, whose dim is at most big's;
+    whether the map is defined on big (else nothing is checked)."""
+    assert small[0] <= big[0]
+    spec = _map_triple(f, big)
+    if spec is None:
+        return False
+    assert _same_series(target, spec, small)
+    return True
+
+
+# -- reductions of random block triples ---------------------------------------------
 
 def _rand_wide(rng, field, n, m, density):
     """Entries n/k with |n| <= 10**6 and k <= 7 (k < 7 over fp:7); about
@@ -579,37 +831,56 @@ def _rand_wide(rng, field, n, m, density):
 
 def _reduced(field, d, rows, mu, cols):
     """The reduced block triple of (rows, mu, cols), read as field values."""
-    r = SeriesMatrix(field, d, rows, mu, cols).reduce()
-    return r.dim, r.rows, r.mu, r.cols
+    return _triple(SeriesMatrix(field, d, rows, mu, cols).reduce())
 
 
 @pytest.mark.parametrize("field", [QQ, F7, QT, QT2, QT3], ids=lambda f: f.name)
-def test_integer_kernel_matches_echelon_path(field, monkeypatch):
-    """The kernel over Z (q), Z/p (fp:p) and Z[t1..tr] (qt:r) against the
-    field-value elimination of ``_FieldKernel``: 60 draws of up to 3 of 4
-    letters at density 0.25 to 0.7, and over q and fp:7 also 20 sparse
-    draws of 8 to 10 of 10 letters at dim 10 to 14, whose letter matrices
-    are at most about 10% nonzero (density 0.05, plus the negative leading
-    entries of ``_rand_wide``), as letter matrices are in practice, so that
-    about half of their columns are empty."""
-    kind = Fraction if field == QQ else Fp if field == F7 else RatFunc
+def test_reduce_matches_oracle(field):
+    """The kernel over Z (q), Z/p (fp:p) and Z[t1..tr] (qt:r): 60 draws of
+    up to 3 of 4 letters at density 0.25 to 0.7, and over q and fp:7 also
+    20 sparse draws of 8 to 10 of 10 letters at dim 10 to 14, whose letter
+    matrices are at most about 10% nonzero (density 0.05, plus the
+    negative leading entries of ``_rand_wide``), as letter matrices are in
+    practice, so that about half of their columns are empty.  Over q and
+    fp:7 the oracle is the Hankel rank and the series, on word bases; over
+    qt:r it is specialisation to q at two integer points where the input is
+    defined, against the q reduction of the specialised input, which the
+    Hankel oracle checks in turn; at one of them the q dim is the qt dim."""
     # (rng, draws, letters, letters drawn, dims, density of sparse letter matrices)
     # a generic qt:1 dim-7 span takes seconds, and a dense qt:2 dim-5 one
-    # minutes, in either kernel; at qt:3 dim 4 the trivariate gcds of the
-    # field kernel's values take minutes
+    # minutes; trivariate gcds grow fast from qt:3 dim 4 on
     cases = [(random.Random(71), 60, 4, (1, 3), (1, {QT: 5, QT2: 4, QT3: 3}.get(field, 7)), None)]
     if field in (QQ, F7):
         cases.append((random.Random(72), 20, 10, (8, 10), (10, 14), 0.05))
+    maps = [] if field in (QQ, F7) else _spec_maps(field)
     reduced = 0
     for rng, draws, letters, (lo, hi), (dlo, dhi), sparse in cases:
         for _ in range(draws):
-            reduced += _kernel_draw_matches(rng, field, kind, monkeypatch, letters, lo, hi, dlo, dhi, sparse)
+            raw = _rand_block(rng, field, letters, lo, hi, dlo, dhi, sparse)
+            r = _reduced(field, *raw)
+            assert _canonical(field, r)
+            assert list(r[2]) == sorted(r[2])
+            reduced += r[0] < raw[0]
+            if not maps:
+                _check_reduced(field, raw, r)
+                continue
+            dims = []
+            for target, f in maps:
+                spec = _map_triple(f, raw)
+                if spec is None:
+                    continue
+                small = _reduced(target, *spec)
+                _check_reduced(target, spec, small)
+                if _check_specialised(field, f, target, r, small):
+                    dims.append(small[0])
+                if len(dims) == 2:
+                    break
+            assert dims and max(dims) == r[0]
     assert reduced >= 10  # the sample also exercises the pivot read, not only full spans
 
 
-def _kernel_draw_matches(rng, field, kind, monkeypatch, letters, lo, hi, dlo, dhi, sparse):
-    """One draw of :func:`test_integer_kernel_matches_echelon_path`, checked;
-    whether its reduced dim is below the drawn one."""
+def _rand_block(rng, field, letters, lo, hi, dlo, dhi, sparse):
+    """One draw of :func:`test_reduce_matches_oracle`: (d, rows, mu, cols)."""
     nrows, ncols = rng.choice(((1, 1), (1, 1), (1, 2), (2, 3)))
     d = rng.randint(dlo, dhi)
     density = rng.choice((0.25, 0.4, 0.7))
@@ -624,18 +895,7 @@ def _kernel_draw_matches(rng, field, kind, monkeypatch, letters, lo, hi, dlo, dh
         mu = {x: [r[:h] + [z] * h for r in m[:h]] + [[z] * h + r[:h] for r in m[:h]] for x, m in mu.items()}
         rows = [r[:h] * 2 for r in rows]
         cols, d = [c[:2 * h] for c in cols], 2 * h
-    fast = _reduced(field, d, rows, mu, cols)
-    with monkeypatch.context() as m:
-        m.setattr(linrep, "_kernel", _FieldKernel)
-        slow = _reduced(field, d, rows, mu, cols)
-    dk, rk, mk, ck = fast
-    assert (dk, rk, list(mk.items()), ck) == (slow[0], slow[1], list(slow[2].items()), slow[3])
-    values = [c for r in rk + ck for c in r] + [c for m in mk.values() for r in m for c in r]
-    assert all(type(c) is kind for c in values)
-    if nrows == ncols == 1:
-        as_json = lambda t: LinRep(field, t[0], t[1][0], t[2], t[3][0]).to_json()
-        assert as_json(fast) == as_json(slow)
-    return dk < d
+    return d, rows, mu, cols
 
 
 def test_mod_p_search_vectors_are_reduced():
@@ -650,64 +910,251 @@ def test_mod_p_search_vectors_are_reduced():
     assert all(r.coeff(w) == raw.coeff(w) for w in _words_below(4))
 
 
-# -- the stored kernel form against the field-value path -----------------------
+@pytest.mark.parametrize("name", ["q", "fp:7", "qt:1", "qt:2", "qt:3"])
+def test_scale_and_back_reads_the_same_canonical_values(name):
+    """s.scale(c).scale(1/c) reads the same lam, mu and gamma as s, whatever
+    scaling its kernel form carries, and every value read is canonical.
+    Over qt:r, c = (t1 + 2)/(t_r + 3) puts factors in t1 into the kernel
+    form that the second scale must divide out again, through the ring's
+    gcds."""
+    field = field_from_name(name)
+    rng = random.Random(83)
+    cs = [field.random(rng, units_only=True) for _ in range(4)]
+    if name.startswith("qt:"):
+        cs.append((field.var(0) + 2) / (field.var(field.nvars - 1) + 3))
+    for _ in range(6):
+        s = rand_rep(rng, field, depth=1)
+        for c in cs:
+            back = _triple(s.scale(c).scale(field.one() / c))
+            assert back == _triple(s) and _canonical(field, back)
+
+
+# -- chains of operations, specialised ------------------------------------------------
 
 def _fresh_json(s):
     """``to_json`` of s rebuilt from its stored kernel form, so that a kernel
     list changed after s was built shows even when s has cached its values."""
     k = linrep._kernel(s.field)
-    return type(s)._of(s.field, k, *s._kb(k)).to_json()
+    return type(s)._of(s.field, *s._kb(k)).to_json()
 
 
-def _chain(field, seed, steps=16, max_dim=9):
-    """The to_json of every intermediate of a seeded chain of +, -, *, star,
-    inv, delta and scale, then of a 3 x 3 inverse built from the results.
-    Each operand is checked unchanged after use."""
+def _step(field, name, a, b, arg):
+    """One operation of a chain: inv inverts a itself when arg is true,
+    else 1 + a."""
+    if name == "+":
+        return a + b
+    if name == "-":
+        return a - b
+    if name == "*":
+        return a * b
+    if name == "star":
+        return (a - LinRep.scalar(field, a.tau())).star()
+    if name == "inv":
+        return (a if arg else LinRep.one(field) + a).inv()
+    if name == "delta":
+        return a.delta(arg)
+    return a.scale(arg)
+
+
+def _det(field, m):
+    """Determinant by plain Gaussian elimination."""
+    m, det = [list(r) for r in m], field.one()
+    for c in range(len(m)):
+        p = next((i for i in range(c, len(m)) if m[i][c]), None)
+        if p is None:
+            return field.zero()
+        if p != c:
+            m[c], m[p], det = m[p], m[c], -det
+        det = det * m[c][c]
+        for i in range(c + 1, len(m)):
+            if m[i][c]:
+                k = m[i][c] / m[c][c]
+                m[i] = [x - k * y for x, y in zip(m[i], m[c])]
+    return det
+
+
+def _chain(field, seed, n, steps=16, max_dim=9):
+    """A seeded chain of +, -, *, star, inv, delta and scale over field, then
+    the inverse of an n x n matrix of its results.  Each operand is checked
+    unchanged after use, and the inverse two-sided.
+
+    Returns (leaves, plan, series, nonzero): the three polynomials the
+    chain starts from; one (name, i, j, arg, keep) per step, operating on
+    entries i and j of the pool (the leaves' series, then each result kept),
+    and for the matrix one ("invert", indices, general); the results, the
+    matrix and its inverse; and the values that must not vanish where the
+    chain is specialised: the scale factors, the constant terms of the
+    inverted operands and the determinant of the augmentation."""
     rng = random.Random(seed)
-    pool = [LinRep.from_free(rand_poly(rng, field)) for _ in range(3)]
-    proper = lambda s: s - LinRep.scalar(field, s.tau())
-    ops = {
-        "+": lambda a, b: a + b,
-        "-": lambda a, b: a - b,
-        "*": lambda a, b: a * b,
-        "star": lambda a, b: proper(a).star(),
-        "inv": lambda a, b: (LinRep.one(field) + proper(a)).inv(),
-        "delta": lambda a, b: a.delta(rng.randrange(2)),
-        "scale": lambda a, b: a.scale(field.random(rng, units_only=True)),
-    }
-    out = []
+    leaves = [rand_poly(rng, field) for _ in range(3)]
+    pool = [LinRep.from_free(p) for p in leaves]
+    plan, series, nonzero = [], [], []
     for _ in range(steps):
-        name = rng.choice(sorted(ops))
-        a, b = rng.choice(pool), rng.choice(pool)
+        name = rng.choice(("*", "+", "-", "delta", "inv", "scale", "star"))
+        i, j = rng.randrange(len(pool)), rng.randrange(len(pool))
+        a, b = pool[i], pool[j]
+        arg = None
+        if name == "scale":
+            arg = field.random(rng, units_only=True)
+            nonzero.append(arg)
+        elif name == "delta":
+            arg = rng.randrange(2)
+        elif name == "inv":
+            arg = bool(a.tau())
+            if arg:
+                nonzero.append(a.tau())
         before = (_fresh_json(a), _fresh_json(b))
-        r = ops[name](a, b)
+        r = _step(field, name, a, b, arg)
         assert (_fresh_json(a), _fresh_json(b)) == before, name
-        out.append((name, r.to_json()))
-        if 0 < r.dim <= max_dim:
+        keep = 0 < r.dim <= max_dim
+        plan.append((name, i, j, arg, keep))
+        series.append(r)
+        if keep:
             pool.append(r)
-    small = sorted(pool, key=lambda s: s.dim)[:9]
-    entries = [[(LinRep.one(field) if i == j else LinRep.zero(field)) + proper(small[3 * i + j])
-                for j in range(3)] for i in range(3)]
+    small = sorted(range(len(pool)), key=lambda k: pool[k].dim)[:n * n]
+    det = _det(field, [[pool[small[n * i + j]].tau() for j in range(n)] for i in range(n)])
+    plan.append(("invert", small, bool(det)))
+    nonzero.append(det or field.one())
+    m, inv = _invert(field, pool, small, bool(det))
+    return leaves, plan, series + [m, inv], nonzero
+
+
+def _invert(field, pool, small, general):
+    """The matrix of pool entries small, or, when not general, the
+    identity plus their proper parts, and its inverse, checked two-sided
+    and leaving the matrix unchanged."""
+    one = LinRep.one(field)
+    n = isqrt(len(small))
+    entries = [[pool[small[n * i + j]] for j in range(n)] for i in range(n)]
+    if not general:
+        entries = [[(one if i == j else LinRep.zero(field)) + s - LinRep.scalar(field, s.tau())
+                    for j, s in enumerate(row)] for i, row in enumerate(entries)]
     m = SeriesMatrix.from_entries(field, entries)
     before = _fresh_json(m)
     inv, ok_r, ok_l = invert_matrix_series(m)
     assert ok_r and ok_l and _fresh_json(m) == before
-    out.append(("invert", inv.to_json()))
-    return out
+    return m, inv
+
+
+def _replay(target, f, leaves, plan):
+    """The chain of plan over target from the leaves mapped by f (and the
+    scale factors too): the leaves, the plan and the series as they are
+    there."""
+    leaves = [FreeElem(target, {w: f(c) for w, c in p.coeffs.items()}) for p in leaves]
+    pool = [LinRep.from_free(p) for p in leaves]
+    steps, series = [], []
+    for name, i, j, arg, keep in plan[:-1]:
+        if name == "scale":
+            arg = f(arg)
+        r = _step(target, name, pool[i], pool[j], arg)
+        steps.append((name, i, j, arg, keep))
+        series.append(r)
+        if keep:
+            pool.append(r)
+    _, small, general = plan[-1]
+    return leaves, steps + [plan[-1]], series + list(_invert(target, pool, small, general))
+
+
+def _check_chain(field, leaves, plan, series):
+    """Each step of a chain over q or fp:p against the textbook
+    construction on its operands and against its own Hankel rank, and the
+    inverse against the textbook products both ways."""
+    pool = [LinRep.from_free(p) for p in leaves]
+    for (name, i, j, arg, keep), r in zip(plan[:-1], series[:-2]):
+        t = _triple(r)
+        assert _same_series(field, _raw_op(field, name, pool[i], pool[j], arg), t), name
+        assert r.dim == _hankel_rank(field, t), name
+        assert _canonical(field, t), name
+        if keep:
+            pool.append(r)
+    m, inv = _triple(series[-2]), _triple(series[-1])
+    n, o, z = len(m[1]), field.one(), field.zero()
+    eye = [[o if i == j else z for j in range(n)] for i in range(n)]
+    for prod in (_raw_product(field, m, inv), _raw_product(field, inv, m)):
+        assert _same_series(field, prod, (n, eye, {}, eye))
 
 
 @pytest.mark.parametrize("name", ["q", "fp:7", "qt:1", "qt:2", "qt:3"])
-def test_stored_kernel_form_matches_field_path(name, monkeypatch):
-    """Results computed on the stored kernel form read the same, value for
-    value, as with the identity kernel ``_FieldKernel``, which works on
-    field values throughout; and no operation changes its operands."""
+def test_chain_matches_oracle(name):
+    """Two seeded chains of operations per field, and the two-sided inverse
+    of a 3 x 3 matrix of their results (2 x 2 over qt:2 and qt:3, where a
+    3 x 3 with a general augmentation spends seconds in the gcds of
+    Z[t1][t2]); no operation changes its operands.  Over
+    q and fp:7 every result is checked against the textbook construction
+    and its own Hankel rank.  A qt:r chain is replayed over q at two integer
+    points where its leaves, scale factors, inverted constant terms and
+    augmentation determinant are defined and nonzero, and a q chain over
+    fp:p for two primes p of 11, 13 and 17 that divide none of them.  Each
+    result, specialised, is the same series as the replayed one, whose dim
+    is at most its own and equal to it for one of the two; a qt:r chain's q
+    replay at the first point is itself checked as a q chain."""
     field = field_from_name(name)
     for seed in (1, 2):
-        fast = _chain(field, seed)
-        with monkeypatch.context() as m:
-            m.setattr(linrep, "_kernel", _FieldKernel)
-            slow = _chain(field, seed)
-        assert fast == slow
+        leaves, plan, series, nonzero = _chain(field, seed, 2 if name in ("qt:2", "qt:3") else 3)
+        assert all(_canonical(field, _triple(s)) for s in series)
+        if field in (QQ, F7):
+            _check_chain(field, leaves, plan, series)
+        if field == F7:
+            continue
+        dims = []
+        for target, f in _spec_maps(field):
+            if not (all(f(c) is not None for p in leaves for c in p.coeffs.values())
+                    and _admissible(f, nonzero)):
+                continue
+            spec_leaves, steps, spec = _replay(target, f, leaves, plan)
+            if field != QQ and not dims:
+                _check_chain(target, spec_leaves, steps, spec)
+            dims.append([small.dim if _check_specialised(field, f, target, _triple(big), _triple(small))
+                         else None for big, small in zip(series, spec)])
+            if len(dims) == 2:
+                break
+        assert len(dims) == 2
+        for big, got in zip(series, zip(*dims)):
+            assert max(d for d in got if d is not None) == big.dim
+
+
+def _perturbed_identity(field, n, rng):
+    """The n x n series matrix whose entry (i, j) is delta_ij plus two terms
+    c*w: w a word of length 1 or 2 over two letters, and c = t_v + k with k
+    in 1..5; the draws are w, k, v per term, in row-major order, as in
+    ``scripts/invert_sizes.py``."""
+    entries = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            e = LinRep.one(field) if i == j else LinRep.zero(field)
+            for _ in range(2):
+                w = tuple(rng.randrange(2) for _ in range(rng.randint(1, 2)))
+                k = rng.randint(1, 5)
+                e = e + LinRep.word(field, w, field.var(rng.randrange(field.nvars)) + k)
+            row.append(e)
+        entries.append(row)
+    return SeriesMatrix.from_entries(field, entries)
+
+
+def test_qt_matrix_inverse_specialises():
+    """A 5 x 5 inversion over qt:1 (block dim 19), a 3 x 3 over qt:2
+    (block dim 11) and a 2 x 2 over qt:3, checked two-sided.  Specialised
+    at the first integer point where the matrix is defined (its
+    augmentation is the identity), the inverse is the same series matrix
+    as the q inverse of the specialised matrix, of no larger dim, which
+    the textbook products check two-sided."""
+    for field, n in ((QT, 5), (QT2, 3), (QT3, 2)):
+        m = _perturbed_identity(field, n, random.Random(1))
+        inv, ok_r, ok_l = invert_matrix_series(m)
+        assert ok_r and ok_l
+        for _, f in _spec_maps(field):
+            spec = _map_triple(f, _triple(m))
+            if spec is not None:
+                break
+        sm = SeriesMatrix(QQ, *spec)
+        sinv, ok_r, ok_l = invert_matrix_series(sm)
+        assert ok_r and ok_l
+        assert _check_specialised(field, f, QQ, _triple(inv), _triple(sinv))
+        o, z = QQ.one(), QQ.zero()
+        eye = [[o if i == j else z for j in range(n)] for i in range(n)]
+        for prod in (_raw_product(QQ, spec, _triple(sinv)), _raw_product(QQ, _triple(sinv), spec)):
+            assert _same_series(QQ, prod, (n, eye, {}, eye))
 
 
 # -- one-pass reductions: delta and the rows of SeriesMatrix.to_json ----------
@@ -726,7 +1173,7 @@ def _two_pass_delta(s, i):
     d, rows, mu, (gamma,) = s._kb(k)
     if d == 0 or i not in mu:
         return LinRep.zero(s.field)
-    return LinRep._of(s.field, k, d, rows, mu, [k.vm(gamma, k.transposed(mu[i]))]).reduce()
+    return LinRep._of(s.field, d, rows, mu, [k.vm(gamma, k.transposed(mu[i]))]).reduce()
 
 
 @pytest.mark.parametrize("name", ["q", "fp:7", "qt:1", "qt:2"])
