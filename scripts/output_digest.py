@@ -19,10 +19,11 @@ No command prints a series matrix, so three ``spot_check_sigma_prime``
 certificates, two over q and one over qt:1, built with the package's own
 functions, get a line each, and so does the ``recheck_certificate`` result
 of each.
-Last come three refusals, one line each: a skew witness whose first scalar
+Last come five refusals, one line each: a skew witness whose first scalar
 is written "2/2" in place of "1" (a scalar must be written as the package
-writes it), a word-system certificate whose ``words`` is 5, and a chain
-plan whose ``maps`` is 5.
+writes it), a word-system certificate whose ``words`` is 5, a chain plan
+whose ``maps`` is 5, a skew witness whose first scalar is written "1/0",
+and a skew witness whose input lists its one term twice.
 Run it on two checkouts and diff the outputs to see which commands changed:
 
     python3 scripts/output_digest.py > new.txt
@@ -179,10 +180,21 @@ TAMPERED_WITNESS = [
 ]
 
 
-def misencoded_witness(run_command):
-    """A skew witness of 1 - x0 whose first scalar of g, 1, is written "2/2"."""
+def misencoded_witness(text):
+    """A function of run_command making a skew witness of 1 - x0 whose first
+    scalar of g, 1, is written ``text``."""
+    def make(run_command):
+        cert = json.loads(run(run_command, ["skew", "witness", "--json", "1 - x0"])[1])
+        cert["g"]["terms"][0][1]["lam"][0] = text
+        return cert
+    return make
+
+
+def repeated_term_witness(run_command):
+    """A skew witness of 1 - x0 whose input lists its one term twice."""
     cert = json.loads(run(run_command, ["skew", "witness", "--json", "1 - x0"])[1])
-    cert["g"]["terms"][0][1]["lam"][0] = "2/2"
+    terms = cert["input"]["terms"]
+    terms.append(terms[0])
     return cert
 
 
@@ -206,9 +218,11 @@ def malformed_plan(run_command):
 # (what is wrong, a function of run_command making the input, the command
 # that must refuse it)
 REFUSED = [
-    ("first scalar of g written 2/2", misencoded_witness, VERIFY_CERT),
+    ("first scalar of g written 2/2", misencoded_witness("2/2"), VERIFY_CERT),
     ("word-system certificate with words 5", malformed_word_system, VERIFY_CERT),
     ("chain plan with maps 5", malformed_plan, ["realize", "chain"]),
+    ("first scalar of g written 1/0", misencoded_witness("1/0"), VERIFY_CERT),
+    ("input's one term listed twice", repeated_term_witness, VERIFY_CERT),
 ]
 
 

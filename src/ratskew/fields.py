@@ -26,8 +26,8 @@ ring below, whose operations are written once over the ring below's
 operands into that ring, for any number of variables.  The one span kernel
 of ``linrep`` runs on these rings for every ``qt:r``, and below the tower
 on :data:`ZZ` (the integers, for ``q``) and :func:`zmod_ring` (the
-integers mod p, for ``fp:p``), which carry only the ring operations the
-kernel calls.
+integers mod p, for ``fp:p``), which carry the same ring and vector
+operations, so one ``la.Echelon`` eliminates over each of them.
 
 The :class:`RatFunc` operators rely on canonical values: they take canonical
 operands and skip the gcds it makes redundant (zero, one and constant
@@ -43,7 +43,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from operator import add, floordiv, mul
+from operator import add, floordiv, mul, neg, pos
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -534,6 +534,22 @@ def _zx_dot(v, col):
     return acc
 
 
+def _vector_ops(neg, lincomb, div_exact):
+    """``comb`` and ``quo`` of a polynomial ring, from its element operations."""
+    def comb(a, v, c, w):
+        c = neg(c)
+        return [lincomb(a, x, c, y) for x, y in zip(v, w)]
+
+    def quo(v, g):
+        return [div_exact(x, g) if x else x for x in v]
+
+    return {"comb": comb, "quo": quo}
+
+
+def _zx_neg(a):
+    return [-k for k in a]
+
+
 def _zx_dense(p):
     """The dense coefficient list of a univariate ``MPoly`` integer dict."""
     out = [0] * (max(p)[0] + 1)
@@ -547,20 +563,22 @@ def _zx_dense(p):
 # ---------------------------------------------------------------------------
 
 class PolyRing:
-    """A dense polynomial ring Z[t1..tr] (see :func:`poly_ring`).  ``zero``
-    is ``[]`` and ``one`` the unit, ``const(k)`` the integer k, ``lead(a)``
-    the lex-leading integer coefficient, ``is_const(a)`` whether a nonzero
-    a is an integer and ``as_int(a)`` that integer, or None if a is not
-    one; ``ints(polys)`` iterates over the integer coefficients of a list
-    of polynomials.  ``mul``, ``add``, ``neg``, ``div_exact`` (refusing an
-    inexact quotient), ``gcd`` and ``lcm`` (both with a positive lead) are
-    the ring operations; ``lincomb(a, x, b, y)`` is a*x + b*y, ``dot(v,
-    col)`` the product of a vector with a sparse column of (index, entry)
-    pairs, and ``content(v, g)`` the gcd of g and the entries of v.  ``of``
-    and ``terms`` convert from and to the integer dicts of :class:`MPoly`
-    in ``nvars`` variables.  The rings with ``nvars`` 0, :data:`ZZ` and
-    :func:`zmod_ring`, hold ints and carry only ``zero``, ``one``,
-    ``mul``, ``add``, ``div_exact``, ``lcm``, ``dot`` and ``content``."""
+    """A coefficient ring of the span kernel of ``linrep``, over which one
+    ``la.Echelon`` eliminates: a dense polynomial ring Z[t1..tr] (see
+    :func:`poly_ring`), or with ``nvars`` 0 the integers :data:`ZZ` or the
+    integers mod p (:func:`zmod_ring`) on plain ints.  Every ring carries
+    the same operations: ``zero`` and ``one``; ``mul``, ``add``, ``neg``,
+    ``div_exact`` (refusing an inexact quotient in Z[t1..tr]), ``gcd`` and
+    ``lcm`` (both with a positive lead), and ``lead(a)``, the lex-leading
+    integer coefficient; on vectors, ``comb(a, v, c, w)`` is a*v - c*w,
+    ``quo(v, g)`` is v / g, ``dot(v, col)`` the product of v with a sparse
+    column of (index, entry) pairs, and ``content(v, g)`` the gcd of g and
+    the entries of v.  A polynomial ring also has ``const(k)``, the integer
+    k, ``is_const(a)``, whether a nonzero a is an integer, and ``as_int(a)``,
+    that integer or None; ``ints(polys)`` iterates over the integer
+    coefficients of a list of polynomials, ``lincomb(a, x, b, y)`` is
+    a*x + b*y, and ``of`` and ``terms`` convert from and to the integer
+    dicts of :class:`MPoly` in ``nvars`` variables."""
 
     def __init__(self, nvars, one, **ops) -> None:
         self.nvars, self.one = nvars, one
@@ -571,9 +589,10 @@ class PolyRing:
 ZX = PolyRing(
     1, [1], zero=[], const=lambda k: [k], lead=lambda a: a[-1], is_const=lambda a: len(a) == 1,
     as_int=lambda a: a[0] if len(a) == 1 else None, ints=chain.from_iterable,
-    mul=zx_mul, add=zx_add, neg=lambda a: [-k for k in a], div_exact=zx_div_exact, gcd=zx_gcd,
+    mul=zx_mul, add=zx_add, neg=_zx_neg, div_exact=zx_div_exact, gcd=zx_gcd,
     lcm=zx_lcm, lincomb=_zx_lincomb, dot=_zx_dot, content=zx_content,
-    of=_zx_dense, terms=lambda a: {(k,): c for k, c in enumerate(a) if c})
+    of=_zx_dense, terms=lambda a: {(k,): c for k, c in enumerate(a) if c},
+    **_vector_ops(_zx_neg, _zx_lincomb, zx_div_exact))
 
 
 def _nested(base: PolyRing) -> PolyRing:
@@ -792,7 +811,8 @@ def _nested(base: PolyRing) -> PolyRing:
         is_const=lambda a: as_int(a) is not None, as_int=as_int, ints=ints,
         mul=mul, add=add, neg=neg, div_exact=div_exact, gcd=gcd_, lcm=lcm_, lincomb=lincomb,
         dot=dot, content=content, of=of,
-        terms=lambda a: {(i,) + e: k for i, x in enumerate(a) if x for e, k in bterms(x).items()})
+        terms=lambda a: {(i,) + e: k for i, x in enumerate(a) if x for e, k in bterms(x).items()},
+        **_vector_ops(neg, lincomb, div_exact))
 
 
 _POLY_RINGS = [None, ZX]
@@ -823,21 +843,28 @@ def _zz_dot(v, col):
     return s
 
 
-# Z = Z[t1..t0] on plain ints, with only the operations the span kernel of
-# ``linrep`` calls on it: its quotients are exact, so ``div_exact`` is floor
+# Z = Z[t1..t0] on plain ints, an integer its own lead: the span kernel of
+# ``linrep`` divides only exactly, so ``div_exact`` and ``quo`` are floor
 # division, unchecked
-ZZ = PolyRing(0, 1, zero=0, mul=mul, add=add, div_exact=floordiv, lcm=lcm, content=_zz_content, dot=_zz_dot)
+ZZ = PolyRing(0, 1, zero=0, mul=mul, add=add, neg=neg, div_exact=floordiv, gcd=gcd, lcm=lcm, lead=pos,
+              content=_zz_content, dot=_zz_dot, comb=lambda a, v, c, w: [a * x - c * y for x, y in zip(v, w)],
+              quo=lambda v, g: [x // g for x in v])
 
 
 def zmod_ring(p: int) -> PolyRing:
-    """Z/p for a prime p, on residues in [0, p), with the operations of
-    :data:`ZZ`.  Every nonzero residue is a unit, so a content is 1 unless
-    all its operands are 0, an lcm of nonzero residues is 1, and
-    ``div_exact`` multiplies by the inverse."""
+    """Z/p for a prime p, on residues in [0, p), each its own lead, with the
+    operations of :data:`ZZ`.  Every nonzero residue is a unit, so a gcd
+    or content is 1 unless all its operands are 0, an lcm of nonzero
+    residues is 1, and ``div_exact`` and ``quo`` multiply by the inverse."""
+    def quo(v, g):
+        s = pow(g, -1, p)
+        return [x * s % p for x in v]
+
     return PolyRing(
-        0, 1, zero=0, mul=lambda a, b: a * b % p, add=lambda a, b: (a + b) % p,
-        div_exact=lambda a, b: a * pow(b, -1, p) % p, lcm=lambda a, b: 1,
-        content=lambda v, g=0: int(bool(g or any(v))), dot=lambda v, col: _zz_dot(v, col) % p)
+        0, 1, zero=0, mul=lambda a, b: a * b % p, add=lambda a, b: (a + b) % p, neg=lambda a: -a % p,
+        div_exact=lambda a, b: a * pow(b, -1, p) % p, gcd=lambda a, b: int(bool(a or b)), lcm=lambda a, b: 1,
+        lead=pos, content=lambda v, g=0: int(bool(g or any(v))), dot=lambda v, col: _zz_dot(v, col) % p,
+        comb=lambda a, v, c, w: [(a * x - c * y) % p for x, y in zip(v, w)], quo=quo)
 
 
 def mpoly_gcd(f: MPoly, g: MPoly) -> MPoly:
@@ -1228,8 +1255,16 @@ def _mpoly_from_json(nvars: int, obj) -> MPoly:
         e, c = term
         if len(e) != nvars or any(type(k) is not int or k < 0 for k in e):
             raise ValueError("exponent %r is not %d non-negative integers" % (e, nvars))
-        terms[tuple(e)] = Fraction(c)
+        terms[tuple(e)] = _fraction(c)
     return MPoly(nvars, terms)
+
+
+def _fraction(text: str) -> Fraction:
+    """``Fraction(text)``, refusing a zero denominator with ValueError."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError("%r has a zero denominator" % text) from None
 
 
 def _is_one_json(obj, nvars: int) -> bool:
@@ -1272,7 +1307,7 @@ def scalar_from_json(field: Field, obj):
             return _ONE
         if type(obj) is not str:
             raise ValueError("a scalar over q must be a string, got %r" % (obj,))
-        a = Fraction(obj)
+        a = _fraction(obj)
     elif isinstance(field, PrimeField):
         if type(obj) is not int:
             raise ValueError("a scalar over %s must be an integer, got %r" % (field.name, obj))
@@ -1288,11 +1323,10 @@ def scalar_from_json(field: Field, obj):
                 return field.one()
         if type(obj) is not dict or "num" not in obj or "den" not in obj:
             raise ValueError("a scalar over %s must be an object of num and den, got %r" % (field.name, obj))
-        # Reduced here, because the operators trust canonical operands.
-        a = RatFunc(
-            _mpoly_from_json(field.nvars, obj["num"]),
-            _mpoly_from_json(field.nvars, obj["den"]),
-        )
+        num, den = _mpoly_from_json(field.nvars, obj["num"]), _mpoly_from_json(field.nvars, obj["den"])
+        if den.is_zero():
+            raise ValueError("the denominator %r is zero" % (obj["den"],))
+        a = RatFunc(num, den)  # reduced here, because the operators trust canonical operands
     else:
         raise TypeError("unknown field %r" % field)
     canonical = scalar_to_json(field, a)

@@ -40,14 +40,14 @@ in its coefficient ring: Z for ``q`` (``fields.ZZ``), Z/p for ``fp:p``
 to Z[t] for r >= 2).  A vector is a list of ring elements over one
 common denominator, and a letter matrix its sparse columns over one
 denominator, so v * M costs one product per nonzero entry.  The
-elimination runs fraction-free in ``la.IntEchelon`` over Z and Z/p and in
-``la.PolyEchelon`` over Z[t1..tr], with no ``Fraction``, ``Fp`` or
-``RatFunc`` in the inner loop.  That is exact because scaling a vector or
-a letter matrix does not change the span of row * mu(w), and a subspace
-has exactly one reduced row-echelon basis: the ring basis is that basis
-with each row scaled by its pivot, so the pivot-1 rows, and every value
-read from them, are those of elimination on field values.  This is the
-only minimisation routine.  The tests check it without looking inside:
+elimination runs fraction-free in one ``la.Echelon`` over the kernel's
+ring, with no ``Fraction``, ``Fp`` or ``RatFunc`` in the inner loop.
+That is exact because scaling a vector or a letter matrix does not
+change the span of row * mu(w), and a subspace has exactly one reduced
+row-echelon basis: the ring basis is that basis with each row scaled by
+its pivot, so the pivot-1 rows, and every value read from them, are
+those of elimination on field values.  This is the only minimisation
+routine.  The tests check it without looking inside:
 over ``q`` and ``fp:p`` against the Hankel rank and a word-by-word
 equality computed by plain Gaussian elimination, and over ``qt:r`` by
 specialisation, since evaluating t at an integer point where no
@@ -97,7 +97,7 @@ from math import lcm
 from .fields import (QQ, ZZ, Field, Fp, MPoly, PrimeField, RatFunc, RationalField, poly_ring, scalar_from_json,
                      scalar_to_json, zmod_ring)
 from .freealg import FreeElem
-from .la import IntEchelon, PolyEchelon, dot, identity, invert_matrix, vec_mat
+from .la import Echelon, dot, identity, invert_matrix, vec_mat
 from .words import word_key
 
 
@@ -231,12 +231,11 @@ class _Kernel:
     one sparse dot product per column.  The ring's operations are bound
     once, here, so that the inner loops look up no ring.
 
-    Three things depend on the field, and are given to the kernel:
-    ``to_ring`` and ``to_field`` convert between field values (Fraction,
-    Fp, RatFunc) and ring form, and ``echelon`` makes the elimination,
-    ``la.IntEchelon`` over Z and Z/p and ``la.PolyEchelon`` over
-    Z[t1..tr].  Field values are built only by ``out``, ``out_m`` and
-    ``dot``.
+    Besides the ring, two things depend on the field, and are given to the
+    kernel: ``to_ring`` and ``to_field`` convert between field values
+    (Fraction, Fp, RatFunc) and ring form.  The elimination is one
+    ``la.Echelon`` over the kernel's ring.  Field values are built only
+    by ``out``, ``out_m`` and ``dot``.
 
     The kernel converts field vectors and letter matrices to its form
     (``vec``, ``mat``) and back (``out``, ``out_m``), gives the search
@@ -254,10 +253,10 @@ class _Kernel:
     to ``q`` and from ``q`` to ``fp:p``.
     """
 
-    def __init__(self, ring, echelon, to_ring, to_field) -> None:
+    def __init__(self, ring, to_ring, to_field) -> None:
         self.ring, self.zero, self.one = ring, ring.zero, ring.one
-        self._dot, self._mul, self._div = ring.dot, ring.mul, ring.div_exact
-        self.echelon, self._in, self._out = echelon, to_ring, to_field
+        self._dot, self._mul, self._div, self._quo = ring.dot, ring.mul, ring.div_exact, ring.quo
+        self._in, self._out = to_ring, to_field
 
     def vec(self, v):
         col, den = self._in(v)
@@ -301,8 +300,7 @@ class _Kernel:
         g = self.ring.content(w)
         if g == self.one or not g:
             return w
-        div = self._div
-        return [div(x, g) if x else x for x in w]
+        return self._quo(w, g)
 
     def pairs(self, v, c):
         return bool(self._dot(v, _sparse_col(c[0])))
@@ -351,16 +349,16 @@ class _Kernel:
         g = self.ring.content(xs, den)
         if g == self.one:
             return v
-        div = self._div
-        return [div(x, g) if x else x for x in xs], div(den, g)
+        return self._quo(xs, g), self._div(den, g)
 
     def norm_m(self, m):
         cols, den = m
-        g = self.ring.content([x for c in cols for _, x in c], den)
+        xs = [x for c in cols for _, x in c]
+        g = self.ring.content(xs, den)
         if g == self.one:
             return m
-        div = self._div
-        return [[(i, div(x, g)) for i, x in c] for c in cols], div(den, g)
+        it = iter(self._quo(xs, g))
+        return [[(i, next(it)) for i, _ in c] for c in cols], self._div(den, g)
 
     def _common(self, vs):
         """The element lists of the vectors vs over their least common denominator."""
@@ -446,13 +444,12 @@ def _kernel(field: Field):
     k = _KERNELS.get(field.name)
     if k is None:
         if isinstance(field, RationalField):
-            k = _Kernel(ZZ, partial(IntEchelon, 0), _q_in, _q_out)
+            k = _Kernel(ZZ, _q_in, _q_out)
         elif isinstance(field, PrimeField):
-            k = _Kernel(zmod_ring(field.p), partial(IntEchelon, field.p), _fp_in, partial(_fp_out, field.p))
+            k = _Kernel(zmod_ring(field.p), _fp_in, partial(_fp_out, field.p))
         else:
             ring = poly_ring(field.nvars)
-            k = _Kernel(ring, partial(PolyEchelon, ring), partial(_qt_in, field, ring),
-                        partial(_qt_out, field, ring))
+            k = _Kernel(ring, partial(_qt_in, field, ring), partial(_qt_out, field, ring))
         _KERNELS[field.name] = k
     return k
 
@@ -472,7 +469,7 @@ def _reach(kern, dim, rows, mu, cols):
     read would give back ``rows``, ``mu`` and ``cols`` as they are, and they
     are returned unchanged.
     """
-    ech = kern.echelon()
+    ech = Echelon(kern.ring)
     add, vec_mat = ech.add, kern.vec_mat
     queue = deque(v for v in map(kern.span, rows) if add(v))
     letters = sorted(mu)
@@ -510,7 +507,7 @@ def _minimise(k, dim, rows, mu, cols):
     if dim == 0:
         return 0, rows, {}, cols
     if not mu and len(rows) == len(cols) == 1:
-        ech = k.echelon()
+        ech = Echelon(k.ring)
         if ech.add(k.span(rows[0])):
             (g,) = k.coords(ech, cols)
             if any(k.span(g)):
@@ -762,7 +759,7 @@ class LinRep(_Block):
         mu = sorted(mu.items())
         level = [k.span(lam)]
         for _ in range(d):
-            ech = k.echelon()
+            ech = Echelon(k.ring)
             level = [u for v in level for _, m in mu if ech.add(u := k.vec_mat(v, m))]
             if not level:
                 break
@@ -955,7 +952,7 @@ class LinRep(_Block):
             for w, row in level:
                 if k.pairs(row, gamma):
                     return w
-            ech = k.echelon()
+            ech = Echelon(k.ring)
             kept = []
             for w, row in level:
                 for x, m in mu.items():

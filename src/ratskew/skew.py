@@ -35,7 +35,7 @@ from .fields import Field
 from .freealg import FreeElem
 from .linrep import LinRep
 from .truncated import DEFAULT_PRECISION, TruncSeries
-from .words import word_key
+from .words import term_dict, word_key
 
 
 class CoeffDomain:
@@ -341,7 +341,7 @@ class SkewElem:
                 and all(isinstance(i, int) for i in t[0]) for t in terms):
             raise ValueError("serialized element terms must be [word, coefficient] "
                              "pairs with a word of integer letters")
-        return SkewElem(ring, {tuple(w): dom.cls.from_json(dom.field, cj) for w, cj in terms})
+        return SkewElem(ring, term_dict([(tuple(w), dom.cls.from_json(dom.field, cj)) for w, cj in terms]))
 
 
 # ---------------------------------------------------------------------------

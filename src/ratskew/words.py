@@ -2,10 +2,12 @@
 
 Words are bare tuples of letter indices; the functions here are the shared
 vocabulary (concatenation is tuple ``+``): the length-lex order used for
-every tie-break, and monomial rendering.
+every tie-break, monomial rendering, and the term dict of a loaded element.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 Word = tuple  # tuple of int letter indices
 
@@ -13,6 +15,17 @@ Word = tuple  # tuple of int letter indices
 def word_key(w: Word):
     """Sort key for the length-then-lex order used for all tie-breaking."""
     return (len(w), w)
+
+
+def term_dict(pairs: list) -> dict:
+    """The dict of a loaded element's list of (word, coefficient) pairs.  A
+    word listed twice would keep only its last coefficient, so it is
+    refused with ValueError; ``to_json`` never writes one."""
+    out = dict(pairs)
+    if len(out) != len(pairs):
+        w = next(w for w, k in Counter(w for w, _ in pairs).items() if k > 1)
+        raise ValueError("the term %r is listed twice" % (w,))
+    return out
 
 
 def render_word(w: Word, kind: str) -> str:

@@ -181,6 +181,21 @@ def test_scalar_from_json_refuses_other_encodings(field, obj):
         scalar_from_json(field, obj)
 
 
+@pytest.mark.parametrize("field, obj, match", [
+    (QQ, "1/0", "'1/0' has a zero denominator"),
+    (F7, "1/0", "must be an integer"),
+    (QT, {"num": [[[1], "-3/0"]], "den": [[[0], "1"]]}, "'-3/0' has a zero denominator"),
+    (QT, {"num": [[[0], "1"]], "den": [[[0], "0/0"]]}, "'0/0' has a zero denominator"),
+    (QT2, {"num": [[[0, 1], "1"]], "den": []}, r"the denominator \[\] is zero"),
+], ids=["q", "fp", "qt-num-term", "qt-den-term", "qt2-zero-den"])
+def test_scalar_from_json_refuses_zero_denominators(field, obj, match):
+    """A zero denominator, in a q string, a qt:r term coefficient or a
+    qt:r denominator, is refused with ValueError, not ZeroDivisionError; an
+    fp:p scalar is an integer, and a fraction string is refused as such."""
+    with pytest.raises(ValueError, match=match):
+        scalar_from_json(field, obj)
+
+
 @pytest.mark.parametrize("obj", [
     {"num": [[[1, 1], "1"]], "den": [[[0], "1"]]},  # two exponents in qt:1
     {"num": [[[1], "1"]], "den": [[[], "1"]]},

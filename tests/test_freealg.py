@@ -100,6 +100,12 @@ def test_json_round_trip(field):
         assert FreeElem.from_json(field, a.to_json()) == a
 
 
+def test_from_json_refuses_a_repeated_word():
+    obj = {"field": "q", "terms": [[[0, 1], "2"], [[1], "1"], [[0, 1], "-1/2"]]}
+    with pytest.raises(ValueError, match=r"the term \(0, 1\) is listed twice"):
+        FreeElem.from_json(QQ, obj)
+
+
 def test_render():
     x0, x1 = FreeElem.letter(QQ, 0), FreeElem.letter(QQ, 1)
     one = FreeElem.one(QQ)

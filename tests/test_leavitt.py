@@ -399,6 +399,14 @@ def test_normal_form_matches_reference(ops):
         _assert_same(v_normal_form(x), ref_v_normal_form(x))
 
 
+def test_from_json_refuses_a_repeated_monoword():
+    obj = {"field": "q", "n": 3, "terms": [[[1], [2], "1"], [[], [], "2"], [[1], [2], "1/2"]]}
+    with pytest.raises(ValueError, match=r"the term \(\(1,\), \(2,\)\) is listed twice"):
+        UElem.from_json(QQ, obj)
+    # the same word in y and in x is two different terms
+    assert len(UElem.from_json(QQ, {"field": "q", "n": 3, "terms": [[[1], [], "1"], [[], [1], "1"]]}).coeffs) == 2
+
+
 def test_from_json_checks_letters_and_drops_zeros():
     # from_json reads certificates: it must refuse letters outside 1..n
     with pytest.raises(ValueError, match="letter 9 outside 1..3"):

@@ -431,6 +431,16 @@ def test_skew_json_round_trip(ring):
         assert b == a
 
 
+def test_from_json_refuses_a_repeated_word():
+    """A word listed twice would keep its last coefficient only: the
+    witness certificate of 1 - x0, its input's one term listed twice,
+    would re-check."""
+    j = t_witness(eval_skew("1 - x0", RAT)).to_json()["input"]
+    j["terms"] = j["terms"] * 2
+    with pytest.raises(ValueError, match=r"the term \(\) is listed twice"):
+        SkewElem.from_json(RAT, j)
+
+
 def test_loaded_zero_coefficient_is_a_member():
     # y0 * z with z a dimension-2 triple of the zero series, as a certificate may carry it
     z = LinRep.letter(QQ, 0).to_json()
