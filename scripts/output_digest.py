@@ -19,11 +19,12 @@ No command prints a series matrix, so three ``spot_check_sigma_prime``
 certificates, two over q and one over qt:1, built with the package's own
 functions, get a line each, and so does the ``recheck_certificate`` result
 of each.
-Last come five refusals, one line each: a skew witness whose first scalar
+Last come eight refusals, one line each: a skew witness whose first scalar
 is written "2/2" in place of "1" (a scalar must be written as the package
 writes it), a word-system certificate whose ``words`` is 5, a chain plan
 whose ``maps`` is 5, a skew witness whose first scalar is written "1/0",
-and a skew witness whose input lists its one term twice.
+a skew witness whose input lists its one term twice, and a Leavitt
+witness whose beta has terms 5, terms null, or a term of two entries.
 Run it on two checkouts and diff the outputs to see which commands changed:
 
     python3 scripts/output_digest.py > new.txt
@@ -198,6 +199,16 @@ def repeated_term_witness(run_command):
     return cert
 
 
+def misshapen_beta_terms(terms):
+    """A function of run_command making the certificate of ``leavitt
+    witness`` on y1*x2 in L(1, 2) whose beta has ``terms`` as its terms."""
+    def make(run_command):
+        cert = json.loads(run(run_command, ["leavitt", "witness", "--n", "2", "--json", "y1*x2"])[1])
+        cert["cert"]["beta"]["terms"] = terms
+        return cert
+    return make
+
+
 def malformed_word_system(run_command):
     """The certificate of the word system x0, x1, x2 against y0, y1, y2 over
     q, built with the package's own functions (no command prints one), with
@@ -223,6 +234,9 @@ REFUSED = [
     ("chain plan with maps 5", malformed_plan, ["realize", "chain"]),
     ("first scalar of g written 1/0", misencoded_witness("1/0"), VERIFY_CERT),
     ("input's one term listed twice", repeated_term_witness, VERIFY_CERT),
+    ("leavitt witness with beta terms 5", misshapen_beta_terms(5), VERIFY_CERT),
+    ("leavitt witness with beta terms null", misshapen_beta_terms(None), VERIFY_CERT),
+    ("leavitt witness with a two-entry beta term", misshapen_beta_terms([[[1], "1"]]), VERIFY_CERT),
 ]
 
 

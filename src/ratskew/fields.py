@@ -17,17 +17,19 @@ unique, so it keeps equality structural, and its inner loops run on plain
 primitive, and lex order is multiplicative, so products and exact
 quotients stay in that form without a gcd.
 
-Gcds run in one tower of dense polynomial rings, :func:`poly_ring`: Z[t]
-is the leaf, integer coefficient lists handled by the hand-tuned ``zx_*``
-helpers (``zx_mul``, ``zx_div_exact``, ``zx_gcd``, ...), and Z[t1..tr]
-for r >= 2 is Z[t2..tr][t1], lists over powers of t1 of elements of the
-ring below, whose operations are written once over the ring below's
-(:func:`_nested`).  :func:`mpoly_gcd` converts the primitive parts of its
-operands into that ring, for any number of variables.  The one span kernel
-of ``linrep`` runs on these rings for every ``qt:r``, and below the tower
-on :data:`ZZ` (the integers, for ``q``) and :func:`zmod_ring` (the
-integers mod p, for ``fp:p``), which carry the same ring and vector
-operations, so one ``la.Echelon`` eliminates over each of them.
+Gcds run in one tower of dense polynomial rings, :func:`poly_ring`.  Its
+floor is :data:`ZZ`, the integers on plain ints, and Z[t1..tr] for
+r >= 1 is Z[t2..tr][t1], lists over powers of t1 of elements of the ring
+below, whose operations are written once over the ring below's
+(:func:`_nested`).  Its products and dot products end in two integer
+loops, ZZ's vector operations ``scale`` (an integer times a list) and
+``mac`` (a convolution added into a list).
+:func:`mpoly_gcd` converts the primitive parts of its operands into that
+ring, for any number of variables.  The one span kernel of ``linrep``
+runs on these rings: on :data:`ZZ` for ``q``, on Z[t1..tr] for ``qt:r``,
+and on :func:`zmod_ring` (the integers mod p, with the same ring and
+vector operations) for ``fp:p``, so one ``la.Echelon`` eliminates over
+each of them.
 
 The :class:`RatFunc` operators rely on canonical values: they take canonical
 operands and skip the gcds it makes redundant (zero, one and constant
@@ -43,7 +45,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from operator import add, floordiv, mul, neg, pos
+from operator import add, mul, neg, pos
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -353,232 +355,32 @@ class MPoly:
     __repr__ = __str__
 
 
-def _dense_prem(a: list, b: list) -> list:
-    """Primitive part of a nonzero integer multiple of ``a mod b``, for
-    integer coefficient lists (index = degree, no trailing zero) with
-    ``deg a >= deg b``.  Each step scales by ``lc(b)/g`` and subtracts
-    ``lc(r)/g`` times a shift of b, with ``g = gcd(lc(r), lc(b))``; the
-    multiples do not matter to a gcd over Q[t]."""
-    db = len(b) - 1
-    lb = b[-1]
-    r = a
-    while len(r) > db:
-        lr = r[-1]
-        g = gcd(lr, lb)
-        u, w = lb // g, lr // g
-        k = len(r) - 1 - db
-        r = [u * x for x in r] if u != 1 else list(r)
-        for i, y in enumerate(b):
-            r[k + i] -= w * y
-        r.pop()
-        while r and not r[-1]:
-            r.pop()
-    if r:
-        h = gcd(*r)
-        if h != 1:
-            r = [x // h for x in r]
-    return r
-
-
 # ---------------------------------------------------------------------------
-# dense Z[t]: integer coefficient lists, lowest degree first, [] for zero
-# ---------------------------------------------------------------------------
-
-def zx_mul(a: list, b: list) -> list:
-    """a * b in Z[t].  A constant factor of 1 gives back the other operand,
-    so the result may share a list with an operand; none is mutated."""
-    if not a or not b:
-        return []
-    if len(a) == 1:
-        k = a[0]
-        return b if k == 1 else [k * y for y in b]
-    if len(b) == 1:
-        k = b[0]
-        return a if k == 1 else [k * x for x in a]
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def zx_div_exact(a: list, b: list) -> list:
-    """a / b in Z[t]; raises ValueError unless b divides a over Z."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    if len(b) == 1:
-        k = b[0]
-        if k == 1:
-            return a
-        q = [x // k for x in a]
-        if any(x - k * y for x, y in zip(a, q)):
-            raise ValueError("inexact polynomial division")
-        return q
-    db, lb = len(b) - 1, b[-1]
-    if len(a) <= db:
-        if a:
-            raise ValueError("inexact polynomial division")
-        return []
-    rem = list(a)
-    q = [0] * (len(a) - db)
-    for k in range(len(q) - 1, -1, -1):
-        c, r = divmod(rem[k + db], lb)
-        if r:
-            raise ValueError("inexact polynomial division")
-        if c:
-            q[k] = c
-            for i, y in enumerate(b):
-                rem[k + i] -= c * y
-    if any(rem):
-        raise ValueError("inexact polynomial division")
-    return q
-
-
-def zx_gcd(a: list, b: list) -> list:
-    """gcd in Z[t] with a positive leading coefficient, [] for gcd(0, 0):
-    the gcd of the integer contents times the primitive gcd, which a
-    primitive pseudo-remainder sequence over Z gives (Collins 1967).  A
-    constant operand makes it the integer gcd of all coefficients."""
-    if not a or not b:
-        a = a or b
-        return a if not a or a[-1] > 0 else [-x for x in a]
-    if len(a) == 1 or len(b) == 1:
-        return [gcd(*a, *b)]
-    ca, cb = gcd(*a), gcd(*b)
-    if ca != 1:
-        a = [x // ca for x in a]
-    if cb != 1:
-        b = [x // cb for x in b]
-    if len(a) < len(b):
-        a, b = b, a
-    while len(b) > 1:
-        a, b = b, _dense_prem(a, b)
-    c = gcd(ca, cb)
-    if b:  # a nonzero constant remainder: the primitive parts are coprime
-        return [c]
-    if a[-1] < 0:
-        c = -c
-    return a if c == 1 else [c * x for x in a]
-
-
-def zx_lcm(a: list, b: list) -> list:
-    """lcm in Z[t] of nonzero a and b, with a positive leading coefficient."""
-    if len(a) == 1 and len(b) == 1:
-        return [lcm(a[0], b[0])]
-    r = zx_mul(zx_div_exact(a, zx_gcd(a, b)), b)
-    return r if r[-1] > 0 else [-x for x in r]
-
-
-def zx_add(a: list, b: list) -> list:
-    """a + b in Z[t]."""
-    if len(a) < len(b):
-        a, b = b, a
-    r = list(a)
-    for i, k in enumerate(b):
-        r[i] += k
-    while r and not r[-1]:
-        r.pop()
-    return r
-
-
-def zx_content(v, g=()) -> list:
-    """The gcd in Z[t] of g and the entries of v, with a positive leading
-    coefficient; [] if all are zero.  Constants go first, so that the gcd
-    is one integer gcd per entry as soon as one occurs."""
-    g = list(g)
-    for x in sorted(filter(None, v), key=len):
-        if g == [1]:
-            break
-        g = zx_gcd(g, x)
-    return g
-
-
-def _zx_lincomb(a, x, b, y):
-    """a*x + b*y in Z[t], on dense coefficient lists."""
-    if not x:
-        return zx_mul(b, y)
-    if not y:
-        return zx_mul(a, x)
-    if len(a) == len(b) == len(x) == len(y) == 1:
-        s = a[0] * x[0] + b[0] * y[0]
-        return [s] if s else []
-    return zx_add(zx_mul(a, x), zx_mul(b, y))
-
-
-def _zx_dot(v, col):
-    """sum v[i] * y over the entries (i, y) of a sparse column, in Z[t]."""
-    c0 = 0
-    acc = None
-    for i, y in col:
-        x = v[i]
-        if not x:
-            continue
-        if len(x) == 1 and len(y) == 1:
-            c0 += x[0] * y[0]
-            continue
-        n = len(x) + len(y) - 1
-        if acc is None:
-            acc = [0] * n
-        elif len(acc) < n:
-            acc += [0] * (n - len(acc))
-        for e, a in enumerate(x):
-            if a:
-                for f, b in enumerate(y):
-                    acc[e + f] += a * b
-    if acc is None:
-        return [c0] if c0 else []
-    acc[0] += c0
-    while acc and not acc[-1]:
-        acc.pop()
-    return acc
-
-
-def _vector_ops(neg, lincomb, div_exact):
-    """``comb`` and ``quo`` of a polynomial ring, from its element operations."""
-    def comb(a, v, c, w):
-        c = neg(c)
-        return [lincomb(a, x, c, y) for x, y in zip(v, w)]
-
-    def quo(v, g):
-        return [div_exact(x, g) if x else x for x in v]
-
-    return {"comb": comb, "quo": quo}
-
-
-def _zx_neg(a):
-    return [-k for k in a]
-
-
-def _zx_dense(p):
-    """The dense coefficient list of a univariate ``MPoly`` integer dict."""
-    out = [0] * (max(p)[0] + 1)
-    for (k,), c in p.items():
-        out[k] = c
-    return out
-
-
-# ---------------------------------------------------------------------------
-# the ring tower Z[t1..tr] = Z[t2..tr][t1], with Z[t] as its leaf
+# the ring tower Z[t1..tr] = Z[t2..tr][t1], with Z as its floor
 # ---------------------------------------------------------------------------
 
 class PolyRing:
     """A coefficient ring of the span kernel of ``linrep``, over which one
-    ``la.Echelon`` eliminates: a dense polynomial ring Z[t1..tr] (see
-    :func:`poly_ring`), or with ``nvars`` 0 the integers :data:`ZZ` or the
-    integers mod p (:func:`zmod_ring`) on plain ints.  Every ring carries
-    the same operations: ``zero`` and ``one``; ``mul``, ``add``, ``neg``,
-    ``div_exact`` (refusing an inexact quotient in Z[t1..tr]), ``gcd`` and
-    ``lcm`` (both with a positive lead), and ``lead(a)``, the lex-leading
-    integer coefficient; on vectors, ``comb(a, v, c, w)`` is a*v - c*w,
-    ``quo(v, g)`` is v / g, ``dot(v, col)`` the product of v with a sparse
-    column of (index, entry) pairs, and ``content(v, g)`` the gcd of g and
-    the entries of v.  A polynomial ring also has ``const(k)``, the integer
-    k, ``is_const(a)``, whether a nonzero a is an integer, and ``as_int(a)``,
-    that integer or None; ``ints(polys)`` iterates over the integer
-    coefficients of a list of polynomials, ``lincomb(a, x, b, y)`` is
-    a*x + b*y, and ``of`` and ``terms`` convert from and to the integer
-    dicts of :class:`MPoly` in ``nvars`` variables."""
+    ``la.Echelon`` eliminates: a dense polynomial ring Z[t1..tr] of the
+    tower :func:`poly_ring`, whose floor ``poly_ring(0)`` is the integers
+    :data:`ZZ` on plain ints, or the integers mod p (:func:`zmod_ring`).
+    Every ring carries the same operations: ``zero`` and ``one``; ``mul``,
+    ``add``, ``neg``, ``div_exact`` (refusing an inexact quotient with
+    ValueError), ``gcd`` and ``lcm`` (both with a positive lead), and
+    ``lead(a)``, the lex-leading integer coefficient; on vectors,
+    ``comb(a, v, c, w)`` is a*v - c*w, ``quo(v, g)`` is v / g for a g that
+    divides every entry, such as their content (Z does not check that),
+    ``scale(k, v)`` is k*v, ``mac(acc, a, b)`` adds the convolution of a
+    and b (a[i]*b[j] into acc[i + j]) into acc, a fresh list of the
+    caller's, ``dot(v, col)`` is the product of v with a sparse column of
+    (index, entry) pairs, and ``content(v, g)`` the gcd of g and the
+    entries of v.  A ring of the tower also has ``const(k)``, the integer
+    k, and ``as_int(a)``, a as an integer or None if it is none;
+    ``ints(xs)`` iterates over the integer coefficients of a list of
+    elements, and ``of`` and ``terms`` convert from and to the integer
+    dicts of :class:`MPoly` in ``nvars`` variables; for r >= 1,
+    ``is_const(a)`` is whether a nonzero a is an integer, and
+    ``lincomb(a, x, b, y)`` is a*x + b*y."""
 
     def __init__(self, nvars, one, **ops) -> None:
         self.nvars, self.one = nvars, one
@@ -586,25 +388,50 @@ class PolyRing:
         self.__dict__.update(ops)
 
 
-ZX = PolyRing(
-    1, [1], zero=[], const=lambda k: [k], lead=lambda a: a[-1], is_const=lambda a: len(a) == 1,
-    as_int=lambda a: a[0] if len(a) == 1 else None, ints=chain.from_iterable,
-    mul=zx_mul, add=zx_add, neg=_zx_neg, div_exact=zx_div_exact, gcd=zx_gcd,
-    lcm=zx_lcm, lincomb=_zx_lincomb, dot=_zx_dot, content=zx_content,
-    of=_zx_dense, terms=lambda a: {(k,): c for k, c in enumerate(a) if c},
-    **_vector_ops(_zx_neg, _zx_lincomb, zx_div_exact))
+def _zz_div_exact(a, b):
+    if a % b:
+        raise ValueError("inexact integer division: %d / %d" % (a, b))
+    return a // b
+
+
+def _zz_mac(acc, a, b):
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                acc[j] += x * y
+
+
+def _zz_dot(v, col):
+    s = 0
+    for i, y in col:
+        s += v[i] * y
+    return s
+
+
+# Z = Z[t1..t0], the floor of the tower, on plain ints, an integer its own
+# lead.  ``div_exact`` refuses an inexact quotient, which the rings above
+# rely on; ``quo``, which divides by a content, floors unchecked.  ``scale``
+# and ``mac`` are the integer loops of the tower's ``mul`` and ``dot``.
+ZZ = PolyRing(
+    0, 1, zero=0, const=pos, as_int=pos, ints=lambda xs: xs, mul=mul, add=add, neg=neg,
+    div_exact=_zz_div_exact, gcd=gcd, lcm=lcm, lead=pos, dot=_zz_dot, content=lambda v, g=0: gcd(g, *v),
+    of=lambda p: p.get((), 0), terms=lambda a: {(): a} if a else {},
+    comb=lambda a, v, c, w: [a * x - c * y for x, y in zip(v, w)], quo=lambda v, g: [x // g for x in v],
+    scale=lambda k, v: [k * x for x in v], mac=_zz_mac)
 
 
 def _nested(base: PolyRing) -> PolyRing:
     """R[t] for R = ``base``, a ring in the variables after t: a list over
     powers of t of R elements, lowest first, with no trailing zero.  The
     lex-leading coefficient is that of the last entry, as in :class:`MPoly`.
-    Every operation is written with R's operations only.  The gcd is the
+    Every operation is written with R's operations only: ``mul`` and
+    ``dot`` go through R's ``scale`` and ``mac``, and the vector operations
+    are derived from the element operations.  The gcd is the
     primitive pseudo-remainder sequence in t over R (Collins, *J. ACM* 14,
     1967), with contents taken by R's ``content``."""
-    bone, bconst, blead, bas_int, bints = base.one, base.const, base.lead, base.as_int, base.ints
-    bmul, badd, bneg, bdiv, bgcd = base.mul, base.add, base.neg, base.div_exact, base.gcd
-    blincomb, bdot, bcontent, bof, bterms = base.lincomb, base.dot, base.content, base.of, base.terms
+    bzero, bone, bconst, blead, bas_int, bints = base.zero, base.one, base.const, base.lead, base.as_int, base.ints
+    bmul, badd, bneg, bdiv, bgcd, blcm = base.mul, base.add, base.neg, base.div_exact, base.gcd, base.lcm
+    bcontent, bof, bterms, bquo, bscale, bmac = base.content, base.of, base.terms, base.quo, base.scale, base.mac
     one = [bone]
 
     def as_int(a):
@@ -635,51 +462,45 @@ def _nested(base: PolyRing) -> PolyRing:
             return []
         if len(a) == 1:
             x = a[0]
-            return b if x == bone else [bmul(x, y) for y in b]
+            if len(b) == 1:
+                return [bmul(x, b[0])]
+            return b if x == bone else bscale(x, b)
         if len(b) == 1:
             y = b[0]
-            return a if y == bone else [bmul(x, y) for x in a]
-        na, nb = len(a), len(b)
-        return [bdot(a, [(i, y) for i in range(max(0, k - nb + 1), min(k + 1, na)) if (y := b[k - i])])
-                for k in range(na + nb - 1)]
+            return a if y == bone else bscale(y, a)
+        acc = [bzero] * (len(a) + len(b) - 1)
+        bmac(acc, a, b)
+        return acc
 
     def dot(v, col):
-        """Products of two integers are summed as integers.  The others are
-        grouped by the power of t they reach, and each group summed by R's
-        ``dot``: ``xs`` holds every nonzero coefficient of those v[i], and
-        group k the pairs (index into xs, y) whose powers add up to k."""
-        c0 = 0
-        xs: list = []
-        groups: list = []
+        """One product is a ``mul``, as for most columns of a letter matrix.
+        Otherwise the products of two constants in t are summed in R, and
+        the others added into one list by R's ``mac``."""
+        if len(col) == 1:
+            i, y = col[0]
+            x = v[i]
+            return mul(x, y) if x else []
+        acc: list = []
+        c = bzero
         for i, y in col:
             x = v[i]
             if not x:
                 continue
             if len(x) == 1 == len(y):
-                p = bas_int(x[0])
-                if p is not None:
-                    q = bas_int(y[0])
-                    if q is not None:
-                        c0 += p * q
-                        continue
+                c = badd(c, bmul(x[0], y[0]))
+                continue
             n = len(x) + len(y) - 1
-            if len(groups) < n:
-                groups += [[] for _ in range(n - len(groups))]
-            for e, a in enumerate(x):
-                if a:
-                    j = len(xs)
-                    xs.append(a)
-                    for f, b in enumerate(y):
-                        if b:
-                            groups[e + f].append((j, b))
-        if not groups:
-            return [bconst(c0)] if c0 else []
-        out = [bdot(xs, g) if g else [] for g in groups]
-        if c0:
-            out[0] = badd(out[0], bconst(c0)) if out[0] else bconst(c0)
-        while out and not out[-1]:
-            out.pop()
-        return out
+            if len(acc) < n:
+                acc += [bzero] * (n - len(acc))
+            bmac(acc, x, y)
+        if c:
+            if not acc:
+                return [c]
+            x = acc[0]
+            acc[0] = badd(x, c) if x else c
+        while acc and not acc[-1]:
+            acc.pop()
+        return acc
 
     def lincomb(a, x, b, y):
         if not x:
@@ -687,7 +508,7 @@ def _nested(base: PolyRing) -> PolyRing:
         if not y:
             return mul(a, x)
         if len(a) == len(b) == len(x) == len(y) == 1:  # all in the base ring
-            r = blincomb(a[0], x[0], b[0], y[0])
+            r = badd(bmul(a[0], x[0]), bmul(b[0], y[0]))
             return [r] if r else []
         return add(mul(a, x), mul(b, y))
 
@@ -704,7 +525,7 @@ def _nested(base: PolyRing) -> PolyRing:
                 raise ValueError("inexact polynomial division")
             return []
         rem = list(a)
-        q: list = [[]] * (len(a) - db)
+        q: list = [bzero] * (len(a) - db)
         for k in range(len(q) - 1, -1, -1):
             r = rem[k + db]
             if r:
@@ -722,11 +543,11 @@ def _nested(base: PolyRing) -> PolyRing:
         """A nonzero multiple of ``a mod b`` in t, for ``deg a >= deg b``,
         made primitive over R unless its degree in t is 0 (which ends a
         remainder sequence, so its content is never needed).  Each step
-        scales by ``lc(b)`` and subtracts ``lc(r)`` times a shift of b, as in
-        :func:`_dense_prem`; the two are divided by their gcd only when both
-        are integers, since a gcd in R per step costs more than the growth
-        it saves (on the qt:2 5 x 5 of ``scripts/invert_sizes.py``, building
-        the matrix took 61 s with it and 33 s without)."""
+        scales by ``lc(b)`` and subtracts ``lc(r)`` times a shift of b; the
+        two are divided by their gcd only when both are integers, since a
+        gcd in R per step costs more than the growth it saves (on the qt:2
+        5 x 5 of ``scripts/invert_sizes.py``, building the matrix took 61 s
+        with it and 33 s without)."""
         db, lb = len(b) - 1, b[-1]
         kb = bas_int(lb)
         r = a
@@ -739,7 +560,7 @@ def _nested(base: PolyRing) -> PolyRing:
             else:
                 u, w = lb, bneg(lr)
             k = len(r) - 1 - db
-            r = [bmul(u, x) for x in r[:-1]]
+            r = r[:-1] if u == bone else bscale(u, r[:-1])
             for i in range(db):
                 y = b[i]
                 if y:
@@ -747,7 +568,9 @@ def _nested(base: PolyRing) -> PolyRing:
             while r and not r[-1]:
                 r.pop()
         if len(r) > 1:
-            r = div_exact(r, [bcontent(r)])
+            g = bcontent(r)
+            if g != bone:
+                r = bquo(r, g)
         return r
 
     def gcd_(a, b):
@@ -759,9 +582,12 @@ def _nested(base: PolyRing) -> PolyRing:
         if len(a) == 1 or len(b) == 1:  # one operand lies in R
             if len(a) != 1:
                 a, b = b, a
-            return [bcontent(b, a[0])]
+            return [bgcd(a[0], b[0]) if len(b) == 1 else bcontent(b, a[0])]
         ca, cb = bcontent(a), bcontent(b)
-        a, b = div_exact(a, [ca]), div_exact(b, [cb])
+        if ca != bone:
+            a = bquo(a, ca)
+        if cb != bone:
+            b = bquo(b, cb)
         c = bgcd(ca, cb)
         if len(a) < len(b):
             a, b = b, a
@@ -771,10 +597,12 @@ def _nested(base: PolyRing) -> PolyRing:
             return [c]
         if blead(a[-1]) < 0:
             c = bneg(c)
-        return mul([c], a)
+        return a if c == bone else bscale(c, a)
 
     def lcm_(a, b):
         """lcm of nonzero a and b, with a positive lex-leading coefficient."""
+        if len(a) == 1 == len(b):
+            return [blcm(a[0], b[0])]
         r = mul(div_exact(a, gcd_(a, b)), b)
         return r if blead(r[-1]) > 0 else neg(r)
 
@@ -784,24 +612,48 @@ def _nested(base: PolyRing) -> PolyRing:
         is the gcd of all their integer coefficients."""
         if g == one:
             return one
-        polys = [x for x in v if x]
+        polys = list(filter(None, v))
         if g:
             polys.append(g)
-        for x in polys:
-            if len(x) == 1 and bas_int(x[0]) is not None:
-                return [bconst(gcd(*ints(polys)))]
+        if len(polys) > 1:
+            polys.sort(key=len)
+            for x in polys:
+                if len(x) > 1:
+                    break
+                if bas_int(x[0]) is not None:
+                    return [bconst(gcd(*ints(polys)))]
         h: list = []
-        for x in sorted(polys, key=len):
+        for x in polys:
             if h == one:
                 break
             h = gcd_(h, x)
         return h
 
+    def comb(a, v, c, w):
+        c = neg(c)
+        return [lincomb(a, x, c, y) for x, y in zip(v, w)]
+
+    def quo(v, g):
+        return [div_exact(x, g) if x else x for x in v]
+
+    def scale(k, v):
+        return [mul(k, x) for x in v]
+
+    def mac(acc, a, b):
+        """One ``dot`` per entry of acc: the products a[i]*b[k - i]."""
+        na, nb = len(a), len(b)
+        for k in range(na + nb - 1):
+            col = [(i, y) for i in range(max(0, k - nb + 1), min(k + 1, na)) if (y := b[k - i])]
+            if col:
+                s = dot(a, col)
+                x = acc[k]
+                acc[k] = add(x, s) if x else s
+
     def of(p):
         parts: dict = {}
         for e, k in p.items():
             parts.setdefault(e[0], {})[e[1:]] = k
-        out: list = [[]] * (max(parts) + 1)
+        out: list = [bzero] * (max(parts) + 1)
         for i, q in parts.items():
             out[i] = bof(q)
         return out
@@ -812,14 +664,14 @@ def _nested(base: PolyRing) -> PolyRing:
         mul=mul, add=add, neg=neg, div_exact=div_exact, gcd=gcd_, lcm=lcm_, lincomb=lincomb,
         dot=dot, content=content, of=of,
         terms=lambda a: {(i,) + e: k for i, x in enumerate(a) if x for e, k in bterms(x).items()},
-        **_vector_ops(neg, lincomb, div_exact))
+        comb=comb, quo=quo, scale=scale, mac=mac)
 
 
-_POLY_RINGS = [None, ZX]
+_POLY_RINGS = [ZZ]
 
 
 def poly_ring(nvars: int) -> PolyRing:
-    """Z[t1..tr] for r = ``nvars``: :data:`ZX` for r = 1, and for r >= 2
+    """Z[t1..tr] for r = ``nvars``: :data:`ZZ` for r = 0, and for r >= 1
     the ring :func:`_nested` builds over Z[t2..tr], so an element is a
     list over powers of t1 of lists over powers of t2, down to integer
     lists over powers of tr.  Built once per r."""
@@ -829,42 +681,29 @@ def poly_ring(nvars: int) -> PolyRing:
 
 
 # ---------------------------------------------------------------------------
-# Z and Z/p: the coefficient rings below the tower, for q and fp:p
+# Z/p: the coefficient ring of fp:p
 # ---------------------------------------------------------------------------
-
-def _zz_content(v, g=0):
-    return gcd(g, *v)
-
-
-def _zz_dot(v, col):
-    s = 0
-    for i, y in col:
-        s += v[i] * y
-    return s
-
-
-# Z = Z[t1..t0] on plain ints, an integer its own lead: the span kernel of
-# ``linrep`` divides only exactly, so ``div_exact`` and ``quo`` are floor
-# division, unchecked
-ZZ = PolyRing(0, 1, zero=0, mul=mul, add=add, neg=neg, div_exact=floordiv, gcd=gcd, lcm=lcm, lead=pos,
-              content=_zz_content, dot=_zz_dot, comb=lambda a, v, c, w: [a * x - c * y for x, y in zip(v, w)],
-              quo=lambda v, g: [x // g for x in v])
-
 
 def zmod_ring(p: int) -> PolyRing:
     """Z/p for a prime p, on residues in [0, p), each its own lead, with the
-    operations of :data:`ZZ`.  Every nonzero residue is a unit, so a gcd
-    or content is 1 unless all its operands are 0, an lcm of nonzero
-    residues is 1, and ``div_exact`` and ``quo`` multiply by the inverse."""
+    ring and vector operations of :data:`ZZ`.  Every nonzero residue is a
+    unit, so a gcd or content is 1 unless all its operands are 0, an lcm of
+    nonzero residues is 1, and ``div_exact`` and ``quo`` multiply by the
+    inverse."""
     def quo(v, g):
         s = pow(g, -1, p)
         return [x * s % p for x in v]
+
+    def mac(acc, a, b):
+        _zz_mac(acc, a, b)
+        acc[:] = [x % p for x in acc]
 
     return PolyRing(
         0, 1, zero=0, mul=lambda a, b: a * b % p, add=lambda a, b: (a + b) % p, neg=lambda a: -a % p,
         div_exact=lambda a, b: a * pow(b, -1, p) % p, gcd=lambda a, b: int(bool(a or b)), lcm=lambda a, b: 1,
         lead=pos, content=lambda v, g=0: int(bool(g or any(v))), dot=lambda v, col: _zz_dot(v, col) % p,
-        comb=lambda a, v, c, w: [(a * x - c * y) % p for x, y in zip(v, w)], quo=quo)
+        comb=lambda a, v, c, w: [(a * x - c * y) % p for x, y in zip(v, w)], quo=quo,
+        scale=lambda k, v: [k * x % p for x in v], mac=mac)
 
 
 def mpoly_gcd(f: MPoly, g: MPoly) -> MPoly:

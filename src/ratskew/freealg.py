@@ -10,7 +10,7 @@ plain data of the Leavitt-side cross checks.
 from __future__ import annotations
 
 from .fields import Field, scalar_from_json, scalar_to_json
-from .words import render_word, term_dict, word_key
+from .words import load_terms, render_word, word_key
 
 
 class FreeElem:
@@ -174,4 +174,4 @@ class FreeElem:
     def from_json(field: Field, obj) -> "FreeElem":
         if obj["field"] != field.name:
             raise ValueError("field mismatch: %s vs %s" % (obj["field"], field.name))
-        return FreeElem(field, term_dict([(tuple(w), scalar_from_json(field, c)) for w, c in obj["terms"]]))
+        return FreeElem(field, load_terms(obj["terms"], 1, lambda c: scalar_from_json(field, c)))

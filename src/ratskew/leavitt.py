@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fields import Field, scalar_from_json, scalar_to_json
-from .words import term_dict, word_key
+from .words import load_terms, word_key
 
 
 def mono_mul(I, J, K, L):
@@ -224,7 +224,7 @@ class UElem:
             raise ValueError("field mismatch")
         return UElem(
             field,
-            term_dict([((tuple(I), tuple(J)), scalar_from_json(field, c)) for I, J, c in obj["terms"]]),
+            load_terms(obj["terms"], 2, lambda c: scalar_from_json(field, c)),
             obj["n"],
         )
 

@@ -36,12 +36,13 @@ Both passes are one breadth-first search, :func:`_reach`, over one
 sparse-column kernel, :class:`_Kernel`, which differs between fields only
 in its coefficient ring: Z for ``q`` (``fields.ZZ``), Z/p for ``fp:p``
 (``fields.zmod_ring(p)``) and Z[t1..tr] for ``qt:r``
-(``fields.poly_ring(r)``: Z[t] for r = 1, and Z[t1][t2..tr] nested down
-to Z[t] for r >= 2).  A vector is a list of ring elements over one
-common denominator, and a letter matrix its sparse columns over one
-denominator, so v * M costs one product per nonzero entry.  The
-elimination runs fraction-free in one ``la.Echelon`` over the kernel's
-ring, with no ``Fraction``, ``Fp`` or ``RatFunc`` in the inner loop.
+(``fields.poly_ring(r)``: Z[t2..tr][t1], one ring of a tower nested
+down to Z, which is ``poly_ring(0)``).  A vector is a list of ring
+elements over one common denominator, and a letter matrix its sparse
+columns over one denominator, so v * M costs one product per nonzero
+entry.  The elimination runs fraction-free in one ``la.Echelon`` over
+the kernel's ring, with no ``Fraction``, ``Fp`` or ``RatFunc`` in the
+inner loop.
 That is exact because scaling a vector or a letter matrix does not
 change the span of row * mu(w), and a subspace has exactly one reduced
 row-echelon basis: the ring basis is that basis with each row scaled by

@@ -35,7 +35,7 @@ from .fields import Field
 from .freealg import FreeElem
 from .linrep import LinRep
 from .truncated import DEFAULT_PRECISION, TruncSeries
-from .words import term_dict, word_key
+from .words import load_terms, word_key
 
 
 class CoeffDomain:
@@ -335,13 +335,7 @@ class SkewElem:
             raise ValueError("backend mismatch in serialized element")
         if obj["n"] != ring.n:
             raise ValueError("serialized element has top letter index %r, the ring %r" % (obj["n"], ring.n))
-        terms = obj["terms"]
-        if not isinstance(terms, list) or not all(
-                isinstance(t, list) and len(t) == 2 and isinstance(t[0], list)
-                and all(isinstance(i, int) for i in t[0]) for t in terms):
-            raise ValueError("serialized element terms must be [word, coefficient] "
-                             "pairs with a word of integer letters")
-        return SkewElem(ring, term_dict([(tuple(w), dom.cls.from_json(dom.field, cj)) for w, cj in terms]))
+        return SkewElem(ring, load_terms(obj["terms"], 1, lambda c: dom.cls.from_json(dom.field, c)))
 
 
 # ---------------------------------------------------------------------------

@@ -17,13 +17,24 @@ def word_key(w: Word):
     return (len(w), w)
 
 
-def term_dict(pairs: list) -> dict:
-    """The dict of a loaded element's list of (word, coefficient) pairs.  A
-    word listed twice would keep only its last coefficient, so it is
-    refused with ValueError; ``to_json`` never writes one."""
-    out = dict(pairs)
-    if len(out) != len(pairs):
-        w = next(w for w, k in Counter(w for w, _ in pairs).items() if k > 1)
+def load_terms(terms, nwords: int, coeff) -> dict:
+    """The term dict of a loaded element's ``terms``: a list of terms, each
+    ``nwords`` words of integer letters followed by one coefficient, which
+    ``coeff`` reads.  A term's key is its word, or the tuple of its words
+    if it has several.  ValueError for any other shape, and for a key
+    listed twice, of which a dict would keep the last coefficient only;
+    ``to_json`` never writes one."""
+    shape = "[%s, coefficient]" % ", ".join(["word"] * nwords)
+    if type(terms) is not list:
+        raise ValueError("terms must be a list of %s terms, got %r" % (shape, terms))
+    for t in terms:
+        if not (type(t) is list and len(t) == nwords + 1
+                and all(type(w) is list and all(type(i) is int for i in w) for w in t[:nwords])):
+            raise ValueError("a term must be %s with words of integer letters, got %r" % (shape, t))
+    keys = [tuple(t[0]) if nwords == 1 else tuple(map(tuple, t[:nwords])) for t in terms]
+    out = dict(zip(keys, [coeff(t[nwords]) for t in terms]))
+    if len(out) != len(terms):
+        w = next(w for w, k in Counter(keys).items() if k > 1)
         raise ValueError("the term %r is listed twice" % (w,))
     return out
 

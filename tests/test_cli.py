@@ -696,6 +696,27 @@ def test_verify_cert_refuses_scalars_written_otherwise(run, tmp_path, field, bad
     assert err.startswith("error:") and "is not how a scalar" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("cmd, where, terms", [
+    (["leavitt", "witness", "--n", "2", "--json", "y1*x2"], ("cert", "beta"), 5),
+    (["leavitt", "witness", "--n", "2", "--json", "y1*x2"], ("cert", "beta"), None),
+    (["leavitt", "witness", "--n", "2", "--json", "y1*x2"], ("cert", "beta"), [[[1], "1"]]),
+    (["skew", "witness", "--json", "1 - x0"], ("input",), [[[0]]]),
+    (["skew", "witness", "--json", "1 - x0"], ("input",), None),
+], ids=["leavitt-terms-5", "leavitt-terms-null", "leavitt-two-entry-term", "skew-one-entry-term", "skew-terms-null"])
+def test_verify_cert_refuses_misshapen_terms(run, tmp_path, cmd, where, terms):
+    """An element whose terms are not a list of terms of the right length,
+    with words of integer letters, exits 1 with ``error:``."""
+    code, cert = jrun(run, *cmd)
+    assert code == 0
+    elem = cert
+    for key in where:
+        elem = elem[key]
+    elem["terms"] = terms
+    code, out, err = run("verify-cert", _write(tmp_path, "t.json", cert))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "coefficient]" in err and "Traceback" not in err
+
+
 def _word_system_cert():
     ring = SkewRing(CoeffDomain("rat", QQ), 2)
     return verify_word_system(ring, [(i,) for i in range(3)], [ring.x(i) for i in range(3)]).to_json()

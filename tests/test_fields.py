@@ -4,13 +4,14 @@ import math
 import operator
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ratskew.fields import (MAX_NVARS, Fp, FunctionField, MPoly, PrimeField, QQ, RatFunc,
+from ratskew.fields import (MAX_NVARS, ZZ, Fp, FunctionField, MPoly, PrimeField, QQ, RatFunc,
                             field_from_name, mpoly_gcd, poly_ring, scalar_from_json,
-                            scalar_to_json, zx_div_exact, zx_gcd, zx_lcm, zx_mul)
+                            scalar_to_json, zmod_ring)
 
 F7 = field_from_name("fp:7")
 QT = field_from_name("qt:1")
@@ -496,78 +497,6 @@ def test_mpoly_gcd_dense_path_agrees_with_recursive_path(data):
     assert mpoly_gcd(f * s, g * s) == _reference_gcd(f * s, g * s) == (h * s).monic()
 
 
-# -- dense Z[t] helpers -------------------------------------------------------
-
-_ZX_POOL = [[1, 1], [-1, 1], [2, 3], [0, 1], [1, 0, 1], [-2, 0, 3]]
-
-
-def _zx_trim(a):
-    a = list(a)
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-@st.composite
-def _zx(draw, nonzero=False):
-    """An integer content times a product of pool factors times a random
-    polynomial of degree <= 2, so that two draws often share factors and
-    contents; the zero polynomial unless ``nonzero``."""
-    p = _zx_trim(draw(st.lists(st.integers(-6, 6), max_size=3)))
-    if not p:
-        if not nonzero:
-            return []
-        p = [draw(st.sampled_from([-3, -1, 1, 2]))]
-    for f in draw(st.lists(st.sampled_from(_ZX_POOL), max_size=3)):
-        p = zx_mul(p, f)
-    return zx_mul([draw(st.sampled_from([1, -1, 2, -6, 12]))], p)
-
-
-def _zx_add(a, b):
-    n = max(len(a), len(b))
-    return _zx_trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)])
-
-
-@settings(max_examples=200, deadline=None)
-@given(a=_zx(), b=_zx())
-def test_zx_gcd_divides_both_with_coprime_cofactors(a, b):
-    g = zx_gcd(a, b)
-    if not a and not b:
-        assert g == []
-        return
-    assert g[-1] > 0
-    u, v = zx_div_exact(a, g), zx_div_exact(b, g)
-    assert zx_mul(u, g) == a and zx_mul(v, g) == b
-    assert zx_gcd(u, v) == [1]
-
-
-@settings(max_examples=200, deadline=None)
-@given(a=_zx(nonzero=True), b=_zx(nonzero=True), data=st.data())
-def test_zx_div_exact_refuses_an_inexact_quotient(a, b, data):
-    assert zx_div_exact(zx_mul(a, b), b) == a
-    if len(b) > 1:  # a nonzero remainder of lower degree than b
-        r = _zx_trim(data.draw(st.lists(st.integers(-5, 5), min_size=1, max_size=len(b) - 1)))
-        if not r:
-            r = [1]
-    elif abs(b[0]) > 1:  # an integer divisor that misses the constant term
-        r = [1]
-    else:
-        return
-    with pytest.raises(ValueError, match="inexact"):
-        zx_div_exact(_zx_add(zx_mul(a, b), r), b)
-
-
-@settings(max_examples=200, deadline=None)
-@given(a=_zx(nonzero=True), b=_zx(nonzero=True))
-def test_zx_lcm_is_divisible_by_both(a, b):
-    m = zx_lcm(a, b)
-    assert m[-1] > 0
-    assert zx_mul(zx_div_exact(m, a), a) == m and zx_mul(zx_div_exact(m, b), b) == m
-    # the least such: lcm * gcd = +-a*b
-    ab = zx_mul(a, b)
-    assert zx_mul(m, zx_gcd(a, b)) in (ab, [-x for x in ab])
-
-
 # -- the ring tower Z[t1..tr] ---------------------------------------------------
 
 def _mono(r, *pairs):
@@ -580,7 +509,11 @@ def _mono(r, *pairs):
 
 def _pool(r):
     """Small factors: 1 + t1, t1 + tr, 1 + tr, 2 + 3*t1*tr, tr^2 - 1,
-    1 + t1^2, and in three variables t2 + t3 and t1*t2 - 1."""
+    1 + t1^2, and in three variables t2 + t3 and t1*t2 - 1; in one
+    variable t + 1, t - 1, 3*t + 2, t, t^2 + 1 and 3*t^2 - 2."""
+    if r == 1:
+        return [{(0,): 1, (1,): 1}, {(0,): -1, (1,): 1}, {(0,): 2, (1,): 3}, {(1,): 1},
+                {(0,): 1, (2,): 1}, {(0,): -2, (2,): 3}]
     z = _mono(r)
     pool = [{z: 1, _mono(r, (1, 1)): 1}, {_mono(r, (1, 1)): 1, _mono(r, (r, 1)): 1},
             {z: 1, _mono(r, (r, 1)): 1}, {z: 2, _mono(r, (1, 1), (r, 1)): 3},
@@ -592,13 +525,21 @@ def _pool(r):
 
 @st.composite
 def _ring_poly(draw, r, nonzero=False):
-    """As :func:`_zx`, in poly_ring(r): an integer times up to 3 pool
-    factors times a random polynomial of degree <= 2 in each variable, any
-    of its 9 coefficients drawn (a dense 3x3 grid).  In three variables the
-    degree is <= 1, with up to 3 terms and 2 factors: the primitive
-    remainder sequences of larger draws take seconds each."""
+    """An element of poly_ring(r): an integer content times up to 3 pool
+    factors times a random polynomial, so that two draws often share
+    factors and contents; zero unless ``nonzero``.  The random polynomial
+    has degree <= 2 in each variable: in one variable any of its 3
+    coefficients drawn from -6..6, in two any of its 9 (a dense 3x3 grid).
+    In three variables the degree is <= 1, with up to 3 terms and 2
+    factors: the primitive remainder sequences of larger draws take
+    seconds each."""
     ring = poly_ring(r)
-    if r == 2:
+    contents = [1, -1, 2, -6]
+    if r == 1:
+        terms = {(i,): k for i, k in enumerate(draw(st.lists(st.integers(-6, 6), max_size=3))) if k}
+        nfactors = 3
+        contents = contents + [12]
+    elif r == 2:
         grid = draw(st.lists(st.lists(st.integers(-4, 4), max_size=3), max_size=3))
         terms = {(i, j): k for i, row in enumerate(grid) for j, k in enumerate(row) if k}
         nfactors = 3
@@ -613,7 +554,7 @@ def _ring_poly(draw, r, nonzero=False):
     p = ring.of(terms)
     for f in draw(st.lists(st.sampled_from(_pool(r)), max_size=nfactors)):
         p = ring.mul(p, ring.of(f))
-    return ring.mul(ring.const(draw(st.sampled_from([1, -1, 2, -6]))), p)
+    return ring.mul(ring.const(draw(st.sampled_from(contents))), p)
 
 
 def _as_mpoly(a, r=2, nvars=None, embed=lambda e: e):
@@ -623,13 +564,16 @@ def _as_mpoly(a, r=2, nvars=None, embed=lambda e: e):
     return MPoly._normal(nvars or r, {embed(e): k for e, k in terms}, Fraction(1))
 
 
+RANKS = [1, 2, 3]
+
+
 def _ring_pairs(nonzero=False):
-    return st.sampled_from([2, 3]).flatmap(
+    return st.sampled_from(RANKS).flatmap(
         lambda r: st.tuples(st.just(r), _ring_poly(r, nonzero), _ring_poly(r, nonzero)))
 
 
-@settings(max_examples=200, deadline=None)
-@given(r=st.sampled_from([2, 3]), data=st.data())
+@settings(max_examples=300, deadline=None)
+@given(r=st.sampled_from(RANKS), data=st.data())
 def test_poly_ring_div_exact_inverts_mul_and_refuses_an_inexact_quotient(r, data):
     a = data.draw(_ring_poly(r), "a")
     b = data.draw(_ring_poly(r, nonzero=True), "b")
@@ -640,9 +584,45 @@ def test_poly_ring_div_exact_inverts_mul_and_refuses_an_inexact_quotient(r, data
     if b not in (ring.one, ring.neg(ring.one)):  # b divides ab + 1 only if it is a unit
         with pytest.raises(ValueError, match="inexact"):
             ring.div_exact(ring.add(ab, ring.one), b)
+    if len(b) > 1:  # nor ab plus a nonzero remainder of lower degree in t1
+        rem = data.draw(st.dictionaries(st.tuples(st.integers(0, len(b) - 2), *[st.integers(0, 2)] * (r - 1)),
+                                        st.integers(-5, 5).filter(bool), min_size=1, max_size=3), "rem")
+        with pytest.raises(ValueError, match="inexact"):
+            ring.div_exact(ring.add(ab, ring.of(rem)), b)
 
 
-@settings(max_examples=200, deadline=None)
+def test_zz_div_exact_refuses_an_inexact_quotient():
+    """The tower relies on its floor to refuse: Z[t1, t2] divides [[1]]
+    by [[-3]] down to 1 / -3 in Z, which floor division would give as -1."""
+    assert ZZ.div_exact(-12, 3) == -4 and ZZ.quo([6, -9, 0], -3) == [-2, 3, 0]
+    for call in (lambda: ZZ.div_exact(7, 2), lambda: ZZ.div_exact(1, -3),
+                 lambda: poly_ring(2).div_exact([[1]], [[-3]]), lambda: poly_ring(1).div_exact([3, 1], [3])):
+        with pytest.raises(ValueError, match="inexact"):
+            call()
+
+
+@settings(max_examples=150, deadline=None)
+@given(r=st.sampled_from([0] + RANKS), data=st.data())
+def test_scale_and_mac_are_products_and_sums(r, data):
+    """``scale`` and ``mac`` of every ring against its ``mul`` and ``add``:
+    of Z (r = 0), of Z/7, and of the tower from Z[t]."""
+    rings = [(poly_ring(r), lambda: _ring_poly(r) if r else st.integers(-9, 9))]
+    if r == 0:
+        rings.append((zmod_ring(7), lambda: st.integers(0, 6)))
+    for ring, elem in rings:
+        k = data.draw(elem(), "k")
+        a, b = (data.draw(st.lists(elem(), min_size=1, max_size=3), name) for name in "ab")
+        assert ring.scale(k, a) == [ring.mul(k, x) for x in a]
+        acc = data.draw(st.lists(elem(), min_size=len(a) + len(b) - 1, max_size=len(a) + len(b)), "acc")
+        want = list(acc)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                want[i + j] = ring.add(want[i + j], ring.mul(x, y))
+        ring.mac(acc, a, b)
+        assert acc == want
+
+
+@settings(max_examples=300, deadline=None)
 @given(rab=_ring_pairs())
 def test_poly_ring_gcd_divides_both_with_coprime_cofactors(rab):
     r, a, b = rab
@@ -657,7 +637,7 @@ def test_poly_ring_gcd_divides_both_with_coprime_cofactors(rab):
     assert ring.gcd(u, v) == ring.one
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(rab=_ring_pairs(nonzero=True))
 def test_poly_ring_lcm_times_gcd_is_the_product(rab):
     r, a, b = rab
@@ -670,7 +650,7 @@ def test_poly_ring_lcm_times_gcd_is_the_product(rab):
 
 
 @settings(max_examples=150, deadline=None)
-@given(r=st.sampled_from([2, 3]), data=st.data())
+@given(r=st.sampled_from(RANKS), data=st.data())
 def test_poly_ring_dot_and_lincomb_equal_mul_and_add(r, data):
     ring = poly_ring(r)
     n = data.draw(st.integers(0, 4), "n")
@@ -685,7 +665,7 @@ def test_poly_ring_dot_and_lincomb_equal_mul_and_add(r, data):
 
 
 @settings(max_examples=150, deadline=None)
-@given(r=st.sampled_from([2, 3]), data=st.data())
+@given(r=st.sampled_from(RANKS), data=st.data())
 def test_poly_ring_of_and_terms_round_trip(r, data):
     ring = poly_ring(r)
     terms = data.draw(st.dictionaries(st.tuples(*[st.integers(0, 3)] * r), st.integers(-5, 5),
@@ -724,6 +704,60 @@ def test_mpoly_gcd_bivariate_path_agrees_with_recursive_path(f, g, s):
 # smallest common variable, with contents taken recursively (Collins 1967),
 # down to the dense Z[t] gcd ``zx_gcd`` for two polynomials in one variable.
 # It shares no code with the nested rings of ``poly_ring``.
+
+def _dense_prem(a: list, b: list) -> list:
+    """Primitive part of a nonzero integer multiple of ``a mod b``, for
+    integer coefficient lists (index = degree, no trailing zero) with
+    ``deg a >= deg b``.  Each step scales by ``lc(b)/g`` and subtracts
+    ``lc(r)/g`` times a shift of b, with ``g = gcd(lc(r), lc(b))``; the
+    multiples do not matter to a gcd over Q[t]."""
+    db = len(b) - 1
+    lb = b[-1]
+    r = a
+    while len(r) > db:
+        lr = r[-1]
+        g = gcd(lr, lb)
+        u, w = lb // g, lr // g
+        k = len(r) - 1 - db
+        r = [u * x for x in r] if u != 1 else list(r)
+        for i, y in enumerate(b):
+            r[k + i] -= w * y
+        r.pop()
+        while r and not r[-1]:
+            r.pop()
+    if r:
+        h = gcd(*r)
+        if h != 1:
+            r = [x // h for x in r]
+    return r
+
+
+def zx_gcd(a: list, b: list) -> list:
+    """gcd in Z[t] with a positive leading coefficient, [] for gcd(0, 0):
+    the gcd of the integer contents times the primitive gcd, which a
+    primitive pseudo-remainder sequence over Z gives (Collins 1967).  A
+    constant operand makes it the integer gcd of all coefficients."""
+    if not a or not b:
+        a = a or b
+        return a if not a or a[-1] > 0 else [-x for x in a]
+    if len(a) == 1 or len(b) == 1:
+        return [gcd(*a, *b)]
+    ca, cb = gcd(*a), gcd(*b)
+    if ca != 1:
+        a = [x // ca for x in a]
+    if cb != 1:
+        b = [x // cb for x in b]
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        a, b = b, _dense_prem(a, b)
+    c = gcd(ca, cb)
+    if b:  # a nonzero constant remainder: the primitive parts are coprime
+        return [c]
+    if a[-1] < 0:
+        c = -c
+    return a if c == 1 else [c * x for x in a]
+
 
 def _deg(f, i):
     return max((e[i] for e in f.p), default=0)

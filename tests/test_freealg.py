@@ -106,6 +106,12 @@ def test_from_json_refuses_a_repeated_word():
         FreeElem.from_json(QQ, obj)
 
 
+@pytest.mark.parametrize("terms", [5, None, [[[0], "1", "2"]], [[[0]]], [["0", "1"]], [[[0, "1"], "1"]], [3]])
+def test_from_json_refuses_misshapen_terms(terms):
+    with pytest.raises(ValueError, match=r"must be (a list of )?\[word, coefficient\]"):
+        FreeElem.from_json(QQ, {"field": "q", "terms": terms})
+
+
 def test_render():
     x0, x1 = FreeElem.letter(QQ, 0), FreeElem.letter(QQ, 1)
     one = FreeElem.one(QQ)

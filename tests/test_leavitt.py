@@ -407,6 +407,16 @@ def test_from_json_refuses_a_repeated_monoword():
     assert len(UElem.from_json(QQ, {"field": "q", "n": 3, "terms": [[[1], [], "1"], [[], [1], "1"]]}).coeffs) == 2
 
 
+@pytest.mark.parametrize("terms", [5, None, "terms", [[[1], "1"]], [[[1], [], [], "1"]], [[[1], 2, "1"]],
+                                   [[["1"], [], "1"]], [[[1.0], [], "1"]], [5]])
+def test_from_json_refuses_misshapen_terms(terms):
+    """terms must be a list of [y word, x word, coefficient] with words of
+    integer letters: anything else is a ValueError, not a TypeError or an
+    unpacking error."""
+    with pytest.raises(ValueError, match=r"must be (a list of )?\[word, word, coefficient\]"):
+        UElem.from_json(QQ, {"field": "q", "n": 3, "terms": terms})
+
+
 def test_from_json_checks_letters_and_drops_zeros():
     # from_json reads certificates: it must refuse letters outside 1..n
     with pytest.raises(ValueError, match="letter 9 outside 1..3"):

@@ -441,6 +441,15 @@ def test_from_json_refuses_a_repeated_word():
         SkewElem.from_json(RAT, j)
 
 
+@pytest.mark.parametrize("change", [lambda t: 5, lambda t: None, lambda t: [t[0][:1]], lambda t: [t[0] + t[0]],
+                                    lambda t: [[["0"], t[0][1]]], lambda t: [[0, t[0][1]]], lambda t: [7]])
+def test_from_json_refuses_misshapen_terms(change):
+    j = t_witness(eval_skew("1 - x0", RAT)).to_json()["input"]
+    j["terms"] = change(j["terms"])
+    with pytest.raises(ValueError, match=r"must be (a list of )?\[word, coefficient\]"):
+        SkewElem.from_json(RAT, j)
+
+
 def test_loaded_zero_coefficient_is_a_member():
     # y0 * z with z a dimension-2 triple of the zero series, as a certificate may carry it
     z = LinRep.letter(QQ, 0).to_json()
