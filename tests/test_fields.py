@@ -567,13 +567,13 @@ def _as_mpoly(a, r=2, nvars=None, embed=lambda e: e):
 RANKS = [1, 2, 3]
 
 
-def _ring_pairs(nonzero=False):
-    return st.sampled_from(RANKS).flatmap(
+def _ring_pairs(nonzero=False, ranks=(2, 3)):
+    return st.sampled_from(ranks).flatmap(
         lambda r: st.tuples(st.just(r), _ring_poly(r, nonzero), _ring_poly(r, nonzero)))
 
 
-@settings(max_examples=300, deadline=None)
-@given(r=st.sampled_from(RANKS), data=st.data())
+@settings(max_examples=200, deadline=None)
+@given(r=st.sampled_from([2, 3]), data=st.data())
 def test_poly_ring_div_exact_inverts_mul_and_refuses_an_inexact_quotient(r, data):
     a = data.draw(_ring_poly(r), "a")
     b = data.draw(_ring_poly(r, nonzero=True), "b")
@@ -622,7 +622,7 @@ def test_scale_and_mac_are_products_and_sums(r, data):
         assert acc == want
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(rab=_ring_pairs())
 def test_poly_ring_gcd_divides_both_with_coprime_cofactors(rab):
     r, a, b = rab
@@ -637,7 +637,7 @@ def test_poly_ring_gcd_divides_both_with_coprime_cofactors(rab):
     assert ring.gcd(u, v) == ring.one
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(rab=_ring_pairs(nonzero=True))
 def test_poly_ring_lcm_times_gcd_is_the_product(rab):
     r, a, b = rab
@@ -647,6 +647,50 @@ def test_poly_ring_lcm_times_gcd_is_the_product(rab):
     assert ring.mul(ring.div_exact(m, a), a) == m and ring.mul(ring.div_exact(m, b), b) == m
     ab = ring.mul(a, b)
     assert ring.mul(m, ring.gcd(a, b)) in (ab, ring.neg(ab))
+
+
+# -- Z[t] = poly_ring(1), the first floor of the tower ---------------------------
+
+ZX = poly_ring(1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_ring_poly(1), b=_ring_poly(1))
+def test_zx_gcd_divides_both_with_coprime_cofactors(a, b):
+    g = ZX.gcd(a, b)
+    if not a and not b:
+        assert g == []
+        return
+    assert g[-1] > 0
+    u, v = ZX.div_exact(a, g), ZX.div_exact(b, g)
+    assert ZX.mul(u, g) == a and ZX.mul(v, g) == b
+    assert ZX.gcd(u, v) == [1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_ring_poly(1, nonzero=True), b=_ring_poly(1, nonzero=True), data=st.data())
+def test_zx_div_exact_refuses_an_inexact_quotient(a, b, data):
+    assert ZX.div_exact(ZX.mul(a, b), b) == a
+    if len(b) > 1:  # a nonzero remainder of lower degree than b
+        r = data.draw(st.lists(st.integers(-5, 5), min_size=1, max_size=len(b) - 1))
+        r = ZX.of({(i,): k for i, k in enumerate(r) if k}) if any(r) else [1]
+    elif abs(b[0]) > 1:  # an integer divisor that misses the constant term
+        r = [1]
+    else:
+        return
+    with pytest.raises(ValueError, match="inexact"):
+        ZX.div_exact(ZX.add(ZX.mul(a, b), r), b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_ring_poly(1, nonzero=True), b=_ring_poly(1, nonzero=True))
+def test_zx_lcm_is_divisible_by_both(a, b):
+    m = ZX.lcm(a, b)
+    assert m[-1] > 0
+    assert ZX.mul(ZX.div_exact(m, a), a) == m and ZX.mul(ZX.div_exact(m, b), b) == m
+    # the least such: lcm * gcd = +-a*b
+    ab = ZX.mul(a, b)
+    assert ZX.mul(m, ZX.gcd(a, b)) in (ab, [-x for x in ab])
 
 
 @settings(max_examples=150, deadline=None)
