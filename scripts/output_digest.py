@@ -25,6 +25,10 @@ writes it), a word-system certificate whose ``words`` is 5, a chain plan
 whose ``maps`` is 5, a skew witness whose first scalar is written "1/0",
 a skew witness whose input lists its one term twice, and a Leavitt
 witness whose beta has terms 5, terms null, or a term of two entries.
+Then eight ``series eval`` lines, over q and qt:1, plain and ``--json``,
+of a word times a series: each runs one product that skips the
+reachability search, on a right factor whose whole space is reached by
+nonempty words and on one where it is not.
 Run it on two checkouts and diff the outputs to see which commands changed:
 
     python3 scripts/output_digest.py > new.txt
@@ -240,6 +244,16 @@ REFUSED = [
 ]
 
 
+# word * series products, each made of one word times one series whose
+# nonempty words reach all of its space (the first of each pair) or not
+WORD_TIMES = [
+    (["series", "eval"], "x0*(1 - x0 - x1*x2)^-1"),
+    (["series", "eval"], "x0*((2 + x1)*(1 - x0)^-1)"),
+    (["series", "eval", "--field", "qt:1"], "t*x1*x0*(1 - (t + 1)^-1*x0 - t*x1*x2)^-1"),
+    (["series", "eval", "--field", "qt:1"], "(t + 1)^-1*x2*((t + x1)*(1 - x0)^-1)"),
+]
+
+
 def doubled(field_name, c):
     """Twice a scalar in its JSON encoding."""
     from fractions import Fraction
@@ -369,6 +383,10 @@ def main(argv=None) -> int:
                 json.dump(make(run_command), fh)
             code, stdout, stderr = run(run_command, checker + [path])
             print(line("%s <%s>" % (shlex.join(checker), what), code, stdout, stderr), flush=True)
+    for cmd, text in WORD_TIMES:
+        for argv in (cmd + [text], cmd + ["--json", text]):
+            code, stdout, stderr = run(run_command, argv)
+            print(line(shlex.join(argv), code, stdout, stderr), flush=True)
     return 0
 
 

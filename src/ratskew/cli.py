@@ -395,13 +395,11 @@ def _recheck_paired_witness(obj) -> dict:
 
 
 def _recheck_word_system(obj) -> dict:
-    if not obj["qs"]:
-        raise UsageError("word-system certificate carries no q elements")
     words, qs = obj["words"], obj["qs"]
     if not (type(words) is list and all(type(w) is list and all(type(x) is int for x in w) for w in words)):
         raise ValueError("words must be a list of lists of integer letters, got %r" % (words,))
-    if not (type(qs) is list and len(qs) == len(words) and all(type(q) is dict for q in qs)):
-        raise ValueError("qs must be a list of %d serialized skew elements, one per word, got %r"
+    if not (type(qs) is list and qs and len(qs) == len(words) and all(type(q) is dict for q in qs)):
+        raise ValueError("qs must be a nonempty list of %d serialized skew elements, one per word, got %r"
                          % (len(words), qs))
     ring = _ring_for(qs[0])
     words = [tuple(w) for w in words]

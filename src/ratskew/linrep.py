@@ -72,12 +72,24 @@ whichever scaling the kernel form carries.
 
 Operations avoid reductions they cannot need: a product with a constant
 only scales the other factor, and ``delta`` is memoised per instance.
-Sums, products, stars and loads run both passes of :func:`_minimise`.
+Sums, stars, loads and products other than word times series run both
+passes of :func:`_minimise`.
 ``delta`` and ``from_free`` run only the second, :func:`_observe`: a
 transduction keeps the entry row and the letter matrices, so the whole
 space of its reduced operand stays reachable, every state of a
 polynomial's prefix tree is reached by its own prefix, and on such a
 block the reachability pass returns its input unchanged.
+A product c*w * S of a single word (``LinRep.word``, ``from_free`` of one
+term, or a ``scale`` of either) with a series S runs only the second pass
+too, on the block that the first would return.  Every prefix of w reaches
+its own state of the word's path, and a path through all of w goes on
+into S by a letter, so the reachable space is K^(|w|+1) + V+, with V+ =
+span{lam mu(v) : v nonempty} in S's states.  Its fully reduced echelon
+basis is the identity on the word's states followed by V+'s own basis,
+so that block is the word's own block, then V+'s restriction of S,
+which S memoises (``LinRep._tail``), joined by the product's bridge.  It
+is the same block, not a new basis: the field values, the kernel form
+and so every certificate are those of ``reduce()``.
 ``SeriesMatrix.to_json`` runs the reachability pass once per matrix row,
 since every entry of a row shares its entry row and letter matrices, and
 the observability pass once per entry; either way the result is the one
@@ -642,9 +654,18 @@ class _Block:
 
 class LinRep(_Block):
     """A rational series as a reduced triple (lam, mu, gamma), never mutated:
-    ``scale``, a full-span reduction and the ``delta`` memo share its parts."""
+    ``scale``, a full-span reduction and the ``delta`` memo share its parts.
 
-    __slots__ = ("_deltas", "_tau")
+    Two more things are kept per instance.  ``_mono`` marks the path
+    representation of a single word c*w (``word``, and ``from_free`` of a
+    one-term polynomial; ``scale`` keeps it), which ``*`` multiplies with
+    no reachability search.  ``_tail`` memoises, the first time the series
+    is the right factor of such a product, the reachable part of
+    V+ = span{lam mu(v) : v nonempty}, as :func:`_reach` returns it from
+    the rows lam mu(x): its dim, each lam mu(x) in the basis of V+, mu
+    restricted to V+ and gamma's coordinates."""
+
+    __slots__ = ("_deltas", "_tau", "_mono", "_tail")
 
     def __init__(self, field: Field, dim: int, lam, mu, gamma) -> None:
         self._init(field, dim, ([lam], mu, [gamma]), None)
@@ -653,6 +674,8 @@ class LinRep(_Block):
         _Block._init(self, field, dim, f, k)
         self._deltas = None  # letter -> delta(letter), filled on first use
         self._tau = None
+        self._mono = False
+        self._tail = None
 
     lam = property(lambda self: self._fb()[0][0])
     gamma = property(lambda self: self._fb()[2][0])
@@ -695,7 +718,9 @@ class LinRep(_Block):
             m[k][k + 1] = o
         lam = [o] + [z] * (len(w))
         gamma = [z] * len(w) + [c]
-        return LinRep(field, d, lam, mu, gamma)
+        out = LinRep(field, d, lam, mu, gamma)
+        out._mono = True
+        return out
 
     @staticmethod
     def from_free(p: FreeElem) -> "LinRep":
@@ -704,7 +729,8 @@ class LinRep(_Block):
         Each state is reached by its own prefix, so the reachability pass
         of ``reduce()`` would return the block unchanged, and the
         observability pass (:func:`_observe`) alone minimises it, with the
-        result ``reduce()`` gives."""
+        result ``reduce()`` gives.  A single word's path is observable too,
+        so it comes back as it is, and is marked as :meth:`word` marks it."""
         if not p.coeffs:
             return LinRep.zero(p.field)
         field = p.field
@@ -727,7 +753,9 @@ class LinRep(_Block):
         for w, c in p.coeffs.items():
             gamma[prefixes[w]] = c
         k = _kernel(field)
-        return LinRep._of(field, *_observe(k, d, *LinRep(field, d, lam, mu, gamma)._kb(k)))
+        out = LinRep._of(field, *_observe(k, d, *LinRep(field, d, lam, mu, gamma)._kb(k)))
+        out._mono = len(p.coeffs) == 1 and d > 1
+        return out
 
     def to_free(self, bounded: bool = False) -> FreeElem:
         """The polynomial this series is, the inverse of :meth:`from_free`;
@@ -859,12 +887,31 @@ class LinRep(_Block):
             return self
         k = _kernel(self.field)
         d, (lam,), mu, cols = self._kb(k)
-        return LinRep._of(self.field, d, [k.scale(lam, c)], mu, cols)
+        out = LinRep._of(self.field, d, [k.scale(lam, c)], mu, cols)
+        out._mono = self._mono
+        return out
 
     def __mul__(self, other: "LinRep") -> "LinRep":
         """Cauchy product.  A constant factor c (dim 1, no letters) only
-        scales the other operand, which gives it back when c is one; else
-        the block product is built and reduced."""
+        scales the other operand, which gives it back when c is one.  Every
+        other product builds the block product and reduces it, except a
+        single word c*w (``_mono``, d1 = |w| + 1 states) times a series S,
+        which is given the block the reachability pass would return.
+
+        In the block product, lam1 mu(u) is a multiple of the word's state
+        |u| for each prefix u of w, and lam1 mu(wv) for a nonempty v is
+        (0, c lam mu(v)), since only the word's last state has an exit and
+        a path leaving it enters S by a letter.  So the reachable space is
+        K^d1 + V+, V+ = span{lam mu(v) : v nonempty}, and its fully reduced
+        echelon basis is the identity on the word's states followed by V+'s
+        own basis: the reached block is the word's block unchanged, then
+        S restricted to V+ (its memoised ``_tail``), with the bridge from
+        the word's exit column to each lam mu(x) in V+'s basis, and exit
+        column S(eps) gamma1 on the word's states and S's gamma in V+'s
+        basis on the rest.  Only the observability pass runs on it, with
+        the unreduced dim d1 + d2, so that it takes the branch it takes
+        after the reachability pass: the result is the one ``reduce()``
+        gives, kernel form included."""
         self._check(other)
         if self.dim == 0 or other.dim == 0:
             return LinRep.zero(self.field)
@@ -874,7 +921,31 @@ class LinRep(_Block):
         if other.dim == 1 and not other._letters():
             return self.scale(other.tau())
         k = _kernel(self.field)
+        if self._mono:
+            return self._word_times(k, other)
         return LinRep._of(self.field, *_product(k, self._kb(k), other._kb(k))).reduce()
+
+    def _word_times(self, k, other: "LinRep") -> "LinRep":
+        """self * other for a marked word self, as ``__mul__`` describes."""
+        tail = other._tail
+        if tail is None:
+            d2, (lam,), mu2, cols2 = other._kb(k)
+            letters = sorted(mu2)
+            dt, ells, mu_t, cols_t = _reach(k, d2, [k.vm(lam, mu2[x]) for x in letters], mu2, cols2)
+            tail = other._tail = (dt, dict(zip(letters, ells)), mu_t, cols_t)
+        dt, ells, mu_t, (gamma,) = tail
+        d1, rows1, mu1, cols1 = self._kb(k)
+        mu = {}
+        for x in mu1.keys() | ells.keys():
+            parts = {(0, 1): k.outer(cols1, [ells[x]])} if x in ells else {}
+            if x in mu1:
+                parts[0, 0] = mu1[x]
+            if x in mu_t:
+                parts[1, 1] = mu_t[x]
+            mu[x] = k.grid((d1, dt), parts)
+        rows = [k.cat([r, k.zeros(dt)]) for r in rows1]
+        cols = [k.cat([k.scale(c, other.tau()), gamma]) for c in cols1]
+        return LinRep._of(self.field, *_observe(k, d1 + other.dim, d1 + dt, rows, mu, cols))
 
     def star(self) -> "LinRep":
         """(1 - a)^(-1) for a proper series a (zero constant term)."""

@@ -723,7 +723,8 @@ def _word_system_cert():
 
 
 @pytest.mark.parametrize("key, value", [("words", 5), ("words", None), ("words", [5]), ("words", [[0], [1], ["2"]]),
-                                        ("qs", 3), ("qs", [3, 4, 5]), ("qs", "q")])
+                                        ("qs", 3), ("qs", [3, 4, 5]), ("qs", "q"), ("qs", []), ("qs", None),
+                                        ("qs", 0)])
 def test_verify_cert_refuses_malformed_word_systems(run, tmp_path, key, value):
     cert = _word_system_cert()
     cert[key] = value

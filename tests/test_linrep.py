@@ -14,10 +14,12 @@ from math import isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ratskew.expr import eval_series, eval_skew
 from ratskew.fields import QQ, Fp, RatFunc, field_from_name, scalar_from_json, scalar_to_json
 from ratskew.freealg import FreeElem
 from ratskew import linrep
 from ratskew.linrep import LinRep, NotInvertible, SeriesMatrix, invert_matrix_series
+from ratskew.skew import CoeffDomain, SkewRing
 from ratskew.truncated import TruncSeries
 from ratskew.words import word_key
 
@@ -1331,3 +1333,119 @@ def test_to_free_decides_before_listing(monkeypatch):
     with pytest.raises(ValueError, match="infinite support"):
         s.to_free()
     assert time.process_time() - start < 0.5
+
+
+# -- word times series: the reached product block, built with no search -------
+
+def _block_product(a, b):
+    """a * b through the block product and both passes of ``reduce()``,
+    whatever marks a carries."""
+    k = linrep._kernel(a.field)
+    return LinRep._of(a.field, *linrep._product(k, a._kb(k), b._kb(k))).reduce()
+
+
+def _right_factors(field):
+    """(series, whether lam mu(v) over the nonempty words v spans its whole
+    space): geometric series with a full tail, and a product and
+    polynomials with a partial one."""
+    t = "t1" if field.name.startswith("qt") else "3"
+    texts = [("(1 - x0 - x1*x2)^-1", True), ("(1 - (%s + 1)^-1*x0 - %s*x1*x2)^-1" % (t, t), True),
+             ("(2 + x1)*(1 - x0 - x1*x2)^-1", False), ("(%s + x1)*(1 - x0 - x1*x2)^-1" % t, False),
+             ("1 + x0*x1 - 2*x2", False), ("x1*x2 + x0", False)]
+    return [(eval_series(text, field, 2), full) for text, full in texts]
+
+
+def _words(field):
+    """Marked single words c*w of length 1 to 3, made by ``word`` with a
+    coefficient and by ``scale`` of a coefficient-free word."""
+    c = field.var(0) + field.one() if field.name.startswith("qt") else field.from_int(3) / field.from_int(5)
+    out = []
+    for w in [(0,), (2,), (1, 2), (0, 0), (2, 1, 0), (1, 1, 1)]:
+        for coeff in (field.one(), c, -c):
+            out += [LinRep.word(field, w, coeff), LinRep.word(field, w).scale(coeff)]
+    return out
+
+
+@pytest.mark.parametrize("name", ["q", "fp:7", "qt:1", "qt:2"])
+def test_word_times_series_is_the_reduced_block_product(name):
+    """A marked word times a series has the JSON and the stored kernel form
+    of the block product reduced by both passes, on right factors with a
+    full and with a partial tail; each right factor's memoised tail serves
+    every word."""
+    field = field_from_name(name)
+    words = _words(field)
+    assert all(a._mono for a in words)
+    for s, full in _right_factors(field):
+        tail = None
+        for a in words:
+            got = a * s
+            tail = tail or s._tail
+            assert s._tail is tail
+            ref = _block_product(a, s)
+            assert got.to_json() == ref.to_json()
+            assert _kernel_form(got) == _kernel_form(ref)
+        assert (tail[0] == s.dim) is full
+
+
+@pytest.mark.parametrize("name", ["q", "fp:7", "qt:1", "qt:2"])
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32), depth=st.integers(0, 2))
+def test_word_times_random_series_is_the_reduced_block_product(name, seed, depth):
+    """As above, on random right factors; a zero or constant one takes the
+    constant shortcut of ``*`` instead, and is skipped."""
+    field = field_from_name(name)
+    rng = random.Random(seed)
+    s = rand_rep(rng, field, depth=depth if name != "qt:2" else min(depth, 1))
+    if s.dim < 2 and not s._letters():
+        return
+    for _ in range(3):
+        w = tuple(rng.randrange(3) for _ in range(rng.randint(1, 3)))
+        c = field.random(rng, units_only=True)
+        for a in (LinRep.word(field, w, c), LinRep.word(field, w).scale(c), LinRep.from_free(FreeElem.word(field, w, c))):
+            assert a._mono
+            got, ref = a * s, _block_product(a, s)
+            assert got.to_json() == ref.to_json()
+            assert _kernel_form(got) == _kernel_form(ref)
+
+
+def test_marks_and_the_products_that_take_them(monkeypatch):
+    """``word``, ``letter``, ``from_free`` of one word and ``scale`` mark a
+    single word; nothing else does.  ``x_i * b`` and the products with the
+    coefficients of e build no block product, so a product that fell back
+    to the general path would fail here."""
+    field = QQ
+    assert LinRep.letter(field, 1)._mono and LinRep.word(field, (0, 2), field.from_int(2))._mono
+    assert LinRep.from_free(FreeElem.word(field, (1, 0), field.from_int(3)))._mono
+    assert LinRep.letter(field, 0).scale(field.from_int(-2))._mono
+    for other in (LinRep.from_free(FreeElem.scalar(field, field.from_int(2))),
+                  LinRep.from_free(FreeElem.letter(field, 0) + FreeElem.letter(field, 1)),
+                  LinRep.letter(field, 0) * LinRep.letter(field, 1), LinRep.word(field, (0, 1)).delta(1),
+                  LinRep.letter(field, 0) + LinRep.letter(field, 0)):
+        assert not other._mono
+    calls = {"product": 0, "word": 0}
+    product, word_times = linrep._product, LinRep._word_times
+
+    def counted_product(*args):
+        calls["product"] += 1
+        return product(*args)
+
+    def counted_word_times(self, k, other):
+        calls["word"] += 1
+        return word_times(self, k, other)
+
+    ring = SkewRing(CoeffDomain("rat", field), 2)
+    b = eval_skew("(1 - x0 - x1*x2)^-1 + y0*(2 + x1)*(1 - x0)^-1 + y1*y2*x1 + y2*(1 + x0*x1)", ring)
+    # only b's y-degree-0 coefficient meets a whole letter x_i: under a y
+    # letter x_i turns into a constant
+    expected = [ring.x(i) * b for i in range(3)] + [ring.e() * b]
+    monkeypatch.setattr(linrep, "_product", counted_product)
+    monkeypatch.setattr(LinRep, "_word_times", counted_word_times)
+    for i in range(3):
+        assert ring.x(i) * b == expected[i]
+    assert calls == {"product": 0, "word": 3}
+    assert ring.e() * b == expected[3]
+    assert calls == {"product": 0, "word": 6}
+    # every other product builds the block product
+    two = LinRep.from_free(FreeElem.letter(field, 0) + FreeElem.letter(field, 1))
+    two * b.data[()]
+    assert calls == {"product": 1, "word": 6}
