@@ -29,6 +29,13 @@ Then eight ``series eval`` lines, over q and qt:1, plain and ``--json``,
 of a word times a series: each runs one product that skips the
 reachability search, on a right factor whose whole space is reached by
 nonempty words and on one where it is not.
+Last, seven lines on how a certificate's coefficients are loaded: two
+generator certificates whose first word coefficient is near the path
+block of a word, with a superdiagonal entry of 2 or a second letter on its
+first step, which the load must reduce as any other block, and five
+refusals, of a generator coefficient that is not an object, over rat and
+over free, and of a truncated coefficient of a skew witness's g that is
+not an object, whose terms are [5], or which lists a term twice.
 Run it on two checkouts and diff the outputs to see which commands changed:
 
     python3 scripts/output_digest.py > new.txt
@@ -254,6 +261,83 @@ WORD_TIMES = [
 ]
 
 
+def first_word(cert):
+    """The first coefficient of a generator certificate, in E, then the A's,
+    then the B's, that is not a constant."""
+    for m in [cert["E"], *cert["A"], *cert["B"]]:
+        for row in m:
+            for el in row:
+                for _, c in el["terms"]:
+                    if c["dim"] > 1:
+                        return c
+    raise ValueError("the certificate has no word coefficient")
+
+
+def first_step(c):
+    """The letter of the first step of the path block c, and the JSON
+    encoding of an integer in its field."""
+    from ratskew.fields import field_from_name, scalar_to_json
+
+    field = field_from_name(c["field"])
+    enc = lambda i: scalar_to_json(field, field.from_int(i))
+    return next(x for x, m in c["mu"].items() if m[0][1] != enc(0)), enc
+
+
+def superdiagonal_two(cert):
+    c = first_word(cert)
+    x, enc = first_step(c)
+    c["mu"][x][0][1] = enc(2)
+
+
+def second_letter_on_first_step(cert):
+    c = first_word(cert)
+    x, enc = first_step(c)
+    m = c["mu"].setdefault(str(int(x) + 1), [[enc(0)] * c["dim"] for _ in range(c["dim"])])
+    m[0][1] = enc(1)
+
+
+def set_coefficient(term, value):
+    """A change of a certificate setting the coefficient of its term
+    term(certificate), a [word, coefficient] pair, to value."""
+    def change(cert):
+        term(cert)[1] = value
+    return change
+
+
+def changed(argv, change):
+    """A function of run_command making the certificate argv prints,
+    changed in place by change."""
+    def make(run_command):
+        cert = json.loads(run(run_command, argv)[1])
+        change(cert)
+        return cert
+    return make
+
+
+FREE_GENERATORS = INFINITE_SUPPORT + ["--backend", "free"]
+TRUNC_WITNESS = ["skew", "witness", "--backend", "trunc", "--precision", "6", "--json", "y0*(1 + x0) + 2"]
+E_TERM = lambda cert: cert["E"][0][0]["terms"][0]
+G_TERM = lambda cert: cert["g"]["terms"][0]
+
+# (what is changed, a function of run_command making the input, the command
+# that re-checks it): loads of near-path word coefficients, reduced as any
+# other block, then coefficients that must be refused
+LOADS = [
+    ("output of: %s, first word coefficient with a superdiagonal entry of 2" % shlex.join(INFINITE_SUPPORT),
+     changed(INFINITE_SUPPORT, superdiagonal_two), VERIFY_CERT),
+    ("output of: %s, first word coefficient with a second letter on its first step"
+     % shlex.join(INFINITE_SUPPORT), changed(INFINITE_SUPPORT, second_letter_on_first_step), VERIFY_CERT),
+    ("generator coefficient [1]", changed(INFINITE_SUPPORT, set_coefficient(E_TERM, [1])), VERIFY_CERT),
+    ('free generator coefficient "x"', changed(FREE_GENERATORS, set_coefficient(E_TERM, "x")), VERIFY_CERT),
+    ("trunc coefficient of g written [1]", changed(TRUNC_WITNESS, set_coefficient(G_TERM, [1])), VERIFY_CERT),
+    ("trunc coefficient of g with terms [5]",
+     changed(TRUNC_WITNESS, lambda cert: G_TERM(cert)[1].update(terms=[5])), VERIFY_CERT),
+    ("trunc coefficient of g listing a term twice",
+     changed(TRUNC_WITNESS, lambda cert: G_TERM(cert)[1]["terms"].append(G_TERM(cert)[1]["terms"][0])),
+     VERIFY_CERT),
+]
+
+
 def doubled(field_name, c):
     """Twice a scalar in its JSON encoding."""
     from fractions import Fraction
@@ -376,18 +460,24 @@ def main(argv=None) -> int:
         out = recheck_certificate(cert)
         print(line("recheck_certificate <%s>" % label, 0 if out["ok"] else 1,
                    json.dumps(out, sort_keys=True)), flush=True)
+    recheck_lines(run_command, REFUSED)
+    for cmd, text in WORD_TIMES:
+        for argv in (cmd + [text], cmd + ["--json", text]):
+            code, stdout, stderr = run(run_command, argv)
+            print(line(shlex.join(argv), code, stdout, stderr), flush=True)
+    recheck_lines(run_command, LOADS)
+    return 0
+
+
+def recheck_lines(run_command, cases):
+    """One line per (what, make, checker): checker run on make's input."""
     with tempfile.TemporaryDirectory() as tmp:
-        for what, make, checker in REFUSED:
+        for what, make, checker in cases:
             path = os.path.join(tmp, "refused.json")
             with open(path, "w") as fh:
                 json.dump(make(run_command), fh)
             code, stdout, stderr = run(run_command, checker + [path])
             print(line("%s <%s>" % (shlex.join(checker), what), code, stdout, stderr), flush=True)
-    for cmd, text in WORD_TIMES:
-        for argv in (cmd + [text], cmd + ["--json", text]):
-            code, stdout, stderr = run(run_command, argv)
-            print(line(shlex.join(argv), code, stdout, stderr), flush=True)
-    return 0
 
 
 if __name__ == "__main__":

@@ -172,6 +172,8 @@ class FreeElem:
 
     @staticmethod
     def from_json(field: Field, obj) -> "FreeElem":
+        if type(obj) is not dict:
+            raise ValueError("a serialized polynomial must be an object, got %r" % (obj,))
         if obj["field"] != field.name:
             raise ValueError("field mismatch: %s vs %s" % (obj["field"], field.name))
         return FreeElem(field, load_terms(obj["terms"], 1, lambda c: scalar_from_json(field, c)))

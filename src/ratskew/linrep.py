@@ -72,24 +72,31 @@ whichever scaling the kernel form carries.
 
 Operations avoid reductions they cannot need: a product with a constant
 only scales the other factor, and ``delta`` is memoised per instance.
-Sums, stars, loads and products other than word times series run both
-passes of :func:`_minimise`.
+Sums, stars, products other than word times series, and loads of any
+block but a single word's path run both passes of :func:`_minimise`.
 ``delta`` and ``from_free`` run only the second, :func:`_observe`: a
 transduction keeps the entry row and the letter matrices, so the whole
 space of its reduced operand stays reachable, every state of a
 polynomial's prefix tree is reached by its own prefix, and on such a
 block the reachability pass returns its input unchanged.
 A product c*w * S of a single word (``LinRep.word``, ``from_free`` of one
-term, or a ``scale`` of either) with a series S runs only the second pass
-too, on the block that the first would return.  Every prefix of w reaches
-its own state of the word's path, and a path through all of w goes on
-into S by a letter, so the reachable space is K^(|w|+1) + V+, with V+ =
-span{lam mu(v) : v nonempty} in S's states.  Its fully reduced echelon
-basis is the identity on the word's states followed by V+'s own basis,
-so that block is the word's own block, then V+'s restriction of S,
-which S memoises (``LinRep._tail``), joined by the product's bridge.  It
-is the same block, not a new basis: the field values, the kernel form
-and so every certificate are those of ``reduce()``.
+term, a loaded path block, or a ``scale`` of one) with a series S runs
+only the second pass too, on the block that the first would return.
+Every prefix of w reaches its own state of the word's path, and a path
+through all of w goes on into S by a letter, so the reachable space is
+K^(|w|+1) + V+, with V+ = span{lam mu(v) : v nonempty} in S's states.
+Its fully reduced echelon basis is the identity on the word's states
+followed by V+'s own basis, so that block is the word's own block, then
+V+'s restriction of S, which S memoises (``LinRep._tail``), joined by
+the product's bridge.  It is the same block, not a new basis: the field
+values, the kernel form and so every certificate are those of
+``reduce()``.
+``LinRep.from_json`` runs neither on the path block of a word c*w
+(:func:`_is_path`, the block ``LinRep.word`` builds, up to scaling): state
+k is reached by the prefix w[:k] and observed by the suffix w[k:], so both
+passes would span the whole space and return the block as it is.  It is
+kept as loaded and marked as ``word`` marks it, and ``to_free`` reads
+such a word, like a constant, straight off its block.
 ``SeriesMatrix.to_json`` runs the reachability pass once per matrix row,
 since every entry of a row shares its entry row and letter matrices, and
 the observability pass once per entry; either way the result is the one
@@ -657,9 +664,11 @@ class LinRep(_Block):
     ``scale``, a full-span reduction and the ``delta`` memo share its parts.
 
     Two more things are kept per instance.  ``_mono`` marks the path
-    representation of a single word c*w (``word``, and ``from_free`` of a
-    one-term polynomial; ``scale`` keeps it), which ``*`` multiplies with
-    no reachability search.  ``_tail`` memoises, the first time the series
+    representation of a single word c*w, lam = a*e_0, gamma = b*e_|w| and
+    a one on each step (``word``, ``from_free`` of a one-term polynomial,
+    and ``from_json`` of a path block; ``scale`` keeps it), which ``*``
+    multiplies with no reachability search and ``to_free`` reads with no
+    level search.  ``_tail`` memoises, the first time the series
     is the right factor of such a product, the reachable part of
     V+ = span{lam mu(v) : v nonempty}, as :func:`_reach` returns it from
     the rows lam mu(x): its dim, each lam mu(x) in the basis of V+, mu
@@ -779,10 +788,25 @@ class LinRep(_Block):
         support, which dim does not bound: (x0 + x1)^40 has dim 41 and
         2^40 words.  ``bounded`` stops the listing, level by level, before
         it keeps more prefixes than the bound, which a single word (dim
-        prefixes) or a sum of letters (letters + 1) never exceeds."""
+        prefixes) or a sum of letters (letters + 1) never exceeds.
+
+        Two series are read off with neither search: a marked single word
+        (``_mono``) is the one term w: lam * mu(w) * gamma, w being the
+        letters along its path, whose steps are all one, and a letterless
+        series of dim 1 is the constant ``tau()``."""
         field = self.field
         if self.dim == 0:
             return FreeElem.zero(field)
+        if self._mono:  # every step of the path is one: lam * mu(w) * gamma = lam[0] * gamma[-1]
+            (lam,), mu, (gamma,) = self._fb()
+            w = [None] * (self.dim - 1)
+            for x, m in mu.items():
+                for i in range(self.dim - 1):
+                    if m[i][i + 1]:
+                        w[i] = x
+            return FreeElem(field, {tuple(w): lam[0] * gamma[-1]})
+        if self.dim == 1 and not self._letters():
+            return FreeElem.scalar(field, self.tau())
         k = _kernel(field)
         d, (lam,), mu, (gamma,) = self._kb(k)
         mu = sorted(mu.items())
@@ -1066,12 +1090,25 @@ class LinRep(_Block):
 
     @staticmethod
     def from_json(field: Field, obj) -> "LinRep":
-        # reduced on load: the dim-based zero test and the constant shortcut rely on it
-        return LinRep._load(field, obj).reduce()
+        """The series of ``obj``, reduced, as the dim-based zero test and the
+        constant shortcut of ``*`` assume.  The path block of a single word
+        (:func:`_is_path`) is minimal already: both passes of
+        :func:`_minimise` would span the whole space and return it as it
+        is.  So it is returned as loaded, marked as :meth:`word` marks it;
+        any other block is reduced."""
+        rep = LinRep._load(field, obj)
+        (lam,), mu, (gamma,) = rep._f
+        if not _is_path(field, rep.dim, lam, mu, gamma):
+            return rep.reduce()
+        rep._mono = True
+        return rep
 
     @staticmethod
     def _load(field: Field, obj) -> "LinRep":
-        """The triple of ``obj`` as it is, checked for shape but not reduced."""
+        """The triple of ``obj`` as it is, its letters sorted, checked for
+        shape but not reduced."""
+        if type(obj) is not dict:
+            raise ValueError("a serialized series must be an object, got %r" % (obj,))
         if obj["field"] != field.name:
             raise ValueError("field mismatch: %s vs %s" % (obj["field"], field.name))
         dim = obj["dim"]
@@ -1092,7 +1129,28 @@ class LinRep(_Block):
             if not (vec(m) and all(vec(row) for row in m)):
                 raise ValueError("mu[%d] is not a %d x %d matrix" % (x, dim, dim))
             mu[x] = [[dec(c) for c in row] for row in m]
-        return LinRep(field, dim, [dec(c) for c in obj["lam"]], mu, [dec(c) for c in obj["gamma"]])
+        return LinRep(field, dim, [dec(c) for c in obj["lam"]], dict(sorted(mu.items())),
+                      [dec(c) for c in obj["gamma"]])
+
+
+def _is_path(field, dim, lam, mu, gamma) -> bool:
+    """Whether the field values (lam, mu, gamma) are the path block of a
+    single word c*w, as :meth:`LinRep.word` and a ``scale`` of it build
+    them: dim >= 2, lam = a*e_0 and gamma = b*e_(dim-1) with a and b
+    nonzero, each superdiagonal position (k, k + 1) holding one in exactly
+    one letter's matrix, every other entry zero, and no letter's matrix
+    zero.  State k is then reached by the prefix w[:k] and observed by the
+    suffix w[k:], so the block is minimal."""
+    if dim < 2 or not lam[0] or any(lam[1:]) or not gamma[-1] or any(gamma[:-1]):
+        return False
+    one, hits = field.one(), [0] * (dim - 1)
+    for m in mu.values():
+        steps = [(i, j, c) for i, row in enumerate(m) for j, c in enumerate(row) if c]
+        if not steps or any(j != i + 1 or c != one for i, j, c in steps):
+            return False
+        for i, _, _ in steps:
+            hits[i] += 1
+    return all(h == 1 for h in hits)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ Multiplication keeps min(N_a, N_b); the right transduction drops one.
 from __future__ import annotations
 
 from .fields import Field, scalar_from_json, scalar_to_json
-from .words import word_key
+from .words import load_terms, word_key
 
 DEFAULT_PRECISION = 16
 
@@ -188,13 +188,15 @@ class TruncSeries:
 
     @staticmethod
     def from_json(field: Field, obj) -> "TruncSeries":
+        if type(obj) is not dict:
+            raise ValueError("a serialized truncated series must be an object, got %r" % (obj,))
         if obj["field"] != field.name:
             raise ValueError("field mismatch: %s vs %s" % (obj["field"], field.name))
         precision = obj["precision"]
         # A window below 1 holds no coefficient, so no serialized series has one.
         if type(precision) is not int or precision < 1:
             raise ValueError("precision must be a positive integer, got %r" % (precision,))
-        return TruncSeries(field, precision, {tuple(w): scalar_from_json(field, c) for w, c in obj["terms"]})
+        return TruncSeries(field, precision, load_terms(obj["terms"], 1, lambda c: scalar_from_json(field, c)))
 
     def __repr__(self):
         head = sorted(self.coeffs, key=word_key)[:4]

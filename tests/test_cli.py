@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from ratskew.cli import run_command
+from ratskew import linrep
 from ratskew.fields import MAX_NVARS, field_from_name
 from ratskew.freealg import FreeElem
 from ratskew.linrep import LinRep
@@ -626,6 +627,71 @@ def test_verify_cert_refuses_a_generator_coefficient_with_too_large_a_support(ru
     start = time.process_time()
     _refused(run, tmp_path, cert, "prefixes of support words, too many to list")
     assert time.process_time() - start < 1.0
+
+
+@pytest.mark.parametrize("backend", ["rat", "free"])
+@pytest.mark.parametrize("coeff", [[1], "x"], ids=["list", "string"])
+def test_verify_cert_refuses_a_generator_coefficient_that_is_not_an_object(run, tmp_path, backend, coeff):
+    code, cert = jrun(run, "realize", "build", "--from", "0", "--to", "0", "--mult", "2", "--backend", backend)
+    assert code == 0
+    cert["E"][0][0]["terms"][0][1] = coeff
+    _refused(run, tmp_path, cert, "must be an object", repr(coeff))
+
+
+@pytest.mark.parametrize("change, fragment", [
+    (lambda term: term.__setitem__(1, [1]), "must be an object"),
+    (lambda term: term.__setitem__(1, "x"), "must be an object"),
+    (lambda term: term[1].update(terms=[5]), "a term must be"),
+    (lambda term: term[1]["terms"].append(term[1]["terms"][0]), "listed twice"),
+], ids=["list", "string", "terms_5", "term_twice"])
+def test_verify_cert_refuses_a_misshapen_trunc_coefficient(run, tmp_path, change, fragment):
+    """A truncated coefficient is checked as a polynomial is: an object,
+    with terms loaded by ``words.load_terms``, so no term is dropped for
+    another with the same word."""
+    code, cert = jrun(run, "skew", "witness", "--backend", "trunc", "--precision", "6", "--json",
+                      "y0*(1 + x0) + 2")
+    assert code == 0
+    change(cert["g"]["terms"][0])
+    code, out, err = run("verify-cert", _write(tmp_path, "w.json", cert))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and fragment in err and "Traceback" not in err
+
+
+def test_verify_cert_reduces_no_word_coefficient_of_a_generator_certificate(run, tmp_path, monkeypatch):
+    """Every word coefficient of a ``rat`` generator certificate is the
+    path block of its word, which the load keeps as it is: the re-check
+    minimises only its constants, one letterless 1 x 1 block each, and
+    lists every coefficient as a polynomial with no level search.  A load
+    that fell back to ``reduce()`` for words, or a listing that searched,
+    fails here."""
+    code, cert = jrun(run, "realize", "build", "--from", "2", "--to", "2", "--mult", "2", "--field", "qt:1")
+    assert code == 0
+    coeffs = [c for m in [cert["E"], *cert["A"], *cert["B"]] for row in m for el in row for _, c in el["terms"]]
+    consts = sum(c["dim"] == 1 and not c["mu"] for c in coeffs)
+    assert 0 < consts < len(coeffs)
+    minimised, listed, echelons = [], [], [0]
+    minimise, to_free, echelon = linrep._minimise, LinRep.to_free, linrep.Echelon
+
+    def spy_minimise(k, dim, rows, mu, cols):
+        minimised.append((dim, len(mu)))
+        return minimise(k, dim, rows, mu, cols)
+
+    def spy_echelon(ring):
+        echelons[0] += 1
+        return echelon(ring)
+
+    def spy_to_free(self, bounded=False):
+        before = echelons[0]
+        out = to_free(self, bounded)
+        listed.append((self._mono, echelons[0] - before))
+        return out
+
+    monkeypatch.setattr(linrep, "_minimise", spy_minimise)
+    monkeypatch.setattr(linrep, "Echelon", spy_echelon)
+    monkeypatch.setattr(LinRep, "to_free", spy_to_free)
+    assert jrun(run, "verify-cert", _write(tmp_path, "g.json", cert))[0] == 0
+    assert minimised == [(1, 0)] * consts
+    assert listed == [(c["dim"] > 1, 0) for c in coeffs]
 
 
 def test_verify_cert_refuses_a_trunc_generator_certificate(run, tmp_path):

@@ -14,11 +14,13 @@ from math import isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ratskew.acceptance import grid_specs
 from ratskew.expr import eval_series, eval_skew
 from ratskew.fields import QQ, Fp, RatFunc, field_from_name, scalar_from_json, scalar_to_json
 from ratskew.freealg import FreeElem
 from ratskew import linrep
 from ratskew.linrep import LinRep, NotInvertible, SeriesMatrix, invert_matrix_series
+from ratskew.realize import build_generators
 from ratskew.skew import CoeffDomain, SkewRing
 from ratskew.truncated import TruncSeries
 from ratskew.words import word_key
@@ -1449,3 +1451,110 @@ def test_marks_and_the_products_that_take_them(monkeypatch):
     two = LinRep.from_free(FreeElem.letter(field, 0) + FreeElem.letter(field, 1))
     two * b.data[()]
     assert calls == {"product": 1, "word": 6}
+
+
+# -- single words loaded as their path blocks, kept as loaded ------------------
+
+def _loads_as_reduce_does(field, obj):
+    """from_json of obj, checked to have the JSON and the stored kernel form
+    of obj loaded and reduced by both passes."""
+    got, ref = LinRep.from_json(field, obj), LinRep._load(field, obj).reduce()
+    assert got.to_json() == ref.to_json()
+    assert _kernel_form(got) == _kernel_form(ref)
+    return got
+
+
+@pytest.mark.parametrize("spec", grid_specs(), ids=lambda s: s.label())
+def test_grid_certificate_coefficients_load_as_reduce_gives_them(spec):
+    """Every coefficient of a construction's certificate is a constant or
+    the path block of a word; each word loads as it is written, marked,
+    and each constant through ``reduce()``."""
+    cert = build_generators(spec).to_json()
+    field = field_from_name(cert["field"])
+    for m in [cert["E"], *cert["A"], *cert["B"]]:
+        for el in chain.from_iterable(m):
+            for _, obj in el["terms"]:
+                got = _loads_as_reduce_does(field, obj)
+                assert got.to_json() == obj
+                assert got._mono is (obj["dim"] > 1)
+
+
+@pytest.mark.parametrize("name", ["q", "fp:7", "qt:1", "qt:2"])
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32), w=st.lists(st.integers(0, 3), max_size=5))
+def test_loaded_words_are_kept_as_reduce_gives_them(name, seed, w):
+    """Words c*w, unscaled and scaled (lam = a*e_0), load marked, with the
+    JSON and kernel form ``reduce()`` gives, letters in increasing order
+    whatever their order in the JSON, and list as the one term w."""
+    field = field_from_name(name)
+    rng = random.Random(seed)
+    c, a = field.random(rng, units_only=True), field.random(rng, units_only=True)
+    for s in (LinRep.word(field, w), LinRep.word(field, w, c), LinRep.word(field, w).scale(a),
+              LinRep.word(field, w, c).scale(a)):
+        obj = s.to_json()
+        for mu in (obj["mu"], dict(reversed(obj["mu"].items()))):
+            got = _loads_as_reduce_does(field, dict(obj, mu=mu))
+            assert got._mono is bool(w)
+            assert got.to_free() == FreeElem.word(field, w, s.coeff(w))
+            assert got == s
+
+
+def _near_paths(field):
+    """(what, JSON, the series it is) for blocks one change away from the
+    path block of 3/5*x0*x1*x2."""
+    enc = lambda c: scalar_to_json(field, c)
+    z, o, two = enc(field.zero()), enc(field.one()), enc(field.from_int(2))
+    c = field.from_int(3) / field.from_int(5)
+    word = lambda w, coeff=c: LinRep.word(field, w, coeff)
+
+    def near(*changes):
+        obj = word((0, 1, 2)).to_json()
+        for keys, value in changes:
+            target = obj
+            for key in keys[:-1]:
+                target = target[key]
+            target[keys[-1]] = value
+        return obj
+
+    return [
+        ("superdiagonal 2", near((("mu", "1", 1, 2), two)), word((0, 1, 2), c + c)),
+        ("second letter on one position", near((("mu", "2", 0, 1), o)), word((0, 1, 2)) + word((2, 1, 2))),
+        ("two letters on (0, 1), none on (1, 2)", near((("mu", "1", 1, 2), z), (("mu", "1", 0, 1), o)),
+         LinRep.zero(field)),
+        ("entry off the superdiagonal", near((("mu", "1", 0, 0), o)),
+         LinRep.letter(field, 1).star() * word((0, 1, 2))),
+        ("zero letter matrix", near((("mu", "3"), [[z] * 4 for _ in range(4)])), word((0, 1, 2))),
+        ("second nonzero in lam", near((("lam", 1), o)), word((0, 1, 2)) + word((1, 2))),
+        ("second nonzero in gamma", near((("gamma", 0), o)), word((0, 1, 2)) + LinRep.one(field)),
+    ]
+
+
+@pytest.mark.parametrize("name", ["q", "fp:7", "qt:1", "qt:2"])
+def test_near_path_blocks_are_reduced(name):
+    """A block one change away from a word's path block is not marked: it
+    is reduced as any other block, and is the series the change makes."""
+    field = field_from_name(name)
+    for what, obj, series in _near_paths(field):
+        got = _loads_as_reduce_does(field, obj)
+        assert not got._mono, what
+        assert got == series, what
+
+
+@pytest.mark.parametrize("name", ["q", "fp:7", "qt:1", "qt:2"])
+def test_to_free_shortcuts_equal_the_general_listing(name):
+    """A marked word and a constant are listed with no level search, as
+    the search and listing list the same block unmarked: a word's block
+    with its mark dropped, and a constant as an unreduced dim-2 block."""
+    field = field_from_name(name)
+    k = linrep._kernel(field)
+    c = field.from_int(3) / field.from_int(5)
+    words = [LinRep.word(field, w, c) for w in [(0,), (2, 0), (1, 1, 1), (0, 2, 1, 0)]]
+    words += [a.scale(field.from_int(-2)) for a in words] + [LinRep.from_free(FreeElem.word(field, (1, 2), c))]
+    z, o = field.zero(), field.one()
+    for a in words:
+        assert a._mono
+        plain = LinRep._of(field, *a._kb(k))
+        assert a.to_free() == a.to_free(bounded=True) == plain.to_free()
+    for s in (LinRep.one(field), LinRep.scalar(field, c)):
+        assert s.dim == 1 and not s._letters()
+        assert s.to_free() == LinRep(field, 2, [o, z], {}, [s.tau(), z]).to_free() == FreeElem.scalar(field, s.tau())
