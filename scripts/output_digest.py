@@ -19,7 +19,7 @@ No command prints a series matrix, so three ``spot_check_sigma_prime``
 certificates, two over q and one over qt:1, built with the package's own
 functions, get a line each, and so does the ``recheck_certificate`` result
 of each.
-Last come eight refusals, one line each: a skew witness whose first scalar
+Then come eight refusals, one line each: a skew witness whose first scalar
 is written "2/2" in place of "1" (a scalar must be written as the package
 writes it), a word-system certificate whose ``words`` is 5, a chain plan
 whose ``maps`` is 5, a skew witness whose first scalar is written "1/0",
@@ -29,13 +29,17 @@ Then eight ``series eval`` lines, over q and qt:1, plain and ``--json``,
 of a word times a series: each runs one product that skips the
 reachability search, on a right factor whose whole space is reached by
 nonempty words and on one where it is not.
-Last, seven lines on how a certificate's coefficients are loaded: two
+Then seven lines on how a certificate's coefficients are loaded: two
 generator certificates whose first word coefficient is near the path
 block of a word, with a superdiagonal entry of 2 or a second letter on its
 first step, which the load must reduce as any other block, and five
 refusals, of a generator coefficient that is not an object, over rat and
 over free, and of a truncated coefficient of a skew witness's g that is
 not an object, whose terms are [5], or which lists a term twice.
+Last, two lines of the qt:1 certificate of ``realize build --from 2 --to 2
+--mult 2`` (case 1) with its constant E[0][0] rewritten: as lam 2 and
+gamma 1/2, the same constant 1, which must pass, and as lam 0, a zero
+entry, which must fail with its list of failed identities.
 Run it on two checkouts and diff the outputs to see which commands changed:
 
     python3 scripts/output_digest.py > new.txt
@@ -304,6 +308,19 @@ def set_coefficient(term, value):
     return change
 
 
+def constant_e00(lam, gamma):
+    """A change of a generator certificate writing its constant E[0][0] as
+    the letterless 1 x 1 block (lam(field), {}, gamma(field)) over the
+    certificate's field."""
+    def change(cert):
+        from ratskew.fields import field_from_name, scalar_to_json
+
+        field = field_from_name(cert["field"])
+        c = E_TERM(cert)[1]
+        c["lam"], c["gamma"] = [scalar_to_json(field, lam(field))], [scalar_to_json(field, gamma(field))]
+    return change
+
+
 def changed(argv, change):
     """A function of run_command making the certificate argv prints,
     changed in place by change."""
@@ -321,7 +338,9 @@ G_TERM = lambda cert: cert["g"]["terms"][0]
 
 # (what is changed, a function of run_command making the input, the command
 # that re-checks it): loads of near-path word coefficients, reduced as any
-# other block, then coefficients that must be refused
+# other block, coefficients that must be refused, then the constant E[0][0]
+# of a case-1 certificate written as another block of the same constant 1,
+# kept as loaded, and with lam 0, which loads as zero and fails the check
 LOADS = [
     ("output of: %s, first word coefficient with a superdiagonal entry of 2" % shlex.join(INFINITE_SUPPORT),
      changed(INFINITE_SUPPORT, superdiagonal_two), VERIFY_CERT),
@@ -335,6 +354,11 @@ LOADS = [
     ("trunc coefficient of g listing a term twice",
      changed(TRUNC_WITNESS, lambda cert: G_TERM(cert)[1]["terms"].append(G_TERM(cert)[1]["terms"][0])),
      VERIFY_CERT),
+    ("output of: %s, constant E[0][0] written as lam 2, gamma 1/2" % shlex.join(INFINITE_SUPPORT),
+     changed(INFINITE_SUPPORT, constant_e00(lambda f: f.from_int(2), lambda f: f.one() / f.from_int(2))),
+     VERIFY_CERT),
+    ("output of: %s, constant E[0][0] written as lam 0" % shlex.join(INFINITE_SUPPORT),
+     changed(INFINITE_SUPPORT, constant_e00(lambda f: f.zero(), lambda f: f.one())), VERIFY_CERT),
 ]
 
 

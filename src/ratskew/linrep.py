@@ -73,15 +73,17 @@ whichever scaling the kernel form carries.
 Operations avoid reductions they cannot need: a product with a constant
 only scales the other factor, and ``delta`` is memoised per instance.
 Sums, stars, products other than word times series, and loads of any
-block but a single word's path run both passes of :func:`_minimise`.
+block but a single word's path or a nonzero constant run both passes of
+:func:`_minimise`.
 ``delta`` and ``from_free`` run only the second, :func:`_observe`: a
 transduction keeps the entry row and the letter matrices, so the whole
 space of its reduced operand stays reachable, every state of a
 polynomial's prefix tree is reached by its own prefix, and on such a
 block the reachability pass returns its input unchanged.
 A product c*w * S of a single word (``LinRep.word``, ``from_free`` of one
-term, a loaded path block, or a ``scale`` of one) with a series S runs
-only the second pass too, on the block that the first would return.
+term, a loaded path block, a ``scale`` of one, or the ``delta`` of one by
+its last letter) with a series S runs only the second pass too, on the
+block that the first would return.
 Every prefix of w reaches its own state of the word's path, and a path
 through all of w goes on into S by a letter, so the reachable space is
 K^(|w|+1) + V+, with V+ = span{lam mu(v) : v nonempty} in S's states.
@@ -96,7 +98,10 @@ values, the kernel form and so every certificate are those of
 k is reached by the prefix w[:k] and observed by the suffix w[k:], so both
 passes would span the whole space and return the block as it is.  It is
 kept as loaded and marked as ``word`` marks it, and ``to_free`` reads
-such a word, like a constant, straight off its block.
+such a word, like a constant, straight off its block.  Nor does it run
+either pass on a letterless 1 x 1 block (a, {}, b) with a and b nonzero:
+its minimal form keeps a and b, so it is kept as loaded, with the
+constant a*b read from the field values.
 ``SeriesMatrix.to_json`` runs the reachability pass once per matrix row,
 since every entry of a row shares its entry row and letter matrices, and
 the observability pass once per entry; either way the result is the one
@@ -666,9 +671,10 @@ class LinRep(_Block):
     Two more things are kept per instance.  ``_mono`` marks the path
     representation of a single word c*w, lam = a*e_0, gamma = b*e_|w| and
     a one on each step (``word``, ``from_free`` of a one-term polynomial,
-    and ``from_json`` of a path block; ``scale`` keeps it), which ``*``
-    multiplies with no reachability search and ``to_free`` reads with no
-    level search.  ``_tail`` memoises, the first time the series
+    ``from_json`` of a path block, and the ``delta`` of a marked word by
+    its last letter; ``scale`` keeps it), which ``*`` multiplies with no
+    reachability search and ``to_free`` reads with no level search.
+    ``_tail`` memoises, the first time the series
     is the right factor of such a product, the reachable part of
     V+ = span{lam mu(v) : v nonempty}, as :func:`_reach` returns it from
     the rows lam mu(x): its dim, each lam mu(x) in the basis of V+, mu
@@ -793,7 +799,8 @@ class LinRep(_Block):
         Two series are read off with neither search: a marked single word
         (``_mono``) is the one term w: lam * mu(w) * gamma, w being the
         letters along its path, whose steps are all one, and a letterless
-        series of dim 1 is the constant ``tau()``."""
+        series of dim 1 is the constant ``tau()``, which a loaded constant
+        (:meth:`from_json`) already holds from its field values."""
         field = self.field
         if self.dim == 0:
             return FreeElem.zero(field)
@@ -1000,6 +1007,11 @@ class LinRep(_Block):
         the reachability pass of ``reduce()`` would return its input
         unchanged.
 
+        The delta of a marked word c*w (``_mono``) is zero unless i is w's
+        last letter, and is then c*w[:-1].  The pass keeps the first |w|
+        states of w's path, in order, which is the path block of c*w[:-1];
+        so that delta is marked too when |w| >= 2.
+
         The result is memoised per instance and letter, so repeated calls
         return the same object."""
         memo = self._deltas
@@ -1014,6 +1026,7 @@ class LinRep(_Block):
                 out = LinRep.zero(self.field)
             else:
                 out = LinRep._of(self.field, *_observe(k, d, d, rows, mu, [k.vm(gamma, k.transposed(m))]))
+                out._mono = self._mono and out.dim > 1
             memo[i] = out
         return out
 
@@ -1091,13 +1104,21 @@ class LinRep(_Block):
     @staticmethod
     def from_json(field: Field, obj) -> "LinRep":
         """The series of ``obj``, reduced, as the dim-based zero test and the
-        constant shortcut of ``*`` assume.  The path block of a single word
-        (:func:`_is_path`) is minimal already: both passes of
+        constant shortcut of ``*`` assume.  Two kinds of block are minimal
+        already and are returned as loaded, with no kernel conversion.  The
+        path block of a single word (:func:`_is_path`): both passes of
         :func:`_minimise` would span the whole space and return it as it
-        is.  So it is returned as loaded, marked as :meth:`word` marks it;
-        any other block is reduced."""
+        is, so it is marked as :meth:`word` marks it.  A letterless 1 x 1
+        block (a, {}, b) with a and b nonzero, the constant a*b: its
+        minimal form (:func:`_minimise`) keeps lam = a and sets gamma to
+        (a*b) / a = b, so the field values and the kernel form are those
+        ``reduce()`` gives, and ``tau()`` is set to a*b from the field
+        values.  Any other block is reduced."""
         rep = LinRep._load(field, obj)
         (lam,), mu, (gamma,) = rep._f
+        if rep.dim == 1 and not mu and lam[0] and gamma[0]:
+            rep._tau = lam[0] * gamma[0]
+            return rep
         if not _is_path(field, rep.dim, lam, mu, gamma):
             return rep.reduce()
         rep._mono = True

@@ -125,12 +125,18 @@ class GeneratorMatrices:
     B: list
 
     def eq(self, p, q) -> bool:
+        """Whether the matrices p and q are equal entry by entry, modulo
+        the ideal of e when ``quotient`` is set, literally otherwise.
+
+        Each pair of entries is compared literally first, and only a pair
+        that differs literally goes to ``t_equal``: literal equality is
+        equality, so it implies equality modulo the ideal.  Over the
+        ``free`` backend, which :func:`verify_generators` uses, every
+        coefficient is a canonical word -> scalar dict, so the literal
+        test costs no reduction."""
         for rp, rq in zip(p, q):
             for x, y in zip(rp, rq):
-                if self.quotient:
-                    if not t_equal(x, y):
-                        return False
-                elif x != y:
+                if x != y and not (self.quotient and t_equal(x, y)):
                     return False
         return True
 
@@ -377,7 +383,12 @@ def verify_generators(g: GeneratorMatrices) -> VerifyReport:
     delta_i, so each product, each quotient descent and each verdict is the
     one rational-series arithmetic gives, with no reduction.  A ``rat``
     coefficient that is not a polynomial, or one with too large a support
-    for its dim, raises ValueError; no construction emits one."""
+    for its dim, raises ValueError; no construction emits one.
+
+    Each identity is compared by :meth:`GeneratorMatrices.eq`, which sends
+    to the quotient test only the entries that differ literally; most
+    entries of a product that holds (two zeros, or two equal words) never
+    reach it."""
     g = _over_polynomials(g)
     z = g.ring.zero()
     checks = [("E*E = E", g.eq(mat_mul(g.E, g.E, z), g.E))]

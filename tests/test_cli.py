@@ -658,12 +658,12 @@ def test_verify_cert_refuses_a_misshapen_trunc_coefficient(run, tmp_path, change
 
 
 def test_verify_cert_reduces_no_word_coefficient_of_a_generator_certificate(run, tmp_path, monkeypatch):
-    """Every word coefficient of a ``rat`` generator certificate is the
-    path block of its word, which the load keeps as it is: the re-check
-    minimises only its constants, one letterless 1 x 1 block each, and
-    lists every coefficient as a polynomial with no level search.  A load
-    that fell back to ``reduce()`` for words, or a listing that searched,
-    fails here."""
+    """Every coefficient of a ``rat`` generator certificate is the path
+    block of its word or a letterless 1 x 1 constant, which the load keeps
+    as it is: the re-check minimises no coefficient, and lists every one
+    as a polynomial with no level search.  A load that fell back to
+    ``reduce()`` for words or constants, or a listing that searched, fails
+    here."""
     code, cert = jrun(run, "realize", "build", "--from", "2", "--to", "2", "--mult", "2", "--field", "qt:1")
     assert code == 0
     coeffs = [c for m in [cert["E"], *cert["A"], *cert["B"]] for row in m for el in row for _, c in el["terms"]]
@@ -690,7 +690,7 @@ def test_verify_cert_reduces_no_word_coefficient_of_a_generator_certificate(run,
     monkeypatch.setattr(linrep, "Echelon", spy_echelon)
     monkeypatch.setattr(LinRep, "to_free", spy_to_free)
     assert jrun(run, "verify-cert", _write(tmp_path, "g.json", cert))[0] == 0
-    assert minimised == [(1, 0)] * consts
+    assert minimised == []
     assert listed == [(c["dim"] > 1, 0) for c in coeffs]
 
 

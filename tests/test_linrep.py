@@ -1411,7 +1411,8 @@ def test_word_times_random_series_is_the_reduced_block_product(name, seed, depth
 
 
 def test_marks_and_the_products_that_take_them(monkeypatch):
-    """``word``, ``letter``, ``from_free`` of one word and ``scale`` mark a
+    """``word``, ``letter``, ``from_free`` of one word, ``scale`` and the
+    delta of a marked word by its last letter, if not a constant, mark a
     single word; nothing else does.  ``x_i * b`` and the products with the
     coefficients of e build no block product, so a product that fell back
     to the general path would fail here."""
@@ -1419,9 +1420,11 @@ def test_marks_and_the_products_that_take_them(monkeypatch):
     assert LinRep.letter(field, 1)._mono and LinRep.word(field, (0, 2), field.from_int(2))._mono
     assert LinRep.from_free(FreeElem.word(field, (1, 0), field.from_int(3)))._mono
     assert LinRep.letter(field, 0).scale(field.from_int(-2))._mono
+    assert LinRep.word(field, (0, 1)).delta(1)._mono
     for other in (LinRep.from_free(FreeElem.scalar(field, field.from_int(2))),
                   LinRep.from_free(FreeElem.letter(field, 0) + FreeElem.letter(field, 1)),
-                  LinRep.letter(field, 0) * LinRep.letter(field, 1), LinRep.word(field, (0, 1)).delta(1),
+                  LinRep.letter(field, 0) * LinRep.letter(field, 1), LinRep.word(field, (0, 1)).delta(0),
+                  LinRep.letter(field, 1).delta(1), (LinRep.letter(field, 0) * LinRep.letter(field, 1)).delta(1),
                   LinRep.letter(field, 0) + LinRep.letter(field, 0)):
         assert not other._mono
     calls = {"product": 0, "word": 0}
@@ -1558,3 +1561,72 @@ def test_to_free_shortcuts_equal_the_general_listing(name):
     for s in (LinRep.one(field), LinRep.scalar(field, c)):
         assert s.dim == 1 and not s._letters()
         assert s.to_free() == LinRep(field, 2, [o, z], {}, [s.tau(), z]).to_free() == FreeElem.scalar(field, s.tau())
+
+
+# -- deltas of marked words, and constants loaded as written --------------------
+
+@pytest.mark.parametrize("name", ["q", "fp:7", "qt:1", "qt:2"])
+def test_delta_of_a_marked_word_is_the_marked_shorter_word(name):
+    """The delta of a marked word c*w by its last letter is marked when
+    |w| >= 2, and only then: its field values are the path block of
+    c*w[:-1] (``_is_path``), its JSON and stored kernel form are those of
+    the delta of the same block unmarked, it lists as c*w[:-1], and its
+    products with series are the reduced block products."""
+    field = field_from_name(name)
+    k = linrep._kernel(field)
+    factors = [s for s, _ in _right_factors(field)]
+    for a in _words(field) + [LinRep.word(field, (0, 2, 1, 2), field.from_int(-3)).scale(field.from_int(2))]:
+        w = next(iter(a.to_free().coeffs))
+        plain = LinRep._of(field, *a._kb(k))
+        for i in range(3):
+            got, ref = a.delta(i), plain.delta(i)
+            assert not ref._mono
+            assert got.to_json() == ref.to_json()
+            assert _kernel_form(got) == _kernel_form(ref)
+            assert got._mono is (i == w[-1] and len(w) >= 2)
+            if got._mono:
+                (lam,), mu, (gamma,) = got._fb()
+                assert linrep._is_path(field, got.dim, lam, mu, gamma)
+                assert got.to_free() == FreeElem.word(field, w[:-1], a.coeff(w))
+                for s in factors:
+                    assert _kernel_form(got * s) == _kernel_form(_block_product(got, s))
+
+
+@pytest.mark.parametrize("name", ["q", "fp:7", "qt:1", "qt:2"])
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32))
+def test_loaded_constants_are_kept_as_reduce_gives_them(name, seed):
+    """A letterless 1 x 1 block (a, {}, b) with a and b nonzero loads as
+    written, with no kernel form built, and has the JSON, the kernel form
+    and the constant a*b that ``_load(obj).reduce()`` gives."""
+    field = field_from_name(name)
+    rng = random.Random(seed)
+    a, b = field.random(rng, units_only=True), field.random(rng, units_only=True)
+    enc = lambda c: scalar_to_json(field, c)
+    obj = {"field": field.name, "dim": 1, "lam": [enc(a)], "mu": {}, "gamma": [enc(b)]}
+    got = LinRep.from_json(field, obj)
+    assert got._k is None and got.tau() == a * b
+    assert got.to_json() == obj
+    ref = LinRep._load(field, obj).reduce()
+    assert got.tau() == ref.tau()
+    assert got.to_free() == ref.to_free() == FreeElem.scalar(field, a * b)
+    _loads_as_reduce_does(field, obj)
+
+
+@pytest.mark.parametrize("name", ["q", "fp:7", "qt:1", "qt:2"])
+def test_zero_and_lettered_1x1_blocks_are_reduced(name):
+    """A 1 x 1 block with a zero lam or gamma loads as dim 0, and one with a
+    letter, zero or not, is reduced as any other block."""
+    field = field_from_name(name)
+    enc = lambda c: scalar_to_json(field, c)
+    z, c = enc(field.zero()), enc(field.from_int(3) / field.from_int(5))
+    block = lambda lam, gamma, mu: {"field": field.name, "dim": 1, "lam": [lam], "mu": mu, "gamma": [gamma]}
+    for obj in (block(z, c, {}), block(c, z, {}), block(z, z, {})):
+        assert LinRep.from_json(field, obj).dim == 0
+        _loads_as_reduce_does(field, obj)
+    square = field.from_int(9) / field.from_int(25)
+    for letter, series in ((z, LinRep.scalar(field, square)),
+                           (enc(field.one()), LinRep.letter(field, 0).star().scale(square))):
+        obj = block(c, c, {"0": [[letter]]})
+        assert LinRep.from_json(field, obj)._k is not None
+        assert _loads_as_reduce_does(field, obj) == series

@@ -8,11 +8,13 @@ from ratskew.acceptance import grid_specs
 from ratskew.fields import FunctionField, field_from_name
 from ratskew.freealg import FreeElem
 from ratskew.la import mat_mul
+from ratskew import realize
 from ratskew.linrep import LinRep
 from ratskew.realize import (ChainPlan, GeneratorMatrices, HomSpec, VerifyReport,
                              build_generators, generator_matrices_from_json,
                              hom_spec, mat_add, mat_zero, plan_chain, spot_check_sigma_prime,
                              verify_chain, verify_generators)
+from ratskew.skew import t_equal
 
 QQ = field_from_name("q")
 
@@ -113,34 +115,47 @@ def test_generator_json_round_trip():
     assert verify_generators(h).ok
 
 
+def _reference_eq(g: GeneratorMatrices, p, q) -> bool:
+    """Entry-by-entry equality as ``GeneratorMatrices.eq`` decided it
+    before its literal shortcut: every pair goes to ``t_equal`` when g
+    compares modulo the ideal of e, and to ``==`` otherwise."""
+    for rp, rq in zip(p, q):
+        for x, y in zip(rp, rq):
+            same = t_equal(x, y) if g.quotient else x == y
+            if not same:
+                return False
+    return True
+
+
 def _reference_verify(g: GeneratorMatrices) -> VerifyReport:
     """The verification loop as it ran before the identities were checked
     over polynomial coefficients: g's own arithmetic, rational series for
-    a ``rat`` g.  Kept as the reference the polynomial check must agree
-    with."""
+    a ``rat`` g, and every entry compared by :func:`_reference_eq`.  Kept
+    as the reference the polynomial check must agree with."""
     z = g.ring.zero()
-    checks = [("E*E = E", g.eq(mat_mul(g.E, g.E, z), g.E))]
+    eq = lambda p, q: _reference_eq(g, p, q)
+    checks = [("E*E = E", eq(mat_mul(g.E, g.E, z), g.E))]
     zero = mat_zero(g.ring, g.size)
     for i in range(len(g.A)):
         for j in range(len(g.B)):
             want = g.E if i == j else zero
             name = "A%d*B%d = %s" % (i, j, "E" if i == j else "0")
-            checks.append((name, g.eq(mat_mul(g.A[i], g.B[j], z), want)))
+            checks.append((name, eq(mat_mul(g.A[i], g.B[j], z), want)))
     if g.spec.case in (1, 4):
         acc = mat_zero(g.ring, g.size)
         for i in range(len(g.A)):
             acc = mat_add(acc, mat_mul(g.B[i], g.A[i], z))
-        checks.append(("sum B_i*A_i = E", g.eq(acc, g.E)))
+        checks.append(("sum B_i*A_i = E", eq(acc, g.E)))
     for i in range(len(g.A)):
         checks.append(("E*A%d*E = A%d" % (i, i),
-                       g.eq(mat_mul(mat_mul(g.E, g.A[i], z), g.E, z), g.A[i])))
+                       eq(mat_mul(mat_mul(g.E, g.A[i], z), g.E, z), g.A[i])))
         checks.append(("E*B%d*E = B%d" % (i, i),
-                       g.eq(mat_mul(mat_mul(g.E, g.B[i], z), g.E, z), g.B[i])))
+                       eq(mat_mul(mat_mul(g.E, g.B[i], z), g.E, z), g.B[i])))
     return VerifyReport(all(ok for _, ok in checks), checks)
 
 
-def _tampered(spec, change):
-    g = build_generators(spec)
+def _tampered(spec, change, backend="rat"):
+    g = build_generators(spec, backend=backend)
     change(g)
     return g
 
@@ -153,25 +168,59 @@ def _bump_a0(g):
     g.A[0][0][0] = g.A[0][0][0] + g.ring.one()
 
 
+def _add_e_to_a0(g):
+    """Add e = 1 - sum y_i x_i, which lies in the ideal of e, to the first
+    entry of A_0: equal modulo the ideal, literally unequal."""
+    g.A[0][0][0] = g.A[0][0][0] + g.ring.e(g.ring.n if g.quotient else 0)
+
+
 @pytest.mark.parametrize("spec", grid_specs(), ids=lambda s: s.label())
 def test_polynomial_verification_matches_the_series_reference(spec):
-    """Every ``grid_specs()`` spec gets the same checks, names and verdicts,
-    over polynomial coefficients as in rational-series arithmetic: the
-    ``rat`` build, its certificate reloaded, the ``free`` build, and two
-    tampered ``rat`` builds, with E[0][0] doubled and with 1 added to the
-    first entry of A_0, whose failed names must agree too."""
+    """Every ``grid_specs()`` spec gets the same checks, names, verdicts and
+    failed lists from ``verify_generators`` (polynomial coefficients, the
+    literal shortcut of ``GeneratorMatrices.eq``) as from
+    :func:`_reference_verify` (g's own arithmetic, every entry compared):
+    the ``rat`` build, its certificate reloaded, the ``free`` build, and
+    tampered ``rat`` and ``free`` builds, with E[0][0] doubled, with 1
+    added to the first entry of A_0, and with e added to it, which fails
+    only where the identities are compared literally."""
     g = build_generators(spec)
     variants = {
-        "rat": g,
-        "certificate": generator_matrices_from_json(g.to_json()),
-        "free": build_generators(spec, backend="free"),
-        "E[0][0] doubled": _tampered(spec, _double_e00),
-        "A_0 entry + 1": _tampered(spec, _bump_a0),
+        "rat": (g, True),
+        "certificate": (generator_matrices_from_json(g.to_json()), True),
+        "free": (build_generators(spec, backend="free"), True),
     }
-    for what, h in variants.items():
+    for backend in ("rat", "free"):
+        variants.update({
+            "%s, E[0][0] doubled" % backend: (_tampered(spec, _double_e00, backend), False),
+            "%s, A_0 entry + 1" % backend: (_tampered(spec, _bump_a0, backend), False),
+            "%s, A_0 entry + e" % backend: (_tampered(spec, _add_e_to_a0, backend), g.quotient),
+        })
+    for what, (h, ok) in variants.items():
         new, old = verify_generators(h), _reference_verify(h)
         assert new.checks == old.checks, what
-        assert new.ok is old.ok and new.ok is (what in ("rat", "certificate", "free")), what
+        assert new.failed() == old.failed(), what
+        assert new.ok is old.ok is ok, what
+
+
+def test_only_literally_unequal_entries_reach_the_quotient_test(monkeypatch):
+    """``GeneratorMatrices.eq`` sends a pair of entries to ``t_equal`` only
+    when they differ literally.  Over every quotient spec of
+    ``grid_specs()``, built and with e added to an entry of A_0, the checks
+    pass, and some pairs are still sent."""
+    seen = []
+
+    def spy(x, y):
+        seen.append(x != y)
+        return t_equal(x, y)
+
+    monkeypatch.setattr(realize, "t_equal", spy)
+    for spec in grid_specs():
+        g = build_generators(spec)
+        if g.quotient:
+            for h in (g, _tampered(spec, _add_e_to_a0, "free")):
+                assert verify_generators(h).ok, spec.label()
+    assert seen and all(seen)
 
 
 def test_verify_refuses_a_series_coefficient():
