@@ -40,6 +40,9 @@ Last, two lines of the qt:1 certificate of ``realize build --from 2 --to 2
 --mult 2`` (case 1) with its constant E[0][0] rewritten: as lam 2 and
 gamma 1/2, the same constant 1, which must pass, and as lam 0, a zero
 entry, which must fail with its list of failed identities.
+Then ``skew member --json`` of a member whose descent adds series that
+differ only in the sign of lam, and the refusal of a skew witness that
+carries a key the re-check does not read.
 Run it on two checkouts and diff the outputs to see which commands changed:
 
     python3 scripts/output_digest.py > new.txt
@@ -361,6 +364,13 @@ LOADS = [
      changed(INFINITE_SUPPORT, constant_e00(lambda f: f.zero(), lambda f: f.one())), VERIFY_CERT),
 ]
 
+# a member whose descent cancels coefficients, then a skew witness of 1 - x0
+# with a top-level key that ``skew witness`` does not write
+CANCELLING = ["skew", "member", "--json", "y0*y1*e*(1 + x0)*(1 - 2*x1)^-1"]
+EXTRA_KEY = [("skew witness with an extra key",
+              changed(["skew", "witness", "--json", "1 - x0"], lambda cert: cert.update(surprise=True)),
+              VERIFY_CERT)]
+
 
 def doubled(field_name, c):
     """Twice a scalar in its JSON encoding."""
@@ -490,6 +500,9 @@ def main(argv=None) -> int:
             code, stdout, stderr = run(run_command, argv)
             print(line(shlex.join(argv), code, stdout, stderr), flush=True)
     recheck_lines(run_command, LOADS)
+    code, stdout, stderr = run(run_command, CANCELLING)
+    print(line(shlex.join(CANCELLING), code, stdout, stderr), flush=True)
+    recheck_lines(run_command, EXTRA_KEY)
     return 0
 
 

@@ -343,7 +343,14 @@ def _ring_for(elem_obj) -> sk.SkewRing:
     return sk.SkewRing(sk.CoeffDomain(elem_obj["backend"], field), elem_obj["n"])
 
 
+_SKEW_WITNESS_KEYS = frozenset(("kind", "input", "m", "g", "unit", "check", "precision"))
+
+
 def _recheck_skew_witness(obj) -> dict:
+    # a key the re-check would not read is refused, not passed over
+    extra = set(obj) - _SKEW_WITNESS_KEYS
+    if extra:
+        raise ValueError("skew witness has an unknown key %r" % min(extra))
     ring = _ring_for(obj["input"])
     a = sk.SkewElem.from_json(ring, obj["input"])
     g = sk.SkewElem.from_json(ring, obj["g"])

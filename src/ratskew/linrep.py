@@ -71,7 +71,9 @@ A field value has one canonical form, so every value read is the same
 whichever scaling the kernel form carries.
 
 Operations avoid reductions they cannot need: a product with a constant
-only scales the other factor, and ``delta`` is memoised per instance.
+only scales the other factor, a sum whose operands' kernel forms differ
+only in the sign of lam is zero with no direct sum, and ``delta`` is
+memoised per instance.
 Sums, stars, products other than word times series, and loads of any
 block but a single word's path or a nonzero constant run both passes of
 :func:`_minimise`.
@@ -882,32 +884,38 @@ class LinRep(_Block):
             raise ValueError("mixed scalar fields %s vs %s" % (self.field, other.field))
 
     def __add__(self, other: "LinRep") -> "LinRep":
+        """The sum, reduced; zero with no direct sum and no reduction when
+        the operands' kernel forms differ only in the sign of lam: equal
+        dims, equal mu and gamma forms, and lam forms over one denominator
+        whose entries are each other's negatives in the kernel's ring.  A
+        kernel form of one field stands for exactly one triple, so the
+        operands are then (lam, mu, gamma) and (-lam, mu, gamma), whose sum
+        is zero (over fp:2, where -1 is 1, that is a + a).  Minimal triples
+        are not canonical (two of one series may differ by a change of
+        basis, and a kernel form by a scaling), so any other pair proves
+        nothing and is reduced like every sum."""
         self._check(other)
         if self.dim == 0:
             return other
         if other.dim == 0:
             return self
         k = _kernel(self.field)
-        return LinRep._of(self.field, *_direct_sum(k, [self._kb(k), other._kb(k)])).reduce()
+        a, b = self._kb(k), other._kb(k)
+        if a[0] == b[0] and a[2] == b[2] and a[3] == b[3]:
+            (xs, den), = a[1]
+            (ys, den2), = b[1]
+            if den == den2 and ys == list(map(k.ring.neg, xs)):
+                return LinRep.zero(self.field)
+        return LinRep._of(self.field, *_direct_sum(k, [a, b])).reduce()
 
     def __neg__(self) -> "LinRep":
         return self.scale(-self.field.one())
 
     def __sub__(self, other: "LinRep") -> "LinRep":
-        """self + (-other), reduced; zero with no reduction when other is
-        self, or when both are over one field and hold equal stored kernel
-        forms.  A kernel form of a field stands for exactly one triple
-        (lam, mu, gamma), so equal forms are equal triples and the two
-        series are equal; over two fields they may be unequal.  Minimal
-        triples are not canonical: two of one series may differ by a change
-        of basis, and a kernel form by a scaling.  So unequal forms prove
-        nothing, and they go through the reduction like any other
-        difference."""
-        if other is self:
-            return LinRep.zero(self.field)
-        a, b = self._k, other._k
-        if self.dim == other.dim and a is not None and a == b and self.field == other.field:
-            return LinRep.zero(self.field)
+        """self + (-other), reduced.  -other is ``scale(-1)``, which negates
+        lam and shares mu and gamma, so a difference of equal kernel forms,
+        other being self or a loaded copy of it, is zero by the shortcut of
+        ``__add__``, with no reduction."""
         return self + (-other)
 
     def scale(self, c) -> "LinRep":

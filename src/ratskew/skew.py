@@ -234,7 +234,8 @@ class SkewElem:
         """self + (-other) in one pass.  A word whose two coefficients are
         the same object cancels with no backend arithmetic: r - r = 0
         exactly.  Every other word takes the backend's own difference, so
-        a rational coefficient gets the shortcuts of ``LinRep.__sub__``."""
+        a rational coefficient pair whose kernel forms are equal cancels
+        with no reduction, by the shortcut of ``LinRep.__add__``."""
         self._check(other)
         t = dict(self.data)
         for w, r in other.data.items():
@@ -406,12 +407,13 @@ def t_equal(a: SkewElem, b: SkewElem) -> Verdict:
     only in the narrowest window of a and b, also where a - b cancels.
 
     The difference skips arithmetic only where it is provably zero: a word
-    whose coefficients in a and b are one object, and a rational pair that
-    is one object or holds equal stored forms of one kernel (a stored form
-    stands for one triple, so equal forms are equal series).  Any other
-    pair is reduced as before, since minimal forms are not canonical and
-    unequal forms may still be one series; the verdict is the one
-    ``ideal_member(a + (-b))`` gives."""
+    whose coefficients in a and b are one object, and a rational pair whose
+    kernel forms, built if they are not yet, are equal forms of one kernel
+    (a kernel form stands for one triple, so equal forms are equal series,
+    and ``LinRep.__add__`` finds the forms of r and -r negated in lam).
+    Any other pair is reduced as before, since minimal forms are not
+    canonical and unequal forms may still be one series; the verdict is the
+    one ``ideal_member(a + (-b))`` gives."""
     v = ideal_member(a - b)
     if a.ring.domain.exact:
         return v

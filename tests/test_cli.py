@@ -302,6 +302,21 @@ def test_verify_cert_rejects_misrecorded_skew_witness_verdict(run, tmp_path, key
     assert err.startswith("error:") and key in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("backend", ["rat", "trunc"])
+@pytest.mark.parametrize("key", ["surprise", "ok"])
+def test_verify_cert_refuses_a_skew_witness_with_an_unknown_key(run, tmp_path, backend, key):
+    """A skew witness carries exactly the keys ``skew witness`` writes: any
+    other top-level key, even one another certificate kind uses, exits 1
+    with ``error:`` naming it."""
+    window = ["--precision", "6"] if backend == "trunc" else []
+    code, cert = jrun(run, "skew", "witness", "--backend", backend, *window, "--json", "1 - x0")
+    assert code == 0 and jrun(run, "verify-cert", _write(tmp_path, "w.json", cert))[0] == 0
+    cert[key] = True
+    code, out, err = run("verify-cert", _write(tmp_path, "w.json", cert))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and repr(key) in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("change, fragment", [
     (lambda mu: [], "mu must be an object"),                 # a list, not letters to matrices
     (lambda mu: {**mu, "01": [["0"]]}, "letter key '01'"),   # a second name for letter 1

@@ -7,6 +7,7 @@ specialisation at integer points to q (and from q to fp:p)."""
 
 import random
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import chain
 from math import isqrt
@@ -74,21 +75,110 @@ def _sub_pairs(rng, field):
     return pairs
 
 
+def _reference_sum(a, b):
+    """a + b through the direct sum and both passes of ``reduce()``, with no
+    shortcut but the zero operands."""
+    if not a or not b:
+        return b if not a else a
+    k = linrep._kernel(a.field)
+    return LinRep._of(a.field, *linrep._direct_sum(k, [a._kb(k), b._kb(k)])).reduce()
+
+
+def _same_sum(got, ref):
+    """got is ref: the same JSON, and the same kernel form when nonzero."""
+    assert got.to_json() == ref.to_json()
+    if ref:
+        assert _kernel_form(got) == _kernel_form(ref)
+
+
 @pytest.mark.parametrize("field", [QQ, QT], ids=lambda f: f.name)
 def test_sub_shortcuts_match_the_sum_of_the_negative(field):
     pairs = _sub_pairs(random.Random(31), field)
     # the round-trip copies do reach the equal-form shortcut
     assert any(a is not b and a._k and b._k and a._k[:3] == b._k[:3] for a, b in pairs)
     for a, b in pairs:
-        assert (a - b).to_json() == (a + (-b)).to_json()
-        assert (a == b) is ((a + (-b)).dim == 0)
+        ref = _reference_sum(a, b.scale(-field.one()))
+        _same_sum(a - b, ref)
+        _same_sum(a + (-b), ref)
+        assert (a == b) is (ref.dim == 0)
+
+
+@contextmanager
+def _minimised():
+    """The dims of the blocks ``linrep._minimise`` is called on, while the
+    context is open."""
+    calls, minimise = [], linrep._minimise
+
+    def spy(k, dim, rows, mu, cols):
+        calls.append(dim)
+        return minimise(k, dim, rows, mu, cols)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(linrep, "_minimise", spy)
+        yield calls
+
+
+def _nonzero_rep(rng, field, depth):
+    a = rand_rep(rng, field, depth)
+    return a if a else LinRep.word(field, (rng.randrange(2),), field.random(rng, units_only=True))
+
+
+@pytest.mark.parametrize("name", ["q", "fp:2", "fp:7", "qt:1", "qt:2"])
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32), depth=st.integers(0, 2))
+def test_sums_of_forms_negated_in_lam_are_zero_with_no_reduction(name, seed, depth):
+    """A sum whose operands' kernel forms differ only in the sign of lam is
+    zero with no call of ``_minimise``: a with its scalings by -1 and by -c,
+    a with a loaded copy of itself, and 1 with a reduced 1 whose kernel
+    form is built, where 1's own form is not built yet."""
+    field = field_from_name(name)
+    rng = random.Random(seed)
+    a = _nonzero_rep(rng, field, depth)
+    c = field.random(rng, units_only=True)
+    b = LinRep.from_json(field, a.to_json())
+    one = LinRep.one(field).reduce()
+    assert one._k is not None and LinRep.one(field)._k is None
+    cases = [(a, a.scale(-field.one())), (a.scale(c), a.scale(-c))]
+    for x, y in cases:
+        with _minimised() as calls:
+            assert (x + y).dim == 0
+        assert calls == []
+    for x, y in [(a, a), (a, b), (LinRep.one(field), one)]:
+        with _minimised() as calls:
+            assert (x - y).dim == 0
+        assert calls == []
+
+
+@pytest.mark.parametrize("name", ["q", "fp:2", "fp:7", "qt:1", "qt:2"])
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32), depth=st.integers(0, 2))
+def test_sums_of_forms_not_negated_in_lam_are_reduced(name, seed, depth):
+    """a + a, a + 2a and a - 2a share mu and gamma, but their lam forms are
+    not each other's negatives (over fp:2, where -1 is 1, a + a is zero and
+    2a is zero).  Each has the JSON and the kernel form of the reduced direct
+    sum, also when a's lam has the denominator 2, so that 2a's lam is the
+    negative of a's numerators over another denominator."""
+    field = field_from_name(name)
+    rng = random.Random(seed)
+    a = _nonzero_rep(rng, field, depth)
+    two = field.from_int(2)
+    if not two:
+        assert (a + a).dim == 0 and not a.scale(two)
+        return
+    for x in (a, a.scale(field.one() / two)):
+        for got, y in [(x + x, x), (x + x.scale(two), x.scale(two)), (x - x.scale(two), x.scale(-two))]:
+            _same_sum(got, _reference_sum(x, y))
+            assert got.dim == x.dim
 
 
 def test_equal_forms_of_different_kernels_are_not_equal_series():
     a, b = LinRep.letter(QQ, 0).reduce(), LinRep.letter(F7, 0).reduce()
     assert a.dim == b.dim and a._k[:3] == b._k[:3]
-    with pytest.raises(ValueError, match="mixed scalar fields"):
-        a - b
+    for x, y in [(a, b), (b, a), (a, b.scale(-F7.one())), (b, a.scale(-QQ.one()))]:
+        with pytest.raises(ValueError, match="mixed scalar fields"):
+            x - y
+        with pytest.raises(ValueError, match="mixed scalar fields"):
+            x + y
 
 
 # -- agreement with polynomials ---------------------------------------------

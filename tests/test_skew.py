@@ -1,12 +1,14 @@
 """The extension ring: defining relations, the quotient ideal, witnesses,
 and the verified word-system recursion."""
 
+import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ratskew import skew
+from ratskew import linrep, skew
+from ratskew.cli import recheck_certificate
 from ratskew.expr import eval_skew
 from ratskew.fields import QQ, field_from_name
 from ratskew.freealg import FreeElem
@@ -418,6 +420,65 @@ def test_t_equal_of_identical_operands_keeps_the_truncated_verdict(field):
         want = ideal_member(a + (-b)) & Verdict(True, min(precs, default=None))
         assert t_equal(a, b) == want
         assert want.value and want.precision == (5 if a else 12)
+
+
+def _spy_zero_sums(m):
+    """Spy, through the MonkeyPatch m, on the sums of two nonzero series
+    that are zero: a list of (whether b's kernel form is that of -a, the
+    number of ``linrep._minimise`` calls the sum a + b made)."""
+    sums, minimised = [], []
+    add, minimise = LinRep.__add__, linrep._minimise
+
+    def spy_minimise(k, dim, rows, mu, cols):
+        minimised.append(dim)
+        return minimise(k, dim, rows, mu, cols)
+
+    def spy_add(a, b):
+        before = len(minimised)
+        out = add(a, b)
+        if a and b and not out:
+            k = linrep._kernel(a.field)
+            sums.append((b._kb(k) == a.scale(-a.field.one())._kb(k), len(minimised) - before))
+        return out
+
+    m.setattr(linrep, "_minimise", spy_minimise)
+    m.setattr(LinRep, "__add__", spy_add)
+    return sums
+
+
+_CANCELLING = "y0*y1*e*(1 + x0)*(1 - 2*x1)^-1"
+
+
+@pytest.mark.parametrize("text", [_CANCELLING, _CANCELLING + " + y2*e*(2 - x1*x0)"])
+def test_descent_cancels_negated_forms_with_no_reduction(text):
+    """The descent of a member of the skew-q shape reaches zero sums, and
+    each of them adds forms that differ in the sign of lam, with no call of
+    ``_minimise``."""
+    a = eval_skew(text, SkewRing(CoeffDomain("rat", QQ), 2))
+    with pytest.MonkeyPatch.context() as m:
+        sums = _spy_zero_sums(m)
+        assert ideal_member(a)
+    assert sums and sums == [(True, 0)] * len(sums)
+
+
+@pytest.mark.parametrize("text", ["y1*(1 + x0) + " + _CANCELLING, "y2*y0*(3 - x0*x1)*(1 + x2)^-1 + y1*e*(2 + x1)"])
+def test_witness_and_its_recheck_cancel_negated_forms_with_no_reduction(text):
+    """t_witness of a non-member, and the re-check of its certificate, reach
+    zero differences of negated forms, and reduce none of them."""
+    ring = SkewRing(CoeffDomain("rat", QQ), 2)
+    a = eval_skew(text, ring)
+    assert not ideal_member(a)
+    with pytest.MonkeyPatch.context() as m:
+        sums = _spy_zero_sums(m)
+        w = t_witness(a)
+    assert w.check.value and (True, 0) in sums
+    assert all(n == 0 for negated, n in sums if negated)
+    cert = json.loads(json.dumps(w.to_json()))
+    with pytest.MonkeyPatch.context() as m:
+        sums = _spy_zero_sums(m)
+        assert recheck_certificate(cert)["ok"]
+    assert (True, 0) in sums
+    assert all(n == 0 for negated, n in sums if negated)
 
 
 # -- serialization --------------------------------------------------------------------
