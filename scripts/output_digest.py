@@ -43,6 +43,10 @@ entry, which must fail with its list of failed identities.
 Then ``skew member --json`` of a member whose descent adds series that
 differ only in the sign of lam, and the refusal of a skew witness that
 carries a key the re-check does not read.
+Last come four more refusals: the first sigma certificate with its
+recorded ``ok_right`` and ``ok_left`` set to false, the same certificate
+with a key ``extra``, and a generator certificate with a key ``extra``,
+under ``verify-cert`` and under ``realize verify``.
 Run it on two checkouts and diff the outputs to see which commands changed:
 
     python3 scripts/output_digest.py > new.txt
@@ -372,6 +376,20 @@ EXTRA_KEY = [("skew witness with an extra key",
               VERIFY_CERT)]
 
 
+def sigma_and_generator_refusals(sigma):
+    """(what, make, checker) for the sigma certificate ``sigma`` with both
+    recorded verdicts false and with an unknown key, and for a generator
+    certificate with an unknown key."""
+    generator_extra = changed(INFINITE_SUPPORT, lambda cert: cert.update(extra=1))
+    return [
+        ("sigma certificate with ok_right and ok_left false",
+         lambda run_command: dict(sigma, ok_right=False, ok_left=False), VERIFY_CERT),
+        ("sigma certificate with an extra key", lambda run_command: dict(sigma, extra=1), VERIFY_CERT),
+        ("generator certificate with an extra key", generator_extra, VERIFY_CERT),
+        ("generator certificate with an extra key", generator_extra, REALIZE_VERIFY),
+    ]
+
+
 def doubled(field_name, c):
     """Twice a scalar in its JSON encoding."""
     from fractions import Fraction
@@ -488,7 +506,8 @@ def main(argv=None) -> int:
             code, stdout, stderr = run(run_command, VERIFY_CERT + [path])
             print(line("verify-cert <output of: %s, %s>" % (shlex.join(cmd), what), code, stdout,
                        stderr), flush=True)
-    for label, cert in sigma_certs():
+    sigma = sigma_certs()
+    for label, cert in sigma:
         ok = cert["ok_right"] and cert["ok_left"]
         print(line(label, 0 if ok else 1, json.dumps(cert, sort_keys=True)), flush=True)
         out = recheck_certificate(cert)
@@ -503,6 +522,7 @@ def main(argv=None) -> int:
     code, stdout, stderr = run(run_command, CANCELLING)
     print(line(shlex.join(CANCELLING), code, stdout, stderr), flush=True)
     recheck_lines(run_command, EXTRA_KEY)
+    recheck_lines(run_command, sigma_and_generator_refusals(sigma[0][1]))
     return 0
 
 

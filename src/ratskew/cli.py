@@ -343,14 +343,18 @@ def _ring_for(elem_obj) -> sk.SkewRing:
     return sk.SkewRing(sk.CoeffDomain(elem_obj["backend"], field), elem_obj["n"])
 
 
+def _refuse_unknown_keys(obj, keys, what: str) -> None:
+    """A top-level key the re-check would not read is refused, not passed over."""
+    extra = set(obj) - keys
+    if extra:
+        raise ValueError("%s has an unknown key %r" % (what, min(extra)))
+
+
 _SKEW_WITNESS_KEYS = frozenset(("kind", "input", "m", "g", "unit", "check", "precision"))
 
 
 def _recheck_skew_witness(obj) -> dict:
-    # a key the re-check would not read is refused, not passed over
-    extra = set(obj) - _SKEW_WITNESS_KEYS
-    if extra:
-        raise ValueError("skew witness has an unknown key %r" % min(extra))
+    _refuse_unknown_keys(obj, _SKEW_WITNESS_KEYS, "skew witness")
     ring = _ring_for(obj["input"])
     a = sk.SkewElem.from_json(ring, obj["input"])
     g = sk.SkewElem.from_json(ring, obj["g"])
@@ -416,7 +420,11 @@ def _recheck_word_system(obj) -> dict:
             "s_mod": rep.s_mod, "violations": list(rep.violations)}
 
 
+_SIGMA_CERT_KEYS = frozenset(("kind", "field", "spec", "p", "size", "ok_right", "ok_left", "matrix", "inverse"))
+
+
 def _recheck_sigma_cert(obj) -> dict:
+    _refuse_unknown_keys(obj, _SIGMA_CERT_KEYS, "sigma certificate")
     field = field_from_name(obj["field"])
     mat = SeriesMatrix.from_json(field, obj["matrix"])
     inv = SeriesMatrix.from_json(field, obj["inverse"])
@@ -426,6 +434,11 @@ def _recheck_sigma_cert(obj) -> dict:
     ident = SeriesMatrix.identity(field, size)
     right = mat * inv == ident
     left = inv * mat == ident
+    # the recorded verdicts must be the ones the re-check reaches
+    for key, want in (("ok_right", right), ("ok_left", left)):
+        got = obj.get(key, "nothing")
+        if type(got) is not bool or got != want:
+            raise ValueError("certificate records %s %r, the re-check gives %r" % (key, got, want))
     return {"kind": "sigma_cert", "ok": right and left,
             "ok_right": right, "ok_left": left}
 

@@ -1119,14 +1119,73 @@ def _is_one_json(obj, nvars: int) -> bool:
     return type(e) is list and len(e) == nvars and all(type(k) is int and k == 0 for k in e)
 
 
+def _unit_json(nvars: int) -> list:
+    """A fresh ``[[[0, ..., 0], "1"]]``, the encoding of the polynomial 1."""
+    return [[[0] * nvars, "1"]]
+
+
 def scalar_to_json(field: Field, a):
+    """The JSON encoding of the scalar ``a``.  Zero and one, most of the
+    scalars of a certificate, skip the encoding of their polynomials over
+    qt:r (a canonical zero has denominator 1, and a canonical value is one
+    exactly when its numerator equals its denominator) and the string
+    conversion over q.  Every encoding is built fresh, so no two places in a
+    JSON tree share a list or an object."""
     if isinstance(field, RationalField):
-        return str(a)
+        return "0" if a is _ZERO else str(a)
     if isinstance(field, PrimeField):
         return a.v
     if isinstance(field, FunctionField):
-        return {"num": _mpoly_to_json(a.num), "den": _mpoly_to_json(a.den)}
+        num, den = a.num, a.den
+        if not num.p:
+            return {"num": [], "den": _unit_json(field.nvars)}
+        if num.p == den.p and num.c == den.c:
+            return {"num": _unit_json(field.nvars), "den": _unit_json(field.nvars)}
+        return {"num": _mpoly_to_json(num), "den": _mpoly_to_json(den)}
     raise TypeError("unknown field %r" % field)
+
+
+def scalar_reader(field: Field):
+    """A function ``read(obj)`` that returns ``scalar_from_json(field, obj)``.
+
+    It reads the exact encodings of zero and one with no parse and no
+    dispatch on the field, and returns the field's own zero and one for
+    them (values are never mutated, so they may be shared); any other
+    ``obj`` goes to :func:`scalar_from_json`.  The types are checked as the
+    parse checks them: ``False == 0`` in Python, but an fp:p scalar or a
+    qt:r exponent must be an ``int``.  Most scalars of a certificate's
+    series are zero: a word's path block of dim d has d - 1 nonzero entries
+    among d^2 per letter."""
+    zero, one = field.zero(), field.one()
+    if isinstance(field, RationalField):
+        def read(obj):
+            if obj == "0":
+                return zero
+            if obj == "1":
+                return one
+            return scalar_from_json(field, obj)
+    elif isinstance(field, PrimeField):
+        def read(obj):
+            if type(obj) is int and 0 <= obj <= 1:
+                return one if obj else zero
+            return scalar_from_json(field, obj)
+    elif isinstance(field, FunctionField):
+        unit, ints = _unit_json(field.nvars), [int] * field.nvars
+
+        def read(obj):
+            # the two checks of scalar_from_json's own shortcut
+            if type(obj) is dict:
+                den = obj.get("den")
+                if den == unit and list(map(type, den[0][0])) == ints:
+                    num = obj.get("num")
+                    if num == []:
+                        return zero
+                    if num == unit and list(map(type, num[0][0])) == ints:
+                        return one
+            return scalar_from_json(field, obj)
+    else:
+        raise TypeError("unknown field %r" % field)
+    return read
 
 
 def scalar_from_json(field: Field, obj):

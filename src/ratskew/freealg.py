@@ -1,7 +1,8 @@
 """Noncommutative polynomials: finitely supported series over a free monoid.
 
 A :class:`FreeElem` stores a dict from words (tuples of letter indices) to
-nonzero scalars.  Multiplication is word concatenation extended bilinearly.
+nonzero scalars, and is never mutated.  Multiplication is word
+concatenation extended bilinearly.
 These serve three roles: the polynomial coefficient backend of the skew
 extension, the inputs that get promoted to linear representations, and the
 plain data of the Leavitt-side cross checks.
@@ -19,6 +20,16 @@ class FreeElem:
     def __init__(self, field: Field, coeffs: dict) -> None:
         self.field = field
         self.coeffs = {w: c for w, c in coeffs.items() if c}
+
+    @staticmethod
+    def _of(field: Field, coeffs: dict) -> "FreeElem":
+        """Trusted constructor: wrap ``coeffs``, a dict of nonzero scalars
+        that no one else holds.  The operations whose results are free of
+        zeros by construction build them here, with no second filter."""
+        e = object.__new__(FreeElem)
+        e.field = field
+        e.coeffs = coeffs
+        return e
 
     # -- constructors ------------------------------------------------------
 
@@ -45,6 +56,11 @@ class FreeElem:
     # -- ring structure ----------------------------------------------------
 
     def __add__(self, other: "FreeElem") -> "FreeElem":
+        # values are never mutated, so a zero operand gives the other one
+        if not other.coeffs:
+            return self
+        if not self.coeffs:
+            return other
         t = dict(self.coeffs)
         for w, c in other.coeffs.items():
             s = t.get(w)
@@ -53,10 +69,10 @@ class FreeElem:
                 t[w] = s
             else:
                 del t[w]
-        return FreeElem(self.field, t)
+        return FreeElem._of(self.field, t)
 
     def __neg__(self) -> "FreeElem":
-        return FreeElem(self.field, {w: -c for w, c in self.coeffs.items()})
+        return FreeElem._of(self.field, {w: -c for w, c in self.coeffs.items()})
 
     def __sub__(self, other: "FreeElem") -> "FreeElem":
         return self + (-other)
@@ -72,12 +88,13 @@ class FreeElem:
                     t[w] = s
                 else:
                     del t[w]
-        return FreeElem(self.field, t)
+        return FreeElem._of(self.field, t)
 
     def scale(self, c) -> "FreeElem":
         if not c:
             return FreeElem.zero(self.field)
-        return FreeElem(self.field, {w: c * v for w, v in self.coeffs.items()})
+        # a field has no zero divisors: c * v is nonzero for nonzero c and v
+        return FreeElem._of(self.field, {w: c * v for w, v in self.coeffs.items()})
 
     def __pow__(self, k: int) -> "FreeElem":
         if k < 0:
@@ -123,7 +140,7 @@ class FreeElem:
     def delta(self, i: int) -> "FreeElem":
         """Right transduction by letter i: coeff of w in the result = coeff of w+(i,)."""
         t = {w[:-1]: c for w, c in self.coeffs.items() if w and w[-1] == i}
-        return FreeElem(self.field, t)
+        return FreeElem._of(self.field, t)
 
     def inv(self) -> "FreeElem":
         """Inverse, which exists in the polynomial ring only for nonzero scalars."""

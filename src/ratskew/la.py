@@ -53,6 +53,9 @@ def vec_mat(v, m, zero, ncols=None):
 
 
 def mat_mul(a, b, zero):
+    """The product a*b.  A slot that no term reached yet holds ``zero``
+    itself, and the first term is stored there as it is, not added to
+    zero; entries are never mutated, so they may be shared."""
     n, k = len(a), len(b)
     m = len(b[0]) if b else 0
     out = [[zero] * m for _ in range(n)]
@@ -65,8 +68,10 @@ def mat_mul(a, b, zero):
                 continue
             bl = b[l]
             for j in range(m):
-                if bl[j]:
-                    oi[j] = oi[j] + c * bl[j]
+                x = bl[j]
+                if x:
+                    s = oi[j]
+                    oi[j] = c * x if s is zero else s + c * x
     return out
 
 

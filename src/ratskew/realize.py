@@ -44,6 +44,9 @@ from .skew import CoeffDomain, SkewElem, SkewRing, t_equal
 # a certificate's plain ``ok`` cannot record.
 GENERATOR_BACKENDS = ("free", "rat")
 
+# The top-level keys of a generator certificate, those ``to_json`` writes.
+GENERATOR_KEYS = frozenset(("kind", "spec", "backend", "field", "ring_n", "quotient", "size", "E", "A", "B"))
+
 
 def _valid_tag(n: int) -> bool:
     return n == 0 or n >= 2
@@ -172,10 +175,14 @@ def generator_matrices_from_json(obj) -> GeneratorMatrices:
     The backend must be one of :data:`GENERATOR_BACKENDS`.  The spec is
     validated again by :func:`hom_spec`, and the recorded ``size``,
     ``ring_n`` and ``quotient`` must be the ones the spec's case builds.  Every matrix must be size x size, with as many A's as B's, at
-    least one pair, and exactly n + 1 pairs in cases 1 and 4.  A certificate
-    that breaks any of these raises ValueError."""
+    least one pair, and exactly n + 1 pairs in cases 1 and 4.  A top-level
+    key outside :data:`GENERATOR_KEYS` is refused, not passed over.  A
+    certificate that breaks any of these raises ValueError."""
     from .fields import field_from_name
 
+    extra = set(obj) - GENERATOR_KEYS
+    if extra:
+        raise ValueError("generator certificate has an unknown key %r" % min(extra))
     if obj["backend"] not in GENERATOR_BACKENDS:
         raise ValueError("backend %r is not one of %s" % (obj["backend"], ", ".join(GENERATOR_BACKENDS)))
     sj = obj["spec"]
@@ -451,10 +458,14 @@ def spot_check_sigma_prime(g: GeneratorMatrices, pmat) -> SigmaCert:
     Only cases 1 and 2 qualify: their A entries live in the coefficient
     ring (no y letters), so the whole block matrix embeds into matrices
     over series, where the diagonal-plus-augmentation split drives the
-    inversion; both one-sided products are verified exactly.
+    inversion; both one-sided products are verified exactly.  Every A_i is
+    checked to be y-free, but only the A_i whose symbol p uses is
+    converted to a series matrix, once, on its first use.
     """
     if g.spec.case not in (1, 2):
         raise ValueError("spot check needs y-free generator entries (cases 1 and 2)")
+    if any(el.y_degree() for a in g.A for row in a for el in row):
+        raise ValueError("generator entry has a y letter")
     field = g.ring.domain.field
     if isinstance(pmat, FreeElem):
         pmat = [[pmat]]
@@ -466,8 +477,6 @@ def spot_check_sigma_prime(g: GeneratorMatrices, pmat) -> SigmaCert:
         for row in mat:
             out_row = []
             for el in row:
-                if el.y_degree() != 0:
-                    raise ValueError("generator entry has a y letter")
                 coeff = el.data.get(())
                 if coeff is None:
                     out_row.append(LinRep.zero(field))
@@ -478,7 +487,7 @@ def spot_check_sigma_prime(g: GeneratorMatrices, pmat) -> SigmaCert:
             entries.append(out_row)
         return SeriesMatrix.from_entries(field, entries)
 
-    gens = [to_series_matrix(a) for a in g.A]
+    gens: dict = {}  # symbol -> the series matrix of its A, on first use
     eye = SeriesMatrix.identity(field, sz)
 
     blocks = [[None] * r for _ in range(r)]
@@ -492,9 +501,12 @@ def spot_check_sigma_prime(g: GeneratorMatrices, pmat) -> SigmaCert:
                 c = p.coeffs[w]
                 cur = eye
                 for letter in w:
-                    if letter >= len(gens):
+                    if letter >= len(g.A):
                         raise ValueError("symbol %d has no generator" % letter)
-                    cur = cur * gens[letter]
+                    gen = gens.get(letter)
+                    if gen is None:
+                        gen = gens[letter] = to_series_matrix(g.A[letter])
+                    cur = cur * gen
                 cur = cur.scale(c)
                 acc = cur if acc is None else acc + cur
             blocks[i][j] = acc

@@ -211,12 +211,28 @@ class SkewElem:
         self.data = {w: r for w, r in data.items() if r}
         self._descent = None  # what _descend returns for this element, filled on first use
 
+    @staticmethod
+    def _of(ring: SkewRing, data: dict) -> "SkewElem":
+        """Trusted constructor: wrap ``data``, a dict of nonzero coefficients
+        that no one else holds.  The operations whose results are free of
+        zeros by construction build them here, with no second filter."""
+        e = object.__new__(SkewElem)
+        e.ring = ring
+        e.data = data
+        e._descent = None
+        return e
+
     def _check(self, other: "SkewElem") -> None:
         if self.ring is not other.ring and self.ring != other.ring:
             raise ValueError("elements of different skew rings")
 
     def __add__(self, other: "SkewElem") -> "SkewElem":
         self._check(other)
+        # elements are never mutated, so a zero operand gives the other one
+        if not other.data:
+            return self
+        if not self.data:
+            return other
         t = dict(self.data)
         for w, r in other.data.items():
             s = t.get(w)
@@ -225,7 +241,7 @@ class SkewElem:
                 t[w] = s
             else:
                 del t[w]
-        return SkewElem(self.ring, t)
+        return SkewElem._of(self.ring, t)
 
     def __neg__(self) -> "SkewElem":
         return self.scale(-self.ring.domain.field.one())
@@ -249,35 +265,45 @@ class SkewElem:
         return SkewElem(self.ring, {w: r.scale(c) for w, r in self.data.items()})
 
     def __mul__(self, other: "SkewElem") -> "SkewElem":
-        """Push every left coefficient across the right factor's y-words."""
+        """Push every left coefficient across the right factor's y-words.
+
+        Each term is accumulated as it is made, and a word whose sum
+        cancels is dropped at once, so the result holds no zero and is
+        built with no second filter.  A term s*tau(cur) is never zero, as
+        a field has no zero divisors; a product cur*s of two nonzero
+        coefficients is zero only past a truncation window."""
         self._check(other)
         out: dict = {}
-
-        def acc(w, term):
-            if not term:
-                return
-            s = out.get(w)
-            s = term if s is None else s + term
-            if s:
-                out[w] = s
-            else:
-                del out[w]
-
+        get = out.get
         for I, r in self.data.items():
             for J, s in other.data.items():
                 cur = r
-                alive = True
                 for k in range(len(J)):
                     t = cur.tau()
                     if t:
-                        acc(I + J[k:], s.scale(t))
+                        w = I + J[k:]
+                        term = s.scale(t)
+                        old = get(w)
+                        if old is not None:
+                            term = old + term
+                        if term:
+                            out[w] = term
+                        else:
+                            del out[w]
                     cur = cur.delta(J[k])
                     if not cur:
-                        alive = False
                         break
-                if alive:
-                    acc(I, cur * s)
-        return SkewElem(self.ring, out)
+                else:
+                    term = cur * s
+                    if term:
+                        old = get(I)
+                        if old is not None:
+                            term = old + term
+                        if term:
+                            out[I] = term
+                        else:
+                            del out[I]
+        return SkewElem._of(self.ring, out)
 
     def __eq__(self, other):
         if not isinstance(other, SkewElem):

@@ -561,6 +561,41 @@ def test_verify_cert_refuses_misencoded_scalars_and_sigma_shapes(run, tmp_path, 
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("ok_right", False), ("ok_left", False), ("ok_right", 1), ("ok_left", "true"), ("ok_right", None),
+], ids=["right_false", "left_false", "right_int", "left_str", "right_null"])
+def test_verify_cert_refuses_a_sigma_cert_with_a_wrong_verdict(run, tmp_path, key, value):
+    """A sigma certificate records the verdicts its re-check reaches, as
+    booleans: another value of ``ok_right`` or ``ok_left`` exits 1 with
+    ``error:`` naming the key."""
+    cert = _with_sigma(lambda c: c.update({key: value}))(run)
+    code, out, err = run("verify-cert", _write(tmp_path, "s.json", cert))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and key in err and "Traceback" not in err
+
+
+def test_verify_cert_refuses_a_sigma_cert_with_both_verdicts_false(run, tmp_path):
+    cert = _with_sigma(lambda c: c.update(ok_right=False, ok_left=False))(run)
+    code, out, err = run("verify-cert", _write(tmp_path, "s.json", cert))
+    assert (code, out) == (1, "") and err.startswith("error:") and "ok_right" in err
+
+
+@pytest.mark.parametrize("key", ["extra", "ok", "checks"])
+def test_verify_cert_refuses_sigma_and_generator_certs_with_an_unknown_key(run, tmp_path, key):
+    """Sigma and generator certificates carry exactly the keys their
+    builders write: any other top-level key exits 1 with ``error:`` naming
+    it, under ``verify-cert`` and, for generators, ``realize verify``."""
+    sigma = _with_sigma(lambda c: None)(run)
+    code, gen = jrun(run, "realize", "build", "--from", "0", "--to", "3", "--mult", "2", "--count", "2")
+    assert code == 0
+    for cert, checkers in ((sigma, [("verify-cert",)]), (gen, [("verify-cert",), ("realize", "verify")])):
+        for checker in checkers:
+            assert run(*checker, _write(tmp_path, "c.json", cert))[0] == 0
+            code, out, err = run(*checker, _write(tmp_path, "c.json", dict(cert, **{key: 1})))
+            assert (code, out) == (1, "")
+            assert err.startswith("error:") and repr(key) in err and "Traceback" not in err
+
+
 def test_verify_cert_generator_matrices(run, tmp_path):
     code, cert = jrun(run, "realize", "build", "--from", "0", "--to", "3",
                       "--mult", "2", "--count", "2")

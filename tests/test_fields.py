@@ -9,8 +9,8 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ratskew.fields import (MAX_NVARS, ZZ, Fp, FunctionField, MPoly, PrimeField, QQ, RatFunc,
-                            field_from_name, mpoly_gcd, poly_ring, scalar_from_json,
+from ratskew.fields import (MAX_NVARS, ZZ, Fp, FunctionField, MPoly, PrimeField, QQ, RatFunc, _mpoly_to_json,
+                            field_from_name, mpoly_gcd, poly_ring, scalar_from_json, scalar_reader,
                             scalar_to_json, zmod_ring)
 
 F7 = field_from_name("fp:7")
@@ -228,6 +228,95 @@ def test_scalar_from_json_zero_and_one_fast_path(field):
             scalar_from_json(field, obj)
     for a in (field.zero(), field.one()):
         assert scalar_from_json(field, scalar_to_json(field, a)) == a
+
+
+# -- zero and one in the codec: q, fp:7, qt:1 and qt:2 ----------------------
+
+CODEC_FIELDS = [QQ, F7, QT, QT2]
+
+
+def _generic_to_json(field, a):
+    """The encoding with no shortcut for zero or one."""
+    if field is QQ:
+        return str(a)
+    if isinstance(field, PrimeField):
+        return a.v
+    return {"num": _mpoly_to_json(a.num), "den": _mpoly_to_json(a.den)}
+
+
+def _codec_values(field):
+    """0, 1 and -1, also as results of arithmetic (so not the field's own
+    zero and one objects), and other values."""
+    small = st.integers(-3, 3).map(field.from_int)
+    made = st.tuples(small, small.filter(bool)).flatmap(
+        lambda xy: st.sampled_from([xy[0] - xy[0], xy[1] / xy[1], -(xy[1] / xy[1]), xy[0] * xy[1]]))
+    values = [st.sampled_from([field.zero(), field.one(), -field.one()]), made]
+    if isinstance(field, FunctionField):
+        values.append(_ratfuncs(field.nvars))
+    elif field is QQ:
+        values.append(_fractions)
+    return st.one_of(*values)
+
+
+def _containers(obj):
+    """The ids of every list and dict in a JSON tree."""
+    if isinstance(obj, dict):
+        return [id(obj)] + [i for v in obj.values() for i in _containers(v)]
+    if isinstance(obj, list):
+        return [id(obj)] + [i for v in obj for i in _containers(v)]
+    return []
+
+
+@pytest.mark.parametrize("field", CODEC_FIELDS, ids=lambda f: f.name)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_scalar_codec_shortcuts_agree_with_the_generic_codec(field, data):
+    """The zero and one shortcuts of ``scalar_to_json`` write what the
+    generic encoding writes, and ``scalar_reader`` reads back what
+    ``scalar_from_json`` reads; two encodings share no list or object."""
+    a = data.draw(_codec_values(field))
+    enc = scalar_to_json(field, a)
+    assert enc == _generic_to_json(field, a)
+    again = scalar_to_json(field, a)
+    ids = _containers([enc, again])
+    assert len(ids) == len(set(ids))
+    read = scalar_reader(field)(enc)
+    assert read == scalar_from_json(field, enc) == a
+    if not a or a == field.one():
+        assert read is (field.one() if a else field.zero()) or field is F7
+
+
+def _near_misses(field):
+    """Objects that equal an encoding of 0 or 1 in Python, or nearly, and
+    that the parse refuses or reads otherwise."""
+    if field is QQ:
+        return ["0 ", "00", "1/1", "-0", 0, 1, False, True, None, [], {}]
+    if isinstance(field, PrimeField):
+        return [False, True, 0.0, 1.0, -0.0, "0", "1", 7, -1, 8, None, [0]]
+    z = [0] * field.nvars
+    one = [[z, "1"]]
+    bad = [[[False] * field.nvars, "1"]]
+    floaty = [[[0.0] * field.nvars, "1"]]
+    return [{"num": [], "den": bad}, {"num": bad, "den": one}, {"num": one, "den": floaty},
+            {"num": [], "den": floaty}, {"num": [], "den": one, "extra": 1}, {"num": one, "den": one, "x": 0},
+            {"num": [[z, "0"]], "den": one}, {"num": [[z, "2/2"]], "den": one}, {"num": [], "den": []},
+            {"num": [], "den": [[z + [0], "1"]]}, {"num": one}, {"den": one}, [], 0, "0"]
+
+
+@pytest.mark.parametrize("field", CODEC_FIELDS, ids=lambda f: f.name)
+def test_scalar_reader_agrees_with_scalar_from_json_on_near_misses(field):
+    """Where the parse refuses, the reader refuses with the same message;
+    where it reads a value, the reader reads the same value."""
+    read = scalar_reader(field)
+    for obj in _near_misses(field):
+        try:
+            want = scalar_from_json(field, obj)
+        except (ValueError, TypeError) as exc:
+            with pytest.raises(type(exc)) as info:
+                read(obj)
+            assert str(info.value) == str(exc), obj
+        else:
+            assert read(obj) == want, obj
 
 
 # -- RatFunc operators against the reducing constructor and an oracle -----

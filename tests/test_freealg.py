@@ -1,6 +1,7 @@
 """Free-algebra polynomials: ring axioms, grading, the tau/delta pair."""
 
 import random
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -40,6 +41,69 @@ def test_noncommutative_only_through_words(a, b):
     two = FreeElem.scalar(F7, F7.from_int(2))
     assert two * a == a * two
     assert a * b - b * a == -(b * a - a * b)
+
+
+# -- results free of zeros: q, fp:7, qt:1 and qt:2 ---------------------------
+
+ZERO_FREE_FIELDS = [QQ, F7, field_from_name("qt:1"), field_from_name("qt:2")]
+
+
+def _scalars(field):
+    """Small scalars, so that sums and products cancel often; over qt:r also
+    t1 and 1/(t1 + 1)."""
+    ints = st.integers(-2, 2).map(field.from_int)
+    if not hasattr(field, "var"):
+        return ints
+    t = field.var(0)
+    return st.one_of(ints, st.sampled_from([t, -t, field.one() / (t + 1)]))
+
+
+def _free_polys(field):
+    term = st.tuples(st.lists(st.integers(0, 1), max_size=2).map(tuple), _scalars(field))
+    return st.lists(term, max_size=4).map(
+        lambda terms: FreeElem(field, _summed((w, c) for w, c in terms)))
+
+
+def _summed(pairs):
+    """The words of (word, scalar) pairs with their scalars summed, zeros
+    kept: the input of a reference that filters zeros itself."""
+    out = {}
+    for w, c in pairs:
+        out[w] = out[w] + c if w in out else c
+    return out
+
+
+def _nonzero(d):
+    return {w: c for w, c in d.items() if c}
+
+
+@pytest.mark.parametrize("field", ZERO_FREE_FIELDS, ids=lambda f: f.name)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_results_hold_no_zero_and_match_a_filtering_reference(field, data):
+    """Sums, products, negatives, scalings and deltas are built with no
+    second filter: each holds no zero coefficient and equals the reference
+    that sums every term and then drops the zeros."""
+    a, b = data.draw(_free_polys(field)), data.draw(_free_polys(field))
+    c = data.draw(_scalars(field))
+    results = {
+        "sum": (a + b, _summed(chain(a.coeffs.items(), b.coeffs.items()))),
+        "product": (a * b, _summed((u + v, x * y) for u, x in a.coeffs.items() for v, y in b.coeffs.items())),
+        "negative": (-a, {w: -x for w, x in a.coeffs.items()}),
+        "scale": (a.scale(c), {w: c * x for w, x in a.coeffs.items()}),
+    }
+    for i in (0, 1):
+        results["delta%d" % i] = (a.delta(i), {w[:-1]: x for w, x in a.coeffs.items() if w and w[-1] == i})
+    for name, (got, ref) in results.items():
+        assert all(got.coeffs.values()), name
+        assert got.coeffs == _nonzero(ref), name
+
+
+@pytest.mark.parametrize("field", ZERO_FREE_FIELDS, ids=lambda f: f.name)
+def test_a_zero_summand_gives_the_other_one(field):
+    a = FreeElem.word(field, (0, 1), field.from_int(3)) + FreeElem.letter(field, 1)
+    zero = FreeElem.zero(field)
+    assert a + zero is a and zero + a is a
 
 
 def test_letters_do_not_commute():

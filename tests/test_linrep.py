@@ -1546,6 +1546,32 @@ def test_marks_and_the_products_that_take_them(monkeypatch):
     assert calls == {"product": 1, "word": 6}
 
 
+# -- zero and one read with no parse -----------------------------------------------
+
+@pytest.mark.parametrize("field", [QQ, F7, QT, QT2], ids=lambda f: f.name)
+@given(data=st.data())
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_load_reads_mostly_zero_blocks_as_the_generic_codec_does(field, data):
+    """``_load`` reads the encodings of zero and one with no parse: on the
+    path block of a word, mostly zeros, with a few entries set to 0, 1, -1
+    or another scalar, its field values are those ``scalar_from_json``
+    gives, entry by entry."""
+    w = data.draw(st.lists(st.integers(0, 1), min_size=1, max_size=3))
+    obj = LinRep.word(field, w, field.from_int(data.draw(st.sampled_from([1, -1, 2])))).to_json()
+    others = [field.zero(), field.one(), -field.one(), field.from_int(3)]
+    if hasattr(field, "var"):
+        others.append(field.one() / (field.var(0) + 1))
+    cells = [(obj["lam"], i) for i in range(obj["dim"])] + [(obj["gamma"], i) for i in range(obj["dim"])]
+    cells += [(row, j) for m in obj["mu"].values() for row in m for j in range(obj["dim"])]
+    for _ in range(data.draw(st.integers(0, 3))):
+        row, j = data.draw(st.sampled_from(cells))
+        row[j] = scalar_to_json(field, data.draw(st.sampled_from(others)))
+    rep = LinRep._load(field, obj)
+    dec = lambda c: scalar_from_json(field, c)
+    assert rep.lam == [dec(c) for c in obj["lam"]] and rep.gamma == [dec(c) for c in obj["gamma"]]
+    assert rep.mu == {int(x): [[dec(c) for c in row] for row in m] for x, m in obj["mu"].items()}
+
+
 # -- single words loaded as their path blocks, kept as loaded ------------------
 
 def _loads_as_reduce_does(field, obj):

@@ -9,7 +9,7 @@ from ratskew.fields import FunctionField, field_from_name
 from ratskew.freealg import FreeElem
 from ratskew.la import mat_mul
 from ratskew import realize
-from ratskew.linrep import LinRep
+from ratskew.linrep import LinRep, SeriesMatrix
 from ratskew.realize import (ChainPlan, GeneratorMatrices, HomSpec, VerifyReport,
                              build_generators, generator_matrices_from_json,
                              hom_spec, mat_add, mat_zero, plan_chain, spot_check_sigma_prime,
@@ -264,6 +264,53 @@ def test_sigma_cert_guards():
         spot_check_sigma_prime(g, FreeElem.one(QQ))  # constant term
     with pytest.raises(ValueError):
         spot_check_sigma_prime(g, FreeElem.letter(QQ, 5))  # no such generator
+
+
+def _spy_conversions(monkeypatch, g):
+    """Record, for each ``SeriesMatrix.from_entries`` call, the index of the
+    generator A_k whose entries it was given (a ``rat`` coefficient is passed
+    as it is), or None for any other matrix."""
+    calls = []
+    original = SeriesMatrix.from_entries
+
+    def owner(entries):
+        for k, a in enumerate(g.A):
+            if all(entries[i][j] is el.data[()] for i, row in enumerate(a) for j, el in enumerate(row) if el):
+                return k
+        return None
+
+    def spy(field, entries):
+        calls.append(owner(entries))
+        return original(field, entries)
+    monkeypatch.setattr(SeriesMatrix, "from_entries", staticmethod(spy))
+    return calls
+
+
+@pytest.mark.parametrize("spec", [hom_spec(2, 4, 2), hom_spec(0, 3, 2)], ids=lambda s: "case%d" % s.case)
+def test_sigma_cert_converts_only_the_generators_p_uses(monkeypatch, spec):
+    """p over A_0 converts A_0 alone, once, however often p uses it; the
+    inverted matrix is the only other series matrix built.  A second symbol
+    converts its generator too."""
+    g = build_generators(spec, count=3)
+    fld = g.ring.domain.field
+    z0, z1 = FreeElem.letter(fld, 0), FreeElem.letter(fld, 1)
+    assert len(g.A) == 3
+    calls = _spy_conversions(monkeypatch, g)
+    assert spot_check_sigma_prime(g, z0 + z0 * z0).ok
+    assert calls == [0, None]
+    calls.clear()
+    assert spot_check_sigma_prime(g, z0 + z1 * z0).ok
+    assert calls == [0, 1, None]
+
+
+def test_sigma_cert_refuses_a_y_letter_in_an_unused_generator():
+    """Every A_i must be y-free, also one that p does not use."""
+    g = build_generators(hom_spec(0, 3, 2), count=3)
+    z0 = FreeElem.letter(QQ, 0)
+    assert spot_check_sigma_prime(g, z0).ok
+    g.A[2][0][1] = g.ring.y(0)
+    with pytest.raises(ValueError, match="generator entry has a y letter"):
+        spot_check_sigma_prime(g, z0)
 
 
 # -- chains ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ and the verified word-system recursion."""
 
 import json
 import random
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -378,6 +379,71 @@ def test_word_system_report_carries_inputs():
     assert [tuple(w) for w in j["words"]] == words
     qs2 = [SkewElem.from_json(RAT, q) for q in j["qs"]]
     assert verify_word_system(RAT, words, qs2).ok
+
+
+# -- results free of zeros ------------------------------------------------------------
+
+def _skew_scalars(field):
+    """Small scalars, so that terms cancel often; over qt:r also t1."""
+    ints = st.integers(-2, 2).map(field.from_int)
+    return st.one_of(ints, st.just(field.var(0))) if hasattr(field, "var") else ints
+
+
+def _skew_elems(ring):
+    """Elements of up to three terms y_I * c*w, y-words and x-words of
+    length at most 2 over letters 0 and 1."""
+    words = st.lists(st.integers(0, 1), max_size=2).map(tuple)
+    term = st.tuples(words, words, _skew_scalars(ring.domain.field))
+
+    def build(terms):
+        out = {}
+        for yw, xw, c in terms:
+            r = ring.domain.word(xw, c)
+            out[yw] = out[yw] + r if yw in out else r
+        return SkewElem(ring, out)
+    return st.lists(term, max_size=3).map(build)
+
+
+def _filtered_sum(ring, pairs):
+    """The reference: every (y-word, coefficient) pair summed, the zero
+    sums dropped by the filtering constructor."""
+    out = {}
+    for w, r in pairs:
+        out[w] = out[w] + r if w in out else r
+    return SkewElem(ring, out)
+
+
+def _ref_product(a, b):
+    """Every term of a * b, by the rule r * y_i = y_i * tau(r) + delta_i(r)."""
+    terms = []
+    for I, r in a.data.items():
+        for J, s in b.data.items():
+            cur = r
+            for k in range(len(J)):
+                if cur.tau():
+                    terms.append((I + J[k:], s.scale(cur.tau())))
+                cur = cur.delta(J[k])
+            terms.append((I, cur * s))
+    return _filtered_sum(a.ring, terms)
+
+
+@pytest.mark.parametrize("kind", CoeffDomain.KINDS)
+@pytest.mark.parametrize("field", [QQ, F7, field_from_name("qt:1"), field_from_name("qt:2")],
+                         ids=lambda f: f.name)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_products_and_sums_hold_no_zero_and_match_a_filtering_reference(kind, field, data):
+    """Products and sums are built with no second filter: neither holds a
+    zero coefficient, and each equals the reference that sums every term
+    and then drops the zeros; a zero summand gives the other one."""
+    ring = SkewRing(CoeffDomain(kind, field, 8), 1)
+    a, b = data.draw(_skew_elems(ring)), data.draw(_skew_elems(ring))
+    for got, ref in ((a * b, _ref_product(a, b)),
+                     (a + b, _filtered_sum(ring, chain(a.data.items(), b.data.items())))):
+        assert all(got.data.values())
+        assert got == ref
+    zero = ring.zero()
+    assert a + zero is a and zero + a is (a if a else zero)
 
 
 # -- subtraction shortcuts -----------------------------------------------------------
