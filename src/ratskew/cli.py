@@ -28,7 +28,7 @@ from .expr import (ExprSyntaxError, parse_expr, render_expr, eval_series,
 from .fields import field_from_name
 from .linrep import SeriesMatrix
 from .truncated import TruncSeries
-from .words import word_key
+from .words import refuse_unknown_keys, word_key
 from . import skew as sk
 from . import leavitt as lv
 from . import kzero as kz
@@ -343,18 +343,11 @@ def _ring_for(elem_obj) -> sk.SkewRing:
     return sk.SkewRing(sk.CoeffDomain(elem_obj["backend"], field), elem_obj["n"])
 
 
-def _refuse_unknown_keys(obj, keys, what: str) -> None:
-    """A top-level key the re-check would not read is refused, not passed over."""
-    extra = set(obj) - keys
-    if extra:
-        raise ValueError("%s has an unknown key %r" % (what, min(extra)))
-
-
 _SKEW_WITNESS_KEYS = frozenset(("kind", "input", "m", "g", "unit", "check", "precision"))
 
 
 def _recheck_skew_witness(obj) -> dict:
-    _refuse_unknown_keys(obj, _SKEW_WITNESS_KEYS, "skew witness")
+    refuse_unknown_keys(obj, _SKEW_WITNESS_KEYS, "skew witness")
     ring = _ring_for(obj["input"])
     a = sk.SkewElem.from_json(ring, obj["input"])
     g = sk.SkewElem.from_json(ring, obj["g"])
@@ -420,11 +413,8 @@ def _recheck_word_system(obj) -> dict:
             "s_mod": rep.s_mod, "violations": list(rep.violations)}
 
 
-_SIGMA_CERT_KEYS = frozenset(("kind", "field", "spec", "p", "size", "ok_right", "ok_left", "matrix", "inverse"))
-
-
 def _recheck_sigma_cert(obj) -> dict:
-    _refuse_unknown_keys(obj, _SIGMA_CERT_KEYS, "sigma certificate")
+    refuse_unknown_keys(obj, rz.SIGMA_CERT_KEYS, "sigma certificate")
     field = field_from_name(obj["field"])
     mat = SeriesMatrix.from_json(field, obj["matrix"])
     inv = SeriesMatrix.from_json(field, obj["inverse"])

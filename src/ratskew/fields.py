@@ -1145,49 +1145,6 @@ def scalar_to_json(field: Field, a):
     raise TypeError("unknown field %r" % field)
 
 
-def scalar_reader(field: Field):
-    """A function ``read(obj)`` that returns ``scalar_from_json(field, obj)``.
-
-    It reads the exact encodings of zero and one with no parse and no
-    dispatch on the field, and returns the field's own zero and one for
-    them (values are never mutated, so they may be shared); any other
-    ``obj`` goes to :func:`scalar_from_json`.  The types are checked as the
-    parse checks them: ``False == 0`` in Python, but an fp:p scalar or a
-    qt:r exponent must be an ``int``.  Most scalars of a certificate's
-    series are zero: a word's path block of dim d has d - 1 nonzero entries
-    among d^2 per letter."""
-    zero, one = field.zero(), field.one()
-    if isinstance(field, RationalField):
-        def read(obj):
-            if obj == "0":
-                return zero
-            if obj == "1":
-                return one
-            return scalar_from_json(field, obj)
-    elif isinstance(field, PrimeField):
-        def read(obj):
-            if type(obj) is int and 0 <= obj <= 1:
-                return one if obj else zero
-            return scalar_from_json(field, obj)
-    elif isinstance(field, FunctionField):
-        unit, ints = _unit_json(field.nvars), [int] * field.nvars
-
-        def read(obj):
-            # the two checks of scalar_from_json's own shortcut
-            if type(obj) is dict:
-                den = obj.get("den")
-                if den == unit and list(map(type, den[0][0])) == ints:
-                    num = obj.get("num")
-                    if num == []:
-                        return zero
-                    if num == unit and list(map(type, num[0][0])) == ints:
-                        return one
-            return scalar_from_json(field, obj)
-    else:
-        raise TypeError("unknown field %r" % field)
-    return read
-
-
 def scalar_from_json(field: Field, obj):
     """The scalar whose :func:`scalar_to_json` encoding is ``obj``: a string
     over q, an int (not a bool) over fp:p, and over qt:r an object whose
@@ -1207,13 +1164,17 @@ def scalar_from_json(field: Field, obj):
             raise ValueError("a scalar over q must be a string, got %r" % (obj,))
         a = _fraction(obj)
     elif isinstance(field, PrimeField):
+        # an int (not a bool) in [0, p) is its own canonical encoding
+        if type(obj) is int and 0 <= obj < field.p:
+            return Fp(field.p, obj)
         if type(obj) is not int:
             raise ValueError("a scalar over %s must be an integer, got %r" % (field.name, obj))
         a = Fp(field.p, obj)
     elif isinstance(field, FunctionField):
         # 0 and 1 are most of the scalars of a certificate: their exact
-        # canonical encodings skip the parse, anything else takes it
-        if type(obj) is dict and _is_one_json(obj.get("den"), field.nvars):
+        # canonical encodings, num and den and no other key, skip the
+        # parse, anything else takes it
+        if type(obj) is dict and len(obj) == 2 and _is_one_json(obj.get("den"), field.nvars):
             num = obj.get("num")
             if type(num) is list and not num:
                 return field.zero()

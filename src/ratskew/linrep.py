@@ -121,7 +121,7 @@ from functools import partial
 from itertools import chain
 from math import lcm
 
-from .fields import (QQ, ZZ, Field, Fp, MPoly, PrimeField, RatFunc, RationalField, poly_ring, scalar_reader,
+from .fields import (QQ, ZZ, Field, Fp, MPoly, PrimeField, RatFunc, RationalField, poly_ring, scalar_from_json,
                      scalar_to_json, zmod_ring)
 from .freealg import FreeElem
 from .la import Echelon, dot, identity, invert_matrix, vec_mat
@@ -1146,7 +1146,7 @@ class LinRep(_Block):
         vec = lambda v: isinstance(v, list) and len(v) == dim
         if not (vec(obj["lam"]) and vec(obj["gamma"])):
             raise ValueError("lam and gamma must be lists of length dim = %d" % dim)
-        dec = scalar_reader(field)  # zero and one, most entries, skip the parse
+        dec = lambda c: scalar_from_json(field, c)
         if not isinstance(obj["mu"], dict):
             raise ValueError("mu must be an object from letters to matrices")
         mu = {}

@@ -37,6 +37,7 @@ from .freealg import FreeElem
 from .la import mat_mul
 from .linrep import LinRep, SeriesMatrix, invert_matrix_series
 from .skew import CoeffDomain, SkewElem, SkewRing, t_equal
+from .words import refuse_unknown_keys
 
 
 # The backends a generator certificate may name: those ``realize build``
@@ -44,8 +45,10 @@ from .skew import CoeffDomain, SkewElem, SkewRing, t_equal
 # a certificate's plain ``ok`` cannot record.
 GENERATOR_BACKENDS = ("free", "rat")
 
-# The top-level keys of a generator certificate, those ``to_json`` writes.
+# The top-level keys of a generator and of a sigma certificate, those their
+# ``to_json`` writes (a test holds each pair of lists equal).
 GENERATOR_KEYS = frozenset(("kind", "spec", "backend", "field", "ring_n", "quotient", "size", "E", "A", "B"))
+SIGMA_CERT_KEYS = frozenset(("kind", "field", "spec", "p", "size", "ok_right", "ok_left", "matrix", "inverse"))
 
 
 def _valid_tag(n: int) -> bool:
@@ -180,9 +183,7 @@ def generator_matrices_from_json(obj) -> GeneratorMatrices:
     certificate that breaks any of these raises ValueError."""
     from .fields import field_from_name
 
-    extra = set(obj) - GENERATOR_KEYS
-    if extra:
-        raise ValueError("generator certificate has an unknown key %r" % min(extra))
+    refuse_unknown_keys(obj, GENERATOR_KEYS, "generator certificate")
     if obj["backend"] not in GENERATOR_BACKENDS:
         raise ValueError("backend %r is not one of %s" % (obj["backend"], ", ".join(GENERATOR_BACKENDS)))
     sj = obj["spec"]

@@ -275,34 +275,31 @@ class SkewElem:
         self._check(other)
         out: dict = {}
         get = out.get
+
+        def acc(w, term):
+            # term is nonzero, so only a sum can cancel
+            old = get(w)
+            if old is not None:
+                term = old + term
+                if not term:
+                    del out[w]
+                    return
+            out[w] = term
+
         for I, r in self.data.items():
             for J, s in other.data.items():
                 cur = r
                 for k in range(len(J)):
                     t = cur.tau()
                     if t:
-                        w = I + J[k:]
-                        term = s.scale(t)
-                        old = get(w)
-                        if old is not None:
-                            term = old + term
-                        if term:
-                            out[w] = term
-                        else:
-                            del out[w]
+                        acc(I + J[k:], s.scale(t))
                     cur = cur.delta(J[k])
                     if not cur:
                         break
                 else:
                     term = cur * s
                     if term:
-                        old = get(I)
-                        if old is not None:
-                            term = old + term
-                        if term:
-                            out[I] = term
-                        else:
-                            del out[I]
+                        acc(I, term)
         return SkewElem._of(self.ring, out)
 
     def __eq__(self, other):

@@ -2,7 +2,8 @@
 
 Words are bare tuples of letter indices; the functions here are the shared
 vocabulary (concatenation is tuple ``+``): the length-lex order used for
-every tie-break, monomial rendering, and the term dict of a loaded element.
+every tie-break, monomial rendering, the term dict of a loaded element, and
+the refusal of a loaded certificate's unknown keys.
 """
 
 from __future__ import annotations
@@ -37,6 +38,14 @@ def load_terms(terms, nwords: int, coeff) -> dict:
         w = next(w for w, k in Counter(keys).items() if k > 1)
         raise ValueError("the term %r is listed twice" % (w,))
     return out
+
+
+def refuse_unknown_keys(obj, keys, what: str) -> None:
+    """A top-level key of ``obj`` outside ``keys``, one its re-check would
+    not read, is refused with ValueError naming it, not passed over."""
+    extra = set(obj) - keys
+    if extra:
+        raise ValueError("%s has an unknown key %r" % (what, min(extra)))
 
 
 def render_word(w: Word, kind: str) -> str:

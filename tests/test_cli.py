@@ -545,6 +545,8 @@ def _with_sigma(change):
     _with_lam_entry("qt:1", [1]),
     _with_lam_entry("qt:1", {"num": 5, "den": _ONE_QT1}),
     _with_lam_entry("qt:1", {"num": [[[0], 1]], "den": _ONE_QT1}),  # the value 1, with an int coefficient
+    _with_lam_entry("qt:1", {"num": _ONE_QT1, "den": _ONE_QT1, "extra": 1}),  # the value 1, with another key
+    _with_lam_entry("qt:1", {"num": [], "den": _ONE_QT1, "extra": 1}),
     _with_sigma(lambda c: c.update(size="two")),
     _with_sigma(lambda c: c.update(size=3)),
     _with_sigma(lambda c: c["matrix"]["entries"][1].pop()),
@@ -553,6 +555,7 @@ def _with_sigma(change):
     _with_sigma(lambda c: c["inverse"]["entries"][0].__setitem__(0, 5)),
     _with_sigma(lambda c: c.update(field=5)),
 ], ids=["q_list", "q_true", "fp7_list", "fp7_true", "qt1_list", "qt1_num_int", "qt1_coeff_int",
+        "qt1_one_extra_key", "qt1_zero_extra_key",
         "sigma_size_str", "sigma_size_off", "sigma_ragged", "sigma_entries_int", "sigma_nrows_bool",
         "sigma_entry_int", "sigma_field_int"])
 def test_verify_cert_refuses_misencoded_scalars_and_sigma_shapes(run, tmp_path, make):

@@ -1546,16 +1546,15 @@ def test_marks_and_the_products_that_take_them(monkeypatch):
     assert calls == {"product": 1, "word": 6}
 
 
-# -- zero and one read with no parse -----------------------------------------------
+# -- mostly-zero blocks read entry by entry --------------------------------------
 
 @pytest.mark.parametrize("field", [QQ, F7, QT, QT2], ids=lambda f: f.name)
 @given(data=st.data())
 @settings(max_examples=25, deadline=None, derandomize=True)
 def test_load_reads_mostly_zero_blocks_as_the_generic_codec_does(field, data):
-    """``_load`` reads the encodings of zero and one with no parse: on the
-    path block of a word, mostly zeros, with a few entries set to 0, 1, -1
-    or another scalar, its field values are those ``scalar_from_json``
-    gives, entry by entry."""
+    """On the path block of a word, mostly zeros, with a few entries set to
+    0, 1, -1 or another scalar, the field values ``_load`` gives are those
+    ``scalar_from_json`` gives, entry by entry."""
     w = data.draw(st.lists(st.integers(0, 1), min_size=1, max_size=3))
     obj = LinRep.word(field, w, field.from_int(data.draw(st.sampled_from([1, -1, 2])))).to_json()
     others = [field.zero(), field.one(), -field.one(), field.from_int(3)]

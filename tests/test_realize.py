@@ -115,6 +115,13 @@ def test_generator_json_round_trip():
     assert verify_generators(h).ok
 
 
+def test_certificate_key_lists_are_the_keys_to_json_writes():
+    g = build_generators(hom_spec(0, 3, 2), count=2)
+    assert set(g.to_json()) == realize.GENERATOR_KEYS
+    sigma = spot_check_sigma_prime(g, FreeElem.letter(QQ, 0))
+    assert set(sigma.to_json()) == realize.SIGMA_CERT_KEYS
+
+
 def _reference_eq(g: GeneratorMatrices, p, q) -> bool:
     """Entry-by-entry equality as ``GeneratorMatrices.eq`` decided it
     before its literal shortcut: every pair goes to ``t_equal`` when g
