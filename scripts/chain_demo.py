@@ -16,7 +16,7 @@ import os
 import sys
 import time
 
-sys.path.insert(0, "src")
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
 
 from ratskew.realize import build_generators, plan_chain, verify_chain
 

@@ -10,9 +10,10 @@ shape report of the nonzero part.
 """
 
 import argparse
+import os
 import sys
 
-sys.path.insert(0, "src")
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
 
 from ratskew.kzero import (analyze_pisr_shape, grothendieck_group,
                            parse_presentation)

@@ -47,6 +47,8 @@ Last come four more refusals: the first sigma certificate with its
 recorded ``ok_right`` and ``ok_left`` set to false, the same certificate
 with a key ``extra``, and a generator certificate with a key ``extra``,
 under ``verify-cert`` and under ``realize verify``.
+The very last line is ``k0 monoid --json`` of g | 40g = g, whose table
+group is presented by 1522 relation rows on 39 generators.
 Run it on two checkouts and diff the outputs to see which commands changed:
 
     python3 scripts/output_digest.py > new.txt
@@ -176,6 +178,10 @@ COMMANDS = [
     (["k0", "group", "--json", "a,b | 2a=0, 3b=0"], []),
     (["k0", "group", "--json", "a,b,c,d | 2a+4b=6c, 3b+d=9a, 4c+2d=6b"], []),
 ]
+
+# the largest table group the digest pins: 39 nonzero elements, so
+# 39 * 39 + 1 relation rows
+TABLE_GROUP_40 = ["k0", "monoid", "--json", "--bound", "512", "g | 40g = g"]
 
 # (argv printing a certificate, which of its series has its entry vector
 # doubled, where that series sits in it): the first term's series in
@@ -523,6 +529,8 @@ def main(argv=None) -> int:
     print(line(shlex.join(CANCELLING), code, stdout, stderr), flush=True)
     recheck_lines(run_command, EXTRA_KEY)
     recheck_lines(run_command, sigma_and_generator_refusals(sigma[0][1]))
+    code, stdout, stderr = run(run_command, TABLE_GROUP_40)
+    print(line(shlex.join(TABLE_GROUP_40), code, stdout, stderr), flush=True)
     return 0
 
 

@@ -10,10 +10,11 @@ monoword algebras V for a few alphabet sizes, and the unbounded algebra.
 """
 
 import argparse
+import os
 import sys
 import time
 
-sys.path.insert(0, "src")
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
 
 import random
 

@@ -573,8 +573,8 @@ def _build_parser() -> argparse.ArgumentParser:
     k0s = _group(sub, "k0", "monoid presentations and universal groups")
     p = _command(k0s, "monoid", "enumerate, shape-check, and take the universal group",
                  _cmd_k0_monoid, "json")
-    p.add_argument("--bound", type=int, default=64,
-                   help="enumeration cutoff (default 64)")
+    p.add_argument("--bound", type=_positive_int, default=64,
+                   help="enumeration cutoff, a positive integer (default 64)")
     p.add_argument("presentation", help='e.g. "I | 3I=I" or "I,P | I=2I+P"')
     p = _command(k0s, "group", "universal group only (no enumeration)",
                  _cmd_k0_group, "json")

@@ -119,34 +119,15 @@ def _smith_eliminate(a):
     of the remaining block; a pass clears the pivot's column by row
     operations and its row by column operations, swapping in any nonzero
     remainder, until both are clear; an entry the pivot does not divide is
-    then folded into the pivot's row and the block starts over."""
+    then folded into the pivot's row and the block starts over.  The copy
+    is changed in place, by the same operations as an elimination that
+    rebuilds every row it changes, so D, V and the log are the same."""
     m = len(a)
     n = len(a[0]) if m else 0
     d = [list(row) for row in a]
     # V by columns, so a column operation on V is one list operation
     vt = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
     log = []
-
-    def swap_rows(i, j):
-        if i != j:
-            d[i], d[j] = d[j], d[i]
-            log.append((_SWAP, i, j))
-
-    def add_row(dst, src, c):  # row_dst += c * row_src
-        d[dst] = [x + c * y for x, y in zip(d[dst], d[src])]
-        log.append((_ADD, dst, src, c))
-
-    def swap_cols(i, j):
-        if i != j:
-            for row in d:
-                row[i], row[j] = row[j], row[i]
-            vt[i], vt[j] = vt[j], vt[i]
-
-    def add_col(dst, src, c, rows):  # col_dst += c * col_src
-        # ``rows`` holds every row of d whose entry in column src is nonzero
-        for row in rows:
-            row[dst] += c * row[src]
-        vt[dst] = [x + c * y for x, y in zip(vt[dst], vt[src])]
 
     t = 0
     while t < min(m, n):
@@ -166,54 +147,66 @@ def _smith_eliminate(a):
                 break
         if best is None:
             break
-        swap_rows(t, best[0])
-        swap_cols(t, best[1])
+        i, j = best
+        if i != t:
+            d[t], d[i] = d[i], d[t]
+            log.append((_SWAP, t, i))
+        if j != t:
+            for row in d:
+                row[t], row[j] = row[j], row[t]
+            vt[t], vt[j] = vt[j], vt[t]
         while True:
-            # clear the pivot column, then row, iterating while remainders appear
+            # clear the pivot column, then row, iterating while remainders
+            # appear; rows t.. are zero left of column t, so the pivot row's
+            # nonzero entries are all a row operation needs
             dirty = False
+            piv, p = d[t], d[t][t]
+            nz = [(j, y) for j, y in enumerate(piv) if y]
             for i in range(t + 1, m):
-                if d[i][t]:
-                    q = d[i][t] // d[t][t]
+                row = d[i]
+                if row[t]:
+                    q = row[t] // p
                     if q:
-                        add_row(i, t, -q)
-                    if d[i][t]:
-                        swap_rows(t, i)
+                        for j, y in nz:
+                            row[j] -= q * y
+                        log.append((_ADD, i, t, -q))
+                    if row[t]:
+                        d[t], d[i] = row, piv
+                        log.append((_SWAP, t, i))
+                        piv, p = row, row[t]
+                        nz = [(j, y) for j, y in enumerate(piv) if y]
                         dirty = True
             # column t changes only by a column swap, so its nonzero rows are
             # collected once per pass and again after each swap
-            piv = d[t]
             rows = [row for row in d if row[t]]
             for j in range(t + 1, n):
                 if piv[j]:
-                    q = piv[j] // piv[t]
+                    q = piv[j] // p
                     if q:
-                        add_col(j, t, -q, rows)
+                        for row in rows:
+                            row[j] -= q * row[t]
+                        vt[j] = [x - q * y for x, y in zip(vt[j], vt[t])]
                     if piv[j]:
-                        swap_cols(t, j)
+                        for row in d:
+                            row[t], row[j] = row[j], row[t]
+                        vt[t], vt[j] = vt[j], vt[t]
+                        p = piv[t]
                         rows = [row for row in d if row[t]]
                         dirty = True
-            if not dirty and all(d[i][t] == 0 for i in range(t + 1, m)) and all(
-                d[t][j] == 0 for j in range(t + 1, n)
-            ):
+            # a pass with no remainder swapped in leaves both clear
+            if not dirty:
                 break
         # divisibility: fold any bad entry into the pivot's row and repeat;
         # a unit pivot divides everything
-        p = d[t][t]
         if p != 1 and p != -1:
-            bad = None
-            for i in range(t + 1, m):
-                row = d[i]
-                for j in range(t + 1, n):
-                    if row[j] % p:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
+            bad = next((i for i in range(t + 1, m) if any(x % p for x in d[i][t + 1:])), None)
             if bad is not None:
-                add_row(t, bad, 1)
+                for j, y in enumerate(d[bad]):
+                    piv[j] += y
+                log.append((_ADD, t, bad, 1))
                 continue
         if p < 0:
-            d[t] = [-x for x in d[t]]
+            piv[t] = -p  # the rest of the pivot row is clear
             log.append((_NEG, t))
         t += 1
     return d, [list(row) for row in zip(*vt)], log
@@ -287,37 +280,40 @@ class AbGroup:
 
 def grothendieck_group(p: MonoidPresentation) -> AbGroup:
     """Universal group of the monoid: free abelian on the generators modulo
-    the relation differences, in invariant-factor coordinates."""
+    the relation differences l - r, in invariant-factor coordinates, as
+    :func:`_quotient_group` reads them off."""
     k = len(p.gens)
-    rows = [[l[i] - r[i] for i in range(k)] for l, r in p.relations]
-    if not rows:
-        d = []
-        vmat = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-    else:
-        d, vmat, _ = _smith_eliminate(rows)
-    diag = [d[i][i] if i < len(d) and i < len(d[0]) else 0 for i in range(k)] if rows else [0] * k
+    return _quotient_group(p.gens, [[l[i] - r[i] for i in range(k)] for l, r in p.relations])
+
+
+def _quotient_group(gens, rows) -> AbGroup:
+    """Free abelian group on ``gens`` modulo the span of ``rows`` (one entry
+    per generator), read off D and V of the rows' Smith form."""
+    k = len(gens)
+    # with no relations, one zero row leaves D zero and V the identity
+    d, vmat, _ = _smith_eliminate(rows or [[0] * k])
+    diag = [d[i][i] if i < len(d) else 0 for i in range(k)]
     # coordinates of generator j in the new basis: row j of V
-    raw = [[vmat[j][i] for i in range(k)] for j in range(k)]
     keep = [i for i in range(k) if diag[i] != 1]
     # finite factors first (SNF order), then the free ones
     keep.sort(key=lambda i: (diag[i] == 0, i))
     factors = []
-    images = {g: [] for g in p.gens}
+    images = {g: [] for g in gens}
     for i in keep:
         f = diag[i]
         factors.append(f)
-        for j, g in enumerate(p.gens):
-            c = raw[j][i]
+        for j, g in enumerate(gens):
+            c = vmat[j][i]
             images[g].append(c % f if f else c)
     # normalize free coordinates so the first generator hitting one is positive
     for pos, f in enumerate(factors):
         if f != 0:
             continue
-        for g in p.gens:
+        for g in gens:
             c = images[g][pos]
             if c:
                 if c < 0:
-                    for h in p.gens:
+                    for h in gens:
                         images[h][pos] = -images[h][pos]
                 break
     return AbGroup(tuple(factors), {g: tuple(c) for g, c in images.items()})
@@ -391,7 +387,10 @@ def _normal_form(rule, v):
 def monoid_enumerate(p: MonoidPresentation, bound: int = 512) -> MonoidTable:
     """Close the generators under addition, reducing every sum to its normal
     form.  Stops with ``overflow`` once more than ``bound`` elements appear;
-    the partial table keeps None for sums that left the enumerated set."""
+    the partial table keeps None for sums that left the enumerated set.  A
+    bound below 1 is refused with ValueError."""
+    if bound < 1:
+        raise ValueError("enumeration bound must be at least 1, got %d" % bound)
     k = len(p.gens)
     rule = _orient(p.relations)
     zero = _normal_form(rule, (0,) * k)
@@ -470,7 +469,9 @@ class MonoidShapeReport:
 
 def analyze_pisr_shape(p: MonoidPresentation, bound: int = 512) -> MonoidShapeReport:
     """Shape flags for the enumerated monoid and, when the nonzero part is a
-    group, its invariant factors compared against the universal group."""
+    group, its invariant factors compared against the universal group.  The
+    table group goes from its relation rows to :func:`_quotient_group`, the
+    helper :func:`grothendieck_group` uses, with no presentation between."""
     tbl = monoid_enumerate(p, bound)
     N = tbl.size()
     notes = []
@@ -478,20 +479,12 @@ def analyze_pisr_shape(p: MonoidPresentation, bound: int = 512) -> MonoidShapeRe
         notes.append("enumeration stopped at bound %d; verdicts cover the fragment only" % tbl.bound)
     nz = [i for i in range(N) if i != 0]
 
-    conical = True
-    for i in nz:
-        for j in nz:
-            if tbl.table[i][j] == 0:
-                conical = False
+    conical = all(tbl.table[i][j] != 0 for i in nz for j in nz)
     nonzero_closed = conical  # a+b = 0 with a,b nonzero is the only way out
 
     # simple: every nonzero y lies below some positive multiple of every
     # nonzero x, i.e. some n*x equals y plus something (within the table)
-    rows = []
-    for j in range(N):
-        s = set(tbl.table[j])
-        s.discard(None)
-        rows.append(s)
+    rows = [set(row) - {None} for row in tbl.table]
     simple = True
     for i in nz:
         mults = set()
@@ -528,23 +521,24 @@ def analyze_pisr_shape(p: MonoidPresentation, bound: int = 512) -> MonoidShapeRe
             notes.append("nonzero part is a group of order %d; too large to re-present, comparison skipped" % len(nz))
         elif has_inv:
             nonzero_is_group = True
-            # present the group on all nonzero elements and read off factors
-            names = tuple("e%d" % i for i in nz)
-            pos = {x: t for t, x in enumerate(nz)}
+            # present the group on the nonzero elements, x at position x - 1:
+            # rows e_x + e_y - e_(x+y) for all pairs and e_ident, in the order
+            # MonoidPresentation sorts their (left, right) pairs, as the order
+            # steers V.  That is: smaller position a descending, e_ident first
+            # at its a, then the larger position b descending, each b > a twice
+            k = len(nz)
             rels = []
-            for x in nz:
-                for y in nz:
-                    z = tbl.table[x][y]
-                    lv = [0] * len(nz)
-                    lv[pos[x]] += 1
-                    lv[pos[y]] += 1
-                    rv = [0] * len(nz)
-                    rv[pos[z]] += 1
-                    rels.append((tuple(lv), tuple(rv)))
-            iv = [0] * len(nz)
-            iv[pos[ident]] = 1
-            rels.append((tuple(iv), tuple([0] * len(nz))))
-            group = grothendieck_group(MonoidPresentation(names, tuple(rels)))
+            for a in reversed(range(k)):
+                if a == ident - 1:
+                    rels.append([1 if j == a else 0 for j in range(k)])
+                tab = tbl.table[a + 1]
+                for b in reversed(range(a, k)):
+                    row = [0] * k
+                    row[a] += 1
+                    row[b] += 1
+                    row[tab[b + 1] - 1] -= 1
+                    rels.extend([row] if b == a else [row, list(row)])
+            group = _quotient_group(tuple("e%d" % i for i in nz), rels)
             # compare generator orders with the universal-group images
             ug = grothendieck_group(p)
             matches = group.factors == ug.factors

@@ -218,6 +218,13 @@ def test_k0_monoid_bound_overflow(run):
     assert not obj["shape_report"]["complete"]
 
 
+@pytest.mark.parametrize("bound", ["0", "-3", "two"])
+def test_k0_monoid_bound_below_one_is_a_usage_error(run, bound):
+    code, out, err = run("k0", "monoid", "--bound", bound, "g | 3g = g")
+    assert (code, out) == (2, "")
+    assert "error:" in err and "positive integer" in err and "Traceback" not in err
+
+
 def test_leavitt_witness_example(run):
     code, obj = jrun(run, "leavitt", "witness", "--json", "--n", "2", "y1*x2")
     assert code == 0

@@ -231,6 +231,38 @@ def test_snf_matches_reference(a):
     _assert_matches_reference(_presentation_of(a))
 
 
+# relation matrices shaped like a table group's: rows e_x + e_y - e_z (which
+# is 2e_x - e_z when x = y) and one unit row, up to 60 x 8.  Their entries
+# stay in -1..2, so the sparse pivot row of the column-clearing pass is
+# what gets exercised, not coefficient growth.
+def _table_rows(n):
+    triple = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(0, n - 1))
+    return st.tuples(st.lists(triple, min_size=1, max_size=59), st.integers(0, n - 1),
+                     st.integers(0, 59)).map(lambda drawn: _rows_of(n, *drawn))
+
+
+def _rows_of(n, triples, unit, at):
+    rows = []
+    for x, y, z in triples:
+        row = [0] * n
+        row[x] += 1
+        row[y] += 1
+        row[z] -= 1
+        rows.append(row)
+    rows.insert(at % (len(rows) + 1), [1 if j == unit else 0 for j in range(n)])
+    return rows
+
+
+@given(st.integers(1, 8).flatmap(_table_rows))
+@example([[1, 0], [2, -1], [0, 1]])
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_snf_matches_reference_on_table_shaped_matrices(a):
+    before = [list(row) for row in a]
+    assert smith_normal_form(a) == _reference_snf(a)
+    assert a == before
+    _assert_matches_reference(_presentation_of(a))
+
+
 def _table_presentation(n):
     """The group presentation that analyze_pisr_shape builds from the table
     of g | ng = g: one generator per nonzero element, x + y = (x+y) for
@@ -259,6 +291,40 @@ def test_table_group_matches_reference(n):
         mp.setattr(kzero, "_smith_eliminate", _reference_eliminate)
         want = analyze_pisr_shape(_cyclic(n), 64).to_json()
     assert got == want
+
+
+@pytest.mark.parametrize("n", range(2, 14))
+def test_table_group_rows_are_the_sorted_presentation_rows(n):
+    """analyze_pisr_shape hands the elimination the table group's relation
+    rows in the order MonoidPresentation stores them, so its group is the
+    universal group of that presentation, images included."""
+    p = _table_presentation(n)
+    seen = []
+
+    def spy(a):
+        seen.append([list(row) for row in a])
+        return _reference_eliminate(a)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kzero, "_smith_eliminate", spy)
+        group = analyze_pisr_shape(_cyclic(n), 64).group
+    assert seen[0] == [[x - y for x, y in zip(l, r)] for l, r in p.relations]
+    assert group == grothendieck_group(p)
+
+
+def test_inputs_are_left_unchanged():
+    """The elimination changes its copy in place, never the caller's rows,
+    whichever of its operations it runs."""
+    a = [[0, 0, -2], [0, 3, 0], [5, 0, 0]]  # row swaps, a fold, a negation
+    assert {op[0] for op in kzero._smith_eliminate(a)[2]} == {kzero._SWAP, kzero._ADD, kzero._NEG}
+    smith_normal_form(a)
+    assert a == [[0, 0, -2], [0, 3, 0], [5, 0, 0]]
+    p = _table_presentation(6)
+    grothendieck_group(p)
+    assert p == _table_presentation(6)
+    q = _cyclic(5)
+    analyze_pisr_shape(q, 64)
+    assert q == _cyclic(5)
 
 
 # -- universal groups --------------------------------------------------------------
@@ -332,6 +398,14 @@ def test_enumerate_two_collapses():
 def test_enumerate_free_overflows():
     t = monoid_enumerate(MonoidPresentation(("g",), ()), 16)
     assert t.overflow and not t.complete
+
+
+@pytest.mark.parametrize("bound", [0, -3])
+def test_enumerate_refuses_a_bound_below_one(bound):
+    with pytest.raises(ValueError, match="bound"):
+        monoid_enumerate(_cyclic(3), bound)
+    with pytest.raises(ValueError, match="bound"):
+        analyze_pisr_shape(_cyclic(3), bound)
 
 
 def test_enumerate_refuses_two_relations():
