@@ -375,6 +375,7 @@ def _recheck_skew_witness(obj) -> dict:
 
 
 def _recheck_paired_witness(obj) -> dict:
+    refuse_unknown_keys(obj, lv.PAIRED_WITNESS_KEYS, "paired witness")
     mode = obj["mode"]
     if mode not in ("v", "uinf"):
         raise ValueError('paired witness mode must be "v" or "uinf", got %r' % (mode,))
@@ -399,6 +400,7 @@ def _recheck_paired_witness(obj) -> dict:
 
 
 def _recheck_word_system(obj) -> dict:
+    refuse_unknown_keys(obj, sk.WORD_SYSTEM_KEYS, "word-system certificate")
     words, qs = obj["words"], obj["qs"]
     if not (type(words) is list and all(type(w) is list and all(type(x) is int for x in w) for w in words)):
         raise ValueError("words must be a list of lists of integer letters, got %r" % (words,))
@@ -441,6 +443,7 @@ def _recheck_generator_matrices(obj) -> dict:
 
 
 def _recheck_chain_plan(obj) -> dict:
+    refuse_unknown_keys(obj, rz.CHAIN_PLAN_KEYS, "chain plan")
     plan = rz.plan_chain(obj["groups"], obj["maps"])
     same = plan.to_json()["steps"] == obj["steps"]
     results = rz.verify_chain(plan) if plan.ok else []

@@ -9,27 +9,21 @@ All values are canonical on construction: F_p representatives live in
 [0, p), rational functions are reduced by the polynomial gcd and carry a
 monic denominator.  Equality is structural.
 
-A polynomial (:class:`MPoly`) is stored as ``c * P``: ``P`` holds ``int``
-coefficients, is primitive (their gcd is 1) and has a positive
-lex-leading coefficient; ``c`` is one rational content.  That form is
-unique, so it keeps equality structural, and its inner loops run on plain
-``int``.  By Gauss's lemma a product of primitive polynomials is
-primitive, and lex order is multiplicative, so products and exact
-quotients stay in that form without a gcd.
-
-Gcds run in one tower of dense polynomial rings, :func:`poly_ring`.  Its
-floor is :data:`ZZ`, the integers on plain ints, and Z[t1..tr] for
-r >= 1 is Z[t2..tr][t1], lists over powers of t1 of elements of the ring
-below, whose operations are written once over the ring below's
+Q[t1..tr] has one representation: a polynomial (:class:`MPoly`) is a
+rational content times a primitive element of the dense Z[t1..tr] of the
+ring tower :func:`poly_ring`, and its arithmetic and gcds
+(:func:`mpoly_gcd`) are calls into that ring.  The tower's floor is
+:data:`ZZ`, the integers on plain ints, and Z[t1..tr] for r >= 1 is
+Z[t2..tr][t1], lists over powers of t1 of elements of the ring below,
+whose operations are written once over the ring below's
 (:func:`_nested`).  Its products and dot products end in two integer
 loops, ZZ's vector operations ``scale`` (an integer times a list) and
-``mac`` (a convolution added into a list).
-:func:`mpoly_gcd` converts the primitive parts of its operands into that
-ring, for any number of variables.  The one span kernel of ``linrep``
-runs on these rings: on :data:`ZZ` for ``q``, on Z[t1..tr] for ``qt:r``,
-and on :func:`zmod_ring` (the integers mod p, with the same ring and
-vector operations) for ``fp:p``, so one ``la.Echelon`` eliminates over
-each of them.
+``mac`` (a convolution added into a list).  The one span kernel of
+``linrep`` runs on these rings, and takes a RatFunc's stored elements as
+they are: on :data:`ZZ` for ``q``, on Z[t1..tr] for ``qt:r``, and on
+:func:`zmod_ring` (the integers mod p, with the same ring and vector
+operations) for ``fp:p``, so one ``la.Echelon`` eliminates over each of
+them.
 
 The :class:`RatFunc` operators rely on canonical values: they take canonical
 operands and skip the gcds it makes redundant (zero, one and constant
@@ -140,25 +134,33 @@ class Fp:
 
 
 # ---------------------------------------------------------------------------
-# sparse multivariate polynomials over Q: integer content form c * P
+# polynomials over Q: a rational content times a primitive Z[t1..tr] element
 # ---------------------------------------------------------------------------
 
-class MPoly:
-    """Polynomial in ``nvars`` commuting indeterminates t1..tr over Q.
+def _frozen(a):
+    """A hashable copy of an element of the tower :func:`poly_ring`."""
+    return tuple(map(_frozen, a)) if type(a) is list else a
 
-    Stored as ``c * P``: ``p`` maps exponent tuples to nonzero ``int``s
-    and is primitive (coefficient gcd 1) with a positive lex-leading
-    coefficient; ``c`` is one nonzero ``Fraction``, the content.  The zero
-    polynomial is ``({}, 0)``.  This form is unique, so equality, hashing
-    and :attr:`terms` are structural.
+
+class MPoly:
+    """Polynomial in ``nvars`` >= 1 commuting indeterminates t1..tr over Q.
+
+    Stored as ``c * P``: ``P`` is an element of ``poly_ring(nvars)``,
+    primitive (its integer coefficients have gcd 1) with a positive
+    lex-leading coefficient, and ``c`` is one nonzero ``Fraction``, the
+    content.  The zero polynomial is ``([], 0)``.  This form is unique, so
+    equality and hashing are structural.
 
     By Gauss's lemma a product of primitive polynomials is primitive, and
-    lex order is multiplicative, so ``*`` is an integer convolution with
-    content ``c1*c2`` and no gcd; ``scale``, ``-`` and ``monic`` only touch
-    the content, and ``div_exact`` divides over Z.  Only ``+`` and ``-``
-    take one coefficient gcd.  Used only as the num/den of
-    :class:`RatFunc`.  Values are never mutated after construction, so they
-    may be shared.
+    lex order is multiplicative, so ``*`` is the ring's ``mul`` with
+    content ``c1*c2`` and ``div_exact`` the ring's exact quotient, with no
+    gcd; ``scale``, ``-`` and ``monic`` only touch the content; ``+`` and
+    ``-`` are one ``lincomb`` and one integer content.  Exponent dicts
+    appear only in the constructor, :attr:`terms`, ``str`` and the JSON
+    codec.  The methods read the ring as ``_POLY_RINGS[nvars]``, which
+    building any value in ``nvars`` variables has built.  Used only as the
+    num/den of :class:`RatFunc`.  Values are never mutated, so they may
+    share their elements with each other and with ``linrep``'s kernel.
     """
 
     __slots__ = ("nvars", "p", "c")
@@ -168,15 +170,15 @@ class MPoly:
         terms = {e: v for e, v in terms.items() if v}
         self.nvars = nvars
         if not terms:
-            self.p, self.c = {}, _ZERO
+            self.p, self.c = [], _ZERO
             return
         den = lcm(*(v.denominator for v in terms.values()))
-        q = MPoly._normal(nvars, {e: v.numerator * (den // v.denominator)
-                                  for e, v in terms.items()}, Fraction(1, den))
+        ints = {e: v.numerator * (den // v.denominator) for e, v in terms.items()}
+        q = MPoly._primitive(nvars, _ring(nvars).of(ints), Fraction(1, den))
         self.p, self.c = q.p, q.c
 
     @staticmethod
-    def _of(nvars: int, p: dict, c: Fraction) -> "MPoly":
+    def _of(nvars: int, p: list, c: Fraction) -> "MPoly":
         """Trusted constructor: ``(p, c)`` is already in normal form."""
         q = object.__new__(MPoly)
         q.nvars = nvars
@@ -185,59 +187,53 @@ class MPoly:
         return q
 
     @staticmethod
-    def _normal(nvars: int, p: dict, c) -> "MPoly":
-        """``c * p`` for an integer dict ``p`` without zero values and a
-        nonzero rational ``c``: divides out the coefficient gcd and the sign
-        of the lex-leading coefficient."""
-        if not p:
-            return MPoly._of(nvars, {}, _ZERO)
-        h = gcd(*p.values())
-        if p[max(p)] < 0:
+    def _primitive(nvars: int, a: list, c) -> "MPoly":
+        """``c * a`` for a nonzero element ``a`` of ``poly_ring(nvars)`` and
+        a nonzero rational ``c``: the integer content of a and the sign of
+        its lead move into the content."""
+        ring = _POLY_RINGS[nvars]
+        h = gcd(*ring.ints([a]))
+        if ring.lead(a) < 0:
             h = -h
         if h != 1:
-            p = {e: k // h for e, k in p.items()}
-        return MPoly._of(nvars, p, c * h)
+            a = ring.div_exact(a, ring.const(h))
+        return MPoly._of(nvars, a, c * h)
 
     @staticmethod
     def const(nvars: int, c) -> "MPoly":
         c = Fraction(c)
-        return MPoly._of(nvars, {(0,) * nvars: 1} if c else {}, c)
+        if not c:
+            return MPoly._of(nvars, [], c)
+        return MPoly._of(nvars, _ring(nvars).one, c)
 
     @staticmethod
     def var(nvars: int, i: int) -> "MPoly":
         e = [0] * nvars
         e[i] = 1
-        return MPoly._of(nvars, {tuple(e): 1}, _ONE)
+        return MPoly(nvars, {tuple(e): _ONE})
 
     @property
     def terms(self) -> dict:
         """Read-only view: exponent tuple -> nonzero ``Fraction`` coefficient."""
         c = self.c
-        return {e: c * k for e, k in self.p.items()}
+        return {e: c * k for e, k in _POLY_RINGS[self.nvars].terms(self.p).items()}
 
     def is_zero(self) -> bool:
         return not self.p
 
     def is_const(self) -> bool:
+        """Whether this is a constant: a primitive constant is 1."""
         p = self.p
-        return not p or (len(p) == 1 and not any(next(iter(p))))
-
-    def const_value(self) -> Fraction:
-        return self.c * self.p.get((0,) * self.nvars, 0)
+        return not p or p == _POLY_RINGS[self.nvars].one
 
     def __eq__(self, other):
-        return (
-            isinstance(other, MPoly)
-            and self.nvars == other.nvars
-            and self.c == other.c
-            and self.p == other.p
-        )
+        return isinstance(other, MPoly) and self.nvars == other.nvars and self.c == other.c and self.p == other.p
 
     def __hash__(self):
-        return hash((self.nvars, self.c, frozenset(self.p.items())))
+        return hash((self.nvars, self.c, _frozen(self.p)))
 
     def _add(self, other: "MPoly", sign: int) -> "MPoly":
-        """``self + sign*other``: one integer combination, one coefficient gcd."""
+        """``self + sign*other``: one integer combination, one integer content."""
         if not other.p:
             return self
         if not self.p:
@@ -248,16 +244,12 @@ class MPoly:
         # c1*P1 + c2*P2 = (g/den) * (m1*P1 + m2*P2) with integer m1, m2
         g = gcd(n1, n2)
         den = d1 * d2 // gcd(d1, d2)
-        m1 = n1 // g * (den // d1)
-        m2 = n2 // g * (den // d2)
-        t = {e: m1 * k for e, k in self.p.items()} if m1 != 1 else dict(self.p)
-        for e, k in other.p.items():
-            s = t.get(e, 0) + m2 * k
-            if s:
-                t[e] = s
-            else:
-                t.pop(e, None)
-        return MPoly._normal(self.nvars, t, Fraction(g, den))
+        ring = _POLY_RINGS[self.nvars]
+        const = ring.const
+        t = ring.lincomb(const(n1 // g * (den // d1)), self.p, const(n2 // g * (den // d2)), other.p)
+        if not t:
+            return MPoly._of(self.nvars, [], _ZERO)
+        return MPoly._primitive(self.nvars, t, Fraction(g, den))
 
     def __add__(self, other):
         return self._add(other, 1)
@@ -269,63 +261,39 @@ class MPoly:
         return MPoly._of(self.nvars, self.p, -self.c)
 
     def __mul__(self, other):
-        p1, p2 = self.p, other.p
-        if not p1 or not p2:
-            return MPoly._of(self.nvars, {}, _ZERO)
-        t: dict = {}
-        for e1, k1 in p1.items():
-            for e2, k2 in p2.items():
-                e = tuple(map(add, e1, e2))
-                t[e] = t.get(e, 0) + k1 * k2
-        if not all(t.values()):
-            t = {e: k for e, k in t.items() if k}
-        return MPoly._of(self.nvars, t, self.c * other.c)
+        if not self.p or not other.p:
+            return MPoly._of(self.nvars, [], _ZERO)
+        return MPoly._of(self.nvars, _POLY_RINGS[self.nvars].mul(self.p, other.p), self.c * other.c)
 
     def scale(self, c) -> "MPoly":
         if not c:
-            return MPoly._of(self.nvars, {}, _ZERO)
+            return MPoly._of(self.nvars, [], _ZERO)
         return MPoly._of(self.nvars, self.p, self.c * c)
 
     def leading(self):
-        """Lex-leading (exponent, coefficient) pair."""
-        e = max(self.p)
-        return e, self.c * self.p[e]
+        """Lex-leading (exponent, coefficient) pair: last entries down the tower."""
+        e, x = [], self.p
+        while type(x) is list:
+            e.append(len(x) - 1)
+            x = x[-1]
+        return tuple(e), self.c * x
 
     def div_exact(self, other: "MPoly") -> "MPoly":
         """Exact division; raises ValueError if ``other`` does not divide.
 
-        The primitive parts divide over Z: if P2 divides P1 over Q, the
-        quotient is primitive by Gauss's lemma, so every step is an exact
-        integer division with a positive leading quotient."""
-        if other.is_zero():
+        The primitive parts divide in the ring: if P2 divides P1 over Q,
+        the quotient is primitive by Gauss's lemma, so the ring's exact
+        quotient finds it, with a positive lead."""
+        if not other.p:
             raise ZeroDivisionError("polynomial division by zero")
         if other.is_const():
-            return self.scale(1 / other.const_value())
-        rem = dict(self.p)  # the remainder, updated in place
-        q: dict = {}
-        le = max(other.p)
-        lc = other.p[le]
-        divisor = list(other.p.items())
-        while rem:
-            re = max(rem)
-            qe = tuple(a - b for a, b in zip(re, le))
-            qc, r = divmod(rem[re], lc)
-            if r or any(k < 0 for k in qe):
-                raise ValueError("inexact polynomial division")
-            q[qe] = qc
-            for e, k in divisor:
-                m = tuple(map(add, qe, e))
-                s = rem.get(m, 0) - qc * k
-                if s:
-                    rem[m] = s
-                else:
-                    rem.pop(m, None)
-        return MPoly._of(self.nvars, q, self.c / other.c)
+            return self.scale(1 / other.c)
+        return MPoly._of(self.nvars, _POLY_RINGS[self.nvars].div_exact(self.p, other.p), self.c / other.c)
 
     def monic(self) -> "MPoly":
         if not self.p:
             return self
-        return MPoly._of(self.nvars, self.p, Fraction(1, self.p[max(self.p)]))
+        return MPoly._of(self.nvars, self.p, Fraction(1, _POLY_RINGS[self.nvars].lead(self.p)))
 
     def __str__(self):
         if not self.p:
@@ -377,14 +345,13 @@ class PolyRing:
     entries of v.  A ring of the tower also has ``const(k)``, the integer
     k, and ``as_int(a)``, a as an integer or None if it is none;
     ``ints(xs)`` iterates over the integer coefficients of a list of
-    elements, and ``of`` and ``terms`` convert from and to the integer
-    dicts of :class:`MPoly` in ``nvars`` variables; for r >= 1,
-    ``is_const(a)`` is whether a nonzero a is an integer, and
+    elements, and ``of`` and ``terms`` convert from and to dicts of
+    exponent tuples to integers, for :class:`MPoly`'s term dicts; for
+    r >= 1, ``is_const(a)`` is whether a nonzero a is an integer, and
     ``lincomb(a, x, b, y)`` is a*x + b*y."""
 
     def __init__(self, nvars, one, **ops) -> None:
         self.nvars, self.one = nvars, one
-        self.e0 = (0,) * nvars
         self.__dict__.update(ops)
 
 
@@ -423,7 +390,8 @@ ZZ = PolyRing(
 def _nested(base: PolyRing) -> PolyRing:
     """R[t] for R = ``base``, a ring in the variables after t: a list over
     powers of t of R elements, lowest first, with no trailing zero.  The
-    lex-leading coefficient is that of the last entry, as in :class:`MPoly`.
+    lex-leading coefficient is that of the last entry, so ``lead`` is the
+    lex order of exponent tuples (t first) that :class:`MPoly` orders by.
     Every operation is written with R's operations only: ``mul`` and
     ``dot`` go through R's ``scale`` and ``mac``, and the vector operations
     are derived from the element operations.  The gcd is the
@@ -680,6 +648,12 @@ def poly_ring(nvars: int) -> PolyRing:
     return _POLY_RINGS[nvars]
 
 
+def _ring(nvars: int) -> PolyRing:
+    """``poly_ring(nvars)``, read straight off the tower once it is built:
+    the constructors of :class:`MPoly` take it on every call."""
+    return _POLY_RINGS[nvars] if nvars < len(_POLY_RINGS) else poly_ring(nvars)
+
+
 # ---------------------------------------------------------------------------
 # Z/p: the coefficient ring of fp:p
 # ---------------------------------------------------------------------------
@@ -715,11 +689,11 @@ def mpoly_gcd(f: MPoly, g: MPoly) -> MPoly:
         return f.monic()
     if f.is_const() or g.is_const():
         return MPoly.const(f.nvars, 1)
-    ring = poly_ring(f.nvars)
-    h = ring.gcd(ring.of(f.p), ring.of(g.p))
-    if ring.is_const(h):
+    ring = _POLY_RINGS[f.nvars]
+    h = ring.gcd(f.p, g.p)
+    if h == ring.one:
         return MPoly.const(f.nvars, 1)
-    return MPoly._of(f.nvars, ring.terms(h), Fraction(1, ring.lead(h)))
+    return MPoly._of(f.nvars, h, Fraction(1, ring.lead(h)))
 
 
 def _nontrivial_gcd(f: MPoly, g: MPoly):
@@ -758,11 +732,11 @@ class RatFunc:
             num = MPoly(num.nvars, {})
             den = MPoly.const(num.nvars, 1)
         elif den.is_const():
-            num = num.scale(1 / den.const_value())
+            num = num.scale(1 / den.c)  # a constant's value is its content
             den = MPoly.const(num.nvars, 1)
         else:
             g = mpoly_gcd(num, den)
-            if not g.is_const() or g.const_value() != 1:
+            if not g.is_const() or g.c != 1:
                 num = num.div_exact(g)
                 den = den.div_exact(g)
             _, lc = den.leading()

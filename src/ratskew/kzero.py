@@ -386,9 +386,9 @@ def _normal_form(rule, v):
 
 def monoid_enumerate(p: MonoidPresentation, bound: int = 512) -> MonoidTable:
     """Close the generators under addition, reducing every sum to its normal
-    form.  Stops with ``overflow`` once more than ``bound`` elements appear;
-    the partial table keeps None for sums that left the enumerated set.  A
-    bound below 1 is refused with ValueError."""
+    form.  Stops with ``overflow`` where a new element, a generator included,
+    would make more than ``bound``; the partial table keeps None for sums
+    that left the enumerated set.  A bound below 1 is refused (ValueError)."""
     if bound < 1:
         raise ValueError("enumeration bound must be at least 1, got %d" % bound)
     k = len(p.gens)
@@ -397,14 +397,17 @@ def monoid_enumerate(p: MonoidPresentation, bound: int = 512) -> MonoidTable:
     elems = [zero]
     index = {zero: 0}
     gens = []
+    overflow = False
     for j in range(k):
         v = _normal_form(rule, tuple(1 if i == j else 0 for i in range(k)))
         if v not in index:
+            if len(elems) >= bound:
+                overflow = True
+                break
             index[v] = len(elems)
             elems.append(v)
         gens.append(index[v])
 
-    overflow = False
     frontier = list(range(len(elems)))
     while frontier and not overflow:
         new = []

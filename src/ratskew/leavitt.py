@@ -281,6 +281,10 @@ def v_equal(a: UElem, b: UElem) -> bool:
 DEGREE_CAP = 12
 
 
+# The top-level keys ``to_json`` writes (a test holds the two lists equal).
+PAIRED_WITNESS_KEYS = frozenset(("kind", "mode", "input", "beta", "gamma", "product", "ok"))
+
+
 @dataclass
 class PairedWitness:
     beta: UElem

@@ -170,30 +170,31 @@ def _lcm_of(ring, dens):
 
 def _qt_in(field, ring, values):
     """The nonzero RatFuncs among values as (index, polynomial) pairs over
-    one common polynomial denominator.  Entries over a constant
-    denominator, most of them in practice, convert with no polynomial lcm."""
+    one common polynomial denominator.  num/den is stored as (c*N)/(d*D)
+    with N, D elements of ``ring``, so an entry is c/d times N times D's
+    cofactor in the lcm of the non-constant D's, over one integer
+    denominator.  Entries over a constant denominator, most of them in
+    practice, convert with no polynomial lcm."""
     zero = field.zero()
     pos = [i for i, a in enumerate(values) if a is not zero and a.num.p]
-    of, e0, mul, div = ring.of, ring.e0, ring.mul, ring.div_exact
+    mul, div = ring.mul, ring.div_exact
     ents = []
-    dens: dict = {}  # each non-constant denominator's terms -> its cofactor in their lcm lp
+    dens: dict = {}  # each non-constant denominator -> its cofactor in their lcm lp
     big = 1
     for i in pos:
         a = values[i]
-        num, dp = a.num, a.den.p
-        if len(dp) == 1 and e0 in dp:
+        num, den = a.num, a.den
+        if den.is_const():  # monic, so 1
             q, key = num.c, None
         else:
-            q, key = num.c / a.den.c, tuple(dp.items())
-            dens[key] = dp
-        p = num.p
-        ents.append((q, None if len(p) == 1 and e0 in p else p, key))
+            q, key = num.c / den.c, den
+            dens[den] = den.p
+        ents.append((q, num.p, key))
         if q.denominator != 1:
             big = lcm(big, q.denominator)
     if dens:
-        polys = {k: of(dp) for k, dp in dens.items()}
-        lp = _lcm_of(ring, polys.values())
-        for k, d in polys.items():
+        lp = _lcm_of(ring, dens.values())
+        for k, d in dens.items():
             dens[k] = div(lp, d)
     else:
         lp = ring.one
@@ -202,20 +203,18 @@ def _qt_in(field, ring, values):
     out = []
     for i, (q, p, key) in zip(pos, ents):
         k = q.numerator * (big // q.denominator)
-        m = dens[key]
-        if p is not None:
-            m = mul(of(p), m)
+        m = mul(p, dens[key])
         out.append((i, m if k == 1 else mul(const(k), m)))
     return out, lp if big == 1 else mul(const(big), lp)
 
 
 def _qt_out(field, ring, polys, den):
-    """The RatFuncs polys[i] / den.  Over a constant den the numerator's
-    content is 1 / den; otherwise x / den is (x / g) / (d / g) with g their
-    gcd, and with d = c * P for the integer content c of d, the monic
-    denominator is P / lc(P) and the numerator's content 1 / (c * lc(P)) =
-    1 / lc(d)."""
-    nv, terms, lead, is_const = ring.nvars, ring.terms, ring.lead, ring.is_const
+    """The RatFuncs polys[i] / den, wrapping the ring elements.  Over a
+    constant den the numerator's content is 1 / den; otherwise x / den is
+    (x / g) / (d / g) with g their gcd, and with d = c * P for the integer
+    content c of d, the monic denominator is P / lc(P) and the numerator's
+    content 1 / (c * lc(P)) = 1 / lc(d)."""
+    nv, lead, is_const = ring.nvars, ring.lead, ring.is_const
     one, gcd_, div = ring.one, ring.gcd, ring.div_exact
     zero, den1, out = field.zero(), field.one().den, []
     for x in polys:
@@ -227,8 +226,8 @@ def _qt_out(field, ring, polys, den):
             g = gcd_(x, d)
             if g != one:
                 x, d = div(x, g), div(d, g)
-        num = MPoly._normal(nv, terms(x), Fraction(1, lead(d)))
-        out.append(RatFunc._of(num, den1 if is_const(d) else MPoly._normal(nv, terms(d), _ONE).monic()))
+        num = MPoly._primitive(nv, x, Fraction(1, lead(d)))
+        out.append(RatFunc._of(num, den1 if is_const(d) else MPoly._primitive(nv, d, _ONE).monic()))
     return out
 
 

@@ -550,6 +550,11 @@ class StepPlan:
         }
 
 
+# The top-level keys ``to_json`` writes, and the ``verification`` list that
+# ``realize chain --verify`` adds (a test holds them equal to its output's).
+CHAIN_PLAN_KEYS = frozenset(("kind", "ok", "steps", "errors", "note", "groups", "maps", "verification"))
+
+
 @dataclass
 class ChainPlan:
     ok: bool

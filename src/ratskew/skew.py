@@ -512,6 +512,10 @@ def t_witness(a: SkewElem) -> TWitness:
 # word systems: verified recursion behind the index congruence
 # ---------------------------------------------------------------------------
 
+# The top-level keys ``to_json`` writes (a test holds the two lists equal).
+WORD_SYSTEM_KEYS = frozenset(("kind", "ok", "s", "n", "s_mod", "violations", "trace", "precision", "words", "qs"))
+
+
 @dataclass
 class WordSystemReport:
     ok: bool

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from ratskew.cli import run_command
-from ratskew import linrep
+from ratskew import leavitt, linrep, realize, skew
 from ratskew.fields import MAX_NVARS, field_from_name
 from ratskew.freealg import FreeElem
 from ratskew.linrep import LinRep
@@ -216,6 +216,20 @@ def test_k0_monoid_bound_overflow(run):
     code, obj = jrun(run, "k0", "monoid", "--json", "--bound", "8", "g |")
     assert code == 0  # overflow is a partial report, not a failure
     assert not obj["shape_report"]["complete"]
+
+
+@pytest.mark.parametrize("bound, size, complete", [("1", 1, False), ("2", 2, False), ("3", 3, True), ("4", 3, True)])
+def test_k0_monoid_table_never_exceeds_the_bound(run, bound, size, complete):
+    """The generators' normal forms count against the bound too: with
+    bound 1 only the zero is enumerated, not zero and g; g | 3g = g has
+    the three elements 0, g and 2g."""
+    code, obj = jrun(run, "k0", "monoid", "--json", "--bound", bound, "g | 3g = g")
+    assert code == 0
+    report = obj["shape_report"]
+    assert report["size"] == size
+    assert report["complete"] == complete
+    code, out, _ = run("k0", "monoid", "--bound", bound, "g | 3g = g")
+    assert "elements: %d%s\n" % (size, "" if complete else " (fragment)") in out
 
 
 @pytest.mark.parametrize("bound", ["0", "-3", "two"])
@@ -867,6 +881,38 @@ def test_verify_cert_refuses_word_systems_of_unequal_lengths(run, tmp_path):
 
 
 _PLAN = {"groups": [{"tags": [2], "u": [1]}, {"tags": [4], "u": [2]}], "maps": [[[2]]]}
+
+
+def _emitted_certificates(run, tmp_path):
+    """A paired witness, a word system, and a chain plan with and without
+    its ``verification`` list, as the tool writes them, each with the key
+    list its re-check accepts."""
+    code, wrapper = jrun(run, "leavitt", "witness", "--json", "--n", "2", "y1*x2")
+    assert code == 0
+    certs = [(wrapper["cert"], leavitt.PAIRED_WITNESS_KEYS), (_word_system_cert(), skew.WORD_SYSTEM_KEYS)]
+    for argv in (["realize", "chain"], ["realize", "chain", "--verify", "--count", "1"]):
+        code, plan = jrun(run, *argv, _write(tmp_path, "plan.json", _PLAN))
+        assert code == 0
+        certs.append((plan, realize.CHAIN_PLAN_KEYS))
+    return certs
+
+
+def test_certificate_key_lists_are_the_keys_the_tool_writes(run, tmp_path):
+    certs = _emitted_certificates(run, tmp_path)
+    for cert, keys in certs[:2]:
+        assert set(cert) == keys
+    assert set(certs[2][0]) == realize.CHAIN_PLAN_KEYS - {"verification"}
+    assert set(certs[3][0]) == realize.CHAIN_PLAN_KEYS
+
+
+def test_verify_cert_refuses_an_unknown_key_in_every_kind(run, tmp_path):
+    """A paired witness, a word system or a chain plan that re-checks as
+    written exits 1 with ``error:`` naming the key once ``extra`` is added."""
+    for cert, _ in _emitted_certificates(run, tmp_path):
+        assert run("verify-cert", _write(tmp_path, "c.json", cert))[0] == 0
+        code, out, err = run("verify-cert", _write(tmp_path, "c.json", dict(cert, extra=1)))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "unknown key 'extra'" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("change", [

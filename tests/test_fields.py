@@ -467,19 +467,70 @@ def test_ratfunc_operators_with_rational_operands(op, data, nvars):
         assert f(k, x) == f(kf, x)
 
 
+# -- the bytes of str() and the JSON codec, from the public terms ------------
+
+def _render_poly(terms):
+    """A polynomial's text: terms by descending (total degree, exponent),
+    a unit coefficient left out of a monomial, a negative term subtracted."""
+    if not terms:
+        return "0"
+    parts = []
+    for e in sorted(terms, key=lambda e: (sum(e), e), reverse=True):
+        c = terms[e]
+        mon = "*".join("t%d" % (i + 1) + ("" if k == 1 else "^%d" % k) for i, k in enumerate(e) if k)
+        parts.append(str(c) if not mon else mon if c == 1 else "-" + mon if c == -1 else "%s*%s" % (c, mon))
+    return parts[0] + "".join(" - " + p[1:] if p.startswith("-") else " + " + p for p in parts[1:])
+
+
+def _render(x):
+    num, den = _render_poly(x.num.terms), _render_poly(x.den.terms)
+    if x.den.terms == {(0,) * x.num.nvars: 1}:
+        return num
+    return "%s/%s" % ("(%s)" % num if " " in num else num, "(%s)" % den if " " in den or "*" in den else den)
+
+
+def _encode_poly(terms):
+    return [[list(e), str(c)] for e, c in sorted(terms.items())]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), nvars=st.sampled_from([1, 2]))
+def test_str_and_json_match_a_rendering_of_the_terms(data, nvars):
+    """``str`` and ``scalar_to_json`` write what a rendering of the public
+    ``num.terms`` and ``den.terms`` writes, for values with contents such
+    as 3/2 and -2/3, negative leads and non-constant denominators: this
+    pins the bytes of stdout and of certificates to the term dicts,
+    whatever the stored form."""
+    field = QT if nvars == 1 else QT2
+    x = data.draw(_ratfuncs(nvars), "x") * data.draw(st.sampled_from([1, -1, Fraction(3, 2), Fraction(-2, 3), 6]))
+    if data.draw(st.booleans(), "divide"):
+        x = x / RatFunc(data.draw(_factor_products(nvars, 1)), MPoly.const(nvars, 1))
+    assert str(x) == _render(x)
+    assert scalar_to_json(field, x) == {"num": _encode_poly(x.num.terms), "den": _encode_poly(x.den.terms)}
+
+
 # -- MPoly's integer content form c * P ------------------------------------
 
 def _assert_normal(q):
-    """P is a primitive integer dict with a positive lex-leading
-    coefficient; the content c is 0 exactly for the zero polynomial."""
-    assert all(type(k) is int and k for k in q.p.values())
+    """The stored form ``c * P`` is the one read off the public terms: P
+    the primitive integer polynomial with a positive lex-leading
+    coefficient, and c the content, which is 0 exactly for the zero
+    polynomial; and the constructor builds the same value and hash."""
+    terms = q.terms
+    assert all(isinstance(v, Fraction) and v for v in terms.values())
     assert isinstance(q.c, Fraction)
-    if not q.p:
-        assert q.c == 0
+    want = MPoly(q.nvars, terms)
+    assert q == want and hash(q) == hash(want)
+    if not terms:
+        assert q.c == 0 and q.is_zero()
         return
-    assert q.c != 0
-    assert math.gcd(*q.p.values()) == 1
-    assert q.p[max(q.p)] > 0
+    den = math.lcm(*(v.denominator for v in terms.values()))
+    ints = {e: v.numerator * (den // v.denominator) for e, v in terms.items()}
+    h = math.gcd(*ints.values())
+    if ints[max(ints)] < 0:
+        h = -h
+    assert q.c == Fraction(h, den)
+    assert q.p == poly_ring(q.nvars).of({e: k // h for e, k in ints.items()})
 
 
 def _ref(d):
@@ -650,7 +701,7 @@ def _as_mpoly(a, r=2, nvars=None, embed=lambda e: e):
     """The ``MPoly`` of an element of poly_ring(r), its exponents mapped by
     ``embed`` into ``nvars`` variables (default r)."""
     terms = poly_ring(r).terms(a).items()
-    return MPoly._normal(nvars or r, {embed(e): k for e, k in terms}, Fraction(1))
+    return MPoly(nvars or r, {embed(e): Fraction(k) for e, k in terms})
 
 
 RANKS = [1, 2, 3]
@@ -668,7 +719,7 @@ def test_poly_ring_div_exact_inverts_mul_and_refuses_an_inexact_quotient(r, data
     b = data.draw(_ring_poly(r, nonzero=True), "b")
     ring = poly_ring(r)
     ab = ring.mul(a, b)
-    assert _as_mpoly(ab, r) == _as_mpoly(a, r) * _as_mpoly(b, r)  # against the sparse product
+    assert ring.terms(ab) == _ref_mul(ring.terms(a), ring.terms(b))  # against a dict convolution
     assert ring.div_exact(ab, b) == a
     if b not in (ring.one, ring.neg(ring.one)):  # b divides ab + 1 only if it is a unit
         with pytest.raises(ValueError, match="inexact"):
@@ -803,11 +854,11 @@ def test_poly_ring_of_and_terms_round_trip(r, data):
     ring = poly_ring(r)
     terms = data.draw(st.dictionaries(st.tuples(*[st.integers(0, 3)] * r), st.integers(-5, 5),
                                       min_size=1, max_size=5), "terms")
-    terms = {e: k for e, k in terms.items() if k} or {ring.e0: 1}
+    terms = {e: k for e, k in terms.items() if k} or {(0,) * r: 1}
     a = ring.of(terms)
     assert ring.terms(a) == terms
     assert ring.lead(a) == terms[max(terms)]
-    assert ring.is_const(a) == (list(terms) == [ring.e0])
+    assert ring.is_const(a) == (list(terms) == [(0,) * r])
     p = data.draw(_ring_poly(r, nonzero=True), "p")
     assert ring.of(ring.terms(p)) == p
 
@@ -827,7 +878,7 @@ def test_mpoly_gcd_bivariate_path_agrees_with_recursive_path(f, g, s):
         f3, g3 = _as_mpoly(f, 2, 3, embed), _as_mpoly(g, 2, 3, embed)
         want = _reference_gcd(f3, g3)
         assert mpoly_gcd(f3, g3) == want
-        assert MPoly._normal(3, {embed(e): k for e, k in h.p.items()}, h.c).monic() == want
+        assert MPoly(3, {embed(e): c for e, c in h.terms.items()}).monic() == want
 
 
 # -- the recursive primitive PRS: the reference of the ring gcd ------------------
@@ -836,7 +887,11 @@ def test_mpoly_gcd_bivariate_path_agrees_with_recursive_path(f, g, s):
 # it before the ring tower: the primitive pseudo-remainder sequence in the
 # smallest common variable, with contents taken recursively (Collins 1967),
 # down to the dense Z[t] gcd ``zx_gcd`` for two polynomials in one variable.
-# It shares no code with the nested rings of ``poly_ring``.
+# It shares no code with the gcd, pseudo-remainders and contents of the
+# nested rings of ``poly_ring``, and reads its operands through their public
+# terms only.  The MPoly products, differences and exact quotients it uses
+# run in the ring tower; they are checked against the Fraction dicts of
+# ``_ref_add`` and ``_ref_mul`` above.
 
 def _dense_prem(a: list, b: list) -> list:
     """Primitive part of a nonzero integer multiple of ``a mod b``, for
@@ -893,12 +948,12 @@ def zx_gcd(a: list, b: list) -> list:
 
 
 def _deg(f, i):
-    return max((e[i] for e in f.p), default=0)
+    return max((e[i] for e in f.terms), default=0)
 
 
 def _active_vars(f):
     out = set()
-    for e in f.p:
+    for e in f.terms:
         for i, k in enumerate(e):
             if k:
                 out.add(i)
@@ -908,9 +963,9 @@ def _active_vars(f):
 def _coeffs_in(f, v):
     """Collect as a polynomial in variable ``v``: degree -> MPoly coefficient."""
     out: dict = {}
-    for e, k in f.p.items():
-        out.setdefault(e[v], {})[e[:v] + (0,) + e[v + 1 :]] = k
-    return {d: MPoly._normal(f.nvars, t, f.c) for d, t in out.items()}
+    for e, c in f.terms.items():
+        out.setdefault(e[v], {})[e[:v] + (0,) + e[v + 1 :]] = c
+    return {d: MPoly(f.nvars, t) for d, t in out.items()}
 
 
 def _prem(f, g, v):
@@ -922,7 +977,7 @@ def _prem(f, g, v):
         d = _deg(rem, v)
         lr = _coeffs_in(rem, v)[d]
         # lg*rem - lr*t^(d-dg)*g kills the degree-d coefficient
-        tpow = MPoly._of(f.nvars, {tuple(d - dg if i == v else 0 for i in range(f.nvars)): 1}, Fraction(1))
+        tpow = MPoly(f.nvars, {tuple(d - dg if i == v else 0 for i in range(f.nvars)): Fraction(1)})
         rem = lg * rem - lr * tpow * g
     return rem
 
@@ -939,12 +994,14 @@ def _content(f, v):
 
 def _dense_gcd(f, g, v):
     """Monic gcd of two polynomials in the single variable ``v``: the dense
-    gcd :func:`zx_gcd` of their primitive parts."""
+    gcd :func:`zx_gcd` of integer multiples of them."""
     lists = []
     for q in (f, g):
+        terms = q.terms
+        den = math.lcm(*(c.denominator for c in terms.values()))
         a = [0] * (_deg(q, v) + 1)
-        for e, k in q.p.items():
-            a[e[v]] = k
+        for e, c in terms.items():
+            a[e[v]] = c.numerator * (den // c.denominator)
         lists.append(a)
     a = zx_gcd(*lists)
     if len(a) == 1:  # coprime
@@ -954,8 +1011,8 @@ def _dense_gcd(f, g, v):
     for d, k in enumerate(a):
         if k:
             e[v] = d
-            p[tuple(e)] = k
-    return MPoly._of(f.nvars, p, Fraction(1, a[-1]))
+            p[tuple(e)] = Fraction(k, a[-1])
+    return MPoly(f.nvars, p)
 
 
 def _reference_gcd(f, g):
