@@ -47,8 +47,12 @@ Last come four more refusals: the first sigma certificate with its
 recorded ``ok_right`` and ``ok_left`` set to false, the same certificate
 with a key ``extra``, and a generator certificate with a key ``extra``,
 under ``verify-cert`` and under ``realize verify``.
-The very last line is ``k0 monoid --json`` of g | 40g = g, whose table
-group is presented by 1522 relation rows on 39 generators.
+Then ``k0 monoid --json`` of g | 40g = g, whose table group is presented
+by 1522 relation rows on 39 generators.
+Last come three refusals of wrongly typed certificate parts: a skew
+witness whose ``kind`` is a list, one whose ``input.backend`` is an
+object, and a Leavitt witness whose beta is null.  A command that raises
+in place of exiting gets the line ``exit=uncaught <exception type>``.
 Run it on two checkouts and diff the outputs to see which commands changed:
 
     python3 scripts/output_digest.py > new.txt
@@ -237,6 +241,15 @@ def misshapen_beta_terms(terms):
     return make
 
 
+def misshapen_beta(beta):
+    """The same certificate with ``beta`` as its beta."""
+    def make(run_command):
+        cert = json.loads(run(run_command, ["leavitt", "witness", "--n", "2", "--json", "y1*x2"])[1])
+        cert["cert"]["beta"] = beta
+        return cert
+    return make
+
+
 def malformed_word_system(run_command):
     """The certificate of the word system x0, x1, x2 against y0, y1, y2 over
     q, built with the package's own functions (no command prints one), with
@@ -382,6 +395,17 @@ EXTRA_KEY = [("skew witness with an extra key",
               VERIFY_CERT)]
 
 
+# wrongly typed parts of a certificate, each refused with ``error:``
+WRONG_TYPES = [
+    ("skew witness with kind [\"skew_witness\"]",
+     changed(["skew", "witness", "--json", "1 - x0"], lambda cert: cert.update(kind=[cert["kind"]])), VERIFY_CERT),
+    ("skew witness with input backend {\"rat\": 1}",
+     changed(["skew", "witness", "--json", "1 - x0"], lambda cert: cert["input"].update(backend={"rat": 1})),
+     VERIFY_CERT),
+    ("leavitt witness with beta null", misshapen_beta(None), VERIFY_CERT),
+]
+
+
 def sigma_and_generator_refusals(sigma):
     """(what, make, checker) for the sigma certificate ``sigma`` with both
     recorded verdicts false and with an unknown key, and for a generator
@@ -444,7 +468,10 @@ def sigma_certs():
 def run(run_command, argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = run_command(argv)
+        try:
+            code = run_command(argv)
+        except Exception as exc:  # a checkout that does not refuse the input cleanly
+            code = "uncaught " + type(exc).__name__
     return code, out.getvalue(), err.getvalue()
 
 
@@ -531,6 +558,7 @@ def main(argv=None) -> int:
     recheck_lines(run_command, sigma_and_generator_refusals(sigma[0][1]))
     code, stdout, stderr = run(run_command, TABLE_GROUP_40)
     print(line(shlex.join(TABLE_GROUP_40), code, stdout, stderr), flush=True)
+    recheck_lines(run_command, WRONG_TYPES)
     return 0
 
 

@@ -336,10 +336,14 @@ def _cmd_selftest(args) -> int:
 # certificate re-checking
 # ---------------------------------------------------------------------------
 
-def _ring_for(elem_obj) -> sk.SkewRing:
+def _field_of(elem_obj, what: str):
     if not isinstance(elem_obj, dict):
-        raise ValueError("a serialized skew element must be an object, got %r" % (elem_obj,))
-    field = field_from_name(elem_obj["field"])
+        raise ValueError("a serialized %s must be an object, got %r" % (what, elem_obj))
+    return field_from_name(elem_obj["field"])
+
+
+def _ring_for(elem_obj) -> sk.SkewRing:
+    field = _field_of(elem_obj, "skew element")
     return sk.SkewRing(sk.CoeffDomain(elem_obj["backend"], field), elem_obj["n"])
 
 
@@ -379,7 +383,7 @@ def _recheck_paired_witness(obj) -> dict:
     mode = obj["mode"]
     if mode not in ("v", "uinf"):
         raise ValueError('paired witness mode must be "v" or "uinf", got %r' % (mode,))
-    field = field_from_name(obj["input"]["field"])
+    field = _field_of(obj["input"], "Leavitt element")
     a = lv.UElem.from_json(field, obj["input"])
     beta = lv.UElem.from_json(field, obj["beta"])
     gamma = lv.UElem.from_json(field, obj["gamma"])
@@ -468,9 +472,10 @@ def recheck_certificate(obj) -> dict:
         raise UsageError("certificate must be a JSON object")
     if "kind" not in obj and isinstance(obj.get("cert"), dict):
         obj = obj["cert"]
-    fn = _RECHECKERS.get(obj.get("kind"))
+    kind = obj.get("kind")
+    fn = _RECHECKERS.get(kind) if type(kind) is str else None
     if fn is None:
-        raise UsageError("unknown certificate kind %r" % (obj.get("kind"),))
+        raise UsageError("unknown certificate kind %r" % (kind,))
     return fn(obj)
 
 

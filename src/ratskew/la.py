@@ -22,6 +22,10 @@ the space it spans, so the basis is that unique one with row i scaled by
 its pivot entry: dividing row i by ``rows[i][pivots[i]]`` gives back the
 pivot-1 rows of elimination on field values.  Rows are dense lists of
 ring elements; the kernel keeps its letter matrices in sparse columns.
+An insert returns the row it stored, so a search goes on from the reduced
+primitive row, and its raw products need no content pass of their own;
+rows are replaced, never written to, so an added vector, and a returned
+row, may be shared.
 No field-value copy is kept: ``tests/test_la.py`` checks the basis
 against Gaussian elimination on field values, and ``tests/test_linrep.py``
 checks the kernel against the Hankel rank over Q and F_p, and by
@@ -90,7 +94,8 @@ class Echelon:
     ring's elements.  Every row is primitive over the ring, the gcd of its
     entries being 1, and its pivot has a positive lead; over Z/p every gcd
     is 1, so a row keeps whatever nonzero pivot it gets.  Rows are
-    replaced, never changed in place, so an added vector may be shared."""
+    replaced, never changed in place, so an added vector, and a row that
+    ``add`` returns, may be shared."""
 
     __slots__ = ("ring", "rows", "pivots")
 
@@ -108,8 +113,13 @@ class Echelon:
             a, c = ring.div_exact(a, g), ring.div_exact(c, g)
         return ring.comb(a, v, c, row)
 
-    def add(self, v) -> bool:
-        """Insert v; returns True if it enlarged the span."""
+    def add(self, v):
+        """Insert v.  Returns the row stored for it, v reduced by the basis
+        and made primitive with a positive pivot lead, if it enlarged the
+        span, else None.  That row differs from v by a nonzero factor plus
+        a combination of the earlier rows, so a caller may go on with it in
+        place of v: a search multiplies it, reduced and primitive, not the
+        raw vector."""
         for row, q in zip(self.rows, self.pivots):
             if v[q]:
                 v = self._eliminate(v, row, q)
@@ -117,7 +127,7 @@ class Echelon:
             if x:
                 break
         else:
-            return False
+            return None
         ring = self.ring
         content, quo, one = ring.content, ring.quo, ring.one
         g = content(v)
@@ -136,7 +146,7 @@ class Echelon:
         k = next((i for i, q in enumerate(self.pivots) if q > piv), len(self.pivots))
         rows.insert(k, v)
         self.pivots.insert(k, piv)
-        return True
+        return v
 
     def dim(self) -> int:
         return len(self.rows)

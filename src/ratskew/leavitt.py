@@ -220,13 +220,14 @@ class UElem:
 
     @staticmethod
     def from_json(field: Field, obj) -> "UElem":
+        if type(obj) is not dict:
+            raise ValueError("a serialized Leavitt element must be an object, got %r" % (obj,))
         if obj["field"] != field.name:
             raise ValueError("field mismatch")
-        return UElem(
-            field,
-            load_terms(obj["terms"], 2, lambda c: scalar_from_json(field, c)),
-            obj["n"],
-        )
+        n = obj["n"]
+        if n is not None and type(n) is not int:
+            raise ValueError("n must be an integer letter bound or null, got %r" % (n,))
+        return UElem(field, load_terms(obj["terms"], 2, lambda c: scalar_from_json(field, c)), n)
 
 
 # ---------------------------------------------------------------------------

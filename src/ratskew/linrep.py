@@ -42,7 +42,9 @@ elements over one common denominator, and a letter matrix its sparse
 columns over one denominator, so v * M costs one product per nonzero
 entry.  The elimination runs fraction-free in one ``la.Echelon`` over
 the kernel's ring, with no ``Fraction``, ``Fp`` or ``RatFunc`` in the
-inner loop.
+inner loop.  The search inserts each product as it comes and multiplies
+on the row the insert returns, reduced and primitive, so a product that
+adds nothing to the span costs no content pass.
 That is exact because scaling a vector or a letter matrix does not
 change the span of row * mu(w), and a subspace has exactly one reduced
 row-echelon basis: the ring basis is that basis with each row scaled by
@@ -265,7 +267,8 @@ class _Kernel:
 
     The kernel converts field vectors and letter matrices to its form
     (``vec``, ``mat``) and back (``out``, ``out_m``), gives the search
-    vector of an entry row (``span``), multiplies (``vec_mat``), tests a
+    vector of an entry row (``span``), multiplies (``product``, and
+    ``vec_mat``, which also makes the product primitive), tests a
     search vector against an exit vector (``pairs``) and reads a span's
     coordinates at the pivots (``read``, ``restrict``, ``coords``).  For
     the block functions it builds zero and unit vectors (``zeros``,
@@ -318,11 +321,20 @@ class _Kernel:
     def nonzero(self, m):
         return any(m[0])
 
-    def vec_mat(self, v, m):
-        """v * M, made primitive over the ring.  Most columns of a letter
-        matrix are empty, and cost no call."""
+    def product(self, v, m):
+        """v * M as the sparse dot products give it, no common factor
+        divided out.  Most columns of a letter matrix are empty, and cost
+        no call."""
         dot, zero = self._dot, self.zero
-        w = [dot(v, c) if c else zero for c in m[0]]
+        return [dot(v, c) if c else zero for c in m[0]]
+
+    def vec_mat(self, v, m):
+        """v * M, made primitive over the ring.  Only the level searches of
+        ``LinRep.to_free`` and ``LinRep.min_word`` use it, as they keep the
+        products themselves (``min_word`` pairs them with gamma and
+        multiplies them on); :func:`_reach` inserts the raw ``product`` and
+        goes on from the primitive row the echelon returns."""
+        w = self.product(v, m)
         g = self.ring.content(w)
         if g == self.one or not g:
             return w
@@ -485,9 +497,15 @@ def _reach(kern, dim, rows, mu, cols):
 
     The one breadth-first search of the engine, for every field: ``rows``,
     ``mu`` and ``cols`` are in the form of the kernel ``kern``, which does
-    the products, the elimination and the pivot read.  The kernel
-    may keep each search vector and basis row up to a nonzero factor, since
-    that changes neither the span nor its one reduced echelon basis.
+    the products, the elimination and the pivot read.  Each product is
+    inserted into the ``la.Echelon`` raw, as the sparse dot products give
+    it, and the search queues the row the insert returns: the product
+    reduced by the basis and made primitive, which the insert computes
+    anyway.  That row is a nonzero multiple of the product plus vectors
+    inserted before it, whose own products the FIFO queue has inserted by
+    the time the row is multiplied, so every insert is accepted or rejected
+    as for the plain product, and the span and its one reduced echelon
+    basis are those of the plain search.
     Returns ``(d, rows, mu, cols)`` in the fully reduced echelon basis of
     that span, still in the kernel's form; letters whose restricted matrix
     is zero are dropped.  The search stops as soon as the span is the whole
@@ -496,20 +514,20 @@ def _reach(kern, dim, rows, mu, cols):
     are returned unchanged.
     """
     ech = Echelon(kern.ring)
-    add, vec_mat = ech.add, kern.vec_mat
-    queue = deque(v for v in map(kern.span, rows) if add(v))
+    add, product = ech.add, kern.product
+    queue = deque(r for r in map(add, map(kern.span, rows)) if r is not None)
     letters = sorted(mu)
     mats = [mu[x] for x in letters]
     d = len(queue)
     while queue and d < dim:
         v = queue.popleft()
         for m in mats:
-            w = vec_mat(v, m)
-            if add(w):
+            r = add(product(v, m))
+            if r is not None:
                 d += 1
                 if d == dim:
                     break
-                queue.append(w)
+                queue.append(r)
     if d == dim:
         return dim, rows, {x: mu[x] for x in letters if kern.nonzero(mu[x])}, cols
     # span vectors have their coordinates at the pivots: read only those columns

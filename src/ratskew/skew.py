@@ -45,8 +45,8 @@ class CoeffDomain:
     KINDS = tuple(BACKENDS)
 
     def __init__(self, kind: str, field: Field, precision: int = DEFAULT_PRECISION) -> None:
-        if kind not in self.BACKENDS:
-            raise ValueError("unknown backend %r" % kind)
+        if type(kind) is not str or kind not in self.BACKENDS:
+            raise ValueError("unknown backend %r" % (kind,))
         self.kind = kind
         self.cls = self.BACKENDS[kind]
         self.field = field

@@ -930,3 +930,53 @@ def test_malformed_chain_plans_exit_1(run, tmp_path, change):
         code, out, err = run(*argv, _write(tmp_path, "bad.json", obj))
         assert (code, out) == (1, "")
         assert err.startswith("error:") and "must be" in err and "Traceback" not in err
+
+
+_KINDS = ("chain_plan", "generator_matrices", "paired_witness", "sigma_cert", "skew_witness", "word_system")
+
+
+def _skew_witness_with_backend(backend):
+    def make(run):
+        code, cert = jrun(run, "skew", "witness", "--json", "1 - x0")
+        assert code == 0
+        cert["input"]["backend"] = backend
+        return cert
+    return make
+
+
+def _paired_witness_with(key, value, n=False):
+    """A paired witness whose ``key`` part is ``value``, or, with ``n``,
+    whose ``key`` part has the letter bound ``value``."""
+    def make(run):
+        code, wrapper = jrun(run, "leavitt", "witness", "--json", "--n", "2", "y1*x2")
+        assert code == 0
+        cert = wrapper["cert"]
+        if n:
+            cert[key]["n"] = value
+        else:
+            cert[key] = value
+        return cert
+    return make
+
+
+_WRONGLY_TYPED = (
+    [("kind-list-" + k, lambda run, k=k: {"kind": [k]}, 2) for k in _KINDS]
+    + [("kind-object-" + k, lambda run, k=k: {"kind": {k: k}}, 2) for k in _KINDS]
+    + [("backend-object", _skew_witness_with_backend({"rat": 1}), 1),
+       ("backend-list", _skew_witness_with_backend(["rat"]), 1)]
+    + [("%s-%s" % (key, json.dumps(v)), _paired_witness_with(key, v), 1)
+       for key in ("input", "beta", "gamma", "product") for v in (None, 3, "x", [1])]
+    + [("%s-n-%s" % (key, json.dumps(v)), _paired_witness_with(key, v, n=True), 1)
+       for key in ("input", "beta") for v in ({"n": 2}, [2])]
+)
+
+
+@pytest.mark.parametrize("make, want", [c[1:] for c in _WRONGLY_TYPED], ids=[c[0] for c in _WRONGLY_TYPED])
+def test_verify_cert_refuses_wrongly_typed_parts(run, tmp_path, make, want):
+    """A certificate kind that is not a string exits 2, as an unknown kind
+    does; a skew witness backend that is not a string, and a paired
+    witness whose elements are not objects or whose letter bound is not an
+    integer or null, exit 1.  Each prints ``error:`` and no traceback."""
+    code, out, err = run("verify-cert", _write(tmp_path, "c.json", make(run)))
+    assert (code, out) == (want, "")
+    assert err.startswith("error:") and "Traceback" not in err

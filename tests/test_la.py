@@ -56,7 +56,7 @@ def _vectors(draw, name):
 def _reference_add(basis, v):
     """Gaussian elimination on field values: ``basis`` maps each pivot to
     its row, with pivot entry 1 and zeros at the other pivots.  Adds v and
-    returns whether the rank grew."""
+    returns its new pivot-1 row if the rank grew, else False."""
     for q, row in basis.items():
         if v[q]:
             c = v[q]
@@ -71,7 +71,7 @@ def _reference_add(basis, v):
             c = row[piv]
             basis[q] = [x - c * y for x, y in zip(row, v)]
     basis[piv] = v
-    return True
+    return v
 
 
 @settings(max_examples=150, deadline=None)
@@ -82,7 +82,13 @@ def test_echelon_is_the_reduced_echelon_basis_of_field_elimination(data, name):
     kept = copy.deepcopy(vs)
     ech, basis = Echelon(ring), {}
     for v in vs:
-        assert ech.add(v) == _reference_add(basis, [value(x) for x in v])
+        got, want = ech.add(v), _reference_add(basis, [value(x) for x in v])
+        assert (got is None) == (want is False)
+        if got is not None:
+            # the row just stored, which is the reference's new row up to its pivot
+            k = next(i for i, row in enumerate(ech.rows) if row is got)
+            s = value(got[ech.pivots[k]])
+            assert [value(x) / s for x in got] == want
     assert vs == kept  # no added vector is mutated
     assert ech.dim() == len(basis) and ech.pivots == sorted(basis)
     for row, q in zip(ech.rows, ech.pivots):

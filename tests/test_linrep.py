@@ -7,6 +7,7 @@ specialisation at integer points to q (and from q to fp:p)."""
 
 import random
 import time
+from collections import deque
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import chain
@@ -983,13 +984,82 @@ def _rand_block(rng, field, letters, lo, hi, dlo, dhi, sparse):
     rows = _rand_wide(rng, field, nrows, d, density)
     cols = _rand_wide(rng, field, ncols, d, density)
     if sparse and rng.random() < 0.5:
-        # a generic sparse block spans its whole space; two copies of half
-        # of it, entered alike, reach at most half, so the pivot read runs
-        h, z = d // 2, field.zero()
-        mu = {x: [r[:h] + [z] * h for r in m[:h]] + [[z] * h + r[:h] for r in m[:h]] for x, m in mu.items()}
-        rows = [r[:h] * 2 for r in rows]
-        cols, d = [c[:2 * h] for c in cols], 2 * h
+        return _halved(field, d, rows, mu, cols)
     return d, rows, mu, cols
+
+
+def _halved(field, d, rows, mu, cols):
+    """A generic sparse block spans its whole space; two copies of half of
+    it, entered alike, reach at most half, so the pivot read runs."""
+    h, z = d // 2, field.zero()
+    mu = {x: [r[:h] + [z] * h for r in m[:h]] + [[z] * h + r[:h] for r in m[:h]] for x, m in mu.items()}
+    return 2 * h, [r[:h] * 2 for r in rows], mu, [c[:2 * h] for c in cols]
+
+
+class _SpyEchelon(linrep.Echelon):
+    """An echelon that logs whether each insert grew the span."""
+
+    log: list = []
+
+    def add(self, v):
+        r = super().add(v)
+        _SpyEchelon.log.append(r is not None)
+        return r
+
+
+def _reference_reach(kern, dim, rows, mu, cols):
+    """The search as it ran when it queued each product made primitive
+    (``vec_mat``), inserted as it is, in place of the row the echelon
+    returns."""
+    ech = linrep.Echelon(kern.ring)
+    add, vec_mat = ech.add, kern.vec_mat
+    queue = deque(v for v in map(kern.span, rows) if add(v) is not None)
+    letters = sorted(mu)
+    mats = [mu[x] for x in letters]
+    d = len(queue)
+    while queue and d < dim:
+        v = queue.popleft()
+        for m in mats:
+            w = vec_mat(v, m)
+            if add(w) is not None:
+                d += 1
+                if d == dim:
+                    break
+                queue.append(w)
+    if d == dim:
+        return dim, rows, {x: mu[x] for x in letters if kern.nonzero(mu[x])}, cols
+    new_mu = {x: m for x, m in zip(letters, kern.restrict(ech, mats)) if kern.nonzero(m)}
+    return d, [kern.read(r, ech.pivots) for r in rows], new_mu, kern.coords(ech, cols)
+
+
+@pytest.mark.parametrize("name", ["q", "fp:7", "qt:1", "qt:2"])
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32), half=st.booleans())
+def test_reach_matches_the_search_of_primitive_products(name, seed, half):
+    """``_reach`` queues the rows the echelon returns; the reference queues
+    the products made primitive.  Both give the same kernel form through
+    the same sequence of accepted and rejected inserts, and a search that
+    spans the whole space returns its input objects."""
+    field = field_from_name(name)
+    k, rng = linrep._kernel(field), random.Random(seed)
+    d, rows, mu, cols = _rand_block(rng, field, 3, 1, 3, 2, {"qt:1": 4, "qt:2": 3}.get(name, 7), None)
+    if half:
+        d, rows, mu, cols = _halved(field, d, rows, mu, cols)
+    rows, cols = [k.vec(r) for r in rows], [k.vec(c) for c in cols]
+    mu = {x: k.mat(m) for x, m in mu.items()}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linrep, "Echelon", _SpyEchelon)
+        got_log = _SpyEchelon.log = []
+        got = linrep._reach(k, d, rows, mu, cols)
+        ref_log = _SpyEchelon.log = []
+        ref = _reference_reach(k, d, rows, mu, cols)
+    assert got == ref
+    assert got_log == ref_log
+    if half:
+        assert got[0] < d
+    if got[0] == d:
+        assert got[1] is rows and got[3] is cols
+        assert all(m is mu[x] for x, m in got[2].items())
 
 
 def test_mod_p_search_vectors_are_reduced():
