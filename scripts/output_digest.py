@@ -51,8 +51,11 @@ Then ``k0 monoid --json`` of g | 40g = g, whose table group is presented
 by 1522 relation rows on 39 generators.
 Last come three refusals of wrongly typed certificate parts: a skew
 witness whose ``kind`` is a list, one whose ``input.backend`` is an
-object, and a Leavitt witness whose beta is null.  A command that raises
-in place of exiting gets the line ``exit=uncaught <exception type>``.
+object, and a Leavitt witness whose beta is null.  Then two refusals of
+a recorded verdict that the re-check does not reach: the word-system
+certificate and the chain plan of PLAN, each with ``ok`` set to false.
+A command that raises in place of exiting gets the line
+``exit=uncaught <exception type>``.
 Run it on two checkouts and diff the outputs to see which commands changed:
 
     python3 scripts/output_digest.py > new.txt
@@ -250,21 +253,38 @@ def misshapen_beta(beta):
     return make
 
 
-def malformed_word_system(run_command):
+def word_system():
     """The certificate of the word system x0, x1, x2 against y0, y1, y2 over
-    q, built with the package's own functions (no command prints one), with
-    its words set to 5."""
+    q, built with the package's own functions (no command prints one)."""
     from ratskew.fields import field_from_name
     from ratskew.skew import CoeffDomain, SkewRing, verify_word_system
 
     ring = SkewRing(CoeffDomain("rat", field_from_name("q")), 2)
-    cert = verify_word_system(ring, [(i,) for i in range(3)], [ring.x(i) for i in range(3)]).to_json()
-    cert["words"] = 5
-    return cert
+    return verify_word_system(ring, [(i,) for i in range(3)], [ring.x(i) for i in range(3)]).to_json()
+
+
+def malformed_word_system(run_command):
+    return dict(word_system(), words=5)
 
 
 def malformed_plan(run_command):
     return dict(PLAN, maps=5)
+
+
+def plan_certificate():
+    """The chain plan ``realize chain`` prints for PLAN, built with the
+    package's own function."""
+    from ratskew.realize import plan_chain
+
+    return plan_chain(PLAN["groups"], PLAN["maps"]).to_json()
+
+
+# (what is changed, a function of run_command making the certificate, the
+# command that re-checks it): a recorded verdict the re-check does not reach
+MISRECORDED = [
+    ("word-system certificate with ok false", lambda run_command: dict(word_system(), ok=False), VERIFY_CERT),
+    ("chain plan with ok false", lambda run_command: dict(plan_certificate(), ok=False), VERIFY_CERT),
+]
 
 
 # (what is wrong, a function of run_command making the input, the command
@@ -559,6 +579,7 @@ def main(argv=None) -> int:
     code, stdout, stderr = run(run_command, TABLE_GROUP_40)
     print(line(shlex.join(TABLE_GROUP_40), code, stdout, stderr), flush=True)
     recheck_lines(run_command, WRONG_TYPES)
+    recheck_lines(run_command, MISRECORDED)
     return 0
 
 

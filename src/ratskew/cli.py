@@ -291,15 +291,17 @@ def _cmd_realize_chain(args) -> int:
     code = 0 if plan.ok else 1
     if args.verify and plan.ok:
         results = rz.verify_chain(plan, count=args.count)
-        out["verification"] = [
-            {"spec": s.to_json(), "label": s.label(), "ok": r.ok,
-             "failed": r.failed()}
-            for s, r in results
-        ]
+        out["verification"] = _verification(results)
         if not all(r.ok for _, r in results):
             code = 1
     _print_json(out)
     return code
+
+
+def _verification(results) -> list:
+    """The ``verification`` list of a chain plan, from the (spec, report)
+    pairs of ``realize.verify_chain``."""
+    return [{"spec": s.to_json(), "label": s.label(), "ok": r.ok, "failed": r.failed()} for s, r in results]
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +349,16 @@ def _ring_for(elem_obj) -> sk.SkewRing:
     return sk.SkewRing(sk.CoeffDomain(elem_obj["backend"], field), elem_obj["n"])
 
 
+def _check_recorded(obj, reached: dict) -> None:
+    """The recorded value of each key of ``reached`` must be the one the
+    re-check reaches, as JSON reads it back (integer keys become strings),
+    compared as JSON text, so that a recorded 1 is not true."""
+    for key, want in json.loads(json.dumps(reached)).items():
+        got = obj.get(key, "nothing")
+        if json.dumps(got, sort_keys=True) != json.dumps(want, sort_keys=True):
+            raise ValueError("certificate records %s %r, the re-check gives %r" % (key, got, want))
+
+
 _SKEW_WITNESS_KEYS = frozenset(("kind", "input", "m", "g", "unit", "check", "precision"))
 
 
@@ -360,11 +372,7 @@ def _recheck_skew_witness(obj) -> dict:
         raise ValueError("m must be a list of integer letters, got %r" % (m,))
     m = ring.x_word(tuple(m))
     v = sk.t_equal(m * a * g, ring.one())
-    # the recorded verdict must be the one the re-check reaches
-    for key, want, types in (("check", v.value, (bool,)), ("precision", v.precision, (int, type(None)))):
-        got = obj.get(key, "nothing")
-        if type(got) not in types or got != want:
-            raise ValueError("certificate records %s %r, the re-check gives %r" % (key, got, want))
+    _check_recorded(obj, {"check": v.value, "precision": v.precision})
     # with m*a*g = 1, g = y_w * c and unit * c = 1 make unit the value of m*a*y_w
     unit = obj.get("unit")
     if not isinstance(unit, dict):
@@ -397,9 +405,7 @@ def _recheck_paired_witness(obj) -> dict:
     if recorded != prod:
         raise ValueError("certificate records product %s, the re-check gives %s"
                          % (recorded.render(), prod.render()))
-    got = obj.get("ok", "nothing")
-    if type(got) is not bool or got != ok:
-        raise ValueError("certificate records ok %r, the re-check gives %r" % (got, ok))
+    _check_recorded(obj, {"ok": ok})
     return {"kind": "paired_witness", "mode": mode, "ok": ok}
 
 
@@ -415,6 +421,7 @@ def _recheck_word_system(obj) -> dict:
     words = [tuple(w) for w in words]
     qs = [sk.SkewElem.from_json(ring, q) for q in qs]
     rep = sk.verify_word_system(ring, words, qs)
+    _check_recorded(obj, {k: v for k, v in rep.to_json().items() if k not in ("kind", "words", "qs")})
     return {"kind": "word_system", "ok": rep.ok, "s": rep.s,
             "s_mod": rep.s_mod, "violations": list(rep.violations)}
 
@@ -430,11 +437,7 @@ def _recheck_sigma_cert(obj) -> dict:
     ident = SeriesMatrix.identity(field, size)
     right = mat * inv == ident
     left = inv * mat == ident
-    # the recorded verdicts must be the ones the re-check reaches
-    for key, want in (("ok_right", right), ("ok_left", left)):
-        got = obj.get(key, "nothing")
-        if type(got) is not bool or got != want:
-            raise ValueError("certificate records %s %r, the re-check gives %r" % (key, got, want))
+    _check_recorded(obj, {"ok_right": right, "ok_left": left})
     return {"kind": "sigma_cert", "ok": right and left,
             "ok_right": right, "ok_left": left}
 
@@ -449,8 +452,12 @@ def _recheck_generator_matrices(obj) -> dict:
 def _recheck_chain_plan(obj) -> dict:
     refuse_unknown_keys(obj, rz.CHAIN_PLAN_KEYS, "chain plan")
     plan = rz.plan_chain(obj["groups"], obj["maps"])
-    same = plan.to_json()["steps"] == obj["steps"]
+    replanned = plan.to_json()
+    _check_recorded(obj, {key: replanned[key] for key in ("ok", "errors", "note")})
+    same = replanned["steps"] == obj["steps"]
     results = rz.verify_chain(plan) if plan.ok else []
+    if "verification" in obj:
+        _check_recorded(obj, {"verification": _verification(results)})
     ok = plan.ok and same and all(r.ok for _, r in results)
     return {"kind": "chain_plan", "ok": ok, "replanned_identically": same,
             "specs_verified": len(results)}

@@ -55,8 +55,10 @@ over ``q`` and ``fp:p`` against the Hankel rank and a word-by-word
 equality computed by plain Gaussian elimination, and over ``qt:r`` by
 specialisation, since evaluating t at an integer point where no
 denominator vanishes maps a computation over Q(t1..tr) onto the same
-computation over Q, and cannot raise the rank.  ``LinRep.min_word``
-runs its level search on the same kernel.
+computation over Q, and cannot raise the rank.  ``LinRep.min_word`` and
+the polynomiality test of ``LinRep.to_free`` run one level search on the
+same kernel, :func:`_levels`; ``to_free`` and ``render`` share one
+listing of the words with nonzero rows, ``LinRep._terms``.
 
 The kernel form is the stored state.  A representation built by an
 operation holds its block in the kernel's form only; sums, products, stars,
@@ -66,7 +68,7 @@ and star bridge entries afresh, and every stored vector or matrix has the
 gcd of its entries and its denominator divided out, so denominators do not
 grow along chains of operations.  Field values (``lam``, ``mu``,
 ``gamma``; ``rows``, ``mu``, ``cols``) are built once, the first time
-something reads them (``coeff``, ``to_json``, ``render``, truncation).  A
+something reads them (``coeff``, ``to_json``, truncation).  A
 representation made from field values (``word``, ``scalar``, a loaded
 certificate, ``SeriesMatrix.constant``) is converted once, on first use.
 A field value has one canonical form, so every value read is the same
@@ -267,8 +269,7 @@ class _Kernel:
 
     The kernel converts field vectors and letter matrices to its form
     (``vec``, ``mat``) and back (``out``, ``out_m``), gives the search
-    vector of an entry row (``span``), multiplies (``product``, and
-    ``vec_mat``, which also makes the product primitive), tests a
+    vector of an entry row (``span``), multiplies (``product``), tests a
     search vector against an exit vector (``pairs``) and reads a span's
     coordinates at the pivots (``read``, ``restrict``, ``coords``).  For
     the block functions it builds zero and unit vectors (``zeros``,
@@ -327,18 +328,6 @@ class _Kernel:
         no call."""
         dot, zero = self._dot, self.zero
         return [dot(v, c) if c else zero for c in m[0]]
-
-    def vec_mat(self, v, m):
-        """v * M, made primitive over the ring.  Only the level searches of
-        ``LinRep.to_free`` and ``LinRep.min_word`` use it, as they keep the
-        products themselves (``min_word`` pairs them with gamma and
-        multiplies them on); :func:`_reach` inserts the raw ``product`` and
-        goes on from the primitive row the echelon returns."""
-        w = self.product(v, m)
-        g = self.ring.content(w)
-        if g == self.one or not g:
-            return w
-        return self._quo(w, g)
 
     def pairs(self, v, c):
         return bool(self._dot(v, _sparse_col(c[0])))
@@ -535,6 +524,24 @@ def _reach(kern, dim, rows, mu, cols):
     return d, [kern.read(r, ech.pivots) for r in rows], new_mu, kern.coords(ech, cols)
 
 
+def _levels(kern, lam, mu):
+    """The level search over the rows lam * mu(w), in the kernel's form,
+    ``mu`` a letter-sorted list of (letter, matrix) pairs: yields the
+    (word, row) pairs kept on each level in length-lex order, a word being
+    kept when its row grows the span of those kept before it on its level.
+    As in :func:`_reach`, the raw product is inserted and the row the
+    insert returns kept: a nonzero multiple of the product plus earlier
+    products of the level.  So every prefix span, every kept word, and the
+    pairing with gamma of the first word whose true row pairs nonzero are
+    those of the search on the rows lam * mu(w) themselves."""
+    level = [((), kern.span(lam))]
+    product = kern.product
+    while level:
+        yield level
+        add = Echelon(kern.ring).add
+        level = [(w + (x,), r) for w, v in level for x, m in mu if (r := add(product(v, m))) is not None]
+
+
 def _minimise(k, dim, rows, mu, cols):
     """Minimal form of (entry rows, letter matrices, exit columns), all in
     the form of the kernel k: the reachable part (:func:`_reach`), then its
@@ -644,7 +651,9 @@ class _Block:
     """What LinRep and SeriesMatrix share: the field, the dimension and the
     block triple, held in field values (``_f``: rows, mu, cols), in the
     form of the field's kernel (``_k``: rows, mu, cols), or both.  Each
-    form is built from the other once, the first time it is needed."""
+    form is built from the other once, the first time it is needed.
+    ``reduce`` stays on each class: ``bench/tracer.py`` counts the
+    reductions of each by wrapping the methods in its own class dict."""
 
     __slots__ = ("field", "dim", "_f", "_k")
 
@@ -678,6 +687,20 @@ class _Block:
 
     def _letters(self):
         return (self._f or self._k)[1]
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return (self - other).dim == 0
+
+    def __neg__(self):
+        return self.scale(-self.field.one())
+
+    def __sub__(self, other):
+        """self + (-other); a LinRep's ``scale(-1)`` negates lam and shares
+        mu and gamma, so ``LinRep.__add__`` finds self - self zero with no
+        reduction, as it does for a loaded copy of self."""
+        return self + (-other)
 
     # letter index -> dim x dim field matrix; absent letters act as zero
     mu = property(lambda self: self._fb()[1])
@@ -803,14 +826,15 @@ class LinRep(_Block):
         has the D + 1 independent rows lam * mu(w_1..w_k), k <= D, of the
         prefixes of a degree-D word, so D < dim, and every row lam * mu(w)
         with |w| > D is zero, since it pairs to zero with every row of the
-        observable space.  So the span of the rows of the words of length
-        dim, built level by level as the span of the previous level's
-        basis times each letter, is zero exactly for a polynomial.
+        observable space.  So the level search :func:`_levels`, which
+        builds each level's span from the previous level's basis times
+        each letter, has at most dim nonempty levels exactly for a
+        polynomial.
 
-        Only then is the support listed breadth-first, keeping each prefix
-        whose row is nonzero.  By observability every kept prefix extends
-        to a support word, so the cost grows with the size of the
-        support, which dim does not bound: (x0 + x1)^40 has dim 41 and
+        Only then is the support listed breadth-first (:meth:`_terms`),
+        keeping each prefix whose row is nonzero.  By observability every
+        kept prefix extends to a support word, so the cost grows with the
+        size of the support, which dim does not bound: (x0 + x1)^40 has dim 41 and
         2^40 words.  ``bounded`` stops the listing, level by level, before
         it keeps more prefixes than the bound, which a single word (dim
         prefixes) or a sum of letters (letters + 1) never exceeds.
@@ -834,32 +858,37 @@ class LinRep(_Block):
         if self.dim == 1 and not self._letters():
             return FreeElem.scalar(field, self.tau())
         k = _kernel(field)
-        d, (lam,), mu, (gamma,) = self._kb(k)
+        d, (lam,), mu, _ = self._kb(k)
         mu = sorted(mu.items())
-        level = [k.span(lam)]
-        for _ in range(d):
-            ech = Echelon(k.ring)
-            level = [u for v in level for _, m in mu if ech.add(u := k.vec_mat(v, m))]
-            if not level:
-                break
-        else:
+        if any(n == d for n, _ in enumerate(_levels(k, lam, mu))):
             raise ValueError("the series has infinite support, so it is not a polynomial")
-        limit = (len(mu) + 1) * d if bounded else None
-        coeffs = {}
-        level = [((), lam)]
-        while level:
+        coeffs, _ = self._terms(limit=(len(mu) + 1) * d if bounded else None)
+        return FreeElem(field, coeffs)  # FreeElem drops the zeros
+
+    def _terms(self, depth=None, limit=None):
+        """The coefficients of the words shorter than ``depth`` (all if
+        None) whose rows lam * mu(w) are nonzero, listed breadth-first, and
+        whether a word of length ``depth`` has a nonzero row; ValueError
+        before the listing holds more than ``limit`` words."""
+        if self.dim == 0:
+            return {}, False
+        k = _kernel(self.field)
+        _, (lam,), mu, (gamma,) = self._kb(k)
+        mu = sorted(mu.items())
+        coeffs, level, n = {}, [((), lam)], 0
+        while level and (depth is None or n < depth):
             if limit is not None and len(coeffs) + len(level) > limit:
                 raise ValueError("the polynomial has more than %d prefixes of support words, "
                                  "too many to list" % limit)
             nxt = []
             for w, v in level:
-                coeffs[w] = k.dot(v, gamma)  # FreeElem drops the zeros
+                coeffs[w] = k.dot(v, gamma)
                 for x, m in mu:
                     u = k.vm(v, m)
                     if any(k.span(u)):
                         nxt.append((w + (x,), u))
-            level = nxt
-        return FreeElem(field, coeffs)
+            level, n = nxt, n + 1
+        return coeffs, bool(level)
 
     # -- reduction ----------------------------------------------------------
 
@@ -924,16 +953,6 @@ class LinRep(_Block):
             if den == den2 and ys == list(map(k.ring.neg, xs)):
                 return LinRep.zero(self.field)
         return LinRep._of(self.field, *_direct_sum(k, [a, b])).reduce()
-
-    def __neg__(self) -> "LinRep":
-        return self.scale(-self.field.one())
-
-    def __sub__(self, other: "LinRep") -> "LinRep":
-        """self + (-other), reduced.  -other is ``scale(-1)``, which negates
-        lam and shares mu and gamma, so a difference of equal kernel forms,
-        other being self or a loaded copy of it, is zero by the shortcut of
-        ``__add__``, with no reduction."""
-        return self + (-other)
 
     def scale(self, c) -> "LinRep":
         """c times the series; a nonzero c keeps the representation minimal."""
@@ -1057,11 +1076,6 @@ class LinRep(_Block):
 
     # -- predicates ----------------------------------------------------------
 
-    def __eq__(self, other):
-        if not isinstance(other, LinRep):
-            return NotImplemented
-        return (self - other).dim == 0
-
     def __bool__(self) -> bool:
         return self.dim != 0
 
@@ -1080,37 +1094,25 @@ class LinRep(_Block):
             return None
         k = _kernel(self.field)
         _, (lam,), mu, (gamma,) = self._kb(k)
-        mu = dict(sorted(mu.items()))
-        level = [((), k.span(lam))]
-        for _ in range(2 * self.dim + 1):
+        for n, level in enumerate(_levels(k, lam, sorted(mu.items()))):
             for w, row in level:
                 if k.pairs(row, gamma):
                     return w
-            ech = Echelon(k.ring)
-            kept = []
-            for w, row in level:
-                for x, m in mu.items():
-                    v = k.vec_mat(row, m)
-                    if ech.add(v):
-                        kept.append((w + (x,), v))
-            if not kept:
+            if n == 2 * self.dim:
                 break
-            level = kept
         raise AssertionError("reduced nonzero series with no word within 2*dim")
 
     # -- presentation ---------------------------------------------------------
 
     def render(self, window: int = 5) -> str:
-        """Expansion up to ``window``; the tail marker is dropped exactly
-        when the window already captures the whole series."""
-        from .truncated import TruncSeries
-
-        ts = TruncSeries.from_linrep(self, window)
-        poly = FreeElem(self.field, dict(ts.coeffs))
-        body = poly.render()
-        if LinRep.from_free(poly) == self:
-            return body
-        return body + " + ..."
+        """The terms of the words shorter than ``window``, then " + ..."
+        exactly when some word of length ``window`` has a nonzero row
+        lam * mu(w).  The series is reduced, so such a row has an extension
+        with a nonzero coefficient: the marker is dropped exactly when the
+        window already captures the whole series."""
+        coeffs, more = self._terms(window)
+        body = FreeElem(self.field, coeffs).render()
+        return body + " + ..." if more else body
 
     def __repr__(self):
         return "LinRep(dim=%d, letters=%s)" % (self.dim, sorted(self._letters()))
@@ -1277,11 +1279,6 @@ class SeriesMatrix(_Block):
         k = _kernel(self.field)
         return SeriesMatrix._of(self.field, *_minimise(k, *self._kb(k)))
 
-    def __eq__(self, other):
-        if not isinstance(other, SeriesMatrix):
-            return NotImplemented
-        return (self - other).dim == 0
-
     # -- arithmetic -----------------------------------------------------------
 
     def _check_shape(self, other, same=True):
@@ -1299,12 +1296,6 @@ class SeriesMatrix(_Block):
         k = _kernel(self.field)
         d, rows, mu, cols = self._kb(k)
         return SeriesMatrix._of(self.field, d, [k.scale(r, c) for r in rows], mu, cols)
-
-    def __neg__(self):
-        return self.scale(-self.field.one())
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other: "SeriesMatrix") -> "SeriesMatrix":
         self._check_shape(other, same=False)

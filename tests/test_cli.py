@@ -519,10 +519,16 @@ def test_verify_cert_word_system(run, tmp_path):
     cert = rep.to_json()
     code, out = jrun(run, "verify-cert", _write(tmp_path, "ws.json", cert))
     assert code == 0 and out["ok"] and out["s_mod"] == 1
-    cert["words"][0] = [1]
-    code, out = jrun(run, "verify-cert", _write(tmp_path, "ws2.json", cert))
+    # a failing system re-checks as failing, with its violations
+    bad = verify_word_system(ring, [(1,)] + words[1:], qs)
+    assert not bad.ok
+    code, out = jrun(run, "verify-cert", _write(tmp_path, "ws2.json", bad.to_json()))
     assert code == 1 and not out["ok"]
     assert any("w_" in v and "q_" in v for v in out["violations"])
+    # changed words with the passing verdict kept no longer match it
+    cert["words"][0] = [1]
+    assert run("verify-cert", _write(tmp_path, "ws3.json", cert)) == (
+        1, "", "error: certificate records ok True, the re-check gives False\n")
 
 
 def test_verify_cert_sigma(run, tmp_path):
@@ -881,6 +887,72 @@ def test_verify_cert_refuses_word_systems_of_unequal_lengths(run, tmp_path):
 
 
 _PLAN = {"groups": [{"tags": [2], "u": [1]}, {"tags": [4], "u": [2]}], "maps": [[[2]]]}
+
+
+def _first_trace_depth_one(cert):
+    cert["trace"][0]["depth"] = 1
+
+
+def _first_partition_moved(cert):
+    part = cert["trace"][0]["partition"]
+    part["0"] = part.pop("2")
+
+
+@pytest.mark.parametrize("key, change", [
+    ("ok", False), ("ok", 1), ("s", 4), ("s", 3.0), ("s_mod", None), ("s_mod", True), ("s_mod", "1"), ("n", 3),
+    ("violations", ["top: sum w_i*q_i != 1"]), ("trace", []), ("trace", _first_trace_depth_one),
+    ("trace", _first_partition_moved), ("precision", 6), ("precision", False), ("ok", "nothing"),
+], ids=lambda x: x.__name__ if callable(x) else json.dumps(x))
+def test_verify_cert_refuses_a_word_system_with_a_misrecorded_verdict(run, tmp_path, key, change):
+    """Each recorded field of a word system must be the one the re-check
+    reaches, as JSON reads it back: changed or removed, it exits 1 with
+    ``error:`` naming the field."""
+    cert = json.loads(json.dumps(_word_system_cert()))
+    assert run("verify-cert", _write(tmp_path, "ws.json", cert))[0] == 0
+    if callable(change):
+        change(cert)
+    elif change == "nothing":
+        del cert[key]
+    else:
+        cert[key] = change
+    code, out, err = run("verify-cert", _write(tmp_path, "ws.json", cert))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: certificate records %s " % key) and "Traceback" not in err
+
+
+def _first_check_failed(cert):
+    cert["verification"][0]["failed"] = ["E"]
+
+
+@pytest.mark.parametrize("verify", [False, True], ids=["plain", "verified"])
+@pytest.mark.parametrize("key, change", [
+    ("ok", False), ("ok", 1), ("errors", ["group 0: bad tag 3"]), ("note", "realizable"), ("ok", "nothing"),
+    ("verification", []), ("verification", None),
+], ids=lambda x: json.dumps(x))
+def test_verify_cert_refuses_a_chain_plan_with_a_misrecorded_verdict(run, tmp_path, verify, key, change):
+    """A chain plan's recorded ``ok``, ``errors`` and ``note`` must be the
+    replanned ones, and a ``verification`` list, when there is one, the
+    one its re-check builds: changed, removed or added, each exits 1 with
+    ``error:`` naming the field."""
+    argv = ["realize", "chain"] + (["--verify", "--count", "1"] if verify else [])
+    code, cert = jrun(run, *argv, _write(tmp_path, "plan.json", _PLAN))
+    assert code == 0 and run("verify-cert", _write(tmp_path, "c.json", cert))[0] == 0
+    if change == "nothing":
+        del cert[key]
+    else:
+        cert[key] = change
+    code, out, err = run("verify-cert", _write(tmp_path, "c.json", cert))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: certificate records %s " % key) and "Traceback" not in err
+
+
+def test_verify_cert_refuses_a_chain_plan_with_a_misrecorded_check(run, tmp_path):
+    code, cert = jrun(run, "realize", "chain", "--verify", _write(tmp_path, "plan.json", _PLAN))
+    assert code == 0
+    _first_check_failed(cert)
+    code, out, err = run("verify-cert", _write(tmp_path, "c.json", cert))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: certificate records verification ") and "Traceback" not in err
 
 
 def _emitted_certificates(run, tmp_path):

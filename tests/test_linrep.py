@@ -10,6 +10,7 @@ import time
 from collections import deque
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import partial
 from itertools import chain
 from math import isqrt
 
@@ -1007,12 +1008,18 @@ class _SpyEchelon(linrep.Echelon):
         return r
 
 
+def _primitive_product(kern, v, m):
+    """v * M with the content of its entries divided out."""
+    w, ring = kern.product(v, m), kern.ring
+    g = ring.content(w)
+    return w if g == ring.one or not g else ring.quo(w, g)
+
+
 def _reference_reach(kern, dim, rows, mu, cols):
-    """The search as it ran when it queued each product made primitive
-    (``vec_mat``), inserted as it is, in place of the row the echelon
-    returns."""
+    """The search as it ran when it queued each product made primitive,
+    inserted as it is, in place of the row the echelon returns."""
     ech = linrep.Echelon(kern.ring)
-    add, vec_mat = ech.add, kern.vec_mat
+    add, vec_mat = ech.add, partial(_primitive_product, kern)
     queue = deque(v for v in map(kern.span, rows) if add(v) is not None)
     letters = sorted(mu)
     mats = [mu[x] for x in letters]
@@ -1815,3 +1822,103 @@ def test_zero_and_lettered_1x1_blocks_are_reduced(name):
         obj = block(c, c, {"0": [[letter]]})
         assert LinRep.from_json(field, obj)._k is not None
         assert _loads_as_reduce_does(field, obj) == series
+
+
+# -- the level search and the word listing ------------------------------------------
+
+def _level_case(field, seed, depth):
+    """A random series: a polynomial, a product and sum of polynomials, one
+    times a unit and its inverse (a polynomial again), one times the
+    inverse of a unit, plus another, or a series from :func:`rand_rep`."""
+    rng = random.Random(seed)
+    p, q = (LinRep.from_free(rand_poly(rng, field, terms=3, maxlen=3)) for _ in range(2))
+    u = LinRep.one(field) - LinRep.word(field, rng.choice(((0,), (1, 0))), field.random(rng, units_only=True))
+    kind = rng.randrange(6)
+    if kind == 0:
+        return p
+    if kind == 1:
+        return p * q + q
+    if kind == 2:
+        return p * u.inv() * u
+    if kind < 5:
+        return p * u.inv() + q
+    return rand_rep(rng, field, depth)
+
+
+_LEVEL_FIELDS = [("q", 2), ("fp:7", 2), ("qt:1", 1), ("qt:2", 1)]
+
+
+def _reference_render(a, window):
+    """``render`` as it was defined before it shared the word listing: the
+    window of field values, and the tail marker unless the series equals
+    that window."""
+    poly = FreeElem(a.field, dict(TruncSeries.from_linrep(a, window).coeffs))
+    return poly.render() + ("" if LinRep.from_free(poly) == a else " + ...")
+
+
+@pytest.mark.parametrize("name, depth", _LEVEL_FIELDS)
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32), window=st.integers(-1, 5))
+def test_render_matches_the_window_and_the_equality_of_its_tail(name, depth, seed, window):
+    a = _level_case(field_from_name(name), seed, depth)
+    assert a.render(window) == _reference_render(a, window)
+
+
+def _length_lex_words(letters, most):
+    yield ()
+    level = [()]
+    for _ in range(most):
+        level = [w + (x,) for w in level for x in letters]
+        yield from level
+
+
+@pytest.mark.parametrize("name, depth", _LEVEL_FIELDS)
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32))
+def test_min_word_is_the_least_word_with_a_nonzero_coefficient(name, depth, seed):
+    """``min_word`` is the first word in length-lex order, up to length
+    2 * dim, whose ``coeff`` is nonzero, and None for the zero series; also
+    with the constant term taken off, and between two letters."""
+    field = field_from_name(name)
+    a = _level_case(field, seed, depth)
+    x0, x1 = LinRep.letter(field, 0), LinRep.letter(field, 1)
+    for b in (a, a - LinRep.scalar(field, a.tau()), x1 * a * x0):
+        want = next((w for w in _length_lex_words((0, 1), 2 * b.dim) if b.coeff(w)), None)
+        assert b.min_word() == want
+        assert (want is None) == (b.dim == 0)
+
+
+def _reference_is_polynomial(a):
+    """The polynomiality test as a level search on products made
+    primitive: no word of length dim has a row outside the span of those
+    of the smaller words of its level."""
+    if a.dim == 0:
+        return True
+    k = linrep._kernel(a.field)
+    d, (lam,), mu, _ = a._kb(k)
+    level = [k.span(lam)]
+    for _ in range(d):
+        add = linrep.Echelon(k.ring).add
+        level = [u for v in level for _, m in sorted(mu.items())
+                 if add(u := _primitive_product(k, v, m)) is not None]
+        if not level:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("name, depth", _LEVEL_FIELDS)
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32))
+def test_to_free_decides_polynomials_as_the_search_on_primitive_products(name, depth, seed):
+    """``to_free`` gives a polynomial exactly when the reference search
+    finds one, and then the polynomial whose window is the series'."""
+    a = _level_case(field_from_name(name), seed, depth)
+    try:
+        p = a.to_free()
+    except ValueError as exc:
+        assert "infinite support" in str(exc)
+        assert not _reference_is_polynomial(a)
+    else:
+        assert _reference_is_polynomial(a)
+        assert LinRep.from_free(p) == a
+        assert dict(p.coeffs) == window(a, a.dim + 1)
