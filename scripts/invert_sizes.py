@@ -6,15 +6,17 @@ c*w.  Each w is a word of length 1 or 2 over two letters.  Over ``qt:r``, c
 is t_v + k, and over ``q`` it is k, with k uniform in 1..5 and v uniform
 over the variables.  For each term the draws are the word, then k, then v,
 from ``random.Random(SEED)`` in row-major order.  Each line gives n, the
-block dim, both verification flags and the process time of the inversion,
-the median of three runs.  With ``--json`` it also gives the process time
-of ``SeriesMatrix.to_json`` on the inverse, the median of the same three
-runs, and the sha256 of that JSON, so that a comparison shows both the
+block dim, both verification flags and the process time of the inversion over
+``--repeat`` runs (default 3): the median, then the min and the max, so
+that one noisy run shows.  With ``--json`` it also gives the process time
+of ``SeriesMatrix.to_json`` on the inverse over the same runs, in the same
+form, and the sha256 of that JSON, so that a comparison shows both the
 speed and the byte identity of the serialised inverse.  Compare two
 checkouts with ``--src``:
 
     python3 scripts/invert_sizes.py --field qt:1 6 7 8
     python3 scripts/invert_sizes.py --src ../other/src --field qt:1 6 7 8
+    python3 scripts/invert_sizes.py --repeat 7 --field qt:1 8
 """
 
 import argparse
@@ -50,6 +52,18 @@ def perturbed_identity(field, n, rng):
     return SeriesMatrix.from_entries(field, entries)
 
 
+def spread(times) -> str:
+    """median (min..max) of a list of seconds."""
+    return "%.3f (%.3f..%.3f)" % (statistics.median(times), min(times), max(times))
+
+
+def positive(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % n)
+    return n
+
+
 def main(argv=None) -> int:
     here = os.path.dirname(os.path.abspath(__file__))
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -58,6 +72,8 @@ def main(argv=None) -> int:
     ap.add_argument("--field", default="qt:1", help="q, fp:<p> or qt:<r> (default qt:1)")
     ap.add_argument("--json", action="store_true",
                     help="also time to_json of the inverse and print the sha256 of its JSON")
+    ap.add_argument("--repeat", type=positive, default=3,
+                    help="timed runs per size (default 3)")
     ap.add_argument("sizes", nargs="+", type=int, help="matrix sizes n")
     args = ap.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
@@ -67,7 +83,7 @@ def main(argv=None) -> int:
     field = field_from_name(args.field)
     for n in args.sizes:
         times, json_times, digests = [], [], set()
-        for _ in range(3):
+        for _ in range(args.repeat):
             m = perturbed_identity(field, n, random.Random(SEED))
             t0 = time.process_time()
             inv, ok_right, ok_left = invert_matrix_series(m)
@@ -77,10 +93,10 @@ def main(argv=None) -> int:
                 obj = inv.to_json()
                 json_times.append(time.process_time() - t0)
                 digests.add(hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest())
-        line = "%s n=%d dim=%d ok_right=%s ok_left=%s seconds=%.3f" % (
-            field.name, n, m.dim, ok_right, ok_left, statistics.median(times))
+        line = "%s n=%d dim=%d ok_right=%s ok_left=%s seconds=%s" % (
+            field.name, n, m.dim, ok_right, ok_left, spread(times))
         if args.json:
-            line += " to_json_seconds=%.3f sha256=%s" % (statistics.median(json_times), ",".join(sorted(digests)))
+            line += " to_json_seconds=%s sha256=%s" % (spread(json_times), ",".join(sorted(digests)))
         print(line, flush=True)
     return 0
 

@@ -101,6 +101,8 @@ QT_LEAVITT_W = "(t + 1)^-1*y3*x3*x1 - t*(y1*x1 + y2*x2 + y3*x3)*x1 + 1/2*y1"
 BINOMIALS = "*".join(["(x0 + x1)"] * 24)
 # x-polynomial coefficients, a power of a word and a polynomial inverse
 FOLDED = "y1*e*(1 - 2/3*x0*x2 + x1^3) + (2 - x0*x1)^-1*y2*x2 - 3/4*x0^2"
+# two y-free factors after y0*e, which the skew ring multiplies first
+COEFFICIENTS_FIRST = "y1*(2 + x0) + y0*e*(1 + x0)*(1 - 2*x1)^-1"
 
 VERIFY_CERT = ["verify-cert"]
 REALIZE_VERIFY = ["realize", "verify"]
@@ -157,6 +159,7 @@ COMMANDS = [
     (["skew", "witness", "--json", "1 - x0"], [VERIFY_CERT]),
     (["skew", "witness", "--json", "1 - x0 - x1"], [VERIFY_CERT]),
     (["skew", "witness", "--json", "y0*(1 + x1*x2)*(1 - 2*x0)^-1 + y1*y2*e"], [VERIFY_CERT]),
+    (["skew", "witness", "--json", COEFFICIENTS_FIRST], [VERIFY_CERT]),
     (["skew", "witness", "--backend", "trunc", "--precision", "6", "--json", "1 - x0"],
      [VERIFY_CERT]),
     (["leavitt", "nf", "--n", "2", "y2*x2"], []),

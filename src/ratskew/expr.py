@@ -15,7 +15,9 @@ series that promotion is :meth:`LinRep.from_free`, a single observability
 pass on the prefix tree; in the skew ring it is the backend's own
 ``from_free``; monoword elements fold only their scalars.  Powers and
 inverses of constants are field arithmetic, and a polynomial p with
-p(0) = c != 0 is inverted as (1 - p/c)^* / c, with one reduction.  The
+p(0) = c != 0 is inverted as (1 - p/c)^* / c, with one reduction.  In the
+skew ring a product chain multiplies its y-free factors after y or e among
+themselves first, so each term of the y part meets one coefficient.  The
 value is the one per-node evaluation gives; only the basis of a series
 representation may differ.
 """
@@ -364,13 +366,60 @@ class SeriesContext(_Context):
     invert_poly = staticmethod(_series_inverse)
 
 
+def _coefficients_first(node):
+    """(node, whether it holds a y letter or e), with every product chain
+    regrouped so that each maximal run of y-free factors after a factor that
+    holds y or e is multiplied on its own first: ((A*c1)*c2) becomes
+    A*(c1*c2).  A y-free right factor is multiplied into every term of the
+    left one, so the run costs one coefficient product per term of A, not
+    one per term and factor.  The leaves keep their order."""
+    op = node[0]
+    if op in ("y", "e"):
+        return node, True
+    if op == "neg":
+        kid, held = _coefficients_first(node[1])
+        return ("neg", kid), held
+    if op == "pow":
+        kid, held = _coefficients_first(node[1])
+        return ("pow", kid, node[2]), held
+    if op in ("add", "sub"):
+        (a, held_a), (b, held_b) = _coefficients_first(node[1]), _coefficients_first(node[2])
+        return (op, a, b), held_a or held_b
+    if op != "mul":
+        return node, False  # num, t, x, or a node eval refuses
+    factors = []
+    while node[0] == "mul":
+        factors.append(node[2])
+        node = node[1]
+    factors.append(node)
+    out, held = _coefficients_first(factors.pop())
+    run = None
+    for f in reversed(factors):
+        f, held_f = _coefficients_first(f)
+        if held and not held_f:
+            run = f if run is None else ("mul", run, f)
+            continue
+        if run is not None:
+            out, run = ("mul", out, run), None
+        out, held = ("mul", out, f), held or held_f
+    return (out if run is None else ("mul", out, run)), held
+
+
 class SkewContext(_Context):
     """Evaluate to elements of the extension ring over its backend; the x
-    letters fold into polynomial coefficients."""
+    letters fold into polynomial coefficients.  Product chains are
+    regrouped coefficients first (:func:`_coefficients_first`): in
+    ``y_I*e*p*(1 + q)^-1`` the coefficient product ``p*(1 + q)^-1`` is made
+    once, and each term of ``y_I*e`` meets it in one product.  The value is
+    the same element, as the ring is associative and truncation to a window
+    is a ring map; only the products run in fewer steps."""
 
     def __init__(self, ring) -> None:
         self.ring = ring
         self.field = ring.domain.field
+
+    def eval(self, node):
+        return super().eval(_coefficients_first(node)[0])
 
     def one(self):
         return self.ring.one()
@@ -448,6 +497,10 @@ def eval_series(text: str, field: Field, n: int = 2) -> LinRep:
 
 
 def eval_skew(text: str, ring):
+    """The element ``text`` denotes in ``ring``.  Each run of y-free factors
+    after a factor holding y or e is multiplied on its own before it meets
+    the product to its left (see :class:`SkewContext`): the same element,
+    in fewer products."""
     return SkewContext(ring).eval(parse_expr(text))
 
 

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ratskew import linrep
 from ratskew.cli import run_command
 from ratskew.expr import (ExprSyntaxError, LeavittContext, SeriesContext,
                           SkewContext, eval_leavitt, eval_series, eval_skew,
@@ -352,6 +353,73 @@ def test_skew_eval_matches_reference(kind, node):
         assert ideal_member(new[1]) == ideal_member(old[1])
     else:
         assert json.dumps(new[1].to_json()) == json.dumps(old[1].to_json())
+
+
+# -- coefficient-first product chains ------------------------------------------------
+
+def _chains(nvars: int, inverses: bool):
+    """Sums, negations and powers 0..2 of product chains as the parser
+    builds them, left-associated: one or two y/e factors, then two or
+    three y-free factors (scalars, the first nvars indeterminates, x
+    letters, c + x_i*x_j, and, with inverses, (1 + c*x_i)^-1 for a nonzero
+    scalar c)."""
+    num = st.sampled_from([2, 3, Fraction(1, 2), Fraction(2, 3)]).map(lambda q: ("num", Fraction(q)))
+    x = st.integers(0, 2).map(lambda i: ("x", i))
+    scalar = st.one_of([num] + ([st.integers(0, nvars - 1).map(lambda k: ("t", k))] if nvars else []))
+    coeff = st.one_of([
+        scalar, x,
+        st.tuples(scalar, x, x).map(lambda p: ("add", p[0], ("mul", p[1], p[2]))),
+    ] + ([st.tuples(scalar, x).map(lambda p: ("pow", ("add", ("num", Fraction(1)), ("mul", p[0], p[1])), -1))]
+         if inverses else []))
+    ye = st.one_of(st.integers(0, 2).map(lambda i: ("y", i)), st.just(("e",)))
+
+    def chain(factors):
+        out = factors[0]
+        for f in factors[1:]:
+            out = ("mul", out, f)
+        return out
+
+    chains = st.tuples(st.lists(ye, min_size=1, max_size=2),
+                       st.lists(coeff, min_size=2, max_size=3)).map(lambda p: chain(p[0] + p[1]))
+    return st.recursive(chains, lambda kids: st.one_of(
+        st.tuples(st.sampled_from(["add", "sub"]), kids, kids),
+        kids.map(lambda n: ("neg", n)),
+        st.tuples(kids, st.integers(0, 2)).map(lambda p: ("pow", p[0], p[1])),
+    ), max_leaves=3)
+
+
+@pytest.mark.parametrize("kind, name", [("rat", "q"), ("rat", "qt:1"), ("free", "q"), ("trunc", "q")])
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_coefficient_first_chains_match_left_to_right(kind, name, data):
+    """``eval_skew`` multiplies the y-free tail of a chain first; the
+    reference multiplies left to right.  The elements are equal, and the
+    free and trunc coefficients, with one form per value, are byte-equal.
+    Polynomials are not inverted over free coefficients."""
+    field = field_from_name(name)
+    node = data.draw(_chains(field.nvars if isinstance(field, FunctionField) else 0, kind != "free"))
+    ring = SkewRing(CoeffDomain(kind, field, 6), 2)
+    new = eval_skew(render_expr(node), ring)
+    old = _reference_eval(_ReferenceSkew(ring), node)
+    assert new == old
+    if kind != "rat":
+        assert json.dumps(new.to_json()) == json.dumps(old.to_json())
+
+
+def test_coefficient_first_chain_makes_one_general_product(monkeypatch):
+    """y0*e has four terms, with coefficients 1 and -x_i.  The coefficient
+    product (1 + x0)*(1 - 2*x1)^-1 is made once, and each term meets it in
+    a product that a constant only scales or that starts with a marked
+    word; so there is exactly one general Cauchy product (a LinRep product
+    whose left factor is neither).  Left to right there are four: each
+    term times (1 + x0), then each of those times the inverse."""
+    calls = []
+    product = linrep._product
+    monkeypatch.setattr(linrep, "_product", lambda *args: calls.append(1) or product(*args))
+    ring = SkewRing(CoeffDomain("rat", QQ), 2)
+    a = eval_skew("y0*e*(1 + x0)*(1 - 2*x1)^-1", ring)
+    assert len(calls) == 1
+    assert a == _reference_eval(_ReferenceSkew(ring), parse_expr("y0*e*(1 + x0)*(1 - 2*x1)^-1"))
 
 
 # -- guards of the folding ------------------------------------------------------------
