@@ -6,17 +6,16 @@ c*w.  Each w is a word of length 1 or 2 over two letters.  Over ``qt:r``, c
 is t_v + k, and over ``q`` it is k, with k uniform in 1..5 and v uniform
 over the variables.  For each term the draws are the word, then k, then v,
 from ``random.Random(SEED)`` in row-major order.  Each line gives n, the
-block dim, both verification flags and the process time of the inversion over
-``--repeat`` runs (default 3): the median, then the min and the max, so
-that one noisy run shows.  With ``--json`` it also gives the process time
-of ``SeriesMatrix.to_json`` on the inverse over the same runs, in the same
-form, and the sha256 of that JSON, so that a comparison shows both the
+block dim, both verification flags and the process time of the inversion
+over three runs: the median, then the min and the max, so that one noisy
+run shows.  With ``--json`` it also gives the process time of
+``SeriesMatrix.to_json`` on the inverse over the same three runs, in the
+same form, and the sha256 of that JSON, so that a comparison shows both the
 speed and the byte identity of the serialised inverse.  Compare two
 checkouts with ``--src``:
 
     python3 scripts/invert_sizes.py --field qt:1 6 7 8
     python3 scripts/invert_sizes.py --src ../other/src --field qt:1 6 7 8
-    python3 scripts/invert_sizes.py --repeat 7 --field qt:1 8
 """
 
 import argparse
@@ -57,13 +56,6 @@ def spread(times) -> str:
     return "%.3f (%.3f..%.3f)" % (statistics.median(times), min(times), max(times))
 
 
-def positive(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError("must be at least 1, got %d" % n)
-    return n
-
-
 def main(argv=None) -> int:
     here = os.path.dirname(os.path.abspath(__file__))
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -72,8 +64,6 @@ def main(argv=None) -> int:
     ap.add_argument("--field", default="qt:1", help="q, fp:<p> or qt:<r> (default qt:1)")
     ap.add_argument("--json", action="store_true",
                     help="also time to_json of the inverse and print the sha256 of its JSON")
-    ap.add_argument("--repeat", type=positive, default=3,
-                    help="timed runs per size (default 3)")
     ap.add_argument("sizes", nargs="+", type=int, help="matrix sizes n")
     args = ap.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
@@ -83,7 +73,7 @@ def main(argv=None) -> int:
     field = field_from_name(args.field)
     for n in args.sizes:
         times, json_times, digests = [], [], set()
-        for _ in range(args.repeat):
+        for _ in range(3):
             m = perturbed_identity(field, n, random.Random(SEED))
             t0 = time.process_time()
             inv, ok_right, ok_left = invert_matrix_series(m)
