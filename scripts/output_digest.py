@@ -54,6 +54,11 @@ witness whose ``kind`` is a list, one whose ``input.backend`` is an
 object, and a Leavitt witness whose beta is null.  Then two refusals of
 a recorded verdict that the re-check does not reach: the word-system
 certificate and the chain plan of PLAN, each with ``ok`` set to false.
+Last, two skew witnesses with their ``verify-cert`` lines, whose descents
+multiply words into the right factors (2 + x1)*(1 - x0 - x1*x2)^-1 and
+(1 - x0 - x1*x2)^-1: the nonempty words of the first do not reach all of
+its space, so its products skip the observability pass, and those of the
+second do.
 A command that raises in place of exiting gets the line
 ``exit=uncaught <exception type>``.
 Run it on two checkouts and diff the outputs to see which commands changed:
@@ -314,6 +319,15 @@ WORD_TIMES = [
 ]
 
 
+# skew witnesses whose descent multiplies words into one right factor six
+# times: a factor whose nonempty words do not reach all of its space, so no
+# observability pass runs on the products, and one whose words do
+WITNESS_TAILS = [
+    (["skew", "witness", "--json", "y1*(2 + x0) + y0*e*(2 + x1)*(1 - x0 - x1*x2)^-1"], [VERIFY_CERT]),
+    (["skew", "witness", "--json", "y1*(2 + x0) + y0*e*(1 - x0 - x1*x2)^-1"], [VERIFY_CERT]),
+]
+
+
 def first_word(cert):
     """The first coefficient of a generator certificate, in E, then the A's,
     then the B's, that is not a constant."""
@@ -518,19 +532,7 @@ def main(argv=None) -> int:
         plan = os.path.join(tmp, PLAN_FILE)
         with open(plan, "w") as fh:
             json.dump(PLAN, fh)
-        for cmd, checkers in COMMANDS:
-            label = shlex.join(cmd)
-            code, stdout, stderr = run(run_command, [plan if a == PLAN_FILE else a for a in cmd])
-            print(line(label, code, stdout, stderr), flush=True)
-            if code != 0:
-                continue
-            path = os.path.join(tmp, "cert.json")
-            with open(path, "w") as fh:
-                fh.write(stdout)
-            for checker in checkers:
-                code, stdout, stderr = run(run_command, checker + [path])
-                print(line("%s <output of: %s>" % (shlex.join(checker), label), code, stdout,
-                           stderr), flush=True)
+        command_lines(run_command, tmp, COMMANDS, plan)
         for cmd, what, series in TAMPERED:
             code, stdout, _ = run(run_command, cmd)
             cert = json.loads(stdout)
@@ -583,7 +585,28 @@ def main(argv=None) -> int:
     print(line(shlex.join(TABLE_GROUP_40), code, stdout, stderr), flush=True)
     recheck_lines(run_command, WRONG_TYPES)
     recheck_lines(run_command, MISRECORDED)
+    with tempfile.TemporaryDirectory() as tmp:
+        command_lines(run_command, tmp, WITNESS_TAILS)
     return 0
+
+
+def command_lines(run_command, tmp, commands, plan=None):
+    """One line per (argv, checkers), and one per checker run on the
+    certificate argv printed, if it exits 0; the certificate is written
+    into the directory tmp, and an argument PLAN_FILE is given as plan."""
+    for cmd, checkers in commands:
+        label = shlex.join(cmd)
+        code, stdout, stderr = run(run_command, [plan if a == PLAN_FILE else a for a in cmd])
+        print(line(label, code, stdout, stderr), flush=True)
+        if code != 0:
+            continue
+        path = os.path.join(tmp, "cert.json")
+        with open(path, "w") as fh:
+            fh.write(stdout)
+        for checker in checkers:
+            code, stdout, stderr = run(run_command, checker + [path])
+            print(line("%s <output of: %s>" % (shlex.join(checker), label), code, stdout,
+                       stderr), flush=True)
 
 
 def recheck_lines(run_command, cases):

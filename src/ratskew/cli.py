@@ -51,6 +51,8 @@ def _load_json(path: str):
         raise UsageError("cannot read %s: %s" % (path, exc))
     except json.JSONDecodeError as exc:
         raise UsageError("%s is not valid JSON: %s" % (path, exc))
+    except RecursionError:
+        raise UsageError("%s nests too deeply to be read as JSON" % path)
 
 
 def _print_json(obj) -> None:

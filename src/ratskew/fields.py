@@ -1058,6 +1058,12 @@ def _mpoly_to_json(p: MPoly):
     return [[list(e), str(c)] for e, c in sorted(p.terms.items())]
 
 
+# The largest exponent a qt:r scalar may carry in JSON: a polynomial's dense
+# ring form costs memory linear in its exponents, so a certificate could
+# otherwise make a load as large as it likes.
+MAX_JSON_EXPONENT = 1 << 16
+
+
 def _mpoly_from_json(nvars: int, obj) -> MPoly:
     if type(obj) is not list:
         raise ValueError("a polynomial must be a list of [exponent list, string] terms, got %r" % (obj,))
@@ -1068,6 +1074,8 @@ def _mpoly_from_json(nvars: int, obj) -> MPoly:
         e, c = term
         if len(e) != nvars or any(type(k) is not int or k < 0 for k in e):
             raise ValueError("exponent %r is not %d non-negative integers" % (e, nvars))
+        if max(e) > MAX_JSON_EXPONENT:
+            raise ValueError("exponent %r exceeds %d, the largest a scalar may carry" % (e, MAX_JSON_EXPONENT))
         terms[tuple(e)] = _fraction(c)
     return MPoly(nvars, terms)
 

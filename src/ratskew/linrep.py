@@ -88,8 +88,9 @@ polynomial's prefix tree is reached by its own prefix, and on such a
 block the reachability pass returns its input unchanged.
 A product c*w * S of a single word (``LinRep.word``, ``from_free`` of one
 term, a loaded path block, a ``scale`` of one, or the ``delta`` of one by
-its last letter) with a series S runs only the second pass too, on the
-block that the first would return.
+its last letter) with a series S runs at most the second pass, on the
+block that the first would return, and runs it only when the nonempty
+words of S reach its whole space (``LinRep._word_times``).
 Every prefix of w reaches its own state of the word's path, and a path
 through all of w goes on into S by a letter, so the reachable space is
 K^(|w|+1) + V+, with V+ = span{lam mu(v) : v nonempty} in S's states.
@@ -98,7 +99,8 @@ followed by V+'s own basis, so that block is the word's own block, then
 V+'s restriction of S, which S memoises (``LinRep._tail``), joined by
 the product's bridge.  It is the same block, not a new basis: the field
 values, the kernel form and so every certificate are those of
-``reduce()``.
+``reduce()``.  When lam is not in V+, every state of that block is
+observable, so the second pass would keep all of it.
 ``LinRep.from_json`` runs neither on the path block of a word c*w
 (:func:`_is_path`, the block ``LinRep.word`` builds, up to scaling): state
 k is reached by the prefix w[:k] and observed by the suffix w[k:], so both
@@ -983,10 +985,13 @@ class LinRep(_Block):
         S restricted to V+ (its memoised ``_tail``), with the bridge from
         the word's exit column to each lam mu(x) in V+'s basis, and exit
         column S(eps) gamma1 on the word's states and S's gamma in V+'s
-        basis on the rest.  Only the observability pass runs on it, with
-        the unreduced dim d1 + d2, so that it takes the branch it takes
-        after the reachability pass: the result is the one ``reduce()``
-        gives, kernel form included."""
+        basis on the rest.  The observability pass runs on it only when
+        S's nonempty words reach its whole space (V+ = K^d2), with the
+        unreduced dim d1 + d2, so that it takes the branch it takes after
+        the reachability pass; otherwise every state is observable
+        (``_word_times``) and the block is returned as that pass would
+        return it.  Either way the result is the one ``reduce()`` gives,
+        kernel form included."""
         self._check(other)
         if self.dim == 0 or other.dim == 0:
             return LinRep.zero(self.field)
@@ -1001,7 +1006,31 @@ class LinRep(_Block):
         return LinRep._of(self.field, *_product(k, self._kb(k), other._kb(k))).reduce()
 
     def _word_times(self, k, other: "LinRep") -> "LinRep":
-        """self * other for a marked word self, as ``__mul__`` describes."""
+        """self * other for a marked word self = c*w, as ``__mul__``
+        describes, with the observability pass only when the tail is the
+        whole of other's space.
+
+        Let S = other = (lam, mu, gamma), reduced, nonzero and not a
+        constant, of dim d2, and V+ = span{lam mu(u) : u nonempty}, of dim
+        dt.  S's states are reached from lam and V+, so dt is d2 - 1 or d2,
+        and dt = d2 - 1 exactly when lam is not in V+.  Then S is not a
+        combination of its nonempty left quotients u^-1 S (the Hankel
+        argument of Berstel-Reutenauer, ch. 2: the future F(v) of a vector
+        v, the series u -> v mu(u) gamma, is u^-1 S for v = lam mu(u), and
+        F is injective on S's observable space).  So no x*S, x a letter,
+        lies in the span Q of all of S's left quotients, S included: its
+        quotient by x would be such a combination.  The block's states
+        have the futures c*w[i:]*S for the word's states i <= |w| (c*S
+        for the last) and F(v) for v in V+, in Q.  Take a dependency among
+        them, and i0 its first word state with a nonzero coefficient
+        (with none, F's injectivity leaves none).  If i0 < |w|, its left
+        quotient by w[i0:|w|-1] puts x*S in Q for x = w[-1], since Q is
+        closed under left quotients; if i0 = |w|, it puts S = F(lam) in
+        F(V+), so lam in V+.  So every state is observable, and what
+        :func:`_observe` would return, a full pass through its
+        ``d != dim`` branch, is built here directly.  When dt = d2, lam
+        is in V+, the word's last state shares its future with a tail
+        vector, and the pass runs."""
         tail = other._tail
         if tail is None:
             d2, (lam,), mu2, cols2 = other._kb(k)
@@ -1020,6 +1049,10 @@ class LinRep(_Block):
             mu[x] = k.grid((d1, dt), parts)
         rows = [k.cat([r, k.zeros(dt)]) for r in rows1]
         cols = [k.cat([k.scale(c, other.tau()), gamma]) for c in cols1]
+        if dt < other.dim:  # every state is observable: what a full pass of _observe returns
+            return LinRep._of(self.field, d1 + dt, [k.norm(r) for r in rows],
+                              {x: k.norm_m(mu[x]) for x in sorted(mu) if k.nonzero(mu[x])},
+                              [k.norm(c) for c in cols])
         return LinRep._of(self.field, *_observe(k, d1 + other.dim, d1 + dt, rows, mu, cols))
 
     def star(self) -> "LinRep":

@@ -10,13 +10,14 @@ import pytest
 
 from ratskew.cli import run_command
 from ratskew import leavitt, linrep, realize, skew
-from ratskew.fields import MAX_NVARS, field_from_name
+from ratskew.fields import MAX_JSON_EXPONENT, MAX_NVARS, field_from_name, scalar_from_json, scalar_to_json
 from ratskew.freealg import FreeElem
 from ratskew.linrep import LinRep
 from ratskew.realize import build_generators, hom_spec, spot_check_sigma_prime
 from ratskew.skew import CoeffDomain, SkewElem, SkewRing, verify_word_system
 
 QQ = field_from_name("q")
+QT1 = field_from_name("qt:1")
 
 
 @pytest.fixture
@@ -589,6 +590,31 @@ def test_verify_cert_refuses_misencoded_scalars_and_sigma_shapes(run, tmp_path, 
     code, out, err = run("verify-cert", _write(tmp_path, "c.json", make(run)))
     assert (code, out) == (1, "")
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_verify_cert_refuses_a_scalar_exponent_above_the_bound(run, tmp_path):
+    """A qt:r exponent above ``fields.MAX_JSON_EXPONENT`` is refused where
+    it is read, exit 1 with ``error:`` and no traceback, before its
+    polynomial is built; one at the bound loads."""
+    t_to = lambda n: {"num": [[[n], "1"]], "den": _ONE_QT1}
+    assert scalar_to_json(QT1, scalar_from_json(QT1, t_to(MAX_JSON_EXPONENT))) == t_to(MAX_JSON_EXPONENT)
+    with pytest.raises(ValueError, match="exceeds %d" % MAX_JSON_EXPONENT):
+        scalar_from_json(QT1, t_to(MAX_JSON_EXPONENT + 1))
+    for n in (MAX_JSON_EXPONENT + 1, 10**6):
+        code, out, err = run("verify-cert", _write(tmp_path, "c.json", _with_lam_entry("qt:1", t_to(n))(run)))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "exceeds %d" % MAX_JSON_EXPONENT in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("opener", ["[", '{"a": '])
+def test_verify_cert_refuses_json_nested_past_the_decoder(run, tmp_path, opener):
+    """JSON nested deeper than the decoder can recurse is unreadable input,
+    exit 2 with ``error:``, like any other text that is not JSON."""
+    path = tmp_path / "deep.json"
+    path.write_text(opener * 200000)
+    code, out, err = run("verify-cert", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "nests too deeply" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("key, value", [

@@ -1623,6 +1623,85 @@ def test_marks_and_the_products_that_take_them(monkeypatch):
     assert calls == {"product": 1, "word": 6}
 
 
+_FACTORS: dict = {}
+
+
+def _drawn_factor(data, field):
+    """A reduced right factor that is neither zero nor a constant: one of
+    :func:`_right_factors` and two more with a full tail (built once per
+    field), or a random series."""
+    if field.name not in _FACTORS:
+        more = [eval_series(text, field, 2) for text in ("(1 - x0)^-1*(1 - 2*x1)^-1", "(1 - x0*x1)^-1 + (1 - x2)^-1")]
+        _FACTORS[field.name] = [s for s, _ in _right_factors(field)] + more
+    pool = _FACTORS[field.name]
+    i = data.draw(st.integers(0, len(pool)), label="factor")
+    if i == len(pool):
+        s = rand_rep(random.Random(data.draw(st.integers(0, 2**32), label="seed")), field, depth=2)
+        if s.dim >= 2 or s._letters():
+            return s
+        i = 0
+    return pool[i]
+
+
+def _drawn_word(data, field):
+    """A marked word c*w, 1 <= |w| <= 3, made by ``word`` with c or by
+    ``scale`` of the coefficient-free word."""
+    w = tuple(data.draw(st.lists(st.integers(0, 2), min_size=1, max_size=3), label="w"))
+    c = field.random(random.Random(data.draw(st.integers(0, 2**32), label="c")), units_only=True)
+    if data.draw(st.booleans(), label="scaled"):
+        return LinRep.word(field, w).scale(c)
+    return LinRep.word(field, w, c)
+
+
+@pytest.mark.parametrize("field", [QQ, F7, QT], ids=lambda f: f.name)
+@given(data=st.data())
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_word_times_block_is_observable_exactly_when_the_tail_is_proper(field, data):
+    """The block a marked word c*w times S reaches (the one ``_word_times``
+    builds) is the word's states then V+ = span{lam mu(v) : v nonempty},
+    so its dim is |w| + 1 + dt with dt = dim S - 1 or dim S; the
+    observability pass keeps all of it exactly when dt < dim S, which is
+    when ``_word_times`` skips the pass.  The product has the JSON and the
+    kernel form of the block product reduced by both passes."""
+    s, a = _drawn_factor(data, field), _drawn_word(data, field)
+    assert a._mono
+    k = linrep._kernel(field)
+    got = a * s
+    dt = s._tail[0]
+    assert s.dim - 1 <= dt <= s.dim
+    d1, d2 = a.dim, s.dim
+    reached = linrep._reach(k, d1 + d2, *linrep._product(k, a._kb(k), s._kb(k))[1:])
+    assert reached[0] == d1 + dt
+    observed = linrep._observe(k, d1 + d2, *reached)
+    assert (observed[0] == d1 + dt) is (dt < s.dim)
+    ref = _block_product(a, s)
+    assert got.to_json() == ref.to_json()
+    assert _kernel_form(got) == _kernel_form(ref)
+
+
+@pytest.mark.parametrize("name", ["q", "qt:1"])
+def test_word_times_runs_the_observability_pass_only_on_a_full_tail(name, monkeypatch):
+    """``_word_times`` calls ``_observe`` once when the right factor's
+    nonempty words reach its whole space (dt = dim S), and not at all when
+    they do not."""
+    field = field_from_name(name)
+    calls = []
+    observe = linrep._observe
+
+    def counted(*args):
+        calls.append(args)
+        return observe(*args)
+
+    monkeypatch.setattr(linrep, "_observe", counted)
+    k = linrep._kernel(field)
+    for s, full in _right_factors(field):
+        for a in _words(field)[:6]:
+            calls.clear()
+            a._word_times(k, s)
+            assert (s._tail[0] == s.dim) is full
+            assert len(calls) == (1 if full else 0)
+
+
 # -- mostly-zero blocks read entry by entry --------------------------------------
 
 @pytest.mark.parametrize("field", [QQ, F7, QT, QT2], ids=lambda f: f.name)
